@@ -336,9 +336,21 @@ let run_socket_server ~max_inflight ~queue_depth ~socket ~tcp ~eval ~control =
   Fmt.epr "server stopped: %d connections seen, %d requests served@."
     (Sv.connections_seen server) (Sv.requests_served server)
 
+(* The serve flags every mode shares. *)
+type session = {
+  jobs : int;
+  batch_size : int;
+  stdin_ok : bool;
+  socket : string option;
+  tcp : int option;
+  max_inflight : int;
+  queue_depth : int;
+  metrics_path : string option;
+}
+
 (* One serving session over an (eval, control) pair: the stdin/stdout
    REPL by default, the socket front-end when --socket/--tcp was given. *)
-let drive_session ~stdin_ok ~batch_size ~socket ~tcp ~max_inflight ~queue_depth
+let drive_session { batch_size; stdin_ok; socket; tcp; max_inflight; queue_depth; _ }
     ~eval ~control =
   match (socket, tcp) with
   | None, None ->
@@ -370,6 +382,34 @@ let drive_session ~stdin_ok ~batch_size ~socket ~tcp ~max_inflight ~queue_depth
         with Unix.Unix_error _ -> ());
        Fmt.epr "serve: output closed (%s); shutting down cleanly@." reason)
   | _ -> run_socket_server ~max_inflight ~queue_depth ~socket ~tcp ~eval ~control
+
+(* The serve loop every mode runs: batches evaluate on a domain pool
+   through the engine [with_engine] lends for the batch, together with the
+   epoch its answers come from; [stats] renders the [stats] reply from the
+   served count and [control] adds mode-specific commands.  [on_exit]
+   releases the index when the session ends, before the final SLO refresh
+   and the metrics write. *)
+let serve_loop session ~with_engine ~stats ?(control = fun _ -> None) ~on_exit () =
+  let served = ref 0 in
+  Hopi_util.Pool.with_pool ~jobs:session.jobs (fun pool ->
+      let eval ~ctx queries =
+        with_engine (fun ~epoch eng ->
+            let answers =
+              Hopi_serve.Batch.eval_batch_engine ~ctx ~pool eng queries
+            in
+            served := !served + Array.length answers;
+            (epoch, answers))
+      in
+      let control = function
+        | "stats" -> Some (fun () -> stats !served)
+        | "slowlog" -> Some slowlog_reply
+        | cmd -> control cmd
+      in
+      drive_session session ~eval ~control);
+  on_exit !served;
+  (* final SLO refresh so the metrics snapshot carries current gauges *)
+  ignore (Hopi_obs.Slo.update Hopi_obs.Reqtrace.slo);
+  write_metrics session.metrics_path
 
 let configure_reqtrace slow_ms slo_p50_ms slo_p95_ms slo_p99_ms =
   let module Rt = Hopi_obs.Reqtrace in
@@ -407,11 +447,10 @@ let maint_line gen line =
 
 (* Live mode: the store is a generation family; churn is applied through
    Hopi_serve.Generation and flipped in without interrupting serving. *)
-let serve_live store_path jobs cache_mb batch_size pool_pages corpus_dir
-    metrics_path maintain retain fsync ~stdin_ok ~socket ~tcp ~max_inflight
-    ~queue_depth =
-  let module Serve = Hopi_serve in
-  let module G = Serve.Generation in
+let serve_live session store_path cache_mb pool_pages corpus_dir maintain retain
+    fsync =
+  let module G = Hopi_serve.Generation in
+  let module Lc = Hopi_serve.Label_cache in
   let c = load_dir corpus_dir in
   let idx = Hopi.create c in
   let gen =
@@ -422,8 +461,7 @@ let serve_live store_path jobs cache_mb batch_size pool_pages corpus_dir
      batch %d, retain %d@."
     store_path (G.live gen)
     (Collection.n_elements c)
-    cache_mb jobs batch_size retain;
-  let served = ref 0 in
+    cache_mb session.jobs session.batch_size retain;
   let writer =
     match maintain with
     | None -> None
@@ -444,145 +482,93 @@ let serve_live store_path jobs cache_mb batch_size pool_pages corpus_dir
                  | Error e -> Fmt.epr "maintain: error: %s (%S)@." e line)
                lines))
   in
-  Hopi_util.Pool.with_pool ~jobs (fun pool ->
-      let eval ~ctx queries =
-        (* one snapshot per batch: a batch never straddles a flip *)
-        G.with_snapshot gen (fun snap ->
-            let answers =
-              Serve.Batch.eval_batch_engine ~ctx ~pool
-                (Serve.Batch.engine_of_snapshot snap)
-                queries
-            in
-            served := !served + Array.length answers;
-            (Serve.Snapshot.epoch snap, answers))
-      in
-      let control line =
-        match line with
-        | "stats" ->
-          Some
-            (fun () ->
-              Fmt.str
-                "served %d; generation %d (%d pending ops); cache %d \
-                 entries, %d bytes of %d"
-                !served (G.live gen) (G.pending_ops gen)
-                (Serve.Label_cache.entries (G.cache gen))
-                (Serve.Label_cache.bytes (G.cache gen))
-                (Serve.Label_cache.capacity_bytes (G.cache gen)))
-        | "slowlog" -> Some slowlog_reply
-        | "gens" ->
-          Some
-            (fun () ->
-              Fmt.str
-                "live %d, previous %d, tip %d; %d pending ops, %d \
-                 generations open"
-                (G.live gen) (G.previous gen) (G.tip gen)
-                (G.pending_ops gen) (G.retained gen))
-        | "flip" ->
-          Some
-            (fun () ->
-              let st = G.flip gen in
-              Fmt.str
-                "generation %d live (%.2f ms; %d nodes dirtied, %d cache \
-                 entries invalidated%s)"
-                st.G.generation
-                (float_of_int st.G.duration_ns /. 1e6)
-                st.G.dirtied st.G.invalidated
-                (if st.G.full_invalidation then "; full invalidation" else ""))
-        | "rollback" ->
-          Some
-            (fun () -> Fmt.str "generation %d live (rolled back)" (G.rollback gen))
-        | line when String.length line > 6 && String.sub line 0 6 = "apply " ->
-          Some
-            (fun () ->
-              let rest = String.sub line 6 (String.length line - 6) in
-              match G.parse_op rest with
-              | Error e -> "error: " ^ e
-              | Ok op -> (
-                match G.apply gen op with
-                | Ok msg -> "ok: " ^ msg
-                | Error e -> "error: " ^ e))
-        | _ -> None
-      in
-      drive_session ~stdin_ok ~batch_size ~socket ~tcp ~max_inflight
-        ~queue_depth ~eval ~control);
-  (match writer with Some d -> Domain.join d | None -> ());
-  Fmt.epr "served %d queries; final generation %d of %d@." !served (G.live gen)
-    (G.tip gen);
-  G.close gen;
-  ignore (Hopi_obs.Slo.update Hopi_obs.Reqtrace.slo);
-  write_metrics metrics_path
+  (* one snapshot per batch: a batch never straddles a flip *)
+  let with_engine f =
+    G.with_snapshot gen (fun snap ->
+        f ~epoch:(Hopi_serve.Snapshot.epoch snap)
+          (Hopi_serve.Batch.engine_of_snapshot snap))
+  in
+  let stats served =
+    Fmt.str
+      "served %d; generation %d (%d pending ops); cache %d entries, %d bytes \
+       of %d"
+      served (G.live gen) (G.pending_ops gen)
+      (Lc.entries (G.cache gen))
+      (Lc.bytes (G.cache gen))
+      (Lc.capacity_bytes (G.cache gen))
+  in
+  let control = function
+    | "gens" ->
+      Some
+        (fun () ->
+          Fmt.str
+            "live %d, previous %d, tip %d; %d pending ops, %d generations open"
+            (G.live gen) (G.previous gen) (G.tip gen) (G.pending_ops gen)
+            (G.retained gen))
+    | "flip" ->
+      Some
+        (fun () ->
+          let st = G.flip gen in
+          Fmt.str
+            "generation %d live (%.2f ms; %d nodes dirtied, %d cache entries \
+             invalidated%s)"
+            st.G.generation
+            (float_of_int st.G.duration_ns /. 1e6)
+            st.G.dirtied st.G.invalidated
+            (if st.G.full_invalidation then "; full invalidation" else ""))
+    | "rollback" ->
+      Some (fun () -> Fmt.str "generation %d live (rolled back)" (G.rollback gen))
+    | line when String.length line > 6 && String.sub line 0 6 = "apply " ->
+      Some
+        (fun () ->
+          let rest = String.sub line 6 (String.length line - 6) in
+          match G.parse_op rest with
+          | Error e -> "error: " ^ e
+          | Ok op -> (
+            match G.apply gen op with
+            | Ok msg -> "ok: " ^ msg
+            | Error e -> "error: " ^ e))
+    | _ -> None
+  in
+  let on_exit served =
+    (match writer with Some d -> Domain.join d | None -> ());
+    Fmt.epr "served %d queries; final generation %d of %d@." served (G.live gen)
+      (G.tip gen);
+    G.close gen
+  in
+  serve_loop session ~with_engine ~stats ~control ~on_exit ()
 
 (* Shard mode: STORE is a directory written by [hopi shard-split]; queries
    route through the scatter-gather {!Hopi_serve.Router}. *)
-let serve_shard dir jobs cache_mb batch_size pool_pages metrics_path ~stdin_ok
-    ~socket ~tcp ~max_inflight ~queue_depth =
-  let module Serve = Hopi_serve in
-  let router = Serve.Router.open_dir ~pool_pages ~cache_mb dir in
+let serve_shard session dir cache_mb pool_pages =
+  let module Router = Hopi_serve.Router in
+  let router = Router.open_dir ~pool_pages ~cache_mb dir in
   Fmt.epr
     "serving shard dir %s: %d shards (%s), %d elements, %d label entries; \
      cache %d MiB, jobs %d, batch %d@."
-    dir
-    (Serve.Router.n_shards router)
-    (if Serve.Router.with_dist router then "distance-aware" else "plain")
-    (Serve.Router.n_nodes router)
-    (Serve.Router.n_entries router)
-    cache_mb jobs batch_size;
-  let eng = Serve.Router.engine router in
-  let served = ref 0 in
-  Hopi_util.Pool.with_pool ~jobs (fun pool ->
-      let eval ~ctx queries =
-        let answers = Serve.Batch.eval_batch_engine ~ctx ~pool eng queries in
-        served := !served + Array.length answers;
-        (0, answers)
-      in
-      let control = function
-        | "stats" ->
-          Some
-            (fun () ->
-              Fmt.str "served %d; %d shards, %d elements, %d entries" !served
-                (Serve.Router.n_shards router)
-                (Serve.Router.n_nodes router)
-                (Serve.Router.n_entries router))
-        | "slowlog" -> Some slowlog_reply
-        | _ -> None
-      in
-      drive_session ~stdin_ok ~batch_size ~socket ~tcp ~max_inflight
-        ~queue_depth ~eval ~control);
-  Fmt.epr "served %d queries@." !served;
-  Serve.Router.close router;
-  ignore (Hopi_obs.Slo.update Hopi_obs.Reqtrace.slo);
-  write_metrics metrics_path
+    dir (Router.n_shards router)
+    (if Router.with_dist router then "distance-aware" else "plain")
+    (Router.n_nodes router) (Router.n_entries router) cache_mb session.jobs
+    session.batch_size;
+  let eng = Router.engine router in
+  let stats served =
+    Fmt.str "served %d; %d shards, %d elements, %d entries" served
+      (Router.n_shards router) (Router.n_nodes router) (Router.n_entries router)
+  in
+  let on_exit served =
+    Fmt.epr "served %d queries@." served;
+    Router.close router
+  in
+  serve_loop session ~with_engine:(fun f -> f ~epoch:0 eng) ~stats ~on_exit ()
 
-let serve store_path jobs cache_mb batch_size pool_pages corpus verbose metrics_path
-    slow_ms slo_p50_ms slo_p95_ms slo_p99_ms live maintain retain no_fsync shard
-    socket tcp max_inflight queue_depth =
-  setup_logs verbose;
-  let module Serve = Hopi_serve in
-  configure_reqtrace slow_ms slo_p50_ms slo_p95_ms slo_p99_ms;
-  (* probe stdin before anything is opened (a later open could be handed
-     fd 0); SIGPIPE must be ignored before the first answer is written *)
-  let stdin_ok = stdin_usable () in
-  ignore_sigpipe ();
-  if shard then
-    serve_shard store_path jobs cache_mb batch_size pool_pages metrics_path
-      ~stdin_ok ~socket ~tcp ~max_inflight ~queue_depth
-  else if live || maintain <> None then begin
-    match corpus with
-    | None ->
-      failwith
-        "--live needs --corpus DIR: the writer index is built from the corpus"
-    | Some dir ->
-      serve_live store_path jobs cache_mb batch_size pool_pages dir
-        metrics_path maintain retain (not no_fsync) ~stdin_ok ~socket ~tcp
-        ~max_inflight ~queue_depth
-  end
-  else begin
-  let snap = Serve.Snapshot.open_file ~pool_pages ~cache_mb store_path in
-  Fmt.epr "serving %s: %s store, %d nodes, %d entries; cache %d MiB, jobs %d, batch %d@."
-    store_path
-    (match Serve.Snapshot.kind snap with `Cover -> "cover" | `Closure -> "closure")
-    (Serve.Snapshot.n_nodes snap) (Serve.Snapshot.n_entries snap) cache_mb jobs
-    batch_size;
+(* Single-store mode: one snapshot, optionally a corpus for path queries. *)
+let serve_store session store_path cache_mb pool_pages corpus =
+  let module Snapshot = Hopi_serve.Snapshot in
+  let module Lc = Hopi_serve.Label_cache in
+  let snap = Snapshot.open_file ~pool_pages ~cache_mb store_path in
+  Fmt.epr "serving %s: %d nodes, %d entries; cache %d MiB, jobs %d, batch %d@."
+    store_path (Snapshot.n_nodes snap) (Snapshot.n_entries snap) cache_mb
+    session.jobs session.batch_size;
   let path_eval =
     match corpus with
     | None -> None
@@ -604,33 +590,44 @@ let serve store_path jobs cache_mb batch_size pool_pages corpus verbose metrics_
                 (Fmt.str "%d matches; top %s" (List.length matches)
                    (render_match c best))))
   in
-  let eng = Serve.Batch.engine_of_snapshot ?path_eval snap in
-  let served = ref 0 in
-  Hopi_util.Pool.with_pool ~jobs (fun pool ->
-      let eval ~ctx queries =
-        let answers = Serve.Batch.eval_batch_engine ~ctx ~pool eng queries in
-        served := !served + Array.length answers;
-        (Serve.Snapshot.epoch snap, answers)
-      in
-      let control = function
-        | "stats" ->
-          Some
-            (fun () ->
-              Fmt.str "served %d; cache %d entries, %d bytes of %d" !served
-                (Serve.Label_cache.entries (Serve.Snapshot.cache snap))
-                (Serve.Label_cache.bytes (Serve.Snapshot.cache snap))
-                (Serve.Label_cache.capacity_bytes (Serve.Snapshot.cache snap)))
-        | "slowlog" -> Some slowlog_reply
-        | _ -> None
-      in
-      drive_session ~stdin_ok ~batch_size ~socket ~tcp ~max_inflight
-        ~queue_depth ~eval ~control);
-  Fmt.epr "served %d queries@." !served;
-  Serve.Snapshot.close snap;
-  (* final SLO refresh so the metrics snapshot carries current gauges *)
-  ignore (Hopi_obs.Slo.update Hopi_obs.Reqtrace.slo);
-  write_metrics metrics_path
+  let eng = Hopi_serve.Batch.engine_of_snapshot ?path_eval snap in
+  let cache = Snapshot.cache snap in
+  let stats served =
+    Fmt.str "served %d; cache %d entries, %d bytes of %d" served
+      (Lc.entries cache) (Lc.bytes cache) (Lc.capacity_bytes cache)
+  in
+  let on_exit served =
+    Fmt.epr "served %d queries@." served;
+    Snapshot.close snap
+  in
+  serve_loop session
+    ~with_engine:(fun f -> f ~epoch:(Snapshot.epoch snap) eng)
+    ~stats ~on_exit ()
+
+let serve store_path jobs cache_mb batch_size pool_pages corpus verbose metrics_path
+    slow_ms slo_p50_ms slo_p95_ms slo_p99_ms live maintain retain no_fsync shard
+    socket tcp max_inflight queue_depth =
+  setup_logs verbose;
+  configure_reqtrace slow_ms slo_p50_ms slo_p95_ms slo_p99_ms;
+  (* probe stdin before anything is opened (a later open could be handed
+     fd 0); SIGPIPE must be ignored before the first answer is written *)
+  let stdin_ok = stdin_usable () in
+  ignore_sigpipe ();
+  let session =
+    { jobs; batch_size; stdin_ok; socket; tcp; max_inflight; queue_depth;
+      metrics_path }
+  in
+  if shard then serve_shard session store_path cache_mb pool_pages
+  else if live || maintain <> None then begin
+    match corpus with
+    | None ->
+      failwith
+        "--live needs --corpus DIR: the writer index is built from the corpus"
+    | Some dir ->
+      serve_live session store_path cache_mb pool_pages dir maintain retain
+        (not no_fsync)
   end
+  else serve_store session store_path cache_mb pool_pages corpus
 
 (* {1 shard-split} *)
 

@@ -32,7 +32,7 @@ let g_bytes =
 let g_entries =
   Registry.gauge "hopi_serve_cache_entries" ~help:"Live label-cache entries"
 
-type dir = Lin | Lout
+type dir = Hopi_storage.Cover_store.dir = Lin | Lout
 
 (* Key layout: [version | node | dir-bit].  Injective as long as node ids
    stay below 2^43 and versions below 2^19 — both far beyond anything the

@@ -11,8 +11,8 @@
     Concurrency: the key space is split across [shards] independent
     sub-caches, each protected by its own mutex, so worker domains serving
     disjoint keys rarely contend.  Entries are immutable once inserted —
-    callers must treat the returned array as read-only (it is shared with
-    every other reader of that key).
+    callers must treat the returned bytes as read-only (they are shared
+    with every other reader of that key).
 
     Size accounting: each entry is charged its payload bytes plus a fixed
     bookkeeping overhead ({!entry_cost}); a shard evicts from its LRU end
@@ -27,7 +27,7 @@
 
 type t
 
-type dir = Lin | Lout
+type dir = Hopi_storage.Cover_store.dir = Lin | Lout
 
 val key : ?version:int -> dir -> int -> int
 (** [key ?version dir node] packs a label-set identity into the integer

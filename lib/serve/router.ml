@@ -203,7 +203,9 @@ let split ?(dist = false) ?(fsync = true) ~k ~dir c =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Buffer.output_buffer oc buf;
-  if fsync then flush oc;
+  flush oc;
+  (* durable before the rename publishes it beside the shard stores *)
+  if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
   close_out oc;
   Sys.rename tmp path;
   {
@@ -398,8 +400,10 @@ let min_distance t u v =
         if cross_connected t a u b v then Some 0 else None
     end
     else begin
-      Counter.incr (if a = b then m_single else m_scatter);
-      (* even a same-shard pair may be closer through other shards *)
+      (* even a same-shard pair may be closer through other shards: the
+         closure is consulted whenever shard b has cross-link targets *)
+      Counter.incr
+        (if a = b && Array.length t.targets_of.(b) = 0 then m_single else m_scatter);
       let dv = Hashtbl.create 16 in
       Array.iter
         (fun tg ->

@@ -142,14 +142,14 @@ let answer_query t conn ~id ~payload ~queue_wait_ns =
             | Error e -> Batch.Failed e))
         slots
     in
-    send conn (Frame.response ~id ~epoch lines)
-  | exception e -> send conn (Frame.error ~id ("evaluation failed: " ^ Printexc.to_string e))
+    Frame.response ~id ~epoch lines
+  | exception e -> Frame.error ~id ("evaluation failed: " ^ Printexc.to_string e)
 
-let answer_control t conn ~id ~payload =
+let answer_control t ~id ~payload =
   match Mutex.protect t.eval_mu (fun () -> t.handler.control payload) with
-  | Ok body -> send conn (Frame.response ~id ~epoch:0 [ body ])
-  | Error e -> send conn (Frame.error ~id e)
-  | exception e -> send conn (Frame.error ~id (Printexc.to_string e))
+  | Ok body -> Frame.response ~id ~epoch:0 [ body ]
+  | Error e -> Frame.error ~id e
+  | exception e -> Frame.error ~id (Printexc.to_string e)
 
 let worker t conn () =
   let rec loop () =
@@ -167,14 +167,18 @@ let worker t conn () =
     | Req { id; payload; control; t_enq } ->
       let queue_wait_ns = Int64.to_int (Timer.elapsed_ns t_enq) in
       Histogram.observe h_queue_wait queue_wait_ns;
-      (try
-         if control then answer_control t conn ~id ~payload
-         else answer_query t conn ~id ~payload ~queue_wait_ns
-       with e ->
-         send conn (Frame.error ~id ("internal error: " ^ Printexc.to_string e)));
+      let reply =
+        try
+          if control then answer_control t ~id ~payload
+          else answer_query t conn ~id ~payload ~queue_wait_ns
+        with e -> Frame.error ~id ("internal error: " ^ Printexc.to_string e)
+      in
+      (* release the slot before the reply goes out: a client that reads
+         its answer and sends again at once must find room *)
       Atomic.incr t.served;
       Atomic.decr t.inflight;
       Gauge.set g_inflight (Atomic.get t.inflight);
+      send conn reply;
       loop ()
   in
   loop ();

@@ -1,38 +1,36 @@
-(* Read-only snapshot over a persisted store: one shared store handle for
-   all domains, served through a shared read-only page pool (see the
-   interface for the concurrency model).
-
-   Label sets travel in the delta-encoded Label_codec layout — rows
-   sorted by (center, dist), exactly the order of a forward-index range
-   scan — so the cover queries below are codec stream merges mirroring
-   Cover_store's B+-tree merges row for row.  Keeping the two
-   implementations answer-identical is load-bearing: the differential
-   tests compare them pairwise. *)
+(* Read-only snapshot over a persisted cover store: one shared store
+   handle for all domains, served through a shared read-only page pool
+   (see the interface for the concurrency model).  The queries are
+   Cover_store's operators; what this module adds is the frozen node set
+   and the cached label fetch they run over. *)
 
 module S = Hopi_storage
 module Ihs = Hopi_util.Int_hashset
-module Codec = Hopi_twohop.Label_codec
-
-type handle = Cover of S.Cover_store.t | Closure of S.Closure_store.t
 
 type t = {
   path : string;
   pool : S.Pager.Read_pool.t;
   pgr : S.Pager.t;
-  handle : handle;
+  src : S.Cover_store.source;
   cache : Label_cache.t;
   epoch : int;
-  node_version : int -> int; (* frozen at open: cache-key version per node *)
-  kind : [ `Cover | `Closure ];
-  with_dist : bool;
-  nodes : Ihs.t; (* cover: registry frozen at open; closure: unused *)
-  n_nodes : int;
-  n_entries : int;
   mu : Mutex.t; (* close idempotency *)
   mutable closed : bool;
 }
 
 let default_version _ = 0
+
+(* Label sets travel in their Label_codec form: a warm fetch is one cache
+   probe, a miss one forward-index range scan encoded on the way in. *)
+let cached_fetch st cache node_version dir v =
+  Hopi_obs.Reqtrace.Local.note_label_probe ();
+  let key = Label_cache.key ~version:(node_version v) dir v in
+  match Label_cache.find cache key with
+  | Some enc -> enc
+  | None ->
+    let enc = S.Cover_store.fetch st dir v in
+    Label_cache.add cache key enc;
+    enc
 
 let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?shards ?cache
     ?(epoch = 0) ?(node_version = default_version) path =
@@ -43,35 +41,35 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?shards ?cache
     | None -> S.Pager.Read_pool.create ~pages:pool_pages ()
   in
   let pgr = S.Pager.open_shared_vfs ~vfs ~pool path in
+  let st =
+    try S.Cover_store.open_pager pgr
+    with e ->
+      S.Pager.close pgr;
+      raise e
+  in
   let cache =
     match cache with
     | Some c -> c
     | None -> Label_cache.create ?shards ~capacity_bytes:(cache_mb * 1024 * 1024) ()
   in
-  let cat = S.Catalog.read pgr in
-  let handle, kind, with_dist, nodes, n_nodes, n_entries =
-    match cat.S.Catalog.kind with
-    | S.Catalog.Cover ->
-      let st = S.Cover_store.open_pager pgr in
-      let nodes = Ihs.create () in
-      S.Cover_store.iter_nodes st (Ihs.add nodes);
-      (Cover st, `Cover, S.Cover_store.with_dist st, nodes,
-       S.Cover_store.n_nodes st, S.Cover_store.n_entries st)
-    | S.Catalog.Closure ->
-      let st = S.Closure_store.open_pager pgr in
-      (Closure st, `Closure, false, Ihs.create (), 0,
-       S.Closure_store.n_connections st)
+  (* the node registry, frozen in memory: membership tests never touch a
+     page *)
+  let nodes = Ihs.create () in
+  S.Cover_store.iter_nodes st (Ihs.add nodes);
+  let src =
+    { S.Cover_store.store = st;
+      mem = (fun v -> Ihs.mem nodes v);
+      fetch = (fun dir v -> cached_fetch st cache node_version dir v) }
   in
-  { path; pool; pgr; handle; cache; epoch; node_version; kind; with_dist;
-    nodes; n_nodes; n_entries; mu = Mutex.create (); closed = false }
+  { path; pool; pgr; src; cache; epoch; mu = Mutex.create (); closed = false }
 
 (* The pager is a shared read-only view: the B+-tree read path touches no
    mutable pager state, page lookups go through the sharded pool, and
-   miss I/O serialises inside the pager — so one handle serves every
+   miss I/O serialises inside the pager — so one source serves every
    domain without a per-query lock. *)
-let handle t =
+let src t =
   if t.closed then invalid_arg "Hopi_serve.Snapshot: closed";
-  t.handle
+  t.src
 
 let close t =
   Mutex.lock t.mu;
@@ -81,13 +79,11 @@ let close t =
     S.Pager.close t.pgr
   end
 
-let kind t = t.kind
+let with_dist t = S.Cover_store.with_dist t.src.store
 
-let with_dist t = t.with_dist
+let n_nodes t = S.Cover_store.n_nodes t.src.store
 
-let n_nodes t = t.n_nodes
-
-let n_entries t = t.n_entries
+let n_entries t = S.Cover_store.n_entries t.src.store
 
 let cache t = t.cache
 
@@ -97,96 +93,12 @@ let epoch t = t.epoch
 
 let read_pool t = t.pool
 
-(* {1 Label fetch} *)
+let mem_node t v = (src t).mem v
 
-type dir = Lin | Lout
+let connected t u v = S.Cover_store.reach (src t) u v
 
-let cache_key t dir v =
-  Label_cache.key ~version:(t.node_version v)
-    (match dir with Lout -> Label_cache.Lout | Lin -> Label_cache.Lin)
-    v
+let min_distance t u v = S.Cover_store.dist (src t) u v
 
-let labels t st dir v =
-  Hopi_obs.Reqtrace.Local.note_label_probe ();
-  let key = cache_key t dir v in
-  match Label_cache.find t.cache key with
-  | Some enc -> enc
-  | None ->
-    (* the range scan visits rows ascending by (center, dist): exactly
-       the encoder's input order, so encoding streams with no staging *)
-    let e = Codec.Enc.create () in
-    let add ~center ~dist = Codec.Enc.row e ~center ~dist in
-    (match dir with
-     | Lin -> S.Cover_store.iter_lin st v add
-     | Lout -> S.Cover_store.iter_lout st v add);
-    let enc = Codec.Enc.finish e in
-    Label_cache.add t.cache key enc;
-    enc
+let descendants t u = S.Cover_store.desc (src t) u
 
-(* {1 Cover queries} *)
-
-let connected_cover t st u v =
-  if u = v then Ihs.mem t.nodes u
-  else if not (Ihs.mem t.nodes u && Ihs.mem t.nodes v) then false
-  else begin
-    let lout = labels t st Lout u and lin = labels t st Lin v in
-    (* compensating probes for the implicit self-entries, then the merge *)
-    Codec.mem lout v || Codec.mem lin u || Codec.intersects lout lin
-  end
-
-let min_distance_cover t st u v =
-  if not (Ihs.mem t.nodes u && Ihs.mem t.nodes v) then None
-  else if u = v then Some 0
-  else begin
-    let lout = labels t st Lout u and lin = labels t st Lin v in
-    let best = ref (-1) in
-    let note d = if d >= 0 && (!best < 0 || d < !best) then best := d in
-    note (Codec.find_min_dist lout v);
-    note (Codec.find_min_dist lin u);
-    note (Codec.merge_min lout lin);
-    if !best < 0 then None else Some !best
-  end
-
-(* mirror of [Cover_store.descendants]/[ancestors], with the center list
-   taken from the cached labels and the per-center fan-out from the
-   backward indexes (uncached scans — these enumerate result sets, not
-   hot label fetches) *)
-let reach_set t st ~labels_dir ~scan u =
-  let acc = Ihs.create () in
-  if Ihs.mem t.nodes u then begin
-    Ihs.add acc u;
-    let via_center w =
-      Ihs.add acc w;
-      scan st w (fun ~node ~dist:_ -> Ihs.add acc node)
-    in
-    via_center u;
-    Codec.iter_centers (labels t st labels_dir u) via_center
-  end;
-  acc
-
-(* {1 Public queries} *)
-
-let mem_node t v =
-  match handle t with
-  | Cover _ -> Ihs.mem t.nodes v
-  | Closure st -> S.Closure_store.connected st v v
-
-let connected t u v =
-  match handle t with
-  | Cover st -> connected_cover t st u v
-  | Closure st -> S.Closure_store.connected st u v
-
-let min_distance t u v =
-  match handle t with
-  | Cover st -> min_distance_cover t st u v
-  | Closure st -> if S.Closure_store.connected st u v then Some 0 else None
-
-let descendants t u =
-  match handle t with
-  | Cover st -> reach_set t st ~labels_dir:Lout ~scan:S.Cover_store.iter_in_by_center u
-  | Closure st -> S.Closure_store.descendants st u
-
-let ancestors t v =
-  match handle t with
-  | Cover st -> reach_set t st ~labels_dir:Lin ~scan:S.Cover_store.iter_out_by_center v
-  | Closure st -> S.Closure_store.ancestors st v
+let ancestors t v = S.Cover_store.anc (src t) v

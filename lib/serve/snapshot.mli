@@ -1,9 +1,17 @@
-(** A read-only, multi-domain view of a persisted index file.
+(** A read-only, multi-domain view of a persisted cover store.
 
     [open_file] attaches to a page file written by [hopi build --store]
-    (either a {!Hopi_storage.Cover_store} or the materialised-closure
-    baseline, {!Hopi_storage.Closure_store}) and serves reachability and
-    distance queries from it without ever writing a page.
+    (a {!Hopi_storage.Cover_store}) and serves reachability and distance
+    queries from it without ever writing a page.
+
+    A snapshot is the store plus a cache: the queries are
+    {!Hopi_storage.Cover_store.reach}/[dist]/[desc]/[anc] run over a
+    {!Hopi_storage.Cover_store.type-source} whose node set is frozen into
+    memory at open time and whose label fetch goes through the
+    {!Label_cache}, where label sets live in their delta-encoded
+    {!Hopi_twohop.Label_codec} form.  A warm probe is a cache lookup per
+    label set and two codec stream merges; a miss is one forward-index
+    range scan.
 
     Concurrency model: the snapshot opens the store {e once}, as a shared
     read-only pager view ({!Hopi_storage.Pager.open_shared}) over a
@@ -11,21 +19,10 @@
     handle.  The B+-tree read path touches no mutable storage state; page
     lookups go through the pool's sharded locks, miss I/O serialises
     inside the pager, and a page any domain faulted in is warm for all of
-    them — which is what keeps cold throughput from collapsing as reader
-    domains are added (per-domain private pools thrashed and duplicated
-    every read).  What domains additionally share is the immutable node
-    registry (frozen into memory at open time) and the {!Label_cache},
-    whose sharded entries are write-once encoded label sets.  This is
-    what makes batch evaluation on a {!Hopi_util.Pool} safe without a
-    global lock.
-
-    Query semantics are identical to the underlying store's — the 2-hop
-    test [(Lout(u) ∪ {u}) ∩ (Lin(v) ∪ {v}) ≠ ∅] with the paper's
-    compensating probes for the implicit self-entries, and
-    [min(dout(u,w) + din(w,v))] for distances — but label sets are
-    fetched through the cache in their delta-encoded
-    {!Hopi_twohop.Label_codec} form, so a warm probe is two codec stream
-    merges instead of two B+-tree range scans. *)
+    them.  What domains additionally share is the immutable node set and
+    the {!Label_cache}, whose sharded entries are write-once encoded label
+    sets.  This is what makes batch evaluation on a {!Hopi_util.Pool}
+    safe without a global lock. *)
 
 type t
 
@@ -61,24 +58,22 @@ val open_file :
     label fetched through this snapshot resolves to the same versioned
     key for its whole lifetime.
     @raise Hopi_storage.Storage_error.Storage_error on a missing file, a
-    corrupt catalog, or an unrecoverable journal. *)
+    corrupt catalog or one of another store kind, or an unrecoverable
+    journal. *)
 
 val close : t -> unit
 (** Release the shared pager (dropping this snapshot's pages from the
     read pool).  Call after all in-flight batches have drained. *)
 
-val kind : t -> [ `Cover | `Closure ]
-
 val with_dist : t -> bool
 (** Do stored labels carry distances (so {!min_distance} can answer more
-    than 0/1-hop)? Always [false] for closure stores. *)
+    than reachability)? *)
 
 val n_nodes : t -> int
-(** Registered nodes (cover stores); 0 for closure stores, which keep no
-    node registry. *)
+(** Registered nodes. *)
 
 val n_entries : t -> int
-(** Label entries (cover) or connections (closure). *)
+(** Label entries across LIN and LOUT. *)
 
 val cache : t -> Label_cache.t
 
@@ -106,12 +101,12 @@ val connected : t -> int -> int -> bool
 
 val min_distance : t -> int -> int -> int option
 (** Shortest stored distance.  On a plain (distance-free) cover every
-    reachable pair reports the stored distance 0; on a closure store
-    reachable pairs report 0 as well — only a distance-aware cover
-    ({!with_dist}) carries real path lengths. *)
+    reachable pair reports the stored distance 0; only a distance-aware
+    cover ({!with_dist}) carries real path lengths. *)
 
 val descendants : t -> int -> Hopi_util.Int_hashset.t
-(** Every node reachable from the argument (including itself).  Backward
-    index scans; not served from the label cache. *)
+(** Every node reachable from the argument (including itself).  The
+    argument's [Lout] comes through the label cache; the per-center
+    backward-index scans do not. *)
 
 val ancestors : t -> int -> Hopi_util.Int_hashset.t

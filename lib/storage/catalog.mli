@@ -1,7 +1,7 @@
 (** The catalog page: page 0 of a persistent index file records the magic
     number, the format version, the store kind, the distance flag and the
-    root/length of every B+-tree, so that a {!Cover_store} or a
-    {!Closure_store} can be reopened from disk. *)
+    root/length of every B+-tree, so that a {!Cover_store} can be reopened
+    from disk and a saved {!Closure_store} is told apart from one. *)
 
 type kind =
   | Cover  (** LIN/LOUT tables + node registry: {!cover_trees} trees *)

@@ -15,15 +15,6 @@ let save t =
     { Catalog.kind = Catalog.Closure; with_dist = false; trees = [| entry fwd; entry bwd |] };
   Pager.commit t.pgr
 
-let open_pager pgr =
-  let cat = Catalog.read pgr in
-  Catalog.expect Catalog.Closure cat;
-  let tree i =
-    let e = cat.Catalog.trees.(i) in
-    Btree.of_root pgr ~root:e.Catalog.root ~length:e.Catalog.length
-  in
-  { pgr; table = Table.of_trees ~fwd:(tree 0) ~bwd:(tree 1) }
-
 let pager t = t.pgr
 
 let load t clo =

@@ -4,7 +4,9 @@
     paper's accounting of 1,379,969,480 integers for the DBLP closure.
 
     Queries are single index probes (faster than the cover's
-    merge-intersection); the price is the quadratic-ish space. *)
+    merge-intersection); the price is the quadratic-ish space.  Only the
+    benchmark harness builds one, for the size comparison; no serving path
+    opens a saved closure store. *)
 
 type t
 
@@ -16,10 +18,6 @@ val pager : t -> Pager.t
 val save : t -> unit
 (** Write the catalog and {!Pager.commit} (atomic, like
     {!Cover_store.save}). *)
-
-val open_pager : Pager.t -> t
-(** Re-attach to a store saved earlier.
-    @raise Storage_error.Storage_error on a bad catalog. *)
 
 val load : t -> Hopi_graph.Closure.t -> unit
 (** Bulk-insert every connection (and its backward-index row) of a

@@ -1,6 +1,7 @@
 module Ihs = Hopi_util.Int_hashset
 module Cover = Hopi_twohop.Cover
 module Dist_cover = Hopi_twohop.Dist_cover
+module Codec = Hopi_twohop.Label_codec
 
 type t = {
   pgr : Pager.t;
@@ -244,72 +245,78 @@ let remove_label t w =
   ignore (Table.delete_all_of_label t.lin w);
   ignore (Table.delete_all_of_label t.lout w)
 
-(* Merge-intersection of LOUT(u) and LIN(v) rows (both scans are ordered by
-   label), exactly the paper's join on LOUT.OUTID = LIN.INID. *)
-let merge_min t u v =
-  let out_rows = ref [] and in_rows = ref [] in
-  Table.iter_by_id t.lout u (fun ~label ~dist -> out_rows := (label, dist) :: !out_rows);
-  Table.iter_by_id t.lin v (fun ~label ~dist -> in_rows := (label, dist) :: !in_rows);
-  let rec merge best xs ys =
-    match (xs, ys) with
-    | [], _ | _, [] -> best
-    | (wx, dx) :: xs', (wy, dy) :: ys' ->
-      if wx < wy then merge best xs' ys
-      else if wy < wx then merge best xs ys'
-      else begin
-        let d = dx + dy in
-        let best = match best with Some b when b <= d -> Some b | _ -> Some d in
-        merge best xs' ys'
-      end
-  in
-  (* rows were accumulated in reverse (descending) order: re-reverse *)
-  merge None (List.rev !out_rows) (List.rev !in_rows)
+(* {1 Queries}
 
-let min_distance t u v =
-  if not (mem_node t u && mem_node t v) then None
-  else if u = v then Some 0
+   Reach, dist, desc and anc are written once, over a [source]: a node
+   membership test and a label fetch returning a node's Lin or Lout rows
+   as a Label_codec stream.  The store's own queries fetch by range scan;
+   the serving layer plugs in a cached fetch and a frozen node set. *)
+
+type dir = Lin | Lout
+
+let fetch t dir v =
+  (* the range scan visits rows ascending by (center, dist): exactly the
+     encoder's input order, so encoding streams with no staging *)
+  let e = Codec.Enc.create () in
+  let add ~center ~dist = Codec.Enc.row e ~center ~dist in
+  (match dir with Lin -> iter_lin t v add | Lout -> iter_lout t v add);
+  Codec.Enc.finish e
+
+type source = { store : t; mem : int -> bool; fetch : dir -> int -> Codec.t }
+
+let source t = { store = t; mem = mem_node t; fetch = fetch t }
+
+(* The paper's join on LOUT.OUTID = LIN.INID is a merge of the two
+   streams; the two compensating probes cover the implicit self-entries
+   (center v in Lout(u), center u in Lin(v)). *)
+let reach src u v =
+  if u = v then src.mem u
+  else if not (src.mem u && src.mem v) then false
   else begin
-    let candidates =
-      List.filter_map Fun.id
-        [
-          (* compensating queries for the implicit self-entries *)
-          Table.find_dist t.lout ~id:u ~label:v;  (* center w = v *)
-          Table.find_dist t.lin ~id:v ~label:u;  (* center w = u *)
-          merge_min t u v;
-        ]
-    in
-    match candidates with
-    | [] -> None
-    | ds -> Some (List.fold_left min max_int ds)
+    let lout = src.fetch Lout u and lin = src.fetch Lin v in
+    Codec.mem lout v || Codec.mem lin u || Codec.intersects lout lin
   end
 
-let connected t u v = min_distance t u v <> None
+let dist src u v =
+  if not (src.mem u && src.mem v) then None
+  else if u = v then Some 0
+  else begin
+    let lout = src.fetch Lout u and lin = src.fetch Lin v in
+    let best = ref (-1) in
+    let note d = if d >= 0 && (!best < 0 || d < !best) then best := d in
+    note (Codec.find_min_dist lout v);
+    note (Codec.find_min_dist lin u);
+    note (Codec.merge_min lout lin);
+    if !best < 0 then None else Some !best
+  end
 
-let descendants t u =
+(* the node itself, each center of its labels, and every node naming one
+   of those centers on the other side (a backward-index scan per center;
+   these enumerate result sets, so the scans go uncached) *)
+let reach_set src ~dir ~scan u =
   let acc = Ihs.create () in
-  if mem_node t u then begin
+  if src.mem u then begin
     Ihs.add acc u;
     let via_center w =
       Ihs.add acc w;
-      Table.iter_by_label t.lin w (fun ~id ~dist:_ -> Ihs.add acc id)
+      scan src.store w (fun ~node ~dist:_ -> Ihs.add acc node)
     in
     via_center u;
-    Table.iter_by_id t.lout u (fun ~label ~dist:_ -> via_center label)
+    Codec.iter_centers (src.fetch dir u) via_center
   end;
   acc
 
-let ancestors t v =
-  let acc = Ihs.create () in
-  if mem_node t v then begin
-    Ihs.add acc v;
-    let via_center w =
-      Ihs.add acc w;
-      Table.iter_by_label t.lout w (fun ~id ~dist:_ -> Ihs.add acc id)
-    in
-    via_center v;
-    Table.iter_by_id t.lin v (fun ~label ~dist:_ -> via_center label)
-  end;
-  acc
+let desc src u = reach_set src ~dir:Lout ~scan:iter_in_by_center u
+
+let anc src v = reach_set src ~dir:Lin ~scan:iter_out_by_center v
+
+let connected t u v = reach (source t) u v
+
+let min_distance t u v = dist (source t) u v
+
+let descendants t u = desc (source t) u
+
+let ancestors t v = anc (source t) v
 
 let n_entries t = Table.length t.lin + Table.length t.lout
 

@@ -4,12 +4,19 @@
     Reachability:
     {v SELECT COUNT( * ) FROM LIN, LOUT
        WHERE LOUT.ID = :u AND LIN.ID = :v AND LOUT.OUTID = LIN.INID v}
-    is a merge-intersection of two forward-index range scans, plus the
-    "simple additional queries" compensating for the omitted self-entries.
+    is a merge-intersection of the forward-index scans of LOUT(u) and
+    LIN(v), plus the "simple additional queries" compensating for the
+    omitted self-entries.
 
     Distance:
     {v SELECT MIN(LOUT.DIST + LIN.DIST) FROM LIN, LOUT WHERE ... v}
-    is the same merge keeping the minimum sum. *)
+    is the same merge keeping the minimum sum.
+
+    Both run as {!Hopi_twohop.Label_codec} stream merges over a
+    {!type-source}, the one implementation of the cover queries: the store's
+    own {!connected}/{!min_distance}/{!descendants}/{!ancestors} fetch
+    labels by range scan, and [Hopi_serve.Snapshot] runs the same
+    operators over its label cache. *)
 
 type t
 
@@ -82,8 +89,8 @@ val iter_nodes : t -> (int -> unit) -> unit
 
 val iter_lin : t -> int -> (center:int -> dist:int -> unit) -> unit
 (** [iter_lin t v f] visits the LIN rows of node [v] — its [Lin] label set
-    — in ascending [(center, dist)] order (a forward-index range scan).
-    The serving layer materialises these scans into cached arrays. *)
+    — in ascending [(center, dist)] order (a forward-index range scan),
+    the {!Hopi_twohop.Label_codec.Enc} input order {!val-fetch} relies on. *)
 
 val iter_lout : t -> int -> (center:int -> dist:int -> unit) -> unit
 (** [iter_lout t u f]: the LOUT rows of node [u], like {!iter_lin}. *)
@@ -96,7 +103,45 @@ val iter_in_by_center : t -> int -> (node:int -> dist:int -> unit) -> unit
 val iter_out_by_center : t -> int -> (node:int -> dist:int -> unit) -> unit
 (** Dual of {!iter_in_by_center} for LOUT (ancestors direction). *)
 
+(** {2 Cover queries over a label source} *)
+
+type dir = Lin | Lout
+
+val fetch : t -> dir -> int -> Hopi_twohop.Label_codec.t
+(** [fetch t dir v]: node [v]'s [Lin] or [Lout] rows, encoded — one
+    forward-index range scan fed to {!Hopi_twohop.Label_codec.Enc}. *)
+
+type source = {
+  store : t;  (** backward-index scans for {!desc}/{!anc} *)
+  mem : int -> bool;  (** node membership *)
+  fetch : dir -> int -> Hopi_twohop.Label_codec.t;  (** label sets *)
+}
+(** Where the cover queries read stored labels from.  [fetch] must
+    answer what {!val-fetch} on [store] answers (a cache in front of it is
+    the point), and [mem] what {!mem_node} answers. *)
+
+val source : t -> source
+(** The uncached source: {!mem_node} and {!val-fetch}. *)
+
+val reach : source -> int -> int -> bool
+(** [(Lout(u) ∪ {u}) ∩ (Lin(v) ∪ {v}) ≠ ∅]; reflexive for known nodes,
+    [false] when either node is unknown. *)
+
+val dist : source -> int -> int -> int option
+(** [min (dout(u,w) + din(w,v))] over the common centers, [Some 0] for
+    [u = v] known, [None] when unconnected or unknown.  A plain cover
+    stores every distance as 0. *)
+
+val desc : source -> int -> Hopi_util.Int_hashset.t
+(** Every node reachable from the argument, including itself (empty for
+    an unknown node): the centers of its [Lout], then a backward-index
+    scan of LIN per center. *)
+
+val anc : source -> int -> Hopi_util.Int_hashset.t
+(** Dual of {!desc}. *)
+
 val connected : t -> int -> int -> bool
+(** {!reach} over {!val-source}. *)
 
 val min_distance : t -> int -> int -> int option
 

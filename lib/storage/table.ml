@@ -37,14 +37,6 @@ let mem t ~id ~label =
   Btree.iter_prefix2 t.fwd id label (fun _ -> found := true);
   !found
 
-let find_dist t ~id ~label =
-  let best = ref None in
-  Btree.iter_prefix2 t.fwd id label (fun (_, _, d) ->
-      match !best with
-      | Some b when b <= d -> ()
-      | _ -> best := Some d);
-  !best
-
 let iter_by_id t id f =
   Btree.iter_prefix1 t.fwd id (fun (_, label, dist) -> f ~label ~dist)
 

@@ -30,9 +30,6 @@ val delete_all_of_label : t -> int -> int
 val mem : t -> id:int -> label:int -> bool
 (** Any distance. *)
 
-val find_dist : t -> id:int -> label:int -> int option
-(** Smallest distance stored for this (id, label) pair. *)
-
 val iter_by_id : t -> int -> (label:int -> dist:int -> unit) -> unit
 (** Rows in label order — a forward-index range scan. *)
 

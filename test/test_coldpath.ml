@@ -6,9 +6,9 @@
    soak opens a snapshot with a deliberately tiny pool so eviction churn
    happens mid-flight, hammers it from [HOPI_SOAK_READERS] domains for
    [HOPI_SOAK_ITERS] rounds, and verifies every reach/dist/desc/anc
-   answer against oracle matrices computed up front from a sequential
-   private-pager Cover_store — the code path the differential suite has
-   already proven against the in-memory index.
+   answer against oracle matrices computed up front from the in-memory
+   cover the store is loaded from and from the graph's transitive
+   closure — independent of the stored query path under test.
 
    Also here: pool sharing across snapshot opens (closing one handle must
    not poison another's pages — per-open tags), and shared-pool metric
@@ -23,6 +23,9 @@ module Builder = Hopi_twohop.Builder
 module Dist_builder = Hopi_twohop.Dist_builder
 module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
+module Cover = Hopi_twohop.Cover
+module Dist_cover = Hopi_twohop.Dist_cover
+module Int_set = Hopi_util.Int_set
 module Splitmix = Hopi_util.Splitmix
 module Ihs = Hopi_util.Int_hashset
 
@@ -72,30 +75,40 @@ let with_store_file load f =
 
 let sorted_ihs s = List.sort compare (Ihs.to_list s)
 
-(* the sequential oracle: every answer the soak will check, computed once
-   through a private read-only pager before any domain is spawned *)
+(* the oracle: every answer the soak will check, computed once before any
+   domain is spawned — reach and dist by the in-memory cover the store is
+   loaded from, desc and anc by the transitive closure *)
 type oracle = {
+  load : Cover_store.t -> unit; (* persists the cover the oracle answers for *)
   reach : bool array array;
   dist : int array array; (* -1 = unreachable *)
   desc : int list array;
   anc : int list array;
 }
 
-let oracle_of_store path n =
-  let pager = Pager.open_existing ~pool_pages:64 path in
-  Fun.protect ~finally:(fun () -> Pager.close pager) @@ fun () ->
-  let store = Cover_store.open_pager pager in
+let oracle_of_graph ~dist g n =
+  let clo = Closure.compute g in
+  let load, reach, distance =
+    if dist then begin
+      let dc = fst (Dist_builder.build g) in
+      ( (fun store -> Cover_store.load_dist_cover store dc),
+        Dist_cover.connected dc, Dist_cover.dist dc )
+    end
+    else begin
+      let c = fst (Builder.build clo) in
+      ( (fun store -> Cover_store.load_cover store c),
+        Cover.connected c,
+        fun u v -> if Cover.connected c u v then Some 0 else None )
+    end
+  in
   {
-    reach =
-      Array.init n (fun u -> Array.init n (fun v -> Cover_store.connected store u v));
+    load;
+    reach = Array.init n (fun u -> Array.init n (reach u));
     dist =
       Array.init n (fun u ->
-          Array.init n (fun v ->
-              match Cover_store.min_distance store u v with
-              | Some d -> d
-              | None -> -1));
-    desc = Array.init n (fun u -> sorted_ihs (Cover_store.descendants store u));
-    anc = Array.init n (fun v -> sorted_ihs (Cover_store.ancestors store v));
+          Array.init n (fun v -> Option.value ~default:(-1) (distance u v)));
+    desc = Array.init n (fun u -> Int_set.to_list (Closure.succs clo u));
+    anc = Array.init n (fun v -> Int_set.to_list (Closure.preds clo v));
   }
 
 (* {1 The soak} *)
@@ -103,12 +116,8 @@ let oracle_of_store path n =
 let run_soak ~dist () =
   let n = 96 in
   let g = soak_graph ~n 0xC01D in
-  let load store =
-    if dist then Cover_store.load_dist_cover store (fst (Dist_builder.build g))
-    else Cover_store.load_cover store (fst (Builder.build (Closure.compute g)))
-  in
-  with_store_file load @@ fun path ->
-  let oracle = oracle_of_store path n in
+  let oracle = oracle_of_graph ~dist g n in
+  with_store_file oracle.load @@ fun path ->
   (* pool far smaller than the store's working set: misses and evictions
      mid-soak are the point — a page answers for one domain, gets
      evicted, and must read back verified for the next.  One shard and a
@@ -185,11 +194,8 @@ let test_soak_dist () = run_soak ~dist:true ()
 let test_pool_shared_across_opens () =
   let n = 16 in
   let g = soak_graph ~n 0x5EED in
-  let load store =
-    Cover_store.load_cover store (fst (Builder.build (Closure.compute g)))
-  in
-  with_store_file load @@ fun path ->
-  let oracle = oracle_of_store path n in
+  let oracle = oracle_of_graph ~dist:false g n in
+  with_store_file oracle.load @@ fun path ->
   let pool = Pager.Read_pool.create ~pages:64 () in
   let a = Snapshot.open_file ~pool ~cache_mb:0 path in
   let b = Snapshot.open_file ~pool ~cache_mb:0 path in

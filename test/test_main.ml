@@ -1,4 +1,7 @@
 let () =
+  (* the socket tests write to peers that hang up on purpose; like
+     [hopi serve], take EPIPE as an error instead of dying of SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "hopi"
     (Test_util.suite @ Test_obs.suite @ Test_graph.suite @ Test_xml.suite
      @ Test_collection.suite @ Test_twohop.suite @ Test_storage.suite

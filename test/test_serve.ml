@@ -1,8 +1,9 @@
 (* Tests for the serving layer: LRU cache bounds and accounting, sharded
    thread safety under the domain pool, and — the load-bearing one — a
-   qcheck differential proving that snapshot answers (cached or not, any
-   pool size) are identical to the underlying Cover_store's, query by
-   query, over random digraphs. *)
+   qcheck differential proving that snapshot answers (cached or not) are
+   identical, query by query over random digraphs, to those of the
+   in-memory cover the store was loaded from and of the graph's
+   transitive closure. *)
 
 module Cache = Hopi_serve.Label_cache
 module Snapshot = Hopi_serve.Snapshot
@@ -16,7 +17,10 @@ module Builder = Hopi_twohop.Builder
 module Dist_builder = Hopi_twohop.Dist_builder
 module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
+module Cover = Hopi_twohop.Cover
+module Dist_cover = Hopi_twohop.Dist_cover
 module Ihs = Hopi_util.Int_hashset
+module Int_set = Hopi_util.Int_set
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -178,7 +182,7 @@ let test_cache_pool_safety () =
   done;
   checki "cost accounting consistent" (Cache.bytes c) !accounted
 
-(* {1 Snapshot vs Cover_store differential} *)
+(* {1 Snapshot vs in-memory index differential} *)
 
 let gen_digraph =
   let open Gen in
@@ -212,53 +216,69 @@ let sorted_ihs s = List.sort compare (Ihs.to_list s)
 (* every (u, v) pair over a node range, plus ids the store never saw *)
 let all_pairs n = List.concat_map (fun u -> List.map (fun v -> (u, v)) (List.init (n + 2) Fun.id)) (List.init (n + 2) Fun.id)
 
-let snapshot_matches_store ~cache_mb g ~dist =
-  let load store =
-    if dist then Cover_store.load_dist_cover store (fst (Dist_builder.build g))
-    else Cover_store.load_cover store (fst (Builder.build (Closure.compute g)))
+(* The oracle is independent of the stored index: the in-memory cover
+   the store was loaded from answers membership, reachability and
+   distances, the transitive closure answers descendants and ancestors. *)
+let snapshot_matches_index ~cache_mb g ~dist =
+  let clo = Closure.compute g in
+  let load, mem, reach, distance, n_nodes, any_dist =
+    if dist then begin
+      let dc = fst (Dist_builder.build g) in
+      let any = ref false in
+      Dist_cover.iter_nodes dc (fun v ->
+          let note _ d = if d > 0 then any := true in
+          Dist_cover.iter_lin dc v note;
+          Dist_cover.iter_lout dc v note);
+      ( (fun store -> Cover_store.load_dist_cover store dc),
+        Dist_cover.mem_node dc, Dist_cover.connected dc, Dist_cover.dist dc,
+        Dist_cover.n_nodes dc, !any )
+    end
+    else begin
+      let c = fst (Builder.build clo) in
+      ( (fun store -> Cover_store.load_cover store c),
+        Cover.mem_node c, Cover.connected c,
+        (fun u v -> if Cover.connected c u v then Some 0 else None),
+        Cover.n_nodes c, false )
+    end
   in
+  let closure_set f u = if mem u then Int_set.to_list (f clo u) else [] in
   with_store_file load @@ fun path ->
   let snap = Snapshot.open_file ~pool_pages:64 ~cache_mb path in
   Fun.protect ~finally:(fun () -> Snapshot.close snap) @@ fun () ->
-  let pager = Pager.open_existing ~pool_pages:64 path in
-  Fun.protect ~finally:(fun () -> Pager.close pager) @@ fun () ->
-  let store = Cover_store.open_pager pager in
-  checkb "with_dist agrees" true (Snapshot.with_dist snap = Cover_store.with_dist store);
-  checki "n_nodes agrees" (Cover_store.n_nodes store) (Snapshot.n_nodes snap);
+  checkb "with_dist agrees" any_dist (Snapshot.with_dist snap);
+  checki "n_nodes agrees" n_nodes (Snapshot.n_nodes snap);
   let n = Digraph.n_nodes g in
   List.iter
     (fun (u, v) ->
       let ctx = Printf.sprintf "(%d,%d) dist=%b cache=%d" u v dist cache_mb in
       (* twice per pair: the second round hits any cache *)
       for _ = 1 to 2 do
-        checkb ("mem " ^ ctx) (Cover_store.mem_node store u) (Snapshot.mem_node snap u);
-        checkb ("connected " ^ ctx) (Cover_store.connected store u v)
-          (Snapshot.connected snap u v);
+        checkb ("mem " ^ ctx) (mem u) (Snapshot.mem_node snap u);
+        checkb ("connected " ^ ctx) (reach u v) (Snapshot.connected snap u v);
         check
           Alcotest.(option int)
-          ("min_distance " ^ ctx)
-          (Cover_store.min_distance store u v)
+          ("min_distance " ^ ctx) (distance u v)
           (Snapshot.min_distance snap u v);
         check
           Alcotest.(list int)
           ("descendants " ^ ctx)
-          (sorted_ihs (Cover_store.descendants store u))
+          (closure_set Closure.succs u)
           (sorted_ihs (Snapshot.descendants snap u));
         check
           Alcotest.(list int)
           ("ancestors " ^ ctx)
-          (sorted_ihs (Cover_store.ancestors store v))
+          (closure_set Closure.preds v)
           (sorted_ihs (Snapshot.ancestors snap v))
       done)
     (all_pairs n);
   true
 
-let prop_snapshot_differential =
+let prop_snapshot_matches_index =
   QCheck2.Test.make
-    ~name:"snapshot answers = Cover_store answers (plain + dist, cached + not)"
+    ~name:"snapshot answers = in-memory cover + closure (plain + dist, cached + not)"
     ~count:20 gen_digraph (fun g ->
       List.for_all
-        (fun (cache_mb, dist) -> snapshot_matches_store ~cache_mb g ~dist)
+        (fun (cache_mb, dist) -> snapshot_matches_index ~cache_mb g ~dist)
         [ (0, false); (4, false); (0, true); (4, true) ])
 
 (* cached parallel batch = uncached sequential batch, byte for byte *)
@@ -433,5 +453,5 @@ let suite =
           test_batch_reqtrace;
       ] );
     ( "serve.differential",
-      qsuite [ prop_snapshot_differential; prop_batch_cached_equals_uncached ] );
+      qsuite [ prop_snapshot_matches_index; prop_batch_cached_equals_uncached ] );
   ]

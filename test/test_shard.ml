@@ -19,6 +19,8 @@ module Splitmix = Hopi_util.Splitmix
 module Ihs = Hopi_util.Int_hashset
 module Int_set = Hopi_util.Int_set
 module Gen = QCheck2.Gen
+module Registry = Hopi_obs.Registry
+module Counter = Hopi_obs.Counter
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -130,6 +132,33 @@ let test_engine_rendering () =
         "error: path queries need a corpus (serve --corpus DIR)"
         (Batch.render (Batch.eval_engine eng (Batch.Path "//a"))))
     (Array.sub dom 0 (min 8 (Array.length dom)))
+
+(* A same-shard dist on distance-aware shards still probes its shard's
+   cross-link targets (a path through other shards may be shorter), so it
+   counts as a scatter, not as a single-shard answer. *)
+let test_same_shard_dist_is_scatter () =
+  with_temp_dir @@ fun dir ->
+  let c = Dblp.generate (Dblp.default ~n_docs:6) in
+  ignore (Router.split ~dist:true ~k:3 ~dir c : Router.split_stats);
+  let target =
+    In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "l"; _; v ] -> int_of_string_opt v
+           | _ -> None)
+  in
+  let tg =
+    match target with Some tg -> tg | None -> Alcotest.fail "no cross link"
+  in
+  let r = Router.open_dir dir in
+  Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
+  let scatter = Registry.counter "hopi_router_scatter_total"
+  and single = Registry.counter "hopi_router_single_shard_total" in
+  let s0 = Counter.get scatter and g0 = Counter.get single in
+  check Alcotest.(option int) "self distance" (Some 0) (Router.min_distance r tg tg);
+  checki "counted as a scatter" (s0 + 1) (Counter.get scatter);
+  checki "not as single-shard" g0 (Counter.get single)
 
 (* {1 The differential}
 
@@ -250,6 +279,8 @@ let suite =
           test_unknown_ids_mirror_store;
         Alcotest.test_case "batch engine over the router" `Quick
           test_engine_rendering;
+        Alcotest.test_case "same-shard dist scatters" `Quick
+          test_same_shard_dist_is_scatter;
       ]
       @ qsuite [ prop_differential; prop_reopen_stable ] );
   ]

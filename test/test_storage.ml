@@ -344,13 +344,21 @@ let test_table_indexes () =
   Table.iter_by_label t 10 (fun ~id ~dist:_ -> remaining := id :: !remaining);
   Alcotest.(check (list int)) "bwd consistent" [ 2 ] !remaining
 
-let test_table_find_dist () =
+(* one center may carry several distances; a forward scan visits them
+   ascending, so the first row of a center's run holds its minimum (the
+   order Label_codec relies on) *)
+let test_table_rows_ascend_by_dist () =
   let p = Pager.create Pager.Memory in
   let t = Table.create p in
   ignore (Table.insert t ~id:1 ~label:10 ~dist:5);
   ignore (Table.insert t ~id:1 ~label:10 ~dist:3);
-  Alcotest.(check (option int)) "min dist" (Some 3) (Table.find_dist t ~id:1 ~label:10);
-  Alcotest.(check (option int)) "missing" None (Table.find_dist t ~id:9 ~label:10)
+  ignore (Table.insert t ~id:1 ~label:4 ~dist:7);
+  let rows = ref [] in
+  Table.iter_by_id t 1 (fun ~label ~dist -> rows := (label, dist) :: !rows);
+  Alcotest.(check (list (pair int int)))
+    "(label, dist) order" [ (4, 7); (10, 3); (10, 5) ] (List.rev !rows);
+  check_bool "mem any dist" true (Table.mem t ~id:1 ~label:10);
+  check_bool "missing" false (Table.mem t ~id:9 ~label:10)
 
 (* {1 Cover_store} *)
 
@@ -507,7 +515,8 @@ let test_catalog_truncated () =
     | exception Storage_error.Storage_error (Storage_error.Truncated _) -> true)
 
 let test_catalog_wrong_kind () =
-  (* a saved closure store must be rejected by Cover_store.open_pager *)
+  (* a saved closure store must be rejected by Cover_store.open_pager and
+     by Snapshot.open_file, which serves cover stores only *)
   let vfs = Vfs.memory () in
   let pager = Pager.create_vfs ~vfs "kind.db" in
   let g = Hopi_graph.Digraph.create () in
@@ -519,6 +528,10 @@ let test_catalog_wrong_kind () =
   let pager2 = Pager.open_vfs ~vfs "kind.db" in
   check_bool "wrong kind rejected" true
     (match Cover_store.open_pager pager2 with
+    | _ -> false
+    | exception Storage_error.Storage_error (Storage_error.Bad_catalog _) -> true);
+  check_bool "snapshot rejects it too" true
+    (match Hopi_serve.Snapshot.open_file ~vfs ~pool_pages:8 "kind.db" with
     | _ -> false
     | exception Storage_error.Storage_error (Storage_error.Bad_catalog _) -> true)
 
@@ -890,7 +903,7 @@ let suite =
     ( "storage.table",
       [
         Alcotest.test_case "indexes" `Quick test_table_indexes;
-        Alcotest.test_case "find_dist" `Quick test_table_find_dist;
+        Alcotest.test_case "rows ascend by dist" `Quick test_table_rows_ascend_by_dist;
       ] );
     ( "storage.cover_store",
       [
