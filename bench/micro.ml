@@ -1,7 +1,9 @@
 (* Query-latency micro-benchmarks (bechamel): reachability through the
    in-memory cover, through the paged LIN/LOUT store, and by naive BFS —
    the per-query speedup that motivates a connection index in the first
-   place — plus distance lookups and descendant enumeration. *)
+   place — plus distance lookups and descendant enumeration, and the two
+   kernels under them: the page checksum every pool miss verifies and the
+   integer hash set every desc/anc answer and cover build fills. *)
 
 open Bechamel
 open Toolkit
@@ -11,7 +13,32 @@ module Traversal = Hopi_graph.Traversal
 module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
 module Splitmix = Hopi_util.Splitmix
+module Crc32 = Hopi_util.Crc32
+module Ihs = Hopi_util.Int_hashset
 open Hopi_core
+
+(* One page-miss check ([digest] over a page payload), and one batch of
+   256 adds plus 256 lookups (half of them hits) into a reused set, the
+   shape of a desc/anc answer being gathered. *)
+let kernel_tests () =
+  let page = Bytes.init 4096 (fun i -> Char.chr (((i * 131) + 7) land 0xFF)) in
+  let rng = Splitmix.create 4242 in
+  let keys = Array.init 512 (fun _ -> Splitmix.int rng 1_000_000) in
+  let set = Ihs.create ~initial:256 () in
+  [
+    Test.make ~name:"crc32/page" (Staged.stage (fun () ->
+        Crc32.digest page ~pos:8 ~len:4088));
+    Test.make ~name:"int_hashset/add+mem" (Staged.stage (fun () ->
+        Ihs.clear set;
+        for i = 0 to 255 do
+          Ihs.add set keys.(i)
+        done;
+        let hits = ref 0 in
+        for i = 128 to 383 do
+          if Ihs.mem set keys.(i) then incr hits
+        done;
+        !hits));
+  ]
 
 let make_tests (s : Bench_common.scale) =
   let c = Bench_common.dblp_collection (max 5 (s.Bench_common.small_docs / 2)) in
@@ -121,7 +148,7 @@ let obs_overhead () =
 let run (s : Bench_common.scale) =
   Bench_common.section "micro: query latency (bechamel)";
   obs_overhead ();
-  let tests = make_tests s in
+  let tests = Test.make_grouped ~name:"" ~fmt:"%s%s" (kernel_tests () @ [ make_tests s ]) in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg instances tests in
@@ -141,7 +168,7 @@ let run (s : Bench_common.scale) =
     results;
   let rows = List.sort compare !rows in
   Bench_common.print_table
-    [ "benchmark"; "ns/query" ]
+    [ "benchmark"; "ns/run" ]
     (List.map (fun (name, ns) -> [ name; Fmt.str "%.0f" ns ]) rows);
   Bench_common.note
     "the cover answers in microseconds where BFS needs a graph traversal."

@@ -1,37 +1,135 @@
-type t = (int, unit) Hashtbl.t
+(* Open addressing over one flat [int array]: power-of-two capacity,
+   linear probing from a multiplicative (Fibonacci) hash, load factor kept
+   at or below one half, and deletion by backward shift so no tombstones
+   build up.  A free slot holds [free]; the key [free] itself lives in the
+   side flag [has_free], so every [int] is storable. *)
 
-let create ?(initial = 16) () = Hashtbl.create initial
+let free = min_int
 
-let add t x = if not (Hashtbl.mem t x) then Hashtbl.add t x ()
+type t = {
+  mutable slots : int array;  (** length a power of two, >= 2 *)
+  mutable shift : int;  (** [63 - log2 (Array.length slots)] *)
+  mutable size : int;  (** keys in [slots], [free] excluded *)
+  mutable has_free : bool;
+}
 
-let remove t x = Hashtbl.remove t x
+(* 2^63 / golden ratio, made odd: multiplying scatters runs of small
+   consecutive ids over the top bits, which [shift] keeps *)
+let golden = 0x4F1B_BCDC_BFA5_3E0B
 
-let mem t x = Hashtbl.mem t x
+let[@inline] home t x = (x * golden) lsr t.shift
 
-let cardinal = Hashtbl.length
+let min_capacity = 8
 
-let is_empty t = Hashtbl.length t = 0
+let rec log2_above n k = if 1 lsl k >= n then k else log2_above n (k + 1)
 
-let iter f t = Hashtbl.iter (fun x () -> f x) t
+let make_slots capacity =
+  let bits = log2_above (max min_capacity capacity) 3 in
+  (Array.make (1 lsl bits) free, 63 - bits)
 
-let fold f t acc = Hashtbl.fold (fun x () acc -> f x acc) t acc
+let create ?(initial = 16) () =
+  let slots, shift = make_slots (2 * max 0 initial) in
+  { slots; shift; size = 0; has_free = false }
+
+(* slot holding [x], or the free slot where it would go *)
+let find_slot t x =
+  let slots = t.slots in
+  let mask = Array.length slots - 1 in
+  let i = ref (home t x) in
+  while
+    let k = Array.unsafe_get slots !i in
+    k <> x && k <> free
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let mem t x =
+  if x = free then t.has_free else Array.unsafe_get t.slots (find_slot t x) = x
+
+let grow t =
+  let old = t.slots in
+  let slots, shift = make_slots (2 * Array.length old) in
+  t.slots <- slots;
+  t.shift <- shift;
+  Array.iter (fun x -> if x <> free then Array.unsafe_set slots (find_slot t x) x) old
+
+let add t x =
+  if x = free then t.has_free <- true
+  else begin
+    let i = find_slot t x in
+    if Array.unsafe_get t.slots i = free then begin
+      Array.unsafe_set t.slots i x;
+      t.size <- t.size + 1;
+      if 2 * t.size > Array.length t.slots then grow t
+    end
+  end
+
+(* Backward-shift deletion: walk the probe run after the hole and pull
+   back every key whose home does not lie strictly between the hole and
+   its current slot, so every remaining key stays reachable from its
+   home without a tombstone. *)
+let remove t x =
+  if x = free then t.has_free <- false
+  else begin
+    let slots = t.slots in
+    let hole = ref (find_slot t x) in
+    if Array.unsafe_get slots !hole = x then begin
+      let mask = Array.length slots - 1 in
+      let j = ref ((!hole + 1) land mask) in
+      while Array.unsafe_get slots !j <> free do
+        let k = Array.unsafe_get slots !j in
+        if (!j - home t k) land mask >= (!j - !hole) land mask then begin
+          Array.unsafe_set slots !hole k;
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      Array.unsafe_set slots !hole free;
+      t.size <- t.size - 1
+    end
+  end
+
+let cardinal t = if t.has_free then t.size + 1 else t.size
+
+let is_empty t = t.size = 0 && not t.has_free
+
+let iter f t =
+  if t.has_free then f free;
+  let slots = t.slots in
+  for i = 0 to Array.length slots - 1 do
+    let x = Array.unsafe_get slots i in
+    if x <> free then f x
+  done
+
+let fold f t acc =
+  let acc = ref (if t.has_free then f free acc else acc) in
+  let slots = t.slots in
+  for i = 0 to Array.length slots - 1 do
+    let x = Array.unsafe_get slots i in
+    if x <> free then acc := f x !acc
+  done;
+  !acc
 
 let to_list t = fold List.cons t []
 
 let to_int_set t =
   let a = Array.make (cardinal t) 0 in
-  let i = ref 0 in
-  iter (fun x -> a.(!i) <- x; incr i) t;
-  Array.sort compare a;
+  let n = ref 0 in
+  iter (fun x -> Array.unsafe_set a !n x; incr n) t;
+  Array.sort Int.compare a;
   Int_set.of_sorted_array_unsafe a
-
-let of_int_set s =
-  let t = create ~initial:(max 16 (Int_set.cardinal s)) () in
-  Int_set.iter (fun x -> add t x) s;
-  t
 
 let add_int_set t s = Int_set.iter (fun x -> add t x) s
 
-let clear = Hashtbl.clear
+let of_int_set s =
+  let t = create ~initial:(Int_set.cardinal s) () in
+  add_int_set t s;
+  t
 
-let copy = Hashtbl.copy
+let clear t =
+  if t.size > 0 then Array.fill t.slots 0 (Array.length t.slots) free;
+  t.size <- 0;
+  t.has_free <- false
+
+let copy t = { t with slots = Array.copy t.slots }

@@ -1,5 +1,5 @@
-(* Tests for hopi_util: Int_set, Int_hashset, Bitset, Dyn_array, Heap,
-   Splitmix, Stats. *)
+(* Tests for hopi_util: Int_set, Int_hashset, Crc32, Bitset, Dyn_array,
+   Heap, Splitmix, Stats. *)
 
 open Hopi_util
 
@@ -98,6 +98,215 @@ let test_hashset_roundtrip () =
   let s = Int_set.of_list [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
   check_bool "roundtrip" true
     (Int_set.equal s (Int_hashset.to_int_set (Int_hashset.of_int_set s)))
+
+let test_hashset_growth_and_removal () =
+  let h = Int_hashset.create ~initial:0 () in
+  for i = 0 to 9_999 do
+    Int_hashset.add h (i * 7919)
+  done;
+  check_int "cardinal after growth" 10_000 (Int_hashset.cardinal h);
+  for i = 0 to 9_999 do
+    if i land 1 = 0 then Int_hashset.remove h (i * 7919)
+  done;
+  check_int "cardinal after removal" 5_000 (Int_hashset.cardinal h);
+  for i = 0 to 9_999 do
+    check_bool "mem" (i land 1 = 1) (Int_hashset.mem h (i * 7919))
+  done
+
+(* Model-based check against [Set.Make (Int)]: random operation sequences
+   over keys from a small range (so probe runs collide, wrap round the
+   table and are broken up by removals), plus the extreme ints — [min_int]
+   is the free-slot marker internally. *)
+module Model = Set.Make (Int)
+
+type hs_op =
+  | Add of int
+  | Remove of int
+  | Mem of int
+  | Cardinal
+  | Iter
+  | Fold
+  | To_int_set
+  | Clear
+  | Copy
+  | Drain_other of int
+      (** remove every element [x] with [x mod m = 0] from the set while
+          iterating a copy of it *)
+
+let show_op = function
+  | Add x -> Printf.sprintf "add %d" x
+  | Remove x -> Printf.sprintf "remove %d" x
+  | Mem x -> Printf.sprintf "mem %d" x
+  | Cardinal -> "cardinal"
+  | Iter -> "iter"
+  | Fold -> "fold"
+  | To_int_set -> "to_int_set"
+  | Clear -> "clear"
+  | Copy -> "copy"
+  | Drain_other m -> Printf.sprintf "drain_other %d" m
+
+let hs_ops_gen =
+  let open QCheck2.Gen in
+  let key =
+    frequency
+      [
+        (12, int_range (-6) 40);
+        (1, oneofl [ min_int; max_int; 0; -1; min_int + 1; max_int - 1 ]);
+        (1, map (fun k -> k lsl 40) (int_range (-4) 4));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (10, map (fun x -> Add x) key);
+        (6, map (fun x -> Remove x) key);
+        (4, map (fun x -> Mem x) key);
+        (1, pure Cardinal);
+        (1, pure Iter);
+        (1, pure Fold);
+        (1, pure To_int_set);
+        (1, pure Clear);
+        (1, pure Copy);
+        (1, map (fun m -> Drain_other m) (int_range 1 4));
+      ]
+  in
+  list_size (int_bound 300) op
+
+let hs_elements h = List.sort Int.compare (Int_hashset.to_list h)
+
+let prop_hashset_model =
+  QCheck2.Test.make ~name:"Int_hashset = Set.Make(Int) under random ops" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    hs_ops_gen
+    (fun ops ->
+      let h = ref (Int_hashset.create ~initial:1 ()) in
+      let m = ref Model.empty in
+      (* sets replaced by [Copy], each with the contents it must keep *)
+      let retired = ref [] in
+      let same () = hs_elements !h = Model.elements !m in
+      let step op =
+        match op with
+        | Add x ->
+          Int_hashset.add !h x;
+          m := Model.add x !m;
+          same ()
+        | Remove x ->
+          Int_hashset.remove !h x;
+          m := Model.remove x !m;
+          same ()
+        | Mem x -> Int_hashset.mem !h x = Model.mem x !m
+        | Cardinal ->
+          Int_hashset.cardinal !h = Model.cardinal !m
+          && Int_hashset.is_empty !h = Model.is_empty !m
+        | Iter ->
+          let seen = ref [] in
+          Int_hashset.iter (fun x -> seen := x :: !seen) !h;
+          List.sort Int.compare !seen = Model.elements !m
+        | Fold ->
+          List.sort Int.compare (Int_hashset.fold List.cons !h [])
+          = Model.elements !m
+        | To_int_set -> Int_set.to_list (Int_hashset.to_int_set !h) = Model.elements !m
+        | Clear ->
+          Int_hashset.clear !h;
+          m := Model.empty;
+          same () && Int_hashset.is_empty !h
+        | Copy ->
+          retired := (!h, Model.elements !m) :: !retired;
+          h := Int_hashset.copy !h;
+          same ()
+        | Drain_other k ->
+          let before = Model.elements !m in
+          let snapshot = Int_hashset.copy !h in
+          Int_hashset.iter (fun x -> if x mod k = 0 then Int_hashset.remove !h x) snapshot;
+          m := Model.filter (fun x -> x mod k <> 0) !m;
+          same () && hs_elements snapshot = before
+      in
+      List.for_all step ops
+      && List.for_all (fun (old, elems) -> hs_elements old = elems) !retired)
+
+(* {1 Crc32} *)
+
+(* bit-at-a-time reference: the definition the table-driven code must
+   agree with *)
+let crc_reference buf ~pos ~len =
+  let c = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+let check_crc = Alcotest.(check int32)
+
+let test_crc32_known_answers () =
+  let b = Bytes.of_string "123456789" in
+  check_crc "check value" 0xCBF43926l (Crc32.digest b ~pos:0 ~len:9);
+  check_crc "empty" 0l (Crc32.digest Bytes.empty ~pos:0 ~len:0);
+  let patterned = Bytes.init 4096 (fun i -> Char.chr (((i * 131) + 7) land 0xFF)) in
+  check_crc "patterned page payload" 0xD5F9D7A9l (Crc32.digest patterned ~pos:8 ~len:4088);
+  check_crc "zero page payload" 0xA4B68F86l
+    (Crc32.digest (Bytes.make 4096 '\000') ~pos:8 ~len:4088)
+
+let test_crc32_split_and_tail () =
+  let buf = Bytes.init 64 (fun i -> Char.chr (((i * 37) + 11) land 0xFF)) in
+  List.iter
+    (fun pos ->
+      for len = 0 to 17 do
+        let whole = Crc32.digest buf ~pos ~len in
+        check_crc
+          (Printf.sprintf "reference pos %d len %d" pos len)
+          (crc_reference buf ~pos ~len) whole;
+        for k = 0 to len do
+          let st = Crc32.update Crc32.init buf ~pos ~len:k in
+          let st = Crc32.update st buf ~pos:(pos + k) ~len:(len - k) in
+          check_crc (Printf.sprintf "split pos %d len %d at %d" pos len k) whole
+            (Crc32.finish st)
+        done
+      done)
+    [ 1; 3; 5; 7 ];
+  let rng = Splitmix.create 7 in
+  for _ = 1 to 200 do
+    let len = Splitmix.int rng 300 and pos = Splitmix.int rng 9 in
+    let b = Bytes.init (pos + len) (fun _ -> Char.chr (Splitmix.int rng 256)) in
+    check_crc "random range" (crc_reference b ~pos ~len) (Crc32.digest b ~pos ~len)
+  done
+
+let test_crc32_bounds () =
+  let b = Bytes.make 16 'x' in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: out-of-range call was accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "negative pos" (fun () -> Crc32.digest b ~pos:(-1) ~len:4);
+  rejects "negative len" (fun () -> Crc32.digest b ~pos:0 ~len:(-1));
+  rejects "past the end" (fun () -> Crc32.digest b ~pos:10 ~len:7);
+  rejects "pos past the end" (fun () -> Crc32.update Crc32.init b ~pos:17 ~len:0);
+  rejects "overflowing len" (fun () -> Crc32.digest b ~pos:8 ~len:max_int);
+  check_crc "empty range at the end" (Crc32.digest Bytes.empty ~pos:0 ~len:0)
+    (Crc32.digest b ~pos:16 ~len:0)
+
+let test_crc32_page_flips () =
+  let module Page = Hopi_storage.Page in
+  let p = Page.create () in
+  for i = Page.payload_off to Page.size - 1 do
+    Page.set_u8 p i (((i * 131) + 7) land 0xFF)
+  done;
+  Page.stamp p;
+  check_bool "stamped page verifies" true (Page.verify p = `Ok);
+  for off = Page.payload_off to Page.payload_off + 15 do
+    List.iter
+      (fun bits ->
+        let orig = Page.get_u8 p off in
+        Page.set_u8 p off (orig lxor bits);
+        check_bool (Printf.sprintf "flip 0x%02x at %d detected" bits off) true
+          (Page.verify p = `Corrupt);
+        Page.set_u8 p off orig)
+      [ 0x01; 0x80; 0xFF ]
+  done;
+  check_bool "restored page verifies" true (Page.verify p = `Ok)
 
 (* {1 Bitset} *)
 
@@ -386,6 +595,15 @@ let suite =
       [
         Alcotest.test_case "basic" `Quick test_hashset_basic;
         Alcotest.test_case "roundtrip" `Quick test_hashset_roundtrip;
+        Alcotest.test_case "growth and removal" `Quick test_hashset_growth_and_removal;
+      ]
+      @ qsuite [ prop_hashset_model ] );
+    ( "util.crc32",
+      [
+        Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
+        Alcotest.test_case "split updates and tail" `Quick test_crc32_split_and_tail;
+        Alcotest.test_case "bounds check" `Quick test_crc32_bounds;
+        Alcotest.test_case "page byte flips" `Quick test_crc32_page_flips;
       ] );
     ( "util.bitset",
       [
