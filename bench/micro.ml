@@ -1,9 +1,10 @@
 (* Query-latency micro-benchmarks (bechamel): reachability through the
    in-memory cover, through the paged LIN/LOUT store, and by naive BFS —
    the per-query speedup that motivates a connection index in the first
-   place — plus distance lookups and descendant enumeration, and the two
-   kernels under them: the page checksum every pool miss verifies and the
-   integer hash set every desc/anc answer and cover build fills. *)
+   place — plus distance lookups and descendant enumeration, and the
+   kernels under them: the page checksum every pool miss verifies, the
+   integer hash set every desc/anc answer and cover build fills, and a hit
+   in each of the two read-side caches (both instances of one LRU). *)
 
 open Bechamel
 open Toolkit
@@ -15,7 +16,38 @@ module Cover_store = Hopi_storage.Cover_store
 module Splitmix = Hopi_util.Splitmix
 module Crc32 = Hopi_util.Crc32
 module Ihs = Hopi_util.Int_hashset
+module Label_cache = Hopi_serve.Label_cache
 open Hopi_core
+
+(* Warm hits, cycling over 64 resident entries: a label-cache find (key
+   packing excluded), and a page read through a shared pager, i.e. a
+   read-pool find plus the pager's bounds check. *)
+let cache_tests () =
+  let n = 64 in
+  let cache = Label_cache.create ~capacity_bytes:(64 * 1024 * 1024) () in
+  let keys = Array.init n (fun v -> Label_cache.key Label_cache.Lout v) in
+  Array.iter (fun k -> Label_cache.add cache k (Bytes.make 24 '\001')) keys;
+  let vfs = Hopi_storage.Vfs.memory () in
+  let w = Pager.create_vfs ~vfs "micro.db" in
+  for _ = 1 to n do
+    ignore (Pager.alloc w)
+  done;
+  Pager.close w;
+  let pool = Pager.Read_pool.create ~pages:4096 () in
+  let r = Pager.open_shared_vfs ~vfs ~pool "micro.db" in
+  for id = 0 to n - 1 do
+    ignore (Pager.read r id)
+  done;
+  let i = ref 0 in
+  let next () =
+    i := (!i + 1) land (n - 1);
+    !i
+  in
+  [
+    Test.make ~name:"label_cache/find-hit" (Staged.stage (fun () ->
+        Label_cache.find cache keys.(next ())));
+    Test.make ~name:"read_pool/find-hit" (Staged.stage (fun () -> Pager.read r (next ())));
+  ]
 
 (* One page-miss check ([digest] over a page payload), and one batch of
    256 adds plus 256 lookups (half of them hits) into a reused set, the
@@ -148,7 +180,9 @@ let obs_overhead () =
 let run (s : Bench_common.scale) =
   Bench_common.section "micro: query latency (bechamel)";
   obs_overhead ();
-  let tests = Test.make_grouped ~name:"" ~fmt:"%s%s" (kernel_tests () @ [ make_tests s ]) in
+  let tests =
+    Test.make_grouped ~name:"" ~fmt:"%s%s" (kernel_tests () @ cache_tests () @ [ make_tests s ])
+  in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg instances tests in

@@ -170,11 +170,9 @@ let sweep_locked t =
 
 (* {1 Lifecycle} *)
 
-let create ?(pool_pages = 4096) ?(cache_mb = 64) ?shards ?(retain = 2)
-    ?(fsync = true) ?(with_dist = false) ~base index =
-  let cache =
-    Label_cache.create ?shards ~capacity_bytes:(cache_mb * 1024 * 1024) ()
-  in
+let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true)
+    ?(with_dist = false) ~base index =
+  let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in
   (* one shared read pool for every generation this family will serve:
      pages untouched by a flip stay warm across the swap *)
   let page_pool = S.Pager.Read_pool.create ~pages:pool_pages () in

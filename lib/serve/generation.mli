@@ -41,7 +41,6 @@ type t
 val create :
   ?pool_pages:int ->
   ?cache_mb:int ->
-  ?shards:int ->
   ?retain:int ->
   ?fsync:bool ->
   ?with_dist:bool ->
@@ -58,8 +57,12 @@ val create :
     ({!Hopi_core.Hopi.distance_index}) over plain covers.  [pool_pages]
     (default 4096) sizes the {e one} shared read-only page pool every
     generation's snapshot serves from — pages of store regions a flip did
-    not rewrite stay warm across the swap.  The caller must
-    not mutate the index except through {!apply}/{!apply_with}. *)
+    not rewrite stay warm across the swap — and [cache_mb] (default 64)
+    the one {!Label_cache} they share.  Generation numbers double as
+    cache-key versions, so a family serves at most 2{^31} generations
+    ({!Label_cache.key} refuses larger ones rather than alias them).  The
+    caller must not mutate the index except through
+    {!apply}/{!apply_with}. *)
 
 (** {1 Reader side} *)
 

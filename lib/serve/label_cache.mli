@@ -1,4 +1,6 @@
-(** A sharded, size-bounded LRU cache for label sets.
+(** A sharded, size-bounded LRU cache for label sets: the
+    {!Hopi_util.Lru} instance whose entries are encoded label sets charged
+    their bytes.
 
     The serving layer's hot path is fetching [Lin]/[Lout] label sets of the
     same nodes over and over (real query workloads are heavily skewed), and
@@ -8,21 +10,16 @@
     delta-encoded {!Hopi_twohop.Label_codec} form, a few bytes per row —
     so a hot fetch is one hash probe.
 
-    Concurrency: the key space is split across [shards] independent
-    sub-caches, each protected by its own mutex, so worker domains serving
-    disjoint keys rarely contend.  Entries are immutable once inserted —
-    callers must treat the returned bytes as read-only (they are shared
-    with every other reader of that key).
-
-    Size accounting: each entry is charged its payload bytes plus a fixed
-    bookkeeping overhead ({!entry_cost}); a shard evicts from its LRU end
-    until it is back under its slice of [capacity_bytes].  An entry larger
-    than a whole shard slice is not cached at all (caching it would evict
-    everything else and still overflow).
+    Concurrency and policy are the [Lru]'s: per-shard mutexes, so domains
+    serving disjoint keys rarely contend, and exact LRU per shard within
+    its slice of [capacity_bytes].  An entry is charged {!entry_cost}, and
+    one costlier than its shard's slice is not cached.  Entries are shared
+    with every reader of the key and must be treated as read-only.
 
     Metrics (registered in [Hopi_obs.Registry]):
     [hopi_serve_cache_hits_total], [hopi_serve_cache_misses_total],
-    [hopi_serve_cache_evictions_total], [hopi_serve_cache_bytes],
+    [hopi_serve_cache_evictions_total],
+    [hopi_serve_cache_invalidations_total], [hopi_serve_cache_bytes],
     [hopi_serve_cache_entries]. *)
 
 type t
@@ -31,41 +28,39 @@ type dir = Hopi_storage.Cover_store.dir = Lin | Lout
 
 val key : ?version:int -> dir -> int -> int
 (** [key ?version dir node] packs a label-set identity into the integer
-    key space: direction in the low bit, node id next, [version] (default
-    0) in the high bits.  Versions let several generations of the same
-    node's labels coexist in one shared cache — a snapshot opened against
-    generation [g] asks for the key of the version its store file actually
-    holds, so an entry cached by an older generation is simply never
-    requested again once the node's labels change (see
-    [Hopi_serve.Generation]).  With the default version this is exactly
-    the key {!Snapshot} has always used. *)
+    key space: direction in the low bit, the node id in the next 31 bits,
+    [version] (default 0) in the 31 bits above.  Versions let several
+    generations of the same node's labels coexist in one shared cache — a
+    snapshot opened against generation [g] asks for the key of the version
+    its store file actually holds, so an entry cached by an older
+    generation is simply never requested again once the node's labels
+    change (see [Hopi_serve.Generation]).  With the default version this
+    is exactly the key {!Snapshot} has always used.
+    @raise Invalid_argument when [node] or [version] is negative or not
+    below 2{^31}: the key would otherwise alias another one. *)
 
 val create : ?shards:int -> capacity_bytes:int -> unit -> t
 (** [shards] (default 16) is rounded up to a power of two;
-    [capacity_bytes] is the total budget across all shards.
-    [capacity_bytes <= 0] creates a disabled cache: {!find} always misses
-    (without counting metrics) and {!add} is a no-op — the cold-path
-    configuration used by benchmarks and by [--cache-mb 0]. *)
+    [capacity_bytes] is the total budget across all shards
+    ({!Hopi_util.Lru.create} splits it).  [capacity_bytes <= 0] creates
+    a disabled cache: {!find} always misses (without counting metrics)
+    and {!add} is a no-op — the cold-path configuration used by
+    benchmarks and by [--cache-mb 0]. *)
 
 val enabled : t -> bool
 
 val find : t -> int -> Hopi_twohop.Label_codec.t option
-(** [find t key] returns the cached encoded label set and promotes the
-    entry to most-recently-used.  Counts a hit or a miss. *)
+(** {!Hopi_util.Lru.find}: promotes the entry; counts a hit or a miss. *)
 
 val add : t -> int -> Hopi_twohop.Label_codec.t -> unit
-(** Insert (or replace) the entry, evicting least-recently-used entries of
-    the same shard as needed.  The cache takes ownership of nothing: the
-    caller must not mutate [value] afterwards. *)
+(** {!Hopi_util.Lru.add}: insert or replace, evicting from the shard's
+    LRU end.  The caller must not mutate the value afterwards. *)
 
 val remove : t -> int -> bool
-(** [remove t key] evicts one entry, returning whether it was present.
-    Size accounting is adjusted exactly as for an LRU eviction, and the
-    [hopi_serve_cache_invalidations_total] counter (not the eviction
-    counter) records it.  Used by the generational serving layer to
-    reclaim entries whose node was dirtied by churn; untouched entries are
-    never scanned, so invalidation cost is proportional to the churn, not
-    the cache. *)
+(** Drop one entry, returning whether it was present; counted as an
+    invalidation, not an eviction.  The generational serving layer uses
+    it to reclaim entries whose node churn dirtied, so invalidation costs
+    in proportion to the churn, not the cache. *)
 
 val bytes : t -> int
 (** Current accounted size across all shards. *)

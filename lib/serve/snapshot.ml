@@ -32,7 +32,7 @@ let cached_fetch st cache node_version dir v =
     Label_cache.add cache key enc;
     enc
 
-let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?shards ?cache
+let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
     ?(epoch = 0) ?(node_version = default_version) path =
   let vfs = match vfs with Some v -> v | None -> S.Vfs.real in
   let pool =
@@ -50,7 +50,7 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?shards ?cache
   let cache =
     match cache with
     | Some c -> c
-    | None -> Label_cache.create ?shards ~capacity_bytes:(cache_mb * 1024 * 1024) ()
+    | None -> Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) ()
   in
   (* the node registry, frozen in memory: membership tests never touch a
      page *)

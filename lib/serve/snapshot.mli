@@ -31,7 +31,6 @@ val open_file :
   ?pool:Hopi_storage.Pager.Read_pool.t ->
   ?vfs:Hopi_storage.Vfs.t ->
   ?cache_mb:int ->
-  ?shards:int ->
   ?cache:Label_cache.t ->
   ?epoch:int ->
   ?node_version:(int -> int) ->
@@ -47,11 +46,10 @@ val open_file :
     torn and failing reads through the shared read path.
 
     [cache_mb] (default 64) is the label-cache budget, 0 disables
-    caching; [shards] is passed to {!Label_cache.create}.  [cache] plugs
-    in an externally owned {!Label_cache} instead of creating a private
-    one (ignoring [cache_mb]/[shards]).  [epoch] (default 0) tags the
-    snapshot with the generation it was opened against; it is purely
-    descriptive here and reported by {!epoch}.  [node_version] (default:
+    caching.  [cache] plugs in an externally owned {!Label_cache} instead
+    of creating a private one (ignoring [cache_mb]).  [epoch] (default 0)
+    tags the snapshot with the generation it was opened against; it is
+    purely descriptive here and reported by {!epoch}.  [node_version] (default:
     constant 0) supplies the cache-key version of each node's labels
     ({!Label_cache.key}); it is captured at open time and must be
     immutable — a frozen map, not a view of live writer state — so every

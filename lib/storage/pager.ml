@@ -79,181 +79,55 @@ type backend = Memory | File of string
 
 (* {1 Shared read-only page pool}
 
-   A sharded-lock LRU over verified page images, shared by every domain
-   (and every snapshot generation) serving reads from immutable store
-   files.  Entries are immutable [Page.t] buffers: eviction merely drops
-   the table reference, so a reader holding a page across an eviction
-   keeps a valid image — there is no write-back and no mutation, which is
-   what makes lock-free page *use* safe under a locked page *lookup*.
-
-   Keys pack (tag, page id); a tag is allocated per attached pager, so
-   several files — or several generations of the same file — share one
-   pool without colliding, and closing a pager drops exactly its pages. *)
+   A {!Hopi_util.Lru} of verified page images, one unit each, shared by
+   every domain and snapshot generation reading immutable store files.
+   Eviction only drops the table reference: a reader holding a page keeps
+   a valid image, which is what makes lock-free page *use* safe under a
+   locked page *lookup*.  Keys pack (tag, page id), a tag per attached
+   pager, so several files share one pool and closing a pager drops
+   exactly its pages. *)
 
 module Read_pool = struct
-  type entry = {
-    key : int;
-    page : Page.t;
-    mutable prev : entry option; (* towards MRU *)
-    mutable next : entry option; (* towards LRU *)
-  }
+  module Lru = Hopi_util.Lru
 
-  type shard = {
-    mu : Mutex.t;
-    tbl : (int, entry) Hashtbl.t;
-    mutable mru : entry option;
-    mutable lru : entry option;
-    mutable resident : int;
-    cap : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-  }
+  type t = { lru : Page.t Lru.t; next_tag : int Atomic.t }
 
-  type t = {
-    shards : shard array;
-    mask : int;
-    tag_mu : Mutex.t;
-    mutable next_tag : int;
-  }
+  type stats = { capacity : int; resident : int; hits : int; misses : int; evictions : int }
 
-  type stats = {
-    capacity : int;
-    resident : int;
-    hits : int;
-    misses : int;
-    evictions : int;
-  }
+  (* a budget below one page still gets the one-page-per-shard floor *)
+  let create ?shards ~pages () =
+    { lru = Lru.create ?shards ~capacity:(max 1 pages) ~cost:(fun _ -> 1) ();
+      next_tag = Atomic.make 0 }
 
-  let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
-
-  let create ?(shards = 16) ~pages () =
-    let n = next_pow2 (max 1 shards) 1 in
-    (* per-shard budget, floored at one page so every shard can hold the
-       page it is asked for; tiny pools (tests) are honoured as given *)
-    let cap = max 1 (pages / n) in
-    {
-      shards =
-        Array.init n (fun _ ->
-            { mu = Mutex.create (); tbl = Hashtbl.create 64; mru = None;
-              lru = None; resident = 0; cap; hits = 0; misses = 0;
-              evictions = 0 });
-      mask = n - 1;
-      tag_mu = Mutex.create ();
-      next_tag = 0;
-    }
-
-  let fresh_tag t =
-    Mutex.lock t.tag_mu;
-    let g = t.next_tag in
-    t.next_tag <- g + 1;
-    Mutex.unlock t.tag_mu;
-    g
+  let fresh_tag t = Atomic.fetch_and_add t.next_tag 1
 
   (* page ids are i32 in every tree, so 32 bits of id is generous *)
   let key_of ~tag id = (tag lsl 32) lor id
 
   let tag_of key = key lsr 32
 
-  (* splitmix finaliser so consecutive page ids spread across shards *)
-  let mix k =
-    let h = k lxor (k lsr 31) in
-    let h = h * 0x2545F4914F6CDD1D in
-    h lxor (h lsr 29)
-
-  let shard_of t key = t.shards.(mix key land t.mask)
-
-  let with_shard s f =
-    Mutex.lock s.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.mu) f
-
-  (* list surgery — caller holds the shard mutex *)
-
-  let unlink s e =
-    (match e.prev with Some p -> p.next <- e.next | None -> s.mru <- e.next);
-    (match e.next with Some n -> n.prev <- e.prev | None -> s.lru <- e.prev);
-    e.prev <- None;
-    e.next <- None
-
-  let push_front s e =
-    e.prev <- None;
-    e.next <- s.mru;
-    (match s.mru with Some m -> m.prev <- Some e | None -> s.lru <- Some e);
-    s.mru <- Some e
-
-  let drop s e =
-    unlink s e;
-    Hashtbl.remove s.tbl e.key;
-    s.resident <- s.resident - 1;
-    Gauge.decr g_shared_pages
+  let note (d : Lru.delta) =
+    if d.entries <> 0 then Gauge.add g_shared_pages d.entries;
+    if d.evicted > 0 then Counter.add m_shared_evictions d.evicted
 
   let find t key =
-    let s = shard_of t key in
-    with_shard s (fun () ->
-        match Hashtbl.find_opt s.tbl key with
-        | Some e ->
-          s.hits <- s.hits + 1;
-          Counter.incr m_shared_hits;
-          unlink s e;
-          push_front s e;
-          Some e.page
-        | None ->
-          s.misses <- s.misses + 1;
-          Counter.incr m_shared_misses;
-          None)
+    let r = Lru.find t.lru key in
+    Counter.incr (if Option.is_some r then m_shared_hits else m_shared_misses);
+    r
 
   (* like [find] but without metrics or promotion: the re-check under the
      attached pager's I/O lock after a raced miss *)
-  let peek t key =
-    let s = shard_of t key in
-    with_shard s (fun () ->
-        Option.map (fun e -> e.page) (Hashtbl.find_opt s.tbl key))
+  let peek t key = Lru.peek t.lru key
 
-  let add t key page =
-    let s = shard_of t key in
-    with_shard s (fun () ->
-        if not (Hashtbl.mem s.tbl key) then begin
-          let e = { key; page; prev = None; next = None } in
-          Hashtbl.add s.tbl key e;
-          push_front s e;
-          s.resident <- s.resident + 1;
-          Gauge.incr g_shared_pages;
-          while s.resident > s.cap do
-            match s.lru with
-            | None -> s.resident <- s.cap (* unreachable *)
-            | Some victim ->
-              drop s victim;
-              s.evictions <- s.evictions + 1;
-              Counter.incr m_shared_evictions
-          done
-        end)
+  let add t key page = note (Lru.add t.lru key page)
 
   (* reclaim every page a closing pager cached *)
-  let drop_tag t tag =
-    Array.iter
-      (fun s ->
-        with_shard s (fun () ->
-            let mine =
-              Hashtbl.fold
-                (fun key e acc -> if tag_of key = tag then e :: acc else acc)
-                s.tbl []
-            in
-            List.iter (drop s) mine))
-      t.shards
+  let drop_tag t tag = note (Lru.remove_if t.lru (fun key -> tag_of key = tag))
 
   let stats t =
-    Array.fold_left
-      (fun acc s ->
-        with_shard s (fun () ->
-            {
-              capacity = acc.capacity + s.cap;
-              resident = acc.resident + s.resident;
-              hits = acc.hits + s.hits;
-              misses = acc.misses + s.misses;
-              evictions = acc.evictions + s.evictions;
-            }))
-      { capacity = 0; resident = 0; hits = 0; misses = 0; evictions = 0 }
-      t.shards
+    let s = Lru.stats t.lru in
+    { capacity = s.capacity; resident = s.entries; hits = s.hits; misses = s.misses;
+      evictions = s.evictions }
 end
 
 type slot = {

@@ -25,7 +25,8 @@ type backend =
 
 type t
 
-(** A shared, sharded-lock, read-only page pool for immutable snapshots.
+(** A shared, sharded-lock, read-only page pool for immutable snapshots:
+    a {!Hopi_util.Lru} of page images, each costing one page.
 
     One pool is probed by every domain (and every generation) serving
     reads from committed store files, so a page any domain faulted in is
@@ -33,11 +34,12 @@ type t
     per-domain private pools (see DESIGN.md, Shared read path).  Entries
     are immutable verified page images: eviction drops the table
     reference only, so readers holding a page across an eviction keep a
-    valid image.  Metrics: [hopi_storage_shared_pool_hits_total] /
-    [_misses_total] / [_evictions_total] and the
-    [hopi_storage_shared_pool_pages] gauge — a series deliberately
-    disjoint from the private buffer-pool counters, so serving reads and
-    writer/builder traffic attribute separately. *)
+    valid image.  (A writable pager's private pool is not an [Lru]: it
+    pins pages and writes dirty ones back under the journal.)  Metrics:
+    [hopi_storage_shared_pool_hits_total] / [_misses_total] /
+    [_evictions_total] and the [hopi_storage_shared_pool_pages] gauge — a
+    series deliberately disjoint from the private buffer-pool counters,
+    so serving reads and writer/builder traffic attribute separately. *)
 module Read_pool : sig
   type t
 
@@ -51,10 +53,12 @@ module Read_pool : sig
 
   val create : ?shards:int -> pages:int -> unit -> t
   (** [shards] (default 16) is rounded up to a power of two; [pages] is
-      the total page budget, split evenly across shards (each shard keeps
-      at least one page, so tiny budgets round up to one per shard). *)
+      the total page budget, split across shards as
+      {!Hopi_util.Lru.create} does (each shard keeps at least one page, so
+      tiny budgets round up to one per shard). *)
 
   val stats : t -> stats
+  (** This pool's own numbers (the metric series above are process-wide). *)
 end
 
 type stats = {

@@ -286,6 +286,17 @@ let test_shared_pager_rejects_writes () =
   rejects "mark_dirty" (fun () -> Pager.mark_dirty pgr 1);
   rejects "commit" (fun () -> Pager.commit pgr)
 
+(* the page budget is honoured whole when it does not divide by the shard
+   count; only budgets below one page per shard round up *)
+let test_pool_budget_remainder () =
+  let capacity ?shards pages =
+    (Pager.Read_pool.stats (Pager.Read_pool.create ?shards ~pages ())).capacity
+  in
+  checki "20 pages over 16 shards" 20 (capacity 20);
+  checki "4096 pages" 4096 (capacity 4096);
+  checki "2 pages, one shard" 2 (capacity ~shards:1 2);
+  checki "one page per shard at least" 16 (capacity 5)
+
 let suite =
   [
     ( "coldpath.soak",
@@ -303,5 +314,6 @@ let suite =
           test_metric_attribution;
         Alcotest.test_case "shared pager rejects every write entry point"
           `Quick test_shared_pager_rejects_writes;
+        Alcotest.test_case "budget remainder is kept" `Quick test_pool_budget_remainder;
       ] );
   ]

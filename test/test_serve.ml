@@ -137,6 +137,40 @@ let test_cache_key_versioning () =
     [ 0; 1; 2; 3; 17; 1000 ];
   checki "whole grid distinct" (6 * 6 * 2) (Hashtbl.length seen)
 
+(* generation numbers persist and only grow: a version past the old 19-bit
+   field must not wrap onto generation 0's key, and anything that does not
+   fit its field is refused *)
+let test_cache_key_range () =
+  List.iter
+    (fun version ->
+      List.iter
+        (fun dir ->
+          checkb
+            (Printf.sprintf "version %d differs from version 0" version)
+            true
+            (Cache.key ~version dir 7 <> Cache.key ~version:0 dir 7))
+        [ Cache.Lin; Cache.Lout ])
+    [ 1 lsl 19; (1 lsl 19) + 1; 1 lsl 30; (1 lsl 31) - 1 ];
+  checkb "largest node and version still distinct" true
+    (Cache.key ~version:((1 lsl 31) - 1) Cache.Lin ((1 lsl 31) - 1)
+    <> Cache.key ~version:((1 lsl 31) - 1) Cache.Lout ((1 lsl 31) - 1));
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "node 2^31" (fun () -> Cache.key Cache.Lout (1 lsl 31));
+  raises "negative node" (fun () -> Cache.key Cache.Lin (-1));
+  raises "version 2^31" (fun () -> Cache.key ~version:(1 lsl 31) Cache.Lout 0);
+  raises "negative version" (fun () -> Cache.key ~version:(-1) Cache.Lout 0)
+
+(* a budget that does not divide by the shard count is honoured whole *)
+let test_cache_budget_remainder () =
+  checki "100 bytes over 16 shards" 100
+    (Cache.capacity_bytes (Cache.create ~capacity_bytes:100 ()));
+  checki "64 MiB unchanged" (64 * 1024 * 1024)
+    (Cache.capacity_bytes (Cache.create ~capacity_bytes:(64 * 1024 * 1024) ()))
+
 (* remove: exact per-entry accounting, counted as an invalidation (not an
    eviction), absent keys report false *)
 let test_cache_remove () =
@@ -442,6 +476,9 @@ let suite =
         Alcotest.test_case "hit/miss/eviction metrics" `Quick test_cache_metrics;
         Alcotest.test_case "versioned key packing is injective" `Quick
           test_cache_key_versioning;
+        Alcotest.test_case "versioned keys never alias or wrap" `Quick
+          test_cache_key_range;
+        Alcotest.test_case "budget remainder is kept" `Quick test_cache_budget_remainder;
         Alcotest.test_case "remove balances the accounting" `Quick test_cache_remove;
         Alcotest.test_case "sharded cache is pool-safe" `Quick test_cache_pool_safety;
       ] );

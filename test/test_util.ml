@@ -1,4 +1,4 @@
-(* Tests for hopi_util: Int_set, Int_hashset, Crc32, Bitset, Dyn_array,
+(* Tests for hopi_util: Int_set, Int_hashset, Lru, Crc32, Bitset, Dyn_array,
    Heap, Splitmix, Stats. *)
 
 open Hopi_util
@@ -572,6 +572,180 @@ let test_timer_acc () =
   Timer.Acc.reset acc;
   check_int "reset" 0 (Timer.Acc.total_ns acc)
 
+(* {1 Lru} *)
+
+(* Model-based check of a one-shard [Lru] against a reference LRU: an
+   association list in recency order (most recent first).  Values are
+   (cost, serial) pairs, so a value returned for the wrong add shows up,
+   and costs run past the capacity so some adds must be refused. *)
+module Lru_model = struct
+  type op =
+    | Find of int
+    | Peek of int
+    | Add of int * int
+    | Remove of int
+    | Remove_if of int  (** drop keys [k] with [k mod 3 = r] *)
+
+  let show = function
+    | Find k -> Printf.sprintf "find %d" k
+    | Peek k -> Printf.sprintf "peek %d" k
+    | Add (k, c) -> Printf.sprintf "add %d (cost %d)" k c
+    | Remove k -> Printf.sprintf "remove %d" k
+    | Remove_if r -> Printf.sprintf "remove_if (k mod 3 = %d)" r
+
+  let keys = 8
+
+  let gen =
+    let open QCheck2.Gen in
+    int_range 1 12 >>= fun capacity ->
+    let key = int_bound (keys - 1) in
+    let op =
+      frequency
+        [
+          (6, map (fun k -> Find k) key);
+          (2, map (fun k -> Peek k) key);
+          (8, map2 (fun k c -> Add (k, c)) key (int_range 1 (capacity + 2)));
+          (2, map (fun k -> Remove k) key);
+          (1, map (fun r -> Remove_if r) (int_bound 2));
+        ]
+    in
+    pair (pure capacity) (list_size (int_bound 200) op)
+
+  type t = {
+    capacity : int;
+    mutable order : (int * (int * int)) list;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let used m = List.fold_left (fun acc (_, (c, _)) -> acc + c) 0 m.order
+
+  let delta entries cost evicted = { Lru.entries; cost; evicted }
+
+  (* drop every binding matching [p], reporting the delta *)
+  let drop m p =
+    let gone, kept = List.partition (fun (k, _) -> p k) m.order in
+    m.order <- kept;
+    delta (-List.length gone) (-List.fold_left (fun acc (_, (c, _)) -> acc + c) 0 gone) 0
+
+  let rec evict m evicted freed =
+    if used m <= m.capacity then (evicted, freed)
+    else begin
+      let rev = List.rev m.order in
+      let _, (c, _) = List.hd rev in
+      m.order <- List.rev (List.tl rev);
+      evict m (evicted + 1) (freed + c)
+    end
+
+  let add m k ((c, _) as v) =
+    if c > m.capacity then Lru.no_change
+    else begin
+      let replaced = drop m (Int.equal k) in
+      m.order <- (k, v) :: m.order;
+      let evicted, freed = evict m 0 0 in
+      m.evictions <- m.evictions + evicted;
+      delta (1 + replaced.entries - evicted) (c + replaced.cost - freed) evicted
+    end
+
+  let find m k =
+    match List.assoc_opt k m.order with
+    | Some v ->
+      m.hits <- m.hits + 1;
+      m.order <- (k, v) :: List.remove_assoc k m.order;
+      Some v
+    | None ->
+      m.misses <- m.misses + 1;
+      None
+end
+
+let prop_lru_model =
+  QCheck2.Test.make ~name:"one-shard Lru = reference LRU under random ops" ~count:300
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map Lru_model.show ops)))
+    Lru_model.gen
+    (fun (capacity, ops) ->
+      let lru = Lru.create ~shards:1 ~capacity ~cost:fst () in
+      let m = { Lru_model.capacity; order = []; hits = 0; misses = 0; evictions = 0 } in
+      let serial = ref 0 in
+      let step op =
+        let agree =
+          match op with
+          | Lru_model.Find k -> Lru.find lru k = Lru_model.find m k
+          | Peek k -> Lru.peek lru k = List.assoc_opt k m.order
+          | Add (k, c) ->
+            incr serial;
+            let v = (c, !serial) in
+            Lru.add lru k v = Lru_model.add m k v
+          | Remove k -> Lru.remove lru k = Lru_model.drop m (Int.equal k)
+          | Remove_if r ->
+            let p k = k mod 3 = r in
+            Lru.remove_if lru p = Lru_model.drop m p
+        in
+        (* every resident key and value, read without promotion: after each
+           add this pins down which entries the eviction picked *)
+        let resident =
+          List.for_all
+            (fun k -> Lru.peek lru k = List.assoc_opt k m.order)
+            (List.init Lru_model.keys Fun.id)
+        in
+        let st = Lru.stats lru in
+        if not (agree && resident) then
+          QCheck2.Test.fail_reportf "diverged at %s" (Lru_model.show op);
+        st = { Lru.capacity; cost = Lru_model.used m; entries = List.length m.order;
+               hits = m.hits; misses = m.misses; evictions = m.evictions }
+        && st.cost <= st.capacity
+      in
+      List.for_all step ops)
+
+let test_lru_disabled () =
+  let lru = Lru.create ~capacity:0 ~cost:(fun _ -> 1) () in
+  check_bool "disabled" false (Lru.enabled lru);
+  check_bool "add is a no-op" true (Lru.add lru 1 "x" = Lru.no_change);
+  check_bool "find misses" true (Lru.find lru 1 = None);
+  check_bool "peek misses" true (Lru.peek lru 1 = None);
+  check_bool "remove is a no-op" true (Lru.remove lru 1 = Lru.no_change);
+  check_bool "remove_if is a no-op" true (Lru.remove_if lru (fun _ -> true) = Lru.no_change);
+  check_bool "nothing counted" true
+    (Lru.stats lru
+    = { Lru.capacity = 0; cost = 0; entries = 0; hits = 0; misses = 0; evictions = 0 })
+
+(* the slices add up to the request: the remainder goes one unit each to
+   the first shards, and the one-unit floor only lifts budgets smaller
+   than the shard count *)
+let test_lru_capacity_split () =
+  List.iter
+    (fun (shards, capacity, expect) ->
+      let lru = Lru.create ~shards ~capacity ~cost:(fun _ -> 1) () in
+      check_int (Printf.sprintf "%d over %d shards" capacity shards) expect
+        (Lru.stats lru).capacity)
+    [ (16, 20, 20); (16, 100, 100); (16, 4096, 4096); (4, 7, 7); (1, 3, 3); (16, 5, 16);
+      (3, 9, 9) ];
+  (* every shard really holds its slice: fill far past the budget *)
+  let lru = Lru.create ~shards:16 ~capacity:20 ~cost:(fun _ -> 1) () in
+  for k = 0 to 9_999 do
+    ignore (Lru.add lru k ())
+  done;
+  check_int "resident = budget" 20 (Lru.stats lru).entries
+
+let test_lru_sharded_counts () =
+  let lru = Lru.create ~shards:4 ~capacity:256 ~cost:String.length () in
+  for k = 0 to 31 do
+    ignore (Lru.add lru k "ab")
+  done;
+  for k = 0 to 39 do
+    ignore (Lru.find lru k)
+  done;
+  let st = Lru.stats lru in
+  check_int "hits" 32 st.hits;
+  check_int "misses" 8 st.misses;
+  check_int "entries" 32 st.entries;
+  check_int "cost" 64 st.cost;
+  let d = Lru.remove_if lru (fun k -> k land 1 = 0) in
+  check_int "remove_if entries" (-16) d.entries;
+  check_int "remove_if cost" (-32) d.cost;
+  check_int "survivors" 16 (Lru.stats lru).entries
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -598,6 +772,13 @@ let suite =
         Alcotest.test_case "growth and removal" `Quick test_hashset_growth_and_removal;
       ]
       @ qsuite [ prop_hashset_model ] );
+    ( "util.lru",
+      [
+        Alcotest.test_case "disabled" `Quick test_lru_disabled;
+        Alcotest.test_case "capacity split" `Quick test_lru_capacity_split;
+        Alcotest.test_case "sharded counts" `Quick test_lru_sharded_counts;
+      ]
+      @ qsuite [ prop_lru_model ] );
     ( "util.crc32",
       [
         Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
