@@ -78,14 +78,13 @@ let make_tests (s : Bench_common.scale) =
   let g = Collection.element_graph c in
   let store = Hopi.to_store idx (Pager.create ~pool_pages:256 Pager.Memory) in
   let cstore =
-    let cs = Hopi_storage.Closure_store.create (Pager.create ~pool_pages:4096 Pager.Memory) in
-    Hopi_storage.Closure_store.load cs (Hopi_graph.Closure.compute g);
-    cs
+    Hopi_storage.Closure_store.of_closure
+      (Pager.create ~pool_pages:4096 Pager.Memory)
+      (Hopi_graph.Closure.compute g)
   in
   let dstore =
-    let st = Cover_store.create (Pager.create ~pool_pages:256 Pager.Memory) in
-    Cover_store.load_dist_cover st (Hopi.distance_index idx);
-    st
+    Cover_store.of_dist_cover (Pager.create ~pool_pages:256 Pager.Memory)
+      (Hopi.distance_index idx)
   in
   let rng = Splitmix.create 12345 in
   let els =

@@ -36,8 +36,7 @@ let () =
   (* Persist into LIN(ID,INID,DIST)/LOUT(ID,OUTID,DIST) with a bounded
      buffer pool, then query through the paged index. *)
   let pager = Pager.create ~pool_pages:64 Pager.Memory in
-  let store = Cover_store.create pager in
-  Cover_store.load_dist_cover store cover;
+  let store = Cover_store.of_dist_cover pager cover in
   Fmt.pr "stored: %d entries = %d integers on %d pages (%d KiB)@."
     (Cover_store.n_entries store)
     (Cover_store.stored_integers store)

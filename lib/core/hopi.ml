@@ -137,10 +137,7 @@ let finish_rebuild t h =
 
 let size t = Cover.size t.cover
 
-let to_store t pager =
-  let store = Hopi_storage.Cover_store.create pager in
-  Hopi_storage.Cover_store.bulk_load_cover store t.cover;
-  store
+let to_store t pager = Hopi_storage.Cover_store.of_cover pager t.cover
 
 let distance_index t =
   match t.dist with

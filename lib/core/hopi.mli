@@ -97,7 +97,8 @@ val size : t -> int
 (** Cover entries |L|. *)
 
 val to_store : t -> Hopi_storage.Pager.t -> Hopi_storage.Cover_store.t
-(** Persist the cover into LIN/LOUT tables on the given pager. *)
+(** Write the cover into LIN/LOUT tables on the given fresh pager
+    ({!Hopi_storage.Cover_store.of_cover}); the store is not saved yet. *)
 
 val distance_index : t -> Hopi_twohop.Dist_cover.t
 (** Build the distance-aware cover for the current element graph

@@ -92,10 +92,9 @@ let with_lock mu f =
 (* {1 Persistence} *)
 
 let persist_store ~with_dist idx pager =
-  let st = S.Cover_store.create pager in
-  if with_dist then S.Cover_store.bulk_load_dist_cover st (Hopi.distance_index idx)
-  else S.Cover_store.bulk_load_cover st (Hopi.cover idx);
-  S.Cover_store.save st
+  S.Cover_store.save
+    (if with_dist then S.Cover_store.of_dist_cover pager (Hopi.distance_index idx)
+     else S.Cover_store.of_cover pager (Hopi.cover idx))
 
 (* {1 Dirty tracking}
 

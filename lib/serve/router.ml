@@ -122,25 +122,24 @@ let split ?(dist = false) ?(fsync = true) ~k ~dir c =
   let oracles =
     Array.init k (fun p ->
         let sub = Partitioning.element_subgraph part c p in
-        let reach, pdist, load =
+        let reach, pdist, write =
           if dist then begin
             let dc, _ = Dist_builder.build sub in
             ( Dist_cover.connected dc,
               Dist_cover.dist dc,
-              fun store -> S.Cover_store.bulk_load_dist_cover store dc )
+              fun pager -> S.Cover_store.of_dist_cover pager dc )
           end
           else begin
             let cover, _ = Builder.build (Closure.compute sub) in
             ( Cover.connected cover,
               (fun u v -> if Cover.connected cover u v then Some 0 else None),
-              fun store -> S.Cover_store.bulk_load_cover store cover )
+              fun pager -> S.Cover_store.of_cover pager cover )
           end
         in
         let pager =
           S.Pager.create ~pool_pages:512 ~fsync (S.Pager.File (shard_path ~dir p))
         in
-        let store = S.Cover_store.create pager in
-        load store;
+        let store = write pager in
         S.Cover_store.save store;
         entries := !entries + S.Cover_store.n_entries store;
         S.Pager.close pager;
@@ -320,7 +319,18 @@ let open_dir ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   (* one shared page pool and label cache across all shard snapshots *)
   let pool = S.Pager.Read_pool.create ~pages:pool_pages () in
   let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in
-  let snaps = Array.init k (fun p -> Snapshot.open_file ~pool ~cache (shard_path ~dir p)) in
+  let opened = ref [] in
+  let snaps =
+    try
+      Array.init k (fun p ->
+          let s = Snapshot.open_file ~pool ~cache (shard_path ~dir p) in
+          opened := s :: !opened;
+          s)
+    with e ->
+      (* a bad shard must not leak the ones already open *)
+      List.iter Snapshot.close !opened;
+      raise e
+  in
   let entries = Array.fold_left (fun acc s -> acc + Snapshot.n_entries s) 0 snaps in
   {
     k;

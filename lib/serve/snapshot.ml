@@ -41,8 +41,16 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
     | None -> S.Pager.Read_pool.create ~pages:pool_pages ()
   in
   let pgr = S.Pager.open_shared_vfs ~vfs ~pool path in
-  let st =
-    try S.Cover_store.open_pager pgr
+  (* a bad catalog or a corrupt registry page must not leak the file or
+     leave this pager's pages in the caller's pool *)
+  let st, nodes =
+    try
+      let st = S.Cover_store.open_pager pgr in
+      (* the node registry, frozen in memory: membership tests never touch
+         a page *)
+      let nodes = Ihs.create () in
+      S.Cover_store.iter_nodes st (Ihs.add nodes);
+      (st, nodes)
     with e ->
       S.Pager.close pgr;
       raise e
@@ -52,10 +60,6 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
     | Some c -> c
     | None -> Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) ()
   in
-  (* the node registry, frozen in memory: membership tests never touch a
-     page *)
-  let nodes = Ihs.create () in
-  S.Cover_store.iter_nodes st (Ihs.add nodes);
   let src =
     { S.Cover_store.store = st;
       mem = (fun v -> Ihs.mem nodes v);

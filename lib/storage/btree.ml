@@ -7,9 +7,9 @@ let max_i32 = Int32.to_int Int32.max_int
 (* Page layouts, all offsets relative to [Page.payload_off] (the pager's
    checksum header occupies the bytes below it; see .mli):
    leaf:     [+0]=0 [+2..3]=nkeys [+4..7]=next_leaf(i32, -1 none); entries
-             of 12 bytes (3 x i32) from offset +8; capacity 339
+             of 12 bytes (3 x i32) from offset +8; capacity 340
    internal: [+0]=1 [+2..3]=nkeys [+4..7]=child0(i32); slots of 16 bytes
-             (key 12 + right child 4) from offset +8; capacity 254 *)
+             (key 12 + right child 4) from offset +8; capacity 255 *)
 
 let po = Page.payload_off
 
@@ -17,17 +17,15 @@ let leaf_header = po + 8
 
 let leaf_entry = 12
 
-(* one slot is reserved so a node may hold capacity+1 entries for the
-   instant between insertion and split *)
-let leaf_capacity = ((Page.size - leaf_header) / leaf_entry) - 1
+let leaf_capacity = (Page.size - leaf_header) / leaf_entry
 
 let int_header = po + 8
 
 let int_slot = 16
 
-let int_capacity = ((Page.size - int_header) / int_slot) - 1
+let int_capacity = (Page.size - int_header) / int_slot
 
-type t = { pager : Pager.t; mutable root : int; mutable length : int }
+type t = { pager : Pager.t; root : int; length : int }
 
 let is_leaf page = Page.get_u8 page po = 0
 
@@ -74,25 +72,16 @@ let key_compare (a1, b1, c1) (a2, b2, c2) =
     let c = compare (b1 : int) b2 in
     if c <> 0 then c else compare (c1 : int) c2
 
-let create pager =
-  let root = Pager.alloc pager in
-  let page = Pager.read pager root in
-  Page.set_u8 page po 0;
-  set_nkeys page 0;
-  set_next_leaf page (-1);
-  Pager.mark_dirty pager root;
-  { pager; root; length = 0 }
-
 let root t = t.root
 
 let of_root pager ~root ~length = { pager; root; length }
 
-(* First index i in [0,n) with key(i) >= k, else n. *)
-let lower_bound get page n k =
+(* First leaf slot i in [0,n) with key(i) >= k, else n. *)
+let lower_bound page n k =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if key_compare (get page mid) k < 0 then lo := mid + 1 else hi := mid
+    if key_compare (leaf_key page mid) k < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -115,284 +104,8 @@ let mem t k =
   let pid = find_leaf t t.root k in
   let page = Pager.read t.pager pid in
   let n = nkeys page in
-  let i = lower_bound leaf_key page n k in
+  let i = lower_bound page n k in
   i < n && key_compare (leaf_key page i) k = 0
-
-(* {1 Insertion} *)
-
-type split = No_split | Split of key * int  (* separator, new right page *)
-
-let leaf_insert t pid k =
-  let page = Pager.read t.pager pid in
-  let n = nkeys page in
-  let i = lower_bound leaf_key page n k in
-  if i < n && key_compare (leaf_key page i) k = 0 then (false, No_split)
-  else begin
-    (* shift right *)
-    for j = n downto i + 1 do
-      set_leaf_key page j (leaf_key page (j - 1))
-    done;
-    set_leaf_key page i k;
-    set_nkeys page (n + 1);
-    Pager.mark_dirty t.pager pid;
-    if n + 1 <= leaf_capacity then (true, No_split)
-    else begin
-      (* split in half; right gets the upper part *)
-      let total = n + 1 in
-      let left_n = total / 2 in
-      let right_n = total - left_n in
-      let page = Pager.pin t.pager pid in
-      let rid = Pager.alloc t.pager in
-      let right = Pager.pin t.pager rid in
-      Page.set_u8 right po 0;
-      set_nkeys right right_n;
-      set_next_leaf right (next_leaf page);
-      for j = 0 to right_n - 1 do
-        set_leaf_key right j (leaf_key page (left_n + j))
-      done;
-      set_nkeys page left_n;
-      set_next_leaf page rid;
-      Pager.mark_dirty t.pager pid;
-      Pager.mark_dirty t.pager rid;
-      let sep = leaf_key right 0 in
-      Pager.unpin t.pager pid;
-      Pager.unpin t.pager rid;
-      (true, Split (sep, rid))
-    end
-  end
-
-let internal_insert_slot t pid sep rid =
-  let page = Pager.read t.pager pid in
-  let n = nkeys page in
-  let i = lower_bound int_key page n sep in
-  for j = n downto i + 1 do
-    set_int_key page j (int_key page (j - 1));
-    set_int_child page (j + 1) (int_child page j)
-  done;
-  set_int_key page i sep;
-  set_int_child page (i + 1) rid;
-  set_nkeys page (n + 1);
-  Pager.mark_dirty t.pager pid;
-  if n + 1 <= int_capacity then No_split
-  else begin
-    (* split: middle key moves up *)
-    let total = n + 1 in
-    let mid = total / 2 in
-    let page = Pager.pin t.pager pid in
-    let up = int_key page mid in
-    let new_id = Pager.alloc t.pager in
-    let right = Pager.pin t.pager new_id in
-    Page.set_u8 right po 1;
-    let right_n = total - mid - 1 in
-    set_nkeys right right_n;
-    set_int_child right 0 (int_child page (mid + 1));
-    for j = 0 to right_n - 1 do
-      set_int_key right j (int_key page (mid + 1 + j));
-      set_int_child right (j + 1) (int_child page (mid + 2 + j))
-    done;
-    set_nkeys page mid;
-    Pager.mark_dirty t.pager pid;
-    Pager.mark_dirty t.pager new_id;
-    Pager.unpin t.pager pid;
-    Pager.unpin t.pager new_id;
-    Split (up, new_id)
-  end
-
-let rec insert_rec t pid k =
-  let page = Pager.read t.pager pid in
-  if is_leaf page then leaf_insert t pid k
-  else begin
-    let ci = descend_index page k in
-    let child = int_child page ci in
-    let added, split = insert_rec t child k in
-    match split with
-    | No_split -> (added, No_split)
-    | Split (sep, rid) -> (added, internal_insert_slot t pid sep rid)
-  end
-
-let insert t k =
-  let (a, b, c) = k in
-  let check v =
-    if v < min_i32 || v > max_i32 then
-      invalid_arg (Printf.sprintf "Btree.insert: component %d out of 32-bit range" v)
-  in
-  check a; check b; check c;
-  let added, split = insert_rec t t.root k in
-  (match split with
-   | No_split -> ()
-   | Split (sep, rid) ->
-     let new_root = Pager.alloc t.pager in
-     let page = Pager.read t.pager new_root in
-     Page.set_u8 page po 1;
-     set_nkeys page 1;
-     set_int_child page 0 t.root;
-     set_int_key page 0 sep;
-     set_int_child page 1 rid;
-     Pager.mark_dirty t.pager new_root;
-     t.root <- new_root);
-  if added then t.length <- t.length + 1;
-  added
-
-(* {1 Deletion with rebalancing}
-
-   A node is considered underfull below a quarter of its capacity; an
-   underfull child merges with a sibling when the combined content fits,
-   and borrows one slot otherwise.  The root collapses when an internal
-   root runs out of keys; freed pages return to the pager's free list. *)
-
-let min_leaf_keys = leaf_capacity / 4
-
-let min_int_keys = int_capacity / 4
-
-(* Merge or borrow between children [ci] and [ci+1] of internal node
-   [parent_id]; the separator between them is parent key [ci]. *)
-let rebalance_children t parent_id ci =
-  let parent = Pager.pin t.pager parent_id in
-  let left_id = int_child parent ci and right_id = int_child parent (ci + 1) in
-  let left = Pager.pin t.pager left_id and right = Pager.pin t.pager right_id in
-  let finish () =
-    Pager.mark_dirty t.pager parent_id;
-    Pager.mark_dirty t.pager left_id;
-    Pager.mark_dirty t.pager right_id;
-    Pager.unpin t.pager parent_id;
-    Pager.unpin t.pager left_id;
-    Pager.unpin t.pager right_id
-  in
-  let remove_separator () =
-    (* drop parent key [ci] and child pointer [ci+1] *)
-    let pn = nkeys parent in
-    for j = ci to pn - 2 do
-      set_int_key parent j (int_key parent (j + 1));
-      set_int_child parent (j + 1) (int_child parent (j + 2))
-    done;
-    set_nkeys parent (pn - 1)
-  in
-  if is_leaf left then begin
-    let nl = nkeys left and nr = nkeys right in
-    if nl + nr <= leaf_capacity then begin
-      (* merge right into left *)
-      for j = 0 to nr - 1 do
-        set_leaf_key left (nl + j) (leaf_key right j)
-      done;
-      set_nkeys left (nl + nr);
-      set_next_leaf left (next_leaf right);
-      remove_separator ();
-      finish ();
-      Pager.free t.pager right_id
-    end
-    else if nl < nr then begin
-      (* borrow the right sibling's first key *)
-      set_leaf_key left nl (leaf_key right 0);
-      set_nkeys left (nl + 1);
-      for j = 0 to nr - 2 do
-        set_leaf_key right j (leaf_key right (j + 1))
-      done;
-      set_nkeys right (nr - 1);
-      set_int_key parent ci (leaf_key right 0);
-      finish ()
-    end
-    else begin
-      (* borrow the left sibling's last key *)
-      for j = nr downto 1 do
-        set_leaf_key right j (leaf_key right (j - 1))
-      done;
-      set_leaf_key right 0 (leaf_key left (nl - 1));
-      set_nkeys right (nr + 1);
-      set_nkeys left (nl - 1);
-      set_int_key parent ci (leaf_key right 0);
-      finish ()
-    end
-  end
-  else begin
-    let nl = nkeys left and nr = nkeys right in
-    let sep = int_key parent ci in
-    if nl + 1 + nr <= int_capacity then begin
-      (* merge: left keys ++ separator ++ right keys *)
-      set_int_key left nl sep;
-      set_int_child left (nl + 1) (int_child right 0);
-      for j = 0 to nr - 1 do
-        set_int_key left (nl + 1 + j) (int_key right j);
-        set_int_child left (nl + 2 + j) (int_child right (j + 1))
-      done;
-      set_nkeys left (nl + 1 + nr);
-      remove_separator ();
-      finish ();
-      Pager.free t.pager right_id
-    end
-    else if nl < nr then begin
-      (* rotate left: separator comes down to left, right key 0 goes up *)
-      set_int_key left nl sep;
-      set_int_child left (nl + 1) (int_child right 0);
-      set_nkeys left (nl + 1);
-      set_int_key parent ci (int_key right 0);
-      set_int_child right 0 (int_child right 1);
-      for j = 0 to nr - 2 do
-        set_int_key right j (int_key right (j + 1));
-        set_int_child right (j + 1) (int_child right (j + 2))
-      done;
-      set_nkeys right (nr - 1);
-      finish ()
-    end
-    else begin
-      (* rotate right: separator comes down to right, left's last key goes up *)
-      for j = nr downto 1 do
-        set_int_key right j (int_key right (j - 1));
-        set_int_child right (j + 1) (int_child right j)
-      done;
-      set_int_child right 1 (int_child right 0);
-      set_int_key right 0 sep;
-      set_int_child right 0 (int_child left nl);
-      set_nkeys right (nr + 1);
-      set_int_key parent ci (int_key left (nl - 1));
-      set_nkeys left (nl - 1);
-      finish ()
-    end
-  end
-
-(* returns (removed, child is underfull) *)
-let rec delete_rec t pid k =
-  let page = Pager.read t.pager pid in
-  if is_leaf page then begin
-    let n = nkeys page in
-    let i = lower_bound leaf_key page n k in
-    if i < n && key_compare (leaf_key page i) k = 0 then begin
-      for j = i to n - 2 do
-        set_leaf_key page j (leaf_key page (j + 1))
-      done;
-      set_nkeys page (n - 1);
-      Pager.mark_dirty t.pager pid;
-      (true, n - 1 < min_leaf_keys)
-    end
-    else (false, false)
-  end
-  else begin
-    let ci = descend_index page k in
-    let child = int_child page ci in
-    let removed, under = delete_rec t child k in
-    if under then begin
-      let n = nkeys (Pager.read t.pager pid) in
-      (* rebalance child [ci] with a sibling: prefer the left one *)
-      if ci > 0 then rebalance_children t pid (ci - 1)
-      else if n > 0 then rebalance_children t pid 0;
-      let page = Pager.read t.pager pid in
-      (removed, nkeys page < min_int_keys)
-    end
-    else (removed, false)
-  end
-
-let delete t k =
-  let removed, _ = delete_rec t t.root k in
-  if removed then begin
-    t.length <- t.length - 1;
-    (* collapse an empty internal root *)
-    let page = Pager.read t.pager t.root in
-    if (not (is_leaf page)) && nkeys page = 0 then begin
-      let old = t.root in
-      t.root <- int_child page 0;
-      Pager.free t.pager old
-    end
-  end;
-  removed
 
 let length t = t.length
 
@@ -400,9 +113,9 @@ let length t = t.length
 
    Bottom-up construction from a strictly ascending key stream: leaves are
    filled left-to-right to capacity and chained, then internal levels are
-   stitched over the first keys of their children (the same separator
-   convention leaf splits use), up to a single root.  No per-key descent,
-   no splits, every page written exactly once. *)
+   stitched over the first keys of their children (separator i is the
+   smallest key under child i+1), up to a single root.  No per-key
+   descent, every page written exactly once. *)
 
 let m_bulk_pages =
   Hopi_obs.Registry.counter "hopi_storage_btree_bulk_pages_total"
@@ -527,7 +240,7 @@ let iter_from t lo f =
   while !continue_ && !pid >= 0 do
     let page = Pager.read t.pager !pid in
     let n = nkeys page in
-    let start = if !started then 0 else lower_bound leaf_key page n lo in
+    let start = if !started then 0 else lower_bound page n lo in
     started := true;
     let i = ref start in
     while !continue_ && !i < n do

@@ -7,38 +7,30 @@
     [(id, inid, dist)]; the backward index re-keys the same rows as
     [(inid, id, dist)].
 
-    Deletion rebalances: an under-full node (below a quarter of capacity)
-    merges with a sibling when the combined content fits and borrows a slot
-    otherwise; freed pages return to the pager's free list for reuse —
-    document deletions (Section 6) therefore do not leak space. *)
+    Trees are written once: {!bulk_load} builds a whole tree from a sorted
+    key stream and nothing changes it afterwards.  Index maintenance
+    (Section 6) runs on the in-memory cover, and the result is written as
+    a new store (a new generation when serving live), so leaves and
+    internal nodes are packed to capacity and no page is ever freed. *)
 
 type t
 
 type key = int * int * int
 
-val create : Pager.t -> t
-
 val root : t -> int
-(** Current root page id (changes when the root splits). *)
+(** Root page id, for the {!Catalog}. *)
 
 val of_root : Pager.t -> root:int -> length:int -> t
 (** Re-attach to a tree stored earlier (see {!Catalog}). *)
-
-val insert : t -> key -> bool
-(** [true] when the key was new. *)
 
 val bulk_load : Pager.t -> next:(unit -> key option) -> t
 (** Build a tree bottom-up from a strictly ascending key stream: leaves
     are written left-to-right to capacity and chained, internal nodes are
     stitched over them — no per-key descent, every page written once.
     [next] is polled until it returns [None]; an empty stream yields an
-    empty tree.  The result supports the full API, including later
-    {!insert}/{!delete}.
+    empty tree (one empty leaf).
     @raise Invalid_argument on an out-of-range component or a stream that
     is not strictly ascending. *)
-
-val delete : t -> key -> bool
-(** [true] when the key was present. *)
 
 val mem : t -> key -> bool
 

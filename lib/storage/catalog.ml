@@ -26,6 +26,10 @@ let arity = function Cover -> cover_trees | Closure -> closure_trees
 
 let max_trees = (Page.size - po - 20) / 8
 
+let reserve who pager =
+  if Pager.n_pages pager <> 0 then invalid_arg (who ^ ": the pager must be fresh");
+  ignore (Pager.alloc pager)
+
 let write pager t =
   if Array.length t.trees <> arity t.kind then invalid_arg "Catalog.write: arity";
   let page = Pager.read pager 0 in

@@ -25,6 +25,12 @@ val cover_trees : int
 val closure_trees : int
 (** = 2: fwd, bwd. *)
 
+val reserve : string -> Pager.t -> unit
+(** [reserve who pager] allocates page 0 for the catalog; a store is
+    written once, onto a fresh pager.
+    @raise Invalid_argument (naming [who]) when the pager already has
+    pages. *)
+
 val write : Pager.t -> t -> unit
 (** Writes page 0 (which must already be allocated). *)
 

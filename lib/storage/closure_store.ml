@@ -2,11 +2,14 @@ module Ihs = Hopi_util.Int_hashset
 
 type t = { pgr : Pager.t; table : Table.t }
 
-let create pgr =
-  (* page 0 is the catalog *)
-  let catalog_page = Pager.alloc pgr in
-  assert (catalog_page = 0);
-  { pgr; table = Table.create pgr }
+let of_closure pgr clo =
+  Catalog.reserve "Closure_store.of_closure" pgr;
+  let pairs = Array.make (Hopi_graph.Closure.n_connections clo) 0 in
+  let i = ref 0 in
+  Hopi_graph.Closure.iter_pairs clo (fun u v ->
+      pairs.(!i) <- Table.pack ~id:u ~label:v;
+      incr i);
+  { pgr; table = Table.of_pairs pgr pairs }
 
 let save t =
   let entry tree = { Catalog.root = Btree.root tree; length = Btree.length tree } in
@@ -16,10 +19,6 @@ let save t =
   Pager.commit t.pgr
 
 let pager t = t.pgr
-
-let load t clo =
-  Hopi_graph.Closure.iter_pairs clo (fun u v ->
-      ignore (Table.insert t.table ~id:u ~label:v ~dist:0))
 
 let connected t u v = Table.mem t.table ~id:u ~label:v
 

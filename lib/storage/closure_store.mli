@@ -10,18 +10,17 @@
 
 type t
 
-val create : Pager.t -> t
-(** The pager must be fresh: page 0 is reserved for the {!Catalog}. *)
+val of_closure : Pager.t -> Hopi_graph.Closure.t -> t
+(** Bulk-load every connection of a computed closure (and its
+    backward-index row) onto a fresh pager; page 0 is reserved for the
+    {!Catalog}.
+    @raise Invalid_argument when the pager already has pages. *)
 
 val pager : t -> Pager.t
 
 val save : t -> unit
 (** Write the catalog and {!Pager.commit} (atomic, like
     {!Cover_store.save}). *)
-
-val load : t -> Hopi_graph.Closure.t -> unit
-(** Bulk-insert every connection (and its backward-index row) of a
-    computed closure. *)
 
 val connected : t -> int -> int -> bool
 (** One forward-index probe.  Reflexive for any node the closure saw. *)

@@ -20,8 +20,21 @@
 
 type t
 
-val create : Pager.t -> t
-(** The pager must be fresh: page 0 is reserved for the {!Catalog}. *)
+(** {1 Writing a store}
+
+    A store is written once, onto a fresh pager: every LIN/LOUT row is
+    collected up front, sorted, and handed to {!Btree.bulk_load}, so each
+    page is written once, in key order, with no per-entry descent.  The
+    page layout is deterministic for a given cover.  Page 0 is reserved
+    for the {!Catalog}; {!save} makes the store durable. *)
+
+val of_cover : Pager.t -> Hopi_twohop.Cover.t -> t
+(** Store a plain cover (all distances 0).
+    @raise Invalid_argument when the pager already has pages. *)
+
+val of_dist_cover : Pager.t -> Hopi_twohop.Dist_cover.t -> t
+(** {!of_cover} for distance-aware covers (the DIST column variant of
+    Section 5.1). *)
 
 val pager : t -> Pager.t
 
@@ -33,50 +46,14 @@ val save : t -> unit
 
 val open_pager : Pager.t -> t
 (** Re-attach to a store saved earlier (e.g. a pager from
-    {!Pager.open_existing}).  The pager's free-page list is not persisted,
-    so pages freed before the save are not reused after reopening (they are
-    reclaimed by the next offline rebuild).
+    {!Pager.open_existing}).
     @raise Storage_error.Storage_error on a bad catalog. *)
-
-(** {1 Loading} *)
-
-val load_cover : t -> Hopi_twohop.Cover.t -> unit
-(** Store a plain cover (all distances 0), one row-level insert at a
-    time.  Prefer {!bulk_load_cover} on a fresh store. *)
-
-val load_dist_cover : t -> Hopi_twohop.Dist_cover.t -> unit
-
-val bulk_load_cover : t -> Hopi_twohop.Cover.t -> unit
-(** Store a plain cover by sorting all LIN/LOUT rows up front and handing
-    the sorted streams to {!Btree.bulk_load}: every page is written once,
-    in key order, with no per-entry descents.  The resulting store answers
-    queries identically to {!load_cover} (see the [bulk store matches
-    row-at-a-time store] differential in [test/test_storage.ml]), and its
-    page layout is deterministic for a given cover.
-    @raise Invalid_argument unless the store was freshly {!create}d. *)
-
-val bulk_load_dist_cover : t -> Hopi_twohop.Dist_cover.t -> unit
-(** {!bulk_load_cover} for distance-aware covers. *)
-
-(** {1 Row-level maintenance} *)
-
-val add_node : t -> int -> unit
-
-val remove_node : t -> int -> unit
-(** Drops the node's rows in both tables (but not rows of other nodes that
-    name it as a label — use {!remove_label} for that). *)
-
-val remove_label : t -> int -> unit
-
-val insert_in : t -> node:int -> center:int -> dist:int -> unit
-
-val insert_out : t -> node:int -> center:int -> dist:int -> unit
 
 (** {1 Queries} *)
 
 val mem_node : t -> int -> bool
-(** Is this node in the store's node registry?  Nodes are registered by
-    {!load_cover}/{!load_dist_cover}/{!add_node} and by label insertion. *)
+(** Is this node in the store's node registry (a node of the stored
+    cover)? *)
 
 val with_dist : t -> bool
 (** [true] when any stored label entry carries a non-zero distance (the

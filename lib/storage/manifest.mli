@@ -56,7 +56,7 @@ val publish :
   unit ->
   t
 (** Publish generation [tip + 1]: create its store file on a fresh pager,
-    run [load] to fill and save it (e.g. [Cover_store.load_cover] +
+    run [load] to fill and save it (e.g. [Cover_store.of_cover] +
     [save]), then commit a manifest with [live = tip + 1] and [previous]
     set to the old live generation.  The manifest commit is the atomic
     flip point; until it completes, a crash leaves the old manifest

@@ -31,7 +31,7 @@ let m_evictions =
 
 let m_pages_allocated =
   Registry.counter "hopi_storage_pages_allocated_total"
-    ~help:"Pages allocated (including recycled free-list pages)"
+    ~help:"Pages appended to page stores (stores are written once, so no page is ever reused)"
 
 let m_checksum_failures =
   Registry.counter "hopi_storage_checksum_failures_total"
@@ -160,7 +160,6 @@ type t = {
   journaled : (int, unit) Hashtbl.t;  (* page ids already journaled this txn *)
   mutable committed_pages : int;  (* store size at the last commit *)
   mutable next_page : int;
-  mutable free_list : int list;
   mutable clock : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -188,7 +187,6 @@ let mk ?(mode = Private) ~pool_pages ~fsync ~vfs ~file ~path ~next_page () =
     journaled = Hashtbl.create 16;
     committed_pages = next_page;
     next_page;
-    free_list = [];
     clock = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -357,30 +355,11 @@ let require_private t what =
 let alloc t =
   require_private t "alloc";
   Counter.incr m_pages_allocated;
-  match t.free_list with
-  | id :: rest ->
-    t.free_list <- rest;
-    (* recycle: present a zeroed page *)
-    (match Hashtbl.find_opt t.cache id with
-     | Some slot ->
-       Bytes.fill slot.page 0 (Bytes.length slot.page) '\000';
-       slot.dirty <- true;
-       slot.stamp <- tick t
-     | None ->
-       let slot = cache_insert t id (Page.create ()) in
-       slot.dirty <- true);
-    id
-  | [] ->
-    let id = t.next_page in
-    t.next_page <- t.next_page + 1;
-    let slot = cache_insert t id (Page.create ()) in
-    slot.dirty <- true;
-    id
-
-let free t id =
-  require_private t "free";
-  if id < 0 || id >= t.next_page then invalid_arg "Pager.free: bad page id";
-  t.free_list <- id :: t.free_list
+  let id = t.next_page in
+  t.next_page <- t.next_page + 1;
+  let slot = cache_insert t id (Page.create ()) in
+  slot.dirty <- true;
+  id
 
 let n_pages t = t.next_page
 
@@ -521,7 +500,6 @@ let verify_pages t =
 
 type stats = {
   pages : int;
-  free_pages : int;
   cache_hits : int;
   cache_misses : int;
   evictions : int;
@@ -536,7 +514,6 @@ let stats t =
   | Private ->
     {
       pages = t.next_page;
-      free_pages = List.length t.free_list;
       cache_hits = t.cache_hits;
       cache_misses = t.cache_misses;
       evictions = t.evictions;
@@ -551,7 +528,6 @@ let stats t =
     let p = Read_pool.stats pool in
     {
       pages = t.next_page;
-      free_pages = 0;
       cache_hits = p.Read_pool.hits;
       cache_misses = p.Read_pool.misses;
       evictions = p.Read_pool.evictions;

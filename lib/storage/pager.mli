@@ -16,6 +16,13 @@
     - opening a store ({!open_existing} / {!open_vfs}) first recovers from
       a hot journal left by a crash.
 
+    Stores are written once: a cover or closure store appends fresh pages
+    and commits them in one transaction, so {!alloc} always appends and no
+    page is freed.  Overwriting committed pages is still fully supported —
+    a {!Manifest} commit rewrites its one committed page, and any caller
+    may run a raw page transaction ({!read}, mutate, {!mark_dirty},
+    {!commit}) — and the journal is what makes those overwrites atomic.
+
     [fsync:false] trades power-loss durability for speed: the journal is
     still written (process crashes still recover) but nothing is synced. *)
 
@@ -63,7 +70,6 @@ end
 
 type stats = {
   pages : int;  (** pages allocated *)
-  free_pages : int;  (** currently on the free list *)
   cache_hits : int;
   cache_misses : int;
   evictions : int;
@@ -104,7 +110,7 @@ val open_shared : ?fsync:bool -> pool:Read_pool.t -> string -> t
 
     The returned pager accepts {!read}/{!pin}/{!unpin}, the
     introspection functions and {!close}; every write-side operation
-    ({!alloc}, {!free}, {!mark_dirty}, {!flush}, {!commit}) raises
+    ({!alloc}, {!mark_dirty}, {!flush}, {!commit}) raises
     [Invalid_argument].  {!close} releases the file and drops exactly
     this pager's pages from the pool.
     @raise Storage_error.Storage_error as {!open_existing}. *)
@@ -116,10 +122,8 @@ val read_only : t -> bool
 (** Was this pager opened with {!open_shared}? *)
 
 val alloc : t -> int
-(** Allocate a zeroed page (reusing freed pages first); returns its id. *)
-
-val free : t -> int -> unit
-(** Return a page to the free list for reuse by later {!alloc}s. *)
+(** Append a zeroed page; returns its id.  Pages are never freed: stores
+    are written once (see {!Btree}), and a rebuilt store is a new file. *)
 
 val n_pages : t -> int
 

@@ -1,36 +1,52 @@
 type t = { fwd : Btree.t; bwd : Btree.t }
 
-let create pager = { fwd = Btree.create pager; bwd = Btree.create pager }
-
 let of_trees ~fwd ~bwd = { fwd; bwd }
 
 let trees t = (t.fwd, t.bwd)
 
-let insert t ~id ~label ~dist =
-  let added = Btree.insert t.fwd (id, label, dist) in
-  if added then ignore (Btree.insert t.bwd (label, id, dist));
-  added
+(* Sort, bulk-load the forward tree, flip every row to its backward form
+   in place, sort again, bulk-load the backward tree. *)
+let bulk pgr rows ~compare ~key ~flip =
+  let tree () =
+    Array.sort compare rows;
+    let i = ref 0 in
+    Btree.bulk_load pgr ~next:(fun () ->
+        if !i >= Array.length rows then None
+        else begin
+          let r = rows.(!i) in
+          incr i;
+          Some (key r)
+        end)
+  in
+  let fwd = tree () in
+  Array.iteri (fun j r -> rows.(j) <- flip r) rows;
+  let bwd = tree () in
+  { fwd; bwd }
 
-let delete t ~id ~label ~dist =
-  let removed = Btree.delete t.fwd (id, label, dist) in
-  if removed then ignore (Btree.delete t.bwd (label, id, dist));
-  removed
+let pack_bits = 31  (* components are i32-bounded; ids are >= 0 *)
 
-let delete_all_of_id t id =
-  let rows = ref [] in
-  Btree.iter_prefix1 t.fwd id (fun k -> rows := k :: !rows);
-  List.iter
-    (fun (id, label, dist) -> ignore (delete t ~id ~label ~dist))
-    !rows;
-  List.length !rows
+let pack_mask = (1 lsl pack_bits) - 1
 
-let delete_all_of_label t label =
-  let rows = ref [] in
-  Btree.iter_prefix1 t.bwd label (fun k -> rows := k :: !rows);
-  List.iter
-    (fun (label, id, dist) -> ignore (delete t ~id ~label ~dist))
-    !rows;
-  List.length !rows
+let pack ~id ~label =
+  if id < 0 || id > pack_mask || label < 0 || label > pack_mask then
+    invalid_arg (Printf.sprintf "Table.pack: id out of range (%d, %d)" id label);
+  (id lsl pack_bits) lor label
+
+let of_pairs pgr rows =
+  bulk pgr rows
+    ~compare:(fun (x : int) y -> compare x y)
+    ~key:(fun x -> (x lsr pack_bits, x land pack_mask, 0))
+    ~flip:(fun x -> ((x land pack_mask) lsl pack_bits) lor (x lsr pack_bits))
+
+let of_rows pgr rows =
+  let compare (a1, b1, c1) (a2, b2, c2) =
+    let c = Int.compare a1 a2 in
+    if c <> 0 then c
+    else
+      let c = Int.compare b1 b2 in
+      if c <> 0 then c else Int.compare c1 c2
+  in
+  bulk pgr rows ~compare ~key:Fun.id ~flip:(fun (id, label, dist) -> (label, id, dist))
 
 let mem t ~id ~label =
   let found = ref false in

@@ -5,11 +5,10 @@
 
     The forward index is keyed [(id, label, dist)], the backward index
     [(label, id, dist)]; both are index-organized B+-trees, so the backward
-    index doubles the stored data exactly as the paper notes. *)
+    index doubles the stored data exactly as the paper notes.  A table is
+    written once, by bulk-loading both trees from all of its rows. *)
 
 type t
-
-val create : Pager.t -> t
 
 val of_trees : fwd:Btree.t -> bwd:Btree.t -> t
 (** Re-attach to persisted trees (see {!Catalog}). *)
@@ -17,15 +16,29 @@ val of_trees : fwd:Btree.t -> bwd:Btree.t -> t
 val trees : t -> Btree.t * Btree.t
 (** (forward, backward) — for catalog persistence. *)
 
-val insert : t -> id:int -> label:int -> dist:int -> bool
-(** [false] when the identical row already existed. *)
+(** {1 Bulk loading}
 
-val delete : t -> id:int -> label:int -> dist:int -> bool
+    Both constructors take the rows in any order, sort them for the
+    forward tree, rewrite every row in place into its backward-index form,
+    sort again for the backward tree, and hand each sorted run to
+    {!Btree.bulk_load} — forward tree first, so the page layout is
+    deterministic for a given row set.  The array is clobbered. *)
 
-val delete_all_of_id : t -> int -> int
-(** Remove every row with this [id]; returns how many were removed. *)
+val pack : id:int -> label:int -> int
+(** One [(id, label)] row with distance 0 in one OCaml int, for
+    {!of_pairs}: plain covers and closures sort these with cheap
+    monomorphic int compares.
+    @raise Invalid_argument unless both are non-negative 31-bit ints. *)
 
-val delete_all_of_label : t -> int -> int
+val of_pairs : Pager.t -> int array -> t
+(** A table of {!pack}ed rows, all at distance 0.
+    @raise Invalid_argument on a duplicate row. *)
+
+val of_rows : Pager.t -> Btree.key array -> t
+(** A table of [(id, label, dist)] rows.
+    @raise Invalid_argument on a duplicate row. *)
+
+(** {1 Queries} *)
 
 val mem : t -> id:int -> label:int -> bool
 (** Any distance. *)

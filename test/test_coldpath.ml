@@ -67,8 +67,7 @@ let with_store_file load f =
       if Sys.file_exists (path ^ "-journal") then Sys.remove (path ^ "-journal"))
     (fun () ->
       let pager = Pager.create ~pool_pages:64 ~fsync:false (Pager.File path) in
-      let store = Cover_store.create pager in
-      load store;
+      let store = load pager in
       Cover_store.save store;
       Pager.close pager;
       f path)
@@ -79,7 +78,7 @@ let sorted_ihs s = List.sort compare (Ihs.to_list s)
    domain is spawned — reach and dist by the in-memory cover the store is
    loaded from, desc and anc by the transitive closure *)
 type oracle = {
-  load : Cover_store.t -> unit; (* persists the cover the oracle answers for *)
+  load : Pager.t -> Cover_store.t; (* writes the cover the oracle answers for *)
   reach : bool array array;
   dist : int array array; (* -1 = unreachable *)
   desc : int list array;
@@ -91,12 +90,12 @@ let oracle_of_graph ~dist g n =
   let load, reach, distance =
     if dist then begin
       let dc = fst (Dist_builder.build g) in
-      ( (fun store -> Cover_store.load_dist_cover store dc),
+      ( (fun pager -> Cover_store.of_dist_cover pager dc),
         Dist_cover.connected dc, Dist_cover.dist dc )
     end
     else begin
       let c = fst (Builder.build clo) in
-      ( (fun store -> Cover_store.load_cover store c),
+      ( (fun pager -> Cover_store.of_cover pager c),
         Cover.connected c,
         fun u v -> if Cover.connected c u v then Some 0 else None )
     end
@@ -225,8 +224,8 @@ let test_pool_shared_across_opens () =
 let test_metric_attribution () =
   let n = 12 in
   let g = soak_graph ~n 0xA77B in
-  let load store =
-    Cover_store.load_cover store (fst (Builder.build (Closure.compute g)))
+  let load pager =
+    Cover_store.of_cover pager (fst (Builder.build (Closure.compute g)))
   in
   with_store_file load @@ fun path ->
   let counter name =
@@ -269,8 +268,8 @@ let test_metric_attribution () =
    refuse, so a bug cannot silently write through the shared pool *)
 let test_shared_pager_rejects_writes () =
   let g = soak_graph ~n:8 0xBAD in
-  let load store =
-    Cover_store.load_cover store (fst (Builder.build (Closure.compute g)))
+  let load pager =
+    Cover_store.of_cover pager (fst (Builder.build (Closure.compute g)))
   in
   with_store_file load @@ fun path ->
   let pool = Pager.Read_pool.create ~pages:16 () in

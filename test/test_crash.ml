@@ -36,43 +36,60 @@ let base_graph () =
   done;
   g
 
-(* nodes 100..119 are added by phase B below; query the union domain so the
-   answer matrix distinguishes pre- from post-save states *)
-let domain = List.init 16 Fun.id @ List.init 20 (fun i -> 100 + i)
+let domain = List.init 16 Fun.id
 
 let matrix store =
   List.map (fun u -> List.map (fun v -> Cover_store.connected store u v) domain) domain
-
-let reopen_matrix vfs =
-  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
-  let store = Cover_store.open_pager pgr in
-  let m = matrix store in
-  check_int "reopened store verifies clean" 0 (List.length (Pager.verify_pages pgr));
-  m
 
 (* Phase A: build and save the base store (fault-free). *)
 let phase_a vfs =
   let cover, _ = Hopi_twohop.Builder.build (Closure.compute (base_graph ())) in
   let pgr = Pager.create_vfs ~pool_pages:8 ~vfs path in
-  let store = Cover_store.create pgr in
-  Cover_store.load_cover store cover;
-  Cover_store.save store;
+  Cover_store.save (Cover_store.of_cover pgr cover);
   Pager.close pgr;
   cover
 
-(* Phase B: reopen, grow the index (small pool => mid-transaction evictions
-   that overwrite committed pages), save, close.  Deterministic. *)
-let phase_b vfs =
+let base_matrix vfs =
   let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
-  let store = Cover_store.open_pager pgr in
-  for i = 0 to 19 do
-    let v = 100 + i in
-    Cover_store.add_node store v;
-    Cover_store.insert_in store ~node:v ~center:(i mod 16) ~dist:0;
-    Cover_store.insert_out store ~node:(i mod 16) ~center:v ~dist:0
+  Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+  matrix (Cover_store.open_pager pgr)
+
+(* The recovered image, page by page: open (rolling back a hot journal),
+   check every page's CRC, and digest every payload. *)
+let page_digests vfs file =
+  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs file in
+  Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+  if Pager.verify_pages pgr <> [] then failwith "corrupt page after recovery";
+  List.init (Pager.n_pages pgr) (fun id ->
+      Digest.subbytes (Pager.read pgr id) Page.payload_off (Page.size - Page.payload_off))
+
+(* A raw transaction on a committed file: rewrite the payloads of the
+   [rewrite] pages, append [append] pages, commit.  Through an 8-page
+   pool the appends evict the rewritten pages, so committed pages are
+   journaled and written back before the commit.  Returns the pager's
+   stats just before the commit. *)
+let rewrite_txn vfs file ~rewrite ~append =
+  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs file in
+  let fill id =
+    let page = Pager.read pgr id in
+    for w = 0 to ((Page.size - Page.payload_off) / 4) - 1 do
+      Page.set_i32 page (Page.payload_off + (4 * w)) (((id * 7919) + (w * 31)) land 0xFFFFFF)
+    done;
+    Pager.mark_dirty pgr id
+  in
+  List.iter fill rewrite;
+  for _ = 1 to append do
+    fill (Pager.alloc pgr)
   done;
-  Cover_store.save store;
-  Pager.close pgr
+  let st = Pager.stats pgr in
+  Pager.commit pgr;
+  Pager.close pgr;
+  st
+
+(* Phase B: rewrite every committed page of the base but the catalog and
+   append 12 pages.  Deterministic. *)
+let phase_b vfs ~base_pages =
+  rewrite_txn vfs path ~rewrite:(List.init (base_pages - 1) succ) ~append:12
 
 let setup () =
   let fv = Fv.create () in
@@ -81,10 +98,12 @@ let setup () =
   let s1 = Fv.snapshot fv in
   (fv, vfs, cover, s1)
 
+let base_pages fv = Fv.durable_size fv path / Page.size
+
 let test_crash_matrix () =
   let fv, vfs, cover, s1 = setup () in
-  let a1 = reopen_matrix vfs in
-  (* the recovered base answers = the in-memory cover (rebuild equivalence) *)
+  (* the base store answers like the in-memory cover it was written from *)
+  let a1 = base_matrix vfs in
   List.iteri
     (fun i u ->
       List.iteri
@@ -95,19 +114,26 @@ let test_crash_matrix () =
             (List.nth (List.nth a1 i) j))
         domain)
     domain;
+  let base_pages = base_pages fv in
+  check_bool "base store has pages to rewrite" true (base_pages > 2);
+  let d1 = page_digests vfs path in
   (* probe the op count of a fault-free phase B *)
   Fv.restore fv s1;
   Fv.reset_ops fv;
-  phase_b vfs;
+  let st = phase_b vfs ~base_pages in
   let n_ops = Fv.op_count fv in
   check_bool "phase B does real I/O" true (n_ops > 10);
-  let a2 = reopen_matrix vfs in
-  check_bool "phase B changes the answers" true (a1 <> a2);
+  check_bool "evictions wrote journaled committed pages before the commit" true
+    (st.Pager.journaled_pages > 0 && st.Pager.disk_writes > 0);
+  let d2 = page_digests vfs path in
+  check_int "phase B appends pages" (base_pages + 12) (List.length d2);
+  check_bool "phase B rewrites committed pages" true
+    (List.filteri (fun i _ -> i < base_pages) d2 <> d1);
   (* crash at every op index, under every crash mode, with and without a
      torn in-flight write *)
   (* the last counted op of phase B is the journal removal — the commit
      point itself — so k ranges over [0, n_ops]: every proper prefix of the
-     save, plus the boundary case where the armed crash never fires *)
+     transaction, plus the boundary case where the armed crash never fires *)
   let outcomes = ref (0, 0) in
   List.iter
     (fun (mode, tear) ->
@@ -115,16 +141,16 @@ let test_crash_matrix () =
         Fv.restore fv s1;
         Fv.reset_ops fv;
         Fv.arm_crash fv ~op:k ~mode ?tear ();
-        (match phase_b vfs with
-        | () ->
+        (match phase_b vfs ~base_pages with
+        | _ ->
           if k < n_ops then Alcotest.failf "crash at op %d did not fire" k;
           Fv.disarm fv
         | exception Fv.Crash ->
           if k = n_ops then Alcotest.failf "spurious crash beyond op %d" k);
-        let m = reopen_matrix vfs in
-        if m = a1 then outcomes := (fst !outcomes + 1, snd !outcomes)
-        else if m = a2 then outcomes := (fst !outcomes, snd !outcomes + 1)
-        else Alcotest.failf "crash at op %d recovered to a third state" k
+        let d = page_digests vfs path in
+        if d = d1 then outcomes := (fst !outcomes + 1, snd !outcomes)
+        else if d = d2 then outcomes := (fst !outcomes, snd !outcomes + 1)
+        else Alcotest.failf "crash at op %d recovered to a third image" k
       done)
     [
       (Fv.Drop_unsynced, None);
@@ -133,31 +159,28 @@ let test_crash_matrix () =
     ];
   let pre, post = !outcomes in
   check_int "matrix size" (3 * (n_ops + 1)) (pre + post);
-  (* interrupted prefixes roll back; the completed save (and only it) keeps
-     the new state — the commit point is the journal removal *)
-  check_bool "interrupted saves roll back" true (pre > 0);
-  check_int "completed saves keep the new state" 3 post
+  (* interrupted prefixes roll back; the completed transaction (and only
+     it) keeps the new image — the commit point is the journal removal *)
+  check_bool "interrupted transactions roll back" true (pre > 0);
+  check_int "completed transactions keep the new image" 3 post
 
 let test_fail_nth_write () =
   let fv, vfs, _, s1 = setup () in
-  let a1 = reopen_matrix vfs in
-  (* probe how many writes a phase B performs *)
-  Fv.restore fv s1;
-  Fv.reset_ops fv;
-  phase_b vfs;
+  let d1 = page_digests vfs path in
+  let base_pages = base_pages fv in
   (* a reported I/O error (no crash): typed Storage_error, and the store
-     recovers to the pre-save state on reopen *)
+     recovers to the pre-transaction image on reopen *)
   List.iter
     (fun n ->
       Fv.restore fv s1;
       Fv.reset_ops fv;
       Fv.arm_fail_write fv ~n;
-      (match phase_b vfs with
-      | () -> Alcotest.fail "injected write failure did not surface"
+      (match phase_b vfs ~base_pages with
+      | _ -> Alcotest.fail "injected write failure did not surface"
       | exception Storage_error.Storage_error (Storage_error.Io _) -> ()
       | exception e ->
         Alcotest.failf "expected Storage_error (Io _), got %s" (Printexc.to_string e));
-      check_bool "recovers to pre-save state" true (reopen_matrix vfs = a1))
+      check_bool "recovers to the pre-transaction image" true (page_digests vfs path = d1))
     [ 0; 3; 11 ]
 
 let test_byte_flip_detected () =
@@ -188,15 +211,16 @@ let test_byte_flip_detected () =
     | _ -> false
     | exception Storage_error.Storage_error (Storage_error.Checksum { page = 0 }) -> true)
 
-(* qcheck soak: random store, random mutation, crash at a random op under a
-   random mode/tear — recovery must equal pre- or post-save, and the base
-   answers must equal an in-memory rebuild *)
+(* qcheck soak: random store, random raw transaction (random committed
+   pages rewritten, random appends), crash at a random op under a random
+   mode/tear — recovery must give the pre- or the post-commit image, and
+   the base answers must equal the in-memory cover *)
 let prop_crash_soak =
   let gen =
     QCheck2.Gen.(
       quad (int_range 0 1_000_000) (int_range 0 100_000) bool (int_bound (Page.size - 1)))
   in
-  QCheck2.Test.make ~name:"crash soak: recovery is pre- or post-save" ~count:iters gen
+  QCheck2.Test.make ~name:"crash soak: recovery is pre- or post-commit" ~count:iters gen
     (fun (seed, kpick, drop, tear_at) ->
       let fv = Fv.create () in
       let vfs = Fv.vfs fv in
@@ -212,54 +236,39 @@ let prop_crash_soak =
       done;
       let cover, _ = Hopi_twohop.Builder.build (Closure.compute g) in
       let pgr = Pager.create_vfs ~pool_pages:8 ~vfs "soak.db" in
-      let store = Cover_store.create pgr in
-      Cover_store.load_cover store cover;
-      Cover_store.save store;
+      Cover_store.save (Cover_store.of_cover pgr cover);
       Pager.close pgr;
-      let dom = List.init n Fun.id @ [ 200; 201; 202 ] in
-      let mat st = List.map (fun u -> List.map (Cover_store.connected st u) dom) dom in
-      let reopen_mat () =
-        let pgr = Pager.open_vfs ~pool_pages:8 ~vfs "soak.db" in
-        let st = Cover_store.open_pager pgr in
-        let m = mat st in
-        if Pager.verify_pages pgr <> [] then failwith "corruption after recovery";
-        m
-      in
-      let s1 = Fv.snapshot fv in
-      let mutate () =
-        let r = Splitmix.create (seed lxor 0x5EED) in
-        let pgr = Pager.open_vfs ~pool_pages:8 ~vfs "soak.db" in
-        let st = Cover_store.open_pager pgr in
-        for _ = 0 to 7 do
-          let v = 200 + Splitmix.int r 3 in
-          let c = Splitmix.int r n in
-          Cover_store.insert_in st ~node:v ~center:c ~dist:0;
-          Cover_store.insert_out st ~node:c ~center:v ~dist:0
-        done;
-        Cover_store.save st;
-        Pager.close pgr
-      in
-      let a1 = reopen_mat () in
-      (* rebuild equivalence of the recovered base *)
+      let dom = List.init n Fun.id in
+      let pgr = Pager.open_vfs ~pool_pages:8 ~vfs "soak.db" in
+      let st = Cover_store.open_pager pgr in
+      let base = List.map (fun u -> List.map (Cover_store.connected st u) dom) dom in
+      Pager.close pgr;
       let rebuilt =
         List.map (fun u -> List.map (fun v -> Cover.connected cover u v) dom) dom
       in
-      if a1 <> rebuilt then failwith "recovered base differs from rebuild";
-      Fv.restore fv s1;
+      if base <> rebuilt then failwith "stored base differs from the cover";
+      let pages = Fv.durable_size fv "soak.db" / Page.size in
+      let r = Splitmix.create (seed lxor 0x5EED) in
+      let rewrite = List.filter (fun _ -> Splitmix.int r 2 = 0) (List.init pages Fun.id) in
+      let rewrite = if rewrite = [] then [ Splitmix.int r pages ] else rewrite in
+      let append = 1 + Splitmix.int r 12 in
+      let txn () = ignore (rewrite_txn vfs "soak.db" ~rewrite ~append) in
+      let s1 = Fv.snapshot fv in
+      let d1 = page_digests vfs "soak.db" in
       Fv.reset_ops fv;
-      mutate ();
+      txn ();
       let n_ops = Fv.op_count fv in
-      let a2 = reopen_mat () in
+      let d2 = page_digests vfs "soak.db" in
       Fv.restore fv s1;
       Fv.reset_ops fv;
       let mode = if drop then Fv.Drop_unsynced else Fv.Keep_unsynced in
       let tear = if seed mod 3 = 0 then Some tear_at else None in
       Fv.arm_crash fv ~op:(kpick mod n_ops) ~mode ?tear ();
-      (match mutate () with
+      (match txn () with
       | () -> failwith "crash did not fire"
       | exception Fv.Crash -> ());
-      let m = reopen_mat () in
-      m = a1 || m = a2)
+      let d = page_digests vfs "soak.db" in
+      d = d1 || d = d2)
 
 (* {1 Generation-flip crash matrix}
 
@@ -302,10 +311,7 @@ let gen_matrix vfs live =
 let publish_churned vfs =
   let cover, _ = Hopi_twohop.Builder.build (Closure.compute (churned_graph ())) in
   Manifest.publish ~vfs ~pool_pages:8 ~base:gen_base
-    ~load:(fun pgr ->
-      let st = Cover_store.create pgr in
-      Cover_store.load_cover st cover;
-      Cover_store.save st)
+    ~load:(fun pgr -> Cover_store.save (Cover_store.of_cover pgr cover))
     ()
 
 (* a crash may fire inside a [Fun.protect] finally (pager close), where the
@@ -323,9 +329,7 @@ let setup_family () =
     (Manifest.recover ~vfs ~base:gen_base () = None);
   let cover, _ = Hopi_twohop.Builder.build (Closure.compute (chain_graph ())) in
   let pgr = Pager.create_vfs ~pool_pages:8 ~vfs gen_base in
-  let st = Cover_store.create pgr in
-  Cover_store.load_cover st cover;
-  Cover_store.save st;
+  Cover_store.save (Cover_store.of_cover pgr cover);
   Pager.close pgr;
   Manifest.commit ~vfs ~base:gen_base { Manifest.live = 0; previous = 0; tip = 0 };
   (fv, vfs)
@@ -518,6 +522,27 @@ let test_read_fault_matrix () =
   check_bool "same snapshot recovers once the fault clears" true
     (snap_matrix snap = oracle)
 
+(* a snapshot whose open fails after its pager is up — here a corrupt
+   node-registry page, read by the registry scan — must release the
+   pager: no fd left open, none of its pages left in the caller's pool *)
+let test_failed_open_releases_pager () =
+  let fv, vfs, _, _ = setup () in
+  let registry_root =
+    let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
+    Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+    (Catalog.read pgr).Catalog.trees.(4).Catalog.root
+  in
+  Fv.corrupt_byte fv path ~off:((registry_root * Page.size) + Page.payload_off + 1);
+  let pool = Pager.Read_pool.create ~pages:16 () in
+  (match Snapshot.open_file ~pool ~vfs ~cache_mb:0 path with
+  | snap ->
+    Snapshot.close snap;
+    Alcotest.fail "a corrupt registry page went unnoticed"
+  | exception Storage_error.Storage_error (Storage_error.Checksum { page }) ->
+    check_int "the registry page is reported" registry_root page);
+  check_int "no page of the failed open stays pooled" 0
+    (Pager.Read_pool.stats pool).Pager.Read_pool.resident
+
 (* {1 Spill temp files under crashes} *)
 
 (* the build pipeline's external sorter writes hopi-spill-* temp files; a
@@ -591,6 +616,8 @@ let suite =
         Alcotest.test_case "flipped byte is detected" `Quick test_byte_flip_detected;
         Alcotest.test_case "read-fault matrix on the shared read path" `Quick
           test_read_fault_matrix;
+        Alcotest.test_case "failed snapshot open releases its pager" `Quick
+          test_failed_open_releases_pager;
         Alcotest.test_case "generation flip crash matrix" `Quick test_flip_crash_matrix;
         Alcotest.test_case "generation rollback crash matrix" `Quick
           test_rollback_crash_matrix;

@@ -239,8 +239,7 @@ let with_store_file load f =
       if Sys.file_exists (path ^ "-journal") then Sys.remove (path ^ "-journal"))
     (fun () ->
       let pager = Pager.create ~pool_pages:64 ~fsync:false (Pager.File path) in
-      let store = Cover_store.create pager in
-      load store;
+      let store = load pager in
       Cover_store.save store;
       Pager.close pager;
       f path)
@@ -263,13 +262,13 @@ let snapshot_matches_index ~cache_mb g ~dist =
           let note _ d = if d > 0 then any := true in
           Dist_cover.iter_lin dc v note;
           Dist_cover.iter_lout dc v note);
-      ( (fun store -> Cover_store.load_dist_cover store dc),
+      ( (fun pager -> Cover_store.of_dist_cover pager dc),
         Dist_cover.mem_node dc, Dist_cover.connected dc, Dist_cover.dist dc,
         Dist_cover.n_nodes dc, !any )
     end
     else begin
       let c = fst (Builder.build clo) in
-      ( (fun store -> Cover_store.load_cover store c),
+      ( (fun pager -> Cover_store.of_cover pager c),
         Cover.mem_node c, Cover.connected c,
         (fun u v -> if Cover.connected c u v then Some 0 else None),
         Cover.n_nodes c, false )
@@ -321,7 +320,7 @@ let prop_batch_cached_equals_uncached =
     ~name:"eval_batch: warm cached pool run renders = cold uncached run"
     ~count:15 gen_digraph (fun g ->
       let cover = fst (Builder.build (Closure.compute g)) in
-      with_store_file (fun store -> Cover_store.load_cover store cover)
+      with_store_file (fun pager -> Cover_store.of_cover pager cover)
       @@ fun path ->
       let n = Digraph.n_nodes g in
       let queries =
@@ -403,7 +402,7 @@ let test_batch_reqtrace () =
     Digraph.add_edge g v (v + 1)
   done;
   let cover = fst (Builder.build (Closure.compute g)) in
-  with_store_file (fun store -> Cover_store.load_cover store cover) @@ fun path ->
+  with_store_file (fun pager -> Cover_store.of_cover pager cover) @@ fun path ->
   let snap = Snapshot.open_file ~cache_mb:4 path in
   Fun.protect ~finally:(fun () -> Snapshot.close snap) @@ fun () ->
   Reqtrace.reset_slowlog ();

@@ -50,6 +50,32 @@ let sorted_of_ihs s = List.sort compare (Ihs.to_list s)
 
 (* {1 Deterministic shape checks} *)
 
+(* a shard that fails to open must not leak the shards opened before it *)
+let test_failed_open_closes_shards () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  with_temp_dir @@ fun dir ->
+  let c = Dblp.generate (Dblp.default ~n_docs:9) in
+  ignore (Router.split ~k:3 ~dir c);
+  (* flip a catalog byte of the last shard *)
+  let shard = Router.shard_path ~dir 2 in
+  let off = Hopi_storage.Page.payload_off + 1 in
+  let ic = open_in_bin shard in
+  seek_in ic off;
+  let b = input_char ic in
+  close_in ic;
+  let oc = open_out_gen [ Open_wronly; Open_binary ] 0 shard in
+  seek_out oc off;
+  output_char oc (Char.chr (Char.code b lxor 0x42));
+  close_out oc;
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  (match Router.open_dir dir with
+  | r ->
+    Router.close r;
+    Alcotest.fail "a corrupt shard catalog went unnoticed"
+  | exception Hopi_storage.Storage_error.Storage_error _ -> ());
+  checki "no shard file left open" before (open_fds ())
+
 let test_split_layout () =
   with_temp_dir @@ fun dir ->
   let c = Dblp.generate (Dblp.default ~n_docs:9) in
@@ -271,6 +297,8 @@ let suite =
   [
     ( "serve.router",
       [
+        Alcotest.test_case "failed open closes the shards it opened" `Quick
+          test_failed_open_closes_shards;
         Alcotest.test_case "split writes the layout; open round-trips" `Quick
           test_split_layout;
         Alcotest.test_case "k clamps to the document count" `Quick

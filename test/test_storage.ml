@@ -103,41 +103,6 @@ let test_pager_pin_nesting () =
   check_int "pinned write survives eviction" 4242 (Page.get_i32 back po);
   check_int "second write survives too" 77 (Page.get_i32 back (po + 4))
 
-let test_pager_free_list_reuse () =
-  let p = Pager.create Pager.Memory in
-  let ids = List.init 6 (fun _ -> Pager.alloc p) in
-  check_int "six pages" 6 (Pager.n_pages p);
-  List.iter (Pager.free p) [ List.nth ids 2; List.nth ids 4 ];
-  check_int "two free" 2 (Pager.stats p).Pager.free_pages;
-  let a = Pager.alloc p in
-  let b = Pager.alloc p in
-  (* freed pages are handed out again (LIFO order not part of the contract) *)
-  check_bool "reused freed ids" true
-    (List.sort compare [ a; b ] = List.sort compare [ List.nth ids 2; List.nth ids 4 ]);
-  check_int "no growth" 6 (Pager.n_pages p);
-  check_int "free list drained" 0 (Pager.stats p).Pager.free_pages;
-  let c = Pager.alloc p in
-  check_int "then fresh pages again" 6 c
-
-let test_pager_freed_pages_after_reopen () =
-  (* the free list is not persisted: after save/reopen, freed page ids must
-     NOT be recycled (their storage is only reclaimed by a rebuild) *)
-  let vfs = Vfs.memory () in
-  let pager = Pager.create_vfs ~vfs "free.db" in
-  let store = Cover_store.create pager in
-  List.iter (fun v -> Cover_store.add_node store v) [ 1; 2; 3 ];
-  let freed = Pager.alloc pager in
-  Pager.free pager freed;
-  check_bool "free before save" true ((Pager.stats pager).Pager.free_pages > 0);
-  Cover_store.save store;
-  Pager.close pager;
-  let pager2 = Pager.open_vfs ~vfs "free.db" in
-  check_int "free list empty after reopen" 0 (Pager.stats pager2).Pager.free_pages;
-  let n_before = Pager.n_pages pager2 in
-  let fresh = Pager.alloc pager2 in
-  check_int "alloc extends the file instead" n_before fresh;
-  Pager.close pager2
-
 (* qcheck: random page workloads survive flush + open_existing byte-identically
    on the real VFS (satellite: round-trip under eviction and reopen) *)
 let prop_pager_roundtrip_real_vfs =
@@ -182,43 +147,76 @@ let prop_pager_roundtrip_real_vfs =
 
 (* {1 Btree} *)
 
+let stream_of_list l =
+  let rest = ref l in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | k :: tl ->
+      rest := tl;
+      Some k
+
+let scan_all t =
+  let acc = ref [] in
+  Btree.iter_all t (fun k -> acc := k :: !acc);
+  List.rev !acc
+
+let bulk ?(pool_pages = 256) keys =
+  Btree.bulk_load (Pager.create ~pool_pages Pager.Memory) ~next:(stream_of_list keys)
+
 let test_btree_basic () =
-  let p = Pager.create Pager.Memory in
-  let t = Btree.create p in
-  check_bool "insert new" true (Btree.insert t (1, 2, 3));
-  check_bool "insert dup" false (Btree.insert t (1, 2, 3));
+  let t = bulk [ (1, 2, 3) ] in
   check_bool "mem" true (Btree.mem t (1, 2, 3));
   check_bool "not mem" false (Btree.mem t (1, 2, 4));
   check_int "length" 1 (Btree.length t);
-  check_bool "delete" true (Btree.delete t (1, 2, 3));
-  check_bool "delete gone" false (Btree.delete t (1, 2, 3));
-  check_int "empty" 0 (Btree.length t)
+  Alcotest.(check (list (triple int int int))) "scan" [ (1, 2, 3) ] (scan_all t)
 
-let test_btree_many_with_splits () =
-  let p = Pager.create ~pool_pages:64 Pager.Memory in
-  let t = Btree.create p in
-  let n = 5000 in
-  (* insert in a scrambled deterministic order *)
-  let keys = Array.init n (fun i -> ((i * 37) mod n, i mod 13, i mod 7)) in
-  Array.iter (fun k -> ignore (Btree.insert t k)) keys;
+(* Past (internal capacity + 1) x leaf capacity = 256 x 340 keys the
+   leaves need more than one internal node, so the tree has three levels.
+   Leaves are packed, so every separator is key 340j: probing each one and
+   its neighbours, and scanning from each, crosses every leaf boundary. *)
+let test_btree_three_levels () =
+  let n = 90_000 and per_leaf = 340 in
+  (* runs of 12 keys per first component and 3 per first two; the third
+     component is even, so (a, b, c + 1) is never stored *)
+  let model = Array.init n (fun i -> (i / 12, i mod 12 / 3, 2 * (i mod 3))) in
+  let keys = Array.to_list model in
+  let pager = Pager.create ~pool_pages:64 Pager.Memory in
+  let t = Btree.bulk_load pager ~next:(stream_of_list keys) in
+  check_int "265 packed leaves, 2 internal nodes, 1 root" 268 (Pager.n_pages pager);
   check_int "length" n (Btree.length t);
-  Array.iter (fun k -> check_bool "mem" true (Btree.mem t k)) keys;
-  (* ordered iteration *)
-  let prev = ref (Btree.min_i32, Btree.min_i32, Btree.min_i32) in
-  let count = ref 0 in
-  Btree.iter_all t (fun k ->
-      check_bool "sorted" true (compare !prev k < 0);
-      prev := k;
-      incr count);
-  check_int "iterated all" n !count;
-  check_bool "splits happened" true (Pager.n_pages p > 2)
+  check_bool "full scan = model" true (scan_all t = keys);
+  let range lo len = Array.to_list (Array.sub model lo (min len (n - lo))) in
+  let collect iter =
+    let got = ref [] in
+    iter (fun k -> got := k :: !got);
+    List.rev !got
+  in
+  for leaf = 1 to (n - 1) / per_leaf do
+    let sep = leaf * per_leaf in
+    List.iter
+      (fun i ->
+        let a, b, c = model.(i) in
+        check_bool (Printf.sprintf "mem key %d" i) true (Btree.mem t model.(i));
+        check_bool (Printf.sprintf "absent after key %d" i) false (Btree.mem t (a, b, c + 1)))
+      [ sep - 1; sep; sep + 1 ];
+    let got = ref [] in
+    Btree.iter_from t model.(sep) (fun k ->
+        got := k :: !got;
+        List.length !got < 5);
+    check_bool (Printf.sprintf "iter_from separator %d" sep) true
+      (List.rev !got = range sep 5);
+    (* the prefix runs holding the separator, which often start in the
+       previous leaf *)
+    let a, b, _ = model.(sep) in
+    check_bool "iter_prefix1 run" true
+      (collect (Btree.iter_prefix1 t a) = range (12 * a) 12);
+    check_bool "iter_prefix2 run" true
+      (collect (Btree.iter_prefix2 t a b) = range ((12 * a) + (3 * b)) 3)
+  done
 
 let test_btree_prefix_scans () =
-  let p = Pager.create Pager.Memory in
-  let t = Btree.create p in
-  List.iter
-    (fun k -> ignore (Btree.insert t k))
-    [ (1, 1, 0); (1, 2, 0); (1, 2, 5); (2, 1, 0); (3, 1, 1) ];
+  let t = bulk [ (1, 1, 0); (1, 2, 0); (1, 2, 5); (2, 1, 0); (3, 1, 1) ] in
   let got = ref [] in
   Btree.iter_prefix1 t 1 (fun k -> got := k :: !got);
   check_int "prefix1" 3 (List.length !got);
@@ -229,105 +227,12 @@ let test_btree_prefix_scans () =
   Btree.iter_prefix1 t 99 (fun k -> got := k :: !got);
   check_int "empty prefix" 0 (List.length !got)
 
-let prop_btree_model =
-  (* compare against a reference set-model under random insert/delete *)
-  let op_gen =
-    QCheck2.Gen.(
-      list_size (int_bound 400)
-        (pair bool (triple (int_bound 20) (int_bound 20) (int_bound 3))))
-  in
-  QCheck2.Test.make ~name:"Btree = set model" ~count:100 op_gen (fun ops ->
-      let p = Pager.create ~pool_pages:16 Pager.Memory in
-      let t = Btree.create p in
-      let model = Hashtbl.create 64 in
-      List.iter
-        (fun (ins, k) ->
-          if ins then begin
-            let added = Btree.insert t k in
-            let fresh = not (Hashtbl.mem model k) in
-            Hashtbl.replace model k ();
-            if added <> fresh then failwith "insert disagreement"
-          end
-          else begin
-            let removed = Btree.delete t k in
-            let present = Hashtbl.mem model k in
-            Hashtbl.remove model k;
-            if removed <> present then failwith "delete disagreement"
-          end)
-        ops;
-      let ok = ref (Btree.length t = Hashtbl.length model) in
-      Hashtbl.iter (fun k () -> if not (Btree.mem t k) then ok := false) model;
-      let count = ref 0 in
-      Btree.iter_all t (fun k ->
-          if not (Hashtbl.mem model k) then ok := false;
-          incr count);
-      !ok && !count = Hashtbl.length model)
-
-let test_btree_delete_rebalancing () =
-  (* grow a multi-level tree, then delete most keys: pages must merge and
-     return to the free list while every remaining key stays findable *)
-  let p = Pager.create ~pool_pages:128 Pager.Memory in
-  let t = Btree.create p in
-  let n = 20_000 in
-  for i = 0 to n - 1 do
-    ignore (Btree.insert t ((i * 13) mod n, i mod 11, 0))
-  done;
-  check_int "inserted" n (Btree.length t);
-  let pages_full = Pager.n_pages p in
-  check_bool "deep tree" true (pages_full > 30);
-  (* delete everything except multiples of 20, in a scrambled order *)
-  for i = 0 to n - 1 do
-    let k = ((i * 7) mod n, ((n - 1 - i) * 13 mod n) mod 11, 0) in
-    ignore k;
-    let key = ((i * 13) mod n, i mod 11, 0) in
-    if i mod 20 <> 0 then ignore (Btree.delete t key)
-  done;
-  check_int "survivors" (n / 20) (Btree.length t);
-  for i = 0 to n - 1 do
-    let key = ((i * 13) mod n, i mod 11, 0) in
-    check_bool "membership" (i mod 20 = 0) (Btree.mem t key)
-  done;
-  (* ordered scan sees exactly the survivors *)
-  let count = ref 0 in
-  let prev = ref (Btree.min_i32, Btree.min_i32, Btree.min_i32) in
-  Btree.iter_all t (fun k ->
-      check_bool "sorted" true (compare !prev k < 0);
-      prev := k;
-      incr count);
-  check_int "scan count" (n / 20) !count;
-  let st = Pager.stats p in
-  check_bool "pages were freed" true (st.Pager.free_pages > 0);
-  (* freed pages are recycled by new inserts *)
-  let before = Pager.n_pages p in
-  for i = 0 to 2000 do
-    ignore (Btree.insert t (100_000 + i, 0, 0))
-  done;
-  check_bool "growth reuses freed pages" true
-    (Pager.n_pages p - before < 2000 / 100)
-
-let test_btree_delete_to_empty_and_reuse () =
-  let p = Pager.create Pager.Memory in
-  let t = Btree.create p in
-  for round = 1 to 3 do
-    for i = 0 to 2_000 do
-      ignore (Btree.insert t (i, round, 0))
-    done;
-    for i = 0 to 2_000 do
-      check_bool "delete works" true (Btree.delete t (i, round, 0))
-    done;
-    check_int "empty again" 0 (Btree.length t)
-  done;
-  check_bool "no runaway growth" true (Pager.n_pages p < 40)
-
 (* {1 Table} *)
 
 let test_table_indexes () =
   let p = Pager.create Pager.Memory in
-  let t = Table.create p in
-  check_bool "insert" true (Table.insert t ~id:1 ~label:10 ~dist:0);
-  check_bool "dup" false (Table.insert t ~id:1 ~label:10 ~dist:0);
-  ignore (Table.insert t ~id:1 ~label:11 ~dist:2);
-  ignore (Table.insert t ~id:2 ~label:10 ~dist:1);
+  (* rows in any order *)
+  let t = Table.of_rows p [| (2, 10, 1); (1, 11, 2); (1, 10, 0) |] in
   check_int "rows" 3 (Table.length t);
   let by_id = ref [] in
   Table.iter_by_id t 1 (fun ~label ~dist -> by_id := (label, dist) :: !by_id);
@@ -337,22 +242,27 @@ let test_table_indexes () =
   Table.iter_by_label t 10 (fun ~id ~dist -> by_label := (id, dist) :: !by_label);
   Alcotest.(check (list (pair int int))) "backward scan" [ (1, 0); (2, 1) ]
     (List.rev !by_label);
-  check_int "delete_all_of_id" 2 (Table.delete_all_of_id t 1);
-  check_int "rows left" 1 (Table.length t);
-  (* backward index consistent after delete *)
-  let remaining = ref [] in
-  Table.iter_by_label t 10 (fun ~id ~dist:_ -> remaining := id :: !remaining);
-  Alcotest.(check (list int)) "bwd consistent" [ 2 ] !remaining
+  (* packed pairs build the same table at distance 0 *)
+  let pairs = Table.of_pairs p (Array.map (fun (id, label) -> Table.pack ~id ~label)
+                                  [| (2, 10); (1, 11); (1, 10) |]) in
+  let fwd = ref [] and bwd = ref [] in
+  Table.iter_by_id pairs 1 (fun ~label ~dist -> fwd := (label, dist) :: !fwd);
+  Table.iter_by_label pairs 10 (fun ~id ~dist -> bwd := (id, dist) :: !bwd);
+  Alcotest.(check (list (pair int int))) "pairs forward" [ (10, 0); (11, 0) ] (List.rev !fwd);
+  Alcotest.(check (list (pair int int))) "pairs backward" [ (1, 0); (2, 0) ] (List.rev !bwd);
+  check_bool "duplicate row rejected" true
+    (match Table.of_rows p [| (1, 2, 0); (1, 2, 0) |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_bool "negative id rejected" true
+    (match Table.pack ~id:(-1) ~label:0 with _ -> false | exception Invalid_argument _ -> true)
 
 (* one center may carry several distances; a forward scan visits them
    ascending, so the first row of a center's run holds its minimum (the
    order Label_codec relies on) *)
 let test_table_rows_ascend_by_dist () =
   let p = Pager.create Pager.Memory in
-  let t = Table.create p in
-  ignore (Table.insert t ~id:1 ~label:10 ~dist:5);
-  ignore (Table.insert t ~id:1 ~label:10 ~dist:3);
-  ignore (Table.insert t ~id:1 ~label:4 ~dist:7);
+  let t = Table.of_rows p [| (1, 10, 5); (1, 10, 3); (1, 4, 7) |] in
   let rows = ref [] in
   Table.iter_by_id t 1 (fun ~label ~dist -> rows := (label, dist) :: !rows);
   Alcotest.(check (list (pair int int)))
@@ -368,8 +278,7 @@ let test_cover_store_roundtrip () =
   List.iter (Cover.add_node cover) [ 1; 2; 3 ];
   Cover.add_out cover ~node:1 ~center:2;
   Cover.add_in cover ~node:3 ~center:2;
-  let store = Cover_store.create (Pager.create Pager.Memory) in
-  Cover_store.load_cover store cover;
+  let store = Cover_store.of_cover (Pager.create Pager.Memory) cover in
   check_int "entries" 2 (Cover_store.n_entries store);
   check_int "stored ints" 8 (Cover_store.stored_integers store);
   check_bool "1->3" true (Cover_store.connected store 1 3);
@@ -387,8 +296,7 @@ let test_cover_store_distance () =
   List.iter (Dist_cover.add_node dc) [ 1; 2; 3 ];
   Dist_cover.add_out dc ~node:1 ~center:2 ~dist:1;
   Dist_cover.add_in dc ~node:3 ~center:2 ~dist:4;
-  let store = Cover_store.create (Pager.create Pager.Memory) in
-  Cover_store.load_dist_cover store dc;
+  let store = Cover_store.of_dist_cover (Pager.create Pager.Memory) dc in
   Alcotest.(check (option int)) "1->3 = 5" (Some 5) (Cover_store.min_distance store 1 3);
   Alcotest.(check (option int)) "1->2 = 1" (Some 1) (Cover_store.min_distance store 1 2);
   Alcotest.(check (option int)) "2->3 = 4" (Some 4) (Cover_store.min_distance store 2 3);
@@ -408,8 +316,7 @@ let test_cover_store_matches_cover () =
   done;
   let clo = Hopi_graph.Closure.compute g in
   let cover, _ = Hopi_twohop.Builder.build clo in
-  let store = Cover_store.create (Pager.create ~pool_pages:16 Pager.Memory) in
-  Cover_store.load_cover store cover;
+  let store = Cover_store.of_cover (Pager.create ~pool_pages:16 Pager.Memory) cover in
   for u = 0 to 29 do
     for v = 0 to 29 do
       check_bool
@@ -419,20 +326,6 @@ let test_cover_store_matches_cover () =
     done
   done;
   check_int "entry counts agree" (Cover.size cover) (Cover_store.n_entries store)
-
-let test_cover_store_remove_node () =
-  let cover = Cover.create () in
-  List.iter (Cover.add_node cover) [ 1; 2; 3 ];
-  Cover.add_out cover ~node:1 ~center:2;
-  Cover.add_in cover ~node:3 ~center:2;
-  let store = Cover_store.create (Pager.create Pager.Memory) in
-  Cover_store.load_cover store cover;
-  Cover_store.remove_node store 1;
-  check_bool "gone" false (Cover_store.mem_node store 1);
-  check_bool "no conn" false (Cover_store.connected store 1 3);
-  check_int "one entry left" 1 (Cover_store.n_entries store);
-  Cover_store.remove_label store 2;
-  check_int "label entries dropped" 0 (Cover_store.n_entries store)
 
 let test_cover_store_persistence_roundtrip () =
   let path = Filename.temp_file "hopi_store" ".db" in
@@ -448,8 +341,7 @@ let test_cover_store_persistence_roundtrip () =
   let clo = Hopi_graph.Closure.compute g in
   let cover, _ = Hopi_twohop.Builder.build clo in
   let pager = Pager.create ~pool_pages:16 (Pager.File path) in
-  let store = Cover_store.create pager in
-  Cover_store.load_cover store cover;
+  let store = Cover_store.of_cover pager cover in
   let entries = Cover_store.n_entries store in
   Cover_store.save store;
   Pager.close pager;
@@ -475,9 +367,7 @@ let test_cover_store_persistence_distances () =
   Dist_cover.add_out dc ~node:1 ~center:2 ~dist:3;
   Dist_cover.add_in dc ~node:3 ~center:2 ~dist:4;
   let pager = Pager.create (Pager.File path) in
-  let store = Cover_store.create pager in
-  Cover_store.load_dist_cover store dc;
-  Cover_store.save store;
+  Cover_store.save (Cover_store.of_dist_cover pager dc);
   Pager.close pager;
   let store2 = Cover_store.open_pager (Pager.open_existing path) in
   Alcotest.(check (option int)) "distance survives" (Some 7)
@@ -521,9 +411,7 @@ let test_catalog_wrong_kind () =
   let pager = Pager.create_vfs ~vfs "kind.db" in
   let g = Hopi_graph.Digraph.create () in
   Hopi_graph.Digraph.add_edge g 1 2;
-  let cs = Closure_store.create pager in
-  Closure_store.load cs (Hopi_graph.Closure.compute g);
-  Closure_store.save cs;
+  Closure_store.save (Closure_store.of_closure pager (Hopi_graph.Closure.compute g));
   Pager.close pager;
   let pager2 = Pager.open_vfs ~vfs "kind.db" in
   check_bool "wrong kind rejected" true
@@ -548,8 +436,7 @@ let test_closure_store () =
   List.iter (fun (u, v) -> Hopi_graph.Digraph.add_edge g u v)
     [ (1, 2); (2, 3); (1, 4) ];
   let clo = Hopi_graph.Closure.compute g in
-  let store = Closure_store.create (Pager.create Pager.Memory) in
-  Closure_store.load store clo;
+  let store = Closure_store.of_closure (Pager.create Pager.Memory) clo in
   check_int "connections incl reflexive" 8 (Closure_store.n_connections store);
   check_int "stored ints" 32 (Closure_store.stored_integers store);
   check_bool "1->3" true (Closure_store.connected store 1 3);
@@ -572,8 +459,7 @@ let prop_dist_store_matches_dist_cover =
         if u <> v then Hopi_graph.Digraph.add_edge g u v
       done;
       let dc, _ = Hopi_twohop.Dist_builder.build g in
-      let store = Cover_store.create (Pager.create ~pool_pages:16 Pager.Memory) in
-      Cover_store.load_dist_cover store dc;
+      let store = Cover_store.of_dist_cover (Pager.create ~pool_pages:16 Pager.Memory) dc in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
@@ -596,8 +482,7 @@ let prop_store_anc_desc_match_cover =
         if u <> v then Hopi_graph.Digraph.add_edge g u v
       done;
       let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
-      let store = Cover_store.create (Pager.create ~pool_pages:16 Pager.Memory) in
-      Cover_store.load_cover store cover;
+      let store = Cover_store.of_cover (Pager.create ~pool_pages:16 Pager.Memory) cover in
       let same a b =
         Hopi_util.Int_set.equal (Ihs.to_int_set a) (Ihs.to_int_set b)
       in
@@ -612,70 +497,77 @@ let prop_store_anc_desc_match_cover =
 
 (* {1 Btree bulk load} *)
 
-let stream_of_list l =
-  let rest = ref l in
-  fun () ->
-    match !rest with
-    | [] -> None
-    | k :: tl ->
-      rest := tl;
-      Some k
-
-let scan_all t =
-  let acc = ref [] in
-  Btree.iter_all t (fun k -> acc := k :: !acc);
-  List.rev !acc
-
 let test_btree_bulk_empty_and_invalid () =
-  (* empty stream: a usable empty tree, same as [create] *)
-  let t = Btree.bulk_load (Pager.create Pager.Memory) ~next:(stream_of_list []) in
+  (* empty stream: a usable empty tree *)
+  let t = bulk [] in
   check_int "empty length" 0 (Btree.length t);
   check_bool "nothing present" false (Btree.mem t (0, 0, 0));
-  check_bool "still insertable" true (Btree.insert t (1, 2, 3));
-  check_bool "insert landed" true (Btree.mem t (1, 2, 3));
+  check_int "empty scan" 0 (List.length (scan_all t));
   (* streams that violate the strictly-ascending contract are rejected *)
-  let rejects keys =
-    match Btree.bulk_load (Pager.create Pager.Memory) ~next:(stream_of_list keys) with
-    | _ -> false
-    | exception Invalid_argument _ -> true
-  in
+  let rejects keys = match bulk keys with _ -> false | exception Invalid_argument _ -> true in
   check_bool "descending rejected" true (rejects [ (2, 0, 0); (1, 0, 0) ]);
   check_bool "duplicate rejected" true (rejects [ (1, 0, 0); (1, 0, 0) ]);
   check_bool "out-of-range rejected" true (rejects [ (0, Btree.max_i32 + 1, 0) ])
 
-let prop_btree_bulk_matches_inserts =
-  (* differential: bulk_load over a sorted stream must be indistinguishable
-     from insert-at-a-time — full scan, length, and point lookups (present
-     and absent keys alike) *)
-  QCheck2.Test.make ~name:"Btree.bulk_load = insert-at-a-time" ~count:40
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 900))
+module Key_set = Set.Make (struct
+  type t = int * int * int
+
+  let compare = compare
+end)
+
+(* a random sorted key set and a tree bulk-loaded from it *)
+let random_key_tree rng n =
+  let keys = ref Key_set.empty in
+  for _ = 1 to n do
+    keys := Key_set.add (Splitmix.int rng 60, Splitmix.int rng 60, Splitmix.int rng 4) !keys
+  done;
+  let sorted = Key_set.elements !keys in
+  (!keys, sorted, bulk ~pool_pages:16 sorted)
+
+let prop_btree_bulk_matches_model =
+  (* a tree bulk-loaded from a sorted key set must answer like the set
+     itself: full scan, length and point lookups (present and absent keys
+     alike) *)
+  QCheck2.Test.make ~name:"Btree = set model" ~count:40
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 2_000))
     (fun (seed, n) ->
       let rng = Splitmix.create seed in
-      let module Ks = Set.Make (struct
-        type t = int * int * int
-
-        let compare = compare
-      end) in
-      let keys = ref Ks.empty in
-      for _ = 1 to n do
-        keys :=
-          Ks.add (Splitmix.int rng 60, Splitmix.int rng 60, Splitmix.int rng 4) !keys
-      done;
-      let sorted = Ks.elements !keys in
-      let reference = Btree.create (Pager.create ~pool_pages:16 Pager.Memory) in
-      List.iter (fun k -> ignore (Btree.insert reference k)) sorted;
-      let bulk =
-        Btree.bulk_load (Pager.create ~pool_pages:16 Pager.Memory)
-          ~next:(stream_of_list sorted)
-      in
-      if Btree.length bulk <> Btree.length reference then
-        QCheck2.Test.fail_reportf "length %d <> %d" (Btree.length bulk)
-          (Btree.length reference);
-      if scan_all bulk <> sorted then QCheck2.Test.fail_report "full scan differs";
+      let keys, sorted, t = random_key_tree rng n in
+      if Btree.length t <> Key_set.cardinal keys then
+        QCheck2.Test.fail_reportf "length %d <> %d" (Btree.length t) (Key_set.cardinal keys);
+      if scan_all t <> sorted then QCheck2.Test.fail_report "full scan differs";
       let ok = ref true in
       for _ = 1 to 300 do
         let k = (Splitmix.int rng 60, Splitmix.int rng 60, Splitmix.int rng 4) in
-        if Btree.mem bulk k <> Btree.mem reference k then ok := false
+        if Btree.mem t k <> Key_set.mem k keys then ok := false
+      done;
+      !ok)
+
+let prop_btree_bulk_scans_match_model =
+  (* range scans over a bulk-loaded tree return exactly the matching run of
+     the sorted key set: prefix scans on one and two components, and
+     bounded scans from any key, stored or not *)
+  QCheck2.Test.make ~name:"Btree.bulk_load: scans = sorted model" ~count:40
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 2_000))
+    (fun (seed, n) ->
+      let rng = Splitmix.create seed in
+      let _, sorted, t = random_key_tree rng n in
+      let ok = ref true in
+      for _ = 1 to 20 do
+        let a = Splitmix.int rng 61 and b = Splitmix.int rng 61 in
+        let got1 = ref [] and got2 = ref [] in
+        Btree.iter_prefix1 t a (fun k -> got1 := k :: !got1);
+        Btree.iter_prefix2 t a b (fun k -> got2 := k :: !got2);
+        if List.rev !got1 <> List.filter (fun (a', _, _) -> a' = a) sorted then ok := false;
+        if List.rev !got2 <> List.filter (fun (a', b', _) -> a' = a && b' = b) sorted then
+          ok := false;
+        let from = (a, b, Splitmix.int rng 4) in
+        let got = ref [] in
+        Btree.iter_from t from (fun k ->
+            got := k :: !got;
+            List.length !got < 7);
+        let expected = List.filteri (fun i _ -> i < 7) (List.filter (fun k -> k >= from) sorted) in
+        if List.rev !got <> expected then ok := false
       done;
       !ok)
 
@@ -693,62 +585,61 @@ let random_graph ~seed ~n ~edges =
   done;
   g
 
-let prop_bulk_store_matches_rowwise =
-  (* the differential promised by cover_store.mli: a bulk-loaded store must
-     answer exactly like a row-at-a-time store, including after a
-     save/reopen cycle *)
-  QCheck2.Test.make ~name:"bulk store = row-at-a-time store" ~count:20
+(* write a store with [write], save it, and reopen it from the file *)
+let reopened write =
+  let vfs = Vfs.memory () in
+  let pager = Pager.create_vfs ~pool_pages:16 ~vfs "bulk.db" in
+  Cover_store.save (write pager);
+  Pager.close pager;
+  Cover_store.open_pager (Pager.open_vfs ~pool_pages:16 ~vfs "bulk.db")
+
+let prop_bulk_store_matches_cover =
+  QCheck2.Test.make ~name:"bulk store = in-memory cover across reopen" ~count:20
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 2 16))
     (fun (seed, n) ->
       let g = random_graph ~seed ~n ~edges:(2 * n) in
       let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
-      let rowwise = Cover_store.create (Pager.create ~pool_pages:16 Pager.Memory) in
-      Cover_store.load_cover rowwise cover;
-      let vfs = Vfs.memory () in
-      let pager = Pager.create_vfs ~pool_pages:16 ~vfs "bulk.db" in
-      let bulk = Cover_store.create pager in
-      Cover_store.bulk_load_cover bulk cover;
-      Cover_store.save bulk;
-      Pager.close pager;
-      let bulk = Cover_store.open_pager (Pager.open_vfs ~pool_pages:16 ~vfs "bulk.db") in
-      if Cover_store.n_entries bulk <> Cover_store.n_entries rowwise then
-        QCheck2.Test.fail_reportf "entries %d <> %d" (Cover_store.n_entries bulk)
-          (Cover_store.n_entries rowwise);
-      if Cover_store.n_nodes bulk <> Cover_store.n_nodes rowwise then
+      let store = reopened (fun pager -> Cover_store.of_cover pager cover) in
+      if Cover_store.n_entries store <> Cover.size cover then
+        QCheck2.Test.fail_reportf "entries %d <> %d" (Cover_store.n_entries store)
+          (Cover.size cover);
+      if Cover_store.n_nodes store <> Cover.n_nodes cover then
         QCheck2.Test.fail_report "node counts differ";
+      if Cover_store.with_dist store then QCheck2.Test.fail_report "plain store has distances";
       let same a b = Hopi_util.Int_set.equal (Ihs.to_int_set a) (Ihs.to_int_set b) in
       let ok = ref true in
-      for u = 0 to n - 1 do
-        if not (same (Cover_store.descendants bulk u) (Cover_store.descendants rowwise u))
+      for u = 0 to n + 1 do
+        if Cover_store.mem_node store u <> Cover.mem_node cover u then ok := false;
+        if not (same (Cover_store.descendants store u) (Cover.descendants cover u))
         then ok := false;
-        if not (same (Cover_store.ancestors bulk u) (Cover_store.ancestors rowwise u))
+        if not (same (Cover_store.ancestors store u) (Cover.ancestors cover u))
         then ok := false;
-        for v = 0 to n - 1 do
-          if Cover_store.connected bulk u v <> Cover_store.connected rowwise u v then
-            ok := false
+        for v = 0 to n + 1 do
+          if Cover_store.connected store u v <> Cover.connected cover u v then ok := false
         done
       done;
       !ok)
 
-let prop_bulk_dist_store_matches_rowwise =
-  QCheck2.Test.make ~name:"bulk distance store = row-at-a-time store" ~count:15
+let prop_bulk_dist_store_matches_cover =
+  QCheck2.Test.make ~name:"bulk distance store = Dist_cover across reopen" ~count:15
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 2 14))
     (fun (seed, n) ->
       let g = random_graph ~seed ~n ~edges:(2 * n) in
       let dc, _ = Hopi_twohop.Dist_builder.build g in
-      let rowwise = Cover_store.create (Pager.create ~pool_pages:16 Pager.Memory) in
-      Cover_store.load_dist_cover rowwise dc;
-      let bulk = Cover_store.create (Pager.create ~pool_pages:16 Pager.Memory) in
-      Cover_store.bulk_load_dist_cover bulk dc;
-      if Cover_store.stored_integers bulk <> Cover_store.stored_integers rowwise then
-        QCheck2.Test.fail_report "stored integers differ";
-      if Cover_store.with_dist bulk <> Cover_store.with_dist rowwise then
+      let store = reopened (fun pager -> Cover_store.of_dist_cover pager dc) in
+      let any_dist = ref false in
+      Dist_cover.iter_nodes dc (fun v ->
+          let note _ d = if d > 0 then any_dist := true in
+          Dist_cover.iter_lin dc v note;
+          Dist_cover.iter_lout dc v note);
+      if Cover_store.n_entries store <> Dist_cover.size dc then
+        QCheck2.Test.fail_report "entry counts differ";
+      if Cover_store.with_dist store <> !any_dist then
         QCheck2.Test.fail_report "dist flags differ";
       let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if Cover_store.min_distance bulk u v <> Cover_store.min_distance rowwise u v
-          then ok := false
+      for u = 0 to n + 1 do
+        for v = 0 to n + 1 do
+          if Cover_store.min_distance store u v <> Dist_cover.dist dc u v then ok := false
         done
       done;
       !ok)
@@ -756,11 +647,15 @@ let prop_bulk_dist_store_matches_rowwise =
 let test_bulk_store_requires_fresh () =
   let cover = Cover.create () in
   Cover.add_node cover 1;
-  let store = Cover_store.create (Pager.create Pager.Memory) in
-  Cover_store.add_node store 5;
-  check_bool "non-fresh store rejected" true
-    (match Cover_store.bulk_load_cover store cover with
-    | () -> false
+  let pager = Pager.create Pager.Memory in
+  ignore (Pager.alloc pager);
+  check_bool "pager with pages rejected" true
+    (match Cover_store.of_cover pager cover with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_bool "closure store too" true
+    (match Closure_store.of_closure pager (Hopi_graph.Closure.compute (Hopi_graph.Digraph.create ())) with
+    | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* {1 Spill} *)
@@ -883,23 +778,18 @@ let suite =
         Alcotest.test_case "file backend" `Quick test_pager_file_backend;
         Alcotest.test_case "pinning" `Quick test_pager_pinning;
         Alcotest.test_case "pin nesting across evictions" `Quick test_pager_pin_nesting;
-        Alcotest.test_case "free-list reuse" `Quick test_pager_free_list_reuse;
-        Alcotest.test_case "freed pages after reopen" `Quick
-          test_pager_freed_pages_after_reopen;
         Alcotest.test_case "open missing file" `Quick test_open_missing_file;
       ]
       @ qsuite [ prop_pager_roundtrip_real_vfs ] );
     ( "storage.btree",
       [
         Alcotest.test_case "basic" `Quick test_btree_basic;
-        Alcotest.test_case "many keys/splits" `Quick test_btree_many_with_splits;
+        Alcotest.test_case "three-level bulk-loaded tree" `Quick test_btree_three_levels;
         Alcotest.test_case "prefix scans" `Quick test_btree_prefix_scans;
-        Alcotest.test_case "delete rebalancing" `Quick test_btree_delete_rebalancing;
-        Alcotest.test_case "delete to empty + reuse" `Quick test_btree_delete_to_empty_and_reuse;
         Alcotest.test_case "bulk load: empty/invalid streams" `Quick
           test_btree_bulk_empty_and_invalid;
       ]
-      @ qsuite [ prop_btree_model; prop_btree_bulk_matches_inserts ] );
+      @ qsuite [ prop_btree_bulk_matches_model; prop_btree_bulk_scans_match_model ] );
     ( "storage.table",
       [
         Alcotest.test_case "indexes" `Quick test_table_indexes;
@@ -910,7 +800,6 @@ let suite =
         Alcotest.test_case "roundtrip" `Quick test_cover_store_roundtrip;
         Alcotest.test_case "distance" `Quick test_cover_store_distance;
         Alcotest.test_case "matches cover" `Quick test_cover_store_matches_cover;
-        Alcotest.test_case "remove node" `Quick test_cover_store_remove_node;
         Alcotest.test_case "persistence roundtrip" `Quick
           test_cover_store_persistence_roundtrip;
         Alcotest.test_case "persistence distances" `Quick
@@ -928,8 +817,8 @@ let suite =
         [
           prop_dist_store_matches_dist_cover;
           prop_store_anc_desc_match_cover;
-          prop_bulk_store_matches_rowwise;
-          prop_bulk_dist_store_matches_rowwise;
+          prop_bulk_store_matches_cover;
+          prop_bulk_dist_store_matches_cover;
         ] );
     ( "storage.spill",
       [
