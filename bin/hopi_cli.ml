@@ -867,8 +867,9 @@ let build_cmd =
   let no_fsync =
     Arg.(value & flag & info [ "no-fsync" ]
            ~doc:"Skip sync points when persisting with $(b,--store): faster, \
-                 still process-crash-safe (journaled), but a power loss may \
-                 lose the save.")
+                 still process-crash-safe (the store is written under a \
+                 temporary name and renamed into place), but a power loss \
+                 may lose the save.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log progress.") in
   let build_mem =
@@ -972,8 +973,9 @@ let serve_cmd =
   let no_fsync =
     Arg.(value & flag & info [ "no-fsync" ]
            ~doc:"Skip sync points when publishing generations: faster flips, \
-                 still process-crash-safe (journaled), but a power loss may \
-                 lose the newest generation.")
+                 still process-crash-safe (every file is written under a \
+                 temporary name and renamed into place), but a power loss \
+                 may lose the newest generation.")
   in
   let shard =
     Arg.(value & flag & info [ "shard" ]
@@ -1035,7 +1037,8 @@ let shard_split_cmd =
   in
   let no_fsync =
     Arg.(value & flag & info [ "no-fsync" ]
-           ~doc:"Skip sync points when writing the shard stores.")
+           ~doc:"Skip sync points when publishing the shard stores and the \
+                 routing index.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log progress.") in
   Cmd.v
@@ -1147,12 +1150,13 @@ let slowlog_cmd =
 let verify_store_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log journal recovery.")
+    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log pager activity.")
   in
   Cmd.v
     (Cmd.info "verify-store"
-       ~doc:"Checksum-verify every page of a stored index (recovering a hot \
-             journal first); exits 1 on any corruption")
+       ~doc:"Checksum-verify every page of a stored index, shard store or \
+             generation manifest (read-only: a published file is never \
+             written); exits 1 on any corruption")
     Term.(const verify_store $ file $ verbose)
 
 let () =

@@ -159,9 +159,7 @@ let sweep_locked t =
     (fun s ->
       Snapshot.close s.snap;
       if s.id >= 1 && s.id <= t.manifest.S.Manifest.tip - t.retain then begin
-        let p = S.Manifest.gen_path ~base:t.base s.id in
-        (try Sys.remove p with Sys_error _ -> ());
-        (try Sys.remove (p ^ "-journal") with Sys_error _ -> ())
+        try Sys.remove (S.Manifest.gen_path ~base:t.base s.id) with Sys_error _ -> ()
       end)
     drop;
   t.slots <- keep;

@@ -111,7 +111,7 @@ let psg_from graph ~weight s =
   drain ();
   dist
 
-let split ?(dist = false) ?(fsync = true) ~k ~dir c =
+let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
   if k < 1 then invalid_arg "Router.split: k < 1";
   let k = max 1 (min k (max 1 (Collection.n_docs c))) in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -136,9 +136,7 @@ let split ?(dist = false) ?(fsync = true) ~k ~dir c =
               fun pager -> S.Cover_store.of_cover pager cover )
           end
         in
-        let pager =
-          S.Pager.create ~pool_pages:512 ~fsync (S.Pager.File (shard_path ~dir p))
-        in
+        let pager = S.Pager.create_vfs ~pool_pages:512 ~fsync ~vfs (shard_path ~dir p) in
         let store = write pager in
         S.Cover_store.save store;
         entries := !entries + S.Cover_store.n_entries store;
@@ -175,38 +173,33 @@ let split ?(dist = false) ?(fsync = true) ~k ~dir c =
         d)
     psg.Psg.sources;
   (* the routing index: element map, cross links, PSG closure *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "shards %d\n" k);
-  Buffer.add_string buf (Printf.sprintf "dist %d\n" (if dist then 1 else 0));
+  let buf = Buffer.create 4096 and crc = ref Hopi_util.Crc32.init in
+  let line fmt =
+    Printf.ksprintf
+      (fun l ->
+        Buffer.add_string buf l;
+        crc := Hopi_util.Crc32.update !crc (Bytes.unsafe_of_string l) ~pos:0 ~len:(String.length l))
+      (fmt ^^ "\n")
+  in
+  line "%s" magic;
+  line "shards %d" k;
+  line "dist %d" (if dist then 1 else 0);
   let elems = ref [] and n_elems = ref 0 in
   Collection.iter_elements c (fun e ->
       elems := e :: !elems;
       incr n_elems);
-  Buffer.add_string buf (Printf.sprintf "elements %d\n" !n_elems);
+  line "elements %d" !n_elems;
   List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "e %d %d\n" e (Partitioning.part_of_element part c e)))
+    (fun e -> line "e %d %d" e (Partitioning.part_of_element part c e))
     (List.sort compare !elems);
   let links = List.sort compare psg.Psg.link_edges in
-  Buffer.add_string buf (Printf.sprintf "links %d\n" (List.length links));
-  List.iter (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "l %d %d\n" u v)) links;
-  Buffer.add_string buf (Printf.sprintf "closure %d\n" !n_closure);
-  List.iter
-    (fun (s, t, d) -> Buffer.add_string buf (Printf.sprintf "c %d %d %d\n" s t d))
-    (List.sort compare !closure);
-  Buffer.add_string buf "end\n";
-  let path = routing_path ~dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Buffer.output_buffer oc buf;
-  flush oc;
-  (* durable before the rename publishes it beside the shard stores *)
-  if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
-  close_out oc;
-  Sys.rename tmp path;
+  line "links %d" (List.length links);
+  List.iter (fun (u, v) -> line "l %d %d" u v) links;
+  line "closure %d" !n_closure;
+  List.iter (fun (s, t, d) -> line "c %d %d %d" s t d) (List.sort compare !closure);
+  line "end";
+  Buffer.add_string buf (Printf.sprintf "crc %08lx\n" (Hopi_util.Crc32.finish !crc));
+  S.Vfs.write_file vfs ~fsync (routing_path ~dir) buf;
   {
     shards = k;
     elements = !n_elems;
@@ -232,16 +225,32 @@ type t = {
 let parse_error path line msg =
   raise (Sys_error (Printf.sprintf "%s: bad routing index (line %d): %s" path line msg))
 
-let open_dir ?(pool_pages = 4096) ?(cache_mb = 64) dir =
+(* The routing index ends with a ["crc XXXXXXXX"] line: the CRC-32 of
+   every byte before it.  (The parser stops at the "end" line above it.) *)
+let verify_crc path data =
+  let corrupt msg = S.Storage_error.raise_error (Bad_catalog (path ^ ": " ^ msg)) in
+  let start = String.length data - String.length "crc XXXXXXXX\n" in
+  if start < 0 || String.sub data start 4 <> "crc " || not (String.ends_with ~suffix:"\n" data)
+  then corrupt "routing index has no checksum line";
+  match Int32.of_string_opt ("0x" ^ String.sub data (start + 4) 8) with
+  | None -> corrupt "routing index has no checksum line"
+  | Some crc ->
+    if crc <> Hopi_util.Crc32.digest (Bytes.unsafe_of_string data) ~pos:0 ~len:start then
+      corrupt "routing index checksum mismatch"
+
+let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   let path = routing_path ~dir in
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let data = S.Vfs.read_file vfs path in
+  verify_crc path data;
+  let lines = ref (String.split_on_char '\n' data) in
   let lineno = ref 0 in
   let line () =
     incr lineno;
-    match input_line ic with
-    | l -> l
-    | exception End_of_file -> parse_error path !lineno "truncated"
+    match !lines with
+    | l :: rest ->
+      lines := rest;
+      l
+    | [] -> parse_error path !lineno "truncated"
   in
   let fail msg = parse_error path !lineno msg in
   let counted prefix =
@@ -323,7 +332,7 @@ let open_dir ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   let snaps =
     try
       Array.init k (fun p ->
-          let s = Snapshot.open_file ~pool ~cache (shard_path ~dir p) in
+          let s = Snapshot.open_file ~pool ~vfs ~cache (shard_path ~dir p) in
           opened := s :: !opened;
           s)
     with e ->

@@ -46,25 +46,38 @@ val routing_path : dir:string -> string
 (** [dir/routing.idx] *)
 
 val split :
+  ?vfs:Hopi_storage.Vfs.t ->
   ?dist:bool ->
   ?fsync:bool ->
   k:int ->
   dir:string ->
   Hopi_collection.Collection.t ->
   split_stats
-(** Partition [c] into [k] shards under [dir] (created if missing).
-    Documents are balanced greedily by element count, deterministically;
-    [k] is clamped to the document count.  [dist] (default [false])
-    builds distance-aware shard covers.
+(** Partition [c] into [k] shards under [dir] (created on the real file
+    system if missing).  Documents are balanced greedily by element
+    count, deterministically; [k] is clamped to the document count.
+    [dist] (default [false]) builds distance-aware shard covers.
+
+    Every file — each shard store, then [routing.idx] — is published on
+    [vfs] (default {!Hopi_storage.Vfs.real}) the one way page files are:
+    written under a temporary name, fsynced (unless [fsync] is [false])
+    and renamed into place, so each file on its own is either the old or
+    the new one after a crash.  The directory as a whole is {e not}
+    atomic: a crash part-way through a re-split can leave new shards
+    beside an old routing index.  The routing index ends with a
+    ["crc XXXXXXXX"] line, the CRC-32 of every byte before it.
     @raise Invalid_argument when [k < 1]. *)
 
 (** {1 Serving} *)
 
-val open_dir : ?pool_pages:int -> ?cache_mb:int -> string -> t
+val open_dir : ?vfs:Hopi_storage.Vfs.t -> ?pool_pages:int -> ?cache_mb:int -> string -> t
 (** Open every shard store (one shared read-only page pool across all of
-    them) and load the routing index.
-    @raise Sys_error / Hopi_storage.Storage_error.Storage_error on a
-    missing or damaged layout. *)
+    them) and load the routing index, both through [vfs] (default
+    {!Hopi_storage.Vfs.real}).
+    @raise Hopi_storage.Storage_error.Storage_error on a missing or
+    damaged file — [Bad_catalog] when the routing index fails its
+    checksum — and [Sys_error] on a routing index whose checksum holds
+    but whose contents do not parse. *)
 
 val close : t -> unit
 

@@ -55,9 +55,8 @@ val open_file :
     immutable — a frozen map, not a view of live writer state — so every
     label fetched through this snapshot resolves to the same versioned
     key for its whole lifetime.
-    @raise Hopi_storage.Storage_error.Storage_error on a missing file, a
-    corrupt catalog or one of another store kind, or an unrecoverable
-    journal. *)
+    @raise Hopi_storage.Storage_error.Storage_error on a missing file, or
+    a corrupt catalog or one of another store kind. *)
 
 val close : t -> unit
 (** Release the shared pager (dropping this snapshot's pages from the

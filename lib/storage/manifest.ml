@@ -1,7 +1,8 @@
 (* Generation manifest — see the interface for the protocol.  The file is
-   a one-page pager store of its own (magic "HGEN"), so commits ride the
-   same journal machinery as every other store and the crash matrix in
-   test/test_crash.ml can drive publish/rollback through fault_vfs. *)
+   a one-page pager store of its own (magic "HGEN"), so a commit publishes
+   it like every other page file (temp write, fsync, rename) and the crash
+   matrix in test/test_crash.ml can drive publish/rollback through
+   fault_vfs. *)
 
 module E = Storage_error
 
@@ -32,9 +33,7 @@ let validate m =
             m.live m.previous m.tip))
 
 let write_page pager m =
-  validate m;
-  if Pager.n_pages pager < 1 then ignore (Pager.alloc pager);
-  let page = Pager.read pager 0 in
+  let page = Pager.read pager (Pager.alloc pager) in
   Page.set_i32 page (po + 0) magic;
   Page.set_i32 page (po + 4) version;
   Page.set_i32 page (po + 8) m.live;
@@ -60,27 +59,24 @@ let parse pager =
   validate m;
   m
 
-let read_file ?(vfs = Vfs.real) ?(fsync = false) p =
-  let pager = Pager.open_vfs ~pool_pages:4 ~fsync ~vfs p in
+let read_file ?(vfs = Vfs.real) p =
+  let pager = Pager.open_vfs ~pool_pages:4 ~vfs p in
   Fun.protect ~finally:(fun () -> Pager.close pager) (fun () -> parse pager)
 
 let read ?(vfs = Vfs.real) ~base () = read_file ~vfs (path ~base)
 
 let commit ?(vfs = Vfs.real) ?(fsync = true) ~base m =
   validate m;
-  let p = path ~base in
-  let pager =
-    if vfs.Vfs.exists p then Pager.open_vfs ~pool_pages:4 ~fsync ~vfs p
-    else Pager.create_vfs ~pool_pages:4 ~fsync ~vfs p
-  in
-  Fun.protect ~finally:(fun () -> Pager.close pager) (fun () -> write_page pager m)
+  let pager = Pager.create_vfs ~pool_pages:4 ~fsync ~vfs (path ~base) in
+  write_page pager m;
+  Pager.close pager
 
 let publish ?(vfs = Vfs.real) ?(fsync = true) ?(pool_pages = 256) ~base ~load () =
   let m = read ~vfs ~base () in
   let g = m.tip + 1 in
-  (* Pager.create truncates a stale half-written file and deletes its
-     stale journal, so a previously crashed publish cannot pollute this
-     one. *)
+  (* Pager.create truncates a stale temp file and the rename replaces a
+     stray published one, so a previously crashed publish cannot pollute
+     this one. *)
   let pager = Pager.create_vfs ~pool_pages ~fsync ~vfs (gen_path ~base g) in
   load pager;
   Pager.close pager;
@@ -97,26 +93,17 @@ let rollback ?(vfs = Vfs.real) ?(fsync = true) ~base () =
     m'
   end
 
-(* The size the manifest file has actually reached on stable storage —
-   used to distinguish "first commit never completed" (shorter than one
-   page; fresh pages are not journal-protected) from real corruption. *)
-let durable_size vfs p =
-  let f = vfs.Vfs.open_file p ~create:false in
-  Fun.protect ~finally:(fun () -> f.Vfs.close ()) (fun () -> f.Vfs.size ())
-
 let remove_if_exists vfs p = if vfs.Vfs.exists p then vfs.Vfs.remove p
 
+(* A crash can leave a temp manifest, and the next generation's store —
+   published or still a temp file — that no manifest names yet.  With no
+   manifest the next generation is 0, the base itself, which is kept. *)
 let recover ?(vfs = Vfs.real) ~base () =
   let p = path ~base in
-  if not (vfs.Vfs.exists p) then None
-  else
-    match read ~vfs ~base () with
-    | m ->
-      let stray = gen_path ~base (m.tip + 1) in
-      remove_if_exists vfs stray;
-      remove_if_exists vfs (stray ^ "-journal");
-      Some m
-    | exception E.Storage_error _ when durable_size vfs p < Page.size ->
-      remove_if_exists vfs p;
-      remove_if_exists vfs (p ^ "-journal");
-      None
+  remove_if_exists vfs (Vfs.tmp_path p);
+  let m = if vfs.Vfs.exists p then Some (read ~vfs ~base ()) else None in
+  let next = match m with Some m -> m.tip + 1 | None -> 0 in
+  let stray = gen_path ~base next in
+  if next > 0 then remove_if_exists vfs stray;
+  remove_if_exists vfs (Vfs.tmp_path stray);
+  m

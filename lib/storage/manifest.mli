@@ -12,13 +12,14 @@
     - [tip]: the highest generation ever published (the next flip writes
       [tip + 1]).
 
-    The manifest is itself a single-page {!Pager} file, so updating it
-    inherits the journaled-commit discipline: a crash at any point of
-    {!publish} or {!rollback} recovers (on the next {!recover}) to a
-    manifest naming either the old or the new generation in full — never a
-    mixture, because store files are only ever written {e before} the
-    manifest commit that makes them reachable.  The {!Vfs} layer has no
-    atomic rename, and this module is why none is needed.
+    The manifest is itself a single-page {!Pager} file, and every
+    {!commit} writes a fresh one and renames it over [base.gens]
+    ({!Vfs.publish}), so the manifest rename is the commit point of a
+    flip: a crash at any point of {!publish} or {!rollback} recovers (on
+    the next {!recover}) to a manifest naming either the old or the new
+    generation in full — never a mixture, because a generation's store
+    file is published {e before} the manifest rename that makes it
+    reachable.
 
     All functions take [?vfs] (default {!Vfs.real}) so the fault-injection
     harness can crash them at every operation. *)
@@ -36,16 +37,17 @@ val gen_path : base:string -> int -> string
 val exists : ?vfs:Vfs.t -> base:string -> unit -> bool
 
 val read : ?vfs:Vfs.t -> base:string -> unit -> t
-(** Read the committed manifest (rolling back a hot journal first).
+(** Read the committed manifest.
     @raise Storage_error.Storage_error when missing or corrupt. *)
 
-val read_file : ?vfs:Vfs.t -> ?fsync:bool -> string -> t
+val read_file : ?vfs:Vfs.t -> string -> t
 (** {!read} addressed by the manifest file itself rather than the family
     base — used by [hopi verify-store] when pointed at a [.gens] file. *)
 
 val commit : ?vfs:Vfs.t -> ?fsync:bool -> base:string -> t -> unit
-(** Atomically replace the manifest contents (creating the file on first
-    use).  Validates the triple ([0 <= live, previous <= tip]). *)
+(** Atomically replace the manifest: write a fresh one-page file and
+    rename it over [base.gens].  Validates the triple
+    ([0 <= live, previous <= tip]). *)
 
 val publish :
   ?vfs:Vfs.t ->
@@ -58,10 +60,10 @@ val publish :
 (** Publish generation [tip + 1]: create its store file on a fresh pager,
     run [load] to fill and save it (e.g. [Cover_store.of_cover] +
     [save]), then commit a manifest with [live = tip + 1] and [previous]
-    set to the old live generation.  The manifest commit is the atomic
-    flip point; until it completes, a crash leaves the old manifest
-    intact and at worst a stray half-written [tip + 1] file that
-    {!recover} deletes. *)
+    set to the old live generation.  The manifest rename is the atomic
+    flip point; until it happens, a crash leaves the old manifest intact
+    and at worst a stray [tip + 1] store (published or still a temp
+    file) and a temp manifest, which {!recover} deletes. *)
 
 val rollback : ?vfs:Vfs.t -> ?fsync:bool -> base:string -> unit -> t
 (** Swap [live] and [previous] (a no-op when they are equal): serving
@@ -70,10 +72,11 @@ val rollback : ?vfs:Vfs.t -> ?fsync:bool -> base:string -> unit -> t
     generation number. *)
 
 val recover : ?vfs:Vfs.t -> base:string -> unit -> t option
-(** Crash recovery at open time.  Rolls back a hot manifest journal,
-    deletes a stray [tip + 1] store file left by an interrupted
-    {!publish}, and returns the committed manifest.  Returns [None] when
-    the manifest is absent — including the one legitimate torn state, a
-    crash inside the very first {!commit} before any page was durable (the
-    partial file is removed); a manifest that ever completed a commit is
-    journal-protected and re-raises its corruption instead. *)
+(** Crash recovery at open time: deletes a leftover temp manifest and
+    the [tip + 1] store and temp file an interrupted {!publish} may have
+    left (with no manifest, only generation 0's temp file — the base
+    itself is kept), then returns the committed manifest, or [None] when
+    there is none.  Afterwards the family's only files are the manifest
+    and generations [0..tip].
+    @raise Storage_error.Storage_error on a corrupt manifest (a manifest
+    is only ever replaced whole, so this is real damage). *)

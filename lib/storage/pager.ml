@@ -37,21 +37,13 @@ let m_checksum_failures =
   Registry.counter "hopi_storage_checksum_failures_total"
     ~help:"Pages rejected because their CRC-32 header failed verification"
 
-let m_journal_replays =
-  Registry.counter "hopi_storage_journal_replays_total"
-    ~help:"Hot rollback journals replayed on open (crash recoveries)"
-
-let m_journal_pages =
-  Registry.counter "hopi_storage_journal_pages_total"
-    ~help:"Original page images written to rollback journals"
-
 let m_fsyncs =
   Registry.counter "hopi_storage_fsyncs_total"
-    ~help:"Sync points issued (journal, store and recovery fsyncs)"
+    ~help:"Sync points issued (store file and directory fsyncs at publication)"
 
 let m_commits =
   Registry.counter "hopi_storage_commits_total"
-    ~help:"Atomic commits (checkpointed saves)"
+    ~help:"Page files published (written under a temp name, synced, renamed into place)"
 
 (* Shared read-pool counters are deliberately separate from the private
    buffer-pool counters above: the private series is what builders and
@@ -137,28 +129,26 @@ type slot = {
   mutable pins : int;
 }
 
-(* [Shared] pagers are read-only views over an immutable committed file:
-   page lookups go to the [Read_pool], misses are read (and CRC-verified)
-   under [io_mu] — the one Vfs file handle positions with lseek+read, so
-   concurrent miss reads must not interleave on it — and every write-side
-   entry point is a programming error. *)
+(* Only a [Writing] pager writes: its pages go to [Vfs.tmp_path path]
+   until [commit] publishes that file over [path] and the pager becomes
+   [Published].  [Read_only] pagers opened an existing file.  [Shared]
+   pagers are read-only views whose page lookups go to the [Read_pool];
+   misses are read (and CRC-verified) under [io_mu] — the one Vfs file
+   handle positions with lseek+read, so concurrent miss reads must not
+   interleave on it. *)
 type mode =
-  | Private
+  | Writing of string
+  | Published
+  | Read_only
   | Shared of { pool : Read_pool.t; tag : int; io_mu : Mutex.t }
 
 type t = {
-  mode : mode;
+  mutable mode : mode;
   pool_pages : int;
   cache : (int, slot) Hashtbl.t;
   vfs : Vfs.t;
   file : Vfs.file;
-  journal_path : string;
   do_fsync : bool;
-  mutable journal : Vfs.file option;
-  mutable journal_off : int;
-  mutable journal_unsynced : bool;
-  journaled : (int, unit) Hashtbl.t;  (* page ids already journaled this txn *)
-  mutable committed_pages : int;  (* store size at the last commit *)
   mutable next_page : int;
   mutable clock : int;
   mutable cache_hits : int;
@@ -167,25 +157,16 @@ type t = {
   mutable disk_reads : int;
   mutable disk_writes : int;
   mutable fsyncs : int;
-  mutable journaled_pages : int;
 }
 
-let journal_path_of path = path ^ "-journal"
-
-let mk ?(mode = Private) ~pool_pages ~fsync ~vfs ~file ~path ~next_page () =
+let mk ~mode ~pool_pages ~fsync ~vfs ~file ~next_page =
   {
     mode;
     pool_pages = max pool_pages 8;
     cache = Hashtbl.create 64;
     vfs;
     file;
-    journal_path = journal_path_of path;
     do_fsync = fsync;
-    journal = None;
-    journal_off = 0;
-    journal_unsynced = false;
-    journaled = Hashtbl.create 16;
-    committed_pages = next_page;
     next_page;
     clock = 0;
     cache_hits = 0;
@@ -194,32 +175,20 @@ let mk ?(mode = Private) ~pool_pages ~fsync ~vfs ~file ~path ~next_page () =
     disk_reads = 0;
     disk_writes = 0;
     fsyncs = 0;
-    journaled_pages = 0;
   }
 
+(* a stale temp file from an interrupted publication is truncated away;
+   [path] itself is untouched until [commit] *)
 let create_vfs ?(pool_pages = 256) ?(fsync = true) ~vfs path =
-  (* a stale journal belongs to the store being truncated away — it must
-     never be replayed over the new one *)
-  if vfs.Vfs.exists (journal_path_of path) then vfs.Vfs.remove (journal_path_of path);
-  let file = vfs.Vfs.open_file path ~create:true in
-  mk ~pool_pages ~fsync ~vfs ~file ~path ~next_page:0 ()
+  let file = vfs.Vfs.open_file (Vfs.tmp_path path) ~create:true in
+  mk ~mode:(Writing path) ~pool_pages ~fsync ~vfs ~file ~next_page:0
 
 let create ?pool_pages ?fsync backend =
   match backend with
   | Memory -> create_vfs ?pool_pages ?fsync ~vfs:(Vfs.memory ()) "mem.db"
   | File path -> create_vfs ?pool_pages ?fsync ~vfs:Vfs.real path
 
-let open_mode ?mode ~pool_pages ~fsync ~vfs path =
-  (match
-     Journal.rollback ~vfs ~path ~journal_path:(journal_path_of path) ~fsync
-   with
-  | `No_journal -> ()
-  | `Discarded ->
-    Log.info (fun m -> m "%s: discarded an empty hot journal" path)
-  | `Rolled_back n ->
-    Counter.incr m_journal_replays;
-    if fsync then Counter.incr m_fsyncs;
-    Log.info (fun m -> m "%s: rolled back %d page(s) from a hot journal" path n));
+let open_mode ~mode ~pool_pages ~vfs path =
   let file = vfs.Vfs.open_file path ~create:false in
   let size = file.Vfs.size () in
   if size mod Page.size <> 0 then begin
@@ -227,85 +196,34 @@ let open_mode ?mode ~pool_pages ~fsync ~vfs path =
     Storage_error.raise_error
       (Truncated (Printf.sprintf "%s: %d bytes is not a whole number of pages" path size))
   end;
-  mk ?mode ~pool_pages ~fsync ~vfs ~file ~path ~next_page:(size / Page.size) ()
+  mk ~mode ~pool_pages ~fsync:false ~vfs ~file ~next_page:(size / Page.size)
 
-let open_vfs ?(pool_pages = 256) ?(fsync = true) ~vfs path =
-  open_mode ~pool_pages ~fsync ~vfs path
+let open_vfs ?(pool_pages = 256) ~vfs path = open_mode ~mode:Read_only ~pool_pages ~vfs path
 
-let open_existing ?pool_pages ?fsync path = open_vfs ?pool_pages ?fsync ~vfs:Vfs.real path
+let open_existing ?pool_pages path = open_vfs ?pool_pages ~vfs:Vfs.real path
 
-let open_shared_vfs ?(fsync = true) ~vfs ~pool path =
+let open_shared_vfs ~vfs ~pool path =
   let mode =
     Shared { pool; tag = Read_pool.fresh_tag pool; io_mu = Mutex.create () }
   in
   (* pool_pages is irrelevant in shared mode (the private cache is never
      consulted) but [mk] still wants a sane floor *)
-  open_mode ~mode ~pool_pages:8 ~fsync ~vfs path
+  open_mode ~mode ~pool_pages:8 ~vfs path
 
-let open_shared ?fsync ~pool path = open_shared_vfs ?fsync ~vfs:Vfs.real ~pool path
-
-let read_only t = match t.mode with Private -> false | Shared _ -> true
+let open_shared ~pool path = open_shared_vfs ~vfs:Vfs.real ~pool path
 
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-(* {1 Journal discipline}
-
-   Invariant: before any write reaches the main file, a journal with a
-   durable header exists (so recovery can truncate newly appended pages),
-   and the original image of any committed page being overwritten is a
-   durable journal record. *)
-
-let sync_journal t j =
-  if t.journal_unsynced then begin
-    if t.do_fsync then begin
-      j.Vfs.sync ();
-      t.fsyncs <- t.fsyncs + 1;
-      Counter.incr m_fsyncs
-    end;
-    t.journal_unsynced <- false
-  end
-
-let ensure_journal t =
-  match t.journal with
-  | Some j -> j
-  | None ->
-    let j = t.vfs.Vfs.open_file t.journal_path ~create:true in
-    Journal.create j ~n_pages:t.committed_pages;
-    t.journal_off <- Journal.header_size;
-    t.journal_unsynced <- true;
-    t.journal <- Some j;
-    j
-
-let journal_page t id =
-  if id < t.committed_pages && not (Hashtbl.mem t.journaled id) then begin
-    let j = ensure_journal t in
-    (* the on-disk image is still the committed original, because pages are
-       journaled before their first overwrite *)
-    let orig = Page.create () in
-    ignore (Vfs.read_full t.file orig ~off:(id * Page.size) ~pos:0 ~len:Page.size);
-    Journal.append j ~off:t.journal_off ~page_id:id orig;
-    t.journal_off <- t.journal_off + Journal.record_size;
-    t.journal_unsynced <- true;
-    t.journaled_pages <- t.journaled_pages + 1;
-    Counter.incr m_journal_pages;
-    Hashtbl.replace t.journaled id ()
-  end
-
-(* Write one page to the main file, checksum stamped.  Assumes the journal
-   discipline for [id] has already been honoured. *)
-let write_main t id page =
+(* Write one page, checksum stamped, to the temp file of a [Writing]
+   pager — nobody reads that file until [commit] publishes it, so no
+   write needs protecting. *)
+let write_back t id page =
   t.disk_writes <- t.disk_writes + 1;
   Counter.incr m_page_writes;
   Page.stamp page;
   t.file.Vfs.write page ~off:(id * Page.size) ~pos:0 ~len:Page.size
-
-let write_back t id page =
-  journal_page t id;
-  let j = ensure_journal t in
-  sync_journal t j;
-  write_main t id page
 
 let read_from_store t id =
   t.disk_reads <- t.disk_reads + 1;
@@ -347,13 +265,14 @@ let cache_insert t id page =
   Hashtbl.replace t.cache id slot;
   slot
 
-let require_private t what =
+let require_writing t what =
   match t.mode with
-  | Private -> ()
-  | Shared _ -> invalid_arg ("Pager." ^ what ^ ": pager is a read-only shared view")
+  | Writing _ -> ()
+  | Published -> invalid_arg ("Pager." ^ what ^ ": the page file is already published")
+  | Read_only | Shared _ -> invalid_arg ("Pager." ^ what ^ ": pager is a read-only view")
 
 let alloc t =
-  require_private t "alloc";
+  require_writing t "alloc";
   Counter.incr m_pages_allocated;
   let id = t.next_page in
   t.next_page <- t.next_page + 1;
@@ -399,84 +318,55 @@ let read_shared t pool tag io_mu id =
 
 let read t id =
   match t.mode with
-  | Private -> (slot_of t id).page
   | Shared { pool; tag; io_mu } -> read_shared t pool tag io_mu id
+  | Writing _ | Published | Read_only -> (slot_of t id).page
 
 let pin t id =
   match t.mode with
-  | Private ->
-    let slot = slot_of t id in
-    slot.pins <- slot.pins + 1;
-    slot.page
   | Shared _ ->
     (* nothing mutates or recycles shared pages, so a pin is just a read *)
     read t id
+  | Writing _ | Published | Read_only ->
+    let slot = slot_of t id in
+    slot.pins <- slot.pins + 1;
+    slot.page
 
 let unpin t id =
   match t.mode with
   | Shared _ -> ()
-  | Private ->
+  | Writing _ | Published | Read_only ->
     (match Hashtbl.find_opt t.cache id with
     | Some slot when slot.pins > 0 -> slot.pins <- slot.pins - 1
     | Some _ -> invalid_arg "Pager.unpin: page not pinned"
     | None -> invalid_arg "Pager.unpin: page not resident")
 
 let mark_dirty t id =
-  require_private t "mark_dirty";
+  require_writing t "mark_dirty";
   match Hashtbl.find_opt t.cache id with
   | Some slot -> slot.dirty <- true
   | None -> invalid_arg "Pager.mark_dirty: page not resident"
 
-let dirty_slots t =
-  Hashtbl.fold (fun id slot acc -> if slot.dirty then (id, slot) :: acc else acc)
-    t.cache []
-
-let flush t =
-  require_private t "flush";
-  List.iter
-    (fun (id, slot) ->
-      write_back t id slot.page;
-      slot.dirty <- false)
-    (dirty_slots t)
-
-let sync_main t =
-  if t.do_fsync then begin
-    t.file.Vfs.sync ();
-    t.fsyncs <- t.fsyncs + 1;
-    Counter.incr m_fsyncs
-  end
-
 let commit t =
-  require_private t "commit";
-  let dirty = dirty_slots t in
-  if dirty <> [] || t.journal <> None then begin
-    (* 1. journal the originals of every committed page about to change,
-       then make the whole journal durable with one sync *)
-    List.iter (fun (id, _) -> journal_page t id) dirty;
-    if dirty <> [] then begin
-      let j = ensure_journal t in
-      sync_journal t j
+  match t.mode with
+  | Published -> ()
+  | Read_only | Shared _ -> require_writing t "commit"
+  | Writing path ->
+    Hashtbl.iter
+      (fun id slot ->
+        if slot.dirty then begin
+          write_back t id slot.page;
+          slot.dirty <- false
+        end)
+      t.cache;
+    (* the commit point: the synced temp file is renamed over [path] *)
+    Vfs.publish t.vfs ~fsync:t.do_fsync t.file path;
+    if t.do_fsync then begin
+      (* the file, then its directory entry *)
+      t.fsyncs <- t.fsyncs + 2;
+      Counter.add m_fsyncs 2
     end;
-    (* 2. write the new state *)
-    List.iter
-      (fun (id, slot) ->
-        write_main t id slot.page;
-        slot.dirty <- false)
-      dirty;
-    (* 3. make it durable *)
-    sync_main t;
-    (* 4. commit point: drop the journal *)
-    (match t.journal with
-    | Some j ->
-      j.Vfs.close ();
-      t.journal <- None
-    | None -> ());
-    if t.vfs.Vfs.exists t.journal_path then t.vfs.Vfs.remove t.journal_path;
-    Hashtbl.reset t.journaled;
-    t.journal_unsynced <- false;
-    t.committed_pages <- t.next_page;
+    t.mode <- Published;
     Counter.incr m_commits
-  end
 
 let verify_pages t =
   let scan () =
@@ -492,7 +382,7 @@ let verify_pages t =
     !bad
   in
   match t.mode with
-  | Private -> scan ()
+  | Writing _ | Published | Read_only -> scan ()
   | Shared { io_mu; _ } ->
     (* the raw file scan must not interleave with concurrent miss reads *)
     Mutex.lock io_mu;
@@ -506,12 +396,11 @@ type stats = {
   disk_reads : int;
   disk_writes : int;
   fsyncs : int;
-  journaled_pages : int;
 }
 
 let stats t =
   match t.mode with
-  | Private ->
+  | Writing _ | Published | Read_only ->
     {
       pages = t.next_page;
       cache_hits = t.cache_hits;
@@ -520,7 +409,6 @@ let stats t =
       disk_reads = t.disk_reads;
       disk_writes = t.disk_writes;
       fsyncs = t.fsyncs;
-      journaled_pages = t.journaled_pages;
     }
   | Shared { pool; _ } ->
     (* hit/miss/eviction numbers are pool-wide (the pool is the cache);
@@ -534,12 +422,12 @@ let stats t =
       disk_reads = t.disk_reads;
       disk_writes = 0;
       fsyncs = 0;
-      journaled_pages = 0;
     }
 
 let close t =
   (match t.mode with
-  | Private -> commit t
+  | Writing _ -> commit t
+  | Published | Read_only -> ()
   | Shared { pool; tag; _ } -> Read_pool.drop_tag pool tag);
   Log.info (fun m ->
       m "pager closed: %d pages, %d hits / %d misses, %d evictions, %d fsyncs"

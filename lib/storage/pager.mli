@@ -1,4 +1,4 @@
-(** Page manager with a bounded buffer pool and crash-safe storage.
+(** Page manager with a bounded buffer pool over write-once page files.
 
     Pages live in a {!Vfs} file (a real file, or a private in-memory file
     system for the [Memory] backend) with an LRU-evicted write-back cache
@@ -7,28 +7,24 @@
     - every page carries a CRC-32 header ({!Page.stamp}) written at
       write-back and verified on every cache miss — a flipped byte
       anywhere in a persisted page raises [Storage_error (Checksum _)];
-    - all writes between two {!commit}s form a transaction protected by a
-      rollback {!Journal}: the original image of any committed page is
-      journaled and fsynced before the page is first overwritten, so a
-      crash at *any* point rolls back to the last committed state;
-    - {!commit} is the atomic save: journal, write back, fsync the store,
-      then delete the journal (the commit point);
-    - opening a store ({!open_existing} / {!open_vfs}) first recovers from
-      a hot journal left by a crash.
+    - a page file is written once: {!create} writes [path.tmp]
+      ({!Vfs.tmp_path}), and {!commit} publishes it — write back, fsync,
+      rename over [path] ({!Vfs.publish}).  The rename is the commit
+      point, so a crash at any point leaves [path] holding its previous
+      file or the new one in full, and a reader that has the previous
+      file open keeps reading it;
+    - a published file is never written again: after {!commit} the pager
+      still reads, but every write-side entry point raises
+      [Invalid_argument], and {!open_existing} / {!open_vfs} /
+      {!open_shared} return read-only views.
 
-    Stores are written once: a cover or closure store appends fresh pages
-    and commits them in one transaction, so {!alloc} always appends and no
-    page is freed.  Overwriting committed pages is still fully supported —
-    a {!Manifest} commit rewrites its one committed page, and any caller
-    may run a raw page transaction ({!read}, mutate, {!mark_dirty},
-    {!commit}) — and the journal is what makes those overwrites atomic.
-
-    [fsync:false] trades power-loss durability for speed: the journal is
-    still written (process crashes still recover) but nothing is synced. *)
+    [fsync:false] trades power-loss durability for speed: publication is
+    still a rename (process crashes still leave the old or the new file)
+    but nothing is synced. *)
 
 type backend =
   | Memory  (** pages live in a private in-memory file system *)
-  | File of string  (** pages are stored in this file (created/truncated) *)
+  | File of string  (** pages are published to this file by {!commit} *)
 
 type t
 
@@ -41,8 +37,8 @@ type t
     per-domain private pools (see DESIGN.md, Shared read path).  Entries
     are immutable verified page images: eviction drops the table
     reference only, so readers holding a page across an eviction keep a
-    valid image.  (A writable pager's private pool is not an [Lru]: it
-    pins pages and writes dirty ones back under the journal.)  Metrics:
+    valid image.  (A writing pager's private pool is not an [Lru]: it
+    pins pages and writes dirty ones back to the temp file.)  Metrics:
     [hopi_storage_shared_pool_hits_total] / [_misses_total] /
     [_evictions_total] and the [hopi_storage_shared_pool_pages] gauge — a
     series deliberately disjoint from the private buffer-pool counters,
@@ -75,55 +71,60 @@ type stats = {
   evictions : int;
   disk_reads : int;
   disk_writes : int;
-  fsyncs : int;  (** sync points issued (0 when [fsync:false]) *)
-  journaled_pages : int;  (** original images saved to the rollback journal *)
+  fsyncs : int;
+      (** sync points issued: the file and its directory at publication
+          (0 when [fsync:false]) *)
 }
 
 val create : ?pool_pages:int -> ?fsync:bool -> backend -> t
-(** [pool_pages] (default 256) bounds the buffer pool; [fsync] (default
-    [true]) controls whether sync points hit the disk.  A [File] backend
-    is created or truncated (any stale journal is deleted); use
-    {!open_existing} to reopen a page file. *)
+(** A pager writing a new page file.  [pool_pages] (default 256) bounds
+    the buffer pool; [fsync] (default [true]) controls whether
+    publication syncs.  A [File path] backend writes [path.tmp]
+    (truncating one left by an interrupted publication); an existing
+    file at [path] stays readable, unchanged, until {!commit} renames
+    the new file over it.  Use {!open_existing} to read a published
+    file. *)
 
 val create_vfs : ?pool_pages:int -> ?fsync:bool -> vfs:Vfs.t -> string -> t
 (** Like [create (File path)] but on an explicit {!Vfs} (used by the
     fault-injection tests). *)
 
-val open_existing : ?pool_pages:int -> ?fsync:bool -> string -> t
-(** Open a page file written earlier, rolling back a hot journal first if
-    the last session crashed mid-transaction.
+val open_existing : ?pool_pages:int -> string -> t
+(** Open a published page file as a read-only view with a private buffer
+    pool: {!read}/{!pin}/{!unpin}, the introspection functions and
+    {!close} work; {!alloc}, {!mark_dirty} and {!commit} raise
+    [Invalid_argument].
     @raise Storage_error.Storage_error — [File_not_found] on missing
     files, [Truncated] on a file that is not a whole number of pages,
-    [Journal_corrupt]/[Io] on unrecoverable journals. *)
+    [Io] on an unreadable one. *)
 
-val open_vfs : ?pool_pages:int -> ?fsync:bool -> vfs:Vfs.t -> string -> t
+val open_vfs : ?pool_pages:int -> vfs:Vfs.t -> string -> t
 (** Like {!open_existing} on an explicit {!Vfs}. *)
 
-val open_shared : ?fsync:bool -> pool:Read_pool.t -> string -> t
+val open_shared : pool:Read_pool.t -> string -> t
 (** Open a committed page file as a {e read-only shared view}: page
     fetches probe (and fill) [pool] instead of a private buffer pool, so
     any number of domains sharing one pager — or several pagers over one
     pool — serve from one warm set of pages.  Miss reads are serialised
     per pager (the underlying file handle is not positionally safe across
     domains) and CRC-verified before they enter the pool, exactly like a
-    private-pool miss.  A hot journal is still rolled back first.
+    private-pool miss.
 
     The returned pager accepts {!read}/{!pin}/{!unpin}, the
     introspection functions and {!close}; every write-side operation
-    ({!alloc}, {!mark_dirty}, {!flush}, {!commit}) raises
+    ({!alloc}, {!mark_dirty}, {!commit}) raises
     [Invalid_argument].  {!close} releases the file and drops exactly
     this pager's pages from the pool.
     @raise Storage_error.Storage_error as {!open_existing}. *)
 
-val open_shared_vfs : ?fsync:bool -> vfs:Vfs.t -> pool:Read_pool.t -> string -> t
+val open_shared_vfs : vfs:Vfs.t -> pool:Read_pool.t -> string -> t
 (** {!open_shared} on an explicit {!Vfs} (fault-injection tests). *)
-
-val read_only : t -> bool
-(** Was this pager opened with {!open_shared}? *)
 
 val alloc : t -> int
 (** Append a zeroed page; returns its id.  Pages are never freed: stores
-    are written once (see {!Btree}), and a rebuilt store is a new file. *)
+    are written once (see {!Btree}), and a rebuilt store is a new file.
+    @raise Invalid_argument unless the pager came from {!create} and has
+    not been committed. *)
 
 val n_pages : t -> int
 
@@ -143,18 +144,16 @@ val pin : t -> int -> Page.t
 val unpin : t -> int -> unit
 
 val mark_dirty : t -> int -> unit
-
-val flush : t -> unit
-(** Write back all dirty pages (under the journal discipline).  This is
-    *not* a commit point: a crash after [flush] still rolls back to the
-    last {!commit}. *)
+(** @raise Invalid_argument as {!alloc}. *)
 
 val commit : t -> unit
-(** Atomically make the current state the new committed state: journal the
-    originals of every dirty committed page, fsync the journal, write all
-    dirty pages back, fsync the store, then delete the journal.  A crash
-    anywhere inside [commit] recovers to either the previous or the new
-    committed state, never a mixture. *)
+(** Publish the file: write every dirty page back to [path.tmp], fsync
+    it, rename it over [path] and (with [fsync]) fsync the directory.  A
+    crash anywhere inside [commit] leaves [path] holding either the
+    previous file or the new one, never a mixture.  Afterwards the pager
+    reads the published file and rejects writes; a second [commit] is a
+    no-op.
+    @raise Invalid_argument on a read-only view. *)
 
 val verify_pages : t -> int list
 (** Checksum-verify every page image directly from the backing file
@@ -167,8 +166,8 @@ val stats : t -> stats
     write-side fields are 0; [disk_reads] is this pager's own. *)
 
 val close : t -> unit
-(** {!commit} and release the backing file.  A shared read-only view has
-    nothing to commit: it releases the file and evicts its pages from the
+(** Release the backing file, first {!commit}ting a pager that is still
+    writing.  A shared read-only view also evicts its pages from the
     shared pool. *)
 
 val size_bytes : t -> int

@@ -6,7 +6,6 @@ type t =
   | Bad_version of { got : int; expected : int }
   | Bad_catalog of string
   | Checksum of { page : int }
-  | Journal_corrupt of string
 
 exception Storage_error of t
 
@@ -22,7 +21,6 @@ let to_string = function
     Printf.sprintf "unsupported format version %d (expected %d)" got expected
   | Bad_catalog msg -> Printf.sprintf "bad catalog: %s" msg
   | Checksum { page } -> Printf.sprintf "checksum mismatch on page %d" page
-  | Journal_corrupt msg -> Printf.sprintf "corrupt journal: %s" msg
 
 let () =
   Printexc.register_printer (function

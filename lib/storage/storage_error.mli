@@ -1,6 +1,6 @@
 (** Typed failures of the storage engine.
 
-    Every error path of the pager, journal, catalog and stores raises
+    Every error path of the VFS, pager, catalog and stores raises
     {!Storage_error}; corruption is always *rejected* with one of these —
     never silently returned as data (see DESIGN.md, Storage durability). *)
 
@@ -10,9 +10,10 @@ type t =
   | Truncated of string  (** file shorter than the structure it must hold *)
   | Bad_magic of { got : int; expected : int }
   | Bad_version of { got : int; expected : int }
-  | Bad_catalog of string  (** catalog page is well-formed but inconsistent *)
+  | Bad_catalog of string
+      (** a catalog page is well-formed but inconsistent, or a shard
+          routing index fails its checksum *)
   | Checksum of { page : int }  (** page failed CRC/flag verification *)
-  | Journal_corrupt of string
 
 exception Storage_error of t
 

@@ -11,6 +11,7 @@ type t = {
   open_file : string -> create:bool -> file;
   exists : string -> bool;
   remove : string -> unit;
+  rename : sync:bool -> string -> string -> unit;
   list_dir : string -> string list;
 }
 
@@ -30,6 +31,20 @@ let io fmt = Printf.ksprintf (fun m -> Storage_error.raise_error (Io m)) fmt
 let wrap op path f =
   try f ()
   with Unix.Unix_error (e, _, _) -> io "%s %s: %s" op path (Unix.error_message e)
+
+(* a rename is durable once the directory entry is: fsync the parent
+   (file systems that cannot fsync a directory answer EINVAL, and have
+   nothing more to flush) *)
+let sync_dir path =
+  let dir = Filename.dirname path in
+  let fd =
+    try Unix.openfile dir [ Unix.O_RDONLY ] 0
+    with Unix.Unix_error (e, _, _) -> io "open %s: %s" dir (Unix.error_message e)
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  try Unix.fsync fd with
+  | Unix.Unix_error (Unix.EINVAL, _, _) -> ()
+  | Unix.Unix_error (e, _, _) -> io "fsync %s: %s" dir (Unix.error_message e)
 
 let real =
   let open_file path ~create =
@@ -76,6 +91,21 @@ let real =
         | Unix.Unix_error (Unix.ENOENT, _, _) ->
           Storage_error.raise_error (File_not_found path)
         | Unix.Unix_error (e, _, _) -> io "unlink %s: %s" path (Unix.error_message e));
+    rename =
+      (fun ~sync src dst ->
+        (* a file published over [dst] keeps the permission bits an
+           operator gave it (the owner becomes the publisher's) *)
+        (try
+           (match Unix.stat dst with
+            | st -> Unix.chmod src st.Unix.st_perm
+            | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+           Unix.rename src dst
+         with
+         | Unix.Unix_error (Unix.ENOENT, _, _) ->
+           Storage_error.raise_error (File_not_found src)
+         | Unix.Unix_error (e, _, _) ->
+           io "rename %s -> %s: %s" src dst (Unix.error_message e));
+        if sync then sync_dir dst);
     list_dir =
       (fun dir ->
         match Sys.readdir dir with
@@ -144,6 +174,15 @@ let memory () =
         if not (Hashtbl.mem files path) then
           Storage_error.raise_error (File_not_found path);
         Hashtbl.remove files path);
+    rename =
+      (fun ~sync:_ src dst ->
+        match Hashtbl.find_opt files src with
+        | None -> Storage_error.raise_error (File_not_found src)
+        | Some f ->
+          (* handles on the old [dst] keep its record, as an open fd keeps
+             its inode *)
+          Hashtbl.remove files src;
+          Hashtbl.replace files dst f);
     list_dir =
       (fun dir ->
         Hashtbl.fold
@@ -153,3 +192,37 @@ let memory () =
           files []
         |> List.sort compare);
   }
+
+(* {1 Publishing} *)
+
+let tmp_path path = path ^ ".tmp"
+
+let publish t ~fsync file path =
+  if fsync then file.sync ();
+  t.rename ~sync:fsync (tmp_path path) path
+
+(* written in chunks straight out of the buffer: no copy of the whole
+   contents is ever made *)
+let write_file t ~fsync path contents =
+  let f = t.open_file (tmp_path path) ~create:true in
+  Fun.protect ~finally:f.close @@ fun () ->
+  let chunk = Bytes.create 65536 in
+  let len = Buffer.length contents in
+  let rec go off =
+    if off < len then begin
+      let n = min (Bytes.length chunk) (len - off) in
+      Buffer.blit contents off chunk 0 n;
+      f.write chunk ~off ~pos:0 ~len:n;
+      go (off + n)
+    end
+  in
+  go 0;
+  publish t ~fsync f path
+
+let read_file t path =
+  let f = t.open_file path ~create:false in
+  Fun.protect ~finally:f.close @@ fun () ->
+  let n = f.size () in
+  let buf = Bytes.create n in
+  let got = read_full f buf ~off:0 ~pos:0 ~len:n in
+  if got = n then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 got

@@ -8,6 +8,14 @@
     descriptors, and {!memory}, a private in-process file system used by
     the [Memory] pager backend (and as the substrate of crash tests).
 
+    Files reach their names one way only: written in full under
+    {!tmp_path}, synced, and renamed into place ({!publish}).  A published
+    file is never written again, so a reader holding it open keeps
+    reading the same bytes however often the name is re-published, and a
+    crash leaves each name holding its old or its new contents, never a
+    mixture.  This rests on {!field-t.rename} being atomic and — after the
+    directory fsync {!real} issues — durable.
+
     All operations raise {!Storage_error.Storage_error} on failure. *)
 
 type file = {
@@ -31,6 +39,13 @@ type t = {
           [File_not_found] when the path does not exist. *)
   exists : string -> bool;
   remove : string -> unit;
+  rename : sync:bool -> string -> string -> unit;
+      (** [rename ~sync src dst] atomically replaces [dst] with [src]; an
+          open handle on the old [dst] keeps its old contents.  With
+          [sync], the rename itself is made durable (the real file system
+          fsyncs the parent directory).  {!real} first gives [src] the
+          permission bits of the [dst] it replaces, so an operator's
+          [chmod] survives a rebuild; the owner becomes the caller. *)
   list_dir : string -> string list;
       (** Names (without the directory prefix) of the files in a
           directory, sorted; an unreadable or missing directory lists as
@@ -48,3 +63,20 @@ val memory : unit -> t
 val read_full : file -> Bytes.t -> off:int -> pos:int -> len:int -> int
 (** Loop {!field-file.read} until [len] bytes or end-of-file; returns the
     number of bytes actually read. *)
+
+val tmp_path : string -> string
+(** [path ^ ".tmp"]: where the next version of [path] is written before
+    {!publish} renames it into place. *)
+
+val publish : t -> fsync:bool -> file -> string -> unit
+(** [publish vfs ~fsync f path]: [f] is the open {!tmp_path} of [path];
+    sync it (when [fsync]) and rename it over [path] — the commit point.
+    [f] stays open and now reads as [path]. *)
+
+val write_file : t -> fsync:bool -> string -> Buffer.t -> unit
+(** [write_file vfs ~fsync path contents] writes [contents] to
+    [tmp_path path] and {!publish}es it. *)
+
+val read_file : t -> string -> string
+(** The whole contents of a file.
+    @raise Storage_error.Storage_error [File_not_found] when missing. *)

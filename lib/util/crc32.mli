@@ -1,7 +1,7 @@
 (** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte ranges.
 
-    Used by the storage engine for page checksums and journal-record
-    checksums.  Computed slicing-by-8 (eight 256-entry tables, eight bytes
+    Used by the storage engine for page checksums and by the shard
+    router for its routing-index checksum.  Computed slicing-by-8 (eight 256-entry tables, eight bytes
     per step, byte-at-a-time tail) over a native [int] register; the
     values are identical to the classic table-driven IEEE CRC-32
     (["123456789"] gives [0xCBF43926]).  Allocation-free apart from the

@@ -31,6 +31,8 @@ let create () =
 
 let op_count t = t.ops
 
+let write_count t = t.writes
+
 let read_count t = t.reads
 
 let reset_ops t =
@@ -193,6 +195,16 @@ let vfs t =
     if not (Hashtbl.mem t.files path) then E.raise_error (File_not_found path);
     Hashtbl.remove t.files path
   in
+  let rename ~sync:_ src dst =
+    (* metadata: modelled as atomic and durable (see DESIGN.md); a handle
+       on the replaced [dst] keeps its old image *)
+    check_op t;
+    match Hashtbl.find_opt t.files src with
+    | None -> E.raise_error (File_not_found src)
+    | Some st ->
+      Hashtbl.remove t.files src;
+      Hashtbl.replace t.files dst st
+  in
   let list_dir dir =
     Hashtbl.fold
       (fun path _ acc ->
@@ -200,7 +212,7 @@ let vfs t =
       t.files []
     |> List.sort compare
   in
-  { Vfs.open_file; exists; remove; list_dir }
+  { Vfs.open_file; exists; remove; rename; list_dir }
 
 (* {1 Snapshots and corruption} *)
 

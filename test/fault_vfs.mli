@@ -8,12 +8,17 @@
     what a fresh process would see when it reopens the files.
 
     Failure-model assumptions (documented in DESIGN.md): metadata
-    operations — [remove] and [truncate] — are atomic and durable; a torn
-    write delivers a prefix of the buffer; un-synced writes either all
-    survive ([Keep_unsynced]) or all vanish ([Drop_unsynced]) — intermediate
+    operations — [remove], [truncate] and [rename] — are atomic and
+    durable (the real file system earns this for [rename] with the
+    directory fsync {!Hopi_storage.Vfs.real} issues); a rename moves the
+    file's images to the new name, and a handle still open on the
+    replaced file keeps reading the old one; a torn write delivers a
+    prefix of the buffer; un-synced writes either all survive
+    ([Keep_unsynced]) or all vanish ([Drop_unsynced]) — intermediate
     interleavings are covered by crashing at every operation index.
 
-    Counted operations (the crash clock): write, sync, truncate, remove.
+    Counted operations (the crash clock): write, sync, truncate, remove,
+    rename.
     Reads tick a {e separate} clock ({!read_count}) so read-side fault
     plans ({!arm_fail_read}, {!arm_torn_read}) never shift the
     crash-matrix operation indexes of existing workloads. *)
@@ -47,6 +52,10 @@ val arm_crash : t -> op:int -> mode:mode -> ?tear:int -> unit -> unit
 val arm_fail_write : t -> n:int -> unit
 (** Make the [n]-th write (0-based) raise [Storage_error (Io _)] — a
     reported I/O error, not a crash: no data is lost. *)
+
+val write_count : t -> int
+(** Writes performed so far (each also counts in {!op_count}).  Probe a
+    workload fault-free to learn its write count, then fail each index. *)
 
 val read_count : t -> int
 (** Reads performed so far (its own clock — not part of {!op_count}).

@@ -1,7 +1,8 @@
 (* Crash-safety tests: drive the storage engine through a fault-injecting
-   Vfs and check the atomic-save contract — after a crash at ANY point of a
-   save, the store reopens to either the previous committed state or the
-   completed save, never to silent corruption.
+   Vfs and check the publication contract — after a crash at ANY point of
+   writing a page file over an existing one, the path reopens to either
+   the previous file or the completed new one, never to a mixture or to
+   silent corruption.
 
    HOPI_FAULT_ITERS scales the qcheck soak (CI runs it much larger than the
    default `dune runtest`). *)
@@ -23,117 +24,88 @@ let iters =
 
 let path = "crash.db"
 
-(* the base index: a deterministic random DAG-ish graph over 16 nodes *)
-let base_graph () =
-  let rng = Splitmix.create 7 in
+(* a deterministic random graph over [n] nodes with [m] edge draws *)
+let random_graph ~seed ~n ~m =
+  let rng = Splitmix.create seed in
   let g = Digraph.create () in
-  for v = 0 to 15 do
+  for v = 0 to n - 1 do
     Digraph.add_node g v
   done;
-  for _ = 1 to 30 do
-    let u = Splitmix.int rng 16 and v = Splitmix.int rng 16 in
+  for _ = 1 to m do
+    let u = Splitmix.int rng n and v = Splitmix.int rng n in
     if u <> v then Digraph.add_edge g u v
   done;
   g
 
 let domain = List.init 16 Fun.id
 
-let matrix store =
-  List.map (fun u -> List.map (fun v -> Cover_store.connected store u v) domain) domain
+let cover_matrix cover dom =
+  List.map (fun u -> List.map (fun v -> Cover.connected cover u v) dom) dom
 
-(* Phase A: build and save the base store (fault-free). *)
-let phase_a vfs =
-  let cover, _ = Hopi_twohop.Builder.build (Closure.compute (base_graph ())) in
-  let pgr = Pager.create_vfs ~pool_pages:8 ~vfs path in
+(* Write [cover] as a store at [file] through an 8-page pool, so pages
+   are evicted to the temp file long before the commit publishes it. *)
+let publish_store vfs file cover =
+  let pgr = Pager.create_vfs ~pool_pages:8 ~vfs file in
   Cover_store.save (Cover_store.of_cover pgr cover);
-  Pager.close pgr;
-  cover
+  Pager.close pgr
 
-let base_matrix vfs =
-  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
-  Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
-  matrix (Cover_store.open_pager pgr)
+let cover_of g = fst (Hopi_twohop.Builder.build (Closure.compute g))
 
-(* The recovered image, page by page: open (rolling back a hot journal),
-   check every page's CRC, and digest every payload. *)
-let page_digests vfs file =
+(* the base store and the larger one published over it *)
+let cover_a () = cover_of (random_graph ~seed:7 ~n:16 ~m:30)
+
+let cover_b () = cover_of (random_graph ~seed:8 ~n:400 ~m:500)
+
+(* The file at [file] as a reader sees it: every page CRC-checked and
+   digested, plus the store's answers over [dom]. *)
+let reopen vfs file dom =
   let pgr = Pager.open_vfs ~pool_pages:8 ~vfs file in
   Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
   if Pager.verify_pages pgr <> [] then failwith "corrupt page after recovery";
-  List.init (Pager.n_pages pgr) (fun id ->
-      Digest.subbytes (Pager.read pgr id) Page.payload_off (Page.size - Page.payload_off))
-
-(* A raw transaction on a committed file: rewrite the payloads of the
-   [rewrite] pages, append [append] pages, commit.  Through an 8-page
-   pool the appends evict the rewritten pages, so committed pages are
-   journaled and written back before the commit.  Returns the pager's
-   stats just before the commit. *)
-let rewrite_txn vfs file ~rewrite ~append =
-  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs file in
-  let fill id =
-    let page = Pager.read pgr id in
-    for w = 0 to ((Page.size - Page.payload_off) / 4) - 1 do
-      Page.set_i32 page (Page.payload_off + (4 * w)) (((id * 7919) + (w * 31)) land 0xFFFFFF)
-    done;
-    Pager.mark_dirty pgr id
+  let digests =
+    List.init (Pager.n_pages pgr) (fun id ->
+        Digest.subbytes (Pager.read pgr id) Page.payload_off (Page.size - Page.payload_off))
   in
-  List.iter fill rewrite;
-  for _ = 1 to append do
-    fill (Pager.alloc pgr)
-  done;
-  let st = Pager.stats pgr in
-  Pager.commit pgr;
-  Pager.close pgr;
-  st
-
-(* Phase B: rewrite every committed page of the base but the catalog and
-   append 12 pages.  Deterministic. *)
-let phase_b vfs ~base_pages =
-  rewrite_txn vfs path ~rewrite:(List.init (base_pages - 1) succ) ~append:12
+  let st = Cover_store.open_pager pgr in
+  (digests, List.map (fun u -> List.map (Cover_store.connected st u) dom) dom)
 
 let setup () =
   let fv = Fv.create () in
   let vfs = Fv.vfs fv in
-  let cover = phase_a vfs in
+  let cover = cover_a () in
+  publish_store vfs path cover;
   let s1 = Fv.snapshot fv in
   (fv, vfs, cover, s1)
 
-let base_pages fv = Fv.durable_size fv path / Page.size
-
 let test_crash_matrix () =
   let fv, vfs, cover, s1 = setup () in
+  let old_image = reopen vfs path domain in
   (* the base store answers like the in-memory cover it was written from *)
-  let a1 = base_matrix vfs in
-  List.iteri
-    (fun i u ->
-      List.iteri
-        (fun j v ->
-          check_bool
-            (Printf.sprintf "base %d->%d = cover" u v)
-            (Cover.connected cover u v)
-            (List.nth (List.nth a1 i) j))
-        domain)
-    domain;
-  let base_pages = base_pages fv in
-  check_bool "base store has pages to rewrite" true (base_pages > 2);
-  let d1 = page_digests vfs path in
-  (* probe the op count of a fault-free phase B *)
-  Fv.restore fv s1;
+  check_bool "base store = cover" true (snd old_image = cover_matrix cover domain);
+  (* probe the op count of a fault-free publication over it *)
+  let cover' = cover_b () in
   Fv.reset_ops fv;
-  let st = phase_b vfs ~base_pages in
+  (* [publish_store], with a look at the pager before its commit: the
+     store must outgrow the pool, so the matrix also crashes between
+     mid-publication page writes and not only around the final commit *)
+  let pgr = Pager.create_vfs ~pool_pages:8 ~vfs path in
+  let st = Cover_store.of_cover pgr cover' in
+  check_bool "pages reach the temp file before the commit" true
+    ((Pager.stats pgr).Pager.disk_writes > 0);
+  Cover_store.save st;
+  Pager.close pgr;
   let n_ops = Fv.op_count fv in
-  check_bool "phase B does real I/O" true (n_ops > 10);
-  check_bool "evictions wrote journaled committed pages before the commit" true
-    (st.Pager.journaled_pages > 0 && st.Pager.disk_writes > 0);
-  let d2 = page_digests vfs path in
-  check_int "phase B appends pages" (base_pages + 12) (List.length d2);
-  check_bool "phase B rewrites committed pages" true
-    (List.filteri (fun i _ -> i < base_pages) d2 <> d1);
+  let new_image = reopen vfs path domain in
+  check_bool "publication does real I/O" true (n_ops > 10);
+  check_bool "the new store answers like its cover" true
+    (snd new_image = cover_matrix cover' domain);
+  check_bool "the two stores answer differently" true (snd old_image <> snd new_image);
+  check_bool "no temp file outlives a publication" false (vfs.Vfs.exists (Vfs.tmp_path path));
   (* crash at every op index, under every crash mode, with and without a
-     torn in-flight write *)
-  (* the last counted op of phase B is the journal removal — the commit
-     point itself — so k ranges over [0, n_ops]: every proper prefix of the
-     transaction, plus the boundary case where the armed crash never fires *)
+     torn in-flight write.  The last counted op is the rename — the commit
+     point itself — so k ranges over [0, n_ops]: every proper prefix of
+     the publication, plus the boundary case where the armed crash never
+     fires *)
   let outcomes = ref (0, 0) in
   List.iter
     (fun (mode, tear) ->
@@ -141,15 +113,22 @@ let test_crash_matrix () =
         Fv.restore fv s1;
         Fv.reset_ops fv;
         Fv.arm_crash fv ~op:k ~mode ?tear ();
-        (match phase_b vfs ~base_pages with
-        | _ ->
+        (match publish_store vfs path cover' with
+        | () ->
           if k < n_ops then Alcotest.failf "crash at op %d did not fire" k;
           Fv.disarm fv
         | exception Fv.Crash ->
           if k = n_ops then Alcotest.failf "spurious crash beyond op %d" k);
-        let d = page_digests vfs path in
-        if d = d1 then outcomes := (fst !outcomes + 1, snd !outcomes)
-        else if d = d2 then outcomes := (fst !outcomes, snd !outcomes + 1)
+        let img = reopen vfs path domain in
+        if img = old_image then begin
+          outcomes := (fst !outcomes + 1, snd !outcomes);
+          (* the stale temp file of the interrupted publication is
+             truncated by the next one, which then completes cleanly *)
+          publish_store vfs path cover';
+          if reopen vfs path domain <> new_image then
+            Alcotest.failf "republishing after a crash at op %d went wrong" k
+        end
+        else if img = new_image then outcomes := (fst !outcomes, snd !outcomes + 1)
         else Alcotest.failf "crash at op %d recovered to a third image" k
       done)
     [
@@ -157,31 +136,39 @@ let test_crash_matrix () =
       (Fv.Keep_unsynced, None);
       (Fv.Drop_unsynced, Some 37);  (* tear in-flight writes at a byte boundary *)
     ];
+  (* nothing reaches the path before the rename, so every interrupted
+     publication keeps the old file and only the completed one (k = n_ops)
+     shows the new file *)
   let pre, post = !outcomes in
-  check_int "matrix size" (3 * (n_ops + 1)) (pre + post);
-  (* interrupted prefixes roll back; the completed transaction (and only
-     it) keeps the new image — the commit point is the journal removal *)
-  check_bool "interrupted transactions roll back" true (pre > 0);
-  check_int "completed transactions keep the new image" 3 post
+  check_int "every interrupted publication keeps the old file" (3 * n_ops) pre;
+  check_int "completed publications show the new file" 3 post
 
 let test_fail_nth_write () =
   let fv, vfs, _, s1 = setup () in
-  let d1 = page_digests vfs path in
-  let base_pages = base_pages fv in
-  (* a reported I/O error (no crash): typed Storage_error, and the store
-     recovers to the pre-transaction image on reopen *)
-  List.iter
-    (fun n ->
-      Fv.restore fv s1;
-      Fv.reset_ops fv;
-      Fv.arm_fail_write fv ~n;
-      (match phase_b vfs ~base_pages with
-      | _ -> Alcotest.fail "injected write failure did not surface"
-      | exception Storage_error.Storage_error (Storage_error.Io _) -> ()
-      | exception e ->
-        Alcotest.failf "expected Storage_error (Io _), got %s" (Printexc.to_string e));
-      check_bool "recovers to the pre-transaction image" true (page_digests vfs path = d1))
-    [ 0; 3; 11 ]
+  let old_image = reopen vfs path domain in
+  let cover' = cover_b () in
+  Fv.reset_ops fv;
+  publish_store vfs path cover';
+  let n_writes = Fv.write_count fv in
+  check_bool "publication writes" true (n_writes > 1);
+  (* a reported I/O error (no crash) at every write of the publication:
+     typed Storage_error, and the path still holds the old file.  The
+     index just past the last write never fires, so that run completes. *)
+  for n = 0 to n_writes do
+    Fv.restore fv s1;
+    Fv.reset_ops fv;
+    Fv.arm_fail_write fv ~n;
+    match publish_store vfs path cover' with
+    | () ->
+      if n < n_writes then Alcotest.failf "injected failure on write %d did not surface" n;
+      Fv.disarm fv
+    | exception Storage_error.Storage_error (Storage_error.Io _) ->
+      if n = n_writes then Alcotest.failf "spurious write failure beyond write %d" n;
+      check_bool "the old file survives a failed write" true
+        (reopen vfs path domain = old_image)
+    | exception e ->
+      Alcotest.failf "expected Storage_error (Io _), got %s" (Printexc.to_string e)
+  done
 
 let test_byte_flip_detected () =
   let fv, vfs, _, s1 = setup () in
@@ -211,10 +198,10 @@ let test_byte_flip_detected () =
     | _ -> false
     | exception Storage_error.Storage_error (Storage_error.Checksum { page = 0 }) -> true)
 
-(* qcheck soak: random store, random raw transaction (random committed
-   pages rewritten, random appends), crash at a random op under a random
-   mode/tear — recovery must give the pre- or the post-commit image, and
-   the base answers must equal the in-memory cover *)
+(* qcheck soak: a random store published over another random store at
+   the same path, crashing at a random op under a random mode/tear — the
+   path must reopen to exactly the old or the new file, answering like
+   the matching in-memory cover *)
 let prop_crash_soak =
   let gen =
     QCheck2.Gen.(
@@ -226,58 +213,37 @@ let prop_crash_soak =
       let vfs = Fv.vfs fv in
       let rng = Splitmix.create seed in
       let n = 4 + Splitmix.int rng 8 in
-      let g = Digraph.create () in
-      for v = 0 to n - 1 do
-        Digraph.add_node g v
-      done;
-      for _ = 1 to 2 * n do
-        let u = Splitmix.int rng n and v = Splitmix.int rng n in
-        if u <> v then Digraph.add_edge g u v
-      done;
-      let cover, _ = Hopi_twohop.Builder.build (Closure.compute g) in
-      let pgr = Pager.create_vfs ~pool_pages:8 ~vfs "soak.db" in
-      Cover_store.save (Cover_store.of_cover pgr cover);
-      Pager.close pgr;
+      let random_cover s = cover_of (random_graph ~seed:s ~n ~m:(Splitmix.int rng (3 * n))) in
+      let c1 = random_cover seed and c2 = random_cover (seed lxor 0x5EED) in
       let dom = List.init n Fun.id in
-      let pgr = Pager.open_vfs ~pool_pages:8 ~vfs "soak.db" in
-      let st = Cover_store.open_pager pgr in
-      let base = List.map (fun u -> List.map (Cover_store.connected st u) dom) dom in
-      Pager.close pgr;
-      let rebuilt =
-        List.map (fun u -> List.map (fun v -> Cover.connected cover u v) dom) dom
-      in
-      if base <> rebuilt then failwith "stored base differs from the cover";
-      let pages = Fv.durable_size fv "soak.db" / Page.size in
-      let r = Splitmix.create (seed lxor 0x5EED) in
-      let rewrite = List.filter (fun _ -> Splitmix.int r 2 = 0) (List.init pages Fun.id) in
-      let rewrite = if rewrite = [] then [ Splitmix.int r pages ] else rewrite in
-      let append = 1 + Splitmix.int r 12 in
-      let txn () = ignore (rewrite_txn vfs "soak.db" ~rewrite ~append) in
+      publish_store vfs "soak.db" c1;
       let s1 = Fv.snapshot fv in
-      let d1 = page_digests vfs "soak.db" in
+      let old_image = reopen vfs "soak.db" dom in
+      if snd old_image <> cover_matrix c1 dom then failwith "stored base differs from its cover";
       Fv.reset_ops fv;
-      txn ();
+      publish_store vfs "soak.db" c2;
       let n_ops = Fv.op_count fv in
-      let d2 = page_digests vfs "soak.db" in
+      let new_image = reopen vfs "soak.db" dom in
+      if snd new_image <> cover_matrix c2 dom then failwith "new store differs from its cover";
       Fv.restore fv s1;
       Fv.reset_ops fv;
       let mode = if drop then Fv.Drop_unsynced else Fv.Keep_unsynced in
       let tear = if seed mod 3 = 0 then Some tear_at else None in
       Fv.arm_crash fv ~op:(kpick mod n_ops) ~mode ?tear ();
-      (match txn () with
+      (match publish_store vfs "soak.db" c2 with
       | () -> failwith "crash did not fire"
       | exception Fv.Crash -> ());
-      let d = page_digests vfs "soak.db" in
-      d = d1 || d = d2)
+      let img = reopen vfs "soak.db" dom in
+      img = old_image || img = new_image)
 
 (* {1 Generation-flip crash matrix}
 
-   The zero-downtime flip publishes a new generation store and commits a
-   one-page manifest naming it; the manifest commit is the only atomic
-   point.  Crash at every I/O op of [Manifest.publish] and
+   The zero-downtime flip publishes a new generation store, then
+   publishes a one-page manifest naming it; the manifest rename is the
+   only atomic point.  Crash at every I/O op of [Manifest.publish] and
    [Manifest.rollback]: recovery must yield a manifest naming either the
    old or the new generation in full, with the named store file intact —
-   never a mixture, never a stray half-written sibling. *)
+   never a mixture — and leave no file but the family's live ones. *)
 
 let gen_base = "live.db"
 
@@ -313,6 +279,18 @@ let publish_churned vfs =
   Manifest.publish ~vfs ~pool_pages:8 ~base:gen_base
     ~load:(fun pgr -> Cover_store.save (Cover_store.of_cover pgr cover))
     ()
+
+(* after [Manifest.recover], the volume holds the family's live files and
+   nothing else: no temp file, no unreachable generation *)
+let check_only_live vfs k gens =
+  let expect =
+    List.sort compare
+      (Manifest.path ~base:gen_base :: List.map (Manifest.gen_path ~base:gen_base) gens)
+  in
+  if vfs.Vfs.list_dir "." <> expect then
+    Alcotest.failf "crash at op %d: recovery left [%s], expected [%s]" k
+      (String.concat "; " (vfs.Vfs.list_dir "."))
+      (String.concat "; " expect)
 
 (* a crash may fire inside a [Fun.protect] finally (pager close), where the
    stdlib wraps it — both shapes are the same simulated power cut *)
@@ -371,16 +349,14 @@ let test_flip_crash_matrix () =
             old_new := (fst !old_new + 1, snd !old_new);
             if gen_matrix vfs 0 <> a0 then
               Alcotest.failf "crash at op %d corrupted the old generation" k;
-            (* an interrupted publish may leave a stray tip+1 file; recovery
-               must have deleted it *)
-            check_bool
-              (Printf.sprintf "stray gen file removed (op %d)" k)
-              false
-              (vfs.Vfs.exists (Manifest.gen_path ~base:gen_base 1))
+            (* an interrupted publish may leave a stray tip+1 store and
+               temp files; recovery must have deleted them *)
+            check_only_live vfs k [ 0 ]
           | 1, 0, 1 ->
             old_new := (fst !old_new, snd !old_new + 1);
             if gen_matrix vfs 1 <> a1 then
-              Alcotest.failf "crash at op %d corrupted the new generation" k
+              Alcotest.failf "crash at op %d corrupted the new generation" k;
+            check_only_live vfs k [ 0; 1 ]
           | l, p, t ->
             Alcotest.failf "crash at op %d recovered to a mixed manifest {%d;%d;%d}"
               k l p t)
@@ -432,7 +408,8 @@ let test_rollback_crash_matrix () =
           in
           if gen_matrix vfs m.Manifest.live <> expect then
             Alcotest.failf "crash at op %d: generation %d answers wrong" k
-              m.Manifest.live
+              m.Manifest.live;
+          check_only_live vfs k [ 0; 1 ]
       done)
     [ Fv.Drop_unsynced; Fv.Keep_unsynced ]
 

@@ -234,9 +234,7 @@ let gen_digraph =
 let with_store_file load f =
   let path = Filename.temp_file "hopi_test_serve" ".db" in
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists path then Sys.remove path;
-      if Sys.file_exists (path ^ "-journal") then Sys.remove (path ^ "-journal"))
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let pager = Pager.create ~pool_pages:64 ~fsync:false (Pager.File path) in
       let store = load pager in

@@ -470,13 +470,9 @@ let with_gen_base f =
   Fun.protect
     ~finally:(fun () ->
       let rm p = if Sys.file_exists p then Sys.remove p in
-      let m = Manifest.path ~base in
-      rm m;
-      rm (m ^ "-journal");
+      rm (Manifest.path ~base);
       for k = 0 to 64 do
-        let p = Manifest.gen_path ~base k in
-        rm p;
-        rm (p ^ "-journal")
+        rm (Manifest.gen_path ~base k)
       done)
     (fun () -> f base)
 

@@ -293,6 +293,87 @@ let prop_reopen_stable =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* {1 The routing index on a fault-injecting VFS} *)
+
+module Fv = Hopi_fault_vfs.Fault_vfs
+module Vfs = Hopi_storage.Vfs
+module E = Hopi_storage.Storage_error
+
+(* every byte of routing.idx is covered by its trailing CRC line: a flip
+   anywhere — body or checksum line — is rejected as a typed storage error
+   before any shard is opened *)
+let test_routing_flip_rejected () =
+  with_temp_dir @@ fun dir ->
+  let fv = Fv.create () in
+  let vfs = Fv.vfs fv in
+  let c = Dblp.generate (Dblp.default ~n_docs:6) in
+  ignore (Router.split ~vfs ~k:3 ~dir c : Router.split_stats);
+  Router.close (Router.open_dir ~vfs dir);
+  let path = Router.routing_path ~dir in
+  let clean = Fv.snapshot fv in
+  let n = String.length (Vfs.read_file vfs path) in
+  for off = 0 to n - 1 do
+    Fv.restore fv clean;
+    Fv.corrupt_byte fv path ~off;
+    match Router.open_dir ~vfs dir with
+    | r ->
+      Router.close r;
+      Alcotest.failf "flipped routing byte %d of %d went unnoticed" off n
+    | exception E.Storage_error (E.Bad_catalog _) -> ()
+  done
+
+(* re-splitting a directory over an existing split, crashing at every
+   counted op: routing.idx and every shard store are each the old or the
+   new file, and a new routing index only ever sits beside new shards —
+   they are published first *)
+let test_routing_crash_matrix () =
+  with_temp_dir @@ fun dir ->
+  let fv = Fv.create () in
+  let vfs = Fv.vfs fv in
+  let files = Router.routing_path ~dir :: List.init 3 (Router.shard_path ~dir) in
+  let contents () = List.map (fun p -> Vfs.read_file vfs p) files in
+  let split n_docs () =
+    ignore (Router.split ~vfs ~k:3 ~dir (Dblp.generate (Dblp.default ~n_docs)) : Router.split_stats)
+  in
+  split 6 ();
+  let s_old = Fv.snapshot fv in
+  let old_files = contents () in
+  Fv.reset_ops fv;
+  split 9 ();
+  let n_ops = Fv.op_count fv in
+  let new_files = contents () in
+  List.iter2
+    (fun p (o, n) -> checkb (p ^ " changes") true (o <> n))
+    files (List.combine old_files new_files);
+  let new_routing = ref 0 in
+  List.iter
+    (fun (mode, tear) ->
+      for k = 0 to n_ops do
+        Fv.restore fv s_old;
+        Fv.reset_ops fv;
+        Fv.arm_crash fv ~op:k ~mode ?tear ();
+        (match split 9 () with
+        | () -> if k < n_ops then Alcotest.failf "crash at op %d did not fire" k
+        | exception Fv.Crash -> ());
+        Fv.disarm fv;
+        let now = contents () in
+        List.iteri
+          (fun i (f, (o, n)) ->
+            if f <> o && f <> n then
+              Alcotest.failf "crash at op %d: %s is neither old nor new" k (List.nth files i))
+          (List.combine now (List.combine old_files new_files));
+        if List.hd now = List.hd new_files then begin
+          incr new_routing;
+          if now <> new_files then
+            Alcotest.failf "crash at op %d: new routing index beside old shards" k;
+          Router.close (Router.open_dir ~vfs dir)
+        end
+      done)
+    [ (Fv.Drop_unsynced, None); (Fv.Keep_unsynced, None); (Fv.Drop_unsynced, Some 37) ];
+  (* the routing rename is the last op: only completed re-splits show it *)
+  checkb "re-split does real I/O" true (n_ops > 20);
+  checki "only completed re-splits publish the new routing index" 3 !new_routing
+
 let suite =
   [
     ( "serve.router",
@@ -309,6 +390,10 @@ let suite =
           test_engine_rendering;
         Alcotest.test_case "same-shard dist scatters" `Quick
           test_same_shard_dist_is_scatter;
+        Alcotest.test_case "flipped routing byte is rejected" `Quick
+          test_routing_flip_rejected;
+        Alcotest.test_case "routing crash matrix: each file old or new" `Quick
+          test_routing_crash_matrix;
       ]
       @ qsuite [ prop_differential; prop_reopen_stable ] );
   ]

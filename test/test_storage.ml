@@ -57,6 +57,24 @@ let test_pager_file_backend () =
   Pager.close p;
   Sys.remove path
 
+(* publishing over an existing file keeps the permission bits an
+   operator set on it; a first publication is created 0600 *)
+let test_republish_keeps_mode () =
+  let path = Filename.temp_file "hopi_mode" ".db" in
+  Sys.remove path;
+  let publish () =
+    let p = Pager.create (Pager.File path) in
+    ignore (Pager.alloc p);
+    Pager.close p
+  in
+  let perm () = (Unix.stat path).Unix.st_perm in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  publish ();
+  check_int "first publication" 0o600 (perm ());
+  Unix.chmod path 0o640;
+  publish ();
+  check_int "republication keeps the mode" 0o640 (perm ())
+
 let test_pager_pinning () =
   let p = Pager.create ~pool_pages:8 Pager.Memory in
   let id0 = Pager.alloc p in
@@ -423,6 +441,39 @@ let test_catalog_wrong_kind () =
     | _ -> false
     | exception Storage_error.Storage_error (Storage_error.Bad_catalog _) -> true)
 
+(* a published page file is never written again: after [commit] the
+   writing pager and any pager opened on the file refuse every write entry
+   point, and a second commit or close publishes nothing *)
+let test_published_file_rejects_writes () =
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~pool_pages:8 ~vfs "pub.db" in
+  let id = Pager.alloc p in
+  Page.set_i32 (Pager.read p id) po 7;
+  Pager.mark_dirty p id;
+  check_bool "nothing at the name before the commit" false (vfs.Vfs.exists "pub.db");
+  Pager.commit p;
+  check_bool "published" true (vfs.Vfs.exists "pub.db");
+  check_bool "temp file renamed away" false (vfs.Vfs.exists (Vfs.tmp_path "pub.db"));
+  let rejects what name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s pager accepted %s" what name
+  in
+  let rejects_writes what q =
+    rejects what "alloc" (fun () -> ignore (Pager.alloc q));
+    rejects what "mark_dirty" (fun () -> Pager.mark_dirty q id)
+  in
+  rejects_writes "committed" p;
+  Pager.commit p;
+  check_int "committed pager still reads" 7 (Page.get_i32 (Pager.read p id) po);
+  Pager.close p;
+  let q = Pager.open_vfs ~vfs "pub.db" in
+  rejects_writes "reopened" q;
+  rejects "reopened" "commit" (fun () -> Pager.commit q);
+  check_int "reopened pager reads" 7 (Page.get_i32 (Pager.read q id) po);
+  Pager.close q;
+  check_bool "no temp file left" false (vfs.Vfs.exists (Vfs.tmp_path "pub.db"))
+
 let test_open_missing_file () =
   check_bool "missing file" true
     (match Pager.open_existing "/nonexistent/hopi-no-such-store.db" with
@@ -779,6 +830,10 @@ let suite =
         Alcotest.test_case "pinning" `Quick test_pager_pinning;
         Alcotest.test_case "pin nesting across evictions" `Quick test_pager_pin_nesting;
         Alcotest.test_case "open missing file" `Quick test_open_missing_file;
+        Alcotest.test_case "published file rejects writes" `Quick
+          test_published_file_rejects_writes;
+        Alcotest.test_case "republished file keeps its mode" `Quick
+          test_republish_keeps_mode;
       ]
       @ qsuite [ prop_pager_roundtrip_real_vfs ] );
     ( "storage.btree",
