@@ -512,7 +512,7 @@ let parallel_build (s : scale) =
   (* store write: the cover through Btree.bulk_load (leaves left-to-right,
      no per-key descent), as `hopi build --store` writes it *)
   let vfs = Hopi_storage.Vfs.memory () in
-  let pager = Hopi_storage.Pager.create_vfs ~pool_pages:256 ~vfs "bench-store.db" in
+  let pager = Hopi_storage.Pager.create_vfs ~vfs "bench-store.db" in
   let store, t_store =
     Timer.time (fun () ->
         let store = Hopi_storage.Cover_store.of_cover pager r1.Build.cover in
@@ -585,7 +585,7 @@ let storage_durability (s : scale) =
       (fun () ->
         let runs =
           Array.init reps (fun _ ->
-              let pager = Pager.create ~pool_pages:256 ~fsync (Pager.File path) in
+              let pager = Pager.create ~fsync (Pager.File path) in
               let (), t =
                 Timer.time (fun () -> Cover_store.save (Cover_store.of_cover pager cover))
               in
@@ -616,7 +616,7 @@ let storage_durability (s : scale) =
   let fv = Fv.create () in
   let vfs = Fv.vfs fv in
   let publish cover =
-    let pager = Pager.create_vfs ~pool_pages:64 ~vfs "dur.db" in
+    let pager = Pager.create_vfs ~vfs "dur.db" in
     Cover_store.save (Cover_store.of_cover pager cover);
     Pager.close pager
   in
@@ -667,7 +667,7 @@ let query_throughput (s : scale) =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
   (* persist exactly as [hopi build --store] would *)
-  let pager = Pager.create ~pool_pages:512 ~fsync:false (Pager.File path) in
+  let pager = Pager.create ~fsync:false (Pager.File path) in
   Cover_store.save (Cover_store.of_cover pager r.Build.cover);
   Pager.close pager;
   let nodes =

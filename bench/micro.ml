@@ -30,7 +30,7 @@ let cache_tests () =
   let vfs = Hopi_storage.Vfs.memory () in
   let w = Pager.create_vfs ~vfs "micro.db" in
   for _ = 1 to n do
-    ignore (Pager.alloc w)
+    Pager.write w (Pager.alloc w) (Hopi_storage.Page.create ())
   done;
   Pager.close w;
   let pool = Pager.Read_pool.create ~pages:4096 () in

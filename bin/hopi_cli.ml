@@ -121,8 +121,7 @@ let build dir partitioner joiner limit jobs verbose store_path no_fsync metrics_
    | None -> ()
    | Some path ->
      let pager =
-       Hopi_storage.Pager.create ~pool_pages:512 ~fsync:(not no_fsync)
-         (Hopi_storage.Pager.File path)
+       Hopi_storage.Pager.create ~fsync:(not no_fsync) (Hopi_storage.Pager.File path)
      in
      let store = Hopi.to_store idx pager in
      Hopi_storage.Cover_store.save store;

@@ -33,8 +33,8 @@ let () =
   Fmt.pr "verified against BFS: %d mismatches@." (List.length mism);
   assert (mism = []);
 
-  (* Persist into LIN(ID,INID,DIST)/LOUT(ID,OUTID,DIST) with a bounded
-     buffer pool, then query through the paged index. *)
+  (* Persist into LIN(ID,INID,DIST)/LOUT(ID,OUTID,DIST), then query
+     through the paged index and its bounded read pool. *)
   let pager = Pager.create ~pool_pages:64 Pager.Memory in
   let store = Cover_store.of_dist_cover pager cover in
   Fmt.pr "stored: %d entries = %d integers on %d pages (%d KiB)@."
@@ -64,5 +64,6 @@ let () =
     ranked;
 
   let st = Pager.stats pager in
-  Fmt.pr "@.buffer pool: %d hits, %d misses, %d evictions@." st.Pager.cache_hits
-    st.Pager.cache_misses st.Pager.evictions
+  let pool = st.Pager.pool in
+  Fmt.pr "@.read pool: %d hits, %d misses, %d evictions@." pool.Pager.Read_pool.hits
+    pool.Pager.Read_pool.misses pool.Pager.Read_pool.evictions

@@ -66,7 +66,6 @@ type t = {
   index : Hopi.t;
   cache : Label_cache.t;
   page_pool : S.Pager.Read_pool.t; (* one read pool across all generations *)
-  pool_pages : int;
   retain : int;
   fsync : bool;
   with_dist : bool;
@@ -180,9 +179,7 @@ let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true)
       (* First open of this family: adopt an existing store file as
          generation 0, or persist the index as one. *)
       if not (Sys.file_exists base) then begin
-        let pager =
-          S.Pager.create ~pool_pages:(max pool_pages 512) ~fsync (S.Pager.File base)
-        in
+        let pager = S.Pager.create ~fsync (S.Pager.File base) in
         persist_store ~with_dist index pager;
         S.Pager.close pager
       end;
@@ -196,7 +193,7 @@ let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true)
   in
   let slot = { id = manifest.S.Manifest.live; snap; refs = 0 } in
   let t =
-    { base; index; cache; page_pool; pool_pages; retain; fsync; with_dist;
+    { base; index; cache; page_pool; retain; fsync; with_dist;
       wmu = Mutex.create (); mu = Mutex.create (); dirty = Ihs.create ();
       versions = Hashtbl.create 256; floor = 0; need_floor = false;
       tracked_cover = Hopi.cover index; tracked_dist = None; manifest;
@@ -419,8 +416,7 @@ let flip t =
       refresh_cover_tracker t;
       if t.with_dist then refresh_dist_tracker t;
       let m' =
-        S.Manifest.publish ~fsync:t.fsync ~pool_pages:(max t.pool_pages 512)
-          ~base:t.base
+        S.Manifest.publish ~fsync:t.fsync ~base:t.base
           ~load:(fun pgr -> persist_store ~with_dist:t.with_dist t.index pgr)
           ()
       in

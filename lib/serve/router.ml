@@ -136,7 +136,7 @@ let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
               fun pager -> S.Cover_store.of_cover pager cover )
           end
         in
-        let pager = S.Pager.create_vfs ~pool_pages:512 ~fsync ~vfs (shard_path ~dir p) in
+        let pager = S.Pager.create_vfs ~fsync ~vfs (shard_path ~dir p) in
         let store = write pager in
         S.Cover_store.save store;
         entries := !entries + S.Cover_store.n_entries store;

@@ -115,7 +115,9 @@ let length t = t.length
    filled left-to-right to capacity and chained, then internal levels are
    stitched over the first keys of their children (separator i is the
    smallest key under child i+1), up to a single root.  No per-key
-   descent, every page written exactly once. *)
+   descent: each page is built fresh and handed to [Pager.write] once;
+   a leaf allocates the id of the following leaf before it is written,
+   so its next pointer is known. *)
 
 let m_bulk_pages =
   Hopi_obs.Registry.counter "hopi_storage_btree_bulk_pages_total"
@@ -160,7 +162,7 @@ let bulk_load pager ~next =
   let leaves = Hopi_util.Dyn_array.create () in
   let first_pid = alloc () in
   let rec fill pid =
-    let page = Pager.pin pager pid in
+    let page = Page.create () in
     Page.set_u8 page po 0;
     let n = ref 0 in
     let continue_ = ref true in
@@ -173,18 +175,10 @@ let bulk_load pager ~next =
         incr n
     done;
     set_nkeys page !n;
-    if !pending = None then begin
-      set_next_leaf page (-1);
-      Pager.mark_dirty pager pid;
-      Pager.unpin pager pid
-    end
-    else begin
-      let rid = alloc () in
-      set_next_leaf page rid;
-      Pager.mark_dirty pager pid;
-      Pager.unpin pager pid;
-      fill rid
-    end
+    let rid = if !pending = None then -1 else alloc () in
+    set_next_leaf page rid;
+    Pager.write pager pid page;
+    if rid >= 0 then fill rid
   in
   fill first_pid;
   (* internal levels: group up to [int_capacity + 1] children per node,
@@ -199,7 +193,7 @@ let bulk_load pager ~next =
     for g = 0 to k - 1 do
       let sz = base + if g < extra then 1 else 0 in
       let pid = alloc () in
-      let page = Pager.pin pager pid in
+      let page = Page.create () in
       Page.set_u8 page po 1;
       set_nkeys page (sz - 1);
       let fk, cpid = children.(!idx) in
@@ -209,8 +203,7 @@ let bulk_load pager ~next =
         set_int_key page (j - 1) sk;
         set_int_child page j spid
       done;
-      Pager.mark_dirty pager pid;
-      Pager.unpin pager pid;
+      Pager.write pager pid page;
       out.(g) <- (fk, pid);
       idx := !idx + sz
     done;

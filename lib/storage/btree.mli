@@ -8,10 +8,13 @@
     [(inid, id, dist)].
 
     Trees are written once: {!bulk_load} builds a whole tree from a sorted
-    key stream and nothing changes it afterwards.  Index maintenance
-    (Section 6) runs on the in-memory cover, and the result is written as
-    a new store (a new generation when serving live), so leaves and
-    internal nodes are packed to capacity and no page is ever freed. *)
+    key stream, building each page fresh and handing it to {!Pager.write}
+    once, and nothing changes it afterwards.  Searches and scans read
+    pages through the pager's read pool and never mutate them.  Index
+    maintenance (Section 6) runs on the in-memory cover, and the result
+    is written as a new store (a new generation when serving live), so
+    leaves and internal nodes are packed to capacity and no page is ever
+    freed. *)
 
 type t
 

@@ -32,7 +32,7 @@ let reserve who pager =
 
 let write pager t =
   if Array.length t.trees <> arity t.kind then invalid_arg "Catalog.write: arity";
-  let page = Pager.read pager 0 in
+  let page = Page.create () in
   Page.set_i32 page (po + 0) magic;
   Page.set_i32 page (po + 4) version;
   Page.set_i32 page (po + 8) (kind_code t.kind);
@@ -44,7 +44,7 @@ let write pager t =
       Page.set_i32 page off e.root;
       Page.set_i32 page (off + 4) e.length)
     t.trees;
-  Pager.mark_dirty pager 0
+  Pager.write pager 0 page
 
 let read pager =
   if Pager.n_pages pager < 1 then

@@ -33,13 +33,13 @@ let validate m =
             m.live m.previous m.tip))
 
 let write_page pager m =
-  let page = Pager.read pager (Pager.alloc pager) in
+  let page = Page.create () in
   Page.set_i32 page (po + 0) magic;
   Page.set_i32 page (po + 4) version;
   Page.set_i32 page (po + 8) m.live;
   Page.set_i32 page (po + 12) m.previous;
   Page.set_i32 page (po + 16) m.tip;
-  Pager.mark_dirty pager 0
+  Pager.write pager (Pager.alloc pager) page
 
 let parse pager =
   if Pager.n_pages pager < 1 then
@@ -67,17 +67,17 @@ let read ?(vfs = Vfs.real) ~base () = read_file ~vfs (path ~base)
 
 let commit ?(vfs = Vfs.real) ?(fsync = true) ~base m =
   validate m;
-  let pager = Pager.create_vfs ~pool_pages:4 ~fsync ~vfs (path ~base) in
+  let pager = Pager.create_vfs ~fsync ~vfs (path ~base) in
   write_page pager m;
   Pager.close pager
 
-let publish ?(vfs = Vfs.real) ?(fsync = true) ?(pool_pages = 256) ~base ~load () =
+let publish ?(vfs = Vfs.real) ?(fsync = true) ~base ~load () =
   let m = read ~vfs ~base () in
   let g = m.tip + 1 in
   (* Pager.create truncates a stale temp file and the rename replaces a
      stray published one, so a previously crashed publish cannot pollute
      this one. *)
-  let pager = Pager.create_vfs ~pool_pages ~fsync ~vfs (gen_path ~base g) in
+  let pager = Pager.create_vfs ~fsync ~vfs (gen_path ~base g) in
   load pager;
   Pager.close pager;
   let m' = { live = g; previous = m.live; tip = g } in

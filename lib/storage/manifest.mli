@@ -52,7 +52,6 @@ val commit : ?vfs:Vfs.t -> ?fsync:bool -> base:string -> t -> unit
 val publish :
   ?vfs:Vfs.t ->
   ?fsync:bool ->
-  ?pool_pages:int ->
   base:string ->
   load:(Pager.t -> unit) ->
   unit ->

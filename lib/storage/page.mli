@@ -6,7 +6,7 @@
 
     The first {!header_bytes} bytes of every page belong to the pager, not
     to the page's user: bytes [0..3] hold a CRC-32 of the payload (stamped
-    at write-back, verified on every cache miss), byte [4] is an
+    by {!Pager.write}, verified on every read-pool miss), byte [4] is an
     initialization flag (0 = never written, 1 = checksummed), bytes [5..7]
     are reserved.  Structures built on pages (B+-tree nodes, the catalog)
     lay out their content from {!payload_off} up. *)
@@ -42,7 +42,7 @@ val set_i32 : t -> int -> int -> unit
 
 val stamp : t -> unit
 (** Recompute the payload CRC into the header and set the written flag;
-    called by the pager immediately before every write-back. *)
+    called by the pager immediately before every page write. *)
 
 val verify : t -> [ `Ok | `Fresh | `Corrupt ]
 (** [`Ok]: written flag set and CRC matches.  [`Fresh]: the whole page is

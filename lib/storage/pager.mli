@@ -1,18 +1,23 @@
-(** Page manager with a bounded buffer pool over write-once page files.
+(** Page manager over write-once page files, with every read served
+    through a {!Read_pool}.
 
     Pages live in a {!Vfs} file (a real file, or a private in-memory file
-    system for the [Memory] backend) with an LRU-evicted write-back cache
-    in front.  Durability discipline (see DESIGN.md, Storage durability):
+    system for the [Memory] backend).  A writing pager hands out page ids
+    ({!alloc}) and takes each finished page once ({!write}), writing it
+    straight to the file.  Every read, while writing or after, goes
+    through a {!Read_pool} -- the pager's own one-shard pool, or one
+    shared with other pagers ({!open_shared}).  Durability discipline (see DESIGN.md,
+    Storage durability):
 
-    - every page carries a CRC-32 header ({!Page.stamp}) written at
-      write-back and verified on every cache miss — a flipped byte
-      anywhere in a persisted page raises [Storage_error (Checksum _)];
+    - every page carries a CRC-32 header ({!Page.stamp}) written by
+      {!write} and verified on every pool miss -- a flipped byte anywhere
+      in a persisted page raises [Storage_error (Checksum _)];
     - a page file is written once: {!create} writes [path.tmp]
-      ({!Vfs.tmp_path}), and {!commit} publishes it — write back, fsync,
-      rename over [path] ({!Vfs.publish}).  The rename is the commit
-      point, so a crash at any point leaves [path] holding its previous
-      file or the new one in full, and a reader that has the previous
-      file open keeps reading it;
+      ({!Vfs.tmp_path}), and {!commit} publishes it -- fsync, rename over
+      [path] ({!Vfs.publish}).  The rename is the commit point, so a
+      crash at any point leaves [path] holding its previous file or the
+      new one in full, and a reader that has the previous file open keeps
+      reading it;
     - a published file is never written again: after {!commit} the pager
       still reads, but every write-side entry point raises
       [Invalid_argument], and {!open_existing} / {!open_vfs} /
@@ -28,21 +33,20 @@ type backend =
 
 type t
 
-(** A shared, sharded-lock, read-only page pool for immutable snapshots:
-    a {!Hopi_util.Lru} of page images, each costing one page.
+(** The page cache: a sharded-lock {!Hopi_util.Lru} of verified page
+    images, each costing one page.  Every pager reads through one.
 
-    One pool is probed by every domain (and every generation) serving
-    reads from committed store files, so a page any domain faulted in is
-    warm for all of them — the fix for the cold-read anti-scaling of
-    per-domain private pools (see DESIGN.md, Shared read path).  Entries
-    are immutable verified page images: eviction drops the table
-    reference only, so readers holding a page across an eviction keep a
-    valid image.  (A writing pager's private pool is not an [Lru]: it
-    pins pages and writes dirty ones back to the temp file.)  Metrics:
-    [hopi_storage_shared_pool_hits_total] / [_misses_total] /
-    [_evictions_total] and the [hopi_storage_shared_pool_pages] gauge — a
-    series deliberately disjoint from the private buffer-pool counters,
-    so serving reads and writer/builder traffic attribute separately. *)
+    A serving pool is probed by every domain (and every generation)
+    reading committed store files, so a page any domain faulted in is
+    warm for all of them -- the fix for the cold-read anti-scaling of
+    per-domain private pools (see DESIGN.md, Shared read path).  A pager
+    made by {!create}, {!open_existing} or {!open_vfs} gets a private
+    one-shard pool of [pool_pages].  Entries are immutable verified page
+    images: eviction drops the table reference only, so readers holding
+    a page across an eviction keep a valid image.  Metrics, summed over
+    every pool in the process: [hopi_storage_shared_pool_hits_total] /
+    [_misses_total] / [_evictions_total] and the
+    [hopi_storage_shared_pool_pages] gauge. *)
 module Read_pool : sig
   type t
 
@@ -66,10 +70,10 @@ end
 
 type stats = {
   pages : int;  (** pages allocated *)
-  cache_hits : int;
-  cache_misses : int;
-  evictions : int;
-  disk_reads : int;
+  pool : Read_pool.stats;
+      (** the pool this pager reads through: pool-wide numbers when the
+          pool is shared *)
+  disk_reads : int;  (** this pager's pool misses, each a page read *)
   disk_writes : int;
   fsyncs : int;
       (** sync points issued: the file and its directory at publication
@@ -77,98 +81,88 @@ type stats = {
 }
 
 val create : ?pool_pages:int -> ?fsync:bool -> backend -> t
-(** A pager writing a new page file.  [pool_pages] (default 256) bounds
-    the buffer pool; [fsync] (default [true]) controls whether
-    publication syncs.  A [File path] backend writes [path.tmp]
-    (truncating one left by an interrupted publication); an existing
-    file at [path] stays readable, unchanged, until {!commit} renames
-    the new file over it.  Use {!open_existing} to read a published
+(** A pager writing a new page file.  [pool_pages] (default 256) sizes
+    the private pool that reads through this pager go through; [fsync]
+    (default [true]) controls whether publication syncs.  A [File path]
+    backend writes [path.tmp] (truncating one left by an interrupted
+    publication); an existing file at [path] stays readable, unchanged,
+    until {!commit} renames the new file over it.  Use {!open_existing} to read a published
     file. *)
 
 val create_vfs : ?pool_pages:int -> ?fsync:bool -> vfs:Vfs.t -> string -> t
 (** Like [create (File path)] but on an explicit {!Vfs} (used by the
     fault-injection tests). *)
 
-val open_existing : ?pool_pages:int -> string -> t
-(** Open a published page file as a read-only view with a private buffer
-    pool: {!read}/{!pin}/{!unpin}, the introspection functions and
-    {!close} work; {!alloc}, {!mark_dirty} and {!commit} raise
-    [Invalid_argument].
+val open_shared : pool:Read_pool.t -> string -> t
+(** Open a committed page file as a {e read-only view} whose page
+    fetches probe (and fill) [pool], so any number of domains sharing one
+    pager -- or several pagers over one pool -- serve from one warm set
+    of pages.  Miss reads are serialised per pager (the underlying file
+    handle is not positionally safe across domains) and CRC-verified
+    before they enter the pool.
+
+    The returned pager accepts {!read}, the introspection functions and
+    {!close}; every write-side operation ({!alloc}, {!write}, {!commit})
+    raises [Invalid_argument].  {!close} releases the file and drops
+    exactly this pager's pages from the pool.
     @raise Storage_error.Storage_error — [File_not_found] on missing
     files, [Truncated] on a file that is not a whole number of pages,
     [Io] on an unreadable one. *)
 
-val open_vfs : ?pool_pages:int -> vfs:Vfs.t -> string -> t
-(** Like {!open_existing} on an explicit {!Vfs}. *)
-
-val open_shared : pool:Read_pool.t -> string -> t
-(** Open a committed page file as a {e read-only shared view}: page
-    fetches probe (and fill) [pool] instead of a private buffer pool, so
-    any number of domains sharing one pager — or several pagers over one
-    pool — serve from one warm set of pages.  Miss reads are serialised
-    per pager (the underlying file handle is not positionally safe across
-    domains) and CRC-verified before they enter the pool, exactly like a
-    private-pool miss.
-
-    The returned pager accepts {!read}/{!pin}/{!unpin}, the
-    introspection functions and {!close}; every write-side operation
-    ({!alloc}, {!mark_dirty}, {!commit}) raises
-    [Invalid_argument].  {!close} releases the file and drops exactly
-    this pager's pages from the pool.
-    @raise Storage_error.Storage_error as {!open_existing}. *)
-
 val open_shared_vfs : vfs:Vfs.t -> pool:Read_pool.t -> string -> t
 (** {!open_shared} on an explicit {!Vfs} (fault-injection tests). *)
 
+val open_existing : ?pool_pages:int -> string -> t
+(** {!open_shared} over a private one-shard {!Read_pool} of [pool_pages]
+    (default 256). *)
+
+val open_vfs : ?pool_pages:int -> vfs:Vfs.t -> string -> t
+(** Like {!open_existing} on an explicit {!Vfs}. *)
+
 val alloc : t -> int
-(** Append a zeroed page; returns its id.  Pages are never freed: stores
-    are written once (see {!Btree}), and a rebuilt store is a new file.
+(** Reserve the next page id.  The caller builds the page and hands it
+    to {!write}; until then it reads as zeros.  Pages are never freed:
+    stores are written once (see {!Btree}), and a rebuilt store is a new
+    file.
     @raise Invalid_argument unless the pager came from {!create} and has
     not been committed. *)
 
 val n_pages : t -> int
 
+val write : t -> int -> Page.t -> unit
+(** [write t id page]: stamp [page]'s checksum header and write it as
+    page [id] of [path.tmp].  Build [page] fresh ({!Page.create}) from
+    {!Page.payload_off} up -- the header below belongs to the pager --
+    and do not touch it afterwards.  Each allocated page is written
+    once, before {!commit}; a pooled image of [id] read before the write
+    is dropped, so later reads see the written bytes.
+    @raise Invalid_argument as {!alloc}, or when [id] was not allocated. *)
+
 val read : t -> int -> Page.t
-(** Fetch a page (through the cache).  The caller may mutate the returned
-    bytes from {!Page.payload_off} up (the header below it belongs to the
-    pager) but must call {!mark_dirty} afterwards, and must not touch the
-    pager (alloc/read of other pages) between mutation and {!mark_dirty} —
-    use {!pin} when holding a page across other pager calls.
+(** Fetch a page through the pager's {!Read_pool}.  The returned image
+    is shared with every other reader of the pool and must not be
+    mutated.
     @raise Storage_error.Storage_error [(Checksum _)] when the on-disk
     image fails verification. *)
 
-val pin : t -> int -> Page.t
-(** Like {!read}, but the page cannot be evicted until {!unpin}.  Pins
-    nest. *)
-
-val unpin : t -> int -> unit
-
-val mark_dirty : t -> int -> unit
-(** @raise Invalid_argument as {!alloc}. *)
-
 val commit : t -> unit
-(** Publish the file: write every dirty page back to [path.tmp], fsync
-    it, rename it over [path] and (with [fsync]) fsync the directory.  A
-    crash anywhere inside [commit] leaves [path] holding either the
-    previous file or the new one, never a mixture.  Afterwards the pager
-    reads the published file and rejects writes; a second [commit] is a
-    no-op.
-    @raise Invalid_argument on a read-only view. *)
+(** Publish the file: fsync [path.tmp], rename it over [path] and (with
+    [fsync]) fsync the directory.  A crash anywhere inside [commit]
+    leaves [path] holding either the previous file or the new one, never
+    a mixture.  Afterwards the pager reads the published file and
+    rejects writes.
+    @raise Invalid_argument as {!alloc}. *)
 
 val verify_pages : t -> int list
 (** Checksum-verify every page image directly from the backing file
-    (bypassing the cache); returns the ids of corrupt pages.  Used by
+    (bypassing the pool); returns the ids of corrupt pages.  Used by
     [hopi verify-store]. *)
 
 val stats : t -> stats
-(** For a shared read-only view, [cache_hits]/[cache_misses]/[evictions]
-    report the {e pool-wide} numbers (the pool is the cache) and the
-    write-side fields are 0; [disk_reads] is this pager's own. *)
 
 val close : t -> unit
 (** Release the backing file, first {!commit}ting a pager that is still
-    writing.  A shared read-only view also evicts its pages from the
-    shared pool. *)
+    writing, and drop this pager's pages from its pool. *)
 
 val size_bytes : t -> int
 (** Total size of the page store. *)

@@ -1,6 +1,7 @@
 (** A sharded, cost-bounded LRU cache over [int] keys and immutable values:
-    the one mechanism behind both read-side caches, the shared page pool
-    (every page costs 1) and the label cache (an entry costs its bytes).
+    the one mechanism behind both caches, the page pool every pager reads
+    through (every page costs 1) and the label cache (an entry costs its
+    bytes).
 
     A splitmix finaliser spreads keys over a power-of-two number of
     shards, each with its own mutex.  The policy is exact LRU per shard:

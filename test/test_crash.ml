@@ -42,10 +42,10 @@ let domain = List.init 16 Fun.id
 let cover_matrix cover dom =
   List.map (fun u -> List.map (fun v -> Cover.connected cover u v) dom) dom
 
-(* Write [cover] as a store at [file] through an 8-page pool, so pages
-   are evicted to the temp file long before the commit publishes it. *)
+(* Write [cover] as a store at [file]: each page goes to the temp file as
+   soon as it is built, long before the commit publishes it. *)
 let publish_store vfs file cover =
-  let pgr = Pager.create_vfs ~pool_pages:8 ~vfs file in
+  let pgr = Pager.create_vfs ~vfs file in
   Cover_store.save (Cover_store.of_cover pgr cover);
   Pager.close pgr
 
@@ -85,10 +85,11 @@ let test_crash_matrix () =
   (* probe the op count of a fault-free publication over it *)
   let cover' = cover_b () in
   Fv.reset_ops fv;
-  (* [publish_store], with a look at the pager before its commit: the
-     store must outgrow the pool, so the matrix also crashes between
-     mid-publication page writes and not only around the final commit *)
-  let pgr = Pager.create_vfs ~pool_pages:8 ~vfs path in
+  (* [publish_store], with a look at the pager before its commit: pages
+     must reach the temp file before it, so the matrix also crashes
+     between mid-publication page writes and not only around the final
+     commit *)
+  let pgr = Pager.create_vfs ~vfs path in
   let st = Cover_store.of_cover pgr cover' in
   check_bool "pages reach the temp file before the commit" true
     ((Pager.stats pgr).Pager.disk_writes > 0);
@@ -276,7 +277,7 @@ let gen_matrix vfs live =
 
 let publish_churned vfs =
   let cover, _ = Hopi_twohop.Builder.build (Closure.compute (churned_graph ())) in
-  Manifest.publish ~vfs ~pool_pages:8 ~base:gen_base
+  Manifest.publish ~vfs ~base:gen_base
     ~load:(fun pgr -> Cover_store.save (Cover_store.of_cover pgr cover))
     ()
 
@@ -306,7 +307,7 @@ let setup_family () =
   check_bool "no manifest on a fresh volume" true
     (Manifest.recover ~vfs ~base:gen_base () = None);
   let cover, _ = Hopi_twohop.Builder.build (Closure.compute (chain_graph ())) in
-  let pgr = Pager.create_vfs ~pool_pages:8 ~vfs gen_base in
+  let pgr = Pager.create_vfs ~vfs gen_base in
   Cover_store.save (Cover_store.of_cover pgr cover);
   Pager.close pgr;
   Manifest.commit ~vfs ~base:gen_base { Manifest.live = 0; previous = 0; tip = 0 };

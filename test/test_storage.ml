@@ -14,48 +14,84 @@ let po = Page.payload_off
 
 (* {1 Pager} *)
 
+(* a fresh page holding [v] at the first payload word *)
+let page_with v =
+  let page = Page.create () in
+  Page.set_i32 page po v;
+  page
+
 let test_pager_alloc_read () =
   let p = Pager.create Pager.Memory in
   let id = Pager.alloc p in
   check_int "first page" 0 id;
-  let page = Pager.read p id in
-  Page.set_i32 page po 123456;
-  Pager.mark_dirty p id;
+  Pager.write p id (page_with 123456);
   check_int "read back" 123456 (Page.get_i32 (Pager.read p id) po);
   Alcotest.check_raises "oob" (Invalid_argument "Pager.read: page 5 out of [0,1)")
-    (fun () -> ignore (Pager.read p 5))
+    (fun () -> ignore (Pager.read p 5));
+  Alcotest.check_raises "unallocated write"
+    (Invalid_argument "Pager.write: page 1 out of [0,1)")
+    (fun () -> Pager.write p 1 (Page.create ()))
 
+(* a read before the write pools the zero image; the write must drop it,
+   so no stale image survives in the pool *)
+let test_pager_read_sees_write () =
+  let p = Pager.create ~pool_pages:1 Pager.Memory in
+  let id = Pager.alloc p in
+  check_int "unwritten page reads as zeros" 0 (Page.get_i32 (Pager.read p id) po);
+  Pager.write p id (page_with 4242);
+  check_int "the written bytes, not the pooled zeros" 4242
+    (Page.get_i32 (Pager.read p id) po)
+
+(* alloc/write every page once, then read them back through a pool
+   smaller than the file, while writing and after reopening *)
 let test_pager_eviction_roundtrip () =
-  (* tiny pool forces eviction and re-reads from the store *)
   let p = Pager.create ~pool_pages:8 Pager.Memory in
   let n = 64 in
   for i = 0 to n - 1 do
-    let id = Pager.alloc p in
-    let page = Pager.read p id in
-    Page.set_i32 page po (i * 7);
-    Pager.mark_dirty p id
+    Pager.write p (Pager.alloc p) (page_with (i * 7))
   done;
   for i = 0 to n - 1 do
     check_int (Printf.sprintf "page %d" i) (i * 7) (Page.get_i32 (Pager.read p i) po)
   done;
   let st = Pager.stats p in
-  check_bool "evictions happened" true (st.Pager.evictions > 0);
-  check_bool "disk traffic" true (st.Pager.disk_writes > 0 && st.Pager.disk_reads > 0)
+  check_bool "evictions happened" true (st.Pager.pool.Pager.Read_pool.evictions > 0);
+  check_int "each page written once" n st.Pager.disk_writes;
+  check_int "each page read once" n st.Pager.disk_reads
 
 let test_pager_file_backend () =
   let path = Filename.temp_file "hopi_pager" ".db" in
   let p = Pager.create ~pool_pages:8 (Pager.File path) in
   for i = 0 to 31 do
-    let id = Pager.alloc p in
-    let page = Pager.read p id in
+    let page = Page.create () in
     Page.set_i32 page 100 (i + 1);
-    Pager.mark_dirty p id
+    Pager.write p (Pager.alloc p) page
   done;
   for i = 0 to 31 do
     check_int "roundtrip" (i + 1) (Page.get_i32 (Pager.read p i) 100)
   done;
   Pager.close p;
   Sys.remove path
+
+(* publishing a store through a pool smaller than the store writes each
+   page exactly once and reads none back *)
+let test_pager_writes_each_page_once () =
+  let rng = Splitmix.create 18 in
+  let g = Hopi_graph.Digraph.create () in
+  for v = 0 to 299 do
+    Hopi_graph.Digraph.add_node g v
+  done;
+  for _ = 1 to 600 do
+    Hopi_graph.Digraph.add_edge g (Splitmix.int rng 300) (Splitmix.int rng 300)
+  done;
+  let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~pool_pages:4 ~vfs "once.db" in
+  Cover_store.save (Cover_store.of_cover p cover);
+  let st = Pager.stats p in
+  Pager.close p;
+  check_bool "the store outgrows the pool" true (st.Pager.pages > 4);
+  check_int "disk_writes = n_pages" st.Pager.pages st.Pager.disk_writes;
+  check_int "no page read back" 0 st.Pager.disk_reads
 
 (* publishing over an existing file keeps the permission bits an
    operator set on it; a first publication is created 0600 *)
@@ -64,7 +100,7 @@ let test_republish_keeps_mode () =
   Sys.remove path;
   let publish () =
     let p = Pager.create (Pager.File path) in
-    ignore (Pager.alloc p);
+    Pager.write p (Pager.alloc p) (Page.create ());
     Pager.close p
   in
   let perm () = (Unix.stat path).Unix.st_perm in
@@ -75,54 +111,9 @@ let test_republish_keeps_mode () =
   publish ();
   check_int "republication keeps the mode" 0o640 (perm ())
 
-let test_pager_pinning () =
-  let p = Pager.create ~pool_pages:8 Pager.Memory in
-  let id0 = Pager.alloc p in
-  let page0 = Pager.pin p id0 in
-  Page.set_i32 page0 po 999;
-  (* churn through many pages: id0 must not be evicted *)
-  for _ = 1 to 50 do
-    let id = Pager.alloc p in
-    ignore (Pager.read p id)
-  done;
-  Page.set_i32 page0 (po + 4) 1000;
-  Pager.mark_dirty p id0;
-  Pager.unpin p id0;
-  check_int "value survives" 999 (Page.get_i32 (Pager.read p id0) po)
-
-let test_pager_pin_nesting () =
-  (* nested pins: the page stays resident until the LAST unpin, across
-     eviction pressure after each level of unpinning *)
-  let p = Pager.create ~pool_pages:4 Pager.Memory in
-  let id0 = Pager.alloc p in
-  let page = Pager.pin p id0 in
-  let page' = Pager.pin p id0 in
-  check_bool "same buffer" true (page == page');
-  Page.set_i32 page po 4242;
-  Pager.mark_dirty p id0;
-  let churn () =
-    for _ = 1 to 20 do
-      let id = Pager.alloc p in
-      let q = Pager.read p id in
-      Page.set_i32 q po 1;
-      Pager.mark_dirty p id
-    done
-  in
-  churn ();
-  Pager.unpin p id0;
-  (* still pinned once: the buffer must survive more churn *)
-  churn ();
-  Page.set_i32 page (po + 4) 77;
-  Pager.mark_dirty p id0;
-  Pager.unpin p id0;
-  (* now evictable: churn again, then a fresh read must come from the store *)
-  churn ();
-  let back = Pager.read p id0 in
-  check_int "pinned write survives eviction" 4242 (Page.get_i32 back po);
-  check_int "second write survives too" 77 (Page.get_i32 back (po + 4))
-
-(* qcheck: random page workloads survive flush + open_existing byte-identically
-   on the real VFS (satellite: round-trip under eviction and reopen) *)
+(* qcheck: random pages written once each survive alloc/write/read
+   through a pool smaller than the file, and close + open_existing,
+   byte-identically on the real VFS *)
 let prop_pager_roundtrip_real_vfs =
   let gen =
     QCheck2.Gen.(
@@ -131,33 +122,31 @@ let prop_pager_roundtrip_real_vfs =
            (triple (int_bound 39) (int_bound 100) (int_range (-0x40000000) 0x3FFFFFFF))))
   in
   QCheck2.Test.make ~name:"pager file roundtrip byte-identical" ~count:30 gen
-    (fun (n_pages, writes) ->
+    (fun (n_pages, words) ->
       let path = Filename.temp_file "hopi_prop" ".db" in
       Fun.protect
         ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
         (fun () ->
-          let p = Pager.create ~pool_pages:4 (Pager.File path) in
-          for _ = 1 to n_pages do
-            ignore (Pager.alloc p)
-          done;
-          (* the model: what each word of each page should hold *)
-          let model = Hashtbl.create 64 in
+          (* the model: the payload of every page, built before its write *)
+          let model = Array.init n_pages (fun _ -> Page.create ()) in
           List.iter
             (fun (page, word, value) ->
-              let page = page mod n_pages in
               let off = po + (word mod ((Page.size - po) / 4)) * 4 in
-              let b = Pager.read p page in
-              Page.set_i32 b off value;
-              Pager.mark_dirty p page;
-              Hashtbl.replace model (page, off) value)
-            writes;
+              Page.set_i32 model.(page mod n_pages) off value)
+            words;
+          let payload b = Bytes.sub_string b po (Page.size - po) in
+          let expect = Array.map payload model in
+          let p = Pager.create ~pool_pages:4 (Pager.File path) in
+          Array.iter (fun page -> Pager.write p (Pager.alloc p) (Bytes.copy page)) model;
+          let matches q =
+            Pager.n_pages q = n_pages
+            && Array.for_all Fun.id
+                 (Array.init n_pages (fun i -> payload (Pager.read q i) = expect.(i)))
+          in
+          let ok = ref (matches p) in
           Pager.close p;
           let q = Pager.open_existing ~pool_pages:4 path in
-          let ok = ref (Pager.n_pages q = n_pages) in
-          Hashtbl.iter
-            (fun (page, off) value ->
-              if Page.get_i32 (Pager.read q page) off <> value then ok := false)
-            model;
+          if not (matches q) then ok := false;
           (* and a full checksum sweep straight off the file *)
           if Pager.verify_pages q <> [] then ok := false;
           Pager.close q;
@@ -404,11 +393,9 @@ let test_catalog_bad_magic () =
 
 let test_catalog_bad_version () =
   let pager = Pager.create Pager.Memory in
-  ignore (Pager.alloc pager);
-  let page = Pager.read pager 0 in
-  Page.set_i32 page po Catalog.magic;
+  let page = page_with Catalog.magic in
   Page.set_i32 page (po + 4) 999;
-  Pager.mark_dirty pager 0;
+  Pager.write pager (Pager.alloc pager) page;
   Alcotest.check_raises "bad version"
     (Storage_error.Storage_error
        (Storage_error.Bad_version { got = 999; expected = Catalog.version }))
@@ -443,13 +430,12 @@ let test_catalog_wrong_kind () =
 
 (* a published page file is never written again: after [commit] the
    writing pager and any pager opened on the file refuse every write entry
-   point, and a second commit or close publishes nothing *)
+   point, a second commit included, and a close publishes nothing *)
 let test_published_file_rejects_writes () =
   let vfs = Vfs.memory () in
   let p = Pager.create_vfs ~pool_pages:8 ~vfs "pub.db" in
   let id = Pager.alloc p in
-  Page.set_i32 (Pager.read p id) po 7;
-  Pager.mark_dirty p id;
+  Pager.write p id (page_with 7);
   check_bool "nothing at the name before the commit" false (vfs.Vfs.exists "pub.db");
   Pager.commit p;
   check_bool "published" true (vfs.Vfs.exists "pub.db");
@@ -461,15 +447,14 @@ let test_published_file_rejects_writes () =
   in
   let rejects_writes what q =
     rejects what "alloc" (fun () -> ignore (Pager.alloc q));
-    rejects what "mark_dirty" (fun () -> Pager.mark_dirty q id)
+    rejects what "write" (fun () -> Pager.write q id (page_with 8));
+    rejects what "commit" (fun () -> Pager.commit q)
   in
   rejects_writes "committed" p;
-  Pager.commit p;
   check_int "committed pager still reads" 7 (Page.get_i32 (Pager.read p id) po);
   Pager.close p;
   let q = Pager.open_vfs ~vfs "pub.db" in
   rejects_writes "reopened" q;
-  rejects "reopened" "commit" (fun () -> Pager.commit q);
   check_int "reopened pager reads" 7 (Page.get_i32 (Pager.read q id) po);
   Pager.close q;
   check_bool "no temp file left" false (vfs.Vfs.exists (Vfs.tmp_path "pub.db"))
@@ -827,8 +812,9 @@ let suite =
         Alcotest.test_case "alloc/read" `Quick test_pager_alloc_read;
         Alcotest.test_case "eviction roundtrip" `Quick test_pager_eviction_roundtrip;
         Alcotest.test_case "file backend" `Quick test_pager_file_backend;
-        Alcotest.test_case "pinning" `Quick test_pager_pinning;
-        Alcotest.test_case "pin nesting across evictions" `Quick test_pager_pin_nesting;
+        Alcotest.test_case "reads see writes" `Quick test_pager_read_sees_write;
+        Alcotest.test_case "each page written once" `Quick
+          test_pager_writes_each_page_once;
         Alcotest.test_case "open missing file" `Quick test_open_missing_file;
         Alcotest.test_case "published file rejects writes" `Quick
           test_published_file_rejects_writes;
