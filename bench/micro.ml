@@ -1,5 +1,6 @@
 (* Query-latency micro-benchmarks (bechamel): reachability through the
-   in-memory cover, through the paged LIN/LOUT store, and by naive BFS —
+   in-memory cover, through the paged LIN/LOUT store, across the shards
+   of a k = 4 split, and by naive BFS —
    the per-query speedup that motivates a connection index in the first
    place — plus distance lookups and descendant enumeration, and the
    kernels under them: the page checksum every pool miss verifies, the
@@ -17,6 +18,7 @@ module Splitmix = Hopi_util.Splitmix
 module Crc32 = Hopi_util.Crc32
 module Ihs = Hopi_util.Int_hashset
 module Label_cache = Hopi_serve.Label_cache
+module Router = Hopi_serve.Router
 open Hopi_core
 
 (* Warm hits, cycling over 64 resident entries: a label-cache find (key
@@ -102,6 +104,24 @@ let make_tests (s : Bench_common.scale) =
     pairs.(!i)
   in
   let cover = Hopi.cover idx in
+  (* the same collection split k = 4 into an in-memory file system, probed
+     with the sampled pairs whose endpoints sit on different shards *)
+  let router =
+    let vfs = Hopi_storage.Vfs.memory () and dir = Filename.current_dir_name in
+    ignore (Router.split ~vfs ~fsync:false ~k:4 ~dir c : Router.split_stats);
+    Router.open_dir ~vfs dir
+  in
+  let cross =
+    Array.of_list
+      (List.filter
+         (fun (u, v) -> Router.shard_of router u <> Router.shard_of router v)
+         (Array.to_list pairs))
+  in
+  let j = ref 0 in
+  let next_cross () =
+    j := (!j + 1) mod Array.length cross;
+    cross.(!j)
+  in
   Test.make_grouped ~name:"query"
     [
       Test.make ~name:"connected/cover" (Staged.stage (fun () ->
@@ -110,6 +130,9 @@ let make_tests (s : Bench_common.scale) =
       Test.make ~name:"connected/store" (Staged.stage (fun () ->
           let u, v = next () in
           ignore (Cover_store.connected store u v)));
+      Test.make ~name:"connected/router-cross" (Staged.stage (fun () ->
+          let u, v = next_cross () in
+          ignore (Router.connected router u v)));
       Test.make ~name:"connected/bfs" (Staged.stage (fun () ->
           let u, v = next () in
           ignore (Traversal.is_reachable g u v)));

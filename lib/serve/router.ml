@@ -12,9 +12,15 @@
 
      u ==within==> s  --PSG closure-->  t  ==within==> v
 
-   minimised (for distances) over every source [s] of shard(u) and
-   target [t] of shard(v); the closure is multi-hop, so paths that
-   traverse — or re-enter — any number of shards are covered. *)
+   and both within segments are 2-hop label merges, so the whole path is
+   a second-level 2-hop merge whose centers are shard-cover centers
+   (§3.4, with the cross-link endpoints preselected as in §4.2): [exit c]
+   folds [c ⇝ s ⇝ t] over every source [s] that names [c] (in [Lin(s)] or
+   as [s] itself), [entry c'] lists every target [t] that reaches [c']
+   (in [Lout(t)] or as [t] itself), and [u ⇝ v] crosses iff some
+   [c ∈ Lout(u) ∪ {u}] and [c' ∈ Lin(v) ∪ {v}] have a target in common.
+   The closure is multi-hop, so paths that traverse — or re-enter — any
+   number of shards are covered. *)
 
 module Collection = Hopi_collection.Collection
 module Partitioning = Hopi_collection.Partitioning
@@ -27,8 +33,10 @@ module Cover = Hopi_twohop.Cover
 module Dist_cover = Hopi_twohop.Dist_cover
 module S = Hopi_storage
 module Ihs = Hopi_util.Int_hashset
+module Codec = Hopi_twohop.Label_codec
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
+module Gauge = Hopi_obs.Gauge
 
 let m_single =
   Registry.counter "hopi_router_single_shard_total"
@@ -37,6 +45,14 @@ let m_single =
 let m_scatter =
   Registry.counter "hopi_router_scatter_total"
     ~help:"Queries resolved through the PSG closure across shards"
+
+let g_rows =
+  Registry.gauge "hopi_router_exit_rows"
+    ~help:"Exit and entry rows the open router holds in memory"
+
+let g_bytes =
+  Registry.gauge "hopi_router_exit_bytes"
+    ~help:"Encoded bytes of the open router's exit and entry rows"
 
 type split_stats = {
   shards : int;
@@ -215,10 +231,10 @@ type t = {
   with_dist : bool;
   snaps : Snapshot.t array;
   elem_shard : (int, int) Hashtbl.t;
-  sources_of : int array array;  (* per shard, sorted cross-link sources *)
-  targets_of : int array array;
-  fwd : (int, (int * int) array) Hashtbl.t;  (* source -> (target, d) *)
-  rev : (int, (int * int) array) Hashtbl.t;  (* target -> (source, d) *)
+  has_targets : bool array;  (* per shard: does a cross link land in it? *)
+  exits : (int, Codec.t) Hashtbl.t;  (* center c -> rows (t, d(c ~> t)) *)
+  entries_at : (int, Codec.t) Hashtbl.t;  (* center c' -> rows (t, d(t ~> c')) *)
+  rev : (int, int array) Hashtbl.t;  (* target -> the sources reaching it *)
   entries : int;
 }
 
@@ -237,6 +253,77 @@ let verify_crc path data =
   | Some crc ->
     if crc <> Hopi_util.Crc32.digest (Bytes.unsafe_of_string data) ~pos:0 ~len:start then
       corrupt "routing index checksum mismatch"
+
+let push h key x = Hashtbl.replace h key (x :: Option.value ~default:[] (Hashtbl.find_opt h key))
+
+(* [f center d] once per distinct center of a label set, at the run's
+   least distance (the first row of each run) *)
+let iter_runs enc f =
+  let last = ref (-1) in
+  Codec.iter enc (fun ~center ~dist ->
+      if center <> !last then begin
+        last := center;
+        f center dist
+      end)
+
+(* The second-level 2-hop tables, over the shards' labels (fetched
+   through the shared label cache).  [targets] holds the link targets
+   ascending; [closure_of] maps each link source to its closure rows
+   (index into [targets], d_psg).
+
+   exit rows: every source [s] hands its closure rows, shifted by
+   [din(c, s)], to each center [c ∈ Lin(s) ∪ {s}]; a center keeps the
+   least distance per target, gathered in one dense scratch array.
+   entry rows: each target [t] at [dout(t, c')] under every center
+   [c' ∈ Lout(t) ∪ {t}].  Both are set as gauges. *)
+let routing_rows snaps elem_shard targets closure_of =
+  let label dir v = Snapshot.label snaps.(Hashtbl.find elem_shard v) dir v in
+  let namers = Hashtbl.create 256 in
+  Hashtbl.iter
+    (fun s rows ->
+      push namers s (rows, 0);
+      iter_runs (label S.Cover_store.Lin s) (fun c din -> push namers c (rows, din)))
+    closure_of;
+  let best = Array.make (Array.length targets) max_int in
+  let exits = Hashtbl.create (Hashtbl.length namers) in
+  Hashtbl.iter
+    (fun c by ->
+      let touched = ref [] in
+      List.iter
+        (fun (rows, din) ->
+          List.iter
+            (fun (ti, d) ->
+              if best.(ti) = max_int then touched := ti :: !touched;
+              if din + d < best.(ti) then best.(ti) <- din + d)
+            rows)
+        by;
+      let e = Codec.Enc.create () in
+      List.iter
+        (fun ti ->
+          Codec.Enc.row e ~center:targets.(ti) ~dist:best.(ti);
+          best.(ti) <- max_int)
+        (List.sort compare !touched);
+      Hashtbl.replace exits c (Codec.Enc.finish e))
+    namers;
+  (* targets go in descending, so each center's list comes out ascending *)
+  let entry_l = Hashtbl.create 64 in
+  for i = Array.length targets - 1 downto 0 do
+    let tg = targets.(i) in
+    push entry_l tg (tg, 0);
+    iter_runs (label S.Cover_store.Lout tg) (fun c dout -> push entry_l c (tg, dout))
+  done;
+  let entries_at = Hashtbl.create (Hashtbl.length entry_l) in
+  Hashtbl.iter (fun c l -> Hashtbl.replace entries_at c (Codec.encode_pairs (Array.of_list l))) entry_l;
+  let rows = ref 0 and bytes = ref 0 in
+  let count _ enc =
+    rows := !rows + Codec.n_rows enc;
+    bytes := !bytes + Codec.size_bytes enc
+  in
+  Hashtbl.iter count exits;
+  Hashtbl.iter count entries_at;
+  Gauge.set g_rows !rows;
+  Gauge.set g_bytes !bytes;
+  (exits, entries_at)
 
 let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   let path = routing_path ~dir in
@@ -273,58 +360,50 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
       | _ -> fail "element line")
     | _ -> fail "element line"
   done;
-  let n_links = counted "links" in
-  let srcs = Array.make k [] and tgts = Array.make k [] in
   let shard_of_exn e =
     match Hashtbl.find_opt elem_shard e with
     | Some s -> s
     | None -> fail (Printf.sprintf "link endpoint %d not in the element map" e)
   in
-  let src_seen = Ihs.create () and tgt_seen = Ihs.create () in
+  let n_links = counted "links" in
+  let source_set = Ihs.create () and target_set = Ihs.create () in
+  let has_targets = Array.make k false in
   for _ = 1 to n_links do
     match String.split_on_char ' ' (line ()) with
     | [ "l"; u; v ] -> (
       match (int_of_string_opt u, int_of_string_opt v) with
       | Some u, Some v ->
-        if not (Ihs.mem src_seen u) then begin
-          Ihs.add src_seen u;
-          let s = shard_of_exn u in
-          srcs.(s) <- u :: srcs.(s)
-        end;
-        if not (Ihs.mem tgt_seen v) then begin
-          Ihs.add tgt_seen v;
-          let s = shard_of_exn v in
-          tgts.(s) <- v :: tgts.(s)
-        end
+        ignore (shard_of_exn u : int);
+        Ihs.add source_set u;
+        has_targets.(shard_of_exn v) <- true;
+        Ihs.add target_set v
       | _ -> fail "link line")
     | _ -> fail "link line"
   done;
+  (* targets ascending, and each target's index: the dense key of the
+     exit-row scratch array *)
+  let targets = Array.of_list (List.sort compare (Ihs.to_list target_set)) in
+  let target_index = Hashtbl.create (max 16 (Array.length targets)) in
+  Array.iteri (fun i tg -> Hashtbl.replace target_index tg i) targets;
   let n_closure = counted "closure" in
-  let fwd_l = Hashtbl.create 64 and rev_l = Hashtbl.create 64 in
-  let push h key x =
-    Hashtbl.replace h key (x :: Option.value ~default:[] (Hashtbl.find_opt h key))
-  in
+  (* per source its closure rows (target index, d); per target its
+     sources.  Plain shards route reachability only: every distance 0. *)
+  let closure_of = Hashtbl.create 64 and rev_l = Hashtbl.create 64 in
   for _ = 1 to n_closure do
     match String.split_on_char ' ' (line ()) with
-    | [ "c"; s; t; d ] -> (
-      match (int_of_string_opt s, int_of_string_opt t, int_of_string_opt d) with
-      | Some s, Some t, Some d when d >= 0 ->
-        push fwd_l s (t, d);
-        push rev_l t (s, d)
+    | [ "c"; s; tg; d ] -> (
+      match (int_of_string_opt s, int_of_string_opt tg, int_of_string_opt d) with
+      | Some s, Some tg, Some d when d >= 0 -> (
+        if not (Ihs.mem source_set s) then fail (Printf.sprintf "closure source %d is not a link source" s);
+        match Hashtbl.find_opt target_index tg with
+        | None -> fail (Printf.sprintf "closure target %d is not a link target" tg)
+        | Some ti ->
+          push closure_of s (ti, if with_dist then d else 0);
+          push rev_l tg s)
       | _ -> fail "closure line")
     | _ -> fail "closure line"
   done;
   if line () <> "end" then fail "missing end marker";
-  let freeze h =
-    let out = Hashtbl.create (Hashtbl.length h) in
-    Hashtbl.iter
-      (fun key l ->
-        let a = Array.of_list l in
-        Array.sort compare a;
-        Hashtbl.replace out key a)
-      h;
-    out
-  in
   (* one shared page pool and label cache across all shard snapshots *)
   let pool = S.Pager.Read_pool.create ~pages:pool_pages () in
   let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in
@@ -340,18 +419,16 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
       List.iter Snapshot.close !opened;
       raise e
   in
+  let exits, entries_at =
+    try routing_rows snaps elem_shard targets closure_of
+    with e ->
+      List.iter Snapshot.close !opened;
+      raise e
+  in
+  let rev = Hashtbl.create (Hashtbl.length rev_l) in
+  Hashtbl.iter (fun tg l -> Hashtbl.replace rev tg (Array.of_list l)) rev_l;
   let entries = Array.fold_left (fun acc s -> acc + Snapshot.n_entries s) 0 snaps in
-  {
-    k;
-    with_dist;
-    snaps;
-    elem_shard;
-    sources_of = Array.map (fun l -> Array.of_list (List.sort compare l)) srcs;
-    targets_of = Array.map (fun l -> Array.of_list (List.sort compare l)) tgts;
-    fwd = freeze fwd_l;
-    rev = freeze rev_l;
-    entries;
-  }
+  { k; with_dist; snaps; elem_shard; has_targets; exits; entries_at; rev; entries }
 
 let close t = Array.iter Snapshot.close t.snaps
 
@@ -365,25 +442,45 @@ let n_entries t = t.entries
 
 let shard_of t e = Hashtbl.find_opt t.elem_shard e
 
-let fwd_of t s = Option.value ~default:[||] (Hashtbl.find_opt t.fwd s)
-
-let rev_of t tg = Option.value ~default:[||] (Hashtbl.find_opt t.rev tg)
-
 (* {1 Queries} *)
+
+(* The routing rows of every center of [x]'s label set and of [x] itself
+   (at distance 0), each with its distance from (or to) [x]. *)
+let centers tbl x label =
+  let acc = ref (match Hashtbl.find_opt tbl x with Some r -> [ (r, 0) ] | None -> []) in
+  iter_runs label (fun c d ->
+      match Hashtbl.find_opt tbl c with Some r -> acc := (r, d) :: !acc | None -> ());
+  !acc
+
+let exits_of t a u = centers t.exits u (Snapshot.label t.snaps.(a) S.Cover_store.Lout u)
+
+let entries_of t b v = centers t.entries_at v (Snapshot.label t.snaps.(b) S.Cover_store.Lin v)
 
 (* is there a cross path u ==> v (shards [a] and [b] may be equal: a path
    can leave shard [a] and come back)? *)
 let cross_connected t a u b v =
-  let tset = Ihs.create () in
-  Array.iter
-    (fun tg -> if Snapshot.connected t.snaps.(b) tg v then Ihs.add tset tg)
-    t.targets_of.(b);
-  (not (Ihs.is_empty tset))
-  && Array.exists
-       (fun s ->
-         Snapshot.connected t.snaps.(a) u s
-         && Array.exists (fun (tg, _) -> Ihs.mem tset tg) (fwd_of t s))
-       t.sources_of.(a)
+  match exits_of t a u with
+  | [] -> false
+  | outs ->
+    let ins = entries_of t b v in
+    List.exists (fun (x, _) -> List.exists (fun (y, _) -> Codec.intersects x y) ins) outs
+
+(* the shortest cross path u ==> v, or -1 *)
+let cross_distance t a u b v =
+  match exits_of t a u with
+  | [] -> -1
+  | outs ->
+    let ins = entries_of t b v in
+    let best = ref (-1) in
+    List.iter
+      (fun (x, du) ->
+        List.iter
+          (fun (y, dv) ->
+            let m = Codec.merge_min x y in
+            if m >= 0 && (!best < 0 || du + m + dv < !best) then best := du + m + dv)
+          ins)
+      outs;
+    !best
 
 let connected t u v =
   match (shard_of t u, shard_of t v) with
@@ -407,45 +504,21 @@ let min_distance t u v =
     None
   | Some a, Some b ->
     let direct = if a = b then Snapshot.min_distance t.snaps.(a) u v else None in
-    if not t.with_dist then begin
-      (* plain covers store every reachable pair at distance 0, exactly
-         like an unsharded plain Cover_store *)
-      match direct with
-      | Some _ ->
-        Counter.incr m_single;
-        direct
-      | None ->
-        Counter.incr m_scatter;
-        if cross_connected t a u b v then Some 0 else None
+    (* plain covers store every reachable pair at distance 0, exactly like
+       an unsharded plain Cover_store; on distance-aware ones even a
+       same-shard pair may be closer through other shards whenever a cross
+       link lands in its shard *)
+    let routed = if t.with_dist then a <> b || t.has_targets.(b) else direct = None in
+    if not routed then begin
+      Counter.incr m_single;
+      direct
     end
     else begin
-      (* even a same-shard pair may be closer through other shards: the
-         closure is consulted whenever shard b has cross-link targets *)
-      Counter.incr
-        (if a = b && Array.length t.targets_of.(b) = 0 then m_single else m_scatter);
-      let dv = Hashtbl.create 16 in
-      Array.iter
-        (fun tg ->
-          match Snapshot.min_distance t.snaps.(b) tg v with
-          | Some d -> Hashtbl.replace dv tg d
-          | None -> ())
-        t.targets_of.(b);
-      let best = ref direct in
-      let consider d = match !best with Some b when b <= d -> () | _ -> best := Some d in
-      if Hashtbl.length dv > 0 then
-        Array.iter
-          (fun s ->
-            match Snapshot.min_distance t.snaps.(a) u s with
-            | None -> ()
-            | Some du ->
-              Array.iter
-                (fun (tg, dpsg) ->
-                  match Hashtbl.find_opt dv tg with
-                  | Some dvv -> consider (du + dpsg + dvv)
-                  | None -> ())
-                (fwd_of t s))
-          t.sources_of.(a);
-      !best
+      Counter.incr m_scatter;
+      match (direct, cross_distance t a u b v) with
+      | _, -1 -> direct
+      | Some d, c when d <= c -> direct
+      | _, c -> Some c
     end
 
 let descendants t u =
@@ -456,11 +529,7 @@ let descendants t u =
   | Some a ->
     let acc = Snapshot.descendants t.snaps.(a) u in
     let tset = Ihs.create () in
-    Array.iter
-      (fun s ->
-        if Ihs.mem acc s then
-          Array.iter (fun (tg, _) -> Ihs.add tset tg) (fwd_of t s))
-      t.sources_of.(a);
+    List.iter (fun (rows, _) -> Codec.iter_centers rows (Ihs.add tset)) (exits_of t a u);
     Counter.incr (if Ihs.is_empty tset then m_single else m_scatter);
     Ihs.iter
       (fun tg ->
@@ -478,11 +547,11 @@ let ancestors t v =
   | Some b ->
     let acc = Snapshot.ancestors t.snaps.(b) v in
     let sset = Ihs.create () in
-    Array.iter
-      (fun tg ->
-        if Ihs.mem acc tg then
-          Array.iter (fun (s, _) -> Ihs.add sset s) (rev_of t tg))
-      t.targets_of.(b);
+    List.iter
+      (fun (rows, _) ->
+        Codec.iter_centers rows (fun tg ->
+            Array.iter (Ihs.add sset) (Option.value ~default:[||] (Hashtbl.find_opt t.rev tg))))
+      (entries_of t b v);
     Counter.incr (if Ihs.is_empty sset then m_single else m_scatter);
     Ihs.iter
       (fun s ->

@@ -7,27 +7,47 @@
     {e routing index} next to them: the element→shard map, the
     cross-shard links [L_P], and the {e transitive closure of the
     partition skeleton graph} (PSG, {!Hopi_collection.Psg}) over the
-    cross-link endpoints — the replicated structure every router instance
-    can hold in memory.
+    cross-link endpoints, as rows [(s, t, d_psg(s,t))] from every link
+    source [s] to every link target [t] it reaches.
 
     {!open_dir} serves the shard directory as one logical index with
-    exactly {!Hopi_storage.Cover_store} semantics:
+    exactly {!Hopi_storage.Cover_store} semantics.  At open it folds the
+    closure into a second level of 2-hop labels over the shards' own
+    labels, whose centers are the shard-cover centers around the cross
+    links (the paper's §3.4 merge, with link targets as the preselected
+    centers of §4.2):
+
+    - {e exit rows}: for every center [c ∈ Lin(s) ∪ {s}] of a link source
+      [s], the set of rows [(t, min din(c,s) + d_psg(s,t))] over the
+      closure targets [t] of all such sources;
+    - {e entry rows}: for every center [c' ∈ Lout(t) ∪ {t}] of a link
+      target [t], the set of rows [(t, dout(t,c'))].
+
+    Each center belongs to exactly one shard's cover, so one table per
+    kind serves every shard.  Both are {!Hopi_twohop.Label_codec} sets,
+    immutable after open, and reported by the gauges
+    [hopi_router_exit_rows] and [hopi_router_exit_bytes] (exit plus
+    entry rows).  Queries:
 
     - a query whose endpoints miss the element map is answered like an
       unknown node (unreachable / empty set);
-    - [reach u v]: within-shard answers come straight from the shard's
-      snapshot; cross answers (including paths that leave and re-enter a
-      shard) resolve as [u ⇝ s] within shard(u), [s ⇝ t] through the PSG
-      closure, [t ⇝ v] within shard(v);
-    - [desc]/[anc] scatter to every shard a PSG-reachable entry point
-      lands in and merge the within-shard sets (deterministically — pure
-      set union, identical for any evaluation order);
-    - [dist] on distance-aware shards minimises
-      [d_a(u,s) + d_psg(s,t) + d_b(t,v)] over all source/target pairs,
-      where the PSG closure stores weighted distances (link edges cost 1,
-      within-partition connections cost their shard's stored distance);
-      on plain shards every reachable pair answers 0, like a plain
-      {!Hopi_storage.Cover_store}. *)
+    - [reach u v]: a same-shard pair connected within its shard is
+      answered by that shard's snapshot; otherwise the answer is whether
+      [exit c] and [entry c'] share a target for some
+      [c ∈ Lout(u) ∪ {u}] and [c' ∈ Lin(v) ∪ {v}] — this covers paths
+      that leave and re-enter a shard, through any number of shards;
+    - [dist u v]: the least [dout(u,c) + merge_min (exit c) (entry c')
+      + din(c',v)] over the same pairs, against the within-shard
+      distance of a same-shard pair.  On distance-aware shards even a
+      same-shard pair is routed when a cross link lands in its shard (a
+      path through other shards may be shorter); on plain shards every
+      stored distance is 0, so every reachable pair answers 0, like a
+      plain {!Hopi_storage.Cover_store};
+    - [desc u] ([anc v]): the link targets the exit rows of
+      [{u} ∪ Lout(u)] reach (the sources of the targets in the entry rows
+      of [{v} ∪ Lin(v)]), and the within-shard sets of each merged into
+      the shard-local answer (pure set union, identical for any
+      evaluation order). *)
 
 type t
 
@@ -73,11 +93,14 @@ val split :
 val open_dir : ?vfs:Hopi_storage.Vfs.t -> ?pool_pages:int -> ?cache_mb:int -> string -> t
 (** Open every shard store (one shared read-only page pool across all of
     them) and load the routing index, both through [vfs] (default
-    {!Hopi_storage.Vfs.real}).
+    {!Hopi_storage.Vfs.real}); then build the exit and entry rows from
+    the label sets of every link endpoint, read through the shared label
+    cache.
     @raise Hopi_storage.Storage_error.Storage_error on a missing or
     damaged file — [Bad_catalog] when the routing index fails its
     checksum — and [Sys_error] on a routing index whose checksum holds
-    but whose contents do not parse. *)
+    but whose contents do not parse, or whose closure names a node that
+    is not a link source (or target). *)
 
 val close : t -> unit
 

@@ -99,6 +99,8 @@ let read_pool t = t.pool
 
 let mem_node t v = (src t).mem v
 
+let label t dir v = (src t).fetch dir v
+
 let connected t u v = S.Cover_store.reach (src t) u v
 
 let min_distance t u v = S.Cover_store.dist (src t) u v

@@ -92,6 +92,10 @@ val epoch : t -> int
 
 val mem_node : t -> int -> bool
 
+val label : t -> Label_cache.dir -> int -> Hopi_twohop.Label_codec.t
+(** A node's [Lin] or [Lout] label set, fetched through the label cache
+    (empty for a node the store does not hold). *)
+
 val connected : t -> int -> int -> bool
 (** [connected t u v]: does the stored index contain the connection
     [u ⇝ v]?  Reflexive ([u = v] answers [true] for any known node). *)

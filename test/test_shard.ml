@@ -186,6 +186,209 @@ let test_same_shard_dist_is_scatter () =
   checki "counted as a scatter" (s0 + 1) (Counter.get scatter);
   checki "not as single-shard" g0 (Counter.get single)
 
+(* {1 Hand-built routes}
+
+   Two documents that land on different shards at k = 2 (the heavier
+   one, a.xml, on shard 0):
+
+     a.xml:  a ─ x ──link──▶ i ─ o ──link──▶ y   (y deep under w)
+             └── w ──link──▶ i    w ─ c1 ─ c2 ─ c3 ─ y
+     b.xml:  b ─ i ─ o
+
+   [x] is itself a link source and a leaf of its shard, [i] itself a
+   link target; [x ⇝ y] exists only through b.xml, and [w ⇝ y] is 4 steps
+   inside a.xml but 3 through b.xml. *)
+let two_doc_collection () =
+  let parse = Hopi_xml.Xml_parser.parse_string_exn in
+  let c = Collection.create () in
+  ignore
+    (Collection.add_document c ~name:"a.xml"
+       (parse
+          {|<a><x xlink:href="b.xml#in"/><w xlink:href="b.xml#in"><c1><c2><c3><y id="back"/></c3></c2></c1></w></a>|})
+      : int);
+  ignore
+    (Collection.add_document c ~name:"b.xml"
+       (parse {|<b><i id="in"><o xlink:href="a.xml#back"/></i></b>|})
+      : int);
+  let el tag =
+    match Collection.elements_with_tag c tag with
+    | [ e ] -> e
+    | _ -> Alcotest.failf "no single <%s>" tag
+  in
+  (c, el)
+
+let with_two_doc_split ~dist f =
+  with_temp_dir @@ fun dir ->
+  let c, el = two_doc_collection () in
+  let st = Router.split ~dist ~k:2 ~dir c in
+  checki "two shards" 2 st.Router.shards;
+  let r = Router.open_dir dir in
+  Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
+  checkb "x and i on different shards" true (Router.shard_of r (el "x") <> Router.shard_of r (el "i"));
+  checkb "x and y on one shard" true (Router.shard_of r (el "x") = Router.shard_of r (el "y"));
+  f r el
+
+let dist_opt = Alcotest.(option int)
+
+(* u a link source and v a link target: the only centers joining them
+   are u and v themselves *)
+let test_self_centers () =
+  List.iter
+    (fun dist ->
+      with_two_doc_split ~dist @@ fun r el ->
+      let d n = if dist then Some n else Some 0 in
+      checkb "source -> target" true (Router.connected r (el "x") (el "i"));
+      check dist_opt "source -> target distance" (d 1) (Router.min_distance r (el "x") (el "i"));
+      checkb "source -> below the target" true (Router.connected r (el "x") (el "o"));
+      check dist_opt "source -> below the target distance" (d 2)
+        (Router.min_distance r (el "x") (el "o"));
+      checkb "above the source -> target" true (Router.connected r (el "a") (el "i"));
+      check dist_opt "above the source -> target distance" (d 2)
+        (Router.min_distance r (el "a") (el "i"));
+      checkb "target -/-> source" false (Router.connected r (el "i") (el "x"));
+      check dist_opt "target -/-> source distance" None (Router.min_distance r (el "i") (el "x"));
+      check
+        Alcotest.(list int)
+        "desc of the source"
+        (List.sort compare [ el "x"; el "i"; el "o"; el "y" ])
+        (sorted_of_ihs (Router.descendants r (el "x")));
+      check
+        Alcotest.(list int)
+        "anc of the target"
+        (List.sort compare [ el "i"; el "b"; el "x"; el "w"; el "a" ])
+        (sorted_of_ihs (Router.ancestors r (el "i"))))
+    [ false; true ]
+
+(* same-shard pairs whose (shortest) path leaves the shard and comes back *)
+let test_leave_and_return () =
+  with_two_doc_split ~dist:true @@ fun r el ->
+  checkb "x reaches y only through b.xml" true (Router.connected r (el "x") (el "y"));
+  check dist_opt "x -> y" (Some 3) (Router.min_distance r (el "x") (el "y"));
+  check dist_opt "w -> y: 3 across, not 4 within" (Some 3) (Router.min_distance r (el "w") (el "y"));
+  check dist_opt "a -> y" (Some 4) (Router.min_distance r (el "a") (el "y"));
+  check dist_opt "c1 -> y stays within" (Some 3) (Router.min_distance r (el "c1") (el "y"));
+  check dist_opt "y -/-> x" None (Router.min_distance r (el "y") (el "x"));
+  checkb "y -/-> x" false (Router.connected r (el "y") (el "x"))
+
+(* {1 The routing index is validated at open} *)
+
+(* rewrite a split's routing index with one extra closure line [extra]
+   (the closure count bumped, the checksum recomputed) *)
+let add_closure_line dir extra =
+  let path = Router.routing_path ~dir in
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let body = String.sub data 0 (String.length data - String.length "crc XXXXXXXX\n") in
+  let lines =
+    String.split_on_char '\n' body
+    |> List.concat_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "closure"; n ] -> [ Printf.sprintf "closure %d" (int_of_string n + 1); extra ]
+           | _ -> [ l ])
+  in
+  let body = String.concat "\n" lines in
+  let crc = Hopi_util.Crc32.digest (Bytes.of_string body) ~pos:0 ~len:(String.length body) in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc body;
+      Printf.fprintf oc "crc %08lx\n" crc)
+
+let test_bogus_closure_rejected () =
+  let c = Dblp.generate (Dblp.default ~n_docs:6) in
+  let routing_lines dir =
+    In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.map (String.split_on_char ' ')
+  in
+  let links dir =
+    List.filter_map
+      (function [ "l"; u; v ] -> Some (int_of_string u, int_of_string v) | _ -> None)
+      (routing_lines dir)
+  in
+  let expect_rejected what dir =
+    match Router.open_dir dir with
+    | r ->
+      Router.close r;
+      Alcotest.failf "%s went unnoticed" what
+    | exception Sys_error _ -> ()
+  in
+  with_temp_dir @@ fun dir ->
+  ignore (Router.split ~k:3 ~dir c : Router.split_stats);
+  let clean = In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all in
+  let restore () = Out_channel.with_open_bin (Router.routing_path ~dir) (fun oc -> output_string oc clean) in
+  let ls = links dir in
+  let srcs = List.map fst ls and tgts = List.map snd ls in
+  let non_source = Array.find_opt (fun e -> not (List.mem e srcs)) (elements c) in
+  let non_target = Array.find_opt (fun e -> not (List.mem e tgts)) (elements c) in
+  (match (ls, non_source, non_target) with
+  | (s, t) :: _, Some ns, Some nt ->
+    add_closure_line dir (Printf.sprintf "c %d %d 1" ns t);
+    expect_rejected "a closure line from a non-source" dir;
+    restore ();
+    add_closure_line dir (Printf.sprintf "c %d %d 1" s nt);
+    expect_rejected "a closure line to a non-target" dir;
+    restore ();
+    (* the rewrite itself is sound: a duplicate of a real line opens *)
+    add_closure_line dir (Printf.sprintf "c %d %d 1" s t);
+    Router.close (Router.open_dir dir)
+  | _ -> Alcotest.fail "the split has no cross link")
+
+(* {1 A larger deterministic differential}
+
+   60 DBLP documents at k = 4, plain and distance-aware: 4,000 seeded
+   reach/dist pairs and the desc/anc sets of 50 elements against the
+   closure and per-source BFS of the whole element graph. *)
+let test_dblp60_differential () =
+  let c = Dblp.generate (Dblp.default ~n_docs:60) in
+  let g = Collection.element_graph c in
+  let clo = Closure.compute g in
+  let bfs = Hashtbl.create 1024 in
+  let bfs_dist u v =
+    let d =
+      match Hashtbl.find_opt bfs u with
+      | Some d -> d
+      | None ->
+        let d = Hopi_graph.Traversal.bfs_distances g u in
+        Hashtbl.replace bfs u d;
+        d
+    in
+    Hashtbl.find_opt d v
+  in
+  let dom = elements c in
+  let n = Array.length dom in
+  List.iter
+    (fun dist ->
+      with_temp_dir @@ fun dir ->
+      ignore (Router.split ~dist ~k:4 ~dir c : Router.split_stats);
+      let r = Router.open_dir ~cache_mb:4 dir in
+      Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
+      let rng = Splitmix.create 4242 in
+      let crossing = ref 0 in
+      for _ = 1 to 4000 do
+        let u = dom.(Splitmix.int rng n) and v = dom.(Splitmix.int rng n) in
+        if Router.shard_of r u <> Router.shard_of r v then incr crossing;
+        let want = Closure.mem clo u v in
+        if Router.connected r u v <> want then
+          Alcotest.failf "dist=%b: reach %d -> %d should be %b" dist u v want;
+        let want_dist = if not want then None else if dist then bfs_dist u v else Some 0 in
+        check dist_opt
+          (Printf.sprintf "dist=%b: dist %d -> %d" dist u v)
+          want_dist (Router.min_distance r u v)
+      done;
+      checkb "most sampled pairs cross shards" true (!crossing > 2000);
+      for i = 0 to 49 do
+        let u = dom.(i * n / 50) in
+        check
+          Alcotest.(list int)
+          (Printf.sprintf "dist=%b: desc %d" dist u)
+          (Int_set.to_list (Closure.succs clo u))
+          (sorted_of_ihs (Router.descendants r u));
+        check
+          Alcotest.(list int)
+          (Printf.sprintf "dist=%b: anc %d" dist u)
+          (Int_set.to_list (Closure.preds clo u))
+          (sorted_of_ihs (Router.ancestors r u))
+      done)
+    [ false; true ]
+
 (* {1 The differential}
 
    Oracle: closure + all-pairs BFS of the whole element graph.  A plain
@@ -390,6 +593,14 @@ let suite =
           test_engine_rendering;
         Alcotest.test_case "same-shard dist scatters" `Quick
           test_same_shard_dist_is_scatter;
+        Alcotest.test_case "u a link source, v a link target: self-centers" `Quick
+          test_self_centers;
+        Alcotest.test_case "same-shard pair through another shard" `Quick
+          test_leave_and_return;
+        Alcotest.test_case "closure line off the link endpoints is rejected" `Quick
+          test_bogus_closure_rejected;
+        Alcotest.test_case "dblp 60 docs, k=4: routing = closure and BFS" `Quick
+          test_dblp60_differential;
         Alcotest.test_case "flipped routing byte is rejected" `Quick
           test_routing_flip_rejected;
         Alcotest.test_case "routing crash matrix: each file old or new" `Quick
