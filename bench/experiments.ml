@@ -1043,17 +1043,17 @@ let socket_throughput (s : scale) =
   g "bench_socket_p95_us_shards1" (int_of_float (p95_1 *. 1e6));
   g "bench_socket_p95_us_shards4" (int_of_float (p95_k *. 1e6));
   print_table
-    [ "shards"; "split"; "q/s"; "p95 batch"; "busy"; "cross links"; "PSG pairs" ]
+    [ "shards"; "split"; "q/s"; "p95 batch"; "busy"; "cross links" ]
     [
       [
         string_of_int st1.Router.shards; seconds split1; Fmt.str "%.0f" qps1;
         Fmt.str "%.2fms" (p95_1 *. 1e3); string_of_int busy1;
-        string_of_int st1.Router.cross_links; string_of_int st1.Router.psg_closure;
+        string_of_int st1.Router.cross_links;
       ];
       [
         string_of_int stk.Router.shards; seconds splitk; Fmt.str "%.0f" qpsk;
         Fmt.str "%.2fms" (p95_k *. 1e3); string_of_int busyk;
-        string_of_int stk.Router.cross_links; string_of_int stk.Router.psg_closure;
+        string_of_int stk.Router.cross_links;
       ];
     ];
   note "%d elements; %d clients x %d batches x %d lines (reach/dist \

@@ -642,10 +642,9 @@ let shard_split dir out k dist no_fsync verbose =
   in
   Fmt.pr
     "split into %d shards under %s in %a: %d elements, %d label entries, %d \
-     cross links, %d PSG closure pairs@."
+     cross links@."
     st.Serve.Router.shards out Timer.pp_duration t st.Serve.Router.elements
-    st.Serve.Router.entries st.Serve.Router.cross_links
-    st.Serve.Router.psg_closure;
+    st.Serve.Router.entries st.Serve.Router.cross_links;
   Fmt.pr "serve it with: hopi serve --shard %s@." out
 
 (* {1 client} *)

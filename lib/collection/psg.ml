@@ -8,7 +8,7 @@ type t = {
   link_edges : (int * int) list;
 }
 
-let build c (p : Partitioning.t) ~reaches_within_partition =
+let build ~part_of ~links ~reaches_within_partition =
   let graph = Digraph.create () in
   let sources = Ihs.create () and targets = Ihs.create () in
   List.iter
@@ -16,15 +16,15 @@ let build c (p : Partitioning.t) ~reaches_within_partition =
       Ihs.add sources u;
       Ihs.add targets v;
       Digraph.add_edge graph u v)
-    p.Partitioning.cross_links;
+    links;
   (* intra-partition connections from link targets to link sources *)
   let by_part_src = Hashtbl.create 16 and by_part_tgt = Hashtbl.create 16 in
   let push h k x =
     let l = Option.value ~default:[] (Hashtbl.find_opt h k) in
     Hashtbl.replace h k (x :: l)
   in
-  Ihs.iter (fun s -> push by_part_src (Partitioning.part_of_element p c s) s) sources;
-  Ihs.iter (fun t -> push by_part_tgt (Partitioning.part_of_element p c t) t) targets;
+  Ihs.iter (fun s -> push by_part_src (part_of s) s) sources;
+  Ihs.iter (fun t -> push by_part_tgt (part_of t) t) targets;
   Hashtbl.iter
     (fun part tgts ->
       match Hashtbl.find_opt by_part_src part with
@@ -38,4 +38,4 @@ let build c (p : Partitioning.t) ~reaches_within_partition =
               srcs)
           tgts)
     by_part_tgt;
-  { graph; sources; targets; link_edges = p.Partitioning.cross_links }
+  { graph; sources; targets; link_edges = links }

@@ -17,9 +17,10 @@ type t = {
 }
 
 val build :
-  Collection.t ->
-  Partitioning.t ->
+  part_of:(int -> int) ->
+  links:(int * int) list ->
   reaches_within_partition:(int -> int -> bool) ->
   t
-(** [reaches_within_partition t s] must answer whether [t ⇝ s] using only
-    nodes of their (common) partition. *)
+(** The PSG of the cross-partition [links], each element placed in
+    partition [part_of e].  [reaches_within_partition t s] must answer
+    whether [t ⇝ s] using only nodes of their (common) partition. *)

@@ -300,7 +300,8 @@ let join ?(strategy = Bfs) ?pool ?spill c (p : Partitioning.t) ~partition_cover
   in
   let psg =
     Trace.with_span "join.psg.build_psg" (fun () ->
-        Psg.build c p ~reaches_within_partition:reaches)
+        Psg.build ~part_of:(Partitioning.part_of_element p c) ~links:p.Partitioning.cross_links
+          ~reaches_within_partition:reaches)
   in
   Histogram.observe h_psg_nodes (Digraph.n_nodes psg.Psg.graph);
   Histogram.observe h_psg_edges (Digraph.n_edges psg.Psg.graph);

@@ -19,7 +19,6 @@ module S = Hopi_storage
 module Hopi = Hopi_core.Hopi
 module Collection = Hopi_collection.Collection
 module Cover = Hopi_twohop.Cover
-module Dist_cover = Hopi_twohop.Dist_cover
 module Ihs = Hopi_util.Int_hashset
 module Timer = Hopi_util.Timer
 module Registry = Hopi_obs.Registry
@@ -68,7 +67,6 @@ type t = {
   page_pool : S.Pager.Read_pool.t; (* one read pool across all generations *)
   retain : int;
   fsync : bool;
-  with_dist : bool;
   wmu : Mutex.t; (* writer side: apply/flip/rollback *)
   mu : Mutex.t; (* slot table, live pointer, manifest mirror *)
   dirty : Ihs.t; (* nodes whose labels changed since the last flip *)
@@ -76,7 +74,6 @@ type t = {
   mutable floor : int;
   mutable need_floor : bool; (* next flip must invalidate wholesale *)
   mutable tracked_cover : Cover.t;
-  mutable tracked_dist : Dist_cover.t option;
   mutable manifest : S.Manifest.t;
   mutable live_slot : slot;
   mutable slots : slot list;
@@ -90,16 +87,12 @@ let with_lock mu f =
 
 (* {1 Persistence} *)
 
-let persist_store ~with_dist idx pager =
-  S.Cover_store.save
-    (if with_dist then S.Cover_store.of_dist_cover pager (Hopi.distance_index idx)
-     else S.Cover_store.of_cover pager (Hopi.cover idx))
+let persist_store idx pager = S.Cover_store.save (S.Cover_store.of_cover pager (Hopi.cover idx))
 
 (* {1 Dirty tracking}
 
-   The hooks land on whatever cover/dist objects the index currently
-   holds.  [Hopi.rebuild] (through [apply_with]) and the post-delete
-   distance-index recomputation replace those objects wholesale; when a
+   The hook lands on whatever cover the index currently holds.
+   [Hopi.rebuild] (through [apply_with]) replaces it wholesale; when a
    refresh notices the swap it cannot attribute the differences to nodes,
    so it schedules a version-floor raise instead. *)
 
@@ -109,21 +102,6 @@ let refresh_cover_tracker t =
     Cover.set_on_label_change t.tracked_cover None;
     Cover.set_on_label_change cov (Some (fun v -> Ihs.add t.dirty v));
     t.tracked_cover <- cov;
-    t.need_floor <- true
-  end
-
-(* Only called from [flip]: forcing [distance_index] rebuilds it when a
-   deletion invalidated it, which is exactly the work the flip must do to
-   persist anyway — doing it per-[apply] would rebuild once per op. *)
-let refresh_dist_tracker t =
-  let dc = Hopi.distance_index t.index in
-  let same = match t.tracked_dist with Some old -> old == dc | None -> false in
-  if not same then begin
-    (match t.tracked_dist with
-     | Some old -> Dist_cover.set_on_label_change old None
-     | None -> ());
-    Dist_cover.set_on_label_change dc (Some (fun v -> Ihs.add t.dirty v));
-    t.tracked_dist <- Some dc;
     t.need_floor <- true
   end
 
@@ -166,8 +144,7 @@ let sweep_locked t =
 
 (* {1 Lifecycle} *)
 
-let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true)
-    ?(with_dist = false) ~base index =
+let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true) ~base index =
   let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in
   (* one shared read pool for every generation this family will serve:
      pages untouched by a flip stay warm across the swap *)
@@ -180,7 +157,7 @@ let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true)
          generation 0, or persist the index as one. *)
       if not (Sys.file_exists base) then begin
         let pager = S.Pager.create ~fsync (S.Pager.File base) in
-        persist_store ~with_dist index pager;
+        persist_store index pager;
         S.Pager.close pager
       end;
       let m = { S.Manifest.live = 0; previous = 0; tip = 0 } in
@@ -193,18 +170,13 @@ let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true)
   in
   let slot = { id = manifest.S.Manifest.live; snap; refs = 0 } in
   let t =
-    { base; index; cache; page_pool; retain; fsync; with_dist;
+    { base; index; cache; page_pool; retain; fsync;
       wmu = Mutex.create (); mu = Mutex.create (); dirty = Ihs.create ();
       versions = Hashtbl.create 256; floor = 0; need_floor = false;
-      tracked_cover = Hopi.cover index; tracked_dist = None; manifest;
+      tracked_cover = Hopi.cover index; manifest;
       live_slot = slot; slots = [ slot ]; pending = 0; closed = false }
   in
   Cover.set_on_label_change t.tracked_cover (Some (fun v -> Ihs.add t.dirty v));
-  if with_dist then begin
-    let dc = Hopi.distance_index index in
-    Dist_cover.set_on_label_change dc (Some (fun v -> Ihs.add t.dirty v));
-    t.tracked_dist <- Some dc
-  end;
   Gauge.set g_live manifest.S.Manifest.live;
   Gauge.set g_lag 0;
   Gauge.set g_retained 1;
@@ -218,10 +190,7 @@ let close t =
         t.slots <- [];
         Gauge.set g_retained 0
       end);
-  Cover.set_on_label_change t.tracked_cover None;
-  match t.tracked_dist with
-  | Some dc -> Dist_cover.set_on_label_change dc None
-  | None -> ()
+  Cover.set_on_label_change t.tracked_cover None
 
 (* {1 Reader side} *)
 
@@ -414,10 +383,9 @@ let flip t =
   with_lock t.wmu (fun () ->
       let timer = Timer.start () in
       refresh_cover_tracker t;
-      if t.with_dist then refresh_dist_tracker t;
       let m' =
         S.Manifest.publish ~fsync:t.fsync ~base:t.base
-          ~load:(fun pgr -> persist_store ~with_dist:t.with_dist t.index pgr)
+          ~load:(persist_store t.index)
           ()
       in
       let g = m'.S.Manifest.live in

@@ -24,8 +24,7 @@
     old entries, and leaves every untouched entry shared between the old
     and new snapshots — no full-cache flush, warm hit rates across flips.
     When a flip cannot attribute changes to specific nodes (the cover was
-    wholesale rebuilt, or the distance index was recomputed after a
-    delete), it raises a global version floor instead: all prior entries
+    wholesale rebuilt), it raises a global version floor instead: all prior entries
     become unreachable and age out; correctness never depends on eviction
     because stale versions are simply never requested.
 
@@ -43,7 +42,6 @@ val create :
   ?cache_mb:int ->
   ?retain:int ->
   ?fsync:bool ->
-  ?with_dist:bool ->
   base:string ->
   Hopi_core.Hopi.t ->
   t
@@ -53,8 +51,8 @@ val create :
     file at [base], or — when no file exists — the given index persisted
     there, and a fresh manifest is committed.  [retain] (default 2) is how
     many generations beyond the live/rollback pair keep their store files
-    on disk; [with_dist] selects distance-aware stores
-    ({!Hopi_core.Hopi.distance_index}) over plain covers.  [pool_pages]
+    on disk.  Every generation is a plain (distance-free) cover store.
+    [pool_pages]
     (default 4096) sizes the {e one} shared read-only page pool every
     generation's snapshot serves from — pages of store regions a flip did
     not rewrite stay warm across the swap — and [cache_mb] (default 64)

@@ -2,13 +2,14 @@
 
    Correctness rests on the paper's path decomposition: any path between
    elements of different partitions factors at its cross-partition link
-   edges into within-partition segments glued by links.  The routing
-   index therefore needs exactly (a) per-shard covers for the
-   within-partition segments and (b) the transitive closure of the PSG —
-   whose nodes are the cross-link endpoints, whose link edges are the
-   cross links themselves, and whose within edges connect a link target
-   to every link source it reaches inside its own partition.  A query
-   crossing shards resolves as
+   edges into within-partition segments glued by links.  Routing therefore
+   needs exactly (a) per-shard covers for the within-partition segments
+   and (b) the transitive closure of the PSG — whose nodes are the
+   cross-link endpoints, whose link edges are the cross links themselves,
+   and whose within edges connect a link target to every link source it
+   reaches inside its own partition.  The shards answer every within edge,
+   so the routing index stores only the links, and the closure is derived
+   at open.  A query crossing shards resolves as
 
      u ==within==> s  --PSG closure-->  t  ==within==> v
 
@@ -29,8 +30,6 @@ module Digraph = Hopi_graph.Digraph
 module Closure = Hopi_graph.Closure
 module Builder = Hopi_twohop.Builder
 module Dist_builder = Hopi_twohop.Dist_builder
-module Cover = Hopi_twohop.Cover
-module Dist_cover = Hopi_twohop.Dist_cover
 module S = Hopi_storage
 module Ihs = Hopi_util.Int_hashset
 module Codec = Hopi_twohop.Label_codec
@@ -58,7 +57,6 @@ type split_stats = {
   shards : int;
   elements : int;
   cross_links : int;
-  psg_closure : int;
   entries : int;
 }
 
@@ -66,7 +64,10 @@ let shard_path ~dir k = Filename.concat dir (Printf.sprintf "shard-%03d.db" k)
 
 let routing_path ~dir = Filename.concat dir "routing.idx"
 
-let magic = "hopi-shard-routing 1"
+let magic = "hopi-shard-routing 2"
+
+(* format 1 also stored the element map and the PSG closure *)
+let magic_v1 = "hopi-shard-routing 1"
 
 (* {1 Split} *)
 
@@ -92,103 +93,25 @@ let assign_docs c k =
     docs;
   part_of_doc
 
-(* weighted single-source shortest paths over the (tiny) PSG, starting
-   from [s]'s out-edges so a cycle back to [s] is found at its real
-   positive distance; [weight u v] may answer [None] for an edge that
-   should not be crossed (never happens for well-formed PSGs). *)
-let psg_from graph ~weight s =
-  let dist = Hashtbl.create 16 in
-  (* unvisited frontier as a simple priority list — PSGs are small *)
-  let module Pq = Set.Make (struct
-    type t = int * int (* distance, node *)
-
-    let compare = compare
-  end) in
-  let pq = ref Pq.empty in
-  let relax d v =
-    match Hashtbl.find_opt dist v with
-    | Some d' when d' <= d -> ()
-    | _ ->
-      Hashtbl.replace dist v d;
-      pq := Pq.add (d, v) !pq
-  in
-  Digraph.iter_succ graph s (fun v ->
-      match weight s v with None -> () | Some w -> relax w v);
-  let rec drain () =
-    match Pq.min_elt_opt !pq with
-    | None -> ()
-    | Some ((d, u) as el) ->
-      pq := Pq.remove el !pq;
-      if Hashtbl.find_opt dist u = Some d then
-        Digraph.iter_succ graph u (fun v ->
-            match weight u v with None -> () | Some w -> relax (d + w) v);
-      drain ()
-  in
-  drain ();
-  dist
-
 let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
   if k < 1 then invalid_arg "Router.split: k < 1";
   let k = max 1 (min k (max 1 (Collection.n_docs c))) in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let part = Partitioning.make c ~part_of_doc:(assign_docs c k) ~n:k in
-  (* per-shard: build the within-partition cover, persist it, and keep an
-     in-memory reachability/distance oracle for the PSG edges *)
+  (* per shard: the within-partition cover, persisted *)
   let entries = ref 0 in
-  let oracles =
-    Array.init k (fun p ->
-        let sub = Partitioning.element_subgraph part c p in
-        let reach, pdist, write =
-          if dist then begin
-            let dc, _ = Dist_builder.build sub in
-            ( Dist_cover.connected dc,
-              Dist_cover.dist dc,
-              fun pager -> S.Cover_store.of_dist_cover pager dc )
-          end
-          else begin
-            let cover, _ = Builder.build (Closure.compute sub) in
-            ( Cover.connected cover,
-              (fun u v -> if Cover.connected cover u v then Some 0 else None),
-              fun pager -> S.Cover_store.of_cover pager cover )
-          end
-        in
-        let pager = S.Pager.create_vfs ~fsync ~vfs (shard_path ~dir p) in
-        let store = write pager in
-        S.Cover_store.save store;
-        entries := !entries + S.Cover_store.n_entries store;
-        S.Pager.close pager;
-        (reach, pdist))
-  in
-  let reach_within t s =
-    let p = Partitioning.part_of_element part c t in
-    fst oracles.(p) t s
-  in
-  let psg = Psg.build c part ~reaches_within_partition:reach_within in
-  let link_set = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace link_set e ()) psg.Psg.link_edges;
-  (* PSG edge weights: a cross link is one real edge; a within edge costs
-     the partition's stored distance (0 on plain covers, where only
-     reachability matters) *)
-  let weight u v =
-    if Hashtbl.mem link_set (u, v) then Some 1
-    else begin
-      let p = Partitioning.part_of_element part c u in
-      snd oracles.(p) u v
-    end
-  in
-  let closure = ref [] and n_closure = ref 0 in
-  Ihs.iter
-    (fun s ->
-      let d = psg_from psg.Psg.graph ~weight s in
-      Hashtbl.iter
-        (fun t dt ->
-          if Ihs.mem psg.Psg.targets t then begin
-            closure := (s, t, dt) :: !closure;
-            incr n_closure
-          end)
-        d)
-    psg.Psg.sources;
-  (* the routing index: element map, cross links, PSG closure *)
+  for p = 0 to k - 1 do
+    let sub = Partitioning.element_subgraph part c p in
+    let pager = S.Pager.create_vfs ~fsync ~vfs (shard_path ~dir p) in
+    let store =
+      if dist then S.Cover_store.of_dist_cover pager (fst (Dist_builder.build sub))
+      else S.Cover_store.of_cover pager (fst (Builder.build (Closure.compute sub)))
+    in
+    S.Cover_store.save store;
+    entries := !entries + S.Cover_store.n_entries store;
+    S.Pager.close pager
+  done;
+  (* the routing index: the cross links *)
   let buf = Buffer.create 4096 and crc = ref Hopi_util.Crc32.init in
   let line fmt =
     Printf.ksprintf
@@ -200,27 +123,16 @@ let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
   line "%s" magic;
   line "shards %d" k;
   line "dist %d" (if dist then 1 else 0);
-  let elems = ref [] and n_elems = ref 0 in
-  Collection.iter_elements c (fun e ->
-      elems := e :: !elems;
-      incr n_elems);
-  line "elements %d" !n_elems;
-  List.iter
-    (fun e -> line "e %d %d" e (Partitioning.part_of_element part c e))
-    (List.sort compare !elems);
-  let links = List.sort compare psg.Psg.link_edges in
+  let links = List.sort compare part.Partitioning.cross_links in
   line "links %d" (List.length links);
   List.iter (fun (u, v) -> line "l %d %d" u v) links;
-  line "closure %d" !n_closure;
-  List.iter (fun (s, t, d) -> line "c %d %d %d" s t d) (List.sort compare !closure);
   line "end";
   Buffer.add_string buf (Printf.sprintf "crc %08lx\n" (Hopi_util.Crc32.finish !crc));
   S.Vfs.write_file vfs ~fsync (routing_path ~dir) buf;
   {
     shards = k;
-    elements = !n_elems;
+    elements = Collection.n_elements c;
     cross_links = List.length links;
-    psg_closure = !n_closure;
     entries = !entries;
   }
 
@@ -238,8 +150,7 @@ type t = {
   entries : int;
 }
 
-let parse_error path line msg =
-  raise (Sys_error (Printf.sprintf "%s: bad routing index (line %d): %s" path line msg))
+let bad_index path msg = raise (Sys_error (Printf.sprintf "%s: bad routing index: %s" path msg))
 
 (* The routing index ends with a ["crc XXXXXXXX"] line: the CRC-32 of
    every byte before it.  (The parser stops at the "end" line above it.) *)
@@ -325,108 +236,169 @@ let routing_rows snaps elem_shard targets closure_of =
   Gauge.set g_bytes !bytes;
   (exits, entries_at)
 
+(* weighted single-source shortest paths over the PSG in its dense form
+   ([adj.(u)] the out-edges [(v, w)] of node [u]), starting from [s]'s
+   out-edges so a cycle back to [s] is found at its real positive
+   distance; [max_int] marks an unreached node *)
+module Pq = Set.Make (struct
+  type t = int * int (* distance, node *)
+
+  let compare (d1, u1) (d2, u2) = if d1 <> d2 then Int.compare d1 d2 else Int.compare u1 u2
+end)
+
+let psg_from adj s =
+  let dist = Array.make (Array.length adj) max_int in
+  let pq = ref Pq.empty in
+  let relax d v =
+    if d < dist.(v) then begin
+      dist.(v) <- d;
+      pq := Pq.add (d, v) !pq
+    end
+  in
+  Array.iter (fun (v, w) -> relax w v) adj.(s);
+  let rec drain () =
+    match Pq.min_elt_opt !pq with
+    | None -> ()
+    | Some ((d, u) as el) ->
+      pq := Pq.remove el !pq;
+      if dist.(u) = d then Array.iter (fun (v, w) -> relax (d + w) v) adj.(u);
+      drain ()
+  in
+  drain ();
+  dist
+
+(* The element map: every node a shard registers, in exactly one shard. *)
+let element_map path snaps =
+  let n = Array.fold_left (fun acc s -> acc + Snapshot.n_nodes s) 0 snaps in
+  let elem_shard = Hashtbl.create (max 16 n) in
+  Array.iteri
+    (fun p snap ->
+      Snapshot.iter_nodes snap (fun e ->
+          match Hashtbl.find_opt elem_shard e with
+          | Some q -> bad_index path (Printf.sprintf "element %d is registered in shards %d and %d" e q p)
+          | None -> Hashtbl.replace elem_shard e p))
+    snaps;
+  elem_shard
+
+(* The PSG over the cross links (its within edges answered by the shard
+   snapshots) and its closure: per link source the link targets it
+   reaches, as (index into [targets], d_psg), and per target the sources
+   reaching it.  A link costs 1 and a within edge the shard's stored
+   distance, each computed once; plain shards route reachability only,
+   so there every closure distance is 0. *)
+let psg_closure ~with_dist snaps shard links targets =
+  let psg =
+    Psg.build ~part_of:shard ~links ~reaches_within_partition:(fun t s ->
+        Snapshot.connected snaps.(shard t) t s)
+  in
+  let ix = Hashtbl.create 64 and nodes = ref [] in
+  Digraph.iter_nodes psg.Psg.graph (fun v ->
+      Hashtbl.replace ix v (Hashtbl.length ix);
+      nodes := v :: !nodes);
+  let adj =
+    Array.of_list (List.rev !nodes)
+    |> Array.map (fun u ->
+           let out = ref [] in
+           Digraph.iter_succ psg.Psg.graph u (fun v ->
+               let w =
+                 if shard u <> shard v then Some 1 else Snapshot.min_distance snaps.(shard u) u v
+               in
+               Option.iter (fun w -> out := (Hashtbl.find ix v, w) :: !out) w);
+           Array.of_list !out)
+  in
+  let target_ix = Array.map (Hashtbl.find ix) targets in
+  let closure_of = Hashtbl.create 64 and rev_l = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      let dist = psg_from adj (Hashtbl.find ix s) in
+      Array.iteri
+        (fun ti tg ->
+          let d = dist.(target_ix.(ti)) in
+          if d < max_int then begin
+            push closure_of s (ti, if with_dist then d else 0);
+            push rev_l tg s
+          end)
+        targets)
+    (List.sort compare (Ihs.to_list psg.Psg.sources));
+  let rev = Hashtbl.create (Hashtbl.length rev_l) in
+  Hashtbl.iter (fun tg l -> Hashtbl.replace rev tg (Array.of_list l)) rev_l;
+  (closure_of, rev)
+
 let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   let path = routing_path ~dir in
   let data = S.Vfs.read_file vfs path in
   verify_crc path data;
   let lines = ref (String.split_on_char '\n' data) in
   let lineno = ref 0 in
+  let fail msg = bad_index path (Printf.sprintf "line %d: %s" !lineno msg) in
   let line () =
     incr lineno;
     match !lines with
     | l :: rest ->
       lines := rest;
       l
-    | [] -> parse_error path !lineno "truncated"
+    | [] -> fail "truncated"
   in
-  let fail msg = parse_error path !lineno msg in
   let counted prefix =
     match String.split_on_char ' ' (line ()) with
     | [ p; n ] when p = prefix -> (
       match int_of_string_opt n with Some n when n >= 0 -> n | _ -> fail (prefix ^ " count"))
     | _ -> fail ("expected \"" ^ prefix ^ " N\"")
   in
-  if line () <> magic then fail "magic mismatch";
+  (match line () with
+  | l when l = magic -> ()
+  | l when l = magic_v1 -> fail "format 1 (it stores the PSG closure); re-run shard-split"
+  | _ -> fail "magic mismatch");
   let k = counted "shards" in
   if k < 1 then fail "no shards";
   let with_dist = counted "dist" <> 0 in
-  let n_elems = counted "elements" in
-  let elem_shard = Hashtbl.create (max 16 n_elems) in
-  for _ = 1 to n_elems do
-    match String.split_on_char ' ' (line ()) with
-    | [ "e"; e; s ] -> (
-      match (int_of_string_opt e, int_of_string_opt s) with
-      | Some e, Some s when s >= 0 && s < k -> Hashtbl.replace elem_shard e s
-      | _ -> fail "element line")
-    | _ -> fail "element line"
-  done;
-  let shard_of_exn e =
-    match Hashtbl.find_opt elem_shard e with
-    | Some s -> s
-    | None -> fail (Printf.sprintf "link endpoint %d not in the element map" e)
+  let links =
+    List.init (counted "links") (fun _ ->
+        match String.split_on_char ' ' (line ()) with
+        | [ "l"; u; v ] -> (
+          match (int_of_string_opt u, int_of_string_opt v) with
+          | Some u, Some v -> (u, v)
+          | _ -> fail "link line")
+        | _ -> fail "link line")
   in
-  let n_links = counted "links" in
-  let source_set = Ihs.create () and target_set = Ihs.create () in
-  let has_targets = Array.make k false in
-  for _ = 1 to n_links do
-    match String.split_on_char ' ' (line ()) with
-    | [ "l"; u; v ] -> (
-      match (int_of_string_opt u, int_of_string_opt v) with
-      | Some u, Some v ->
-        ignore (shard_of_exn u : int);
-        Ihs.add source_set u;
-        has_targets.(shard_of_exn v) <- true;
-        Ihs.add target_set v
-      | _ -> fail "link line")
-    | _ -> fail "link line"
-  done;
-  (* targets ascending, and each target's index: the dense key of the
-     exit-row scratch array *)
-  let targets = Array.of_list (List.sort compare (Ihs.to_list target_set)) in
-  let target_index = Hashtbl.create (max 16 (Array.length targets)) in
-  Array.iteri (fun i tg -> Hashtbl.replace target_index tg i) targets;
-  let n_closure = counted "closure" in
-  (* per source its closure rows (target index, d); per target its
-     sources.  Plain shards route reachability only: every distance 0. *)
-  let closure_of = Hashtbl.create 64 and rev_l = Hashtbl.create 64 in
-  for _ = 1 to n_closure do
-    match String.split_on_char ' ' (line ()) with
-    | [ "c"; s; tg; d ] -> (
-      match (int_of_string_opt s, int_of_string_opt tg, int_of_string_opt d) with
-      | Some s, Some tg, Some d when d >= 0 -> (
-        if not (Ihs.mem source_set s) then fail (Printf.sprintf "closure source %d is not a link source" s);
-        match Hashtbl.find_opt target_index tg with
-        | None -> fail (Printf.sprintf "closure target %d is not a link target" tg)
-        | Some ti ->
-          push closure_of s (ti, if with_dist then d else 0);
-          push rev_l tg s)
-      | _ -> fail "closure line")
-    | _ -> fail "closure line"
-  done;
   if line () <> "end" then fail "missing end marker";
   (* one shared page pool and label cache across all shard snapshots *)
   let pool = S.Pager.Read_pool.create ~pages:pool_pages () in
   let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in
   let opened = ref [] in
+  (* a bad shard or routing index must not leak the shards already open *)
+  let closing f =
+    try f ()
+    with e ->
+      List.iter Snapshot.close !opened;
+      raise e
+  in
   let snaps =
-    try
-      Array.init k (fun p ->
-          let s = Snapshot.open_file ~pool ~vfs ~cache (shard_path ~dir p) in
-          opened := s :: !opened;
-          s)
-    with e ->
-      (* a bad shard must not leak the ones already open *)
-      List.iter Snapshot.close !opened;
-      raise e
+    closing (fun () ->
+        Array.init k (fun p ->
+            let s = Snapshot.open_file ~pool ~vfs ~cache (shard_path ~dir p) in
+            opened := s :: !opened;
+            s))
   in
-  let exits, entries_at =
-    try routing_rows snaps elem_shard targets closure_of
-    with e ->
-      List.iter Snapshot.close !opened;
-      raise e
+  closing @@ fun () ->
+  let elem_shard = element_map path snaps in
+  let shard e =
+    match Hashtbl.find_opt elem_shard e with
+    | Some p -> p
+    | None -> bad_index path (Printf.sprintf "link endpoint %d is in no shard" e)
   in
-  let rev = Hashtbl.create (Hashtbl.length rev_l) in
-  Hashtbl.iter (fun tg l -> Hashtbl.replace rev tg (Array.of_list l)) rev_l;
+  let has_targets = Array.make k false and target_set = Ihs.create () in
+  List.iter
+    (fun (u, v) ->
+      let a = shard u and b = shard v in
+      if a = b then bad_index path (Printf.sprintf "link %d -> %d stays inside shard %d" u v a);
+      has_targets.(b) <- true;
+      Ihs.add target_set v)
+    links;
+  (* targets ascending: the dense key of the exit-row scratch array *)
+  let targets = Array.of_list (List.sort compare (Ihs.to_list target_set)) in
+  let closure_of, rev = psg_closure ~with_dist snaps shard links targets in
+  let exits, entries_at = routing_rows snaps elem_shard targets closure_of in
   let entries = Array.fold_left (fun acc s -> acc + Snapshot.n_entries s) 0 snaps in
   { k; with_dist; snaps; elem_shard; has_targets; exits; entries_at; rev; entries }
 

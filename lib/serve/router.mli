@@ -4,15 +4,22 @@
     {!split} partitions a collection document-by-document into [k]
     balanced shards, builds one independent 2-hop cover store per shard
     (covering only within-shard connections), and writes a small
-    {e routing index} next to them: the element→shard map, the
-    cross-shard links [L_P], and the {e transitive closure of the
-    partition skeleton graph} (PSG, {!Hopi_collection.Psg}) over the
-    cross-link endpoints, as rows [(s, t, d_psg(s,t))] from every link
-    source [s] to every link target [t] it reaches.
+    {e routing index} next to them holding only what the shards cannot
+    tell: the shard count, the [dist] flag and the cross-shard links
+    [L_P].
+
+    {!open_dir} derives the rest from the shards.  The element→shard map
+    is each shard's registered node set.  The {e partition skeleton
+    graph} (PSG, {!Hopi_collection.Psg}) has the cross-link endpoints as
+    nodes, the links as edges, and a within edge wherever a link target
+    reaches a link source inside its shard (answered by that shard's
+    snapshot); its {e transitive closure} pairs every link source [s]
+    with every link target [t] it reaches, at [d_psg(s,t)] (a link costs
+    1, a within edge the shard's stored distance).
 
     {!open_dir} serves the shard directory as one logical index with
     exactly {!Hopi_storage.Cover_store} semantics.  At open it folds the
-    closure into a second level of 2-hop labels over the shards' own
+    PSG closure into a second level of 2-hop labels over the shards' own
     labels, whose centers are the shard-cover centers around the cross
     links (the paper's §3.4 merge, with link targets as the preselected
     centers of §4.2):
@@ -54,8 +61,7 @@ type t
 type split_stats = {
   shards : int;
   elements : int;
-  cross_links : int;  (** cross-shard link edges replicated in the routing index *)
-  psg_closure : int;  (** source→target pairs in the stored PSG closure *)
+  cross_links : int;  (** cross-shard link edges stored in the routing index *)
   entries : int;  (** label entries summed over the shard stores *)
 }
 
@@ -93,14 +99,17 @@ val split :
 val open_dir : ?vfs:Hopi_storage.Vfs.t -> ?pool_pages:int -> ?cache_mb:int -> string -> t
 (** Open every shard store (one shared read-only page pool across all of
     them) and load the routing index, both through [vfs] (default
-    {!Hopi_storage.Vfs.real}); then build the exit and entry rows from
-    the label sets of every link endpoint, read through the shared label
+    {!Hopi_storage.Vfs.real}); derive the element map, the PSG and its
+    closure from the shards, then build the exit and entry rows from the
+    label sets of every link endpoint, read through the shared label
     cache.
     @raise Hopi_storage.Storage_error.Storage_error on a missing or
     damaged file — [Bad_catalog] when the routing index fails its
     checksum — and [Sys_error] on a routing index whose checksum holds
-    but whose contents do not parse, or whose closure names a node that
-    is not a link source (or target). *)
+    but whose contents do not parse (a format-1 index, which stored the
+    closure, asks for a re-run of [shard-split]), on an element two
+    shards register, or on a link with an endpoint no shard registers or
+    with both endpoints in one shard. *)
 
 val close : t -> unit
 
@@ -109,7 +118,7 @@ val n_shards : t -> int
 val with_dist : t -> bool
 
 val n_nodes : t -> int
-(** Elements in the routing map = registered nodes over all shards. *)
+(** Elements in the element map = registered nodes over all shards. *)
 
 val n_entries : t -> int
 

@@ -12,6 +12,7 @@ type t = {
   pool : S.Pager.Read_pool.t;
   pgr : S.Pager.t;
   src : S.Cover_store.source;
+  nodes : Ihs.t;
   cache : Label_cache.t;
   epoch : int;
   mu : Mutex.t; (* close idempotency *)
@@ -65,7 +66,7 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
       mem = (fun v -> Ihs.mem nodes v);
       fetch = (fun dir v -> cached_fetch st cache node_version dir v) }
   in
-  { path; pool; pgr; src; cache; epoch; mu = Mutex.create (); closed = false }
+  { path; pool; pgr; src; nodes; cache; epoch; mu = Mutex.create (); closed = false }
 
 (* The pager is a shared read-only view: the B+-tree read path touches no
    mutable pager state, page lookups go through the sharded pool, and
@@ -98,6 +99,8 @@ let epoch t = t.epoch
 let read_pool t = t.pool
 
 let mem_node t v = (src t).mem v
+
+let iter_nodes t f = Ihs.iter f t.nodes
 
 let label t dir v = (src t).fetch dir v
 

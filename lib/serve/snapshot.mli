@@ -92,6 +92,10 @@ val epoch : t -> int
 
 val mem_node : t -> int -> bool
 
+val iter_nodes : t -> (int -> unit) -> unit
+(** Every registered node, from the node set frozen at open (no page
+    read), in no particular order. *)
+
 val label : t -> Label_cache.dir -> int -> Hopi_twohop.Label_codec.t
 (** A node's [Lin] or [Lout] label set, fetched through the label cache
     (empty for a node the store does not hold). *)

@@ -2,16 +2,9 @@ type t = {
   lin : (int, (int, int) Hashtbl.t) Hashtbl.t;
   lout : (int, (int, int) Hashtbl.t) Hashtbl.t;
   mutable size : int;
-  mutable on_change : (int -> unit) option;
 }
 
-let create ?(initial = 64) () =
-  { lin = Hashtbl.create initial; lout = Hashtbl.create initial; size = 0;
-    on_change = None }
-
-let set_on_label_change t f = t.on_change <- f
-
-let notify t v = match t.on_change with Some f -> f v | None -> ()
+let create ?(initial = 64) () = { lin = Hashtbl.create initial; lout = Hashtbl.create initial; size = 0 }
 
 let bucket h v =
   match Hashtbl.find_opt h v with
@@ -37,13 +30,10 @@ let add_entry t h ~node ~center ~dist =
     let m = bucket h node in
     match Hashtbl.find_opt m center with
     | Some d when d <= dist -> ()
-    | Some _ ->
-      Hashtbl.replace m center dist;
-      notify t node
+    | Some _ -> Hashtbl.replace m center dist
     | None ->
       Hashtbl.add m center dist;
-      t.size <- t.size + 1;
-      notify t node
+      t.size <- t.size + 1
   end
 
 let add_in t ~node ~center ~dist = add_entry t t.lin ~node ~center ~dist
@@ -101,8 +91,7 @@ let clear_side t h v =
   | Some m ->
     if Hashtbl.length m > 0 then begin
       t.size <- t.size - Hashtbl.length m;
-      Hashtbl.replace h v (Hashtbl.create 4);
-      notify t v
+      Hashtbl.replace h v (Hashtbl.create 4)
     end
 
 let clear_lout t v = clear_side t t.lout v
@@ -118,8 +107,7 @@ let filter_side t h v ~keep =
       (fun w ->
         Hashtbl.remove m w;
         t.size <- t.size - 1)
-      dead;
-    if dead <> [] then notify t v
+      dead
 
 let filter_lin t v ~keep = filter_side t t.lin v ~keep
 
@@ -134,15 +122,13 @@ let remove_node t v =
     (* entries naming v as a center *)
     let strip h =
       Hashtbl.iter
-        (fun n m ->
+        (fun _ m ->
           if Hashtbl.mem m v then begin
             Hashtbl.remove m v;
-            t.size <- t.size - 1;
-            notify t n
+            t.size <- t.size - 1
           end)
         h
     in
     strip t.lin;
-    strip t.lout;
-    notify t v
+    strip t.lout
   end

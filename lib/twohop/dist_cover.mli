@@ -52,10 +52,3 @@ val filter_lout : t -> int -> keep:(int -> bool) -> unit
 
 val remove_node : t -> int -> unit
 (** Drop the node's labels and every entry naming it as a center. *)
-
-val set_on_label_change : t -> (int -> unit) option -> unit
-(** Install (or clear) a hook called with a node id whenever that node's
-    label tables change (entry added, distance lowered, entries cleared,
-    filtered, or stripped by {!remove_node}) — the distance-cover analogue
-    of {!Cover.set_on_label_change}.  Runs synchronously under the
-    mutation; must not call back into the cover. *)

@@ -254,12 +254,14 @@ let test_psg () =
     (Collection.doc_ids c);
   let p = Partitioning.make c ~part_of_doc ~n:2 in
   let g = Collection.element_graph c in
-  let psg = Psg.build c p ~reaches_within_partition:(fun t s ->
-      (* oracle: plain BFS restricted to the common partition *)
-      let part = Partitioning.part_of_element p c t in
-      let ok v = Partitioning.part_of_element p c v = part in
-      let seen = Traversal.reachable_avoiding g ~avoid:(fun v -> not (ok v)) [ t ] in
-      Ihs.mem seen s)
+  let psg =
+    Psg.build ~part_of:(Partitioning.part_of_element p c) ~links:p.Partitioning.cross_links
+      ~reaches_within_partition:(fun t s ->
+        (* oracle: plain BFS restricted to the common partition *)
+        let part = Partitioning.part_of_element p c t in
+        let ok v = Partitioning.part_of_element p c v = part in
+        let seen = Traversal.reachable_avoiding g ~avoid:(fun v -> not (ok v)) [ t ] in
+        Ihs.mem seen s)
   in
   check_int "sources: d1 cite + d2 cite" 2 (Ihs.cardinal psg.Psg.sources);
   check_int "targets: d3 root" 1 (Ihs.cardinal psg.Psg.targets);

@@ -5,9 +5,10 @@
    reach/dist/desc/anc query byte-identically to the unsharded oracle —
    the reflexive-transitive closure (and all-pairs BFS distances) of the
    whole element graph, i.e. exactly what one Cover_store over the whole
-   collection serves.  Cross-shard pairs go through the replicated PSG
-   closure; the differential covers that path by construction (DBLP
-   citations cross documents, documents are spread over shards). *)
+   collection serves.  Cross-shard pairs go through the PSG closure the
+   router derives at open; the differential covers that path by
+   construction (DBLP citations cross documents, documents are spread
+   over shards). *)
 
 module Router = Hopi_serve.Router
 module Batch = Hopi_serve.Batch
@@ -83,6 +84,13 @@ let test_split_layout () =
   checki "k shards" 3 st.Router.shards;
   checki "every element assigned" (Collection.n_elements c) st.Router.elements;
   checkb "routing index written" true (Sys.file_exists (Router.routing_path ~dir));
+  (* the routing index holds the links and nothing the shards can tell *)
+  In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.iter (fun l ->
+         match String.split_on_char ' ' l with
+         | [ "" ] | ("hopi-shard-routing" | "shards" | "dist" | "links" | "l" | "end" | "crc") :: _ -> ()
+         | _ -> Alcotest.failf "routing index line %S" l);
   for s = 0 to 2 do
     checkb
       (Printf.sprintf "shard %d store written" s)
@@ -272,64 +280,183 @@ let test_leave_and_return () =
 
 (* {1 The routing index is validated at open} *)
 
-(* rewrite a split's routing index with one extra closure line [extra]
-   (the closure count bumped, the checksum recomputed) *)
-let add_closure_line dir extra =
+(* rewrite a split's routing index: [links] maps its cross links and
+   [magic] replaces its first line; the link count and the checksum are
+   recomputed *)
+let rewrite_routing ?magic ?(links = Fun.id) dir =
   let path = Router.routing_path ~dir in
   let data = In_channel.with_open_bin path In_channel.input_all in
   let body = String.sub data 0 (String.length data - String.length "crc XXXXXXXX\n") in
-  let lines =
-    String.split_on_char '\n' body
-    |> List.concat_map (fun l ->
-           match String.split_on_char ' ' l with
-           | [ "closure"; n ] -> [ Printf.sprintf "closure %d" (int_of_string n + 1); extra ]
-           | _ -> [ l ])
+  let head, ls =
+    List.fold_right
+      (fun l (head, ls) ->
+        match String.split_on_char ' ' l with
+        | [ "l"; u; v ] -> (head, (int_of_string u, int_of_string v) :: ls)
+        | ("links" | "end" | "") :: _ -> (head, ls)
+        | _ -> (l :: head, ls))
+      (String.split_on_char '\n' body) ([], [])
   in
-  let body = String.concat "\n" lines in
+  let head = match (magic, head) with Some m, _ :: rest -> m :: rest | _ -> head in
+  let ls = links ls in
+  let body =
+    String.concat ""
+      (List.map (fun l -> l ^ "\n")
+         (head
+         @ [ Printf.sprintf "links %d" (List.length ls) ]
+         @ List.map (fun (u, v) -> Printf.sprintf "l %d %d" u v) ls
+         @ [ "end" ]))
+  in
   let crc = Hopi_util.Crc32.digest (Bytes.of_string body) ~pos:0 ~len:(String.length body) in
   Out_channel.with_open_bin path (fun oc ->
       output_string oc body;
       Printf.fprintf oc "crc %08lx\n" crc)
 
-let test_bogus_closure_rejected () =
-  let c = Dblp.generate (Dblp.default ~n_docs:6) in
-  let routing_lines dir =
-    In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.map (String.split_on_char ' ')
-  in
-  let links dir =
-    List.filter_map
-      (function [ "l"; u; v ] -> Some (int_of_string u, int_of_string v) | _ -> None)
-      (routing_lines dir)
-  in
-  let expect_rejected what dir =
-    match Router.open_dir dir with
-    | r ->
-      Router.close r;
-      Alcotest.failf "%s went unnoticed" what
-    | exception Sys_error _ -> ()
-  in
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* open must fail with a [Sys_error] that names the fault *)
+let expect_rejected what ~says dir =
+  match Router.open_dir dir with
+  | r ->
+    Router.close r;
+    Alcotest.failf "%s went unnoticed" what
+  | exception Sys_error msg ->
+    if not (contains msg says) then Alcotest.failf "%s: %S does not say %S" what msg says
+
+let with_split ~k n_docs f =
   with_temp_dir @@ fun dir ->
-  ignore (Router.split ~k:3 ~dir c : Router.split_stats);
+  let c = Dblp.generate (Dblp.default ~n_docs) in
+  ignore (Router.split ~k ~dir c : Router.split_stats);
   let clean = In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all in
-  let restore () = Out_channel.with_open_bin (Router.routing_path ~dir) (fun oc -> output_string oc clean) in
-  let ls = links dir in
-  let srcs = List.map fst ls and tgts = List.map snd ls in
-  let non_source = Array.find_opt (fun e -> not (List.mem e srcs)) (elements c) in
-  let non_target = Array.find_opt (fun e -> not (List.mem e tgts)) (elements c) in
-  (match (ls, non_source, non_target) with
-  | (s, t) :: _, Some ns, Some nt ->
-    add_closure_line dir (Printf.sprintf "c %d %d 1" ns t);
-    expect_rejected "a closure line from a non-source" dir;
-    restore ();
-    add_closure_line dir (Printf.sprintf "c %d %d 1" s nt);
-    expect_rejected "a closure line to a non-target" dir;
-    restore ();
-    (* the rewrite itself is sound: a duplicate of a real line opens *)
-    add_closure_line dir (Printf.sprintf "c %d %d 1" s t);
-    Router.close (Router.open_dir dir)
-  | _ -> Alcotest.fail "the split has no cross link")
+  let restore () =
+    Out_channel.with_open_bin (Router.routing_path ~dir) (fun oc -> output_string oc clean)
+  in
+  f c dir restore
+
+let test_unregistered_link_rejected () =
+  with_split ~k:3 6 @@ fun c dir restore ->
+  let ghost = Array.fold_left max 0 (elements c) + 17 in
+  (* the rewrite itself is sound: the same links reopen *)
+  rewrite_routing dir;
+  Router.close (Router.open_dir dir);
+  rewrite_routing dir ~links:(function
+    | (_, t) :: _ as ls -> (ghost, t) :: ls
+    | [] -> Alcotest.fail "the split has no cross link");
+  expect_rejected "a link from an unknown element" ~says:"in no shard" dir;
+  restore ();
+  rewrite_routing dir ~links:(fun ls -> (fst (List.hd ls), ghost) :: ls);
+  expect_rejected "a link to an unknown element" ~says:"in no shard" dir
+
+let test_same_shard_link_rejected () =
+  with_split ~k:3 6 @@ fun c dir _ ->
+  let r = Router.open_dir dir in
+  let dom = elements c in
+  let u = dom.(0) in
+  let v =
+    match Array.find_opt (fun v -> v <> u && Router.shard_of r v = Router.shard_of r u) dom with
+    | Some v -> v
+    | None -> Alcotest.fail "a shard with one element"
+  in
+  Router.close r;
+  rewrite_routing dir ~links:(fun ls -> (u, v) :: ls);
+  expect_rejected "a link inside one shard" ~says:"stays inside shard" dir
+
+(* two shards that register the same elements, and no links that could
+   notice the elements the overwritten shard lost *)
+let test_element_in_two_shards_rejected () =
+  with_split ~k:2 6 @@ fun _ dir _ ->
+  let copy = In_channel.with_open_bin (Router.shard_path ~dir 0) In_channel.input_all in
+  Out_channel.with_open_bin (Router.shard_path ~dir 1) (fun oc -> output_string oc copy);
+  rewrite_routing dir ~links:(fun _ -> []);
+  expect_rejected "an element in two shards" ~says:"registered in shards 0 and 1" dir
+
+let test_format1_rejected () =
+  with_split ~k:2 6 @@ fun _ dir _ ->
+  rewrite_routing dir ~magic:"hopi-shard-routing 1";
+  expect_rejected "a format-1 routing index" ~says:"re-run shard-split" dir
+
+(* {1 Isolated elements}
+
+   Single-element documents, some of them link endpoints and some with no
+   edge at all: the element map comes from the shards' node registries,
+   so every element, isolated or not, must be known, and every answer
+   must match one unsharded Cover_store over the whole collection. *)
+let isolated_collection () =
+  let c = Collection.create () in
+  List.iteri
+    (fun i xml ->
+      ignore
+        (Collection.add_document c ~name:(Printf.sprintf "d%d.xml" i)
+           (Hopi_xml.Xml_parser.parse_string_exn xml)
+          : int))
+    [
+      {|<a xlink:href="d1.xml#r"/>|};
+      {|<b id="r" xlink:href="d2.xml#s"/>|};
+      {|<c id="s"/>|};
+      {|<d/>|};
+      {|<e xlink:href="d2.xml#s"/>|};
+      {|<f/>|};
+      {|<g id="t"/>|};
+      {|<h xlink:href="d6.xml#t"/>|};
+    ];
+  c
+
+let test_isolated_elements () =
+  let module S = Hopi_storage in
+  let module Snapshot = Hopi_serve.Snapshot in
+  let c = isolated_collection () in
+  let g = Collection.element_graph c in
+  let dom = elements c in
+  let ghost = Array.fold_left max 0 dom + 5 in
+  checki "one element per document" 8 (Array.length dom);
+  List.iter
+    (fun (dist, k) ->
+      with_temp_dir @@ fun dir ->
+      let whole = Filename.concat dir "whole.db" in
+      let pager = S.Pager.create ~fsync:false (S.Pager.File whole) in
+      S.Cover_store.save
+        (if dist then S.Cover_store.of_dist_cover pager (fst (Hopi_twohop.Dist_builder.build g))
+         else S.Cover_store.of_cover pager (fst (Hopi_twohop.Builder.build (Closure.compute g))));
+      S.Pager.close pager;
+      let st = Router.split ~dist ~k ~dir:(Filename.concat dir "shards") c in
+      checki "k shards" k st.Router.shards;
+      checkb "some link crosses shards" true (st.Router.cross_links > 0);
+      let r = Router.open_dir (Filename.concat dir "shards") in
+      let snap = Snapshot.open_file ~cache_mb:0 whole in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.close r;
+          Snapshot.close snap)
+      @@ fun () ->
+      let what fmt = Printf.sprintf ("dist=%b k=%d: " ^^ fmt) dist k in
+      checki (what "every element mapped") (Array.length dom) (Router.n_nodes r);
+      Array.iter
+        (fun u ->
+          checkb (what "%d has a shard" u) true (Router.shard_of r u <> None);
+          check
+            Alcotest.(list int)
+            (what "desc %d" u)
+            (sorted_of_ihs (Snapshot.descendants snap u))
+            (sorted_of_ihs (Router.descendants r u));
+          check
+            Alcotest.(list int)
+            (what "anc %d" u)
+            (sorted_of_ihs (Snapshot.ancestors snap u))
+            (sorted_of_ihs (Router.ancestors r u)))
+        dom;
+      let ids = Array.append dom [| ghost |] in
+      Array.iter
+        (fun u ->
+          Array.iter
+            (fun v ->
+              checkb (what "reach %d %d" u v) (Snapshot.connected snap u v) (Router.connected r u v);
+              check dist_opt (what "dist %d %d" u v) (Snapshot.min_distance snap u v)
+                (Router.min_distance r u v))
+            ids)
+        ids)
+    [ (false, 2); (false, 3); (true, 2); (true, 3) ]
 
 (* {1 A larger deterministic differential}
 
@@ -597,14 +724,22 @@ let suite =
           test_self_centers;
         Alcotest.test_case "same-shard pair through another shard" `Quick
           test_leave_and_return;
-        Alcotest.test_case "closure line off the link endpoints is rejected" `Quick
-          test_bogus_closure_rejected;
+        Alcotest.test_case "link endpoint in no shard is rejected" `Quick
+          test_unregistered_link_rejected;
         Alcotest.test_case "dblp 60 docs, k=4: routing = closure and BFS" `Quick
           test_dblp60_differential;
         Alcotest.test_case "flipped routing byte is rejected" `Quick
           test_routing_flip_rejected;
         Alcotest.test_case "routing crash matrix: each file old or new" `Quick
           test_routing_crash_matrix;
+        Alcotest.test_case "link inside one shard is rejected" `Quick
+          test_same_shard_link_rejected;
+        Alcotest.test_case "element in two shards is rejected" `Quick
+          test_element_in_two_shards_rejected;
+        Alcotest.test_case "format-1 routing index asks for a re-split" `Quick
+          test_format1_rejected;
+        Alcotest.test_case "isolated elements: map from the shard registries" `Quick
+          test_isolated_elements;
       ]
       @ qsuite [ prop_differential; prop_reopen_stable ] );
   ]
