@@ -2,10 +2,12 @@
    in-memory cover, through the paged LIN/LOUT store, across the shards
    of a k = 4 split, and by naive BFS —
    the per-query speedup that motivates a connection index in the first
-   place — plus distance lookups and descendant enumeration, and the
-   kernels under them: the page checksum every pool miss verifies, the
-   integer hash set every desc/anc answer and cover build fills, and a hit
-   in each of the two read-side caches (both instances of one LRU). *)
+   place — plus distance lookups and descendant enumeration (in memory,
+   and cold through the store's row tables), and the kernels under them:
+   the page checksum every pool miss verifies, the label-codec decoder
+   every probe and by-center scan runs, the integer hash set every
+   desc/anc answer and cover build fills, and a hit in each of the two
+   read-side caches (both instances of one LRU). *)
 
 open Bechamel
 open Toolkit
@@ -51,17 +53,29 @@ let cache_tests () =
     Test.make ~name:"read_pool/find-hit" (Staged.stage (fun () -> Pager.read r (next ())));
   ]
 
-(* One page-miss check ([digest] over a page payload), and one batch of
-   256 adds plus 256 lookups (half of them hits) into a reused set, the
-   shape of a desc/anc answer being gathered. *)
+(* rows in the label set [label_codec/iter_centers] decodes per run; the
+   result table reports that benchmark per row *)
+let codec_rows = 256
+
+(* One page-miss check ([digest] over a page payload), one decode of a
+   256-row label set with centers 1-3 apart (one varint byte each), and
+   one batch of 256 adds plus 256 lookups (half of them hits) into a
+   reused set, the shape of a desc/anc answer being gathered. *)
 let kernel_tests () =
   let page = Bytes.init 4096 (fun i -> Char.chr (((i * 131) + 7) land 0xFF)) in
   let rng = Splitmix.create 4242 in
   let keys = Array.init 512 (fun _ -> Splitmix.int rng 1_000_000) in
   let set = Ihs.create ~initial:256 () in
+  let label =
+    Hopi_twohop.Label_codec.encode_pairs
+      (Array.init codec_rows (fun i -> ((3 * i) - (i mod 2), i mod 3)))
+  in
+  let sum = ref 0 in
   [
     Test.make ~name:"crc32/page" (Staged.stage (fun () ->
         Crc32.digest page ~pos:8 ~len:4088));
+    Test.make ~name:"label_codec/iter_centers" (Staged.stage (fun () ->
+        Hopi_twohop.Label_codec.iter_centers label (fun c -> sum := !sum + c)));
     Test.make ~name:"int_hashset/add+mem" (Staged.stage (fun () ->
         Ihs.clear set;
         for i = 0 to 255 do
@@ -79,6 +93,9 @@ let make_tests (s : Bench_common.scale) =
   let idx = Hopi.create c in
   let g = Collection.element_graph c in
   let store = Hopi.to_store idx (Pager.create ~pool_pages:256 Pager.Memory) in
+  (* the same store behind a 4-page pool: descendant enumerations read
+     their rows cold *)
+  let cold_store = Hopi.to_store idx (Pager.create ~pool_pages:4 Pager.Memory) in
   let cstore =
     Hopi_storage.Closure_store.of_closure
       (Pager.create ~pool_pages:4096 Pager.Memory)
@@ -145,6 +162,9 @@ let make_tests (s : Bench_common.scale) =
       Test.make ~name:"descendants/cover" (Staged.stage (fun () ->
           let u, _ = next () in
           ignore (Cover.descendants cover u)));
+      Test.make ~name:"desc/store" (Staged.stage (fun () ->
+          let u, _ = next () in
+          ignore (Cover_store.descendants cold_store u)));
     ]
 
 (* Metric-recording overhead: a counter increment and a histogram sample
@@ -220,11 +240,15 @@ let run (s : Bench_common.scale) =
         | Some [ est ] -> est
         | _ -> nan
       in
+      let name, ns =
+        if name = "label_codec/iter_centers" then (name ^ " (per row)", ns /. float_of_int codec_rows)
+        else (name, ns)
+      in
       rows := (name, ns) :: !rows)
     results;
   let rows = List.sort compare !rows in
   Bench_common.print_table
     [ "benchmark"; "ns/run" ]
-    (List.map (fun (name, ns) -> [ name; Fmt.str "%.0f" ns ]) rows);
+    (List.map (fun (name, ns) -> [ name; Fmt.str (if ns < 10.0 then "%.1f" else "%.0f") ns ]) rows);
   Bench_common.note
     "the cover answers in microseconds where BFS needs a graph traversal."

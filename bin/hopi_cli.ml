@@ -125,7 +125,7 @@ let build dir partitioner joiner limit jobs verbose store_path no_fsync metrics_
      in
      let store = Hopi.to_store idx pager in
      Hopi_storage.Cover_store.save store;
-     Fmt.pr "stored %d LIN/LOUT rows on %d pages in %s@."
+     Fmt.pr "stored %d LIN/LOUT entries on %d pages in %s@."
        (Hopi_storage.Cover_store.n_entries store)
        (Hopi_storage.Pager.n_pages pager) path;
      Hopi_storage.Pager.close pager);
@@ -148,16 +148,34 @@ let trace dir partitioner joiner limit jobs verbose chrome_out =
 
 (* {1 inspect} *)
 
+(* A store this build cannot read: the error on one line, and what to do
+   about it on the next. *)
+let report_storage_error path e =
+  let module E = Hopi_storage.Storage_error in
+  Fmt.epr "%s: %s@." path (E.to_string e);
+  Option.iter (Fmt.epr "hint: %s@.") (E.hint e)
+
+let or_storage_error path f =
+  try f ()
+  with Hopi_storage.Storage_error.Storage_error e ->
+    report_storage_error path e;
+    exit 1
+
 let inspect path =
+  or_storage_error path @@ fun () ->
+  let module Cs = Hopi_storage.Cover_store in
   let pager = Hopi_storage.Pager.open_existing path in
-  let store = Hopi_storage.Cover_store.open_pager pager in
+  let store = Cs.open_pager pager in
   Fmt.pr "%s: %d nodes, %d label entries (%d stored integers) on %d pages (%d KiB)@."
-    path
-    (Hopi_storage.Cover_store.n_nodes store)
-    (Hopi_storage.Cover_store.n_entries store)
-    (Hopi_storage.Cover_store.stored_integers store)
+    path (Cs.n_nodes store) (Cs.n_entries store) (Cs.stored_integers store)
     (Hopi_storage.Pager.n_pages pager)
     (Hopi_storage.Pager.size_bytes pager / 1024);
+  let tables = Cs.table_bytes store in
+  let row_bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 tables in
+  Fmt.pr "row tables: %s; %.2f bytes per label entry (all four tables)@."
+    (String.concat ", " (List.map (fun (name, b) -> Fmt.str "%s %d B" name b) tables))
+    (if Cs.n_entries store = 0 then 0.0
+     else float_of_int row_bytes /. float_of_int (Cs.n_entries store));
   Hopi_storage.Pager.close pager
 
 (* {1 verify-store} *)
@@ -167,7 +185,7 @@ let verify_store path verbose =
   let module S = Hopi_storage in
   match S.Pager.open_existing path with
   | exception S.Storage_error.Storage_error e ->
-    Fmt.epr "%s: %s@." path (S.Storage_error.to_string e);
+    report_storage_error path e;
     exit 1
   | pager ->
     let bad = S.Pager.verify_pages pager in
@@ -177,10 +195,16 @@ let verify_store path verbose =
         (String.concat ", " (List.map string_of_int bad));
       exit 1
     end;
-    let kind =
+    let what =
       match S.Catalog.read pager with
-      | cat ->
-        (match cat.S.Catalog.kind with S.Catalog.Cover -> "cover" | S.Catalog.Closure -> "closure")
+      | S.Catalog.Cover _ -> (
+        (* the row tables: directory invariants at open, then every row *)
+        match S.Cover_store.check (S.Cover_store.open_pager pager) with
+        | rows -> Printf.sprintf "cover store, %d rows verified" rows
+        | exception S.Storage_error.Storage_error e ->
+          Fmt.pr "%s: STRUCTURE FAILURE: %s@." path (S.Storage_error.to_string e);
+          exit 1)
+      | S.Catalog.Closure _ -> "closure store"
       | exception S.Storage_error.Storage_error e -> (
         (* not an index store: a generation manifest is a pager file too *)
         match S.Manifest.read_file path with
@@ -188,10 +212,10 @@ let verify_store path verbose =
           Printf.sprintf "generation manifest (live %d, previous %d, tip %d)"
             m.S.Manifest.live m.S.Manifest.previous m.S.Manifest.tip
         | exception S.Storage_error.Storage_error _ ->
-          Fmt.epr "%s: bad catalog: %s@." path (S.Storage_error.to_string e);
+          report_storage_error path e;
           exit 1)
     in
-    Fmt.pr "%s: ok — %s store, %d pages (%d KiB), all checksums verified@." path kind
+    Fmt.pr "%s: ok — %s, %d pages (%d KiB), all checksums verified@." path what
       (S.Pager.n_pages pager)
       (S.Pager.size_bytes pager / 1024);
     S.Pager.close pager
@@ -616,6 +640,7 @@ let serve store_path jobs cache_mb batch_size pool_pages corpus verbose metrics_
     { jobs; batch_size; stdin_ok; socket; tcp; max_inflight; queue_depth;
       metrics_path }
   in
+  or_storage_error store_path @@ fun () ->
   if shard then serve_shard session store_path cache_mb pool_pages
   else if live || maintain <> None then begin
     match corpus with

@@ -4,8 +4,8 @@
 
     The serving layer's hot path is fetching [Lin]/[Lout] label sets of the
     same nodes over and over (real query workloads are heavily skewed), and
-    every uncached fetch is a B+-tree range scan through the pager — page
-    cache probes, CRC verification on misses, per-row closure calls.  This
+    every uncached fetch is a directory lookup and a row copy through the
+    pager — a page cache probe, and CRC verification on a miss.  This
     cache keeps the materialised label sets in memory — in their
     delta-encoded {!Hopi_twohop.Label_codec} form, a few bytes per row —
     so a hot fetch is one hash probe.

@@ -1,18 +1,16 @@
 (* Read-only snapshot over a persisted cover store: one shared store
    handle for all domains, served through a shared read-only page pool
    (see the interface for the concurrency model).  The queries are
-   Cover_store's operators; what this module adds is the frozen node set
-   and the cached label fetch they run over. *)
+   Cover_store's operators; what this module adds is the cached label
+   fetch they run over. *)
 
 module S = Hopi_storage
-module Ihs = Hopi_util.Int_hashset
 
 type t = {
   path : string;
   pool : S.Pager.Read_pool.t;
   pgr : S.Pager.t;
   src : S.Cover_store.source;
-  nodes : Ihs.t;
   cache : Label_cache.t;
   epoch : int;
   mu : Mutex.t; (* close idempotency *)
@@ -22,7 +20,7 @@ type t = {
 let default_version _ = 0
 
 (* Label sets travel in their Label_codec form: a warm fetch is one cache
-   probe, a miss one forward-index range scan encoded on the way in. *)
+   probe, a miss one row read from the store's heap. *)
 let cached_fetch st cache node_version dir v =
   Hopi_obs.Reqtrace.Local.note_label_probe ();
   let key = Label_cache.key ~version:(node_version v) dir v in
@@ -42,16 +40,11 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
     | None -> S.Pager.Read_pool.create ~pages:pool_pages ()
   in
   let pgr = S.Pager.open_shared_vfs ~vfs ~pool path in
-  (* a bad catalog or a corrupt registry page must not leak the file or
-     leave this pager's pages in the caller's pool *)
-  let st, nodes =
-    try
-      let st = S.Cover_store.open_pager pgr in
-      (* the node registry, frozen in memory: membership tests never touch
-         a page *)
-      let nodes = Ihs.create () in
-      S.Cover_store.iter_nodes st (Ihs.add nodes);
-      (st, nodes)
+  (* a bad catalog or a corrupt directory page must not leak the file or
+     leave this pager's pages in the caller's pool; once open, the
+     directory is in memory, so membership tests never touch a page *)
+  let st =
+    try S.Cover_store.open_pager pgr
     with e ->
       S.Pager.close pgr;
       raise e
@@ -63,12 +56,12 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
   in
   let src =
     { S.Cover_store.store = st;
-      mem = (fun v -> Ihs.mem nodes v);
+      mem = S.Cover_store.mem_node st;
       fetch = (fun dir v -> cached_fetch st cache node_version dir v) }
   in
-  { path; pool; pgr; src; nodes; cache; epoch; mu = Mutex.create (); closed = false }
+  { path; pool; pgr; src; cache; epoch; mu = Mutex.create (); closed = false }
 
-(* The pager is a shared read-only view: the B+-tree read path touches no
+(* The pager is a shared read-only view: the row read path touches no
    mutable pager state, page lookups go through the sharded pool, and
    miss I/O serialises inside the pager — so one source serves every
    domain without a per-query lock. *)
@@ -100,7 +93,7 @@ let read_pool t = t.pool
 
 let mem_node t v = (src t).mem v
 
-let iter_nodes t f = Ihs.iter f t.nodes
+let iter_nodes t f = S.Cover_store.iter_nodes t.src.store f
 
 let label t dir v = (src t).fetch dir v
 

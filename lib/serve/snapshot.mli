@@ -6,20 +6,20 @@
 
     A snapshot is the store plus a cache: the queries are
     {!Hopi_storage.Cover_store.reach}/[dist]/[desc]/[anc] run over a
-    {!Hopi_storage.Cover_store.type-source} whose node set is frozen into
-    memory at open time and whose label fetch goes through the
-    {!Label_cache}, where label sets live in their delta-encoded
-    {!Hopi_twohop.Label_codec} form.  A warm probe is a cache lookup per
-    label set and two codec stream merges; a miss is one forward-index
-    range scan.
+    {!Hopi_storage.Cover_store.type-source} whose membership test is the
+    store's directory, read into memory at open time, and whose label
+    fetch goes through the {!Label_cache}, where label sets live in their
+    delta-encoded {!Hopi_twohop.Label_codec} form.  A warm probe is a
+    cache lookup per label set and two codec stream merges; a miss is one
+    row read, usually one page.
 
     Concurrency model: the snapshot opens the store {e once}, as a shared
     read-only pager view ({!Hopi_storage.Pager.open_shared}) over a
     sharded read-only page pool, and every worker domain probes that one
-    handle.  The B+-tree read path touches no mutable storage state; page
+    handle.  The row read path touches no mutable storage state; page
     lookups go through the pool's sharded locks, miss I/O serialises
     inside the pager, and a page any domain faulted in is warm for all of
-    them.  What domains additionally share is the immutable node set and
+    them.  What domains additionally share is the immutable directory and
     the {!Label_cache}, whose sharded entries are write-once encoded label
     sets.  This is what makes batch evaluation on a {!Hopi_util.Pool}
     safe without a global lock. *)
@@ -93,8 +93,8 @@ val epoch : t -> int
 val mem_node : t -> int -> bool
 
 val iter_nodes : t -> (int -> unit) -> unit
-(** Every registered node, from the node set frozen at open (no page
-    read), in no particular order. *)
+(** Every registered node, ascending, from the directory read at open
+    (no page read). *)
 
 val label : t -> Label_cache.dir -> int -> Hopi_twohop.Label_codec.t
 (** A node's [Lin] or [Lout] label set, fetched through the label cache
@@ -112,6 +112,6 @@ val min_distance : t -> int -> int -> int option
 val descendants : t -> int -> Hopi_util.Int_hashset.t
 (** Every node reachable from the argument (including itself).  The
     argument's [Lout] comes through the label cache; the per-center
-    backward-index scans do not. *)
+    backward rows do not. *)
 
 val ancestors : t -> int -> Hopi_util.Int_hashset.t

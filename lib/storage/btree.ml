@@ -258,8 +258,3 @@ let iter_prefix2 t a b f =
         true
       end
       else false)
-
-let iter_all t f =
-  iter_from t (min_i32, min_i32, min_i32) (fun k ->
-      f k;
-      true)

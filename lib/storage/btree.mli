@@ -2,18 +2,15 @@
 
     A key is a triple [(a, b, c)] compared lexicographically, and is the
     whole record — the trees are index-organized, exactly like the paper's
-    LIN/LOUT tables whose primary key is the concatenation of all columns
-    (Section 3.4).  The forward index on LIN is a tree keyed
-    [(id, inid, dist)]; the backward index re-keys the same rows as
-    [(inid, id, dist)].
+    tables whose primary key is the concatenation of all columns
+    (Section 3.4).  A {!Table} keeps a forward tree keyed [(id, label, 0)]
+    and a backward tree re-keying the same rows as [(label, id, 0)].
 
     Trees are written once: {!bulk_load} builds a whole tree from a sorted
     key stream, building each page fresh and handing it to {!Pager.write}
     once, and nothing changes it afterwards.  Searches and scans read
-    pages through the pager's read pool and never mutate them.  Index
-    maintenance (Section 6) runs on the in-memory cover, and the result
-    is written as a new store (a new generation when serving live), so
-    leaves and internal nodes are packed to capacity and no page is ever
+    pages through the pager's read pool and never mutate them, so leaves
+    and internal nodes are packed to capacity and no page is ever
     freed. *)
 
 type t
@@ -47,8 +44,6 @@ val iter_prefix1 : t -> int -> (key -> unit) -> unit
 (** All keys with first component equal to the argument. *)
 
 val iter_prefix2 : t -> int -> int -> (key -> unit) -> unit
-
-val iter_all : t -> (key -> unit) -> unit
 
 val min_i32 : int
 (** Smallest storable component value. *)

@@ -1,93 +1,115 @@
 module E = Storage_error
 
-type kind = Cover | Closure
-
 type entry = { root : int; length : int }
 
-type t = { kind : kind; with_dist : bool; trees : entry array }
+type rows = {
+  heap_first : int;
+  heap_pages : int;
+  heap_bytes : int;
+  dir_first : int;
+  dir_pages : int;
+  n_keys : int;
+  entries : int array;
+}
+
+type t = Cover of { with_dist : bool; rows : rows } | Closure of { fwd : entry; bwd : entry }
 
 let magic = 0x484F5049 (* "HOPI" *)
 
-(* version 2: checksummed page headers, catalog gained kind + arity *)
-let version = 2
+(* version 2: checksummed page headers, catalog gained kind + arity;
+   version 3: cover stores are row tables (heap + directory) *)
+let version = 3
 
-let cover_trees = 5
-
-let closure_trees = 2
+let cover_tables = 4
 
 let po = Page.payload_off
 
 (* layout from [po]: [+0..3] magic, [+4..7] version, [+8..11] kind,
-   [+12..15] with_dist, [+16..19] n_trees, entries of 8 bytes from [+20] *)
-
-let kind_code = function Cover -> 0 | Closure -> 1
-
-let arity = function Cover -> cover_trees | Closure -> closure_trees
-
-let max_trees = (Page.size - po - 20) / 8
+   [+12..15] with_dist, then per kind
+   - cover: [+16] heap first page, [+20] heap pages, [+24] heap bytes,
+     [+28] directory first page, [+32] directory pages, [+36] keys,
+     [+40] table count, entry counts of 4 bytes from [+44];
+   - closure: [+16] tree count (2), (root, length) pairs of 8 bytes from
+     [+20]. *)
 
 let reserve who pager =
   if Pager.n_pages pager <> 0 then invalid_arg (who ^ ": the pager must be fresh");
   ignore (Pager.alloc pager)
 
 let write pager t =
-  if Array.length t.trees <> arity t.kind then invalid_arg "Catalog.write: arity";
   let page = Page.create () in
-  Page.set_i32 page (po + 0) magic;
-  Page.set_i32 page (po + 4) version;
-  Page.set_i32 page (po + 8) (kind_code t.kind);
-  Page.set_i32 page (po + 12) (if t.with_dist then 1 else 0);
-  Page.set_i32 page (po + 16) (Array.length t.trees);
-  Array.iteri
-    (fun i e ->
-      let off = po + 20 + (i * 8) in
-      Page.set_i32 page off e.root;
-      Page.set_i32 page (off + 4) e.length)
-    t.trees;
+  let set off v = Page.set_i32 page (po + off) v in
+  set 0 magic;
+  set 4 version;
+  (match t with
+   | Cover { with_dist; rows = r } ->
+     if Array.length r.entries <> cover_tables then invalid_arg "Catalog.write: arity";
+     set 8 0;
+     set 12 (if with_dist then 1 else 0);
+     List.iteri (fun i v -> set (16 + (4 * i)) v)
+       [ r.heap_first; r.heap_pages; r.heap_bytes; r.dir_first; r.dir_pages; r.n_keys;
+         cover_tables ];
+     Array.iteri (fun i n -> set (44 + (4 * i)) n) r.entries
+   | Closure { fwd; bwd } ->
+     set 8 1;
+     set 12 0;
+     set 16 2;
+     List.iteri
+       (fun i e ->
+         set (20 + (8 * i)) e.root;
+         set (24 + (8 * i)) e.length)
+       [ fwd; bwd ]);
   Pager.write pager 0 page
+
+let bad fmt = Printf.ksprintf (fun s -> E.raise_error (Bad_catalog s)) fmt
 
 let read pager =
   if Pager.n_pages pager < 1 then
     E.raise_error (Truncated "store has no catalog page");
   let page = Pager.read pager 0 in
-  let got_magic = Page.get_i32 page (po + 0) in
+  let get off = Page.get_i32 page (po + off) in
+  let got_magic = get 0 in
   if got_magic <> magic then E.raise_error (Bad_magic { got = got_magic; expected = magic });
-  let got_version = Page.get_i32 page (po + 4) in
+  let got_version = get 4 in
   if got_version <> version then
     E.raise_error (Bad_version { got = got_version; expected = version });
-  let kind =
-    match Page.get_i32 page (po + 8) with
-    | 0 -> Cover
-    | 1 -> Closure
-    | k -> E.raise_error (Bad_catalog (Printf.sprintf "unknown store kind %d" k))
-  in
-  let with_dist = Page.get_i32 page (po + 12) <> 0 in
-  let n_trees = Page.get_i32 page (po + 16) in
-  if n_trees < 1 || n_trees > max_trees then
-    E.raise_error (Bad_catalog (Printf.sprintf "implausible tree count %d" n_trees));
-  if n_trees <> arity kind then
-    E.raise_error
-      (Bad_catalog
-         (Printf.sprintf "tree count %d does not match the store kind (want %d)"
-            n_trees (arity kind)));
   let n_pages = Pager.n_pages pager in
-  let trees =
-    Array.init n_trees (fun i ->
-        let off = po + 20 + (i * 8) in
-        let e = { root = Page.get_i32 page off; length = Page.get_i32 page (off + 4) } in
-        if e.root < 0 || e.root >= n_pages then
-          E.raise_error
-            (Bad_catalog (Printf.sprintf "tree %d root %d outside [0,%d)" i e.root n_pages));
-        if e.length < 0 then
-          E.raise_error (Bad_catalog (Printf.sprintf "tree %d has negative length" i));
-        e)
+  let extent what first pages =
+    if first < 1 || pages < 0 || first + pages > n_pages then
+      bad "%s pages [%d, %d) outside [1,%d)" what first (first + pages) n_pages
   in
-  { kind; with_dist; trees }
+  match get 8 with
+  | 0 ->
+    let n_tables = get 40 in
+    if n_tables <> cover_tables then
+      bad "table count %d does not match a cover store (want %d)" n_tables cover_tables;
+    let rows =
+      { heap_first = get 16; heap_pages = get 20; heap_bytes = get 24; dir_first = get 28;
+        dir_pages = get 32; n_keys = get 36;
+        entries = Array.init cover_tables (fun i -> get (44 + (4 * i))) }
+    in
+    extent "heap" rows.heap_first rows.heap_pages;
+    extent "directory" rows.dir_first rows.dir_pages;
+    if rows.heap_bytes < 0 || rows.heap_bytes > rows.heap_pages * (Page.size - po) then
+      bad "heap of %d bytes does not fit its %d pages" rows.heap_bytes rows.heap_pages;
+    if rows.n_keys < 0 then bad "negative key count";
+    Array.iteri (fun i n -> if n < 0 then bad "table %d has a negative entry count" i) rows.entries;
+    Cover { with_dist = get 12 <> 0; rows }
+  | 1 ->
+    let n_trees = get 16 in
+    if n_trees <> 2 then
+      bad "tree count %d does not match a closure store (want 2)" n_trees;
+    let tree i =
+      let e = { root = get (20 + (8 * i)); length = get (24 + (8 * i)) } in
+      if e.root < 0 || e.root >= n_pages then
+        bad "tree %d root %d outside [0,%d)" i e.root n_pages;
+      if e.length < 0 then bad "tree %d has negative length" i;
+      e
+    in
+    let fwd = tree 0 in
+    Closure { fwd; bwd = tree 1 }
+  | k -> bad "unknown store kind %d" k
 
-let expect kind t =
-  if t.kind <> kind then
-    E.raise_error
-      (Bad_catalog
-         (Printf.sprintf "this is a %s store, not a %s store"
-            (match t.kind with Cover -> "cover" | Closure -> "closure")
-            (match kind with Cover -> "cover" | Closure -> "closure")))
+let cover = function
+  | Cover { with_dist; rows } -> (with_dist, rows)
+  | Closure _ -> bad "this is a closure store, not a cover store"

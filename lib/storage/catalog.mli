@@ -1,29 +1,38 @@
 (** The catalog page: page 0 of a persistent index file records the magic
-    number, the format version, the store kind, the distance flag and the
-    root/length of every B+-tree, so that a {!Cover_store} can be reopened
-    from disk and a saved {!Closure_store} is told apart from one. *)
-
-type kind =
-  | Cover  (** LIN/LOUT tables + node registry: {!cover_trees} trees *)
-  | Closure  (** materialised closure table: {!closure_trees} trees *)
+    number, the format version, the store kind and the distance flag,
+    then where the store's structures live, so that a {!Cover_store} can
+    be reopened from disk and a saved {!Closure_store} is told apart from
+    one. *)
 
 type entry = { root : int; length : int }
+(** A B+-tree: root page and key count. *)
 
-type t = {
-  kind : kind;
-  with_dist : bool;
-  trees : entry array;  (** fixed order per kind, see the stores *)
+type rows = {
+  heap_first : int;  (** first page of the row heap *)
+  heap_pages : int;
+  heap_bytes : int;  (** heap bytes in use, padding included *)
+  dir_first : int;  (** first page of the directory *)
+  dir_pages : int;
+  n_keys : int;  (** directory keys: registered nodes and centers *)
+  entries : int array;
+      (** label entries per row table, in {!Row_table} table order *)
 }
+(** Where a {!Row_table} lives. *)
+
+type t =
+  | Cover of { with_dist : bool; rows : rows }
+      (** LIN/LOUT, forward and backward: {!cover_tables} row tables *)
+  | Closure of { fwd : entry; bwd : entry }  (** materialised closure table *)
 
 val magic : int
 
 val version : int
+(** = 3: cover stores hold row tables ({!Row_table}) instead of
+    B+-trees.  A file of any other version raises
+    [Storage_error (Bad_version _)]. *)
 
-val cover_trees : int
-(** = 5: lin.fwd, lin.bwd, lout.fwd, lout.bwd, nodes. *)
-
-val closure_trees : int
-(** = 2: fwd, bwd. *)
+val cover_tables : int
+(** = 4: Lin, Lin by center, Lout, Lout by center. *)
 
 val reserve : string -> Pager.t -> unit
 (** [reserve who pager] allocates page 0 for the catalog; a store is
@@ -39,6 +48,7 @@ val read : Pager.t -> t
     page 0, [Bad_magic] / [Bad_version] / [Bad_catalog] on a page that is
     not a valid catalog. *)
 
-val expect : kind -> t -> unit
-(** @raise Storage_error.Storage_error [(Bad_catalog _)] when the catalog
-    holds a different store kind or tree arity. *)
+val cover : t -> bool * rows
+(** The distance flag and row layout of a cover store.
+    @raise Storage_error.Storage_error [(Bad_catalog _)] when the catalog
+    holds a closure store. *)

@@ -15,7 +15,7 @@ let save t =
   let entry tree = { Catalog.root = Btree.root tree; length = Btree.length tree } in
   let fwd, bwd = Table.trees t.table in
   Catalog.write t.pgr
-    { Catalog.kind = Catalog.Closure; with_dist = false; trees = [| entry fwd; entry bwd |] };
+    (Catalog.Closure { fwd = entry fwd; bwd = entry bwd });
   Pager.commit t.pgr
 
 let pager t = t.pgr

@@ -2,142 +2,187 @@ module Ihs = Hopi_util.Int_hashset
 module Cover = Hopi_twohop.Cover
 module Dist_cover = Hopi_twohop.Dist_cover
 module Codec = Hopi_twohop.Label_codec
+module Dyn_array = Hopi_util.Dyn_array
 
-type t = {
-  pgr : Pager.t;
-  lin : Table.t;
-  lout : Table.t;
-  nodes : Btree.t;  (* registry: (id, 0, 0) *)
-  with_dist : bool;
-}
+type dir = Lin | Lout
+
+(* The four row tables, in heap order: each direction's forward rows
+   (a node's label set), then its backward rows (a center's nodes). *)
+let forward = function Lin -> 0 | Lout -> 2
+
+let backward = function Lin -> 1 | Lout -> 3
+
+type t = { pgr : Pager.t; rows : Row_table.t; with_dist : bool; n_nodes : int }
+
+let attach pgr ~with_dist rows =
+  let n_nodes = ref 0 in
+  for i = 0 to Row_table.n_keys rows - 1 do
+    if Row_table.registered rows i then incr n_nodes
+  done;
+  { pgr; rows; with_dist; n_nodes = !n_nodes }
 
 let save t =
-  let entry tree =
-    { Catalog.root = Btree.root tree; length = Btree.length tree }
-  in
-  let lin_fwd, lin_bwd = Table.trees t.lin in
-  let lout_fwd, lout_bwd = Table.trees t.lout in
   Catalog.write t.pgr
-    {
-      Catalog.kind = Catalog.Cover;
-      with_dist = t.with_dist;
-      trees = [| entry lin_fwd; entry lin_bwd; entry lout_fwd; entry lout_bwd;
-                 entry t.nodes |];
-    };
+    (Catalog.Cover { with_dist = t.with_dist; rows = Row_table.layout t.rows });
   Pager.commit t.pgr
 
 let open_pager pgr =
-  let cat = Catalog.read pgr in
-  Catalog.expect Catalog.Cover cat;
-  let tree i =
-    let e = cat.Catalog.trees.(i) in
-    Btree.of_root pgr ~root:e.Catalog.root ~length:e.Catalog.length
-  in
-  {
-    pgr;
-    lin = Table.of_trees ~fwd:(tree 0) ~bwd:(tree 1);
-    lout = Table.of_trees ~fwd:(tree 2) ~bwd:(tree 3);
-    nodes = tree 4;
-    with_dist = cat.Catalog.with_dist;
-  }
+  let with_dist, layout = Catalog.cover (Catalog.read pgr) in
+  attach pgr ~with_dist (Row_table.open_rows pgr layout)
 
 let pager t = t.pgr
 
-let mem_node t v = Btree.mem t.nodes (v, 0, 0)
+let mem_node t v =
+  let i = Row_table.slot t.rows v in
+  i >= 0 && Row_table.registered t.rows i
 
 let with_dist t = t.with_dist
 
-let iter_nodes t f = Btree.iter_all t.nodes (fun (v, _, _) -> f v)
+let iter_nodes t f =
+  for i = 0 to Row_table.n_keys t.rows - 1 do
+    if Row_table.registered t.rows i then f (Row_table.key t.rows i)
+  done
 
-let iter_lin t v f = Table.iter_by_id t.lin v (fun ~label ~dist -> f ~center:label ~dist)
+(* a row decoded in place, through one cursor *)
+let scan t table v f =
+  let i = Row_table.slot t.rows v in
+  if i >= 0 then begin
+    let c = Codec.cursor () in
+    Row_table.load t.rows c table i;
+    while Codec.advance c do
+      f (Codec.center c) (Codec.dist c)
+    done
+  end
 
-let iter_lout t u f = Table.iter_by_id t.lout u (fun ~label ~dist -> f ~center:label ~dist)
+let iter_lin t v f = scan t (forward Lin) v (fun center dist -> f ~center ~dist)
 
-let iter_in_by_center t w f = Table.iter_by_label t.lin w (fun ~id ~dist -> f ~node:id ~dist)
+let iter_lout t u f = scan t (forward Lout) u (fun center dist -> f ~center ~dist)
 
-let iter_out_by_center t w f = Table.iter_by_label t.lout w (fun ~id ~dist -> f ~node:id ~dist)
+(* backward rows name their nodes by slot *)
+let iter_in_by_center t w f =
+  scan t (backward Lin) w (fun s dist -> f ~node:(Row_table.key t.rows s) ~dist)
+
+let iter_out_by_center t w f =
+  scan t (backward Lout) w (fun s dist -> f ~node:(Row_table.key t.rows s) ~dist)
 
 (* {1 Writing a store}
 
-   All rows of a table are collected up front and handed to the table's
-   bulk loader, which sorts them and writes every page once, in key order.
-   Plain covers pack each (node, center) row into one OCaml int so the
-   sorts are cheap monomorphic int sorts.  Trees are built in the
-   catalog's slot order so the page layout is deterministic. *)
+   The directory's keys are the registered nodes plus any center that is
+   not one.  Per direction, the forward rows are each node's entries
+   sorted by (center, dist) — packed [center lsl 31 lor dist] so the
+   sorts are int sorts — and the backward rows are the same entries
+   bucketed by center slot in one counting pass over the nodes in key
+   order, so every bucket comes out ascending by node with no sort.
+   Everything is a function of the cover's content, so the pages are
+   byte-identical for equal covers. *)
 
-let sorted_nodes n iter =
+type labels = {
+  nodes : int array;  (* registered, ascending *)
+  registered : int -> bool;
+  iter : dir -> int -> (int -> int -> unit) -> unit;
+      (* [iter dir v f]: [f center dist] over v's entries, in any order *)
+}
+
+let pack_bits = 31
+
+let pack_mask = (1 lsl pack_bits) - 1
+
+let sorted_ints n fill =
   let a = Array.make n 0 in
   let i = ref 0 in
-  iter (fun v ->
+  fill (fun v ->
       a.(!i) <- v;
       incr i);
   Array.sort Int.compare a;
   a
 
-let tree_of_nodes pgr nodes =
-  let i = ref 0 in
-  Btree.bulk_load pgr ~next:(fun () ->
-      if !i >= Array.length nodes then None
-      else begin
-        let v = nodes.(!i) in
-        incr i;
-        Some (v, 0, 0)
-      end)
+let write pgr l =
+  Catalog.reserve "Cover_store" pgr;
+  let extra = Ihs.create () in
+  Array.iter
+    (fun v ->
+      List.iter
+        (fun dir -> l.iter dir v (fun c _ -> if not (l.registered c) then Ihs.add extra c))
+        [ Lin; Lout ])
+    l.nodes;
+  let keys =
+    sorted_ints (Array.length l.nodes + Ihs.cardinal extra) (fun add ->
+        Array.iter add l.nodes;
+        Ihs.iter add extra)
+  in
+  let n = Array.length keys in
+  let w = Row_table.writer pgr ~keys ~registered:l.registered in
+  let any_dist = ref false in
+  let direction dir =
+    (* forward rows, counting each center slot's entries on the way *)
+    let count = Array.make (n + 1) 0 in
+    let buf = Dyn_array.create () in
+    Row_table.add_table w (fun i ->
+        Dyn_array.clear buf;
+        if l.registered keys.(i) then
+          l.iter dir keys.(i) (fun c d ->
+              if c < 0 || c > pack_mask || d < 0 || d > pack_mask then
+                invalid_arg (Printf.sprintf "Cover_store: entry (%d, %d) out of range" c d);
+              if d > 0 then any_dist := true;
+              Dyn_array.push buf ((c lsl pack_bits) lor d);
+              let s = Row_table.search keys c in
+              count.(s + 1) <- count.(s + 1) + 1);
+        let row = Dyn_array.to_array buf in
+        Array.sort Int.compare row;
+        let e = Codec.Enc.create () in
+        Array.iter (fun x -> Codec.Enc.row e ~center:(x lsr pack_bits) ~dist:(x land pack_mask)) row;
+        Codec.Enc.finish e);
+    (* backward rows: bucket (node slot, dist) by center slot *)
+    for s = 1 to n do
+      count.(s) <- count.(s) + count.(s - 1)
+    done;
+    let fill = Array.sub count 0 n in
+    let bucket = Array.make count.(n) 0 in
+    Array.iteri
+      (fun i v ->
+        if l.registered v then
+          l.iter dir v (fun c d ->
+              let s = Row_table.search keys c in
+              bucket.(fill.(s)) <- (i lsl pack_bits) lor d;
+              fill.(s) <- fill.(s) + 1))
+      keys;
+    Row_table.add_table w (fun s ->
+        let e = Codec.Enc.create () in
+        for j = count.(s) to count.(s + 1) - 1 do
+          Codec.Enc.row e ~center:(bucket.(j) lsr pack_bits) ~dist:(bucket.(j) land pack_mask)
+        done;
+        Codec.Enc.finish e)
+  in
+  direction Lin;
+  direction Lout;
+  attach pgr ~with_dist:!any_dist (Row_table.finish w)
 
 let of_cover pgr cover =
-  Catalog.reserve "Cover_store.of_cover" pgr;
-  let nodes = sorted_nodes (Cover.n_nodes cover) (Cover.iter_nodes cover) in
-  let table ~cardinal ~iter =
-    let total = Array.fold_left (fun acc v -> acc + cardinal cover v) 0 nodes in
-    let a = Array.make total 0 in
-    let i = ref 0 in
-    Array.iter
-      (fun v ->
-        iter cover v (fun w ->
-            a.(!i) <- Table.pack ~id:v ~label:w;
-            incr i))
-      nodes;
-    Table.of_pairs pgr a
-  in
-  let lin = table ~cardinal:Cover.lin_cardinal ~iter:Cover.iter_lin in
-  let lout = table ~cardinal:Cover.lout_cardinal ~iter:Cover.iter_lout in
-  { pgr; lin; lout; nodes = tree_of_nodes pgr nodes; with_dist = false }
+  write pgr
+    { nodes = sorted_ints (Cover.n_nodes cover) (Cover.iter_nodes cover);
+      registered = Cover.mem_node cover;
+      iter =
+        (fun dir v f ->
+          (match dir with Lin -> Cover.iter_lin | Lout -> Cover.iter_lout) cover v (fun c -> f c 0)) }
 
 let of_dist_cover pgr cover =
-  Catalog.reserve "Cover_store.of_dist_cover" pgr;
-  let nodes = sorted_nodes (Dist_cover.n_nodes cover) (Dist_cover.iter_nodes cover) in
-  let any_dist = ref false in
-  let table iter =
-    let buf = Hopi_util.Dyn_array.create () in
-    Array.iter
-      (fun v ->
-        iter cover v (fun w d ->
-            if d > 0 then any_dist := true;
-            Hopi_util.Dyn_array.push buf (v, w, d)))
-      nodes;
-    Table.of_rows pgr
-      (Array.init (Hopi_util.Dyn_array.length buf) (Hopi_util.Dyn_array.get buf))
-  in
-  let lin = table Dist_cover.iter_lin in
-  let lout = table Dist_cover.iter_lout in
-  { pgr; lin; lout; nodes = tree_of_nodes pgr nodes; with_dist = !any_dist }
+  write pgr
+    { nodes = sorted_ints (Dist_cover.n_nodes cover) (Dist_cover.iter_nodes cover);
+      registered = Dist_cover.mem_node cover;
+      iter =
+        (fun dir v f ->
+          (match dir with Lin -> Dist_cover.iter_lin | Lout -> Dist_cover.iter_lout) cover v f) }
 
 (* {1 Queries}
 
    Reach, dist, desc and anc are written once, over a [source]: a node
-   membership test and a label fetch returning a node's Lin or Lout rows
-   as a Label_codec stream.  The store's own queries fetch by range scan;
-   the serving layer plugs in a cached fetch and a frozen node set. *)
-
-type dir = Lin | Lout
+   membership test and a label fetch returning a node's Lin or Lout row.
+   The store's own queries read rows straight from the heap; the serving
+   layer plugs in a cached fetch. *)
 
 let fetch t dir v =
-  (* the range scan visits rows ascending by (center, dist): exactly the
-     encoder's input order, so encoding streams with no staging *)
-  let e = Codec.Enc.create () in
-  let add ~center ~dist = Codec.Enc.row e ~center ~dist in
-  (match dir with Lin -> iter_lin t v add | Lout -> iter_lout t v add);
-  Codec.Enc.finish e
+  let i = Row_table.slot t.rows v in
+  if i < 0 then Codec.empty else Row_table.row t.rows (forward dir) i
 
 type source = { store : t; mem : int -> bool; fetch : dir -> int -> Codec.t }
 
@@ -168,24 +213,43 @@ let dist src u v =
   end
 
 (* the node itself, each center of its labels, and every node naming one
-   of those centers on the other side (a backward-index scan per center;
-   these enumerate result sets, so the scans go uncached) *)
-let reach_set src ~dir ~scan u =
+   of those centers on the other side: one backward row per center,
+   decoded in place (these enumerate result sets, so the rows go
+   uncached).  A per-call mark over directory slots lets each node reach
+   the result set once, however many rows name it. *)
+let reach_set src ~dir ~by_center u =
   let acc = Ihs.create () in
   if src.mem u then begin
-    Ihs.add acc u;
+    let rows = src.store.rows in
+    let seen = Bytes.make (Row_table.n_keys rows) '\000' in
+    let c = Codec.cursor () in
     let via_center w =
-      Ihs.add acc w;
-      scan src.store w (fun ~node ~dist:_ -> Ihs.add acc node)
+      let s = Row_table.slot rows w in
+      if s < 0 then Ihs.add acc w
+      else begin
+        if Bytes.unsafe_get seen s = '\000' then begin
+          Bytes.unsafe_set seen s '\001';
+          Ihs.add acc w
+        end;
+        Row_table.load rows c by_center s;
+        while Codec.advance c do
+          let s = Codec.center c in
+          if Bytes.unsafe_get seen s = '\000' then begin
+            Bytes.unsafe_set seen s '\001';
+            Ihs.add acc (Row_table.key rows s)
+          end
+        done
+      end
     in
     via_center u;
     Codec.iter_centers (src.fetch dir u) via_center
   end;
   acc
 
-let desc src u = reach_set src ~dir:Lout ~scan:iter_in_by_center u
+(* desc: the centers of Lout(u), then the nodes naming each in their Lin *)
+let desc src u = reach_set src ~dir:Lout ~by_center:(backward Lin) u
 
-let anc src v = reach_set src ~dir:Lin ~scan:iter_out_by_center v
+let anc src v = reach_set src ~dir:Lin ~by_center:(backward Lout) v
 
 let connected t u v = reach (source t) u v
 
@@ -195,10 +259,76 @@ let descendants t u = desc (source t) u
 
 let ancestors t v = anc (source t) v
 
-let n_entries t = Table.length t.lin + Table.length t.lout
+let n_entries t = Row_table.entries t.rows (forward Lin) + Row_table.entries t.rows (forward Lout)
 
 let stored_integers t =
   let per_entry = if t.with_dist then 6 else 4 in
   per_entry * n_entries t
 
-let n_nodes t = Btree.length t.nodes
+let n_nodes t = t.n_nodes
+
+let table_bytes t =
+  [ ("lin", forward Lin); ("lin_by_center", backward Lin); ("lout", forward Lout);
+    ("lout_by_center", backward Lout) ]
+  |> List.map (fun (name, table) -> (name, Row_table.row_bytes t.rows table))
+
+(* {1 Checking}
+
+   Every row is decoded once: it must decode to the end of its range with
+   ascending (center, dist) rows, and each table must hold the entry count
+   the catalog records.  Beyond that, every forward center is a directory
+   key, a key that is not a registered node has no forward rows, and each
+   backward table holds exactly its forward table's entries — an
+   order-free sum of a mixed hash of every (node, center, dist) on both
+   sides. *)
+
+let mix a b d =
+  let x = (a * 0x9E3779B97F4A7C1) + (b * 0xBF58476D1CE4E5B) + (d * 0x94D049BB133111E) in
+  let x = (x lxor (x lsr 31)) * 0x5DEECE66D in
+  x lxor (x lsr 29)
+
+let check t =
+  let rows = t.rows in
+  let n = Row_table.n_keys rows in
+  let key = Row_table.key rows in
+  let bad fmt = Printf.ksprintf (fun s -> Storage_error.raise_error (Bad_catalog s)) fmt in
+  let c = Codec.cursor () in
+  (* [f slot center dist] on every entry of a table *)
+  let scan_table table f =
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      Row_table.load rows c table i;
+      let prev_c = ref (-1) and prev_d = ref (-1) in
+      match
+        while Codec.advance c do
+          let ce = Codec.center c and d = Codec.dist c in
+          if ce < !prev_c || (ce = !prev_c && d < !prev_d) then
+            bad "table %d, key %d: rows do not ascend" table (key i);
+          prev_c := ce;
+          prev_d := d;
+          incr count;
+          f i ce d
+        done
+      with
+      | () -> ()
+      | exception Invalid_argument _ -> bad "table %d, key %d: truncated row" table (key i)
+    done;
+    if !count <> Row_table.entries rows table then
+      bad "table %d holds %d entries, the catalog says %d" table !count
+        (Row_table.entries rows table)
+  in
+  List.iter
+    (fun (fwd, bwd) ->
+      let sum_fwd = ref 0 and sum_bwd = ref 0 in
+      scan_table fwd (fun i center dist ->
+          if not (Row_table.registered rows i) then
+            bad "key %d is not a node but has label entries" (key i);
+          if Row_table.slot rows center < 0 then
+            bad "node %d names center %d, which has no row" (key i) center;
+          sum_fwd := !sum_fwd + mix (key i) center dist);
+      scan_table bwd (fun i s dist ->
+          if s >= n then bad "center %d names slot %d of %d" (key i) s n;
+          sum_bwd := !sum_bwd + mix (key s) (key i) dist);
+      if !sum_fwd <> !sum_bwd then bad "tables %d and %d do not hold the same entries" fwd bwd)
+    [ (forward Lin, backward Lin); (forward Lout, backward Lout) ];
+  Catalog.cover_tables * n

@@ -1,36 +1,59 @@
-(** A 2-hop cover persisted in LIN/LOUT tables, with the paper's SQL
-    statements expressed as index operations (Sections 3.4 and 5.1).
+(** A 2-hop cover persisted as the paper's LIN/LOUT tables (Sections 3.4
+    and 5.1), kept in the shape its queries read them: one
+    {!Hopi_twohop.Label_codec} row per node and per center, in four
+    write-once {!Row_table}s.
+
+    {v CREATE TABLE LIN(ID NUMBER(10), INID NUMBER(10) [, DIST NUMBER(10)]) v}
+
+    §3.4 makes LIN and LOUT index-organised tables clustered on [ID],
+    with a backward index on the center.  Here:
+
+    - the {b forward tables} hold, per node [ID], its whole [Lin] (or
+      [Lout]) set as one row, ascending by [(INID, DIST)] — the result of
+      [SELECT INID, DIST FROM LIN WHERE ID = :v] stored as it is
+      served;
+    - the {b backward tables} hold, per center [INID], one row of the
+      nodes naming it with their distances, ascending by node — the
+      backward index scan [SELECT ID FROM LIN WHERE INID = :w].  Nodes in
+      a backward row are written as their directory slots (ranks among
+      the directory keys), which keeps the deltas small and lets a
+      result set be marked by slot.
 
     Reachability:
     {v SELECT COUNT( * ) FROM LIN, LOUT
        WHERE LOUT.ID = :u AND LIN.ID = :v AND LOUT.OUTID = LIN.INID v}
-    is a merge-intersection of the forward-index scans of LOUT(u) and
-    LIN(v), plus the "simple additional queries" compensating for the
-    omitted self-entries.
+    is a merge-intersection of the rows LOUT(u) and LIN(v), plus the
+    "simple additional queries" compensating for the omitted
+    self-entries.
 
     Distance:
     {v SELECT MIN(LOUT.DIST + LIN.DIST) FROM LIN, LOUT WHERE ... v}
     is the same merge keeping the minimum sum.
 
     Both run as {!Hopi_twohop.Label_codec} stream merges over a
-    {!type-source}, the one implementation of the cover queries: the store's
-    own {!connected}/{!min_distance}/{!descendants}/{!ancestors} fetch
-    labels by range scan, and [Hopi_serve.Snapshot] runs the same
-    operators over its label cache. *)
+    {!type-source}, the one implementation of the cover queries: the
+    store's own {!connected}/{!min_distance}/{!descendants}/{!ancestors}
+    read rows from the heap, and [Hopi_serve.Snapshot] runs the same
+    operators over its label cache.  A cold label fetch or by-center scan
+    is one directory lookup in memory plus, for a row that fits in a page,
+    one page read. *)
 
 type t
 
 (** {1 Writing a store}
 
-    A store is written once, onto a fresh pager: every LIN/LOUT row is
-    collected up front, sorted, and handed to {!Btree.bulk_load}, so each
-    page is written once, in key order, with no per-entry descent.  The
-    page layout is deterministic for a given cover.  Page 0 is reserved
-    for the {!Catalog}; {!save} makes the store durable. *)
+    A store is written once, onto a fresh pager: page 0 is reserved for
+    the {!Catalog}, then the row heap and the directory are written in
+    one pass per direction (forward rows, then the backward rows bucketed
+    from them), each page handed to {!Pager.write} once.  The page layout
+    is a function of the cover's content.  The directory's keys are the
+    registered nodes plus any center that is not one.  {!save} makes the
+    store durable. *)
 
 val of_cover : Pager.t -> Hopi_twohop.Cover.t -> t
 (** Store a plain cover (all distances 0).
-    @raise Invalid_argument when the pager already has pages. *)
+    @raise Invalid_argument when the pager already has pages, or on a
+    node id outside [\[0, 2^31)]. *)
 
 val of_dist_cover : Pager.t -> Hopi_twohop.Dist_cover.t -> t
 (** {!of_cover} for distance-aware covers (the DIST column variant of
@@ -46,35 +69,34 @@ val save : t -> unit
 
 val open_pager : Pager.t -> t
 (** Re-attach to a store saved earlier (e.g. a pager from
-    {!Pager.open_existing}).
-    @raise Storage_error.Storage_error on a bad catalog. *)
+    {!Pager.open_existing}): reads the catalog and the directory, which
+    stays in memory as flat int arrays — the store's frozen node set.
+    @raise Storage_error.Storage_error on a bad catalog or directory. *)
 
 (** {1 Queries} *)
 
 val mem_node : t -> int -> bool
-(** Is this node in the store's node registry (a node of the stored
-    cover)? *)
+(** Is this node registered (a node of the stored cover)?  A lookup in
+    the in-memory directory. *)
 
 val with_dist : t -> bool
 (** [true] when any stored label entry carries a non-zero distance (the
     DIST column variant of Section 5.1). *)
 
 val iter_nodes : t -> (int -> unit) -> unit
-(** Every registered node id, in ascending order — a full scan of the node
-    registry.  Used by {!Hopi_serve.Snapshot} to freeze the node set in
-    memory at open time. *)
+(** Every registered node id, in ascending order, from the in-memory
+    directory (no page read). *)
 
 val iter_lin : t -> int -> (center:int -> dist:int -> unit) -> unit
-(** [iter_lin t v f] visits the LIN rows of node [v] — its [Lin] label set
-    — in ascending [(center, dist)] order (a forward-index range scan),
-    the {!Hopi_twohop.Label_codec.Enc} input order {!val-fetch} relies on. *)
+(** [iter_lin t v f] visits the entries of node [v]'s [Lin] row in
+    ascending [(center, dist)] order, decoded in place. *)
 
 val iter_lout : t -> int -> (center:int -> dist:int -> unit) -> unit
-(** [iter_lout t u f]: the LOUT rows of node [u], like {!iter_lin}. *)
+(** [iter_lout t u f]: the entries of node [u]'s [Lout] row, like {!iter_lin}. *)
 
 val iter_in_by_center : t -> int -> (node:int -> dist:int -> unit) -> unit
 (** [iter_in_by_center t w f] visits every node that names [w] in its [Lin]
-    set, in ascending node order (a backward-index range scan) — the rows
+    set, in ascending node order (center [w]'s backward row) — the nodes
     enumerated when answering a descendants query through center [w]. *)
 
 val iter_out_by_center : t -> int -> (node:int -> dist:int -> unit) -> unit
@@ -85,11 +107,11 @@ val iter_out_by_center : t -> int -> (node:int -> dist:int -> unit) -> unit
 type dir = Lin | Lout
 
 val fetch : t -> dir -> int -> Hopi_twohop.Label_codec.t
-(** [fetch t dir v]: node [v]'s [Lin] or [Lout] rows, encoded — one
-    forward-index range scan fed to {!Hopi_twohop.Label_codec.Enc}. *)
+(** [fetch t dir v]: node [v]'s [Lin] or [Lout] row, a copy of its stored
+    bytes (empty for a node the store does not hold). *)
 
 type source = {
-  store : t;  (** backward-index scans for {!desc}/{!anc} *)
+  store : t;  (** backward rows for {!desc}/{!anc} *)
   mem : int -> bool;  (** node membership *)
   fetch : dir -> int -> Hopi_twohop.Label_codec.t;  (** label sets *)
 }
@@ -111,8 +133,8 @@ val dist : source -> int -> int -> int option
 
 val desc : source -> int -> Hopi_util.Int_hashset.t
 (** Every node reachable from the argument, including itself (empty for
-    an unknown node): the centers of its [Lout], then a backward-index
-    scan of LIN per center. *)
+    an unknown node): the centers of its [Lout], then the backward LIN
+    row of each center, decoded in place. *)
 
 val anc : source -> int -> Hopi_util.Int_hashset.t
 (** Dual of {!desc}. *)
@@ -132,7 +154,26 @@ val n_entries : t -> int
 (** Label entries across LIN and LOUT (the paper's cover size |L|). *)
 
 val stored_integers : t -> int
-(** Integers kept on pages: 2 per entry per direction ⇒ 4·entries without
-    distances, 6·entries with (cf. the paper's 5,159,720 number). *)
+(** The paper's stored-integer count (cf. its 5,159,720): 2 per entry in
+    each of the forward and backward tables ⇒ 4·entries without
+    distances, 6·entries with.  The rows hold them delta-encoded, in far
+    fewer bytes: see {!table_bytes}. *)
 
 val n_nodes : t -> int
+
+val table_bytes : t -> (string * int) list
+(** Bytes of each row table, padding excluded: [lin], [lin_by_center],
+    [lout], [lout_by_center]. *)
+
+(** {1 Checking} *)
+
+val check : t -> int
+(** Structural check of the row tables, for [hopi verify-store]: every
+    row decodes to the end of its range with ascending centers, entry
+    counts match the catalog, every forward center has a row, and each
+    backward table holds exactly its forward table's entries.  Answers
+    the number of rows verified.  (The directory's own invariants —
+    ascending keys, offsets ascending from 0 and ending where the heap
+    does — are checked by {!open_pager}.)
+    @raise Storage_error.Storage_error [(Bad_catalog _)] on the first
+    violation. *)

@@ -1,14 +1,16 @@
 (** Fixed-size pages with little-endian integer accessors.
 
     The storage engine replays the paper's database-backed design (Oracle
-    index-organized tables, Section 3.4) with its own page/B+-tree stack;
+    index-organized tables, Section 3.4) with its own page stack — row
+    tables for covers, B+-trees for closures;
     this module is the byte-level layer.
 
     The first {!header_bytes} bytes of every page belong to the pager, not
     to the page's user: bytes [0..3] hold a CRC-32 of the payload (stamped
     by {!Pager.write}, verified on every read-pool miss), byte [4] is an
     initialization flag (0 = never written, 1 = checksummed), bytes [5..7]
-    are reserved.  Structures built on pages (B+-tree nodes, the catalog)
+    are reserved.  Structures built on pages (row heaps and
+    directories, B+-tree nodes, the catalog)
     lay out their content from {!payload_off} up. *)
 
 val size : int

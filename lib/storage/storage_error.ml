@@ -22,6 +22,14 @@ let to_string = function
   | Bad_catalog msg -> Printf.sprintf "bad catalog: %s" msg
   | Checksum { page } -> Printf.sprintf "checksum mismatch on page %d" page
 
+let hint = function
+  | Bad_version _ ->
+    Some
+      "the store was written in another format version: rebuild it with \
+       `hopi build CORPUS --store FILE` (or `hopi shard-split CORPUS` for a shard \
+       directory)"
+  | _ -> None
+
 let () =
   Printexc.register_printer (function
     | Storage_error e -> Some ("Storage_error: " ^ to_string e)

@@ -20,3 +20,8 @@ exception Storage_error of t
 val raise_error : t -> 'a
 
 val to_string : t -> string
+
+val hint : t -> string option
+(** What an operator can do about the failure, when there is something:
+    a store written in another format version is rebuilt from its corpus
+    ([hopi build --store], or [hopi shard-split] for a shard directory). *)

@@ -53,57 +53,89 @@ let encode_pairs rows =
   Array.iter (fun (center, dist) -> Enc.row e ~center ~dist) rows;
   Enc.finish e
 
-(* {1 Decoding cursors} *)
+(* {1 Decoding cursors}
 
-type cur = {
-  b : bytes;
-  len : int;
+   A cursor walks the rows of the byte range [pos, stop) of a buffer.
+   Nothing on the decode path allocates: the varint reader and the run
+   skips are plain loops over mutable fields, so a probe costs one cursor
+   record and a scan over a reused cursor costs nothing. *)
+
+type cursor = {
+  mutable b : bytes;
+  mutable stop : int;
   mutable pos : int;
   mutable center : int;
   mutable dist : int;
 }
 
-let cur b = { b; len = Bytes.length b; pos = 0; center = 0; dist = 0 }
+let cursor () = { b = empty; stop = 0; pos = 0; center = 0; dist = 0 }
 
-let at_end c = c.pos >= c.len
+let reset c b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Label_codec.reset";
+  c.b <- b;
+  c.pos <- pos;
+  c.stop <- pos + len;
+  c.center <- 0;
+  c.dist <- 0
+
+let cur b = { b; stop = Bytes.length b; pos = 0; center = 0; dist = 0 }
+
+let at_end c = c.pos >= c.stop
+
+let truncated () = invalid_arg "Label_codec: truncated varint"
 
 let varint c =
-  let v = ref 0 and shift = ref 0 and cont = ref true in
-  while !cont do
-    if c.pos >= c.len then invalid_arg "Label_codec: truncated varint";
-    let k = Char.code (Bytes.unsafe_get c.b c.pos) in
-    c.pos <- c.pos + 1;
-    v := !v lor ((k land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    cont := k land 0x80 <> 0
-  done;
-  !v
+  if c.pos >= c.stop then truncated ();
+  let k = Char.code (Bytes.unsafe_get c.b c.pos) in
+  c.pos <- c.pos + 1;
+  if k < 0x80 then k
+  else begin
+    let v = ref (k land 0x7f) and shift = ref 7 and more = ref true in
+    while !more do
+      if c.pos >= c.stop then truncated ();
+      let k = Char.code (Bytes.unsafe_get c.b c.pos) in
+      c.pos <- c.pos + 1;
+      v := !v lor ((k land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := k land 0x80 <> 0
+    done;
+    !v
+  end
 
-(* decode the row at the cursor into [center]/[dist] *)
+(* decode the row at the cursor into [center]/[dist]; most rows are two
+   one-byte varints, read as one 16-bit word without a call *)
 let next c =
-  c.center <- c.center + varint c;
-  c.dist <- varint c
+  let p = c.pos in
+  let w = if p + 1 < c.stop then Bytes.get_uint16_le c.b p else 0x80 in
+  if w land 0x8080 = 0 then begin
+    c.center <- c.center + (w land 0x7f);
+    c.dist <- w lsr 8;
+    c.pos <- p + 2
+  end
+  else begin
+    c.center <- c.center + varint c;
+    c.dist <- varint c
+  end
 
-(* position on the first row; false when the label set is empty *)
-let start c =
+let advance c =
   if at_end c then false
   else begin
     next c;
     true
   end
 
+let center c = c.center
+
+let dist c = c.dist
+
 (* advance to the first row of the next (strictly greater) center;
    false when the current run was the last *)
 let next_center c =
   let here = c.center in
-  let rec go () =
-    if at_end c then false
-    else begin
-      next c;
-      if c.center = here then go () else true
-    end
-  in
-  go ()
+  while (not (at_end c)) && c.center = here do
+    next c
+  done;
+  c.center <> here
 
 (* {1 Probes} *)
 
@@ -116,7 +148,7 @@ let iter b f =
 
 let iter_centers b f =
   let c = cur b in
-  if start c then begin
+  if advance c then begin
     f c.center;
     while next_center c do
       f c.center
@@ -148,51 +180,44 @@ let to_array b =
    the centers pass it *)
 let find_min_dist b center =
   let c = cur b in
-  let rec go () =
-    if at_end c then -1
-    else begin
-      next c;
-      if c.center > center then -1
-      else if c.center = center then c.dist
-      else go ()
+  let found = ref (-1) and go = ref true in
+  while !go && not (at_end c) do
+    next c;
+    if c.center >= center then begin
+      go := false;
+      if c.center = center then found := c.dist
     end
-  in
-  go ()
+  done;
+  !found
 
 let mem b center = find_min_dist b center >= 0
 
 let intersects a b =
   let ca = cur a and cb = cur b in
-  if not (start ca) || not (start cb) then false
-  else begin
-    let rec go () =
-      if ca.center = cb.center then true
-      else if ca.center < cb.center then if next_center ca then go () else false
-      else if next_center cb then go ()
-      else false
-    in
-    go ()
-  end
+  let live = ref (advance ca && advance cb) and hit = ref false in
+  while !live do
+    if ca.center = cb.center then begin
+      hit := true;
+      live := false
+    end
+    else if ca.center < cb.center then live := next_center ca
+    else live := next_center cb
+  done;
+  !hit
 
 (* min over common centers of (min dist in a's run + min dist in b's run) *)
 let merge_min a b =
   let ca = cur a and cb = cur b in
-  if not (start ca) || not (start cb) then -1
-  else begin
-    let best = ref (-1) in
-    let note d = if !best < 0 || d < !best then best := d in
-    let rec go () =
-      if ca.center = cb.center then begin
-        note (ca.dist + cb.dist);
-        if next_center ca && next_center cb then go ()
-      end
-      else if ca.center < cb.center then begin
-        if next_center ca then go ()
-      end
-      else if next_center cb then go ()
-    in
-    go ();
-    !best
-  end
+  let live = ref (advance ca && advance cb) and best = ref (-1) in
+  while !live do
+    if ca.center = cb.center then begin
+      let d = ca.dist + cb.dist in
+      if !best < 0 || d < !best then best := d;
+      live := next_center ca && next_center cb
+    end
+    else if ca.center < cb.center then live := next_center ca
+    else live := next_center cb
+  done;
+  !best
 
 let size_bytes b = Bytes.length b

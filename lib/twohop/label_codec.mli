@@ -11,9 +11,12 @@
     boxed pair — the point is to shrink bytes touched per probe so the
     shared page pool and label cache go further.
 
-    All probes decode streamwise without materialising arrays, and every
-    probe is a pure function of the bytes: encoded label sets are safe to
-    share across domains. *)
+    All probes decode streamwise without materialising arrays or
+    allocating per row, and every probe is a pure function of the bytes:
+    encoded label sets are safe to share across domains.  The same
+    encoding is the row format of a persisted cover store
+    ([Hopi_storage.Cover_store]), whose rows a {!type-cursor} decodes in
+    place, straight off a page image. *)
 
 type t = bytes
 
@@ -44,6 +47,32 @@ val n_rows : t -> int
 val size_bytes : t -> int
 
 val iter : t -> (center:int -> dist:int -> unit) -> unit
+
+(** {1 Cursors}
+
+    A reusable, allocation-free decoder over a byte range holding one
+    encoded label set — the in-place reader of stored rows. *)
+
+type cursor
+
+val cursor : unit -> cursor
+(** A cursor over nothing; {!reset} points it at a row. *)
+
+val reset : cursor -> bytes -> pos:int -> len:int -> unit
+(** Point the cursor before the first row of the encoded set held in
+    [bytes] at [\[pos, pos + len)].
+    @raise Invalid_argument when the range is outside [bytes]. *)
+
+val advance : cursor -> bool
+(** Decode the next row, or answer [false] at the end of the range.
+    @raise Invalid_argument on a varint truncated by the range end. *)
+
+val center : cursor -> int
+(** The center of the row {!advance} last decoded. *)
+
+val dist : cursor -> int
+
+(** {1 Probes} *)
 
 val iter_centers : t -> (int -> unit) -> unit
 (** Distinct centers, ascending (one call per run). *)

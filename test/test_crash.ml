@@ -54,7 +54,7 @@ let cover_of g = fst (Hopi_twohop.Builder.build (Closure.compute g))
 (* the base store and the larger one published over it *)
 let cover_a () = cover_of (random_graph ~seed:7 ~n:16 ~m:30)
 
-let cover_b () = cover_of (random_graph ~seed:8 ~n:400 ~m:500)
+let cover_b () = cover_of (random_graph ~seed:8 ~n:1200 ~m:900)
 
 (* The file at [file] as a reader sees it: every page CRC-checked and
    digested, plus the store's answers over [dom]. *)
@@ -252,6 +252,8 @@ let gen_dom = List.init 16 Fun.id
 
 (* generation 0 is a 16-node chain; the churned generation closes it into
    a cycle — guaranteed to answer every (v, u<v) pair differently *)
+(* a 16-node chain, plus a sparse random graph on nodes 16.. that makes
+   a generation store span several pages *)
 let chain_graph () =
   let g = Digraph.create () in
   for v = 0 to 15 do
@@ -259,6 +261,14 @@ let chain_graph () =
   done;
   for v = 0 to 14 do
     Digraph.add_edge g v (v + 1)
+  done;
+  let rng = Splitmix.create 9 in
+  for v = 16 to 1215 do
+    Digraph.add_node g v
+  done;
+  for _ = 1 to 900 do
+    let u = 16 + Splitmix.int rng 1200 and v = 16 + Splitmix.int rng 1200 in
+    if u <> v then Digraph.add_edge g u v
   done;
   g
 
@@ -501,23 +511,23 @@ let test_read_fault_matrix () =
     (snap_matrix snap = oracle)
 
 (* a snapshot whose open fails after its pager is up — here a corrupt
-   node-registry page, read by the registry scan — must release the
+   directory page, read when the directory is loaded — must release the
    pager: no fd left open, none of its pages left in the caller's pool *)
 let test_failed_open_releases_pager () =
   let fv, vfs, _, _ = setup () in
-  let registry_root =
+  let dir_page =
     let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
     Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
-    (Catalog.read pgr).Catalog.trees.(4).Catalog.root
+    (snd (Catalog.cover (Catalog.read pgr))).Catalog.dir_first
   in
-  Fv.corrupt_byte fv path ~off:((registry_root * Page.size) + Page.payload_off + 1);
+  Fv.corrupt_byte fv path ~off:((dir_page * Page.size) + Page.payload_off + 1);
   let pool = Pager.Read_pool.create ~pages:16 () in
   (match Snapshot.open_file ~pool ~vfs ~cache_mb:0 path with
   | snap ->
     Snapshot.close snap;
-    Alcotest.fail "a corrupt registry page went unnoticed"
+    Alcotest.fail "a corrupt directory page went unnoticed"
   | exception Storage_error.Storage_error (Storage_error.Checksum { page }) ->
-    check_int "the registry page is reported" registry_root page);
+    check_int "the directory page is reported" dir_page page);
   check_int "no page of the failed open stays pooled" 0
     (Pager.Read_pool.stats pool).Pager.Read_pool.resident
 

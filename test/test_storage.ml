@@ -77,11 +77,11 @@ let test_pager_file_backend () =
 let test_pager_writes_each_page_once () =
   let rng = Splitmix.create 18 in
   let g = Hopi_graph.Digraph.create () in
-  for v = 0 to 299 do
+  for v = 0 to 1199 do
     Hopi_graph.Digraph.add_node g v
   done;
-  for _ = 1 to 600 do
-    Hopi_graph.Digraph.add_edge g (Splitmix.int rng 300) (Splitmix.int rng 300)
+  for _ = 1 to 900 do
+    Hopi_graph.Digraph.add_edge g (Splitmix.int rng 1200) (Splitmix.int rng 1200)
   done;
   let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
   let vfs = Vfs.memory () in
@@ -165,7 +165,9 @@ let stream_of_list l =
 
 let scan_all t =
   let acc = ref [] in
-  Btree.iter_all t (fun k -> acc := k :: !acc);
+  Btree.iter_from t (Btree.min_i32, Btree.min_i32, Btree.min_i32) (fun k ->
+      acc := k :: !acc;
+      true);
   List.rev !acc
 
 let bulk ?(pool_pages = 256) keys =
@@ -238,44 +240,23 @@ let test_btree_prefix_scans () =
 
 let test_table_indexes () =
   let p = Pager.create Pager.Memory in
-  (* rows in any order *)
-  let t = Table.of_rows p [| (2, 10, 1); (1, 11, 2); (1, 10, 0) |] in
+  (* packed pairs in any order, all at distance 0 *)
+  let t = Table.of_pairs p (Array.map (fun (id, label) -> Table.pack ~id ~label)
+                              [| (2, 10); (1, 11); (1, 10) |]) in
   check_int "rows" 3 (Table.length t);
-  let by_id = ref [] in
-  Table.iter_by_id t 1 (fun ~label ~dist -> by_id := (label, dist) :: !by_id);
-  Alcotest.(check (list (pair int int))) "forward scan" [ (10, 0); (11, 2) ]
-    (List.rev !by_id);
-  let by_label = ref [] in
-  Table.iter_by_label t 10 (fun ~id ~dist -> by_label := (id, dist) :: !by_label);
-  Alcotest.(check (list (pair int int))) "backward scan" [ (1, 0); (2, 1) ]
-    (List.rev !by_label);
-  (* packed pairs build the same table at distance 0 *)
-  let pairs = Table.of_pairs p (Array.map (fun (id, label) -> Table.pack ~id ~label)
-                                  [| (2, 10); (1, 11); (1, 10) |]) in
   let fwd = ref [] and bwd = ref [] in
-  Table.iter_by_id pairs 1 (fun ~label ~dist -> fwd := (label, dist) :: !fwd);
-  Table.iter_by_label pairs 10 (fun ~id ~dist -> bwd := (id, dist) :: !bwd);
-  Alcotest.(check (list (pair int int))) "pairs forward" [ (10, 0); (11, 0) ] (List.rev !fwd);
-  Alcotest.(check (list (pair int int))) "pairs backward" [ (1, 0); (2, 0) ] (List.rev !bwd);
+  Table.iter_by_id t 1 (fun ~label ~dist -> fwd := (label, dist) :: !fwd);
+  Table.iter_by_label t 10 (fun ~id ~dist -> bwd := (id, dist) :: !bwd);
+  Alcotest.(check (list (pair int int))) "forward scan" [ (10, 0); (11, 0) ] (List.rev !fwd);
+  Alcotest.(check (list (pair int int))) "backward scan" [ (1, 0); (2, 0) ] (List.rev !bwd);
+  check_bool "mem" true (Table.mem t ~id:1 ~label:11);
+  check_bool "missing" false (Table.mem t ~id:9 ~label:10);
   check_bool "duplicate row rejected" true
-    (match Table.of_rows p [| (1, 2, 0); (1, 2, 0) |] with
+    (match Table.of_pairs p [| Table.pack ~id:1 ~label:2; Table.pack ~id:1 ~label:2 |] with
     | _ -> false
     | exception Invalid_argument _ -> true);
   check_bool "negative id rejected" true
     (match Table.pack ~id:(-1) ~label:0 with _ -> false | exception Invalid_argument _ -> true)
-
-(* one center may carry several distances; a forward scan visits them
-   ascending, so the first row of a center's run holds its minimum (the
-   order Label_codec relies on) *)
-let test_table_rows_ascend_by_dist () =
-  let p = Pager.create Pager.Memory in
-  let t = Table.of_rows p [| (1, 10, 5); (1, 10, 3); (1, 4, 7) |] in
-  let rows = ref [] in
-  Table.iter_by_id t 1 (fun ~label ~dist -> rows := (label, dist) :: !rows);
-  Alcotest.(check (list (pair int int)))
-    "(label, dist) order" [ (4, 7); (10, 3); (10, 5) ] (List.rev !rows);
-  check_bool "mem any dist" true (Table.mem t ~id:1 ~label:10);
-  check_bool "missing" false (Table.mem t ~id:9 ~label:10)
 
 (* {1 Cover_store} *)
 
@@ -382,6 +363,55 @@ let test_cover_store_persistence_distances () =
   check_int "dist flag survives (6 ints per entry)" 12
     (Cover_store.stored_integers store2);
   Sys.remove path
+
+(* forward rows come back ascending by (center, dist) and backward rows
+   ascending by node, whatever order the cover yields its entries in;
+   the codec relies on the first (the first row of a center's run holds
+   its minimum distance) *)
+let test_cover_store_rows_ascend () =
+  let dc = Dist_cover.create () in
+  List.iter (Dist_cover.add_node dc) [ 1; 2; 3; 4; 10 ];
+  List.iter
+    (fun (c, d) -> Dist_cover.add_in dc ~node:1 ~center:c ~dist:d)
+    [ (10, 5); (2, 7); (4, 3); (3, 300) ];
+  Dist_cover.add_in dc ~node:4 ~center:10 ~dist:1;
+  Dist_cover.add_in dc ~node:2 ~center:10 ~dist:9;
+  let st = Cover_store.of_dist_cover (Pager.create Pager.Memory) dc in
+  let rows = ref [] in
+  Cover_store.iter_lin st 1 (fun ~center ~dist -> rows := (center, dist) :: !rows);
+  let lin1 = [ (2, 7); (3, 300); (4, 3); (10, 5) ] in
+  Alcotest.(check (list (pair int int))) "(center, dist) order" lin1 (List.rev !rows);
+  check_bool "fetch is the encoded row" true
+    (Cover_store.fetch st Cover_store.Lin 1 = Hopi_twohop.Label_codec.encode_pairs (Array.of_list lin1));
+  let namers = ref [] in
+  Cover_store.iter_in_by_center st 10 (fun ~node ~dist -> namers := (node, dist) :: !namers);
+  Alcotest.(check (list (pair int int))) "backward row by node" [ (1, 5); (2, 9); (4, 1) ]
+    (List.rev !namers)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* a store of the previous format (version 2, B+-trees) is refused with
+   Bad_version, and the error carries the way out: rebuild *)
+let test_catalog_v2_store () =
+  let pager = Pager.create Pager.Memory in
+  let page = page_with Catalog.magic in
+  Page.set_i32 page (po + 4) 2;
+  Pager.write pager (Pager.alloc pager) page;
+  match Cover_store.open_pager pager with
+  | _ -> Alcotest.fail "a version-2 store opened"
+  | exception Storage_error.Storage_error e ->
+    check_bool "Bad_version 2, expecting 3" true
+      (e = Storage_error.Bad_version { got = 2; expected = 3 } && Catalog.version = 3);
+    check_bool "the message names the version" true
+      (contains (Storage_error.to_string e) "version 2");
+    (match Storage_error.hint e with
+     | Some h ->
+       check_bool "the hint names both rebuild commands" true
+         (contains h "hopi build" && contains h "--store" && contains h "shard-split")
+     | None -> Alcotest.fail "no rebuild hint")
 
 let test_catalog_bad_magic () =
   let pager = Pager.create Pager.Memory in
@@ -694,6 +724,242 @@ let test_bulk_store_requires_fresh () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* {1 Row tables} *)
+
+(* rewrite page [id] of a file in place and re-stamp its checksum, so
+   the change passes every CRC check *)
+let rewrite_page vfs file id f =
+  let h = vfs.Vfs.open_file file ~create:false in
+  let page = Bytes.create Page.size in
+  ignore (Vfs.read_full h page ~off:(id * Page.size) ~pos:0 ~len:Page.size);
+  f page;
+  Page.stamp page;
+  h.Vfs.write page ~off:(id * Page.size) ~pos:0 ~len:Page.size;
+  h.Vfs.close ()
+
+(* what [hopi verify-store] runs on a cover store: the checksums, then
+   the directory invariants (at open) and the row check *)
+let verify_store vfs file =
+  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs file in
+  Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+  if Pager.verify_pages pgr <> [] then `Checksum
+  else
+    match Cover_store.check (Cover_store.open_pager pgr) with
+    | rows -> `Rows rows
+    | exception Storage_error.Storage_error (Storage_error.Bad_catalog _) -> `Structure
+
+let test_verify_corrupt_directory () =
+  let cover, _ =
+    Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (random_graph ~seed:5 ~n:80 ~edges:120))
+  in
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~vfs "dir.db" in
+  Cover_store.save (Cover_store.of_cover p cover);
+  Pager.close p;
+  let layout =
+    let pgr = Pager.open_vfs ~vfs "dir.db" in
+    Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+    snd (Catalog.cover (Catalog.read pgr))
+  in
+  let n = layout.Catalog.n_keys in
+  let per_page = (Page.size - po) / 4 in
+  let at w = (layout.Catalog.dir_first + (w / per_page), po + (4 * (w mod per_page))) in
+  let word w =
+    let pgr = Pager.open_vfs ~vfs "dir.db" in
+    Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+    let id, off = at w in
+    Page.get_i32 (Pager.read pgr id) off
+  in
+  let set_word w v =
+    let id, off = at w in
+    rewrite_page vfs "dir.db" id (fun page -> Page.set_i32 page off v)
+  in
+  check_bool "a clean store verifies every row" true (verify_store vfs "dir.db" = `Rows (4 * n));
+  let clean = Vfs.read_file vfs "dir.db" in
+  let restore () =
+    let h = vfs.Vfs.open_file "dir.db" ~create:true in
+    h.Vfs.write (Bytes.of_string clean) ~off:0 ~pos:0 ~len:(String.length clean);
+    h.Vfs.close ()
+  in
+  (* the Lin offset of the first non-empty row after slot 0, moved one
+     byte on: the offsets still ascend and end where the heap does, but
+     two rows now split in the wrong place *)
+  let off i = word (n + i) in
+  let i = ref 1 in
+  while off !i = off (!i + 1) do
+    incr i
+  done;
+  set_word (n + !i) (off !i + 1);
+  check_bool "a shifted row boundary fails the structural check" true
+    (verify_store vfs "dir.db" = `Structure);
+  restore ();
+  (* a key out of order *)
+  set_word 0 (word 1 + 1);
+  check_bool "a key out of order fails it" true (verify_store vfs "dir.db" = `Structure);
+  restore ();
+  check_bool "restored" true (verify_store vfs "dir.db" = `Rows (4 * n))
+
+(* the point of the layout: a row that fits in a page costs one pool
+   touch, label fetch or by-center scan alike; an empty row costs none *)
+let test_row_is_one_pool_touch () =
+  let cover, _ =
+    Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (random_graph ~seed:3 ~n:1200 ~edges:900))
+  in
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~vfs "touch.db" in
+  Cover_store.save (Cover_store.of_cover p cover);
+  Pager.close p;
+  let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
+  let pgr = Pager.open_shared_vfs ~vfs ~pool "touch.db" in
+  let st = Cover_store.open_pager pgr in
+  let touches () =
+    let s = Pager.Read_pool.stats pool in
+    s.Pager.Read_pool.hits + s.Pager.Read_pool.misses
+  in
+  let touched f =
+    let t0 = touches () in
+    f ();
+    touches () - t0
+  in
+  Cover.iter_nodes cover (fun v ->
+      let expect n = if n = 0 then 0 else 1 in
+      List.iter
+        (fun (what, dir, card) ->
+          let n = card cover v in
+          check_int (Printf.sprintf "%s(%d): pool touches" what v) (expect n)
+            (touched (fun () -> ignore (Cover_store.fetch st dir v))))
+        [ ("Lin", Cover_store.Lin, Cover.lin_cardinal); ("Lout", Cover_store.Lout, Cover.lout_cardinal) ];
+      List.iter
+        (fun (what, scan, namers) ->
+          check_int (Printf.sprintf "%s(%d): pool touches" what v)
+            (expect (Ihs.cardinal (namers cover v)))
+            (touched (fun () -> scan st v (fun ~node:_ ~dist:_ -> ()))))
+        [ ("in_by_center", Cover_store.iter_in_by_center, Cover.in_labelled_with);
+          ("out_by_center", Cover_store.iter_out_by_center, Cover.out_labelled_with) ]);
+  check_bool "rows on several pages" true (Pager.n_pages pgr > 6);
+  Pager.close pgr
+
+(* A cover straight from random label entries: node ids dense or sparse
+   (as in shards and live generations), every fifth node without
+   entries, a few centers that are not nodes, distances of one and two
+   varint bytes, and optionally a hub center named by so many nodes that
+   its backward row spans pages. *)
+let random_label_entries ~seed ~n ~sparse ~hub =
+  let rng = Splitmix.create seed in
+  let id i = if sparse then 7 + (13 * i) + (i * i mod 5) else i in
+  let nodes = Array.init n id in
+  let entries = ref [] in
+  Array.iteri
+    (fun i v ->
+      if i mod 5 <> 0 then
+        for _ = 1 to Splitmix.int rng 6 do
+          let c =
+            if Splitmix.int rng 20 = 0 then 1_000_000 + Splitmix.int rng 3
+            else nodes.(Splitmix.int rng n)
+          in
+          entries := (v, Splitmix.int rng 2 = 0, c, Splitmix.int rng 400) :: !entries
+        done)
+    nodes;
+  if hub then
+    Array.iter
+      (fun v -> if v <> nodes.(n / 2) then entries := (v, true, nodes.(n / 2), 1) :: !entries)
+      nodes;
+  (nodes, !entries)
+
+let prop_row_tables_match_cover =
+  QCheck2.Test.make ~name:"row tables = cover through a 2-page pool" ~count:24
+    QCheck2.Gen.(quad (int_range 0 1_000_000) (int_range 1 120) bool (int_range 0 5))
+    (fun (seed, n, sparse, shape) ->
+      (* shape 0: hub over a 2,200-node cover; odd shapes: distances *)
+      let hub = shape = 0 in
+      let n = if hub then 2200 else n in
+      let with_dist = shape land 1 = 1 in
+      let nodes, entries = random_label_entries ~seed ~n ~sparse ~hub in
+      (* the in-memory cover, its rows, and the store written from it *)
+      let lin, lout, write =
+        if with_dist then begin
+          let dc = Dist_cover.create () in
+          Array.iter (Dist_cover.add_node dc) nodes;
+          List.iter
+            (fun (v, is_in, c, d) ->
+              (if is_in then Dist_cover.add_in else Dist_cover.add_out) dc ~node:v ~center:c ~dist:d)
+            entries;
+          let rows iter v =
+            let l = ref [] in
+            if Dist_cover.mem_node dc v then iter dc v (fun c d -> l := (c, d) :: !l);
+            List.sort compare !l
+          in
+          (rows Dist_cover.iter_lin, rows Dist_cover.iter_lout,
+           fun pgr -> Cover_store.of_dist_cover pgr dc)
+        end
+        else begin
+          let c = Cover.create () in
+          Array.iter (Cover.add_node c) nodes;
+          List.iter
+            (fun (v, is_in, w, _) -> (if is_in then Cover.add_in else Cover.add_out) c ~node:v ~center:w)
+            entries;
+          let rows iter v =
+            let l = ref [] in
+            if Cover.mem_node c v then iter c v (fun w -> l := (w, 0) :: !l);
+            List.sort compare !l
+          in
+          (rows Cover.iter_lin, rows Cover.iter_lout, fun pgr -> Cover_store.of_cover pgr c)
+        end
+      in
+      let vfs = Vfs.memory () in
+      let p = Pager.create_vfs ~vfs "rows.db" in
+      Cover_store.save (write p);
+      Pager.close p;
+      let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
+      let pgr = Pager.open_shared_vfs ~vfs ~pool "rows.db" in
+      Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+      let st = Cover_store.open_pager pgr in
+      let namers rows =
+        let h = Hashtbl.create 64 in
+        Array.iter
+          (fun v -> List.iter (fun (c, d) -> Hashtbl.replace h c ((v, d) :: (try Hashtbl.find h c with Not_found -> []))) (rows v))
+          nodes;
+        fun w -> List.sort compare (try Hashtbl.find h w with Not_found -> [])
+      in
+      let lin_namers = namers lin and lout_namers = namers lout in
+      let fwd iter v =
+        let l = ref [] in
+        iter st v (fun ~center ~dist -> l := (center, dist) :: !l);
+        List.rev !l
+      in
+      let bwd iter w =
+        let l = ref [] in
+        iter st w (fun ~node ~dist -> l := (node, dist) :: !l);
+        List.rev !l
+      in
+      let enc rows = Hopi_twohop.Label_codec.encode_pairs (Array.of_list rows) in
+      let probes =
+        Array.to_list nodes @ [ 1_000_000; 1_000_001; 1_000_002; 3; 100_000 ]
+      in
+      let hub_row = ref 0 in
+      List.iter
+        (fun v ->
+          let node = Array.mem v nodes in
+          if Cover_store.mem_node st v <> node then QCheck2.Test.fail_reportf "mem_node %d" v;
+          if fwd Cover_store.iter_lin v <> lin v then QCheck2.Test.fail_reportf "iter_lin %d" v;
+          if fwd Cover_store.iter_lout v <> lout v then QCheck2.Test.fail_reportf "iter_lout %d" v;
+          if Cover_store.fetch st Cover_store.Lin v <> enc (lin v) then
+            QCheck2.Test.fail_reportf "fetch Lin %d" v;
+          if Cover_store.fetch st Cover_store.Lout v <> enc (lout v) then
+            QCheck2.Test.fail_reportf "fetch Lout %d" v;
+          let ins = bwd Cover_store.iter_in_by_center v in
+          if ins <> lin_namers v then QCheck2.Test.fail_reportf "iter_in_by_center %d" v;
+          if bwd Cover_store.iter_out_by_center v <> lout_namers v then
+            QCheck2.Test.fail_reportf "iter_out_by_center %d" v;
+          hub_row := max !hub_row (List.length ins))
+        probes;
+      (* each backward entry costs at least two bytes *)
+      if hub && 2 * !hub_row <= Page.size - po then
+        QCheck2.Test.fail_reportf "the hub's backward row holds only %d entries" !hub_row;
+      if Cover_store.n_nodes st <> n then QCheck2.Test.fail_report "n_nodes";
+      ignore (Cover_store.check st : int);
+      true)
+
 (* {1 Spill} *)
 
 let spill_dir = "/spill"
@@ -831,11 +1097,7 @@ let suite =
           test_btree_bulk_empty_and_invalid;
       ]
       @ qsuite [ prop_btree_bulk_matches_model; prop_btree_bulk_scans_match_model ] );
-    ( "storage.table",
-      [
-        Alcotest.test_case "indexes" `Quick test_table_indexes;
-        Alcotest.test_case "rows ascend by dist" `Quick test_table_rows_ascend_by_dist;
-      ] );
+    ("storage.table", [ Alcotest.test_case "indexes" `Quick test_table_indexes ]);
     ( "storage.cover_store",
       [
         Alcotest.test_case "roundtrip" `Quick test_cover_store_roundtrip;
@@ -847,12 +1109,21 @@ let suite =
           test_cover_store_persistence_distances;
         Alcotest.test_case "bad catalog" `Quick test_catalog_bad_magic;
         Alcotest.test_case "bad version" `Quick test_catalog_bad_version;
+        Alcotest.test_case "version-2 store: rebuild hint" `Quick test_catalog_v2_store;
+        Alcotest.test_case "rows ascend by dist" `Quick test_cover_store_rows_ascend;
         Alcotest.test_case "truncated store" `Quick test_catalog_truncated;
         Alcotest.test_case "wrong store kind" `Quick test_catalog_wrong_kind;
         Alcotest.test_case "bulk load requires a fresh store" `Quick
           test_bulk_store_requires_fresh;
       ] );
     ("storage.closure_store", [ Alcotest.test_case "basic" `Quick test_closure_store ]);
+    ( "storage.row_table",
+      [
+        Alcotest.test_case "corrupt directory word fails verify" `Quick
+          test_verify_corrupt_directory;
+        Alcotest.test_case "a row is one pool touch" `Quick test_row_is_one_pool_touch;
+      ]
+      @ qsuite [ prop_row_tables_match_cover ] );
     ( "storage.cover_store_props",
       qsuite
         [

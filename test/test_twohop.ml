@@ -383,6 +383,66 @@ let prop_codec_probes =
         QCheck2.Test.fail_report "merge_min diverges";
       true)
 
+(* the allocation-free cursor, pointed at a set embedded mid-buffer (as a
+   stored row sits on a page), decodes exactly [to_array]; and the probes
+   built on it agree with a model computed from [to_array] alone *)
+let prop_codec_cursor_model =
+  QCheck2.Test.make ~name:"codec: cursor and probes = to_array model" ~count:200
+    QCheck2.Gen.(triple gen_rows gen_rows (int_bound 9))
+    (fun (ra, rb, pad) ->
+      let a = Label_codec.encode_pairs ra and b = Label_codec.encode_pairs rb in
+      let model enc =
+        let x = Label_codec.to_array enc in
+        List.init (Array.length x / 2) (fun i -> (x.(2 * i), x.((2 * i) + 1)))
+      in
+      let ma = model a and mb = model b in
+      (* a cursor over [pad] junk bytes, the set, then junk again *)
+      let buf = Bytes.make (Bytes.length a + (2 * pad)) '\xff' in
+      Bytes.blit a 0 buf pad (Bytes.length a);
+      let c = Label_codec.cursor () in
+      Label_codec.reset c buf ~pos:pad ~len:(Bytes.length a);
+      let got = ref [] in
+      while Label_codec.advance c do
+        got := (Label_codec.center c, Label_codec.dist c) :: !got
+      done;
+      if List.rev !got <> ma then QCheck2.Test.fail_report "cursor decodes differently";
+      if Label_codec.advance c then QCheck2.Test.fail_report "cursor runs past its range";
+      let centers m = List.sort_uniq compare (List.map fst m) in
+      let min_dist m x =
+        List.fold_left (fun acc (c, d) -> if c = x && (acc < 0 || d < acc) then d else acc) (-1) m
+      in
+      let seen = ref [] in
+      Label_codec.iter_centers a (fun x -> seen := x :: !seen);
+      if List.rev !seen <> centers ma then QCheck2.Test.fail_report "iter_centers";
+      List.iter
+        (fun x ->
+          if Label_codec.find_min_dist a x <> min_dist ma x then
+            QCheck2.Test.fail_reportf "find_min_dist %d" x)
+        (centers ma @ centers mb);
+      let common = List.filter (fun x -> min_dist mb x >= 0) (centers ma) in
+      if Label_codec.intersects a b <> (common <> []) then QCheck2.Test.fail_report "intersects";
+      let best =
+        List.fold_left
+          (fun acc x ->
+            let d = min_dist ma x + min_dist mb x in
+            if acc < 0 || d < acc then d else acc)
+          (-1) common
+      in
+      if Label_codec.merge_min a b <> best then QCheck2.Test.fail_report "merge_min";
+      (* a range that drops the last byte cuts the last row's distance:
+         refused, not misread *)
+      if Bytes.length a > 0 then begin
+        Label_codec.reset c a ~pos:0 ~len:(Bytes.length a - 1);
+        match
+          while Label_codec.advance c do
+            ()
+          done
+        with
+        | () -> QCheck2.Test.fail_report "a cut row decoded"
+        | exception Invalid_argument _ -> ()
+      end;
+      true)
+
 (* the layout the snapshot caches: a built cover's label sets, flattened
    through [Cover.encoded_lin]/[encoded_lout], decode back to exactly the
    uncompressed label sets *)
@@ -482,6 +542,7 @@ let suite =
           test_codec_enc_rejects_unsorted;
       ]
       @ qsuite
-          [ prop_codec_roundtrip; prop_codec_probes; prop_codec_cover_roundtrip ]
+          [ prop_codec_roundtrip; prop_codec_probes; prop_codec_cursor_model;
+            prop_codec_cover_roundtrip ]
     );
   ]
