@@ -139,8 +139,31 @@ let make_tests (s : Bench_common.scale) =
     j := (!j + 1) mod Array.length cross;
     cross.(!j)
   in
+  (* two negative pairs for the store: one its reachability interval
+     rejects before any fetch, one it passes on to the label merge *)
+  let negative ~cut =
+    let cuts () = (Hopi_obs.Reqtrace.Local.snapshot ()).(Hopi_obs.Reqtrace.Local.reach_cuts) in
+    let rec find k =
+      if k = 0 then None
+      else begin
+        let u = Splitmix.pick rng els and v = Splitmix.pick rng els in
+        let c0 = cuts () in
+        if (not (Cover_store.connected store u v)) && cuts () > c0 = cut then Some (u, v)
+        else find (k - 1)
+      end
+    in
+    find 100_000
+  in
+  let reach_row name pair =
+    Option.map
+      (fun (u, v) ->
+        Test.make ~name (Staged.stage (fun () -> ignore (Cover_store.connected store u v))))
+      pair
+  in
   Test.make_grouped ~name:"query"
-    [
+    (List.filter_map Fun.id
+       [ reach_row "reach/cut" (negative ~cut:true); reach_row "reach/merge" (negative ~cut:false) ]
+    @ [
       Test.make ~name:"connected/cover" (Staged.stage (fun () ->
           let u, v = next () in
           ignore (Cover.connected cover u v)));
@@ -165,7 +188,7 @@ let make_tests (s : Bench_common.scale) =
       Test.make ~name:"desc/store" (Staged.stage (fun () ->
           let u, _ = next () in
           ignore (Cover_store.descendants cold_store u)));
-    ]
+    ])
 
 (* Metric-recording overhead: a counter increment and a histogram sample
    must stay in the low-nanosecond range and allocate nothing, or the hot

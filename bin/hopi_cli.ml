@@ -176,6 +176,10 @@ let inspect path =
     (String.concat ", " (List.map (fun (name, b) -> Fmt.str "%s %d B" name b) tables))
     (if Cs.n_entries store = 0 then 0.0
      else float_of_int row_bytes /. float_of_int (Cs.n_entries store));
+  Fmt.pr "directory: %d B, %.2f bytes per key (%d keys)@." (Cs.directory_bytes store)
+    (if Cs.n_keys store = 0 then 0.0
+     else float_of_int (Cs.directory_bytes store) /. float_of_int (Cs.n_keys store))
+    (Cs.n_keys store);
   Hopi_storage.Pager.close pager
 
 (* {1 verify-store} *)
@@ -311,7 +315,7 @@ let stdin_usable () =
   | exception Unix.Unix_error (Unix.EBADF, _, _) -> false
 
 let slowlog_reply () =
-  ignore (Hopi_obs.Slo.update Hopi_obs.Reqtrace.slo);
+  ignore (Hopi_obs.Reqtrace.refresh ());
   String.trim (Fmt.str "%a" Hopi_obs.Reqtrace.pp_slowlog ())
 
 let no_ctx = { Hopi_serve.Batch.conn = 0; queue_wait_ns = 0 }
@@ -430,8 +434,8 @@ let serve_loop session ~with_engine ~stats ?(control = fun _ -> None) ~on_exit (
       in
       drive_session session ~eval ~control);
   on_exit !served;
-  (* final SLO refresh so the metrics snapshot carries current gauges *)
-  ignore (Hopi_obs.Slo.update Hopi_obs.Reqtrace.slo);
+  (* final refresh so the metrics snapshot carries current gauges *)
+  ignore (Hopi_obs.Reqtrace.refresh ());
   write_metrics session.metrics_path
 
 let configure_reqtrace slow_ms slo_p50_ms slo_p95_ms slo_p99_ms =
@@ -764,7 +768,7 @@ let slowlog_run store_path batch_file slow_ms jobs cache_mb top verbose =
         Hopi_util.Pool.with_pool ~jobs (fun pool ->
             Serve.Batch.eval_batch ~pool snap queries))
   in
-  ignore (Hopi_obs.Slo.update Rt.slo);
+  ignore (Rt.refresh ());
   Fmt.pr "%d queries in %a (jobs %d, cache %d MiB)%s@." (Array.length queries)
     Timer.pp_duration t jobs cache_mb
     (if parse_errors > 0 then Fmt.str "; %d malformed lines skipped" parse_errors

@@ -14,19 +14,20 @@
      [hopi_serve_query_kind_<kind>_duration_ns] (the per-kind breakdown
      the paper's evaluation tables need);
    - the [serve_query] {!Slo} (p50/p95/p99 gauges against configurable
-     targets), refreshed every [slo_update_every] requests;
+     targets) and [hopi_serve_reach_cut_total] (summed from the
+     domain-local cells), refreshed every [slo_update_every] requests;
    - a bounded ring of slow-query samples ([slowlog]) for any request at
      or above the threshold, with an explain-style dump ([pp_slowlog]).
 
    The fast path (request below the threshold) is two clock reads, a
-   4-slot array snapshot and one histogram observe — no locks. *)
+   5-slot array snapshot and one histogram observe — no locks. *)
 
 module Timer = Hopi_util.Timer
 
 (* {1 Domain-local attribution cells} *)
 
 module Local = struct
-  let n_slots = 4
+  let n_slots = 5
 
   let pager_reads = 0
 
@@ -36,7 +37,20 @@ module Local = struct
 
   let labels_probed = 3
 
-  let key : int array Domain.DLS.key = Domain.DLS.new_key (fun () -> Array.make n_slots 0)
+  let reach_cuts = 4
+
+  (* every domain's cells, so [total] can sum a slot at export time *)
+  let all : int array list Atomic.t = Atomic.make []
+
+  let rec register a =
+    let l = Atomic.get all in
+    if not (Atomic.compare_and_set all l (a :: l)) then register a
+
+  let key : int array Domain.DLS.key =
+    Domain.DLS.new_key (fun () ->
+        let a = Array.make n_slots 0 in
+        register a;
+        a)
 
   let bump slot =
     let a = Domain.DLS.get key in
@@ -53,7 +67,15 @@ module Local = struct
   (* called by [Hopi_serve.Snapshot] per label-set fetch *)
   let note_label_probe () = bump labels_probed
 
+  (* called by [Hopi_storage.Cover_store] per reach/dist answered by the
+     reachability interval, before any label fetch *)
+  let note_reach_cut () = bump reach_cuts
+
   let snapshot () = Array.copy (Domain.DLS.get key)
+
+  (* a slot summed over every domain that ever used the cells (a racy
+     read of other domains' ints: exact once they are quiet) *)
+  let total slot = List.fold_left (fun acc a -> acc + a.(slot)) 0 (Atomic.get all)
 end
 
 (* {1 Request records} *)
@@ -106,6 +128,27 @@ let overall_hist =
   Registry.histogram "hopi_serve_query_duration_ns" ~help:"Per-query service time"
 
 let slo = Slo.create ~name:"serve_query" ~hist:overall_hist
+
+(* {1 Counters kept in the domain-local cells}
+
+   [hopi_serve_reach_cut_total] counts reach/dist queries the stored
+   reachability interval answered; the query path bumps only its own
+   domain's cell, and [refresh] folds the cells into the counter. *)
+
+let m_reach_cut =
+  Registry.counter "hopi_serve_reach_cut_total"
+    ~help:"reach/dist queries answered by the reachability interval, before any label fetch"
+
+let cut_mu = Mutex.create ()
+
+let cut_seen = ref 0 (* the cells' sum at the last refresh *)
+
+let refresh () =
+  Mutex.protect cut_mu (fun () ->
+      let total = Local.total Local.reach_cuts in
+      Counter.add m_reach_cut (total - !cut_seen);
+      cut_seen := total);
+  Slo.update slo
 
 (* refresh cadence for the SLO gauges (must be a power of two) *)
 let slo_update_every = 256
@@ -185,7 +228,7 @@ let finish ?(conn = 0) ?(queue_wait_ns = 0) tok ~kind ~query ~answer =
   let id = 1 + Atomic.fetch_and_add next_id 1 in
   Histogram.observe (kind_histogram kind) latency_ns;
   Histogram.observe overall_hist latency_ns;
-  if id land (slo_update_every - 1) = 0 then ignore (Slo.update slo);
+  if id land (slo_update_every - 1) = 0 then ignore (refresh ());
   if latency_ns >= Atomic.get slow_threshold_ns then begin
     let cur = Domain.DLS.get Local.key in
     let delta slot = cur.(slot) - tok.base.(slot) in

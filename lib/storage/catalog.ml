@@ -8,6 +8,7 @@ type rows = {
   heap_bytes : int;
   dir_first : int;
   dir_pages : int;
+  dir_bytes : int;
   n_keys : int;
   entries : int array;
 }
@@ -17,8 +18,10 @@ type t = Cover of { with_dist : bool; rows : rows } | Closure of { fwd : entry; 
 let magic = 0x484F5049 (* "HOPI" *)
 
 (* version 2: checksummed page headers, catalog gained kind + arity;
-   version 3: cover stores are row tables (heap + directory) *)
-let version = 3
+   version 3: cover stores are row tables (heap + directory);
+   version 4: the directory is a varint stream holding a reachability
+   interval per key *)
+let version = 4
 
 let cover_tables = 4
 
@@ -27,8 +30,9 @@ let po = Page.payload_off
 (* layout from [po]: [+0..3] magic, [+4..7] version, [+8..11] kind,
    [+12..15] with_dist, then per kind
    - cover: [+16] heap first page, [+20] heap pages, [+24] heap bytes,
-     [+28] directory first page, [+32] directory pages, [+36] keys,
-     [+40] table count, entry counts of 4 bytes from [+44];
+     [+28] directory first page, [+32] directory pages, [+36] directory
+     bytes, [+40] keys, [+44] table count, entry counts of 4 bytes from
+     [+48];
    - closure: [+16] tree count (2), (root, length) pairs of 8 bytes from
      [+20]. *)
 
@@ -47,9 +51,9 @@ let write pager t =
      set 8 0;
      set 12 (if with_dist then 1 else 0);
      List.iteri (fun i v -> set (16 + (4 * i)) v)
-       [ r.heap_first; r.heap_pages; r.heap_bytes; r.dir_first; r.dir_pages; r.n_keys;
-         cover_tables ];
-     Array.iteri (fun i n -> set (44 + (4 * i)) n) r.entries
+       [ r.heap_first; r.heap_pages; r.heap_bytes; r.dir_first; r.dir_pages; r.dir_bytes;
+         r.n_keys; cover_tables ];
+     Array.iteri (fun i n -> set (48 + (4 * i)) n) r.entries
    | Closure { fwd; bwd } ->
      set 8 1;
      set 12 0;
@@ -80,18 +84,20 @@ let read pager =
   in
   match get 8 with
   | 0 ->
-    let n_tables = get 40 in
+    let n_tables = get 44 in
     if n_tables <> cover_tables then
       bad "table count %d does not match a cover store (want %d)" n_tables cover_tables;
     let rows =
       { heap_first = get 16; heap_pages = get 20; heap_bytes = get 24; dir_first = get 28;
-        dir_pages = get 32; n_keys = get 36;
-        entries = Array.init cover_tables (fun i -> get (44 + (4 * i))) }
+        dir_pages = get 32; dir_bytes = get 36; n_keys = get 40;
+        entries = Array.init cover_tables (fun i -> get (48 + (4 * i))) }
     in
     extent "heap" rows.heap_first rows.heap_pages;
     extent "directory" rows.dir_first rows.dir_pages;
     if rows.heap_bytes < 0 || rows.heap_bytes > rows.heap_pages * (Page.size - po) then
       bad "heap of %d bytes does not fit its %d pages" rows.heap_bytes rows.heap_pages;
+    if rows.dir_bytes < 0 || rows.dir_bytes > rows.dir_pages * (Page.size - po) then
+      bad "directory of %d bytes does not fit its %d pages" rows.dir_bytes rows.dir_pages;
     if rows.n_keys < 0 then bad "negative key count";
     Array.iteri (fun i n -> if n < 0 then bad "table %d has a negative entry count" i) rows.entries;
     Cover { with_dist = get 12 <> 0; rows }

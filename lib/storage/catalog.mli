@@ -13,6 +13,7 @@ type rows = {
   heap_bytes : int;  (** heap bytes in use, padding included *)
   dir_first : int;  (** first page of the directory *)
   dir_pages : int;
+  dir_bytes : int;  (** bytes of the directory's varint stream *)
   n_keys : int;  (** directory keys: registered nodes and centers *)
   entries : int array;
       (** label entries per row table, in {!Row_table} table order *)
@@ -27,9 +28,10 @@ type t =
 val magic : int
 
 val version : int
-(** = 3: cover stores hold row tables ({!Row_table}) instead of
-    B+-trees.  A file of any other version raises
-    [Storage_error (Bad_version _)]. *)
+(** = 4: a cover store's {!Row_table} directory is one varint stream
+    that holds a reachability interval per key (version 3 kept 32-bit
+    words and no intervals; version 2 B+-trees).  A file of any other
+    version raises [Storage_error (Bad_version _)]. *)
 
 val cover_tables : int
 (** = 4: Lin, Lin by center, Lout, Lout by center. *)

@@ -96,6 +96,81 @@ let sorted_ints n fill =
   Array.sort Int.compare a;
   a
 
+(* {2 The reachability interval}
+
+   The cover graph has an edge [u -> c] for each [c] in [Lout(u)] and
+   [c -> v] for each [c] in [Lin(v)], over directory slots: its closure is
+   exactly what the cover answers.  An iterative Tarjan over it — roots
+   in ascending slot order, successors in row order — numbers each SCC by
+   its emission index [post], and gives it [low], the least [post] it
+   reaches: the min of its own [post] and its successors' [low] (every
+   SCC a component reaches is emitted before it).  So [u] reaching [v]
+   implies [post v <= post u] and [low u <= low v], whatever the cover. *)
+
+let intervals n succ_off succ =
+  let index = Array.make n (-1) and link = Array.make n 0 in
+  let on_stack = Bytes.make n '\000' in
+  let post = Array.make n (-1) and scc_low = Array.make n 0 in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let call = Array.make n 0 and next = Array.make n 0 and cp = ref 0 in
+  let counter = ref 0 and n_scc = ref 0 in
+  let enter v =
+    index.(v) <- !counter;
+    link.(v) <- !counter;
+    incr counter;
+    stack.(!sp) <- v;
+    incr sp;
+    Bytes.set on_stack v '\001';
+    call.(!cp) <- v;
+    next.(!cp) <- succ_off.(v);
+    incr cp
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      enter root;
+      while !cp > 0 do
+        let v = call.(!cp - 1) and e = next.(!cp - 1) in
+        if e < succ_off.(v + 1) then begin
+          next.(!cp - 1) <- e + 1;
+          let w = succ.(e) in
+          if index.(w) < 0 then enter w
+          else if Bytes.get on_stack w <> '\000' then link.(v) <- min link.(v) index.(w)
+        end
+        else begin
+          decr cp;
+          if link.(v) = index.(v) then begin
+            let p = !n_scc in
+            incr n_scc;
+            let bottom = ref !sp in
+            while stack.(!bottom - 1) <> v do
+              decr bottom
+            done;
+            decr bottom;
+            for k = !bottom to !sp - 1 do
+              Bytes.set on_stack stack.(k) '\000';
+              post.(stack.(k)) <- p
+            done;
+            let lo = ref p in
+            for k = !bottom to !sp - 1 do
+              let x = stack.(k) in
+              for e = succ_off.(x) to succ_off.(x + 1) - 1 do
+                let q = post.(succ.(e)) in
+                if q <> p && scc_low.(q) < !lo then lo := scc_low.(q)
+              done
+            done;
+            scc_low.(p) <- !lo;
+            sp := !bottom
+          end;
+          if !cp > 0 then begin
+            let u = call.(!cp - 1) in
+            link.(u) <- min link.(u) link.(v)
+          end
+        end
+      done
+    end
+  done;
+  (post, Array.map (fun p -> scc_low.(p)) post)
+
 let write pgr l =
   Catalog.reserve "Cover_store" pgr;
   let extra = Ihs.create () in
@@ -113,6 +188,10 @@ let write pgr l =
   let n = Array.length keys in
   let w = Row_table.writer pgr ~keys ~registered:l.registered in
   let any_dist = ref false in
+  (* writes both tables of a direction and answers its backward rows as
+     [(count, bucket)]: center slot [s]'s entries are [bucket.(j)] for [j]
+     in [\[count.(s), count.(s + 1))], each [node slot lsl 31 lor dist],
+     ascending *)
   let direction dir =
     (* forward rows, counting each center slot's entries on the way *)
     let count = Array.make (n + 1) 0 in
@@ -151,11 +230,39 @@ let write pgr l =
         for j = count.(s) to count.(s + 1) - 1 do
           Codec.Enc.row e ~center:(bucket.(j) lsr pack_bits) ~dist:(bucket.(j) land pack_mask)
         done;
-        Codec.Enc.finish e)
+        Codec.Enc.finish e);
+    (count, bucket)
   in
-  direction Lin;
-  direction Lout;
-  attach pgr ~with_dist:!any_dist (Row_table.finish w)
+  let in_count, in_bucket = direction Lin in
+  let out_count, out_bucket = direction Lout in
+  (* the cover graph's successors of slot [u]: the centers of Lout(u) in
+     row order (Lout's backward rows turned around), then the nodes naming
+     [u] in their Lin (its Lin backward row) *)
+  let succ_off = Array.make (n + 1) 0 in
+  Array.iter
+    (fun x ->
+      let u = x lsr pack_bits in
+      succ_off.(u + 1) <- succ_off.(u + 1) + 1)
+    out_bucket;
+  for s = 0 to n - 1 do
+    succ_off.(s + 1) <- succ_off.(s + 1) + in_count.(s + 1) - in_count.(s) + succ_off.(s)
+  done;
+  let succ = Array.make succ_off.(n) 0 and fill = Array.sub succ_off 0 n in
+  for c = 0 to n - 1 do
+    for j = out_count.(c) to out_count.(c + 1) - 1 do
+      let u = out_bucket.(j) lsr pack_bits in
+      succ.(fill.(u)) <- c;
+      fill.(u) <- fill.(u) + 1
+    done
+  done;
+  for c = 0 to n - 1 do
+    for j = in_count.(c) to in_count.(c + 1) - 1 do
+      succ.(fill.(c)) <- in_bucket.(j) lsr pack_bits;
+      fill.(c) <- fill.(c) + 1
+    done
+  done;
+  let post, low = intervals n succ_off succ in
+  attach pgr ~with_dist:!any_dist (Row_table.finish w ~post ~low)
 
 let of_cover pgr cover =
   write pgr
@@ -188,12 +295,24 @@ type source = { store : t; mem : int -> bool; fetch : dir -> int -> Codec.t }
 
 let source t = { store = t; mem = mem_node t; fetch = fetch t }
 
+(* Does the interval rule out that [u] reaches [v]?  Two directory
+   lookups in memory; a "yes" is counted in the calling domain's request
+   trace. *)
+let cut t u v =
+  let rows = t.rows in
+  Row_table.rejects rows (Row_table.slot rows u) (Row_table.slot rows v)
+  && begin
+    Hopi_obs.Reqtrace.Local.note_reach_cut ();
+    true
+  end
+
 (* The paper's join on LOUT.OUTID = LIN.INID is a merge of the two
    streams; the two compensating probes cover the implicit self-entries
-   (center v in Lout(u), center u in Lin(v)). *)
+   (center v in Lout(u), center u in Lin(v)).  A pair the interval
+   rejects is answered before either fetch. *)
 let reach src u v =
   if u = v then src.mem u
-  else if not (src.mem u && src.mem v) then false
+  else if not (src.mem u && src.mem v) || cut src.store u v then false
   else begin
     let lout = src.fetch Lout u and lin = src.fetch Lin v in
     Codec.mem lout v || Codec.mem lin u || Codec.intersects lout lin
@@ -202,6 +321,7 @@ let reach src u v =
 let dist src u v =
   if not (src.mem u && src.mem v) then None
   else if u = v then Some 0
+  else if cut src.store u v then None
   else begin
     let lout = src.fetch Lout u and lin = src.fetch Lin v in
     let best = ref (-1) in
@@ -267,6 +387,10 @@ let stored_integers t =
 
 let n_nodes t = t.n_nodes
 
+let n_keys t = Row_table.n_keys t.rows
+
+let directory_bytes t = Row_table.dir_bytes t.rows
+
 let table_bytes t =
   [ ("lin", forward Lin); ("lin_by_center", backward Lin); ("lout", forward Lout);
     ("lout_by_center", backward Lout) ]
@@ -277,10 +401,14 @@ let table_bytes t =
    Every row is decoded once: it must decode to the end of its range with
    ascending (center, dist) rows, and each table must hold the entry count
    the catalog records.  Beyond that, every forward center is a directory
-   key, a key that is not a registered node has no forward rows, and each
+   key, a key that is not a registered node has no forward rows, each
    backward table holds exactly its forward table's entries — an
    order-free sum of a mixed hash of every (node, center, dist) on both
-   sides. *)
+   sides — and every forward entry is an edge the intervals contain:
+   [(u, c)] in Lout needs [c]'s interval inside [u]'s ([post c <= post u],
+   [low u <= low c]), [(v, c)] in Lin needs [v]'s inside [c]'s.  Every
+   connected pair is joined by a path of such edges, so the last check
+   proves the query-time cut never rejects one. *)
 
 let mix a b d =
   let x = (a * 0x9E3779B97F4A7C1) + (b * 0xBF58476D1CE4E5B) + (d * 0x94D049BB133111E) in
@@ -323,8 +451,10 @@ let check t =
       scan_table fwd (fun i center dist ->
           if not (Row_table.registered rows i) then
             bad "key %d is not a node but has label entries" (key i);
-          if Row_table.slot rows center < 0 then
-            bad "node %d names center %d, which has no row" (key i) center;
+          let s = Row_table.slot rows center in
+          if s < 0 then bad "node %d names center %d, which has no row" (key i) center;
+          if (if fwd = forward Lout then Row_table.rejects rows i s else Row_table.rejects rows s i)
+          then bad "node %d: the interval of center %d does not contain the entry" (key i) center;
           sum_fwd := !sum_fwd + mix (key i) center dist);
       scan_table bwd (fun i s dist ->
           if s >= n then bad "center %d names slot %d of %d" (key i) s n;

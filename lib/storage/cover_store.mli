@@ -48,7 +48,16 @@ type t
     from them), each page handed to {!Pager.write} once.  The page layout
     is a function of the cover's content.  The directory's keys are the
     registered nodes plus any center that is not one.  {!save} makes the
-    store durable. *)
+    store durable.
+
+    The directory also holds a {b reachability interval} [\[low, post\]]
+    per key, computed from the cover being written: over the cover graph
+    (an edge [u -> c] per [c ∈ Lout(u)], [c -> v] per [c ∈ Lin(v)]),
+    [post] numbers the strongly connected components in Tarjan emission
+    order and [low] is the least [post] a key reaches.  The cover graph's
+    closure is exactly what the cover answers, so [post v > post u] or
+    [low u > low v] proves [u] does not reach [v]: {!reach} and {!dist}
+    answer such a pair before any label fetch. *)
 
 val of_cover : Pager.t -> Hopi_twohop.Cover.t -> t
 (** Store a plain cover (all distances 0).
@@ -124,12 +133,16 @@ val source : t -> source
 
 val reach : source -> int -> int -> bool
 (** [(Lout(u) ∪ {u}) ∩ (Lin(v) ∪ {v}) ≠ ∅]; reflexive for known nodes,
-    [false] when either node is unknown. *)
+    [false] when either node is unknown.  A pair the store's reachability
+    interval rejects is answered [false] right after the membership
+    test, with no [fetch] (and counted in
+    [Hopi_obs.Reqtrace.Local.reach_cuts]). *)
 
 val dist : source -> int -> int -> int option
 (** [min (dout(u,w) + din(w,v))] over the common centers, [Some 0] for
     [u = v] known, [None] when unconnected or unknown.  A plain cover
-    stores every distance as 0. *)
+    stores every distance as 0.  A pair the interval rejects is [None]
+    with no [fetch], as in {!reach}. *)
 
 val desc : source -> int -> Hopi_util.Int_hashset.t
 (** Every node reachable from the argument, including itself (empty for
@@ -161,6 +174,14 @@ val stored_integers : t -> int
 
 val n_nodes : t -> int
 
+val n_keys : t -> int
+(** Directory keys: the registered nodes plus every center that is not
+    one. *)
+
+val directory_bytes : t -> int
+(** Bytes of the row tables' directory (keys, row lengths and
+    reachability intervals as varints). *)
+
 val table_bytes : t -> (string * int) list
 (** Bytes of each row table, padding excluded: [lin], [lin_by_center],
     [lout], [lout_by_center]. *)
@@ -171,9 +192,13 @@ val check : t -> int
 (** Structural check of the row tables, for [hopi verify-store]: every
     row decodes to the end of its range with ascending centers, entry
     counts match the catalog, every forward center has a row, and each
-    backward table holds exactly its forward table's entries.  Answers
-    the number of rows verified.  (The directory's own invariants —
-    ascending keys, offsets ascending from 0 and ending where the heap
-    does — are checked by {!open_pager}.)
+    backward table holds exactly its forward table's entries, and every
+    forward entry is contained by the intervals ([(u, c)] in Lout needs
+    [post c <= post u] and [low u <= low c]; [(v, c)] in Lin needs
+    [post v <= post c] and [low c <= low v]) — which proves the interval
+    never rejects a connected pair.  Answers the number of rows verified.
+    (The directory's own invariants — ascending keys, intervals within
+    [\[0, n_keys)], rows ending where the heap does — are checked by
+    {!open_pager}.)
     @raise Storage_error.Storage_error [(Bad_catalog _)] on the first
     violation. *)

@@ -1,6 +1,7 @@
 (* Write-once row tables (see the interface for the layout): a heap of
-   Label_codec rows over page payloads plus a directory of keys and dense
-   per-table row offsets, read once at open into flat int arrays. *)
+   Label_codec rows over page payloads plus a varint directory of keys,
+   row lengths and reachability intervals, read once at open into flat
+   int arrays. *)
 
 module Codec = Hopi_twohop.Label_codec
 module E = Storage_error
@@ -8,8 +9,6 @@ module E = Storage_error
 let po = Page.payload_off
 
 let payload = Page.size - po
-
-let words_per_page = payload / 4
 
 (* Where a row of [len] bytes starts when the heap is filled up to [p]:
    at [p], unless it fits in a payload but not in what is left of the
@@ -19,13 +18,13 @@ let place p len =
     ((p / payload) + 1) * payload
   else p
 
-let key_word ~registered k = if registered then k else lnot k
-
 type t = {
   pgr : Pager.t;
   layout : Catalog.rows;
   keys : int array;
   reg : Bytes.t;  (* '\001' at the slots of registered nodes *)
+  post : int array;  (* per slot: the reachability interval [low, post] *)
+  low : int array;
   off : int array array;  (* per table: dense row offsets, n_keys + 1 *)
   start : int array array;  (* per table: heap offset of each row *)
 }
@@ -44,10 +43,12 @@ type writer = {
   mutable counts : int list;
 }
 
+let max_i32 = Int32.to_int Int32.max_int
+
 let writer pgr ~keys ~registered =
   Array.iteri
     (fun i k ->
-      if k < 0 || k > Int32.to_int Int32.max_int || (i > 0 && k <= keys.(i - 1)) then
+      if k < 0 || k > max_i32 || (i > 0 && k <= keys.(i - 1)) then
         invalid_arg "Row_table.writer: keys must ascend strictly within [0, 2^31)")
     keys;
   { wp = pgr; wkeys = keys; wreg = registered; first = Pager.n_pages pgr;
@@ -84,34 +85,81 @@ let add_table w row =
     append w b;
     count := !count + Codec.n_rows b;
     off.(i + 1) <- off.(i) + Bytes.length b;
-    if off.(i + 1) > Int32.to_int Int32.max_int then
-      invalid_arg "Row_table.add_table: table exceeds 2 GiB"
+    if off.(i + 1) > max_i32 then invalid_arg "Row_table.add_table: table exceeds 2 GiB"
   done;
   w.offs <- off :: w.offs;
   w.counts <- !count :: w.counts
 
 let bad fmt = Printf.ksprintf (fun s -> E.raise_error (Bad_catalog s)) fmt
 
-(* The directory, decoded and checked: keys and flags, per-table dense
-   offsets, and every row placed by replaying [place] over the lengths. *)
-let of_words pgr (r : Catalog.rows) words =
-  let n = r.Catalog.n_keys and n_tables = Array.length r.Catalog.entries in
-  let keys = Array.make n 0 and reg = Bytes.make n '\000' in
-  for i = 0 to n - 1 do
-    let w = words.(i) in
-    keys.(i) <- (if w < 0 then lnot w else w);
-    if w >= 0 then Bytes.set reg i '\001';
-    if i > 0 && keys.(i) <= keys.(i - 1) then bad "directory keys out of order at slot %d" i
+(* {1 The directory}
+
+   One stream of LEB128 varints over consecutive page payloads; per key:
+   [(key - previous key) lsl 1 lor unregistered], the key's row length in
+   each table, [post], [post - low].  No field needs more than 35 bits,
+   so a varint of more than five bytes is corrupt. *)
+
+let add_varint buf v =
+  let v = ref v in
+  while !v >= 0x80 do
+    Buffer.add_char buf (Char.unsafe_chr ((!v land 0x7f) lor 0x80));
+    v := !v lsr 7
   done;
-  let off =
-    Array.init n_tables (fun t ->
-        let off = Array.sub words (n + (t * (n + 1))) (n + 1) in
-        if off.(0) <> 0 then bad "table %d: first row offset %d, not 0" t off.(0);
-        for i = 1 to n do
-          if off.(i) < off.(i - 1) then bad "table %d: row offsets descend at slot %d" t i
-        done;
-        off)
+  Buffer.add_char buf (Char.unsafe_chr !v)
+
+let encode_dir ~keys ~reg ~post ~low off =
+  let buf = Buffer.create (8 * Array.length keys) in
+  let prev = ref 0 in
+  Array.iteri
+    (fun i k ->
+      add_varint buf (((k - !prev) lsl 1) lor (if reg i then 0 else 1));
+      prev := k;
+      Array.iter (fun off -> add_varint buf (off.(i + 1) - off.(i))) off;
+      add_varint buf post.(i);
+      add_varint buf (post.(i) - low.(i)))
+    keys;
+  Buffer.to_bytes buf
+
+(* The directory, decoded and checked: keys and flags, intervals, per-table
+   dense offsets, and every row placed by replaying [place] over the
+   lengths. *)
+let decode_dir pgr (r : Catalog.rows) b =
+  let n = r.Catalog.n_keys and n_tables = Array.length r.Catalog.entries in
+  let len = Bytes.length b and pos = ref 0 in
+  let varint () =
+    let v = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      if !pos >= len then bad "directory ends inside a varint";
+      if !shift > 28 then bad "directory varint at byte %d is too long" !pos;
+      let c = Char.code (Bytes.unsafe_get b !pos) in
+      incr pos;
+      v := !v lor ((c land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := c >= 0x80
+    done;
+    !v
   in
+  let keys = Array.make n 0 and reg = Bytes.make n '\000' in
+  let post = Array.make n 0 and low = Array.make n 0 in
+  let off = Array.init n_tables (fun _ -> Array.make (n + 1) 0) in
+  for i = 0 to n - 1 do
+    let w = varint () in
+    let delta = w lsr 1 in
+    keys.(i) <- (if i = 0 then delta else keys.(i - 1) + delta);
+    if w land 1 = 0 then Bytes.set reg i '\001';
+    if i > 0 && delta = 0 then bad "directory keys out of order at slot %d" i;
+    if keys.(i) > max_i32 then bad "directory key %d at slot %d exceeds 2^31" keys.(i) i;
+    Array.iter
+      (fun off ->
+        off.(i + 1) <- off.(i) + varint ();
+        if off.(i + 1) > max_i32 then bad "row offsets overflow at slot %d" i)
+      off;
+    post.(i) <- varint ();
+    low.(i) <- post.(i) - varint ();
+    if post.(i) >= n || low.(i) < 0 then
+      bad "key %d: interval [%d, %d] outside [0, %d)" keys.(i) low.(i) post.(i) n
+  done;
+  if !pos <> len then bad "directory holds %d bytes after its %d keys" (len - !pos) n;
   let p = ref 0 in
   let start =
     Array.map
@@ -124,45 +172,43 @@ let of_words pgr (r : Catalog.rows) words =
   in
   if !p <> r.Catalog.heap_bytes then
     bad "rows end at heap byte %d, the heap at %d" !p r.Catalog.heap_bytes;
-  { pgr; layout = r; keys; reg; off; start }
+  { pgr; layout = r; keys; reg; post; low; off; start }
 
-let n_words ~n_keys ~n_tables = n_keys + (n_tables * (n_keys + 1))
+let dir_pages bytes = (bytes + payload - 1) / payload
 
-let dir_pages n_words = (n_words + words_per_page - 1) / words_per_page
-
-let finish w =
+let finish w ~post ~low =
   flush w;
   let n = Array.length w.wkeys in
-  let tables = List.rev w.offs in
-  let words = Array.make (n_words ~n_keys:n ~n_tables:(List.length tables)) 0 in
-  Array.iteri (fun i k -> words.(i) <- key_word ~registered:(w.wreg k) k) w.wkeys;
-  List.iteri (fun t off -> Array.blit off 0 words (n + (t * (n + 1))) (n + 1)) tables;
+  if Array.length post <> n || Array.length low <> n then
+    invalid_arg "Row_table.finish: one interval per key";
+  let tables = Array.of_list (List.rev w.offs) in
+  let dir =
+    encode_dir ~keys:w.wkeys ~reg:(fun i -> w.wreg w.wkeys.(i)) ~post ~low tables
+  in
+  let dir_bytes = Bytes.length dir in
   let dir_first = Pager.n_pages w.wp in
-  for p = 0 to dir_pages (Array.length words) - 1 do
+  for p = 0 to dir_pages dir_bytes - 1 do
     let page = Page.create () in
-    for j = 0 to min words_per_page (Array.length words - (p * words_per_page)) - 1 do
-      Page.set_i32 page (po + (4 * j)) words.((p * words_per_page) + j)
-    done;
+    let at = p * payload in
+    Bytes.blit dir at page po (min payload (dir_bytes - at));
     Pager.write w.wp (Pager.alloc w.wp) page
   done;
-  of_words w.wp
+  decode_dir w.wp
     { Catalog.heap_first = w.first; heap_pages = (w.pos + payload - 1) / payload;
-      heap_bytes = w.pos; dir_first; dir_pages = dir_pages (Array.length words); n_keys = n;
+      heap_bytes = w.pos; dir_first; dir_pages = dir_pages dir_bytes; dir_bytes; n_keys = n;
       entries = Array.of_list (List.rev w.counts) }
-    words
+    dir
 
 let open_rows pgr (r : Catalog.rows) =
-  let n_words = n_words ~n_keys:r.Catalog.n_keys ~n_tables:(Array.length r.Catalog.entries) in
-  if r.Catalog.dir_pages <> dir_pages n_words then
-    bad "directory of %d pages cannot hold %d keys" r.Catalog.dir_pages r.Catalog.n_keys;
-  let page = ref Bytes.empty and page_no = ref (-1) in
-  of_words pgr r
-    (Array.init n_words (fun i ->
-         if i / words_per_page <> !page_no then begin
-           page_no := i / words_per_page;
-           page := Pager.read pgr (r.Catalog.dir_first + !page_no)
-         end;
-         Page.get_i32 !page (po + (4 * (i mod words_per_page)))))
+  let bytes = r.Catalog.dir_bytes in
+  if r.Catalog.dir_pages <> dir_pages bytes then
+    bad "directory of %d pages cannot hold %d bytes" r.Catalog.dir_pages bytes;
+  let dir = Bytes.create bytes in
+  for p = 0 to r.Catalog.dir_pages - 1 do
+    let at = p * payload in
+    Bytes.blit (Pager.read pgr (r.Catalog.dir_first + p)) po dir at (min payload (bytes - at))
+  done;
+  decode_dir pgr r dir
 
 let layout t = t.layout
 
@@ -195,6 +241,10 @@ let search keys v =
 let slot t v = search t.keys v
 
 let registered t i = Bytes.get t.reg i <> '\000'
+
+let rejects t i j = t.post.(j) > t.post.(i) || t.low.(i) > t.low.(j)
+
+let dir_bytes t = t.layout.Catalog.dir_bytes
 
 let entries t table = t.layout.Catalog.entries.(table)
 

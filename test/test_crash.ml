@@ -54,7 +54,7 @@ let cover_of g = fst (Hopi_twohop.Builder.build (Closure.compute g))
 (* the base store and the larger one published over it *)
 let cover_a () = cover_of (random_graph ~seed:7 ~n:16 ~m:30)
 
-let cover_b () = cover_of (random_graph ~seed:8 ~n:1200 ~m:900)
+let cover_b () = cover_of (random_graph ~seed:8 ~n:2000 ~m:1500)
 
 (* The file at [file] as a reader sees it: every page CRC-checked and
    digested, plus the store's answers over [dom]. *)

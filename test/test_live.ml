@@ -177,9 +177,13 @@ let test_flip_cache_invalidation () =
   let r2 = Collection.doc_root_element c d2 in
   let t2 = List.hd (Collection.children c r2) in
   let cache = G.cache gen in
-  (* warm label entries for nodes of both documents (version 0 keys) *)
+  (* warm label entries for nodes of both documents (version 0 keys);
+     the interval answers x !-> y without a fetch, so Lout x and Lin y
+     are warmed through the snapshot's label fetch *)
   G.with_snapshot gen (fun snap ->
       checkb "x !-> y yet" false (Snapshot.connected snap x y);
+      ignore (Snapshot.label snap Cache.Lout x);
+      ignore (Snapshot.label snap Cache.Lin y);
       checkb "r2 -> t2" true (Snapshot.connected snap r2 t2));
   let key dir n = Cache.key ~version:0 dir n in
   checkb "Lout x warmed" true (Cache.find cache (key Cache.Lout x) <> None);

@@ -552,6 +552,23 @@ let test_reqtrace_ring () =
   Alcotest.(check int) "fast queries skip the ring" 0
     (List.length (Reqtrace.slowlog ()))
 
+(* cuts noted in domain-local cells, on this domain and on another,
+   reach the exported counter at the next refresh, each once *)
+let test_reqtrace_reach_cut_counter () =
+  let c = Registry.counter "hopi_serve_reach_cut_total" in
+  ignore (Reqtrace.refresh ());
+  let before = Counter.get c in
+  Reqtrace.Local.note_reach_cut ();
+  Domain.join
+    (Domain.spawn (fun () ->
+         Reqtrace.Local.note_reach_cut ();
+         Reqtrace.Local.note_reach_cut ()));
+  Alcotest.(check int) "nothing exported before a refresh" before (Counter.get c);
+  ignore (Reqtrace.refresh ());
+  Alcotest.(check int) "every domain's cuts exported" (before + 3) (Counter.get c);
+  ignore (Reqtrace.refresh ());
+  Alcotest.(check int) "a second refresh adds nothing" (before + 3) (Counter.get c)
+
 let test_slo () =
   let hist = Registry.histogram "test_obs_slo_hist" ~help:"test" in
   Histogram.reset hist;
@@ -724,6 +741,8 @@ let suite =
           test_reqtrace_attribution;
         Alcotest.test_case "reqtrace slowlog ring drops oldest" `Quick
           test_reqtrace_ring;
+        Alcotest.test_case "reqtrace reach-cut counter sums domains" `Quick
+          test_reqtrace_reach_cut_counter;
         Alcotest.test_case "slo targets and breach accounting" `Quick test_slo;
         Alcotest.test_case "prometheus exposition lint" `Quick test_prometheus_lint;
       ] );

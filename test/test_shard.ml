@@ -669,7 +669,7 @@ let test_routing_crash_matrix () =
   let s_old = Fv.snapshot fv in
   let old_files = contents () in
   Fv.reset_ops fv;
-  split 60 ();
+  split 160 ();
   let n_ops = Fv.op_count fv in
   let new_files = contents () in
   List.iter2
@@ -682,7 +682,7 @@ let test_routing_crash_matrix () =
         Fv.restore fv s_old;
         Fv.reset_ops fv;
         Fv.arm_crash fv ~op:k ~mode ?tear ();
-        (match split 60 () with
+        (match split 160 () with
         | () -> if k < n_ops then Alcotest.failf "crash at op %d did not fire" k
         | exception Fv.Crash -> ());
         Fv.disarm fv;

@@ -393,25 +393,32 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* a store of the previous format (version 2, B+-trees) is refused with
-   Bad_version, and the error carries the way out: rebuild *)
-let test_catalog_v2_store () =
+(* a store of an earlier format is refused with Bad_version, and the
+   error carries the way out: rebuild *)
+let check_old_version_refused got =
   let pager = Pager.create Pager.Memory in
   let page = page_with Catalog.magic in
-  Page.set_i32 page (po + 4) 2;
+  Page.set_i32 page (po + 4) got;
   Pager.write pager (Pager.alloc pager) page;
   match Cover_store.open_pager pager with
-  | _ -> Alcotest.fail "a version-2 store opened"
+  | _ -> Alcotest.failf "a version-%d store opened" got
   | exception Storage_error.Storage_error e ->
-    check_bool "Bad_version 2, expecting 3" true
-      (e = Storage_error.Bad_version { got = 2; expected = 3 } && Catalog.version = 3);
+    check_bool (Printf.sprintf "Bad_version %d, expecting 4" got) true
+      (e = Storage_error.Bad_version { got; expected = 4 } && Catalog.version = 4);
     check_bool "the message names the version" true
-      (contains (Storage_error.to_string e) "version 2");
+      (contains (Storage_error.to_string e) (Printf.sprintf "version %d" got));
     (match Storage_error.hint e with
      | Some h ->
        check_bool "the hint names both rebuild commands" true
          (contains h "hopi build" && contains h "--store" && contains h "shard-split")
      | None -> Alcotest.fail "no rebuild hint")
+
+(* version 2: B+-trees *)
+let test_catalog_v2_store () = check_old_version_refused 2
+
+(* version 3: row tables whose directory held 32-bit words and no
+   reachability intervals *)
+let test_catalog_v3_store () = check_old_version_refused 3
 
 let test_catalog_bad_magic () =
   let pager = Pager.create Pager.Memory in
@@ -748,6 +755,31 @@ let verify_store vfs file =
     | rows -> `Rows rows
     | exception Storage_error.Storage_error (Storage_error.Bad_catalog _) -> `Structure
 
+(* the directory's varint stream: per key, the byte offset and value of
+   each of its seven fields (key word, four row lengths, post,
+   post - low) *)
+let directory_fields vfs file =
+  let pgr = Pager.open_vfs ~vfs file in
+  Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+  let l = snd (Catalog.cover (Catalog.read pgr)) in
+  let payload = Page.size - po in
+  let byte j = Bytes.get_uint8 (Pager.read pgr (l.Catalog.dir_first + (j / payload))) (po + (j mod payload)) in
+  let pos = ref 0 in
+  let varint () =
+    let at = !pos and v = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      let c = byte !pos in
+      incr pos;
+      v := !v lor ((c land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := c >= 0x80
+    done;
+    (at, !v, !pos - at)
+  in
+  let fields = Array.init l.Catalog.n_keys (fun _ -> Array.init 7 (fun _ -> varint ())) in
+  check_int "the fields fill the directory" l.Catalog.dir_bytes !pos;
+  (l, fields)
+
 let test_verify_corrupt_directory () =
   let cover, _ =
     Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (random_graph ~seed:5 ~n:80 ~edges:120))
@@ -756,23 +788,24 @@ let test_verify_corrupt_directory () =
   let p = Pager.create_vfs ~vfs "dir.db" in
   Cover_store.save (Cover_store.of_cover p cover);
   Pager.close p;
-  let layout =
-    let pgr = Pager.open_vfs ~vfs "dir.db" in
-    Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
-    snd (Catalog.cover (Catalog.read pgr))
-  in
+  let layout, fields = directory_fields vfs "dir.db" in
   let n = layout.Catalog.n_keys in
-  let per_page = (Page.size - po) / 4 in
-  let at w = (layout.Catalog.dir_first + (w / per_page), po + (4 * (w mod per_page))) in
-  let word w =
-    let pgr = Pager.open_vfs ~vfs "dir.db" in
-    Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
-    let id, off = at w in
-    Page.get_i32 (Pager.read pgr id) off
+  let payload = Page.size - po in
+  (* overwrite a one-byte field of slot [i] *)
+  let set_field i f v =
+    let at, _, len = fields.(i).(f) in
+    check_int "a one-byte field" 1 len;
+    assert (v >= 0 && v < 0x80);
+    rewrite_page vfs "dir.db" (layout.Catalog.dir_first + (at / payload)) (fun page ->
+        Bytes.set_uint8 page (po + (at mod payload)) v)
   in
-  let set_word w v =
-    let id, off = at w in
-    rewrite_page vfs "dir.db" id (fun page -> Page.set_i32 page off v)
+  let value i f =
+    let _, v, _ = fields.(i).(f) in
+    v
+  in
+  let one_byte i f =
+    let _, _, len = fields.(i).(f) in
+    len = 1
   in
   check_bool "a clean store verifies every row" true (verify_store vfs "dir.db" = `Rows (4 * n));
   let clean = Vfs.read_file vfs "dir.db" in
@@ -781,21 +814,55 @@ let test_verify_corrupt_directory () =
     h.Vfs.write (Bytes.of_string clean) ~off:0 ~pos:0 ~len:(String.length clean);
     h.Vfs.close ()
   in
-  (* the Lin offset of the first non-empty row after slot 0, moved one
-     byte on: the offsets still ascend and end where the heap does, but
-     two rows now split in the wrong place *)
-  let off i = word (n + i) in
-  let i = ref 1 in
-  while off !i = off (!i + 1) do
+  (* one Lin row a byte longer and the next a byte shorter: the lengths
+     still end where the heap does, but two rows now split in the wrong
+     place *)
+  let lin_len i = value i 1 in
+  let i = ref 0 in
+  while
+    not (lin_len !i >= 1 && lin_len !i < 0x7f && lin_len (!i + 1) >= 1 && one_byte (!i + 1) 1)
+  do
     incr i
   done;
-  set_word (n + !i) (off !i + 1);
+  set_field !i 1 (lin_len !i + 1);
+  set_field (!i + 1) 1 (lin_len (!i + 1) - 1);
   check_bool "a shifted row boundary fails the structural check" true
     (verify_store vfs "dir.db" = `Structure);
   restore ();
-  (* a key out of order *)
-  set_word 0 (word 1 + 1);
+  (* a key out of order: slot 1's key delta zeroed, its flag kept *)
+  set_field 1 0 (value 1 0 land 1);
   check_bool "a key out of order fails it" true (verify_store vfs "dir.db" = `Structure);
+  restore ();
+  (* an interval past the last key *)
+  set_field 0 5 0x7f;
+  check_bool "post >= n_keys fails at open" true (n < 0x7f && verify_store vfs "dir.db" = `Structure);
+  restore ();
+  (* one node's interval shrunk to its post: low u = post u, above the
+     low of a Lout center in another component — only the containment
+     check sees it *)
+  let post i = value i 5 and low i = value i 5 - value i 6 in
+  let victim =
+    let pgr = Pager.open_vfs ~vfs "dir.db" in
+    Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+    let st = Cover_store.open_pager pgr in
+    let keys = Array.make n 0 in
+    Array.iteri (fun i _ -> keys.(i) <- (if i = 0 then 0 else keys.(i - 1)) + (value i 0 lsr 1)) keys;
+    let slot k = Row_table.search keys k in
+    List.find
+      (fun u ->
+        value u 6 > 0 && one_byte u 6
+        && begin
+          let hit = ref false in
+          Cover_store.iter_lout st keys.(u) (fun ~center ~dist:_ ->
+              let c = slot center in
+              if post c <> post u && low c < post u then hit := true);
+          !hit
+        end)
+      (List.init n Fun.id)
+  in
+  set_field victim 6 0;
+  check_bool "a corrupt interval fails the containment check" true
+    (verify_store vfs "dir.db" = `Structure);
   restore ();
   check_bool "restored" true (verify_store vfs "dir.db" = `Rows (4 * n))
 
@@ -803,7 +870,7 @@ let test_verify_corrupt_directory () =
    touch, label fetch or by-center scan alike; an empty row costs none *)
 let test_row_is_one_pool_touch () =
   let cover, _ =
-    Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (random_graph ~seed:3 ~n:1200 ~edges:900))
+    Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (random_graph ~seed:3 ~n:2000 ~edges:1500))
   in
   let vfs = Vfs.memory () in
   let p = Pager.create_vfs ~vfs "touch.db" in
@@ -960,6 +1027,127 @@ let prop_row_tables_match_cover =
       ignore (Cover_store.check st : int);
       true)
 
+(* {1 The reachability interval} *)
+
+module Reqtrace = Hopi_obs.Reqtrace
+
+let cuts () = (Reqtrace.Local.snapshot ()).(Reqtrace.Local.reach_cuts)
+
+(* All-pairs reach/dist through a counting source over a store read
+   through a 2-page pool, against BFS over the graph: random graphs with
+   cycles, dense or sparse ids, relay centers that are not nodes (one per
+   connected pair it joins, so the answers stay the graph's), plain
+   and distance covers, empty ones included.  A pair the interval rejects
+   must be answered without a fetch; writing the same cover twice gives
+   the same bytes. *)
+let prop_interval_matches_bfs =
+  QCheck2.Test.make ~name:"interval cut = BFS oracle, no fetch on a cut pair" ~count:40
+    QCheck2.Gen.(quad (int_range 0 1_000_000) (int_range 0 24) bool bool)
+    (fun (seed, n, sparse, with_dist) ->
+      let id i = if sparse then 7 + (13 * i) + (i * i mod 5) else i in
+      let rng = Splitmix.create seed in
+      let g = Hopi_graph.Digraph.create () in
+      for i = 0 to n - 1 do
+        Hopi_graph.Digraph.add_node g (id i)
+      done;
+      for _ = 1 to 3 * n / 2 do
+        let u = Splitmix.int rng n and v = Splitmix.int rng n in
+        if u <> v then Hopi_graph.Digraph.add_edge g (id u) (id v)
+      done;
+      let nodes = List.init n id in
+      let bfs = List.map (fun u -> (u, Hopi_graph.Traversal.bfs_distances g u)) nodes in
+      let oracle u v =
+        match List.assoc_opt u bfs with
+        | None -> None
+        | Some h -> Hashtbl.find_opt h v
+      in
+      let relay i = 1_000_000 + i in
+      let relayed =
+        List.filter (fun (u, v) -> u <> v && oracle u v <> None)
+          (List.concat_map (fun u -> List.map (fun v -> (u, v)) nodes) nodes)
+        |> List.filteri (fun i _ -> i mod 7 = 0)
+      in
+      let write pgr =
+        if with_dist then begin
+          let dc, _ = Hopi_twohop.Dist_builder.build g in
+          List.iteri
+            (fun i (u, v) ->
+              Dist_cover.add_out dc ~node:u ~center:(relay i) ~dist:(Option.get (oracle u v));
+              Dist_cover.add_in dc ~node:v ~center:(relay i) ~dist:0)
+            relayed;
+          Cover_store.of_dist_cover pgr dc
+        end
+        else begin
+          let c, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
+          List.iteri
+            (fun i (u, v) ->
+              Cover.add_out c ~node:u ~center:(relay i);
+              Cover.add_in c ~node:v ~center:(relay i))
+            relayed;
+          Cover_store.of_cover pgr c
+        end
+      in
+      let vfs = Vfs.memory () in
+      List.iter
+        (fun file ->
+          let p = Pager.create_vfs ~vfs file in
+          Cover_store.save (write p);
+          Pager.close p)
+        [ "a.db"; "b.db" ];
+      if Vfs.read_file vfs "a.db" <> Vfs.read_file vfs "b.db" then
+        QCheck2.Test.fail_report "the same cover wrote different bytes";
+      let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
+      let pgr = Pager.open_shared_vfs ~vfs ~pool "a.db" in
+      Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+      let st = Cover_store.open_pager pgr in
+      ignore (Cover_store.check st : int);
+      let fetches = ref 0 in
+      let src =
+        { (Cover_store.source st) with
+          fetch =
+            (fun dir v ->
+              incr fetches;
+              Cover_store.fetch st dir v) }
+      in
+      let probes = nodes @ [ relay 0; -1; 5_000_000 ] in
+      List.iter
+        (fun u ->
+          List.iter
+            (fun v ->
+              let want =
+                if Cover_store.with_dist st then oracle u v
+                else Option.map (fun _ -> 0) (oracle u v)
+              in
+              (* [f] answers, and whether the interval did, making no fetch *)
+              let run f =
+                let c0 = cuts () and f0 = !fetches in
+                let a = f src u v in
+                let cut = cuts () > c0 in
+                if cut && !fetches > f0 then QCheck2.Test.fail_reportf "%d %d: cut, yet fetched" u v;
+                (a, cut)
+              in
+              let r, cut = run Cover_store.reach and d, dist_cut = run Cover_store.dist in
+              if r <> (want <> None) then QCheck2.Test.fail_reportf "reach %d %d" u v;
+              if d <> want then QCheck2.Test.fail_reportf "dist %d %d" u v;
+              if cut <> dist_cut then QCheck2.Test.fail_reportf "reach and dist cut %d %d differently" u v)
+            probes)
+        probes;
+      true)
+
+(* two disjoint chains: the interval answers every pair across them *)
+let test_interval_cuts_negatives () =
+  let g = Hopi_graph.Digraph.create () in
+  List.iter (fun (u, v) -> Hopi_graph.Digraph.add_edge g u v) [ (0, 1); (1, 2); (10, 11); (11, 12) ];
+  let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
+  let st = reopened (fun p -> Cover_store.of_cover p cover) in
+  let c0 = cuts () in
+  List.iter
+    (fun (u, v) -> check_bool (Printf.sprintf "%d !-> %d" u v) false (Cover_store.connected st u v))
+    [ (0, 10); (2, 12); (12, 0); (2, 0) ];
+  check_int "all four answered by the interval" 4 (cuts () - c0);
+  check_bool "a connected pair still answers" true (Cover_store.connected st 0 2);
+  check_int "... through the merge" 4 (cuts () - c0)
+
 (* {1 Spill} *)
 
 let spill_dir = "/spill"
@@ -1110,6 +1298,7 @@ let suite =
         Alcotest.test_case "bad catalog" `Quick test_catalog_bad_magic;
         Alcotest.test_case "bad version" `Quick test_catalog_bad_version;
         Alcotest.test_case "version-2 store: rebuild hint" `Quick test_catalog_v2_store;
+        Alcotest.test_case "version-3 store: rebuild hint" `Quick test_catalog_v3_store;
         Alcotest.test_case "rows ascend by dist" `Quick test_cover_store_rows_ascend;
         Alcotest.test_case "truncated store" `Quick test_catalog_truncated;
         Alcotest.test_case "wrong store kind" `Quick test_catalog_wrong_kind;
@@ -1122,8 +1311,9 @@ let suite =
         Alcotest.test_case "corrupt directory word fails verify" `Quick
           test_verify_corrupt_directory;
         Alcotest.test_case "a row is one pool touch" `Quick test_row_is_one_pool_touch;
+        Alcotest.test_case "interval cuts negatives" `Quick test_interval_cuts_negatives;
       ]
-      @ qsuite [ prop_row_tables_match_cover ] );
+      @ qsuite [ prop_row_tables_match_cover; prop_interval_matches_bfs ] );
     ( "storage.cover_store_props",
       qsuite
         [
