@@ -142,7 +142,7 @@ let make_tests (s : Bench_common.scale) =
   (* two negative pairs for the store: one its reachability interval
      rejects before any fetch, one it passes on to the label merge *)
   let negative ~cut =
-    let cuts () = (Hopi_obs.Reqtrace.Local.snapshot ()).(Hopi_obs.Reqtrace.Local.reach_cuts) in
+    let cuts () = Hopi_obs.Counter.get (Hopi_obs.Registry.counter "hopi_serve_reach_cut_total") in
     let rec find k =
       if k = 0 then None
       else begin

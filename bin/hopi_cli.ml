@@ -318,11 +318,21 @@ let slowlog_reply () =
   ignore (Hopi_obs.Reqtrace.refresh ());
   String.trim (Fmt.str "%a" Hopi_obs.Reqtrace.pp_slowlog ())
 
-let no_ctx = { Hopi_serve.Batch.conn = 0; queue_wait_ns = 0 }
+(* The serve flags every mode shares. *)
+type session = {
+  jobs : int;
+  batch_size : int;
+  stdin_ok : bool;
+  socket : string option;
+  tcp : int option;
+  max_inflight : int;
+  queue_depth : int;
+  metrics_path : string option;
+}
 
 (* The socket front-end serves the same control commands as the REPL,
    plus [quit] shutting the whole server down. *)
-let run_socket_server ~max_inflight ~queue_depth ~socket ~tcp ~eval ~control =
+let run_socket_server { jobs; socket; tcp; max_inflight; queue_depth; _ } ~eval ~control =
   let module Sv = Hopi_serve.Server in
   let server_cell = ref None in
   let sock_control cmd =
@@ -338,7 +348,7 @@ let run_socket_server ~max_inflight ~queue_depth ~socket ~tcp ~eval ~control =
       | exception e -> Error (Printexc.to_string e)
   in
   let server =
-    Sv.create ~max_inflight ~queue_depth { Sv.eval; control = sock_control }
+    Sv.create ~workers:jobs ~max_inflight ~queue_depth { Sv.eval; control = sock_control }
   in
   server_cell := Some server;
   (match socket with
@@ -363,77 +373,66 @@ let run_socket_server ~max_inflight ~queue_depth ~socket ~tcp ~eval ~control =
   Fmt.epr "server stopped: %d connections seen, %d requests served@."
     (Sv.connections_seen server) (Sv.requests_served server)
 
-(* The serve flags every mode shares. *)
-type session = {
-  jobs : int;
-  batch_size : int;
-  stdin_ok : bool;
-  socket : string option;
-  tcp : int option;
-  max_inflight : int;
-  queue_depth : int;
-  metrics_path : string option;
-}
+(* The stdin/stdout REPL over [eval]. *)
+let run_repl { batch_size; stdin_ok; _ } ~eval ~control =
+  let module R = Hopi_serve.Repl in
+  let read_line =
+    if stdin_ok then R.stdin_reader ()
+    else begin
+      Fmt.epr
+        "serve: stdin is unavailable; shutting down cleanly (use --socket \
+         or --tcp for network serving)@.";
+      fun () -> None
+    end
+  in
+  let st =
+    R.run ~batch_size ~read_line ~write_line:(R.stdout_writer ()) ~eval ~control ()
+  in
+  match st.R.outcome with
+  | R.Eof | R.Quit -> ()
+  | R.Output_closed reason ->
+    (* stdout still buffers bytes the dead pipe will never take; point
+       fd 1 at /dev/null so the interpreter's at-exit flush cannot
+       re-raise the write error after our clean shutdown *)
+    (try
+       let dn = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+       Unix.dup2 dn Unix.stdout;
+       Unix.close dn
+     with Unix.Unix_error _ -> ());
+    Fmt.epr "serve: output closed (%s); shutting down cleanly@." reason
 
-(* One serving session over an (eval, control) pair: the stdin/stdout
-   REPL by default, the socket front-end when --socket/--tcp was given. *)
-let drive_session { batch_size; stdin_ok; socket; tcp; max_inflight; queue_depth; _ }
-    ~eval ~control =
-  match (socket, tcp) with
-  | None, None ->
-    let module R = Hopi_serve.Repl in
-    let read_line =
-      if stdin_ok then R.stdin_reader ()
-      else begin
-        Fmt.epr
-          "serve: stdin is unavailable; shutting down cleanly (use --socket \
-           or --tcp for network serving)@.";
-        fun () -> None
-      end
-    in
-    let st =
-      R.run ~batch_size ~read_line ~write_line:(R.stdout_writer ())
-        ~eval:(fun qs -> snd (eval ~ctx:no_ctx qs))
-        ~control ()
-    in
-    (match st.R.outcome with
-     | R.Eof | R.Quit -> ()
-     | R.Output_closed reason ->
-       (* stdout still buffers bytes the dead pipe will never take; point
-          fd 1 at /dev/null so the interpreter's at-exit flush cannot
-          re-raise the write error after our clean shutdown *)
-       (try
-          let dn = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-          Unix.dup2 dn Unix.stdout;
-          Unix.close dn
-        with Unix.Unix_error _ -> ());
-       Fmt.epr "serve: output closed (%s); shutting down cleanly@." reason)
-  | _ -> run_socket_server ~max_inflight ~queue_depth ~socket ~tcp ~eval ~control
-
-(* The serve loop every mode runs: batches evaluate on a domain pool
-   through the engine [with_engine] lends for the batch, together with the
-   epoch its answers come from; [stats] renders the [stats] reply from the
-   served count and [control] adds mode-specific commands.  [on_exit]
-   releases the index when the session ends, before the final SLO refresh
-   and the metrics write. *)
+(* The serve loop every mode runs, over the engine [with_engine] lends
+   for each batch together with the epoch its answers come from; [stats]
+   renders the [stats] reply from the served count and [control] adds
+   mode-specific commands.  The stdin REPL fans each batch out on a
+   domain pool; the socket front-end evaluates each frame whole on one of
+   its [jobs] workers, several frames at once, so the count is atomic.
+   [on_exit] releases the index when the session ends, before the final
+   SLO refresh and the metrics write. *)
 let serve_loop session ~with_engine ~stats ?(control = fun _ -> None) ~on_exit () =
-  let served = ref 0 in
-  Hopi_util.Pool.with_pool ~jobs:session.jobs (fun pool ->
-      let eval ~ctx queries =
-        with_engine (fun ~epoch eng ->
-            let answers =
-              Hopi_serve.Batch.eval_batch_engine ~ctx ~pool eng queries
-            in
-            served := !served + Array.length answers;
-            (epoch, answers))
-      in
-      let control = function
-        | "stats" -> Some (fun () -> stats !served)
-        | "slowlog" -> Some slowlog_reply
-        | cmd -> control cmd
-      in
-      drive_session session ~eval ~control);
-  on_exit !served;
+  let served = Atomic.make 0 in
+  let eval_with run queries =
+    with_engine (fun ~epoch eng ->
+        let answers = run eng queries in
+        ignore (Atomic.fetch_and_add served (Array.length answers));
+        (epoch, answers))
+  in
+  let control = function
+    | "stats" -> Some (fun () -> stats (Atomic.get served))
+    | "slowlog" -> Some slowlog_reply
+    | cmd -> control cmd
+  in
+  (match (session.socket, session.tcp) with
+   | None, None ->
+     Hopi_util.Pool.with_pool ~jobs:session.jobs (fun pool ->
+         let eval queries =
+           snd (eval_with (fun eng -> Hopi_serve.Batch.eval_batch_engine ~pool eng) queries)
+         in
+         run_repl session ~eval ~control)
+   | _ ->
+     let eval ~ctx = eval_with (Hopi_serve.Batch.eval_frame ~ctx) in
+     run_socket_server session ~eval ~control);
+  on_exit (Atomic.get served);
   (* final refresh so the metrics snapshot carries current gauges *)
   ignore (Hopi_obs.Reqtrace.refresh ());
   write_metrics session.metrics_path
@@ -940,7 +939,10 @@ let serve_cmd =
   let store = Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE") in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for query evaluation.")
+           ~doc:"Query workers.  The stdin loop evaluates each batch on a \
+                 pool of $(docv) domains; the socket front-end serves up to \
+                 $(docv) frames at once, each whole on one worker (one \
+                 thread plus $(docv)-1 domains).")
   in
   let cache_mb =
     Arg.(value & opt int 64 & info [ "cache-mb" ] ~docv:"MB"

@@ -1,19 +1,21 @@
-(* A monotonically increasing counter.  [incr]/[add] compile to a single
-   [Atomic.fetch_and_add] on an immediate int: lock-free, allocation-free,
-   and safe to call concurrently from any domain (the multi-domain
-   partition-cover workers in [Hopi_core.Build] record through these). *)
+(* A monotonically increasing counter.  [incr]/[add] bump the calling
+   domain's own cell ([Cells]): no atomic, no allocation, safe from any
+   domain (the multi-domain partition-cover workers in [Hopi_core.Build]
+   and the socket server's frame workers record through these).  [get]
+   sums the cells over every domain, and is exact once writers are
+   quiet. *)
 
-type t = { name : string; help : string; value : int Atomic.t }
+type t = { name : string; help : string; slot : int }
 
-let make ~name ~help = { name; help; value = Atomic.make 0 }
+let make ~name ~help = { name; help; slot = Cells.alloc ~sum:1 ~max:0 }
 
-let incr t = ignore (Atomic.fetch_and_add t.value 1)
+let incr t = Cells.add t.slot 1
 
-let add t n = ignore (Atomic.fetch_and_add t.value n)
+let add t n = Cells.add t.slot n
 
-let get t = Atomic.get t.value
+let get t = Cells.read t.slot
 
-let reset t = Atomic.set t.value 0
+let reset t = Cells.reset t.slot 1
 
 let name t = t.name
 

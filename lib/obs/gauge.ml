@@ -1,6 +1,7 @@
 (* A gauge: an instantaneous integer level that can move in both
-   directions (resident pages, live partitions, queue depth).  Same
-   lock-free, allocation-free recording discipline as [Counter]. *)
+   directions (resident pages, live partitions, queue depth).  A level
+   is set, not summed, so it stays one shared atomic rather than
+   [Counter]'s domain-local cells: lock-free and allocation-free. *)
 
 type t = { name : string; help : string; value : int Atomic.t }
 

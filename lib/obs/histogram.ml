@@ -5,30 +5,25 @@
    where [upper_bound i = 2^i]; bucket 0 holds everything <= 1 (including
    clamped non-positive samples) and the last bucket is unbounded.  The
    bucket count is fixed at creation so [observe] is an index computation
-   (branchless bit probing, no loop-carried refs) plus three
-   [Atomic.fetch_and_add]s and a CAS loop for the exact maximum — no
-   allocation on the hot path, safe from any domain. *)
+   (branchless bit probing, no loop-carried refs) plus four plain updates
+   of the calling domain's own cells ([Cells]: the buckets, the sum, the
+   count and a per-domain maximum) — no atomic, no allocation, safe from
+   any domain.  Readings sum the cells over every domain ([max_value]
+   takes their maximum) and are exact once writers are quiet. *)
 
 let n_buckets = 63
 
-type t = {
-  name : string;
-  help : string;
-  buckets : int Atomic.t array; (* length [n_buckets] *)
-  sum : int Atomic.t;
-  count : int Atomic.t;
-  maximum : int Atomic.t;
-}
+(* cell layout from [first]: the buckets, then the sum, the count and the
+   maximum *)
+let sum_slot = n_buckets
 
-let make ~name ~help =
-  {
-    name;
-    help;
-    buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
-    sum = Atomic.make 0;
-    count = Atomic.make 0;
-    maximum = Atomic.make 0;
-  }
+let count_slot = n_buckets + 1
+
+let max_slot = n_buckets + 2
+
+type t = { name : string; help : string; first : int }
+
+let make ~name ~help = { name; help; first = Cells.alloc ~sum:(n_buckets + 2) ~max:1 }
 
 (* Inclusive upper bound of bucket [i]; the last bucket absorbs the rest. *)
 let upper_bound i = if i >= n_buckets - 1 then max_int else 1 lsl i
@@ -53,37 +48,32 @@ let bucket_of_value v =
     if i > n_buckets - 1 then n_buckets - 1 else i
   end
 
-let rec update_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then update_max a v
-
 let observe t v =
   let v = if v < 0 then 0 else v in
-  ignore (Atomic.fetch_and_add t.buckets.(bucket_of_value v) 1);
-  ignore (Atomic.fetch_and_add t.sum v);
-  ignore (Atomic.fetch_and_add t.count 1);
-  update_max t.maximum v
+  let first = t.first in
+  let a = Cells.local (first + max_slot) in
+  let b = first + bucket_of_value v in
+  Array.unsafe_set a b (Array.unsafe_get a b + 1);
+  Array.unsafe_set a (first + sum_slot) (Array.unsafe_get a (first + sum_slot) + v);
+  Array.unsafe_set a (first + count_slot) (Array.unsafe_get a (first + count_slot) + 1);
+  if v > Array.unsafe_get a (first + max_slot) then Array.unsafe_set a (first + max_slot) v
 
-let count t = Atomic.get t.count
+let count t = Cells.read (t.first + count_slot)
 
-let sum t = Atomic.get t.sum
+let sum t = Cells.read (t.first + sum_slot)
 
-let max_value t = Atomic.get t.maximum
+let max_value t = Cells.read (t.first + max_slot)
 
-let bucket_counts t = Array.map Atomic.get t.buckets
+let bucket_counts t = Cells.read_range t.first n_buckets
 
-let reset t =
-  Array.iter (fun a -> Atomic.set a 0) t.buckets;
-  Atomic.set t.sum 0;
-  Atomic.set t.count 0;
-  Atomic.set t.maximum 0
+let reset t = Cells.reset t.first (max_slot + 1)
 
 let name t = t.name
 
 let help t = t.help
 
-(* Approximate distribution digest from the buckets (counts are read
-   non-atomically with respect to each other, which is fine for reporting).
+(* Approximate distribution digest from the buckets (the readings are
+   not one atomic snapshot, which is fine for reporting).
    A percentile resolves to the upper bound of the bucket the rank falls
    into, except in the last populated bucket where the exact tracked
    maximum is tighter. *)

@@ -2,7 +2,7 @@
 
    Instrumented modules create their metrics once at module-initialisation
    time through the factory functions below; recording afterwards touches
-   only the metric's own atomics, never the registry.  Registration is the
+   only the metric's own cells or atomic, never the registry.  Registration is the
    cold path and takes a mutex so concurrent domains cannot race the table;
    re-registering a name returns the existing metric, so the factories are
    idempotent (module init order and repeated linking don't matter).
@@ -72,12 +72,10 @@ let metrics () =
          String.compare (name a) (name b))
 
 (* Zero every metric's value; registrations are kept.  The bench harness
-   calls this between experiments so each BENCH_*.json is a clean delta. *)
+   calls this between experiments so each BENCH_*.json is a clean delta.
+   Counters and histograms live in the domain-local cells, which are all
+   zeroed, in every domain; gauges are atomics of their own. *)
 let reset () =
   with_lock (fun () ->
-      Hashtbl.iter
-        (fun _ -> function
-          | Counter c -> Counter.reset c
-          | Gauge g -> Gauge.reset g
-          | Histogram h -> Histogram.reset h)
-        tbl)
+      Cells.reset_all ();
+      Hashtbl.iter (fun _ -> function Gauge g -> Gauge.reset g | Counter _ | Histogram _ -> ()) tbl)

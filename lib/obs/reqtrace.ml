@@ -4,30 +4,30 @@
    record of what serving it cost: latency, label-cache hits/misses,
    label sets probed, and pages read off the store.  Attribution works
    without any per-request plumbing through the storage stack: the
-   instrumented layers bump *domain-local* cells ([Local] below) next to
+   instrumented layers bump *domain-local* cells ([Local] below, four
+   slots of the same [Cells] store the counters record into) next to
    their process-wide counters, and because one query runs entirely on
-   one pool domain, the cell deltas between [start] and [finish] belong
-   to exactly that request.
+   one domain, the cell deltas between [start] and [finish] belong to
+   exactly that request.
 
    [finish] feeds three consumers:
    - per-query-kind latency histograms
      [hopi_serve_query_kind_<kind>_duration_ns] (the per-kind breakdown
      the paper's evaluation tables need);
    - the [serve_query] {!Slo} (p50/p95/p99 gauges against configurable
-     targets) and [hopi_serve_reach_cut_total] (summed from the
-     domain-local cells), refreshed every [slo_update_every] requests;
+     targets), refreshed every [slo_update_every] requests of a domain;
    - a bounded ring of slow-query samples ([slowlog]) for any request at
      or above the threshold, with an explain-style dump ([pp_slowlog]).
 
    The fast path (request below the threshold) is two clock reads, a
-   5-slot array snapshot and one histogram observe — no locks. *)
+   4-slot array snapshot and two histogram observes — no locks. *)
 
 module Timer = Hopi_util.Timer
 
 (* {1 Domain-local attribution cells} *)
 
 module Local = struct
-  let n_slots = 5
+  let n_slots = 4
 
   let pager_reads = 0
 
@@ -37,24 +37,9 @@ module Local = struct
 
   let labels_probed = 3
 
-  let reach_cuts = 4
+  let first = Cells.alloc ~sum:n_slots ~max:0
 
-  (* every domain's cells, so [total] can sum a slot at export time *)
-  let all : int array list Atomic.t = Atomic.make []
-
-  let rec register a =
-    let l = Atomic.get all in
-    if not (Atomic.compare_and_set all l (a :: l)) then register a
-
-  let key : int array Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        let a = Array.make n_slots 0 in
-        register a;
-        a)
-
-  let bump slot =
-    let a = Domain.DLS.get key in
-    a.(slot) <- a.(slot) + 1
+  let bump slot = Cells.add (first + slot) 1
 
   (* called by [Hopi_storage.Pager] on every page read off the backing store *)
   let note_pager_read () = bump pager_reads
@@ -67,15 +52,8 @@ module Local = struct
   (* called by [Hopi_serve.Snapshot] per label-set fetch *)
   let note_label_probe () = bump labels_probed
 
-  (* called by [Hopi_storage.Cover_store] per reach/dist answered by the
-     reachability interval, before any label fetch *)
-  let note_reach_cut () = bump reach_cuts
-
-  let snapshot () = Array.copy (Domain.DLS.get key)
-
-  (* a slot summed over every domain that ever used the cells (a racy
-     read of other domains' ints: exact once they are quiet) *)
-  let total slot = List.fold_left (fun acc a -> acc + a.(slot)) 0 (Atomic.get all)
+  (* the calling domain's cells, slot [i] at index [i] *)
+  let snapshot () = Array.sub (Cells.local (first + n_slots - 1)) first n_slots
 end
 
 (* {1 Request records} *)
@@ -95,8 +73,6 @@ type sample = {
 }
 
 type token = { t0 : Timer.t; base : int array }
-
-let next_id = Atomic.make 0
 
 let start () = { t0 = Timer.start (); base = Local.snapshot () }
 
@@ -129,29 +105,31 @@ let overall_hist =
 
 let slo = Slo.create ~name:"serve_query" ~hist:overall_hist
 
-(* {1 Counters kept in the domain-local cells}
+let refresh () = Slo.update slo
 
-   [hopi_serve_reach_cut_total] counts reach/dist queries the stored
-   reachability interval answered; the query path bumps only its own
-   domain's cell, and [refresh] folds the cells into the counter. *)
-
-let m_reach_cut =
-  Registry.counter "hopi_serve_reach_cut_total"
-    ~help:"reach/dist queries answered by the reachability interval, before any label fetch"
-
-let cut_mu = Mutex.create ()
-
-let cut_seen = ref 0 (* the cells' sum at the last refresh *)
-
-let refresh () =
-  Mutex.protect cut_mu (fun () ->
-      let total = Local.total Local.reach_cuts in
-      Counter.add m_reach_cut (total - !cut_seen);
-      cut_seen := total);
-  Slo.update slo
-
-(* refresh cadence for the SLO gauges (must be a power of two) *)
+(* refresh cadence for the SLO gauges, in requests per domain *)
 let slo_update_every = 256
+
+(* Request ids are handed to each domain in blocks of [slo_update_every]:
+   one shared [fetch_and_add] per block instead of one per request.  Ids
+   stay unique and rise within a domain; taking a block refreshes the
+   SLO gauges. *)
+type ids = { mutable next : int; mutable limit : int }
+
+let blocks = Atomic.make 0
+
+let ids_key = Domain.DLS.new_key (fun () -> { next = 0; limit = 0 })
+
+let next_id () =
+  let r = Domain.DLS.get ids_key in
+  if r.next = r.limit then begin
+    let b = Atomic.fetch_and_add blocks slo_update_every in
+    r.next <- b;
+    r.limit <- b + slo_update_every;
+    ignore (refresh ())
+  end;
+  r.next <- r.next + 1;
+  r.next
 
 (* {1 Slow-query log} *)
 
@@ -225,12 +203,11 @@ let reset_slowlog () =
    default to 0 for locally evaluated queries. *)
 let finish ?(conn = 0) ?(queue_wait_ns = 0) tok ~kind ~query ~answer =
   let latency_ns = Int64.to_int (Timer.elapsed_ns tok.t0) in
-  let id = 1 + Atomic.fetch_and_add next_id 1 in
+  let id = next_id () in
   Histogram.observe (kind_histogram kind) latency_ns;
   Histogram.observe overall_hist latency_ns;
-  if id land (slo_update_every - 1) = 0 then ignore (refresh ());
   if latency_ns >= Atomic.get slow_threshold_ns then begin
-    let cur = Domain.DLS.get Local.key in
+    let cur = Local.snapshot () in
     let delta slot = cur.(slot) - tok.base.(slot) in
     slowlog_push
       {

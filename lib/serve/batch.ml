@@ -1,6 +1,7 @@
-(* Query parsing and pool-parallel batch evaluation (contract in the
-   interface).  Answers are computed into their query's slot by
-   Pool.map_array, which is what makes batch output deterministic. *)
+(* Query parsing and batch evaluation, on a pool or sequentially
+   (contract in the interface).  Answers are computed into their query's
+   slot by Pool.map_array or Array.map, which is what makes batch output
+   deterministic. *)
 
 module Pool = Hopi_util.Pool
 module Timer = Hopi_util.Timer
@@ -149,22 +150,28 @@ let eval_engine ?ctx eng q =
 
 let eval ?path_eval snap q = eval_engine (engine_of_snapshot ?path_eval snap) q
 
-let eval_batch_engine ?ctx ~pool eng queries =
+(* Count and time one batch evaluated by [run]. *)
+let timed_batch run queries =
   Counter.incr m_batches;
   let n = Array.length queries in
   if n = 0 then [||]
   else begin
-    (* big batches of tiny queries: hand out contiguous chunks so the
-       atomic cursor is not the bottleneck *)
-    let chunk = max 1 (n / (Pool.jobs pool * 8)) in
     let t0 = Timer.start () in
-    let answers = Pool.map_array pool ~chunk (eval_engine ?ctx eng) queries in
+    let answers = run queries in
     let elapsed = Int64.to_int (Timer.elapsed_ns t0) in
     Histogram.observe h_batch_ns elapsed;
     Gauge.set g_throughput
       (int_of_float (float_of_int n *. 1e9 /. float_of_int (max 1 elapsed)));
     answers
   end
+
+let eval_batch_engine ?ctx ~pool eng queries =
+  (* big batches of tiny queries: hand out contiguous chunks so the
+     atomic cursor is not the bottleneck *)
+  let chunk = max 1 (Array.length queries / (Pool.jobs pool * 8)) in
+  timed_batch (Pool.map_array pool ~chunk (eval_engine ?ctx eng)) queries
+
+let eval_frame ?ctx eng queries = timed_batch (Array.map (eval_engine ?ctx eng)) queries
 
 let eval_batch ?path_eval ~pool snap queries =
   eval_batch_engine ~pool (engine_of_snapshot ?path_eval snap) queries

@@ -94,3 +94,9 @@ val eval_batch_engine :
   ?ctx:ctx -> pool:Hopi_util.Pool.t -> engine -> query array -> answer array
 (** {!eval_batch} over an arbitrary {!engine}, tagging every sample with
     the request context. *)
+
+val eval_frame : ?ctx:ctx -> engine -> query array -> answer array
+(** {!eval_batch_engine} without a pool: the batch is evaluated in order
+    on the calling domain, with the same metrics.  The socket server
+    serves each frame this way on one of its workers (frames, not the
+    queries inside one, are its unit of parallelism). *)

@@ -3,12 +3,16 @@
    Invariants:
    - every admitted request is answered exactly once ('R' or 'E'), every
      rejected request answers 'B' — frames are never silently dropped;
-   - [handler.eval]/[handler.control] run under [eval_mu]: one pool
-     submission at a time process-wide;
+   - a connection is [scheduled] from the moment work is queued on it
+     until a worker finds its queue empty: it is then in [ready] or held
+     by exactly one worker, so its frames are answered in arrival order,
+     each by one worker, whole;
+   - [handler.eval] runs on any worker with no lock held;
+     [handler.control] runs under [ctl_mu];
    - a connection's fd is written only under its write mutex (the reader
-     thread writes rejections and protocol errors, the worker thread
-     writes answers) and closed exactly once, by the worker, after the
-     reader has pushed [Close] and the queue has drained. *)
+     thread writes rejections and protocol errors, a worker writes
+     answers) and closed exactly once, by the worker that takes its
+     [Close], which the reader pushes last. *)
 
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
@@ -55,13 +59,16 @@ type work =
 type conn = {
   conn_id : int;
   fd : Unix.file_descr;
-  queue : work Queue.t;
-  q_mu : Mutex.t;
-  q_cond : Condition.t;
+  queue : work Queue.t;  (* guarded by the server's [mu], like the next two *)
   mutable q_len : int;  (* queued requests, Close excluded *)
+  mutable scheduled : bool;  (* in [ready] or held by a worker *)
   w_mu : Mutex.t;
   mutable alive : bool;  (* cleared when a write fails: peer is gone *)
 }
+
+type worker =
+  | In_thread of Thread.t
+  | In_domain of unit Domain.t
 
 type t = {
   handler : handler;
@@ -69,10 +76,15 @@ type t = {
   queue_depth : int;
   max_frame_bytes : int;
   inflight : int Atomic.t;
-  eval_mu : Mutex.t;
+  mu : Mutex.t;  (* connection queues, [ready] and [draining] *)
+  ready : conn Queue.t;  (* scheduled connections no worker holds *)
+  ready_cond : Condition.t;
+  mutable draining : bool;  (* set by [stop]: workers exit once [ready] is empty *)
+  mutable workers : worker list;
+  ctl_mu : Mutex.t;
   mutable listeners : (Unix.file_descr * endpoint) list;
   mutable accept_threads : Thread.t list;
-  conns : (int, conn * Thread.t * Thread.t) Hashtbl.t;
+  conns : (int, conn * Thread.t) Hashtbl.t;  (* open connections and their readers *)
   conns_mu : Mutex.t;
   next_conn : int Atomic.t;
   stopping : bool Atomic.t;
@@ -82,27 +94,6 @@ type t = {
   served : int Atomic.t;
 }
 
-let create ?(max_inflight = 64) ?(queue_depth = 16) ?(max_frame_bytes = Frame.default_max_bytes)
-    handler =
-  {
-    handler;
-    max_inflight = max 1 max_inflight;
-    queue_depth = max 1 queue_depth;
-    max_frame_bytes;
-    inflight = Atomic.make 0;
-    eval_mu = Mutex.create ();
-    listeners = [];
-    accept_threads = [];
-    conns = Hashtbl.create 16;
-    conns_mu = Mutex.create ();
-    next_conn = Atomic.make 0;
-    stopping = Atomic.make false;
-    sd_mu = Mutex.create ();
-    sd_cond = Condition.create ();
-    sd_requested = false;
-    served = Atomic.make 0;
-  }
-
 (* {1 Per-connection writes} *)
 
 let send conn frame =
@@ -111,7 +102,7 @@ let send conn frame =
         try Frame.write conn.fd frame
         with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false)
 
-(* {1 Worker thread} *)
+(* {1 Workers} *)
 
 let split_lines payload =
   String.split_on_char '\n' payload
@@ -125,7 +116,7 @@ let answer_query t conn ~id ~payload ~queue_wait_ns =
     Array.of_list (List.filter_map (function Ok q -> Some q | Error _ -> None) slots)
   in
   let ctx = { Batch.conn = conn.conn_id; queue_wait_ns } in
-  match Mutex.protect t.eval_mu (fun () -> t.handler.eval ~ctx queries) with
+  match t.handler.eval ~ctx queries with
   | epoch, answers ->
     (* merge evaluated answers back into their input slots; parse
        failures answer in place, exactly like the stdin loop *)
@@ -146,53 +137,110 @@ let answer_query t conn ~id ~payload ~queue_wait_ns =
   | exception e -> Frame.error ~id ("evaluation failed: " ^ Printexc.to_string e)
 
 let answer_control t ~id ~payload =
-  match Mutex.protect t.eval_mu (fun () -> t.handler.control payload) with
+  match Mutex.protect t.ctl_mu (fun () -> t.handler.control payload) with
   | Ok body -> Frame.response ~id ~epoch:0 [ body ]
   | Error e -> Frame.error ~id e
   | exception e -> Frame.error ~id (Printexc.to_string e)
 
-let worker t conn () =
-  let rec loop () =
-    let w =
-      Mutex.protect conn.q_mu (fun () ->
-          while Queue.is_empty conn.queue do
-            Condition.wait conn.q_cond conn.q_mu
-          done;
-          let w = Queue.pop conn.queue in
-          (match w with Close -> () | Req _ -> conn.q_len <- conn.q_len - 1);
-          w)
-    in
-    match w with
-    | Close -> ()
-    | Req { id; payload; control; t_enq } ->
-      let queue_wait_ns = Int64.to_int (Timer.elapsed_ns t_enq) in
-      Histogram.observe h_queue_wait queue_wait_ns;
-      let reply =
-        try
-          if control then answer_control t ~id ~payload
-          else answer_query t conn ~id ~payload ~queue_wait_ns
-        with e -> Frame.error ~id ("internal error: " ^ Printexc.to_string e)
-      in
-      (* release the slot before the reply goes out: a client that reads
-         its answer and sends again at once must find room *)
-      Atomic.incr t.served;
-      Atomic.decr t.inflight;
-      Gauge.set g_inflight (Atomic.get t.inflight);
-      send conn reply;
-      loop ()
+let serve t conn ~id ~payload ~control ~t_enq =
+  let queue_wait_ns = Int64.to_int (Timer.elapsed_ns t_enq) in
+  Histogram.observe h_queue_wait queue_wait_ns;
+  let reply =
+    try
+      if control then answer_control t ~id ~payload
+      else answer_query t conn ~id ~payload ~queue_wait_ns
+    with e -> Frame.error ~id ("internal error: " ^ Printexc.to_string e)
   in
-  loop ();
+  (* release the slot before the reply goes out: a client that reads
+     its answer and sends again at once must find room *)
+  Atomic.incr t.served;
+  Atomic.decr t.inflight;
+  Gauge.set g_inflight (Atomic.get t.inflight);
+  send conn reply
+
+let close_conn t conn =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.conns conn.conn_id);
-  Gauge.set g_open (Mutex.protect t.conns_mu (fun () -> Hashtbl.length t.conns))
+  Gauge.set g_open
+    (Mutex.protect t.conns_mu (fun () ->
+         Hashtbl.remove t.conns conn.conn_id;
+         Hashtbl.length t.conns))
+
+(* Hand back the connection just served ([prev]: still scheduled, to the
+   tail of [ready] if more of its work is queued), then take the head of
+   [ready] and its oldest work item.  [None] once [stop] drained. *)
+let take t prev =
+  Mutex.protect t.mu (fun () ->
+      (match prev with
+      | Some c -> if Queue.is_empty c.queue then c.scheduled <- false else Queue.push c t.ready
+      | None -> ());
+      while Queue.is_empty t.ready && not t.draining do
+        Condition.wait t.ready_cond t.mu
+      done;
+      match Queue.take_opt t.ready with
+      | None -> None
+      | Some conn ->
+        let w = Queue.pop conn.queue in
+        (match w with Close -> () | Req _ -> conn.q_len <- conn.q_len - 1);
+        Some (conn, w))
+
+(* The reply goes out before the connection is handed back, so a
+   connection's replies leave in the order its frames arrived. *)
+let rec work t prev =
+  match take t prev with
+  | None -> ()
+  | Some (conn, Close) ->
+    (* [Close] is the last item the reader pushes: the connection is
+       never scheduled again *)
+    close_conn t conn;
+    work t None
+  | Some (conn, Req { id; payload; control; t_enq }) ->
+    serve t conn ~id ~payload ~control ~t_enq;
+    work t (Some conn)
+
+let create ?(workers = 1) ?(max_inflight = 64) ?(queue_depth = 16)
+    ?(max_frame_bytes = Frame.default_max_bytes) handler =
+  let t =
+    {
+      handler;
+      max_inflight = max 1 max_inflight;
+      queue_depth = max 1 queue_depth;
+      max_frame_bytes;
+      inflight = Atomic.make 0;
+      mu = Mutex.create ();
+      ready = Queue.create ();
+      ready_cond = Condition.create ();
+      draining = false;
+      workers = [];
+      ctl_mu = Mutex.create ();
+      listeners = [];
+      accept_threads = [];
+      conns = Hashtbl.create 16;
+      conns_mu = Mutex.create ();
+      next_conn = Atomic.make 0;
+      stopping = Atomic.make false;
+      sd_mu = Mutex.create ();
+      sd_cond = Condition.create ();
+      sd_requested = false;
+      served = Atomic.make 0;
+    }
+  in
+  t.workers <-
+    In_thread (Thread.create (work t) None)
+    :: List.init (max 1 workers - 1) (fun _ -> In_domain (Domain.spawn (fun () -> work t None)));
+  t
 
 (* {1 Reader thread} *)
 
-let enqueue conn w =
-  Mutex.protect conn.q_mu (fun () ->
+(* Queue [w] on [conn], scheduling the connection unless it already is. *)
+let enqueue t conn w =
+  Mutex.protect t.mu (fun () ->
       Queue.push w conn.queue;
       (match w with Close -> () | Req _ -> conn.q_len <- conn.q_len + 1);
-      Condition.signal conn.q_cond)
+      if not conn.scheduled then begin
+        conn.scheduled <- true;
+        Queue.push conn t.ready;
+        Condition.signal t.ready_cond
+      end)
 
 let reader t conn () =
   let reject id reason =
@@ -206,14 +254,14 @@ let reader t conn () =
       Atomic.decr t.inflight;
       reject id (Printf.sprintf "server at max-inflight (%d)" t.max_inflight)
     end
-    else if Mutex.protect conn.q_mu (fun () -> conn.q_len) >= t.queue_depth then begin
+    else if Mutex.protect t.mu (fun () -> conn.q_len) >= t.queue_depth then begin
       Atomic.decr t.inflight;
       reject id (Printf.sprintf "connection queue full (%d)" t.queue_depth)
     end
     else begin
       Counter.incr m_requests;
       Gauge.set g_inflight (Atomic.get t.inflight);
-      enqueue conn (Req { id; payload; control; t_enq = Timer.start () })
+      enqueue t conn (Req { id; payload; control; t_enq = Timer.start () })
     end
   in
   let rec loop () =
@@ -244,7 +292,7 @@ let reader t conn () =
       loop ()
   in
   loop ();
-  enqueue conn Close
+  enqueue t conn Close
 
 (* {1 Accepting} *)
 
@@ -254,9 +302,8 @@ let spawn_conn t cfd =
       conn_id = 1 + Atomic.fetch_and_add t.next_conn 1;
       fd = cfd;
       queue = Queue.create ();
-      q_mu = Mutex.create ();
-      q_cond = Condition.create ();
       q_len = 0;
+      scheduled = false;
       w_mu = Mutex.create ();
       alive = true;
     }
@@ -267,9 +314,8 @@ let spawn_conn t cfd =
         (try Unix.close cfd with Unix.Unix_error _ -> ())
       end
       else begin
-        let wt = Thread.create (worker t conn) () in
         let rt = Thread.create (reader t conn) () in
-        Hashtbl.replace t.conns conn.conn_id (conn, rt, wt);
+        Hashtbl.replace t.conns conn.conn_id (conn, rt);
         Gauge.set g_open (Hashtbl.length t.conns)
       end)
 
@@ -343,18 +389,19 @@ let stop t =
   List.iter
     (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
     t.listeners;
-  (* wake every reader: reads return 0, readers push Close, workers drain
-     their queues (still answering what was admitted) and exit *)
+  (* wake every reader: reads return 0 and readers push Close behind
+     what they admitted; then let the workers drain [ready] and exit *)
   let live = Mutex.protect t.conns_mu (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []) in
   List.iter
-    (fun (conn, _, _) ->
+    (fun (conn, _) ->
       try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     live;
-  List.iter
-    (fun (_, rt, wt) ->
-      Thread.join rt;
-      Thread.join wt)
-    live;
+  List.iter (fun (_, rt) -> Thread.join rt) live;
+  Mutex.protect t.mu (fun () ->
+      t.draining <- true;
+      Condition.broadcast t.ready_cond);
+  List.iter (function In_thread th -> Thread.join th | In_domain d -> Domain.join d) t.workers;
+  t.workers <- [];
   List.iter
     (fun (_, ep) -> match ep with
       | Unix_socket path -> (try Sys.remove path with Sys_error _ -> ())

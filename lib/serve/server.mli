@@ -2,14 +2,19 @@
     Unix-domain and TCP listeners, with bounded per-connection queues and
     admission control.
 
-    Threading model: one accept thread per listener; per connection, a
-    {e reader} thread (decode, admission check, enqueue) and a {e worker}
-    thread (dequeue, evaluate, reply).  Threads — not domains — because
-    connection I/O is blocking; evaluation itself happens inside the
-    [eval] callback, which typically fans a batch out on the domain pool.
-    All [eval] calls are serialised on an internal mutex, upholding the
-    one-submission-at-a-time discipline of {!Hopi_util.Pool} no matter
-    how many connections are live.
+    Threading model: one accept thread per listener, and per connection
+    a {e reader} thread (decode, admission check, enqueue) — threads,
+    because connection I/O is blocking.  Frames are served by a fixed
+    set of [workers]: one systhread in the domain that called {!create}
+    plus [workers - 1] domains, sharing one ready queue of connections.
+    A connection is held by at most one worker at a time, and a worker
+    serves one of its frames whole (parse, [eval], reply) before handing
+    the connection back to the tail of the queue, so each connection's
+    frames — queries and control commands alike — are answered in the
+    order they arrived, while frames from different connections run in
+    parallel.  A frame is the unit of parallelism: [eval] is expected to
+    evaluate its batch sequentially (e.g. with {!Batch.eval_engine}) on
+    the worker that called it, not to fan it out.
 
     Admission control: a request frame is rejected with a ['B'] (busy)
     frame — never silently dropped — when its connection already has
@@ -35,26 +40,35 @@ type endpoint =
 type handler = {
   eval : ctx:Batch.ctx -> Batch.query array -> int * Batch.answer array;
       (** Evaluate one request batch; returns the serving snapshot's
-          epoch and the answers in input order.  Called with the server's
-          eval mutex held (safe to submit to a shared {!Hopi_util.Pool});
-          an exception answers the whole request with an ['E'] frame. *)
+          epoch and the answers in input order.  May run concurrently on
+          several workers (for frames of different connections), with no
+          server lock held, so it must be safe from any domain and must
+          not submit to a shared {!Hopi_util.Pool}; an exception answers
+          the whole request with an ['E'] frame. *)
   control : string -> (string, string) result;
       (** Serve one control command; [Ok] text answers as ['R'] (epoch
-          0), [Error] as ['E'].  Also serialised under the eval mutex. *)
+          0), [Error] as ['E'].  Control commands are serialised among
+          themselves on a control mutex, but run concurrently with other
+          connections' [eval]s. *)
 }
 
 type t
 
 val create :
+  ?workers:int ->
   ?max_inflight:int ->
   ?queue_depth:int ->
   ?max_frame_bytes:int ->
   handler ->
   t
-(** [max_inflight] (default 64) caps admitted-but-unanswered requests
+(** Start the serving workers.  [workers] (default 1, clamped to [>= 1])
+    is the number of frames served at once: one systhread plus
+    [workers - 1] domains, so [workers = 1] spawns no domain.
+    [max_inflight] (default 64) caps admitted-but-unanswered requests
     across all connections; [queue_depth] (default 16) caps one
     connection's wait queue; [max_frame_bytes] (default
-    {!Frame.default_max_bytes}) bounds a single frame. *)
+    {!Frame.default_max_bytes}) bounds a single frame.  Call {!stop} to
+    join the workers. *)
 
 val add_listener : t -> endpoint -> Unix.sockaddr
 (** Bind, listen, and start accepting.  Returns the bound address — for
@@ -69,8 +83,9 @@ val wait : t -> unit
 (** Block until {!request_shutdown}. *)
 
 val stop : t -> unit
-(** Close listeners, shut down every connection, join all threads.
-    In-queue requests admitted before [stop] are still answered. *)
+(** Close listeners, shut down every connection, join every reader and
+    worker.  In-queue requests admitted before [stop] are still
+    answered. *)
 
 val connections_seen : t -> int
 

@@ -295,14 +295,17 @@ type source = { store : t; mem : int -> bool; fetch : dir -> int -> Codec.t }
 
 let source t = { store = t; mem = mem_node t; fetch = fetch t }
 
+let m_reach_cut =
+  Hopi_obs.Registry.counter "hopi_serve_reach_cut_total"
+    ~help:"reach/dist queries answered by the reachability interval, before any label fetch"
+
 (* Does the interval rule out that [u] reaches [v]?  Two directory
-   lookups in memory; a "yes" is counted in the calling domain's request
-   trace. *)
+   lookups in memory; a "yes" is counted. *)
 let cut t u v =
   let rows = t.rows in
   Row_table.rejects rows (Row_table.slot rows u) (Row_table.slot rows v)
   && begin
-    Hopi_obs.Reqtrace.Local.note_reach_cut ();
+    Hopi_obs.Counter.incr m_reach_cut;
     true
   end
 

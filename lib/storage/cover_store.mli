@@ -136,7 +136,7 @@ val reach : source -> int -> int -> bool
     [false] when either node is unknown.  A pair the store's reachability
     interval rejects is answered [false] right after the membership
     test, with no [fetch] (and counted in
-    [Hopi_obs.Reqtrace.Local.reach_cuts]). *)
+    [hopi_serve_reach_cut_total]). *)
 
 val dist : source -> int -> int -> int option
 (** [min (dout(u,w) + din(w,v))] over the common centers, [Some 0] for

@@ -361,6 +361,87 @@ let test_multi_domain () =
     (Array.fold_left ( + ) 0 (Histogram.bucket_counts h));
   Alcotest.(check int) "max tracked" 1023 (Histogram.max_value h)
 
+(* Counters and histograms record into domain-local cells: totals,
+   sums and the maximum read back exactly once the writers have joined. *)
+let test_cells_exact_after_join () =
+  let c = Registry.counter "test_obs_cells_total" ~help:"cells" in
+  let h = Registry.histogram "test_obs_cells_hist" ~help:"cells" in
+  Counter.reset c;
+  Histogram.reset h;
+  let per_domain = 20_000 in
+  let work k () =
+    for i = 1 to per_domain do
+      Counter.add c 3;
+      Histogram.observe h ((k * 1000) + (i land 511))
+    done
+  in
+  List.iter Domain.join (List.init 3 (fun k -> Domain.spawn (work (k + 1))));
+  work 0 ();
+  let n = 4 * per_domain in
+  Alcotest.(check int) "counter" (3 * n) (Counter.get c);
+  Alcotest.(check int) "count" n (Histogram.count h);
+  let per_k k = per_domain * k * 1000 in
+  let low = (per_domain / 512) * (511 * 512 / 2) + (per_domain mod 512 * (per_domain mod 512 + 1) / 2) in
+  Alcotest.(check int) "sum" (4 * low + per_k 1 + per_k 2 + per_k 3) (Histogram.sum h);
+  Alcotest.(check int) "max over domains" (3000 + 511) (Histogram.max_value h);
+  Alcotest.(check int) "buckets" n (Array.fold_left ( + ) 0 (Histogram.bucket_counts h))
+
+(* Domains spawned one after another hand their cells on: totals stay
+   exact and the cell arrays are reused, not one per domain. *)
+let test_cells_sequential_domains () =
+  let c = Registry.counter "test_obs_cells_seq_total" ~help:"cells" in
+  let h = Registry.histogram "test_obs_cells_seq_hist" ~help:"cells" in
+  Counter.reset c;
+  Histogram.reset h;
+  let arrays = Hopi_obs.Cells.arrays () in
+  for k = 1 to 64 do
+    Domain.join
+      (Domain.spawn (fun () ->
+           Counter.incr c;
+           Histogram.observe h k))
+  done;
+  Alcotest.(check int) "counter" 64 (Counter.get c);
+  Alcotest.(check int) "count" 64 (Histogram.count h);
+  Alcotest.(check int) "sum" (64 * 65 / 2) (Histogram.sum h);
+  Alcotest.(check int) "max" 64 (Histogram.max_value h);
+  Alcotest.(check bool) "at most one new cell array" true
+    (Hopi_obs.Cells.arrays () <= arrays + 1)
+
+let test_registry_reset_zeroes_cells () =
+  let c = Registry.counter "test_obs_cells_reset_total" ~help:"cells" in
+  let h = Registry.histogram "test_obs_cells_reset_hist" ~help:"cells" in
+  let g = Registry.gauge "test_obs_cells_reset_gauge" ~help:"cells" in
+  let record () =
+    Counter.add c 5;
+    Histogram.observe h 100;
+    Gauge.set g 7
+  in
+  (* cells on a running domain, an exited one and this one *)
+  let go = Atomic.make false and recorded = Atomic.make false in
+  let live =
+    Domain.spawn (fun () ->
+        record ();
+        Atomic.set recorded true;
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done)
+  in
+  Domain.join (Domain.spawn record);
+  record ();
+  while not (Atomic.get recorded) do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check int) "recorded" 15 (Counter.get c);
+  Registry.reset ();
+  Alcotest.(check int) "counter zeroed" 0 (Counter.get c);
+  Alcotest.(check int) "count zeroed" 0 (Histogram.count h);
+  Alcotest.(check int) "sum zeroed" 0 (Histogram.sum h);
+  Alcotest.(check int) "max zeroed" 0 (Histogram.max_value h);
+  Alcotest.(check int) "gauge zeroed" 0 (Gauge.get g);
+  Atomic.set go true;
+  Domain.join live;
+  Alcotest.(check int) "still zero after the domain exits" 0 (Counter.get c)
+
 (* Same shape for the timing aggregators fed by pool workers: a plain
    [float ref] would lose updates under this load, Timer.Acc and
    Stats.Recorder must not. *)
@@ -552,22 +633,20 @@ let test_reqtrace_ring () =
   Alcotest.(check int) "fast queries skip the ring" 0
     (List.length (Reqtrace.slowlog ()))
 
-(* cuts noted in domain-local cells, on this domain and on another,
-   reach the exported counter at the next refresh, each once *)
+(* hopi_serve_reach_cut_total is a plain counter: cuts bumped on this
+   domain and on another read back exactly once the other has joined,
+   with no refresh in between, and a refresh adds nothing *)
 let test_reqtrace_reach_cut_counter () =
   let c = Registry.counter "hopi_serve_reach_cut_total" in
-  ignore (Reqtrace.refresh ());
   let before = Counter.get c in
-  Reqtrace.Local.note_reach_cut ();
+  Counter.incr c;
   Domain.join
     (Domain.spawn (fun () ->
-         Reqtrace.Local.note_reach_cut ();
-         Reqtrace.Local.note_reach_cut ()));
-  Alcotest.(check int) "nothing exported before a refresh" before (Counter.get c);
+         Counter.incr c;
+         Counter.incr c));
+  Alcotest.(check int) "every domain's cuts counted" (before + 3) (Counter.get c);
   ignore (Reqtrace.refresh ());
-  Alcotest.(check int) "every domain's cuts exported" (before + 3) (Counter.get c);
-  ignore (Reqtrace.refresh ());
-  Alcotest.(check int) "a second refresh adds nothing" (before + 3) (Counter.get c)
+  Alcotest.(check int) "a refresh adds nothing" (before + 3) (Counter.get c)
 
 let test_slo () =
   let hist = Registry.histogram "test_obs_slo_hist" ~help:"test" in
@@ -730,6 +809,12 @@ let suite =
         Alcotest.test_case "json export" `Quick test_json_export;
         Alcotest.test_case "prometheus export" `Quick test_prometheus_export;
         Alcotest.test_case "multi-domain stress" `Quick test_multi_domain;
+        Alcotest.test_case "cells exact after concurrent domains join" `Quick
+          test_cells_exact_after_join;
+        Alcotest.test_case "cells: 64 sequential domains, bounded arrays" `Quick
+          test_cells_sequential_domains;
+        Alcotest.test_case "Registry.reset zeroes every cell" `Quick
+          test_registry_reset_zeroes_cells;
         Alcotest.test_case "multi-domain timing aggregators" `Quick
           test_multi_domain_timing;
         Alcotest.test_case "add_float non-finite guard" `Quick

@@ -1,6 +1,6 @@
 (* Socket front-end tests: Hopi_serve.{Repl,Frame,Server,Client}.
 
-   Four layers:
+   Five layers:
 
    - Repl unit tests (the stdin/stdout loop extracted from the CLI): EOF
      and [quit] drain pending queries and end cleanly, a dead writer is a
@@ -14,9 +14,12 @@
      and mid-frame disconnects never crash the server or poison other
      connections — a valid request on a fresh connection always still
      answers;
-   - the concurrent soak: client domains hammer the socket while live
-     churn flips generations underneath; every answer must match the
-     oracle matrix of the generation (epoch) that served it.
+   - frame workers: frames of different connections run in parallel,
+     one connection's frames and control ops keep their order under
+     another's flood, [stop] drains, and counts stay exact;
+   - the concurrent soak: client domains hammer a two-worker server
+     while live churn flips generations underneath; every answer must
+     match the oracle matrix of the generation (epoch) that served it.
 
    HOPI_SOAK_ITERS (flips, default 8) and HOPI_SOAK_CLIENTS (client
    domains, default 3) scale the soak; CI runs it larger. *)
@@ -33,7 +36,6 @@ module Collection = Hopi_collection.Collection
 module Dblp = Hopi_workload.Dblp_gen
 module Splitmix = Hopi_util.Splitmix
 module Ihs = Hopi_util.Int_hashset
-module Pool = Hopi_util.Pool
 module Rt = Hopi_obs.Reqtrace
 module Hopi = Hopi_core.Hopi
 module Gen = QCheck2.Gen
@@ -192,10 +194,10 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
-let with_server ?max_inflight ?queue_depth ?max_frame_bytes handler f =
+let with_server ?workers ?max_inflight ?queue_depth ?max_frame_bytes handler f =
   with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "s.sock" in
-  let srv = Server.create ?max_inflight ?queue_depth ?max_frame_bytes handler in
+  let srv = Server.create ?workers ?max_inflight ?queue_depth ?max_frame_bytes handler in
   ignore (Server.add_listener srv (Server.Unix_socket path) : Unix.sockaddr);
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f path srv)
 
@@ -380,6 +382,171 @@ let test_server_ctx_reaches_reqtrace () =
   checkb "sample carries the connection id" true
     (List.exists (fun s -> s.Rt.conn > 0 && s.Rt.queue_wait_ns >= 0) samples)
 
+(* {1 Frame workers}
+
+   Frames are served whole by [workers] workers sharing one ready queue;
+   frames of one connection stay in order. *)
+
+(* Poll [pred] until it holds or [timeout] seconds pass; its last value. *)
+let wait_for ?(timeout = 5.0) pred =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (pred ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  pred ()
+
+(* the reply frame to request [id], its rendered lines *)
+let read_lines_of cl ~id =
+  match Frame.read (Client.fd cl) with
+  | Some { Frame.kind = Response; id = got; payload } when got = id -> (
+    match Frame.response_payload payload with
+    | Ok (_, lines) -> lines
+    | Error e -> Alcotest.failf "reply %d: %s" id e)
+  | Some { Frame.id = got; payload; _ } ->
+    Alcotest.failf "wanted the reply to %d, got frame %d (%s)" id got payload
+  | None -> Alcotest.failf "connection closed before the reply to %d" id
+
+let test_server_frames_in_parallel () =
+  (* A's frame holds its worker until B's frame has started: with one
+     frame at a time (a global eval lock) it would time out and answer
+     false *)
+  let a_started = Atomic.make false and b_started = Atomic.make false in
+  let eval ~ctx:_ queries =
+    match queries with
+    | [| Batch.Reach (1, _) |] ->
+      Atomic.set a_started true;
+      (7, [| Batch.Bool (wait_for (fun () -> Atomic.get b_started)) |])
+    | _ ->
+      Atomic.set b_started true;
+      (7, Array.map (fun _ -> Batch.Bool true) queries)
+  in
+  with_server ~workers:2 { echo_handler with Server.eval } @@ fun path _srv ->
+  let a = Client.connect_unix path and b = Client.connect_unix path in
+  Fun.protect ~finally:(fun () -> Client.close a; Client.close b) @@ fun () ->
+  Client.send_raw a (Frame.request ~id:1 [ "reach 1 0" ]);
+  checkb "A's frame started" true (wait_for (fun () -> Atomic.get a_started));
+  let _, lines = expect_answers "B" (Client.request b [ "reach 2 0" ]) in
+  check Alcotest.(list string) "B served while A waits" [ "true" ] lines;
+  check Alcotest.(list string) "A saw B start" [ "true" ] (read_lines_of a ~id:1)
+
+let test_server_fifo_under_flood () =
+  (* one connection pipelines queries and control ops while another
+     floods: its replies come back in send order and its controls apply
+     in order *)
+  let applied = ref [] in
+  let eval ~ctx:_ queries =
+    ( 7,
+      Array.map (function Batch.Reach (u, _) -> Batch.Count u | _ -> Batch.Failed "?") queries )
+  in
+  let control cmd =
+    match String.split_on_char ' ' (String.trim cmd) with
+    | [ "set"; k ] ->
+      applied := int_of_string k :: !applied;
+      Ok ("set " ^ k)
+    | _ -> Error "unknown"
+  in
+  with_server ~workers:2 ~max_inflight:1024 ~queue_depth:512 { Server.eval; control }
+  @@ fun path _srv ->
+  let stop = Atomic.make false and flooded = Atomic.make 0 in
+  let flood =
+    Domain.spawn (fun () ->
+        let cl = Client.connect_unix path in
+        Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+        while not (Atomic.get stop) do
+          match Client.request cl [ "reach 9 0"; "reach 9 1" ] with
+          | Ok (Client.Answers (_, [ "9"; "9" ])) -> Atomic.incr flooded
+          | _ -> Atomic.set stop true
+        done)
+  in
+  let n = 300 in
+  let cl = Client.connect_unix path in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join flood;
+      Client.close cl)
+  @@ fun () ->
+  checkb "the flood runs" true (wait_for (fun () -> Atomic.get flooded > 0));
+  let is_control i = i mod 7 = 0 in
+  for i = 1 to n do
+    Client.send_raw cl
+      (if is_control i then Frame.control ~id:i (Printf.sprintf "set %d" i)
+       else Frame.request ~id:i [ Printf.sprintf "reach %d 0" i ])
+  done;
+  for i = 1 to n do
+    let want = if is_control i then Printf.sprintf "set %d" i else string_of_int i in
+    check Alcotest.(list string) (Printf.sprintf "reply %d" i) [ want ] (read_lines_of cl ~id:i)
+  done;
+  checkb "the flood kept being served" true (Atomic.get flooded > 1);
+  check Alcotest.(list int) "controls applied in send order"
+    (List.filter is_control (List.init n (fun i -> i + 1)))
+    (List.rev !applied)
+
+let test_server_stop_drains () =
+  (* frames still queued when [stop] begins are answered, and [stop]
+     returns only once no worker is left evaluating *)
+  let running = Atomic.make 0 in
+  let eval ~ctx:_ queries =
+    Atomic.incr running;
+    Unix.sleepf 0.01;
+    Atomic.decr running;
+    (7, Array.map (fun _ -> Batch.Bool true) queries)
+  in
+  let admitted = Hopi_obs.Registry.counter "hopi_server_requests_total" in
+  let k = 12 in
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "s.sock" in
+  let srv = Server.create ~workers:2 { echo_handler with Server.eval } in
+  ignore (Server.add_listener srv (Server.Unix_socket path) : Unix.sockaddr);
+  let clients = List.init 2 (fun _ -> Client.connect_unix path) in
+  Fun.protect ~finally:(fun () -> List.iter Client.close clients) @@ fun () ->
+  let before = Hopi_obs.Counter.get admitted in
+  List.iter
+    (fun cl ->
+      for i = 1 to k do
+        Client.send_raw cl (Frame.request ~id:i [ "reach 0 1" ])
+      done)
+    clients;
+  checkb "every frame admitted" true
+    (wait_for (fun () -> Hopi_obs.Counter.get admitted - before = 2 * k));
+  Server.stop srv;
+  checki "no evaluation outlives stop" 0 (Atomic.get running);
+  checki "every admitted frame served" (2 * k) (Server.requests_served srv);
+  List.iter
+    (fun cl ->
+      for i = 1 to k do
+        check Alcotest.(list string) "answered" [ "true" ] (read_lines_of cl ~id:i)
+      done)
+    clients
+
+let test_server_stats_exact () =
+  (* the serve loop's count: frames of two connections evaluate at once,
+     and [stats] afterwards reports exactly what they sent *)
+  let served = Atomic.make 0 in
+  let eval ~ctx:_ queries =
+    ignore (Atomic.fetch_and_add served (Array.length queries));
+    (7, Array.map (fun _ -> Batch.Bool true) queries)
+  in
+  let control = function
+    | "stats" -> Ok (Printf.sprintf "served %d" (Atomic.get served))
+    | _ -> Error "unknown"
+  in
+  with_server ~workers:2 { Server.eval; control } @@ fun path _srv ->
+  let k = 200 and per_frame = 5 in
+  let client () =
+    Domain.spawn (fun () ->
+        let cl = Client.connect_unix path in
+        Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+        for _ = 1 to k do
+          ignore (expect_answers "frame" (Client.request cl (List.init per_frame (fun _ -> "reach 0 1"))))
+        done)
+  in
+  List.iter Domain.join [ client (); client () ];
+  let cl = Client.connect_unix path in
+  Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+  check Alcotest.(list string) "exact sum" [ Printf.sprintf "served %d" (2 * k * per_frame) ]
+    (snd (expect_answers "stats" (Client.control cl "stats")))
+
 (* {1 Protocol fuzz}
 
    Random hostile byte streams.  The server may answer a typed error
@@ -507,15 +674,14 @@ let test_socket_soak () =
     Mutex.unlock err_mu
   in
   let epochs = Array.init soak_clients (fun _ -> Ihs.create ()) in
-  Pool.with_pool ~jobs:2 @@ fun pool ->
+  (* frames of different clients evaluate at once, on two workers *)
   let eval ~ctx queries =
     G.with_snapshot gen (fun snap ->
         ( Snapshot.epoch snap,
-          Batch.eval_batch_engine ~ctx ~pool (Batch.engine_of_snapshot snap)
-            queries ))
+          Batch.eval_frame ~ctx (Batch.engine_of_snapshot snap) queries ))
   in
   let handler = { Server.eval; control = (fun _ -> Error "no control") } in
-  with_server ~max_inflight:256 ~queue_depth:64 handler @@ fun path srv ->
+  with_server ~workers:2 ~max_inflight:256 ~queue_depth:64 handler @@ fun path srv ->
   let client k =
     Domain.spawn (fun () ->
         let rng = Splitmix.create (0x50AB0 lxor (k * 7919)) in
@@ -663,6 +829,14 @@ let suite =
           test_server_admission_busy;
         Alcotest.test_case "connection id and queue wait reach Reqtrace" `Quick
           test_server_ctx_reaches_reqtrace;
+        Alcotest.test_case "frames of two connections run in parallel" `Quick
+          test_server_frames_in_parallel;
+        Alcotest.test_case "pipelined frames and controls stay in order under a flood"
+          `Quick test_server_fifo_under_flood;
+        Alcotest.test_case "stop answers every admitted frame and joins the workers"
+          `Quick test_server_stop_drains;
+        Alcotest.test_case "stats is exact under concurrent clients" `Quick
+          test_server_stats_exact;
       ]
       @ qsuite [ prop_fuzz_never_poisons ] );
     ( "serve.socket-soak",

@@ -1029,9 +1029,7 @@ let prop_row_tables_match_cover =
 
 (* {1 The reachability interval} *)
 
-module Reqtrace = Hopi_obs.Reqtrace
-
-let cuts () = (Reqtrace.Local.snapshot ()).(Reqtrace.Local.reach_cuts)
+let cuts () = Hopi_obs.Counter.get (Hopi_obs.Registry.counter "hopi_serve_reach_cut_total")
 
 (* All-pairs reach/dist through a counting source over a store read
    through a 2-page pool, against BFS over the graph: random graphs with
