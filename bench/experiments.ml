@@ -58,11 +58,11 @@ let closure_experiment (s : scale) =
   (* actually materialise the closure in the storage engine *)
   let closure_pager = Pager.create ~pool_pages:512 Pager.Memory in
   let cstore =
-    Hopi_storage.Closure_store.of_closure closure_pager
+    Hopi_storage.Cover_store.of_closure closure_pager
       (Hopi_graph.Closure.compute (Collection.element_graph c))
   in
   note "materialised closure + backward index: %d integers on %d pages (paper: 1,379,969,480 integers)"
-    (Hopi_storage.Closure_store.stored_integers cstore)
+    (Hopi_storage.Cover_store.stored_integers cstore)
     (Pager.n_pages closure_pager);
   let flat, t_flat =
     Timer.time (fun () -> Build.build { Config.default with partitioner = Config.Whole } c)
@@ -509,8 +509,8 @@ let parallel_build (s : scale) =
     (Cover.size r1.Build.cover) f1;
   note "spill tier: %d runs, %.1f MiB through temp files" rs.Build.spilled_runs
     (float_of_int rs.Build.spilled_bytes /. 1048576.0);
-  (* store write: the cover through Btree.bulk_load (leaves left-to-right,
-     no per-key descent), as `hopi build --store` writes it *)
+  (* store write: the cover as one row per node and per center, each page
+     written once, as `hopi build --store` writes it *)
   let vfs = Hopi_storage.Vfs.memory () in
   let pager = Hopi_storage.Pager.create_vfs ~vfs "bench-store.db" in
   let store, t_store =

@@ -97,7 +97,7 @@ let make_tests (s : Bench_common.scale) =
      their rows cold *)
   let cold_store = Hopi.to_store idx (Pager.create ~pool_pages:4 Pager.Memory) in
   let cstore =
-    Hopi_storage.Closure_store.of_closure
+    Cover_store.of_closure
       (Pager.create ~pool_pages:4096 Pager.Memory)
       (Hopi_graph.Closure.compute g)
   in
@@ -178,7 +178,7 @@ let make_tests (s : Bench_common.scale) =
           ignore (Traversal.is_reachable g u v)));
       Test.make ~name:"connected/closure-store" (Staged.stage (fun () ->
           let u, v = next () in
-          ignore (Hopi_storage.Closure_store.connected cstore u v)));
+          ignore (Cover_store.connected cstore u v)));
       Test.make ~name:"min_distance/store" (Staged.stage (fun () ->
           let u, v = next () in
           ignore (Cover_store.min_distance dstore u v)));

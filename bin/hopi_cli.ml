@@ -17,13 +17,18 @@ module Collection = Hopi_collection.Collection
 module Timer = Hopi_util.Timer
 open Hopi_core
 
+(* A bad input — a corpus, a batch file, a combination of arguments — is
+   reported on one line and exits 1; an uncaught exception is left to mean
+   a bug. *)
+let die fmt = Printf.ksprintf (fun msg -> Fmt.epr "hopi: %s@." msg; exit 1) fmt
+
 let load_dir dir =
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".xml")
     |> List.sort compare
   in
-  if files = [] then failwith (Printf.sprintf "no .xml files in %s" dir);
+  if files = [] then die "no .xml files in %s" dir;
   let c = Collection.create () in
   List.iter
     (fun f ->
@@ -33,8 +38,7 @@ let load_dir dir =
       close_in ic;
       match Collection.add_document_xml c ~name:f src with
       | Ok _ -> ()
-      | Error e ->
-        failwith (Format.asprintf "%s: %a" f Hopi_xml.Xml_parser.pp_error e))
+      | Error e -> die "%s: %s" (Filename.concat dir f) (Fmt.str "%a" Hopi_xml.Xml_parser.pp_error e))
     files;
   c
 
@@ -49,17 +53,10 @@ let write_metrics = function
 let config_of_flags ?build_mem_mb ?spill_dir partitioner joiner limit jobs =
   let partitioner =
     match partitioner with
-    | "whole" -> Config.Whole
-    | "single" -> Config.Singleton
-    | "random" -> Config.Random_nodes limit
-    | "closure" -> Config.Closure_aware limit
-    | p -> failwith (Printf.sprintf "unknown partitioner %S" p)
-  in
-  let joiner =
-    match joiner with
-    | "psg" -> Config.Psg
-    | "incremental" -> Config.Incremental
-    | j -> failwith (Printf.sprintf "unknown joiner %S" j)
+    | `Whole -> Config.Whole
+    | `Single -> Config.Singleton
+    | `Random -> Config.Random_nodes limit
+    | `Closure -> Config.Closure_aware limit
   in
   { Config.default with partitioner; joiner; jobs; build_mem_mb; spill_dir }
 
@@ -83,7 +80,7 @@ let gen kind docs out =
      for i = 0 to docs - 1 do
        write (Hopi_workload.Inex_gen.doc_name i) (Hopi_workload.Inex_gen.document_xml cfg i)
      done
-   | k -> failwith (Printf.sprintf "unknown kind %S (dblp|inex)" k));
+   | k -> die "unknown kind %S (dblp|inex)" k);
   Fmt.pr "wrote %d documents to %s@." docs out
 
 (* {1 build} *)
@@ -201,14 +198,13 @@ let verify_store path verbose =
     end;
     let what =
       match S.Catalog.read pager with
-      | S.Catalog.Cover _ -> (
+      | (_ : S.Catalog.t) -> (
         (* the row tables: directory invariants at open, then every row *)
         match S.Cover_store.check (S.Cover_store.open_pager pager) with
         | rows -> Printf.sprintf "cover store, %d rows verified" rows
         | exception S.Storage_error.Storage_error e ->
           Fmt.pr "%s: STRUCTURE FAILURE: %s@." path (S.Storage_error.to_string e);
           exit 1)
-      | S.Catalog.Closure _ -> "closure store"
       | exception S.Storage_error.Storage_error e -> (
         (* not an index store: a generation manifest is a pager file too *)
         match S.Manifest.read_file path with
@@ -293,8 +289,8 @@ let query dir expr_str batch_file top distance jobs metrics_path =
        answers;
      Fmt.pr "%d expressions in %a (jobs %d)@." (Array.length exprs) Timer.pp_duration t
        jobs
-   | Some _, Some _ -> failwith "give either EXPR or --batch FILE, not both"
-   | None, None -> failwith "nothing to do: give EXPR or --batch FILE");
+   | Some _, Some _ -> die "give either EXPR or --batch FILE, not both"
+   | None, None -> die "nothing to do: give EXPR or --batch FILE");
   write_metrics metrics_path
 
 (* {1 serve} *)
@@ -648,8 +644,7 @@ let serve store_path jobs cache_mb batch_size pool_pages corpus verbose metrics_
   else if live || maintain <> None then begin
     match corpus with
     | None ->
-      failwith
-        "--live needs --corpus DIR: the writer index is built from the corpus"
+      die "--live needs --corpus DIR: the writer index is built from the corpus"
     | Some dir ->
       serve_live session store_path cache_mb pool_pages dir maintain retain
         (not no_fsync)
@@ -684,7 +679,7 @@ let client socket tcp host batch control_cmd =
     match (socket, tcp) with
     | Some path, None -> Serve.Client.connect_unix path
     | None, Some port -> Serve.Client.connect_tcp host port
-    | _ -> failwith "connect with exactly one of --socket PATH or --tcp PORT"
+    | _ -> die "connect with exactly one of --socket PATH or --tcp PORT"
   in
   Fun.protect ~finally:(fun () -> Serve.Client.close cl) @@ fun () ->
   let print_reply = function
@@ -721,7 +716,7 @@ let client socket tcp host batch control_cmd =
       |> List.filter (fun l -> l <> "" && l.[0] <> '#')
     in
     if lines = [] then
-      failwith "no queries: give --batch FILE, --control CMD, or pipe lines";
+      die "no queries: give --batch FILE, --control CMD, or pipe lines";
     print_reply (Serve.Client.request cl lines)
 
 (* {1 slowlog} *)
@@ -751,7 +746,7 @@ let slowlog_run store_path batch_file slow_ms jobs cache_mb top verbose =
       ([], 0) lines
   in
   let queries = Array.of_list (List.rev queries) in
-  if Array.length queries = 0 then failwith "no valid queries in the batch file";
+  if Array.length queries = 0 then die "no valid queries in the batch file";
   Rt.set_slow_threshold_ns (ns_of_ms slow_ms);
   (* hold every request of this run so "slowest" is global, not newest *)
   Rt.set_slowlog_capacity (Array.length queries);
@@ -835,7 +830,7 @@ let metrics dir format verbose =
   | "human" -> Fmt.pr "%a@." (fun ppf () -> Hopi_obs.Export.pp ppf ()) ()
   | "json" -> print_string (Hopi_obs.Export.to_json ())
   | "prometheus" | "prom" -> print_string (Hopi_obs.Export.prometheus ())
-  | f -> failwith (Printf.sprintf "unknown format %S (human|json|prometheus)" f)
+  | f -> die "unknown format %S (human|json|prometheus)" f
 
 (* {1 check} *)
 
@@ -856,9 +851,12 @@ open Cmdliner
 let dir_arg = Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR")
 
 let partitioner_arg =
-  Arg.(value & opt string "closure" & info [ "partitioner" ] ~docv:"whole|single|random|closure")
+  let kinds = [ ("whole", `Whole); ("single", `Single); ("random", `Random); ("closure", `Closure) ] in
+  Arg.(value & opt (enum kinds) `Closure & info [ "partitioner" ] ~docv:"whole|single|random|closure")
 
-let joiner_arg = Arg.(value & opt string "psg" & info [ "joiner" ] ~docv:"psg|incremental")
+let joiner_arg =
+  let kinds = [ ("psg", Config.Psg); ("incremental", Config.Incremental) ] in
+  Arg.(value & opt (enum kinds) Config.Psg & info [ "joiner" ] ~docv:"psg|incremental")
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"

@@ -38,11 +38,6 @@ let build c =
         (tokenize (Collection.text_of c e)));
   { postings }
 
-let elements_with_term t term =
-  match Hashtbl.find_opt t.postings (String.lowercase_ascii term) with
-  | Some b -> Ihs.to_list b
-  | None -> []
-
 let subtree_contains t c e term =
   match Hashtbl.find_opt t.postings (String.lowercase_ascii term) with
   | None -> false
@@ -58,5 +53,3 @@ let subtree_contains t c e term =
          b
      with Exit -> ());
     !found
-
-let n_terms t = Hashtbl.length t.postings

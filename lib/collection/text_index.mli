@@ -9,14 +9,9 @@ type t
 
 val build : Collection.t -> t
 
-val elements_with_term : t -> string -> int list
-(** Elements whose immediate text contains the (lowercased) term. *)
-
 val subtree_contains : t -> Collection.t -> int -> string -> bool
 (** Does the element's subtree (within its document tree) contain the term?
     Uses pre/post containment against the posting list. *)
-
-val n_terms : t -> int
 
 val tokenize : string -> string list
 (** Exposed for tests. *)

@@ -294,7 +294,3 @@ let build (config : Config.t) c =
 let compression r =
   if Cover.size r.cover = 0 then 1.0
   else float_of_int r.closure_connections /. float_of_int (Cover.size r.cover)
-
-let full_compression ~total_closure r =
-  if Cover.size r.cover = 0 then 1.0
-  else float_of_int total_closure /. float_of_int (Cover.size r.cover)

@@ -34,8 +34,5 @@ val build : Config.t -> Hopi_collection.Collection.t -> result
 val compression : result -> float
 (** Transitive-closure connections divided by cover entries — the paper's
     "compression" column (with the closure measured per partition plus
-    cross-partition connections uncounted, the paper reports it against the
-    full closure; use {!full_compression} for that). *)
-
-val full_compression : total_closure:int -> result -> float
-(** [total_closure / cover size], Table 2's compression. *)
+    cross-partition connections uncounted; the paper reports it against the
+    full closure). *)

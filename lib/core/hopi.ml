@@ -50,8 +50,6 @@ let filter_tag t tag s =
 
 let descendants_with_tag t u tag = filter_tag t tag (descendants t u)
 
-let ancestors_with_tag t v tag = filter_tag t tag (ancestors t v)
-
 (* {1 Maintenance} *)
 
 let insert_document t ~name root =

@@ -39,8 +39,6 @@ val ancestors : t -> int -> Hopi_util.Int_hashset.t
 
 val descendants_with_tag : t -> int -> string -> int list
 
-val ancestors_with_tag : t -> int -> string -> int list
-
 (** {1 Maintenance} *)
 
 val insert_document : t -> name:string -> Hopi_xml.Xml_tree.t -> int

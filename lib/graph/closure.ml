@@ -111,20 +111,3 @@ let iter_pairs t f =
   Hashtbl.iter (fun u s -> Int_set.iter (fun v -> f u v) s) t.succs
 
 let nodes t = Hashtbl.fold (fun v _ acc -> v :: acc) t.succs []
-
-let restrict t ~keep =
-  let succs = Hashtbl.create 16 in
-  let preds = Hashtbl.create 16 in
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun v s ->
-      if keep v then begin
-        let s' = Int_set.filter keep s in
-        Hashtbl.replace succs v s';
-        n := !n + Int_set.cardinal s'
-      end)
-    t.succs;
-  Hashtbl.iter
-    (fun v s -> if keep v then Hashtbl.replace preds v (Int_set.filter keep s))
-    t.preds;
-  { succs; preds; n_connections = !n }

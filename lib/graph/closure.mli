@@ -39,7 +39,3 @@ val iter_pairs : t -> (int -> int -> unit) -> unit
 (** All connections, including reflexive ones. *)
 
 val nodes : t -> int list
-
-val restrict : t -> keep:(int -> bool) -> t
-(** Closure of the subgraph induced on [keep] *assuming* [keep] is
-    closed under "is on a path between kept nodes" — used for tests. *)

@@ -1,7 +1,5 @@
 module E = Storage_error
 
-type entry = { root : int; length : int }
-
 type rows = {
   heap_first : int;
   heap_pages : int;
@@ -13,7 +11,7 @@ type rows = {
   entries : int array;
 }
 
-type t = Cover of { with_dist : bool; rows : rows } | Closure of { fwd : entry; bwd : entry }
+type t = { with_dist : bool; rows : rows }
 
 let magic = 0x484F5049 (* "HOPI" *)
 
@@ -28,41 +26,28 @@ let cover_tables = 4
 let po = Page.payload_off
 
 (* layout from [po]: [+0..3] magic, [+4..7] version, [+8..11] kind,
-   [+12..15] with_dist, then per kind
-   - cover: [+16] heap first page, [+20] heap pages, [+24] heap bytes,
-     [+28] directory first page, [+32] directory pages, [+36] directory
-     bytes, [+40] keys, [+44] table count, entry counts of 4 bytes from
-     [+48];
-   - closure: [+16] tree count (2), (root, length) pairs of 8 bytes from
-     [+20]. *)
+   [+12..15] with_dist, [+16] heap first page, [+20] heap pages, [+24]
+   heap bytes, [+28] directory first page, [+32] directory pages, [+36]
+   directory bytes, [+40] keys, [+44] table count, entry counts of 4
+   bytes from [+48].  The kind word is always 0, a cover store; a
+   materialised closure, once kind 1, is stored as a cover too. *)
 
 let reserve who pager =
   if Pager.n_pages pager <> 0 then invalid_arg (who ^ ": the pager must be fresh");
   ignore (Pager.alloc pager)
 
-let write pager t =
+let write pager { with_dist; rows = r } =
+  if Array.length r.entries <> cover_tables then invalid_arg "Catalog.write: arity";
   let page = Page.create () in
   let set off v = Page.set_i32 page (po + off) v in
   set 0 magic;
   set 4 version;
-  (match t with
-   | Cover { with_dist; rows = r } ->
-     if Array.length r.entries <> cover_tables then invalid_arg "Catalog.write: arity";
-     set 8 0;
-     set 12 (if with_dist then 1 else 0);
-     List.iteri (fun i v -> set (16 + (4 * i)) v)
-       [ r.heap_first; r.heap_pages; r.heap_bytes; r.dir_first; r.dir_pages; r.dir_bytes;
-         r.n_keys; cover_tables ];
-     Array.iteri (fun i n -> set (48 + (4 * i)) n) r.entries
-   | Closure { fwd; bwd } ->
-     set 8 1;
-     set 12 0;
-     set 16 2;
-     List.iteri
-       (fun i e ->
-         set (20 + (8 * i)) e.root;
-         set (24 + (8 * i)) e.length)
-       [ fwd; bwd ]);
+  set 8 0;
+  set 12 (if with_dist then 1 else 0);
+  List.iteri (fun i v -> set (16 + (4 * i)) v)
+    [ r.heap_first; r.heap_pages; r.heap_bytes; r.dir_first; r.dir_pages; r.dir_bytes;
+      r.n_keys; cover_tables ];
+  Array.iteri (fun i n -> set (48 + (4 * i)) n) r.entries;
   Pager.write pager 0 page
 
 let bad fmt = Printf.ksprintf (fun s -> E.raise_error (Bad_catalog s)) fmt
@@ -82,40 +67,21 @@ let read pager =
     if first < 1 || pages < 0 || first + pages > n_pages then
       bad "%s pages [%d, %d) outside [1,%d)" what first (first + pages) n_pages
   in
-  match get 8 with
-  | 0 ->
-    let n_tables = get 44 in
-    if n_tables <> cover_tables then
-      bad "table count %d does not match a cover store (want %d)" n_tables cover_tables;
-    let rows =
-      { heap_first = get 16; heap_pages = get 20; heap_bytes = get 24; dir_first = get 28;
-        dir_pages = get 32; dir_bytes = get 36; n_keys = get 40;
-        entries = Array.init cover_tables (fun i -> get (48 + (4 * i))) }
-    in
-    extent "heap" rows.heap_first rows.heap_pages;
-    extent "directory" rows.dir_first rows.dir_pages;
-    if rows.heap_bytes < 0 || rows.heap_bytes > rows.heap_pages * (Page.size - po) then
-      bad "heap of %d bytes does not fit its %d pages" rows.heap_bytes rows.heap_pages;
-    if rows.dir_bytes < 0 || rows.dir_bytes > rows.dir_pages * (Page.size - po) then
-      bad "directory of %d bytes does not fit its %d pages" rows.dir_bytes rows.dir_pages;
-    if rows.n_keys < 0 then bad "negative key count";
-    Array.iteri (fun i n -> if n < 0 then bad "table %d has a negative entry count" i) rows.entries;
-    Cover { with_dist = get 12 <> 0; rows }
-  | 1 ->
-    let n_trees = get 16 in
-    if n_trees <> 2 then
-      bad "tree count %d does not match a closure store (want 2)" n_trees;
-    let tree i =
-      let e = { root = get (20 + (8 * i)); length = get (24 + (8 * i)) } in
-      if e.root < 0 || e.root >= n_pages then
-        bad "tree %d root %d outside [0,%d)" i e.root n_pages;
-      if e.length < 0 then bad "tree %d has negative length" i;
-      e
-    in
-    let fwd = tree 0 in
-    Closure { fwd; bwd = tree 1 }
-  | k -> bad "unknown store kind %d" k
-
-let cover = function
-  | Cover { with_dist; rows } -> (with_dist, rows)
-  | Closure _ -> bad "this is a closure store, not a cover store"
+  (match get 8 with 0 -> () | k -> bad "unknown store kind %d" k);
+  let n_tables = get 44 in
+  if n_tables <> cover_tables then
+    bad "table count %d does not match a cover store (want %d)" n_tables cover_tables;
+  let rows =
+    { heap_first = get 16; heap_pages = get 20; heap_bytes = get 24; dir_first = get 28;
+      dir_pages = get 32; dir_bytes = get 36; n_keys = get 40;
+      entries = Array.init cover_tables (fun i -> get (48 + (4 * i))) }
+  in
+  extent "heap" rows.heap_first rows.heap_pages;
+  extent "directory" rows.dir_first rows.dir_pages;
+  if rows.heap_bytes < 0 || rows.heap_bytes > rows.heap_pages * (Page.size - po) then
+    bad "heap of %d bytes does not fit its %d pages" rows.heap_bytes rows.heap_pages;
+  if rows.dir_bytes < 0 || rows.dir_bytes > rows.dir_pages * (Page.size - po) then
+    bad "directory of %d bytes does not fit its %d pages" rows.dir_bytes rows.dir_pages;
+  if rows.n_keys < 0 then bad "negative key count";
+  Array.iteri (fun i n -> if n < 0 then bad "table %d has a negative entry count" i) rows.entries;
+  { with_dist = get 12 <> 0; rows }

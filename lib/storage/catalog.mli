@@ -1,11 +1,9 @@
 (** The catalog page: page 0 of a persistent index file records the magic
     number, the format version, the store kind and the distance flag,
-    then where the store's structures live, so that a {!Cover_store} can
-    be reopened from disk and a saved {!Closure_store} is told apart from
-    one. *)
-
-type entry = { root : int; length : int }
-(** A B+-tree: root page and key count. *)
+    then where the store's {!Row_table}s live, so that a {!Cover_store}
+    can be reopened from disk.  There is one store kind, the cover store
+    (a materialised closure is stored as the trivial cover, see
+    {!Cover_store.of_closure}); a kind word other than 0 is rejected. *)
 
 type rows = {
   heap_first : int;  (** first page of the row heap *)
@@ -20,10 +18,10 @@ type rows = {
 }
 (** Where a {!Row_table} lives. *)
 
-type t =
-  | Cover of { with_dist : bool; rows : rows }
-      (** LIN/LOUT, forward and backward: {!cover_tables} row tables *)
-  | Closure of { fwd : entry; bwd : entry }  (** materialised closure table *)
+type t = {
+  with_dist : bool;  (** any stored distance is non-zero *)
+  rows : rows;  (** LIN/LOUT, forward and backward: {!cover_tables} row tables *)
+}
 
 val magic : int
 
@@ -48,9 +46,4 @@ val write : Pager.t -> t -> unit
 val read : Pager.t -> t
 (** @raise Storage_error.Storage_error — [Truncated] when the store has no
     page 0, [Bad_magic] / [Bad_version] / [Bad_catalog] on a page that is
-    not a valid catalog. *)
-
-val cover : t -> bool * rows
-(** The distance flag and row layout of a cover store.
-    @raise Storage_error.Storage_error [(Bad_catalog _)] when the catalog
-    holds a closure store. *)
+    not a valid catalog (an unknown store kind included). *)

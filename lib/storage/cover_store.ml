@@ -22,13 +22,12 @@ let attach pgr ~with_dist rows =
   { pgr; rows; with_dist; n_nodes = !n_nodes }
 
 let save t =
-  Catalog.write t.pgr
-    (Catalog.Cover { with_dist = t.with_dist; rows = Row_table.layout t.rows });
+  Catalog.write t.pgr { with_dist = t.with_dist; rows = Row_table.layout t.rows };
   Pager.commit t.pgr
 
 let open_pager pgr =
-  let with_dist, layout = Catalog.cover (Catalog.read pgr) in
-  attach pgr ~with_dist (Row_table.open_rows pgr layout)
+  let { Catalog.with_dist; rows } = Catalog.read pgr in
+  attach pgr ~with_dist (Row_table.open_rows pgr rows)
 
 let pager t = t.pgr
 
@@ -279,6 +278,19 @@ let of_dist_cover pgr cover =
       iter =
         (fun dir v f ->
           (match dir with Lin -> Dist_cover.iter_lin | Lout -> Dist_cover.iter_lout) cover v f) }
+
+(* the trivial cover: Lout(v) is every node v reaches but itself, Lin is
+   empty *)
+let of_closure pgr clo =
+  let module C = Hopi_graph.Closure in
+  write pgr
+    { nodes = sorted_ints (C.n_nodes clo) (C.iter_nodes clo);
+      registered = (fun v -> C.mem clo v v);
+      iter =
+        (fun dir v f ->
+          match dir with
+          | Lin -> ()
+          | Lout -> Hopi_util.Int_set.iter (fun w -> if w <> v then f w 0) (C.succs clo v)) }
 
 (* {1 Queries}
 

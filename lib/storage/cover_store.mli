@@ -68,6 +68,18 @@ val of_dist_cover : Pager.t -> Hopi_twohop.Dist_cover.t -> t
 (** {!of_cover} for distance-aware covers (the DIST column variant of
     Section 5.1). *)
 
+val of_closure : Pager.t -> Hopi_graph.Closure.t -> t
+(** Store a materialised transitive closure, the baseline HOPI is
+    measured against (Section 7.2), as the trivial 2-hop cover: [Lout(u)]
+    holds every node [u] reaches other than itself, and every [Lin] is
+    empty.  The forward LOUT table is then the closure clustered on its
+    source and the backward LOUT table the same pairs clustered on their
+    target, the paper's forward and backward index; {!stored_integers}
+    gives its 4 integers per connection (reflexive pairs are implicit, as
+    in every cover).  A [reach] is a lookup in one row, and [desc]/[anc]
+    read one row each.
+    @raise Invalid_argument as {!of_cover}. *)
+
 val pager : t -> Pager.t
 
 val save : t -> unit

@@ -14,10 +14,6 @@ let get_u8 = Bytes.get_uint8
 
 let set_u8 = Bytes.set_uint8
 
-let get_u16 = Bytes.get_uint16_le
-
-let set_u16 = Bytes.set_uint16_le
-
 let get_i32 p off = Int32.to_int (Bytes.get_int32_le p off)
 
 let set_i32 p off v =

@@ -1,17 +1,15 @@
 (** Fixed-size pages with little-endian integer accessors.
 
     The storage engine replays the paper's database-backed design (Oracle
-    index-organized tables, Section 3.4) with its own page stack — row
-    tables for covers, B+-trees for closures;
-    this module is the byte-level layer.
+    index-organized tables, Section 3.4) with its own page stack of row
+    tables; this module is the byte-level layer.
 
     The first {!header_bytes} bytes of every page belong to the pager, not
     to the page's user: bytes [0..3] hold a CRC-32 of the payload (stamped
     by {!Pager.write}, verified on every read-pool miss), byte [4] is an
     initialization flag (0 = never written, 1 = checksummed), bytes [5..7]
     are reserved.  Structures built on pages (row heaps and
-    directories, B+-tree nodes, the catalog)
-    lay out their content from {!payload_off} up. *)
+    directories, the catalog) lay out their content from {!payload_off} up. *)
 
 val size : int
 (** Page size in bytes (4096). *)
@@ -29,10 +27,6 @@ val create : unit -> t
 val get_u8 : t -> int -> int
 
 val set_u8 : t -> int -> int -> unit
-
-val get_u16 : t -> int -> int
-
-val set_u16 : t -> int -> int -> unit
 
 val get_i32 : t -> int -> int
 (** Signed 32-bit little-endian. *)

@@ -122,7 +122,7 @@ val open_vfs : ?pool_pages:int -> vfs:Vfs.t -> string -> t
 val alloc : t -> int
 (** Reserve the next page id.  The caller builds the page and hands it
     to {!write}; until then it reads as zeros.  Pages are never freed:
-    stores are written once (see {!Btree}), and a rebuilt store is a new
+    stores are written once (see {!Row_table}), and a rebuilt store is a new
     file.
     @raise Invalid_argument unless the pager came from {!create} and has
     not been committed. *)

@@ -27,12 +27,6 @@ val build :
     only needs the connections from link sources to link targets
     (Section 4.1); pairs not in the closure are ignored. *)
 
-val cover_via_center :
-  Cover.t -> Uncovered.t -> Hopi_graph.Closure.t -> int -> int
-(** Use one node as center for every still-uncovered connection through it;
-    updates cover and uncovered set, returns the number of connections
-    covered.  Exposed for the preselection ablation bench. *)
-
 val build_eager : Hopi_graph.Closure.t -> Cover.t * stats
 (** Ablation baseline for the lazy priority queue (Section 3.2): recompute
     the densest subgraph of {e every} candidate center in every round and

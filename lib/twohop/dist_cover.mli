@@ -43,8 +43,6 @@ val union_into : dst:t -> t -> unit
 
 val clear_lout : t -> int -> unit
 
-val clear_lin : t -> int -> unit
-
 val filter_lin : t -> int -> keep:(int -> bool) -> unit
 (** Drop Lin entries whose center fails [keep]. *)
 

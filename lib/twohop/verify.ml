@@ -1,6 +1,5 @@
 module Digraph = Hopi_graph.Digraph
 module Traversal = Hopi_graph.Traversal
-module Closure = Hopi_graph.Closure
 module Ihs = Hopi_util.Int_hashset
 
 type mismatch = { u : int; v : int; expected : bool; got : bool }
@@ -14,20 +13,6 @@ let cover_vs_graph cover g =
       List.iter
         (fun v ->
           let expected = Ihs.mem reach v in
-          let got = Cover.connected cover u v in
-          if expected <> got then mismatches := { u; v; expected; got } :: !mismatches)
-        nodes)
-    nodes;
-  List.rev !mismatches
-
-let cover_vs_closure cover clo =
-  let mismatches = ref [] in
-  let nodes = List.sort compare (Closure.nodes clo) in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun v ->
-          let expected = Closure.mem clo u v in
           let got = Cover.connected cover u v in
           if expected <> got then mismatches := { u; v; expected; got } :: !mismatches)
         nodes)

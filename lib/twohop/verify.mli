@@ -6,8 +6,6 @@ type mismatch = { u : int; v : int; expected : bool; got : bool }
 val cover_vs_graph : Cover.t -> Hopi_graph.Digraph.t -> mismatch list
 (** All node pairs of the graph; empty list = the cover is exact. *)
 
-val cover_vs_closure : Cover.t -> Hopi_graph.Closure.t -> mismatch list
-
 type dist_mismatch = { du : int; dv : int; expected_d : int option; got_d : int option }
 
 val dist_cover_vs_graph : Dist_cover.t -> Hopi_graph.Digraph.t -> dist_mismatch list

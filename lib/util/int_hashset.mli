@@ -43,8 +43,6 @@ val to_int_set : t -> Int_set.t
 
 val of_int_set : Int_set.t -> t
 
-val add_int_set : t -> Int_set.t -> unit
-
 val to_list : t -> int list
 (** Unordered. *)
 

@@ -16,12 +16,3 @@ let of_collection c =
     n_inter_links = Collection.n_inter_links c;
     size_bytes = Collection.serialized_size c;
   }
-
-let pp_size ppf bytes =
-  if bytes >= 1_048_576 then Format.fprintf ppf "%.1fMB" (float_of_int bytes /. 1_048_576.0)
-  else if bytes >= 1024 then Format.fprintf ppf "%.1fKB" (float_of_int bytes /. 1024.0)
-  else Format.fprintf ppf "%dB" bytes
-
-let pp_row ~name ppf t =
-  let size = Format.asprintf "%a" pp_size t.size_bytes in
-  Format.fprintf ppf "%-8s %8d %10d %8d %10s" name t.n_docs t.n_elements t.n_links size

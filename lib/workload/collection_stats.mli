@@ -9,6 +9,3 @@ type t = {
 }
 
 val of_collection : Hopi_collection.Collection.t -> t
-
-val pp_row : name:string -> Format.formatter -> t -> unit
-(** One Table 1 row: [name  #docs  #els  #links  size]. *)

@@ -12,9 +12,6 @@ let pick_docs ~seed ~n c =
   Splitmix.shuffle rng docs;
   Array.to_list (Array.sub docs 0 (min n (Array.length docs)))
 
-let deletion_trace ~seed ~n_ops c =
-  List.map (fun did -> Delete_doc (Collection.doc_name c did)) (pick_docs ~seed ~n:n_ops c)
-
 let churn_trace ~seed ~n_ops regen c =
   let rng = Splitmix.create (seed + 1) in
   let victims = pick_docs ~seed ~n:(max 1 (n_ops / 2)) c in

@@ -7,10 +7,6 @@ type op =
   | Reinsert_doc of string * string  (** name, XML text *)
   | Add_link of string * string  (** source doc name -> target doc name (root) *)
 
-val deletion_trace :
-  seed:int -> n_ops:int -> Hopi_collection.Collection.t -> op list
-(** Random document deletions (documents chosen uniformly). *)
-
 val churn_trace :
   seed:int -> n_ops:int -> (int -> string) -> Hopi_collection.Collection.t -> op list
 (** Alternating deletions and re-insertions of the same documents; the

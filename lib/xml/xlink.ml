@@ -23,6 +23,3 @@ let targets_of_element (e : Xml_tree.t) =
       | "idrefs" -> List.map (fun f -> { doc = None; fragment = f }) (split_ws value)
       | _ -> [])
     e.Xml_tree.attrs
-
-let pp_target ppf t =
-  Format.fprintf ppf "%s#%s" (Option.value ~default:"" t.doc) t.fragment

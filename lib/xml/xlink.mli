@@ -18,5 +18,3 @@ val targets_of_element : Xml_tree.t -> target list
 val parse_href : string -> target
 (** [parse_href "d.xml#e5"] = [{doc = Some "d.xml"; fragment = "e5"}];
     [parse_href "#e5"] = [{doc = None; fragment = "e5"}]. *)
-
-val pp_target : Format.formatter -> target -> unit

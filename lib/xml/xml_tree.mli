@@ -21,8 +21,6 @@ val child_elements : t -> t list
 val iter_elements : (t -> unit) -> t -> unit
 (** Preorder over all elements including the root. *)
 
-val fold_elements : ('a -> t -> 'a) -> 'a -> t -> 'a
-
 val count_elements : t -> int
 
 val text_content : t -> string

@@ -518,7 +518,7 @@ let test_failed_open_releases_pager () =
   let dir_page =
     let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
     Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
-    (snd (Catalog.cover (Catalog.read pgr))).Catalog.dir_first
+    (Catalog.read pgr).Catalog.rows.dir_first
   in
   Fv.corrupt_byte fv path ~off:((dir_page * Page.size) + Page.payload_off + 1);
   let pool = Pager.Read_pool.create ~pages:16 () in

@@ -1,4 +1,4 @@
-(* Tests for hopi_storage: Pager, Btree, Table, Cover_store. *)
+(* Tests for hopi_storage: Pager, Cover_store, Row_table, Spill. *)
 
 open Hopi_storage
 module Ihs = Hopi_util.Int_hashset
@@ -151,112 +151,6 @@ let prop_pager_roundtrip_real_vfs =
           if Pager.verify_pages q <> [] then ok := false;
           Pager.close q;
           !ok))
-
-(* {1 Btree} *)
-
-let stream_of_list l =
-  let rest = ref l in
-  fun () ->
-    match !rest with
-    | [] -> None
-    | k :: tl ->
-      rest := tl;
-      Some k
-
-let scan_all t =
-  let acc = ref [] in
-  Btree.iter_from t (Btree.min_i32, Btree.min_i32, Btree.min_i32) (fun k ->
-      acc := k :: !acc;
-      true);
-  List.rev !acc
-
-let bulk ?(pool_pages = 256) keys =
-  Btree.bulk_load (Pager.create ~pool_pages Pager.Memory) ~next:(stream_of_list keys)
-
-let test_btree_basic () =
-  let t = bulk [ (1, 2, 3) ] in
-  check_bool "mem" true (Btree.mem t (1, 2, 3));
-  check_bool "not mem" false (Btree.mem t (1, 2, 4));
-  check_int "length" 1 (Btree.length t);
-  Alcotest.(check (list (triple int int int))) "scan" [ (1, 2, 3) ] (scan_all t)
-
-(* Past (internal capacity + 1) x leaf capacity = 256 x 340 keys the
-   leaves need more than one internal node, so the tree has three levels.
-   Leaves are packed, so every separator is key 340j: probing each one and
-   its neighbours, and scanning from each, crosses every leaf boundary. *)
-let test_btree_three_levels () =
-  let n = 90_000 and per_leaf = 340 in
-  (* runs of 12 keys per first component and 3 per first two; the third
-     component is even, so (a, b, c + 1) is never stored *)
-  let model = Array.init n (fun i -> (i / 12, i mod 12 / 3, 2 * (i mod 3))) in
-  let keys = Array.to_list model in
-  let pager = Pager.create ~pool_pages:64 Pager.Memory in
-  let t = Btree.bulk_load pager ~next:(stream_of_list keys) in
-  check_int "265 packed leaves, 2 internal nodes, 1 root" 268 (Pager.n_pages pager);
-  check_int "length" n (Btree.length t);
-  check_bool "full scan = model" true (scan_all t = keys);
-  let range lo len = Array.to_list (Array.sub model lo (min len (n - lo))) in
-  let collect iter =
-    let got = ref [] in
-    iter (fun k -> got := k :: !got);
-    List.rev !got
-  in
-  for leaf = 1 to (n - 1) / per_leaf do
-    let sep = leaf * per_leaf in
-    List.iter
-      (fun i ->
-        let a, b, c = model.(i) in
-        check_bool (Printf.sprintf "mem key %d" i) true (Btree.mem t model.(i));
-        check_bool (Printf.sprintf "absent after key %d" i) false (Btree.mem t (a, b, c + 1)))
-      [ sep - 1; sep; sep + 1 ];
-    let got = ref [] in
-    Btree.iter_from t model.(sep) (fun k ->
-        got := k :: !got;
-        List.length !got < 5);
-    check_bool (Printf.sprintf "iter_from separator %d" sep) true
-      (List.rev !got = range sep 5);
-    (* the prefix runs holding the separator, which often start in the
-       previous leaf *)
-    let a, b, _ = model.(sep) in
-    check_bool "iter_prefix1 run" true
-      (collect (Btree.iter_prefix1 t a) = range (12 * a) 12);
-    check_bool "iter_prefix2 run" true
-      (collect (Btree.iter_prefix2 t a b) = range ((12 * a) + (3 * b)) 3)
-  done
-
-let test_btree_prefix_scans () =
-  let t = bulk [ (1, 1, 0); (1, 2, 0); (1, 2, 5); (2, 1, 0); (3, 1, 1) ] in
-  let got = ref [] in
-  Btree.iter_prefix1 t 1 (fun k -> got := k :: !got);
-  check_int "prefix1" 3 (List.length !got);
-  got := [];
-  Btree.iter_prefix2 t 1 2 (fun k -> got := k :: !got);
-  check_int "prefix2" 2 (List.length !got);
-  got := [];
-  Btree.iter_prefix1 t 99 (fun k -> got := k :: !got);
-  check_int "empty prefix" 0 (List.length !got)
-
-(* {1 Table} *)
-
-let test_table_indexes () =
-  let p = Pager.create Pager.Memory in
-  (* packed pairs in any order, all at distance 0 *)
-  let t = Table.of_pairs p (Array.map (fun (id, label) -> Table.pack ~id ~label)
-                              [| (2, 10); (1, 11); (1, 10) |]) in
-  check_int "rows" 3 (Table.length t);
-  let fwd = ref [] and bwd = ref [] in
-  Table.iter_by_id t 1 (fun ~label ~dist -> fwd := (label, dist) :: !fwd);
-  Table.iter_by_label t 10 (fun ~id ~dist -> bwd := (id, dist) :: !bwd);
-  Alcotest.(check (list (pair int int))) "forward scan" [ (10, 0); (11, 0) ] (List.rev !fwd);
-  Alcotest.(check (list (pair int int))) "backward scan" [ (1, 0); (2, 0) ] (List.rev !bwd);
-  check_bool "mem" true (Table.mem t ~id:1 ~label:11);
-  check_bool "missing" false (Table.mem t ~id:9 ~label:10);
-  check_bool "duplicate row rejected" true
-    (match Table.of_pairs p [| Table.pack ~id:1 ~label:2; Table.pack ~id:1 ~label:2 |] with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  check_bool "negative id rejected" true
-    (match Table.pack ~id:(-1) ~label:0 with _ -> false | exception Invalid_argument _ -> true)
 
 (* {1 Cover_store} *)
 
@@ -447,23 +341,29 @@ let test_catalog_truncated () =
     | exception Storage_error.Storage_error (Storage_error.Truncated _) -> true)
 
 let test_catalog_wrong_kind () =
-  (* a saved closure store must be rejected by Cover_store.open_pager and
-     by Snapshot.open_file, which serves cover stores only *)
+  (* a catalog of store kind 1, the B+-tree closure store of earlier
+     builds (tree count 2 at [+16]), must be rejected by
+     Cover_store.open_pager and by Snapshot.open_file *)
   let vfs = Vfs.memory () in
   let pager = Pager.create_vfs ~vfs "kind.db" in
-  let g = Hopi_graph.Digraph.create () in
-  Hopi_graph.Digraph.add_edge g 1 2;
-  Closure_store.save (Closure_store.of_closure pager (Hopi_graph.Closure.compute g));
+  let page = page_with Catalog.magic in
+  List.iter (fun (off, v) -> Page.set_i32 page (po + off) v) [ (4, Catalog.version); (8, 1); (16, 2) ];
+  Pager.write pager (Pager.alloc pager) page;
+  Pager.commit pager;
   Pager.close pager;
+  let rejected = function
+    | Storage_error.Bad_catalog msg -> contains msg "unknown store kind 1"
+    | _ -> false
+  in
   let pager2 = Pager.open_vfs ~vfs "kind.db" in
   check_bool "wrong kind rejected" true
     (match Cover_store.open_pager pager2 with
     | _ -> false
-    | exception Storage_error.Storage_error (Storage_error.Bad_catalog _) -> true);
+    | exception Storage_error.Storage_error e -> rejected e);
   check_bool "snapshot rejects it too" true
     (match Hopi_serve.Snapshot.open_file ~vfs ~pool_pages:8 "kind.db" with
     | _ -> false
-    | exception Storage_error.Storage_error (Storage_error.Bad_catalog _) -> true)
+    | exception Storage_error.Storage_error e -> rejected e)
 
 (* a published page file is never written again: after [commit] the
    writing pager and any pager opened on the file refuse every write entry
@@ -502,21 +402,24 @@ let test_open_missing_file () =
     | _ -> false
     | exception Storage_error.Storage_error (Storage_error.File_not_found _) -> true)
 
-(* {1 Closure_store} *)
+(* {1 The closure as a trivial cover} *)
 
 let test_closure_store () =
   let g = Hopi_graph.Digraph.create () in
   List.iter (fun (u, v) -> Hopi_graph.Digraph.add_edge g u v)
     [ (1, 2); (2, 3); (1, 4) ];
   let clo = Hopi_graph.Closure.compute g in
-  let store = Closure_store.of_closure (Pager.create Pager.Memory) clo in
-  check_int "connections incl reflexive" 8 (Closure_store.n_connections store);
-  check_int "stored ints" 32 (Closure_store.stored_integers store);
-  check_bool "1->3" true (Closure_store.connected store 1 3);
-  check_bool "reflexive" true (Closure_store.connected store 4 4);
-  check_bool "3->1" false (Closure_store.connected store 3 1);
-  check_int "descendants of 1" 4 (Ihs.cardinal (Closure_store.descendants store 1));
-  check_int "ancestors of 3" 3 (Ihs.cardinal (Closure_store.ancestors store 3))
+  let store = Cover_store.of_closure (Pager.create Pager.Memory) clo in
+  check_int "connections incl reflexive" 8 (Hopi_graph.Closure.n_connections clo);
+  (* the reflexive pairs are implicit, as in every cover *)
+  check_int "one Lout entry per non-reflexive connection" 4 (Cover_store.n_entries store);
+  check_int "stored ints" 16 (Cover_store.stored_integers store);
+  check_bool "1->3" true (Cover_store.connected store 1 3);
+  check_bool "reflexive" true (Cover_store.connected store 4 4);
+  check_bool "3->1" false (Cover_store.connected store 3 1);
+  check_int "descendants of 1" 4 (Ihs.cardinal (Cover_store.descendants store 1));
+  check_int "ancestors of 3" 3 (Ihs.cardinal (Cover_store.ancestors store 3));
+  check_int "rows verified" (Catalog.cover_tables * 4) (Cover_store.check store)
 
 let prop_dist_store_matches_dist_cover =
   QCheck2.Test.make ~name:"stored MIN(DIST) = Dist_cover.dist" ~count:25
@@ -565,82 +468,6 @@ let prop_store_anc_desc_match_cover =
         then ok := false;
         if not (same (Cover_store.ancestors store v) (Cover.ancestors cover v)) then
           ok := false
-      done;
-      !ok)
-
-(* {1 Btree bulk load} *)
-
-let test_btree_bulk_empty_and_invalid () =
-  (* empty stream: a usable empty tree *)
-  let t = bulk [] in
-  check_int "empty length" 0 (Btree.length t);
-  check_bool "nothing present" false (Btree.mem t (0, 0, 0));
-  check_int "empty scan" 0 (List.length (scan_all t));
-  (* streams that violate the strictly-ascending contract are rejected *)
-  let rejects keys = match bulk keys with _ -> false | exception Invalid_argument _ -> true in
-  check_bool "descending rejected" true (rejects [ (2, 0, 0); (1, 0, 0) ]);
-  check_bool "duplicate rejected" true (rejects [ (1, 0, 0); (1, 0, 0) ]);
-  check_bool "out-of-range rejected" true (rejects [ (0, Btree.max_i32 + 1, 0) ])
-
-module Key_set = Set.Make (struct
-  type t = int * int * int
-
-  let compare = compare
-end)
-
-(* a random sorted key set and a tree bulk-loaded from it *)
-let random_key_tree rng n =
-  let keys = ref Key_set.empty in
-  for _ = 1 to n do
-    keys := Key_set.add (Splitmix.int rng 60, Splitmix.int rng 60, Splitmix.int rng 4) !keys
-  done;
-  let sorted = Key_set.elements !keys in
-  (!keys, sorted, bulk ~pool_pages:16 sorted)
-
-let prop_btree_bulk_matches_model =
-  (* a tree bulk-loaded from a sorted key set must answer like the set
-     itself: full scan, length and point lookups (present and absent keys
-     alike) *)
-  QCheck2.Test.make ~name:"Btree = set model" ~count:40
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 2_000))
-    (fun (seed, n) ->
-      let rng = Splitmix.create seed in
-      let keys, sorted, t = random_key_tree rng n in
-      if Btree.length t <> Key_set.cardinal keys then
-        QCheck2.Test.fail_reportf "length %d <> %d" (Btree.length t) (Key_set.cardinal keys);
-      if scan_all t <> sorted then QCheck2.Test.fail_report "full scan differs";
-      let ok = ref true in
-      for _ = 1 to 300 do
-        let k = (Splitmix.int rng 60, Splitmix.int rng 60, Splitmix.int rng 4) in
-        if Btree.mem t k <> Key_set.mem k keys then ok := false
-      done;
-      !ok)
-
-let prop_btree_bulk_scans_match_model =
-  (* range scans over a bulk-loaded tree return exactly the matching run of
-     the sorted key set: prefix scans on one and two components, and
-     bounded scans from any key, stored or not *)
-  QCheck2.Test.make ~name:"Btree.bulk_load: scans = sorted model" ~count:40
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 2_000))
-    (fun (seed, n) ->
-      let rng = Splitmix.create seed in
-      let _, sorted, t = random_key_tree rng n in
-      let ok = ref true in
-      for _ = 1 to 20 do
-        let a = Splitmix.int rng 61 and b = Splitmix.int rng 61 in
-        let got1 = ref [] and got2 = ref [] in
-        Btree.iter_prefix1 t a (fun k -> got1 := k :: !got1);
-        Btree.iter_prefix2 t a b (fun k -> got2 := k :: !got2);
-        if List.rev !got1 <> List.filter (fun (a', _, _) -> a' = a) sorted then ok := false;
-        if List.rev !got2 <> List.filter (fun (a', b', _) -> a' = a && b' = b) sorted then
-          ok := false;
-        let from = (a, b, Splitmix.int rng 4) in
-        let got = ref [] in
-        Btree.iter_from t from (fun k ->
-            got := k :: !got;
-            List.length !got < 7);
-        let expected = List.filteri (fun i _ -> i < 7) (List.filter (fun k -> k >= from) sorted) in
-        if List.rev !got <> expected then ok := false
       done;
       !ok)
 
@@ -727,7 +554,7 @@ let test_bulk_store_requires_fresh () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   check_bool "closure store too" true
-    (match Closure_store.of_closure pager (Hopi_graph.Closure.compute (Hopi_graph.Digraph.create ())) with
+    (match Cover_store.of_closure pager (Hopi_graph.Closure.compute (Hopi_graph.Digraph.create ())) with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -761,7 +588,7 @@ let verify_store vfs file =
 let directory_fields vfs file =
   let pgr = Pager.open_vfs ~vfs file in
   Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
-  let l = snd (Catalog.cover (Catalog.read pgr)) in
+  let l = (Catalog.read pgr).Catalog.rows in
   let payload = Page.size - po in
   let byte j = Bytes.get_uint8 (Pager.read pgr (l.Catalog.dir_first + (j / payload))) (po + (j mod payload)) in
   let pos = ref 0 in
@@ -1035,7 +862,8 @@ let cuts () = Hopi_obs.Counter.get (Hopi_obs.Registry.counter "hopi_serve_reach_
    through a 2-page pool, against BFS over the graph: random graphs with
    cycles, dense or sparse ids, relay centers that are not nodes (one per
    connected pair it joins, so the answers stay the graph's), plain
-   and distance covers, empty ones included.  A pair the interval rejects
+   and distance covers, empty ones included, and the same graph's
+   closure stored as the trivial cover.  A pair the interval rejects
    must be answered without a fetch; writing the same cover twice gives
    the same bytes. *)
 let prop_interval_matches_bfs =
@@ -1085,52 +913,56 @@ let prop_interval_matches_bfs =
           Cover_store.of_cover pgr c
         end
       in
-      let vfs = Vfs.memory () in
-      List.iter
-        (fun file ->
-          let p = Pager.create_vfs ~vfs file in
-          Cover_store.save (write p);
-          Pager.close p)
-        [ "a.db"; "b.db" ];
-      if Vfs.read_file vfs "a.db" <> Vfs.read_file vfs "b.db" then
-        QCheck2.Test.fail_report "the same cover wrote different bytes";
-      let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
-      let pgr = Pager.open_shared_vfs ~vfs ~pool "a.db" in
-      Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
-      let st = Cover_store.open_pager pgr in
-      ignore (Cover_store.check st : int);
-      let fetches = ref 0 in
-      let src =
-        { (Cover_store.source st) with
-          fetch =
-            (fun dir v ->
-              incr fetches;
-              Cover_store.fetch st dir v) }
-      in
-      let probes = nodes @ [ relay 0; -1; 5_000_000 ] in
-      List.iter
-        (fun u ->
+      let closure = Hopi_graph.Closure.compute g in
+      List.for_all
+        (fun write ->
+          let vfs = Vfs.memory () in
           List.iter
-            (fun v ->
-              let want =
-                if Cover_store.with_dist st then oracle u v
-                else Option.map (fun _ -> 0) (oracle u v)
-              in
-              (* [f] answers, and whether the interval did, making no fetch *)
-              let run f =
-                let c0 = cuts () and f0 = !fetches in
-                let a = f src u v in
-                let cut = cuts () > c0 in
-                if cut && !fetches > f0 then QCheck2.Test.fail_reportf "%d %d: cut, yet fetched" u v;
-                (a, cut)
-              in
-              let r, cut = run Cover_store.reach and d, dist_cut = run Cover_store.dist in
-              if r <> (want <> None) then QCheck2.Test.fail_reportf "reach %d %d" u v;
-              if d <> want then QCheck2.Test.fail_reportf "dist %d %d" u v;
-              if cut <> dist_cut then QCheck2.Test.fail_reportf "reach and dist cut %d %d differently" u v)
-            probes)
-        probes;
-      true)
+            (fun file ->
+              let p = Pager.create_vfs ~vfs file in
+              Cover_store.save (write p);
+              Pager.close p)
+            [ "a.db"; "b.db" ];
+          if Vfs.read_file vfs "a.db" <> Vfs.read_file vfs "b.db" then
+            QCheck2.Test.fail_report "the same cover wrote different bytes";
+          let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
+          let pgr = Pager.open_shared_vfs ~vfs ~pool "a.db" in
+          Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+          let st = Cover_store.open_pager pgr in
+          ignore (Cover_store.check st : int);
+          let fetches = ref 0 in
+          let src =
+            { (Cover_store.source st) with
+              fetch =
+                (fun dir v ->
+                  incr fetches;
+                  Cover_store.fetch st dir v) }
+          in
+          let probes = nodes @ [ relay 0; -1; 5_000_000 ] in
+          List.iter
+            (fun u ->
+              List.iter
+                (fun v ->
+                  let want =
+                    if Cover_store.with_dist st then oracle u v
+                    else Option.map (fun _ -> 0) (oracle u v)
+                  in
+                  (* [f] answers, and whether the interval did, making no fetch *)
+                  let run f =
+                    let c0 = cuts () and f0 = !fetches in
+                    let a = f src u v in
+                    let cut = cuts () > c0 in
+                    if cut && !fetches > f0 then QCheck2.Test.fail_reportf "%d %d: cut, yet fetched" u v;
+                    (a, cut)
+                  in
+                  let r, cut = run Cover_store.reach and d, dist_cut = run Cover_store.dist in
+                  if r <> (want <> None) then QCheck2.Test.fail_reportf "reach %d %d" u v;
+                  if d <> want then QCheck2.Test.fail_reportf "dist %d %d" u v;
+                  if cut <> dist_cut then QCheck2.Test.fail_reportf "reach and dist cut %d %d differently" u v)
+                probes)
+            probes;
+          true)
+        [ write; (fun pgr -> Cover_store.of_closure pgr closure) ])
 
 (* two disjoint chains: the interval answers every pair across them *)
 let test_interval_cuts_negatives () =
@@ -1274,16 +1106,6 @@ let suite =
           test_republish_keeps_mode;
       ]
       @ qsuite [ prop_pager_roundtrip_real_vfs ] );
-    ( "storage.btree",
-      [
-        Alcotest.test_case "basic" `Quick test_btree_basic;
-        Alcotest.test_case "three-level bulk-loaded tree" `Quick test_btree_three_levels;
-        Alcotest.test_case "prefix scans" `Quick test_btree_prefix_scans;
-        Alcotest.test_case "bulk load: empty/invalid streams" `Quick
-          test_btree_bulk_empty_and_invalid;
-      ]
-      @ qsuite [ prop_btree_bulk_matches_model; prop_btree_bulk_scans_match_model ] );
-    ("storage.table", [ Alcotest.test_case "indexes" `Quick test_table_indexes ]);
     ( "storage.cover_store",
       [
         Alcotest.test_case "roundtrip" `Quick test_cover_store_roundtrip;
