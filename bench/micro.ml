@@ -7,7 +7,8 @@
    the page checksum every pool miss verifies, the label-codec decoder
    every probe and by-center scan runs, the integer hash set every
    desc/anc answer and cover build fills, and a hit in each of the two
-   read-side caches (both instances of one LRU). *)
+   read-side caches (both instances of one LRU); and the build's
+   partition-phase kernels. *)
 
 open Bechamel
 open Toolkit
@@ -86,6 +87,24 @@ let kernel_tests () =
           if Ihs.mem set keys.(i) then incr hits
         done;
         !hits));
+  ]
+
+(* The partition phase's kernels on one fixed 30-document DBLP corpus,
+   whatever the scale: its element graph (about 330 nodes) is the size of
+   an average working graph of the §4.3 admission test on the 200-document
+   corpus.  The closure count each admission test runs, the closure a
+   partition cover starts from, and the A*D annotation of its skeleton
+   graph at the default depth. *)
+let partition_kernel_tests () =
+  let c = Bench_common.dblp_collection 30 in
+  let g = Collection.element_graph c in
+  let skel = Hopi_collection.Skeleton.of_collection c in
+  [
+    Test.make ~name:"closure/count_connections" (Staged.stage (fun () ->
+        Hopi_graph.Closure.count_connections g));
+    Test.make ~name:"closure/compute" (Staged.stage (fun () -> Hopi_graph.Closure.compute g));
+    Test.make ~name:"skeleton/annotate" (Staged.stage (fun () ->
+        Hopi_collection.Skeleton.annotate c skel ~max_depth:8));
   ]
 
 let make_tests (s : Bench_common.scale) =
@@ -246,7 +265,7 @@ let run (s : Bench_common.scale) =
   Bench_common.section "micro: query latency (bechamel)";
   obs_overhead ();
   let tests =
-    Test.make_grouped ~name:"" ~fmt:"%s%s" (kernel_tests () @ cache_tests () @ [ make_tests s ])
+    Test.make_grouped ~name:"" ~fmt:"%s%s" (kernel_tests () @ partition_kernel_tests () @ cache_tests () @ [ make_tests s ])
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

@@ -181,8 +181,31 @@ let inspect path =
 
 (* {1 verify-store} *)
 
-let verify_store path verbose =
-  setup_logs verbose;
+(* a routing index is a text file with a trailing CRC line, not a page
+   file: it gets its own check, which opens no shard *)
+let verify_routing path =
+  let module R = Hopi_serve.Router in
+  match R.read_routing path with
+  | r ->
+    Fmt.pr "%s: ok — routing index, %d shards, %d cross links%s, checksum verified@." path
+      r.R.n_shards (List.length r.R.links)
+      (if r.R.dist then " (distance-aware)" else "")
+  | exception Hopi_storage.Storage_error.Storage_error e ->
+    report_storage_error path e;
+    exit 1
+  | exception Sys_error msg ->
+    Fmt.epr "%s@." msg;
+    exit 1
+
+(* an unreadable path is left to the page-file check, which reports it *)
+let starts_with_routing_magic path =
+  let magic = Hopi_serve.Router.routing_magic in
+  try
+    In_channel.with_open_bin path (fun ic ->
+        In_channel.really_input_string ic (String.length magic) = Some magic)
+  with Sys_error _ -> false
+
+let verify_page_file path =
   let module S = Hopi_storage in
   match S.Pager.open_existing path with
   | exception S.Storage_error.Storage_error e ->
@@ -219,6 +242,10 @@ let verify_store path verbose =
       (S.Pager.n_pages pager)
       (S.Pager.size_bytes pager / 1024);
     S.Pager.close pager
+
+let verify_store path verbose =
+  setup_logs verbose;
+  if starts_with_routing_magic path then verify_routing path else verify_page_file path
 
 (* {1 query} *)
 
@@ -1182,7 +1209,8 @@ let verify_store_cmd =
   Cmd.v
     (Cmd.info "verify-store"
        ~doc:"Checksum-verify every page of a stored index, shard store or \
-             generation manifest (read-only: a published file is never \
+             generation manifest, or the checksum and structure of a shard \
+             directory's routing.idx (read-only: a published file is never \
              written); exits 1 on any corruption")
     Term.(const verify_store $ file $ verbose)
 

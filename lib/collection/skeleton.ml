@@ -64,38 +64,59 @@ let of_collection c =
 
 type annotation = { a : int; d : int }
 
+(* Bounded BFS accumulating [desc] of link targets forward and [anc] of
+   link sources backward, as described in Section 4.3.  Each direction is
+   one CSR with a gain per edge; rows keep the [Digraph] order, so a node
+   is first reached over the same edge as by a BFS over the graph. *)
 let annotate c t ~max_depth =
-  let is_link =
-    let h = Hashtbl.create (List.length t.links) in
-    List.iter (fun l -> Hashtbl.replace h l ()) t.links;
-    fun u v -> Hashtbl.mem h (u, v)
+  let ids, off, succ = Digraph.csr t.graph ~pred:false in
+  let _, poff, pred = Digraph.csr t.graph ~pred:true in
+  let n = Array.length ids in
+  let dense = Hashtbl.create n in
+  Array.iteri (fun x v -> Hashtbl.replace dense v x) ids;
+  (* per edge, what reaching its head over it adds: the head's [desc]
+     forward or [anc] backward when the edge is a link, else nothing *)
+  let fwd = Array.make (Array.length succ) 0 and bwd = Array.make (Array.length pred) 0 in
+  let info x = Collection.element_info c ids.(x) in
+  let weigh gain off adj x y w =
+    for e = off.(x) to off.(x + 1) - 1 do
+      if adj.(e) = y then gain.(e) <- w
+    done
   in
-  let anc x = (Collection.element_info c x).Collection.el_anc in
-  let desc x = (Collection.element_info c x).Collection.el_desc in
-  let result = Hashtbl.create (Digraph.n_nodes t.graph) in
-  (* Bounded BFS accumulating [desc] of link targets forward and [anc] of
-     link sources backward, as described in Section 4.3. *)
-  let traverse iter_next edge_of x gain0 gain =
-    let total = ref gain0 in
-    let seen = Ihs.create () in
-    let q = Queue.create () in
-    Ihs.add seen x;
-    Queue.add (x, 0) q;
-    while not (Queue.is_empty q) do
-      let u, du = Queue.pop q in
-      if du < max_depth then
-        iter_next t.graph u (fun v ->
-            if not (Ihs.mem seen v) then begin
-              Ihs.add seen v;
-              let eu, ev = edge_of u v in
-              if is_link eu ev then total := !total + gain v;
-              Queue.add (v, du + 1) q
-            end)
+  List.iter
+    (fun (u, v) ->
+      let u = Hashtbl.find dense u and v = Hashtbl.find dense v in
+      weigh fwd off succ u v (info v).Collection.el_desc;
+      weigh bwd poff pred v u (info u).Collection.el_anc)
+    t.links;
+  let stamp = Array.make n (-1) and depth = Array.make n 0 and queue = Array.make n 0 in
+  let traverse off adj gain x s total =
+    stamp.(x) <- s;
+    depth.(x) <- 0;
+    queue.(0) <- x;
+    let head = ref 0 and tail = ref 1 and total = ref total in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      if depth.(u) < max_depth then
+        for e = off.(u) to off.(u + 1) - 1 do
+          let v = adj.(e) in
+          if stamp.(v) <> s then begin
+            stamp.(v) <- s;
+            total := !total + gain.(e);
+            depth.(v) <- depth.(u) + 1;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
     done;
     !total
   in
-  Digraph.iter_nodes t.graph (fun x ->
-      let d = traverse Digraph.iter_succ (fun u v -> (u, v)) x (desc x) desc in
-      let a = traverse Digraph.iter_pred (fun u v -> (v, u)) x (anc x) anc in
-      Hashtbl.replace result x { a; d });
+  let result = Hashtbl.create n in
+  Array.iteri
+    (fun x v ->
+      let d = traverse off succ fwd x (2 * x) (info x).Collection.el_desc in
+      let a = traverse poff pred bwd x ((2 * x) + 1) (info x).Collection.el_anc in
+      Hashtbl.replace result v { a; d })
+    ids;
   result

@@ -1,9 +1,11 @@
 (** Reflexive and transitive closure [C(G) = (V, T(G))].
 
     The closure is the input of the 2-hop-cover computation (Section 3.2 of
-    the paper).  It is computed over the SCC condensation with bitset
-    successor sets, so cyclic graphs are handled and the cost is
-    O(#components²/w + |T|) rather than repeated BFS.
+    the paper).  Both entry points run one iterative Tarjan pass over the
+    graph in compressed sparse rows and keep, per strongly connected
+    component, the components it reaches as a word bitset, so cyclic
+    graphs are handled and the cost is O(#components²/w + |E|) for the
+    count, plus O(|T| log |T|) to materialise the sets.
 
     Connection counts always include the reflexive pairs [(v,v)], matching
     the paper's definition of [C(G)]. *)
@@ -12,13 +14,9 @@ type t
 
 val compute : Digraph.t -> t
 
-val compute_bounded : Digraph.t -> max_connections:int -> t option
-(** [None] when |T(G)| would exceed the budget — used by the closure-aware
-    partitioner to grow partitions until the closure fills the configured
-    memory (Section 4.3). *)
-
 val count_connections : Digraph.t -> int
-(** |T(G)| including reflexive pairs, without materialising per-node sets. *)
+(** |T(G)| including reflexive pairs, without materialising per-node sets:
+    the closure-aware partitioner's admission test (Section 4.3). *)
 
 val n_connections : t -> int
 
@@ -37,5 +35,3 @@ val iter_nodes : t -> (int -> unit) -> unit
 
 val iter_pairs : t -> (int -> int -> unit) -> unit
 (** All connections, including reflexive ones. *)
-
-val nodes : t -> int list

@@ -91,21 +91,28 @@ let iter_nodes t f = Hashtbl.iter (fun v _ -> f v) t.nodes
 let iter_edges t f =
   Hashtbl.iter (fun u a -> Ihs.iter (fun v -> f u v) a.out) t.nodes
 
+module Dense = Hashtbl.Make (Int)
+
+(* three passes over [t.nodes] visit the nodes in one order: number them,
+   count their neighbours, fill the rows *)
+let csr t ~pred =
+  let n = n_nodes t in
+  let ids = Array.make n 0 and dense = Dense.create n in
+  let nbrs a = if pred then a.inc else a.out in
+  let x = ref 0 in
+  Hashtbl.iter (fun v _ -> ids.(!x) <- v; Dense.replace dense v !x; incr x) t.nodes;
+  let off = Array.make (n + 1) 0 in
+  x := 0;
+  Hashtbl.iter (fun _ a -> off.(!x + 1) <- off.(!x) + Ihs.cardinal (nbrs a); incr x) t.nodes;
+  let adj = Array.make off.(n) 0 and e = ref 0 in
+  Hashtbl.iter (fun _ a -> Ihs.iter (fun w -> adj.(!e) <- Dense.find dense w; incr e) (nbrs a))
+    t.nodes;
+  (ids, off, adj)
+
 let nodes t =
   let acc = ref [] in
   iter_nodes t (fun v -> acc := v :: !acc);
   !acc
-
-let edges t =
-  let acc = ref [] in
-  iter_edges t (fun u v -> acc := (u, v) :: !acc);
-  !acc
-
-let copy t =
-  let g = create ~initial:(n_nodes t) () in
-  iter_nodes t (fun v -> add_node g v);
-  iter_edges t (fun u v -> add_edge g u v);
-  g
 
 let induced_subgraph t keep =
   let g = create ~initial:(Ihs.cardinal keep) () in
@@ -120,18 +127,3 @@ let transpose t =
   iter_nodes t (fun v -> add_node g v);
   iter_edges t (fun u v -> add_edge g v u);
   g
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>digraph: %d nodes, %d edges@," (n_nodes t) (n_edges t);
-  let ns = List.sort compare (nodes t) in
-  List.iter
-    (fun v ->
-      let ss = List.sort compare (succ t v) in
-      if ss <> [] then
-        Format.fprintf ppf "%d -> %a@," v
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-             Format.pp_print_int)
-          ss)
-    ns;
-  Format.fprintf ppf "@]"

@@ -45,15 +45,15 @@ val iter_nodes : t -> (int -> unit) -> unit
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 
+val csr : t -> pred:bool -> int array * int array * int array
+(** [(ids, off, adj)], compressed sparse rows: node [i] is [ids.(i)] in
+    {!iter_nodes} order; [adj.(off.(i)) .. adj.(off.(i + 1) - 1)] are its
+    successors (predecessors with [~pred:true]) as node numbers, in
+    {!iter_succ} ({!iter_pred}) order. *)
+
 val nodes : t -> int list
-
-val edges : t -> (int * int) list
-
-val copy : t -> t
 
 val induced_subgraph : t -> Hopi_util.Int_hashset.t -> t
 (** Subgraph on the given nodes with all edges between them. *)
 
 val transpose : t -> t
-
-val pp : Format.formatter -> t -> unit

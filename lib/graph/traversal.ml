@@ -71,47 +71,3 @@ let is_reachable g u v =
     done;
     !found
   end
-
-let topological_order g =
-  let indeg = Hashtbl.create (Digraph.n_nodes g) in
-  Digraph.iter_nodes g (fun v -> Hashtbl.replace indeg v (Digraph.in_degree g v));
-  let q = Queue.create () in
-  Hashtbl.iter (fun v d -> if d = 0 then Queue.add v q) indeg;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order := u :: !order;
-    incr count;
-    Digraph.iter_succ g u (fun v ->
-        let d = Hashtbl.find indeg v - 1 in
-        Hashtbl.replace indeg v d;
-        if d = 0 then Queue.add v q)
-  done;
-  if !count = Digraph.n_nodes g then Some (List.rev !order) else None
-
-let dfs_postorder g =
-  let seen = Ihs.create () in
-  let post = ref [] in
-  let visit root =
-    (* Iterative DFS with an explicit stack of (node, remaining successors). *)
-    let stack = ref [ (root, Digraph.succ g root) ] in
-    Ihs.add seen root;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | (v, next) :: rest -> (
-        match next with
-        | [] ->
-          post := v :: !post;
-          stack := rest
-        | w :: ws ->
-          stack := (v, ws) :: rest;
-          if not (Ihs.mem seen w) then begin
-            Ihs.add seen w;
-            stack := (w, Digraph.succ g w) :: !stack
-          end)
-    done
-  in
-  Digraph.iter_nodes g (fun v -> if not (Ihs.mem seen v) then visit v);
-  List.rev !post

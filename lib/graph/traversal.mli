@@ -21,9 +21,3 @@ val bfs_distances_bounded : Digraph.t -> int -> max_depth:int -> (int, int) Hash
 
 val is_reachable : Digraph.t -> int -> int -> bool
 (** BFS oracle [u ⇝ v] (true when [u = v] and [u] is a node). *)
-
-val topological_order : Digraph.t -> int list option
-(** Kahn's algorithm; [None] if the graph has a cycle. *)
-
-val dfs_postorder : Digraph.t -> int list
-(** Postorder over all nodes (iterative, any component order). *)

@@ -4,9 +4,9 @@ module Closure = Hopi_graph.Closure
 
 (* The admission test adds the candidate document's elements (and all edges
    among elements already present) to a working element graph, recounts the
-   closure, and rolls back if the budget is exceeded.  Counting uses the
-   SCC/bitset path of [Closure.count_connections], so no per-node successor
-   sets are materialised. *)
+   closure, and rolls back if the budget is exceeded.  Counting uses
+   [Closure.count_connections] (one Tarjan pass with per-SCC word bitsets),
+   so no per-node successor sets are materialised. *)
 
 let partition ?seed ~max_connections c dg =
   let work = ref (Digraph.create ()) in

@@ -13,12 +13,21 @@ module Digraph = Hopi_graph.Digraph
 module Ihs = Hopi_util.Int_hashset
 module Splitmix = Hopi_util.Splitmix
 
+let log = Logs.Src.create "hopi.partition" ~doc:"document-level partitioning"
+
+module Log = (val Logs.src_log log : Logs.LOG)
+
 (* [admits] is consulted with the candidate document *before* it is added;
    [added] notifies acceptance so the admission state can be updated.
    [skip_budget] failed candidates are tolerated before the partition is
    closed. *)
 let run ?(seed = 17) ?(skip_budget = 5) c (dg : Doc_graph.t)
     ~(fresh_partition : unit -> unit) ~(admits : int -> bool) ~(added : int -> unit) =
+  let tests = ref 0 and rejections = ref 0 in
+  let admits d =
+    incr tests;
+    admits d
+  in
   let rng = Splitmix.create seed in
   let docs = Array.of_list (List.sort compare (Collection.doc_ids c)) in
   Splitmix.shuffle rng docs;
@@ -80,6 +89,7 @@ let run ?(seed = 17) ?(skip_budget = 5) c (dg : Doc_graph.t)
               end
               else begin
                 incr failures;
+                incr rejections;
                 Ihs.add rejected d;
                 grow ()
               end
@@ -88,4 +98,9 @@ let run ?(seed = 17) ?(skip_budget = 5) c (dg : Doc_graph.t)
         grow ()
       end)
     docs;
+  (* recorded on the caller's open span: [build.partition.grow] in a build *)
+  Hopi_obs.Trace.add "admission_tests" !tests;
+  Hopi_obs.Trace.add "rejected" !rejections;
+  Log.info (fun m ->
+      m "grew %d partitions: %d admission tests, %d rejected" !n_parts !tests !rejections);
   Partitioning.make c ~part_of_doc ~n:!n_parts

@@ -64,10 +64,12 @@ let shard_path ~dir k = Filename.concat dir (Printf.sprintf "shard-%03d.db" k)
 
 let routing_path ~dir = Filename.concat dir "routing.idx"
 
-let magic = "hopi-shard-routing 2"
+let routing_magic = "hopi-shard-routing"
+
+let magic = routing_magic ^ " 2"
 
 (* format 1 also stored the element map and the PSG closure *)
-let magic_v1 = "hopi-shard-routing 1"
+let magic_v1 = routing_magic ^ " 1"
 
 (* {1 Split} *)
 
@@ -324,8 +326,10 @@ let psg_closure ~with_dist snaps shard links targets =
   Hashtbl.iter (fun tg l -> Hashtbl.replace rev tg (Array.of_list l)) rev_l;
   (closure_of, rev)
 
-let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
-  let path = routing_path ~dir in
+type routing = { n_shards : int; dist : bool; links : (int * int) list }
+
+(* the checksum first, then the format-2 lines; no shard is opened *)
+let read_routing ?(vfs = S.Vfs.real) path =
   let data = S.Vfs.read_file vfs path in
   verify_crc path data;
   let lines = ref (String.split_on_char '\n' data) in
@@ -349,9 +353,9 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   | l when l = magic -> ()
   | l when l = magic_v1 -> fail "format 1 (it stores the PSG closure); re-run shard-split"
   | _ -> fail "magic mismatch");
-  let k = counted "shards" in
-  if k < 1 then fail "no shards";
-  let with_dist = counted "dist" <> 0 in
+  let n_shards = counted "shards" in
+  if n_shards < 1 then fail "no shards";
+  let dist = counted "dist" <> 0 in
   let links =
     List.init (counted "links") (fun _ ->
         match String.split_on_char ' ' (line ()) with
@@ -362,6 +366,11 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
         | _ -> fail "link line")
   in
   if line () <> "end" then fail "missing end marker";
+  { n_shards; dist; links }
+
+let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
+  let path = routing_path ~dir in
+  let { n_shards = k; dist = with_dist; links } = read_routing ~vfs path in
   (* one shared page pool and label cache across all shard snapshots *)
   let pool = S.Pager.Read_pool.create ~pages:pool_pages () in
   let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in

@@ -94,6 +94,27 @@ val split :
     ["crc XXXXXXXX"] line, the CRC-32 of every byte before it.
     @raise Invalid_argument when [k < 1]. *)
 
+(** {1 The routing index} *)
+
+val routing_magic : string
+(** ["hopi-shard-routing"]: the first word of every routing index, of
+    any format. *)
+
+type routing = {
+  n_shards : int;
+  dist : bool;  (** the shards hold distance-aware covers *)
+  links : (int * int) list;  (** the cross-shard links, in file order *)
+}
+
+val read_routing : ?vfs:Hopi_storage.Vfs.t -> string -> routing
+(** Read and check one routing index file through [vfs] (default
+    {!Hopi_storage.Vfs.real}): its trailing CRC-32, then its format-2
+    structure.  It opens no shard; {!open_dir} starts with it, and
+    [hopi verify-store] runs it alone.
+    @raise Hopi_storage.Storage_error.Storage_error [Bad_catalog] when
+    the checksum fails, and [Sys_error] when a checksummed file does not
+    parse (a format-1 index asks for a re-run of [shard-split]). *)
+
 (** {1 Serving} *)
 
 val open_dir : ?vfs:Hopi_storage.Vfs.t -> ?pool_pages:int -> ?cache_mb:int -> string -> t

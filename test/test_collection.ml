@@ -207,6 +207,75 @@ let test_skeleton_depth_bound () =
   let d_deep = (Hashtbl.find deep src).Skeleton.d in
   check_bool "deep sees more descendants" true (d_deep > d_shallow)
 
+(* The hashtable BFS [Skeleton.annotate] ran before it moved onto CSR
+   rows, kept verbatim as the reference the CSR version must equal. *)
+let reference_annotate c (t : Skeleton.t) ~max_depth =
+  let is_link =
+    let h = Hashtbl.create (List.length t.links) in
+    List.iter (fun l -> Hashtbl.replace h l ()) t.links;
+    fun u v -> Hashtbl.mem h (u, v)
+  in
+  let anc x = (Collection.element_info c x).Collection.el_anc in
+  let desc x = (Collection.element_info c x).Collection.el_desc in
+  let result = Hashtbl.create (Digraph.n_nodes t.graph) in
+  (* Bounded BFS accumulating [desc] of link targets forward and [anc] of
+     link sources backward, as described in Section 4.3. *)
+  let traverse iter_next edge_of x gain0 gain =
+    let total = ref gain0 in
+    let seen = Ihs.create () in
+    let q = Queue.create () in
+    Ihs.add seen x;
+    Queue.add (x, 0) q;
+    while not (Queue.is_empty q) do
+      let u, du = Queue.pop q in
+      if du < max_depth then
+        iter_next t.graph u (fun v ->
+            if not (Ihs.mem seen v) then begin
+              Ihs.add seen v;
+              let eu, ev = edge_of u v in
+              if is_link eu ev then total := !total + gain v;
+              Queue.add (v, du + 1) q
+            end)
+    done;
+    !total
+  in
+  Digraph.iter_nodes t.graph (fun x ->
+      let d = traverse Digraph.iter_succ (fun u v -> (u, v)) x (desc x) desc in
+      let a = traverse Digraph.iter_pred (fun u v -> (v, u)) x (anc x) anc in
+      Hashtbl.replace result x { Skeleton.a; d });
+  result
+
+(* From the skeleton node [x], [y] is two hops away over a link (via [s])
+   and over a tree edge (via [r]): whichever of [r] and [s] the BFS visits
+   first decides whether [desc y] counts, so the traversal order matters. *)
+let two_paths_collection () =
+  let c = Collection.create () in
+  List.iter
+    (fun (name, xml) -> ignore (Collection.add_document c ~name (parse xml) : int))
+    [
+      ("a.xml", {|<a id="x" xlink:href="b.xml#r"><s xlink:href="b.xml#y"/></a>|});
+      ("b.xml", {|<b id="r"><p/><c id="y" xlink:href="a.xml#x"><p/></c></b>|});
+    ];
+  c
+
+let test_skeleton_annotate_reference () =
+  let module Dblp = Hopi_workload.Dblp_gen in
+  List.iter
+    (fun (what, c) ->
+      let s = Skeleton.of_collection c in
+      for max_depth = 1 to 8 do
+        let got = Skeleton.annotate c s ~max_depth and want = reference_annotate c s ~max_depth in
+        let bindings h = List.of_seq (Hashtbl.to_seq h) in
+        if bindings got <> bindings want then
+          Alcotest.failf "%s, max_depth %d: annotations differ" what max_depth
+      done)
+    (("two paths", two_paths_collection ())
+    :: List.map
+         (fun (seed, n_docs) ->
+           ( Printf.sprintf "dblp seed %d, %d docs" seed n_docs,
+             Dblp.generate { (Dblp.default ~n_docs) with Dblp.seed } ))
+         [ (1, 30); (7, 60); (21, 120) ])
+
 let test_is_tree_ancestor () =
   let c, d1, _, _ = make_collection () in
   let r = Collection.doc_root_element c d1 in
@@ -291,6 +360,7 @@ let suite =
         Alcotest.test_case "annotation" `Quick test_skeleton_annotation;
         Alcotest.test_case "depth bound" `Quick test_skeleton_depth_bound;
         Alcotest.test_case "tree ancestor" `Quick test_is_tree_ancestor;
+        Alcotest.test_case "annotate = hashtable BFS" `Quick test_skeleton_annotate_reference;
       ] );
     ( "collection.partitioning",
       [

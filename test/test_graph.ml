@@ -1,4 +1,4 @@
-(* Tests for hopi_graph: Digraph, Traversal, Scc, Closure, Shortest. *)
+(* Tests for hopi_graph: Digraph, Traversal, Closure, Shortest. *)
 
 open Hopi_graph
 module Ihs = Hopi_util.Int_hashset
@@ -112,36 +112,6 @@ let test_is_reachable () =
   check_bool "self" true (Traversal.is_reachable g 5 5);
   check_bool "unknown" false (Traversal.is_reachable g 99 0)
 
-let test_topological_order () =
-  let g = of_edges [ (1, 2); (2, 3); (1, 3) ] in
-  (match Traversal.topological_order g with
-   | Some [ 1; 2; 3 ] -> ()
-   | Some o -> Alcotest.failf "bad order %s" (String.concat "," (List.map string_of_int o))
-   | None -> Alcotest.fail "expected DAG");
-  let cyc = of_edges [ (1, 2); (2, 1) ] in
-  check_bool "cycle -> None" true (Traversal.topological_order cyc = None)
-
-(* {1 Scc / Condensation} *)
-
-let test_scc_diamond () =
-  let g = diamond () in
-  let scc = Scc.compute g in
-  check_int "count" 5 scc.Scc.count;
-  check_bool "3,4 same" true (Scc.component_of scc 3 = Scc.component_of scc 4);
-  check_bool "0,1 diff" false (Scc.component_of scc 0 = Scc.component_of scc 1)
-
-let test_scc_big_cycle () =
-  let n = 50 in
-  let edges = List.init n (fun i -> (i, (i + 1) mod n)) in
-  let scc = Scc.compute (of_edges edges) in
-  check_int "one component" 1 scc.Scc.count
-
-let test_condensation_is_dag () =
-  let g = of_edges [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2) ] in
-  let cond = Condensation.compute g in
-  check_bool "dag" true (Traversal.topological_order cond.Condensation.dag <> None);
-  check_int "two non-trivial sccs + none" 2 (Digraph.n_nodes cond.Condensation.dag)
-
 (* {1 Closure} *)
 
 let test_closure_diamond () =
@@ -158,9 +128,50 @@ let test_closure_diamond () =
   check_list "preds 4" [ 0; 1; 2; 3; 4 ] (Int_set.to_list (Closure.preds c 4))
 
 let test_closure_bounded () =
+  (* the closure-aware partitioner's admission test *)
   let g = diamond () in
-  check_bool "within budget" true (Closure.compute_bounded g ~max_connections:16 <> None);
-  check_bool "over budget" true (Closure.compute_bounded g ~max_connections:15 = None)
+  check_bool "within budget" true (Closure.count_connections g <= 16);
+  check_bool "over budget" false (Closure.count_connections g <= 15)
+
+let test_closure_scc_members () =
+  (* 3 and 4 form one SCC: they share their successor and ancestor sets *)
+  let c = Closure.compute (diamond ()) in
+  check_bool "3,4 same succs" true (Int_set.equal (Closure.succs c 3) (Closure.succs c 4));
+  check_bool "3,4 same preds" true (Int_set.equal (Closure.preds c 3) (Closure.preds c 4));
+  check_bool "0,1 differ" false (Int_set.equal (Closure.succs c 0) (Closure.succs c 1))
+
+let test_closure_big_cycle () =
+  let n = 50 in
+  let g = of_edges (List.init n (fun i -> (i, (i + 1) mod n))) in
+  check_int "one component: n^2" (n * n) (Closure.count_connections g);
+  let c = Closure.compute g in
+  check_int "n^2 materialised" (n * n) (Closure.n_connections c);
+  check_int "every node reaches all" n (Int_set.cardinal (Closure.succs c 17))
+
+let test_closure_scc_chain () =
+  (* {0,1} -> {2,3}: 2*4 + 2*2 connections *)
+  let g = of_edges [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2) ] in
+  check_int "count" 12 (Closure.count_connections g);
+  let c = Closure.compute g in
+  check_list "succs 1" [ 0; 1; 2; 3 ] (Int_set.to_list (Closure.succs c 1));
+  check_list "preds 3" [ 0; 1; 2; 3 ] (Int_set.to_list (Closure.preds c 3));
+  check_list "succs 2" [ 2; 3 ] (Int_set.to_list (Closure.succs c 2))
+
+let test_closure_word_boundaries () =
+  (* a path of n singleton SCCs has n(n+1)/2 connections; n crosses the
+     62-SCC words of the reach bitsets, and a back edge per ten nodes folds
+     some of them into cycles *)
+  List.iter
+    (fun n ->
+      let path = List.init (n - 1) (fun i -> (i, i + 1)) in
+      check_int (Printf.sprintf "path %d" n) (n * (n + 1) / 2)
+        (Closure.count_connections (of_edges path));
+      let g = of_edges (path @ List.init (n / 10) (fun i -> ((10 * i) + 9, 10 * i))) in
+      let c = Closure.compute g in
+      check_int (Printf.sprintf "cycles %d" n) (Closure.n_connections c)
+        (Closure.count_connections g);
+      check_int "first node reaches all" n (Int_set.cardinal (Closure.succs c 0)))
+    [ 61; 62; 63; 123; 124; 125; 200 ]
 
 let random_graph seed n p =
   let rng = Splitmix.create seed in
@@ -195,6 +206,42 @@ let prop_closure_count_consistent =
       let g = random_graph seed n 0.2 in
       Closure.count_connections g = Closure.n_connections (Closure.compute g))
 
+(* Sparse ids, self-loops, isolated nodes and cycles; most edges point
+   a few nodes ahead, so up to 300 nodes give well over 124 SCCs. *)
+let sparse_graph seed n =
+  let rng = Splitmix.create seed in
+  let id i = (i * 7919) + (i mod 3) in
+  let g = Digraph.create () in
+  for i = 0 to n - 1 do
+    Digraph.add_node g (id i)
+  done;
+  for _ = 1 to Splitmix.int rng (2 * n) do
+    let u = Splitmix.int rng n in
+    let v =
+      match Splitmix.int rng 10 with
+      | 0 -> u
+      | 1 | 2 -> Splitmix.int rng n
+      | _ -> min (n - 1) (u + 1 + Splitmix.int rng 4)
+    in
+    Digraph.add_edge g (id u) (id v)
+  done;
+  g
+
+let prop_closure_oracle =
+  QCheck2.Test.make ~name:"count, succs, preds = BFS oracle" ~count:80
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 300))
+    (fun (seed, n) ->
+      let g = sparse_graph seed n in
+      let c = Closure.compute g in
+      let total = ref 0 and ok = ref (Closure.n_nodes c = n) in
+      Digraph.iter_nodes g (fun v ->
+          let down = Ihs.to_int_set (Traversal.reachable g [ v ]) in
+          let up = Ihs.to_int_set (Traversal.reachable_backward g [ v ]) in
+          total := !total + Int_set.cardinal down;
+          if not (Int_set.equal down (Closure.succs c v) && Int_set.equal up (Closure.preds c v))
+          then ok := false);
+      !ok && Closure.n_connections c = !total && Closure.count_connections g = !total)
+
 (* {1 Shortest} *)
 
 let test_shortest_diamond () =
@@ -226,19 +273,16 @@ let suite =
         Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
         Alcotest.test_case "bfs bounded" `Quick test_bfs_bounded;
         Alcotest.test_case "is_reachable" `Quick test_is_reachable;
-        Alcotest.test_case "topological order" `Quick test_topological_order;
-      ] );
-    ( "graph.scc",
-      [
-        Alcotest.test_case "diamond" `Quick test_scc_diamond;
-        Alcotest.test_case "big cycle" `Quick test_scc_big_cycle;
-        Alcotest.test_case "condensation dag" `Quick test_condensation_is_dag;
       ] );
     ( "graph.closure",
       [
         Alcotest.test_case "diamond" `Quick test_closure_diamond;
         Alcotest.test_case "bounded" `Quick test_closure_bounded;
+        Alcotest.test_case "scc members share sets" `Quick test_closure_scc_members;
+        Alcotest.test_case "big cycle" `Quick test_closure_big_cycle;
+        Alcotest.test_case "scc chain" `Quick test_closure_scc_chain;
+        Alcotest.test_case "62-bit word boundaries" `Quick test_closure_word_boundaries;
       ]
-      @ qsuite [ prop_closure_matches_bfs; prop_closure_count_consistent ] );
+      @ qsuite [ prop_closure_matches_bfs; prop_closure_count_consistent; prop_closure_oracle ] );
     ("graph.shortest", [ Alcotest.test_case "diamond" `Quick test_shortest_diamond ]);
   ]

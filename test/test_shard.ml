@@ -631,26 +631,47 @@ module E = Hopi_storage.Storage_error
 
 (* every byte of routing.idx is covered by its trailing CRC line: a flip
    anywhere — body or checksum line — is rejected as a typed storage error
-   before any shard is opened *)
-let test_routing_flip_rejected () =
+   before any shard is opened.  [clean] sees the split as written,
+   [flipped] each copy of it with one routing byte flipped. *)
+let with_routing_flips ~clean ~flipped =
   with_temp_dir @@ fun dir ->
   let fv = Fv.create () in
   let vfs = Fv.vfs fv in
   let c = Dblp.generate (Dblp.default ~n_docs:6) in
-  ignore (Router.split ~vfs ~k:3 ~dir c : Router.split_stats);
-  Router.close (Router.open_dir ~vfs dir);
+  let stats = Router.split ~vfs ~k:3 ~dir c in
+  clean ~vfs dir stats;
   let path = Router.routing_path ~dir in
-  let clean = Fv.snapshot fv in
+  let snap = Fv.snapshot fv in
   let n = String.length (Vfs.read_file vfs path) in
   for off = 0 to n - 1 do
-    Fv.restore fv clean;
+    Fv.restore fv snap;
     Fv.corrupt_byte fv path ~off;
-    match Router.open_dir ~vfs dir with
-    | r ->
-      Router.close r;
-      Alcotest.failf "flipped routing byte %d of %d went unnoticed" off n
-    | exception E.Storage_error (E.Bad_catalog _) -> ()
+    flipped ~vfs dir (Printf.sprintf "flipped routing byte %d of %d" off n)
   done
+
+let test_routing_flip_rejected () =
+  with_routing_flips
+    ~clean:(fun ~vfs dir _ -> Router.close (Router.open_dir ~vfs dir))
+    ~flipped:(fun ~vfs dir what ->
+      match Router.open_dir ~vfs dir with
+      | r ->
+        Router.close r;
+        Alcotest.failf "%s went unnoticed" what
+      | exception E.Storage_error (E.Bad_catalog _) -> ())
+
+(* the check [hopi verify-store] runs on a routing index, over the same
+   bytes: the clean file's counts, and every flip rejected *)
+let test_read_routing_flips () =
+  with_routing_flips
+    ~clean:(fun ~vfs dir (stats : Router.split_stats) ->
+      let r = Router.read_routing ~vfs (Router.routing_path ~dir) in
+      checki "shards" stats.Router.shards r.Router.n_shards;
+      checki "links" stats.Router.cross_links (List.length r.Router.links);
+      checkb "some cross links" true (r.Router.links <> []))
+    ~flipped:(fun ~vfs dir what ->
+      match Router.read_routing ~vfs (Router.routing_path ~dir) with
+      | _ -> Alcotest.failf "%s went unnoticed" what
+      | exception E.Storage_error (E.Bad_catalog _) -> ())
 
 (* re-splitting a directory over an existing split, crashing at every
    counted op: routing.idx and every shard store are each the old or the
@@ -738,6 +759,8 @@ let suite =
           test_element_in_two_shards_rejected;
         Alcotest.test_case "format-1 routing index asks for a re-split" `Quick
           test_format1_rejected;
+        Alcotest.test_case "read_routing: counts, and every flipped byte rejected" `Quick
+          test_read_routing_flips;
         Alcotest.test_case "isolated elements: map from the shard registries" `Quick
           test_isolated_elements;
       ]
