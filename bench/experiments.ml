@@ -7,7 +7,6 @@ open Bench_common
 module Collection = Hopi_collection.Collection
 module Partitioning = Hopi_collection.Partitioning
 module Cover = Hopi_twohop.Cover
-module Dist_cover = Hopi_twohop.Dist_cover
 module Dist_builder = Hopi_twohop.Dist_builder
 module Verify = Hopi_twohop.Verify
 module Weights = Hopi_partition.Weights
@@ -227,17 +226,17 @@ let distance (s : scale) =
       [ "plain"; string_of_int (Cover.size plain); seconds t_plain; "1.00x" ];
       [
         "dist (sampled E)";
-        string_of_int (Dist_cover.size dist_sampled);
+        string_of_int (Cover.size dist_sampled);
         seconds t_sampled;
         Fmt.str "%.2fx"
-          (float_of_int (Dist_cover.size dist_sampled) /. float_of_int (Cover.size plain));
+          (float_of_int (Cover.size dist_sampled) /. float_of_int (Cover.size plain));
       ];
       [
         "dist (exact E)";
-        string_of_int (Dist_cover.size dist_exact);
+        string_of_int (Cover.size dist_exact);
         seconds t_exact;
         Fmt.str "%.2fx"
-          (float_of_int (Dist_cover.size dist_exact) /. float_of_int (Cover.size plain));
+          (float_of_int (Cover.size dist_exact) /. float_of_int (Cover.size plain));
       ];
     ];
   note "sampled-density estimates used for %d center candidates (cap %d samples, 98%% CI)"
@@ -246,7 +245,7 @@ let distance (s : scale) =
   note "paper: low space overhead for including distance information";
   (* storage representation with DIST column *)
   let pager = Pager.create ~pool_pages:128 Pager.Memory in
-  let store = Cover_store.of_dist_cover pager dist_sampled in
+  let store = Cover_store.of_cover pager dist_sampled in
   note "stored with DIST column: %d integers on %d pages"
     (Cover_store.stored_integers store)
     (Pager.n_pages pager)

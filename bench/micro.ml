@@ -121,7 +121,7 @@ let make_tests (s : Bench_common.scale) =
       (Hopi_graph.Closure.compute g)
   in
   let dstore =
-    Cover_store.of_dist_cover (Pager.create ~pool_pages:256 Pager.Memory)
+    Cover_store.of_cover (Pager.create ~pool_pages:256 Pager.Memory)
       (Hopi.distance_index idx)
   in
   let rng = Splitmix.create 12345 in

@@ -6,7 +6,7 @@
 
 module Collection = Hopi_collection.Collection
 module Dist_builder = Hopi_twohop.Dist_builder
-module Dist_cover = Hopi_twohop.Dist_cover
+module Cover = Hopi_twohop.Cover
 module Verify = Hopi_twohop.Verify
 module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
@@ -25,7 +25,7 @@ let () =
      initial densities estimated by sampling). *)
   let (cover, stats), t = Timer.time (fun () -> Dist_builder.build g) in
   Fmt.pr "distance cover: %d entries in %a (%d iterations, %d sampled estimates)@."
-    (Dist_cover.size cover) Timer.pp_duration t stats.Dist_builder.iterations
+    (Cover.size cover) Timer.pp_duration t stats.Dist_builder.iterations
     stats.Dist_builder.sampled_nodes;
 
   (* Exhaustive verification against BFS distances. *)
@@ -36,7 +36,7 @@ let () =
   (* Persist into LIN(ID,INID,DIST)/LOUT(ID,OUTID,DIST), then query
      through the paged index and its bounded read pool. *)
   let pager = Pager.create ~pool_pages:64 Pager.Memory in
-  let store = Cover_store.of_dist_cover pager cover in
+  let store = Cover_store.of_cover pager cover in
   Fmt.pr "stored: %d entries = %d integers on %d pages (%d KiB)@."
     (Cover_store.n_entries store)
     (Cover_store.stored_integers store)
@@ -53,6 +53,11 @@ let () =
         Option.map (fun d -> (a, d)) (Cover_store.min_distance store root a))
       authors
   in
+  (* the paged answers are the in-memory cover's *)
+  assert (
+    List.for_all
+      (fun a -> Cover_store.min_distance store root a = Cover.dist cover root a)
+      authors);
   let ranked = List.sort (fun (_, d1) (_, d2) -> compare d1 d2) reachable in
   Fmt.pr "@.authors reachable from %s, nearest first:@."
     (Collection.doc_name c (Collection.doc_of_element c root));

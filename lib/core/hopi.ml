@@ -7,7 +7,7 @@ type t = {
   config : Config.t;
   mutable cover : Cover.t;
   mutable last_build : Build.result;
-  mutable dist : Hopi_twohop.Dist_cover.t option;
+  mutable dist : Cover.t option;
   mutable text : Hopi_collection.Text_index.t option;
 }
 
@@ -24,16 +24,12 @@ let config t = t.config
 
 let last_build t = t.last_build
 
+(* drops the cached distance and text indexes; the next
+   [distance_index]/[text_index] call rebuilds them.  Element and link
+   insertions change no text and drop only the distance index. *)
 let invalidate t =
   t.dist <- None;
   t.text <- None
-
-(* insertions can keep a cached distance index current incrementally
-   (Dist_maintenance); deletions invalidate it *)
-let dist_edge_inserted t u v =
-  match t.dist with
-  | Some dc -> Dist_maintenance.insert_edge dc u v
-  | None -> ()
 
 (* {1 Queries} *)
 
@@ -82,18 +78,12 @@ let remove_subtree t eid =
   Maintenance.delete_subtree t.collection t.cover eid
 
 let insert_element t ~doc ~parent ~tag =
-  let e = Maintenance.insert_element t.collection t.cover ~doc ~parent ~tag in
-  (match t.dist with
-   | Some dc ->
-     Hopi_twohop.Dist_cover.add_node dc e;
-     dist_edge_inserted t parent e
-   | None -> ());
-  e
+  t.dist <- None;
+  Maintenance.insert_element t.collection t.cover ~doc ~parent ~tag
 
 let insert_link t u v =
-  let kind = Maintenance.insert_link t.collection t.cover u v in
-  dist_edge_inserted t u v;
-  kind
+  t.dist <- None;
+  Maintenance.insert_link t.collection t.cover u v
 
 let remove_link t u v =
   invalidate t;
@@ -102,31 +92,6 @@ let remove_link t u v =
 let rebuild t =
   invalidate t;
   let result = Build.build t.config t.collection in
-  t.cover <- result.Build.cover;
-  t.last_build <- result;
-  result
-
-type rebuild_handle = {
-  domain : Build.result Domain.t;
-  ready : bool Atomic.t;
-}
-
-let start_rebuild t =
-  let ready = Atomic.make false in
-  let config = t.config and collection = t.collection in
-  let domain =
-    Domain.spawn (fun () ->
-        let r = Build.build config collection in
-        Atomic.set ready true;
-        r)
-  in
-  { domain; ready }
-
-let rebuild_ready h = Atomic.get h.ready
-
-let finish_rebuild t h =
-  let result = Domain.join h.domain in
-  invalidate t;
   t.cover <- result.Build.cover;
   t.last_build <- result;
   result

@@ -69,26 +69,6 @@ val rebuild : t -> Build.result
 (** Rebuild from scratch with the configured algorithms (the paper's
     occasional re-optimisation after many updates). *)
 
-(** {2 Background rebuilds}
-
-    The paper's 24×7 motivation (Section 1.1): indexes must be rebuildable
-    "in a background process ... with little interference with concurrent
-    queries".  [start_rebuild] computes a fresh cover on a separate domain
-    while queries keep being answered from the current one; [finish_rebuild]
-    swaps it in.  No maintenance operation may run between the two calls
-    (single-writer discipline). *)
-
-type rebuild_handle
-
-val start_rebuild : t -> rebuild_handle
-
-val rebuild_ready : rebuild_handle -> bool
-(** Has the background build finished (so [finish_rebuild] won't block)? *)
-
-val finish_rebuild : t -> rebuild_handle -> Build.result
-(** Waits for the background build, installs the new cover, and returns its
-    statistics. *)
-
 (** {1 Storage and statistics} *)
 
 val size : t -> int
@@ -98,9 +78,11 @@ val to_store : t -> Hopi_storage.Pager.t -> Hopi_storage.Cover_store.t
 (** Write the cover into LIN/LOUT tables on the given fresh pager
     ({!Hopi_storage.Cover_store.of_cover}); the store is not saved yet. *)
 
-val distance_index : t -> Hopi_twohop.Dist_cover.t
+val distance_index : t -> Hopi_twohop.Cover.t
 (** Build the distance-aware cover for the current element graph
-    (Section 5).  Computed on demand and cached until the next update. *)
+    (Section 5, {!Hopi_twohop.Dist_builder}).  Computed on demand and
+    cached until the next update: every maintenance call, insertions
+    included, drops it, and the next call rebuilds it. *)
 
 val text_index : t -> Hopi_collection.Text_index.t
 (** Inverted index over element text for IR-style content conditions

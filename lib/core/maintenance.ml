@@ -69,6 +69,12 @@ type delete_stats = {
   recomputed_nodes : int;
 }
 
+(* The plain cover of the subgraph [members] induces: closure, then the
+   §3 builder over it.  Document insertion covers the new document this
+   way, and both deletion paths their partial recomputation L̂. *)
+let cover_of_induced g members =
+  fst (Builder.build (Closure.compute (Digraph.induced_subgraph g members)))
+
 (* {1 Insertions} *)
 
 let insert_edge cover u v =
@@ -100,12 +106,9 @@ let insert_document c cover ~name root =
      (tree edges + intra-document links) *)
   let members = Ihs.create () in
   List.iter (fun e -> Ihs.add members e) (Collection.elements_of_doc c did);
-  let sub = Digraph.induced_subgraph (Collection.element_graph c) members in
   (* the induced subgraph contains exactly the internal edges, because all
      links incident to other documents leave the member set *)
-  let clo = Closure.compute sub in
-  let doc_cover, _ = Builder.build clo in
-  Cover.union_into ~dst:cover doc_cover;
+  Cover.union_into ~dst:cover (cover_of_induced (Collection.element_graph c) members);
   (* merge with the existing cover: every new inter-document link (outgoing
      references plus restored pending links from older documents) is a
      cross-partition link, handled by the incremental join *)
@@ -188,9 +191,7 @@ let delete_nodes_general c cover v_di =
   in
   let avoid x = Ihs.mem v_di x in
   let r = Traversal.reachable_avoiding g ~avoid seeds in
-  let sub = Digraph.induced_subgraph g r in
-  let clo = Closure.compute sub in
-  let hat, _ = Builder.build clo in
+  let hat = cover_of_induced g r in
   (* overrides first, then the component-wise union with L̂ *)
   Ihs.iter
     (fun a -> if not (Ihs.mem v_di a) then Cover.set_lout cover a Int_set.empty)
@@ -242,10 +243,7 @@ let delete_link c cover u v =
   Collection.remove_link c u v;
   (* partial closure recomputation from the (old) ancestors of u *)
   let seeds = Ihs.to_list a in
-  let r = Traversal.reachable g seeds in
-  let sub = Digraph.induced_subgraph g r in
-  let clo = Closure.compute sub in
-  let hat, _ = Builder.build clo in
+  let hat = cover_of_induced g (Traversal.reachable g seeds) in
   Ihs.iter (fun x -> Cover.set_lout cover x Int_set.empty) a;
   Ihs.iter
     (fun x ->

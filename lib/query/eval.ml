@@ -1,7 +1,6 @@
 module Collection = Hopi_collection.Collection
 module Hopi = Hopi_core.Hopi
 module Traversal = Hopi_graph.Traversal
-module Dist_cover = Hopi_twohop.Dist_cover
 module Cover = Hopi_twohop.Cover
 module Timer = Hopi_util.Timer
 module Counter = Hopi_obs.Counter
@@ -221,7 +220,7 @@ let eval ?(options = default_options) idx expr =
   let dist =
     if options.use_distance || options.max_distance <> None then
       let d = Hopi.distance_index idx in
-      fun u v -> Dist_cover.dist d u v
+      fun u v -> Cover.dist d u v
     else fun _ _ -> None
   in
   let cover = Hopi.cover idx in

@@ -105,10 +105,10 @@ let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
   for p = 0 to k - 1 do
     let sub = Partitioning.element_subgraph part c p in
     let pager = S.Pager.create_vfs ~fsync ~vfs (shard_path ~dir p) in
-    let store =
-      if dist then S.Cover_store.of_dist_cover pager (fst (Dist_builder.build sub))
-      else S.Cover_store.of_cover pager (fst (Builder.build (Closure.compute sub)))
+    let cover =
+      if dist then fst (Dist_builder.build sub) else fst (Builder.build (Closure.compute sub))
     in
+    let store = S.Cover_store.of_cover pager cover in
     S.Cover_store.save store;
     entries := !entries + S.Cover_store.n_entries store;
     S.Pager.close pager

@@ -1,6 +1,5 @@
 module Ihs = Hopi_util.Int_hashset
 module Cover = Hopi_twohop.Cover
-module Dist_cover = Hopi_twohop.Dist_cover
 module Codec = Hopi_twohop.Label_codec
 module Dyn_array = Hopi_util.Dyn_array
 
@@ -269,15 +268,7 @@ let of_cover pgr cover =
       registered = Cover.mem_node cover;
       iter =
         (fun dir v f ->
-          (match dir with Lin -> Cover.iter_lin | Lout -> Cover.iter_lout) cover v (fun c -> f c 0)) }
-
-let of_dist_cover pgr cover =
-  write pgr
-    { nodes = sorted_ints (Dist_cover.n_nodes cover) (Dist_cover.iter_nodes cover);
-      registered = Dist_cover.mem_node cover;
-      iter =
-        (fun dir v f ->
-          (match dir with Lin -> Dist_cover.iter_lin | Lout -> Dist_cover.iter_lout) cover v f) }
+          (match dir with Lin -> Cover.iter_lin | Lout -> Cover.iter_lout) cover v f) }
 
 (* the trivial cover: Lout(v) is every node v reaches but itself, Lin is
    empty *)

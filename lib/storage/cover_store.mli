@@ -60,13 +60,10 @@ type t
     answer such a pair before any label fetch. *)
 
 val of_cover : Pager.t -> Hopi_twohop.Cover.t -> t
-(** Store a plain cover (all distances 0).
+(** Store a cover with each entry's distance in the DIST column (all 0
+    for a plain cover).
     @raise Invalid_argument when the pager already has pages, or on a
     node id outside [\[0, 2^31)]. *)
-
-val of_dist_cover : Pager.t -> Hopi_twohop.Dist_cover.t -> t
-(** {!of_cover} for distance-aware covers (the DIST column variant of
-    Section 5.1). *)
 
 val of_closure : Pager.t -> Hopi_graph.Closure.t -> t
 (** Store a materialised transitive closure, the baseline HOPI is

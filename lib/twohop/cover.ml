@@ -7,6 +7,11 @@ type t = {
   (* backward indexes: center -> nodes labelled with it *)
   lin_inv : (int, Ihs.t) Hashtbl.t;
   lout_inv : (int, Ihs.t) Hashtbl.t;
+  (* the DIST column (Section 5.1): each entry's distance, keyed by the
+     entry's [pack_entry], held only where it is not 0 — a plain cover
+     never touches these *)
+  lin_dist : (int, int) Hashtbl.t;
+  lout_dist : (int, int) Hashtbl.t;
   mutable size : int;
   mutable on_change : (int -> unit) option;
 }
@@ -17,6 +22,8 @@ let create ?(initial = 64) () =
     lout = Hashtbl.create initial;
     lin_inv = Hashtbl.create initial;
     lout_inv = Hashtbl.create initial;
+    lin_dist = Hashtbl.create 1;
+    lout_dist = Hashtbl.create 1;
     size = 0;
     on_change = None;
   }
@@ -45,29 +52,52 @@ let iter_nodes t f = Hashtbl.iter (fun v _ -> f v) t.lin
 
 let nodes t = Hashtbl.fold (fun v _ acc -> v :: acc) t.lin []
 
-let add_in t ~node ~center =
+let pack_bits = 31
+
+let pack_mask = (1 lsl pack_bits) - 1
+
+let pack_entry ~node ~center =
+  if node < 0 || node > pack_mask || center < 0 || center > pack_mask then
+    invalid_arg (Printf.sprintf "Cover.pack_entry: (%d, %d) out of range" node center);
+  (node lsl pack_bits) lor center
+
+(* an entry's key in the distance maps; -1, never a key, outside the
+   packed range, where no entry can hold a distance *)
+let dist_key ~node ~center =
+  if node < 0 || node > pack_mask || center < 0 || center > pack_mask then -1
+  else (node lsl pack_bits) lor center
+
+let entry_dist dists ~node ~center =
+  if Hashtbl.length dists = 0 then 0
+  else Option.value ~default:0 (Hashtbl.find_opt dists (dist_key ~node ~center))
+
+let set_dist dists ~node ~center d =
+  if d = 0 then Hashtbl.remove dists (dist_key ~node ~center)
+  else Hashtbl.replace dists (pack_entry ~node ~center) d
+
+let add_entry t fwd inv dists ~node ~center ~dist =
+  if dist < 0 then invalid_arg "Cover: negative distance";
   if node <> center then begin
     add_node t node;
-    let s = bucket t.lin node in
+    let s = bucket fwd node in
     if not (Ihs.mem s center) then begin
       Ihs.add s center;
-      Ihs.add (bucket t.lin_inv center) node;
+      Ihs.add (bucket inv center) node;
+      if dist > 0 then set_dist dists ~node ~center dist;
       t.size <- t.size + 1;
+      notify t node
+    end
+    else if dist < entry_dist dists ~node ~center then begin
+      set_dist dists ~node ~center dist;
       notify t node
     end
   end
 
-let add_out t ~node ~center =
-  if node <> center then begin
-    add_node t node;
-    let s = bucket t.lout node in
-    if not (Ihs.mem s center) then begin
-      Ihs.add s center;
-      Ihs.add (bucket t.lout_inv center) node;
-      t.size <- t.size + 1;
-      notify t node
-    end
-  end
+let add_in ?(dist = 0) t ~node ~center =
+  add_entry t t.lin t.lin_inv t.lin_dist ~node ~center ~dist
+
+let add_out ?(dist = 0) t ~node ~center =
+  add_entry t t.lout t.lout_inv t.lout_dist ~node ~center ~dist
 
 (* {1 Packed batch additions}
 
@@ -78,17 +108,10 @@ let add_out t ~node ~center =
    the entries that were actually new are repacked (center, node), sorted,
    and applied in a second grouped pass. *)
 
-let pack_bits = 31
-
-let pack_mask = (1 lsl pack_bits) - 1
-
-let pack_entry ~node ~center =
-  if node < 0 || node > pack_mask || center < 0 || center > pack_mask then
-    invalid_arg (Printf.sprintf "Cover.pack_entry: (%d, %d) out of range" node center);
-  (node lsl pack_bits) lor center
-
-let add_packed t fwd inv entries =
+let add_packed t fwd inv dists entries =
   let n = Array.length entries in
+  (* an entry already present at a distance > 0 drops to distance 0 *)
+  let has_dists = Hashtbl.length dists > 0 in
   (* entries actually added, repacked (center, node) for the inverse pass *)
   let kept = Array.make n 0 in
   let k = ref 0 in
@@ -101,16 +124,21 @@ let add_packed t fwd inv entries =
     done;
     add_node t node;
     let s = bucket fwd node in
-    let before = !k in
+    let before = !k and lowered = ref false in
     for e = !i to !j - 1 do
       let center = entries.(e) land pack_mask in
-      if center <> node && not (Ihs.mem s center) then begin
-        Ihs.add s center;
-        kept.(!k) <- (center lsl pack_bits) lor node;
-        incr k
-      end
+      if center <> node then
+        if not (Ihs.mem s center) then begin
+          Ihs.add s center;
+          kept.(!k) <- (center lsl pack_bits) lor node;
+          incr k
+        end
+        else if has_dists && Hashtbl.mem dists entries.(e) then begin
+          Hashtbl.remove dists entries.(e);
+          lowered := true
+        end
     done;
-    if !k > before then notify t node;
+    if !k > before || !lowered then notify t node;
     i := !j
   done;
   let added = !k in
@@ -130,9 +158,9 @@ let add_packed t fwd inv entries =
   t.size <- t.size + added;
   added
 
-let add_in_packed t entries = add_packed t t.lin t.lin_inv entries
+let add_in_packed t entries = add_packed t t.lin t.lin_inv t.lin_dist entries
 
-let add_out_packed t entries = add_packed t t.lout t.lout_inv entries
+let add_out_packed t entries = add_packed t t.lout t.lout_inv t.lout_dist entries
 
 let get h v =
   match Hashtbl.find_opt h v with
@@ -147,24 +175,16 @@ let lin_cardinal t v = Ihs.cardinal (get t.lin v)
 
 let lout_cardinal t v = Ihs.cardinal (get t.lout v)
 
-let iter_lin t v f = match Hashtbl.find_opt t.lin v with
-  | Some s -> Ihs.iter f s
+let iter_side fwd dists v f =
+  match Hashtbl.find_opt fwd v with
   | None -> ()
+  | Some s ->
+    if Hashtbl.length dists = 0 then Ihs.iter (fun c -> f c 0) s
+    else Ihs.iter (fun c -> f c (entry_dist dists ~node:v ~center:c)) s
 
-let iter_lout t v f = match Hashtbl.find_opt t.lout v with
-  | Some s -> Ihs.iter f s
-  | None -> ()
+let iter_lin t v f = iter_side t.lin t.lin_dist v f
 
-(* the serving layer's delta-encoded layout: sorted distinct centers, all
-   at distance 0 (a plain cover stores no distances) *)
-let encoded_of set =
-  let e = Label_codec.Enc.create () in
-  Int_set.iter (fun center -> Label_codec.Enc.row e ~center ~dist:0) set;
-  Label_codec.Enc.finish e
-
-let encoded_lin t v = encoded_of (lin t v)
-
-let encoded_lout t v = encoded_of (lout t v)
+let iter_lout t v f = iter_side t.lout t.lout_dist v f
 
 let in_labelled_with t w = get t.lin_inv w
 
@@ -186,29 +206,22 @@ let connected t u v =
     Ihs.mem ou v || Ihs.mem iv u || inter_nonempty ou iv
   end
 
-let hop_center t u v =
+let dist t u v =
   if not (mem_node t u && mem_node t v) then None
-  else if u = v then Some u
+  else if u = v then Some 0
   else begin
     let ou = get t.lout u and iv = get t.lin v in
-    if Ihs.mem ou v then Some v
-    else if Ihs.mem iv u then Some u
-    else begin
-      let small, large =
-        if Ihs.cardinal ou <= Ihs.cardinal iv then (ou, iv) else (iv, ou)
-      in
-      let found = ref None in
-      (try
-         Ihs.iter
-           (fun x ->
-             if Ihs.mem large x then begin
-               found := Some x;
-               raise Exit
-             end)
-           small
-       with Exit -> ());
-      !found
-    end
+    let dout w = entry_dist t.lout_dist ~node:u ~center:w in
+    let din w = entry_dist t.lin_dist ~node:v ~center:w in
+    (* implicit centers: w = u (dout 0) and w = v (din 0) *)
+    let best = ref max_int in
+    let consider d = if d < !best then best := d in
+    if Ihs.mem iv u then consider (din u);
+    if Ihs.mem ou v then consider (dout v);
+    if Ihs.cardinal ou <= Ihs.cardinal iv then
+      Ihs.iter (fun w -> if Ihs.mem iv w then consider (dout w + din w)) ou
+    else Ihs.iter (fun w -> if Ihs.mem ou w then consider (dout w + din w)) iv;
+    if !best = max_int then None else Some !best
   end
 
 let descendants t u =
@@ -242,10 +255,17 @@ let size t = t.size
 
 let union_into ~dst src =
   Hashtbl.iter (fun v _ -> add_node dst v) src.lin;
-  Hashtbl.iter (fun v s -> Ihs.iter (fun w -> add_in dst ~node:v ~center:w) s) src.lin;
-  Hashtbl.iter (fun v s -> Ihs.iter (fun w -> add_out dst ~node:v ~center:w) s) src.lout
+  let side fwd inv dists src_fwd src_dists =
+    Hashtbl.iter
+      (fun node _ ->
+        iter_side src_fwd src_dists node (fun center dist ->
+            add_entry dst fwd inv dists ~node ~center ~dist))
+      src_fwd
+  in
+  side dst.lin dst.lin_inv dst.lin_dist src.lin src.lin_dist;
+  side dst.lout dst.lout_inv dst.lout_dist src.lout src.lout_dist
 
-let set_labels t fwd inv node set =
+let set_labels t fwd inv dists node set =
   add_node t node;
   let old = get fwd node in
   let changed = ref false in
@@ -253,6 +273,7 @@ let set_labels t fwd inv node set =
     (fun w ->
       if not (Int_set.mem w set) then begin
         Ihs.remove (bucket inv w) node;
+        if Hashtbl.length dists > 0 then set_dist dists ~node ~center:w 0;
         t.size <- t.size - 1;
         changed := true
       end)
@@ -270,43 +291,29 @@ let set_labels t fwd inv node set =
   Hashtbl.replace fwd node fresh;
   if !changed then notify t node
 
-let set_lin t node set = set_labels t t.lin t.lin_inv node set
+let set_lin t node set = set_labels t t.lin t.lin_inv t.lin_dist node set
 
-let set_lout t node set = set_labels t t.lout t.lout_inv node set
+let set_lout t node set = set_labels t t.lout t.lout_inv t.lout_dist node set
 
 let remove_node t v =
   if mem_node t v then begin
     set_lin t v Int_set.empty;
     set_lout t v Int_set.empty;
     (* entries naming v as a center *)
-    Ihs.iter
-      (fun n ->
-        let s = get t.lin n in
-        if Ihs.mem s v then begin
-          Ihs.remove s v;
-          t.size <- t.size - 1;
-          notify t n
-        end)
-      (get t.lin_inv v);
-    Ihs.iter
-      (fun n ->
-        let s = get t.lout n in
-        if Ihs.mem s v then begin
-          Ihs.remove s v;
-          t.size <- t.size - 1;
-          notify t n
-        end)
-      (get t.lout_inv v);
+    let strip fwd dists n =
+      let s = get fwd n in
+      if Ihs.mem s v then begin
+        Ihs.remove s v;
+        if Hashtbl.length dists > 0 then set_dist dists ~node:n ~center:v 0;
+        t.size <- t.size - 1;
+        notify t n
+      end
+    in
+    Ihs.iter (strip t.lin t.lin_dist) (get t.lin_inv v);
+    Ihs.iter (strip t.lout t.lout_dist) (get t.lout_inv v);
     Hashtbl.remove t.lin_inv v;
     Hashtbl.remove t.lout_inv v;
     Hashtbl.remove t.lin v;
     Hashtbl.remove t.lout v;
     notify t v
   end
-
-let copy t =
-  let c = create ~initial:(n_nodes t) () in
-  iter_nodes t (fun v -> add_node c v);
-  Hashtbl.iter (fun v s -> Ihs.iter (fun w -> add_in c ~node:v ~center:w) s) t.lin;
-  Hashtbl.iter (fun v s -> Ihs.iter (fun w -> add_out c ~node:v ~center:w) s) t.lout;
-  c

@@ -3,8 +3,14 @@
     in-memory equivalent of the paper's LIN/LOUT tables with forward and
     backward indexes (Section 3.4).
 
+    Each entry carries the paper's optional DIST column (Section 5.1): the
+    shortest distance from the node to its [Lout] center, or from the [Lin]
+    center to the node.  It defaults to 0, so a plain cover is a distance
+    cover whose distances are all 0, as in the store.  [Dist_builder]
+    fills real distances; [Builder] never does.
+
     Following the paper, a node is {e never} stored in its own labels; the
-    query operations account for the implicit self-entries. *)
+    query operations account for the implicit self-entries (distance 0). *)
 
 type t
 
@@ -21,10 +27,14 @@ val iter_nodes : t -> (int -> unit) -> unit
 
 val nodes : t -> int list
 
-val add_in : t -> node:int -> center:int -> unit
-(** Add [center] to [Lin(node)]; self-entries are silently skipped. *)
+val add_in : ?dist:int -> t -> node:int -> center:int -> unit
+(** Add [center] to [Lin(node)] at distance [dist] (default 0); an entry
+    already present keeps the smaller distance.  Self-entries are silently
+    skipped.
+    @raise Invalid_argument on a negative [dist], or on a node or center
+    outside [\[0, 2^31)] when [dist > 0]. *)
 
-val add_out : t -> node:int -> center:int -> unit
+val add_out : ?dist:int -> t -> node:int -> center:int -> unit
 
 (** {2 Packed batch additions}
 
@@ -32,9 +42,9 @@ val add_out : t -> node:int -> center:int -> unit
     {!pack_entry} arrive as one array sorted ascending, so both label
     directions update in grouped passes — one bucket lookup per node group
     instead of several hash probes per entry.  Semantically each entry is
-    exactly an {!add_in}/{!add_out} (self-entries and duplicates are
-    skipped, the backward index stays consistent, the change hook fires
-    once per node whose set changed). *)
+    exactly an {!add_in}/{!add_out} at distance 0 (self-entries and
+    duplicates are skipped, the backward index stays consistent, the
+    change hook fires once per node whose labels changed). *)
 
 val pack_entry : node:int -> center:int -> int
 (** [(node lsl 31) lor center].  Both components must be in [0, 2^31) —
@@ -58,16 +68,11 @@ val lin_cardinal : t -> int -> int
 
 val lout_cardinal : t -> int -> int
 
-val iter_lin : t -> int -> (int -> unit) -> unit
+val iter_lin : t -> int -> (int -> int -> unit) -> unit
+(** [iter_lin t v f] calls [f center dist] once per explicit entry of
+    [Lin(v)], in no particular order. *)
 
-val iter_lout : t -> int -> (int -> unit) -> unit
-
-val encoded_lin : t -> int -> Label_codec.t
-(** [Lin(node)] in the serving layer's {!Label_codec} layout: sorted
-    distinct centers, each as a distance-0 row (plain covers store no
-    distances).  Decoding it recovers exactly {!lin}. *)
-
-val encoded_lout : t -> int -> Label_codec.t
+val iter_lout : t -> int -> (int -> int -> unit) -> unit
 
 val in_labelled_with : t -> int -> Hopi_util.Int_hashset.t
 (** [in_labelled_with t w] = nodes [v] with [w ∈ Lin(v)] — the backward
@@ -79,8 +84,11 @@ val connected : t -> int -> int -> bool
 (** [connected t u v] iff [(Lout(u) ∪ {u}) ∩ (Lin(v) ∪ {v}) ≠ ∅].
     Reflexive: [connected t v v = true] for registered [v]. *)
 
-val hop_center : t -> int -> int -> int option
-(** A witness center for [connected], if any. *)
+val dist : t -> int -> int -> int option
+(** [dist t u v] = the least [dout(u, w) + din(w, v)] over the common
+    centers [w] of [Lout(u) ∪ {u}] and [Lin(v) ∪ {v}] — the paper's
+    [MIN(LOUT.DIST + LIN.DIST)].  [None] iff not {!connected}; on a plain
+    cover every connected pair answers [Some 0], as the store does. *)
 
 val descendants : t -> int -> Hopi_util.Int_hashset.t
 (** All [v] with [connected t u v], including [u] itself.  Fresh set. *)
@@ -91,25 +99,24 @@ val size : t -> int
 (** Cover size |L| = Σ (|Lin(v)| + |Lout(v)|) — the paper's "entries". *)
 
 val union_into : dst:t -> t -> unit
-(** Component-wise union of label sets (used when joining partition covers). *)
+(** Component-wise union of label sets keeping the smaller distance of
+    each entry (used when joining partition covers). *)
 
 val set_lin : t -> int -> Hopi_util.Int_set.t -> unit
 (** Replace [Lin(node)] wholesale (deletion maintenance); keeps the backward
-    index consistent. *)
+    index consistent.  Entries that stay keep their distance; new ones are
+    at distance 0. *)
 
 val set_lout : t -> int -> Hopi_util.Int_set.t -> unit
 
 val remove_node : t -> int -> unit
 (** Drop the node's labels and all label entries naming it as a center. *)
 
-val copy : t -> t
-(** Deep copy of the label tables.  The change hook is {e not} copied. *)
-
 val set_on_label_change : t -> (int -> unit) option -> unit
 (** Install (or clear) a hook called with a node id whenever that node's
-    [Lin] or [Lout] set actually changes — label additions, wholesale
-    replacement, and the backward-index fan-out of {!remove_node} all
-    report every affected node.  Pure registration churn ({!add_node})
+    [Lin] or [Lout] set actually changes — label additions, a lowered
+    distance, wholesale replacement, and the backward-index fan-out of
+    {!remove_node} all report every affected node.  Pure registration churn ({!add_node})
     does not fire.  The generational serving layer uses this to track
     which cached label arrays a maintenance batch dirtied.  The hook runs
     synchronously under the mutation and must not call back into the

@@ -94,7 +94,7 @@ let apply_choice ctx cover uncov w (r : Densest.result) =
   List.iter
     (fun u ->
       (match d ctx u w with
-       | Some du -> Dist_cover.add_out cover ~node:u ~center:w ~dist:du
+       | Some du -> Cover.add_out cover ~node:u ~center:w ~dist:du
        | None -> assert false);
       let vs = ref [] in
       if Uncovered.succ_count uncov u <= Ihs.cardinal c_out_set then
@@ -109,15 +109,15 @@ let apply_choice ctx cover uncov w (r : Densest.result) =
   List.iter
     (fun v ->
       match d ctx w v with
-      | Some dv -> Dist_cover.add_in cover ~node:v ~center:w ~dist:dv
+      | Some dv -> Cover.add_in cover ~node:v ~center:w ~dist:dv
       | None -> assert false)
     r.Densest.c_out
 
 let build ?(seed = 42) ?(exact_threshold = max_samples) g =
   let ctx = make_ctx g in
   let rng = Splitmix.create seed in
-  let cover = Dist_cover.create ~initial:(Digraph.n_nodes g) () in
-  Digraph.iter_nodes g (fun v -> Dist_cover.add_node cover v);
+  let cover = Cover.create ~initial:(Digraph.n_nodes g) () in
+  Digraph.iter_nodes g (fun v -> Cover.add_node cover v);
   let pairs = ref [] in
   Hashtbl.iter
     (fun u s -> Int_set.iter (fun v -> if u <> v then pairs := (u, v) :: !pairs) s)
@@ -137,7 +137,7 @@ let build ?(seed = 42) ?(exact_threshold = max_samples) g =
       match Uncovered.choose uncov with
       | Some (u, v) ->
         (match d ctx u v with
-         | Some duv -> Dist_cover.add_out cover ~node:u ~center:v ~dist:duv
+         | Some duv -> Cover.add_out cover ~node:u ~center:v ~dist:duv
          | None -> assert false);
         Uncovered.remove uncov u v
       | None -> ())

@@ -6,7 +6,10 @@
     longer complete — the initial maximal density of a center graph with [E]
     edges is estimated as [√E / 2], with [E] obtained exactly for small
     candidate sets and otherwise by sampling at most [13,600] candidate
-    pairs and taking the upper bound of the 98% confidence interval. *)
+    pairs and taking the upper bound of the 98% confidence interval.
+
+    The result is a {!Cover.t} whose entries carry their distances in the
+    DIST column, so {!Cover.dist} answers shortest distances. *)
 
 type stats = {
   iterations : int;
@@ -22,7 +25,7 @@ val build :
   ?seed:int ->
   ?exact_threshold:int ->
   Hopi_graph.Digraph.t ->
-  Dist_cover.t * stats
+  Cover.t * stats
 (** [exact_threshold] (default [max_samples]): candidate-pair counts up to
     this bound are counted exactly instead of sampled.  Pass [0] to force
     sampling everywhere, or [max_int] to force exact counting (the ablation

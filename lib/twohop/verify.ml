@@ -30,7 +30,7 @@ let dist_cover_vs_graph cover g =
       List.iter
         (fun v ->
           let expected_d = Hashtbl.find_opt dists v in
-          let got_d = Dist_cover.dist cover u v in
+          let got_d = Cover.dist cover u v in
           if expected_d <> got_d then
             mismatches := { du = u; dv = v; expected_d; got_d } :: !mismatches)
         nodes)

@@ -8,5 +8,5 @@ val cover_vs_graph : Cover.t -> Hopi_graph.Digraph.t -> mismatch list
 
 type dist_mismatch = { du : int; dv : int; expected_d : int option; got_d : int option }
 
-val dist_cover_vs_graph : Dist_cover.t -> Hopi_graph.Digraph.t -> dist_mismatch list
+val dist_cover_vs_graph : Cover.t -> Hopi_graph.Digraph.t -> dist_mismatch list
 (** Compares shortest distances for all pairs. *)

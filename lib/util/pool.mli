@@ -36,13 +36,10 @@ val shutdown : t -> unit
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exceptions). *)
 
-val parallel_iter : t -> ?chunk:int -> int -> (int -> unit) -> unit
-(** [parallel_iter t n f] runs [f 0 .. f (n-1)], each exactly once, on the
-    pool's domains.  Returns when all items finished. *)
-
 val parallel_map : t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_map t n f] is [[| f 0; ...; f (n-1) |]] computed on the
-    pool's domains; slot [i] always holds [f i]. *)
+    pool's domains, each [f i] exactly once; slot [i] always holds [f i].
+    Returns when all items finished. *)
 
 val map_array : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f a] is [Array.map f a] on the pool's domains. *)

@@ -24,7 +24,6 @@ module Dist_builder = Hopi_twohop.Dist_builder
 module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
 module Cover = Hopi_twohop.Cover
-module Dist_cover = Hopi_twohop.Dist_cover
 module Int_set = Hopi_util.Int_set
 module Splitmix = Hopi_util.Splitmix
 module Ihs = Hopi_util.Int_hashset
@@ -85,19 +84,10 @@ type oracle = {
 
 let oracle_of_graph ~dist g n =
   let clo = Closure.compute g in
-  let load, reach, distance =
-    if dist then begin
-      let dc = fst (Dist_builder.build g) in
-      ( (fun pager -> Cover_store.of_dist_cover pager dc),
-        Dist_cover.connected dc, Dist_cover.dist dc )
-    end
-    else begin
-      let c = fst (Builder.build clo) in
-      ( (fun pager -> Cover_store.of_cover pager c),
-        Cover.connected c,
-        fun u v -> if Cover.connected c u v then Some 0 else None )
-    end
-  in
+  let c = if dist then fst (Dist_builder.build g) else fst (Builder.build clo) in
+  let load pager = Cover_store.of_cover pager c
+  and reach = Cover.connected c
+  and distance = Cover.dist c in
   {
     load;
     reach = Array.init n (fun u -> Array.init n (reach u));

@@ -384,23 +384,6 @@ let prop_diff_modify_equals_full_modify =
       let _ = Hopi.modify_document_diff idx victim replacement in
       Hopi.self_check idx)
 
-let test_background_rebuild () =
-  let c = small_dblp ~n:20 () in
-  let idx = Hopi.create c in
-  (* churn the index so a rebuild has something to re-optimise *)
-  let docs = List.sort compare (Collection.doc_ids c) in
-  ignore (Hopi.remove_document idx (List.nth docs 3));
-  ignore (Hopi.remove_document idx (List.nth docs 7));
-  let size_before = Hopi.size idx in
-  let h = Hopi.start_rebuild idx in
-  (* queries keep being answered from the old cover while the build runs *)
-  check_bool "old cover still exact" true (Hopi.self_check idx);
-  check_int "cover untouched" size_before (Hopi.size idx);
-  let r = Hopi.finish_rebuild idx h in
-  check_bool "ready after join" true (Hopi.rebuild_ready h);
-  check_int "new cover installed" (Cover.size r.Build.cover) (Hopi.size idx);
-  check_bool "new cover exact" true (Hopi.self_check idx)
-
 let test_rebuild () =
   let c = small_dblp ~n:10 () in
   let idx = Hopi.create c in
@@ -489,29 +472,32 @@ let base_suite =
         Alcotest.test_case "diff modify fallback" `Quick
           test_modify_document_diff_root_change_falls_back;
         Alcotest.test_case "rebuild" `Quick test_rebuild;
-        Alcotest.test_case "background rebuild" `Quick test_background_rebuild;
       ]
       @ qsuite [ prop_maintenance_random_ops; prop_diff_modify_equals_full_modify ] );
   ]
 
-(* {1 Distance-aware maintenance} *)
+(* {1 Distance answers under maintenance}
 
-let dist_exact c dc =
-  Verify.dist_cover_vs_graph dc (Collection.element_graph c) = []
+   The facade keeps no distance index through an update: every
+   maintenance call drops the cached one and the next
+   [Hopi.distance_index] rebuilds it from the element graph. *)
+
+let dist_exact idx =
+  Verify.dist_cover_vs_graph (Hopi.distance_index idx)
+    (Collection.element_graph (Hopi.collection idx))
+  = []
 
 let test_dist_insert_edge () =
   let c = small_dblp ~n:8 () in
-  let g = Collection.element_graph c in
-  let dc, _ = Hopi_twohop.Dist_builder.build g in
-  check_bool "exact initially" true (dist_exact c dc);
-  (* add a shortcut link and update the distance cover incrementally *)
+  let idx = Hopi.create c in
+  check_bool "exact initially" true (dist_exact idx);
+  (* add a shortcut link *)
   let docs = List.sort compare (Collection.doc_ids c) in
   let u = Collection.doc_root_element c (List.nth docs 0) in
   let v = Collection.doc_root_element c (List.nth docs 7) in
-  if not (Hopi_graph.Digraph.mem_edge g u v) then begin
-    ignore (Collection.add_link c u v);
-    Hopi_core.Dist_maintenance.insert_edge dc u v;
-    check_bool "exact after shortcut" true (dist_exact c dc)
+  if not (Hopi_graph.Digraph.mem_edge (Collection.element_graph c) u v) then begin
+    ignore (Hopi.insert_link idx u v);
+    check_bool "exact after shortcut" true (dist_exact idx)
   end
 
 let test_dist_insert_edge_shortens_path () =
@@ -524,15 +510,14 @@ let test_dist_insert_edge_shortens_path () =
   let _ = Collection.add_document c ~name:"b.xml"
       (parse {|<b id="r"><x xlink:href="c.xml#r"/></b>|}) in
   let _ = Collection.add_document c ~name:"c.xml" (parse {|<c id="r"/>|}) in
-  let g = Collection.element_graph c in
-  let dc, _ = Hopi_twohop.Dist_builder.build g in
+  let idx = Hopi.create c in
   let ra = Collection.doc_root_element c (Option.get (Collection.find_doc c "a.xml")) in
   let rc = Collection.doc_root_element c (Option.get (Collection.find_doc c "c.xml")) in
-  Alcotest.(check (option int)) "before" (Some 4) (Hopi_twohop.Dist_cover.dist dc ra rc);
-  ignore (Collection.add_link c ra rc);
-  Hopi_core.Dist_maintenance.insert_edge dc ra rc;
-  Alcotest.(check (option int)) "after" (Some 1) (Hopi_twohop.Dist_cover.dist dc ra rc);
-  check_bool "all distances exact" true (dist_exact c dc)
+  let dist () = Cover.dist (Hopi.distance_index idx) ra rc in
+  Alcotest.(check (option int)) "before" (Some 4) (dist ());
+  ignore (Hopi.insert_link idx ra rc);
+  Alcotest.(check (option int)) "after" (Some 1) (dist ());
+  check_bool "all distances exact" true (dist_exact idx)
 
 let test_dist_insert_document () =
   let cfg = Dblp.default ~n_docs:10 in
@@ -540,26 +525,24 @@ let test_dist_insert_document () =
   for i = 0 to 7 do
     ignore (Collection.add_document_xml c ~name:(Dblp.doc_name i) (Dblp.document_xml cfg i))
   done;
-  let dc, _ = Hopi_twohop.Dist_builder.build (Collection.element_graph c) in
+  let idx = Hopi.create c in
+  ignore (Hopi.distance_index idx);
   for i = 8 to 9 do
     let root = Hopi_xml.Xml_parser.parse_string_exn (Dblp.document_xml cfg i) in
-    ignore (Hopi_core.Dist_maintenance.insert_document c dc ~name:(Dblp.doc_name i) root);
-    check_bool (Printf.sprintf "exact after doc %d" i) true (dist_exact c dc)
+    ignore (Hopi.insert_document idx ~name:(Dblp.doc_name i) root);
+    check_bool (Printf.sprintf "exact after doc %d" i) true (dist_exact idx)
   done
 
 let test_dist_delete_document () =
   let c = small_dblp ~n:12 () in
-  let dc, _ = Hopi_twohop.Dist_builder.build (Collection.element_graph c) in
+  let idx = Hopi.create c in
+  ignore (Hopi.distance_index idx);
   let rng = Splitmix.create 21 in
-  let seen_fast = ref false and seen_general = ref false in
   for _ = 1 to 6 do
     let docs = Array.of_list (List.sort compare (Collection.doc_ids c)) in
-    let victim = Splitmix.pick rng docs in
-    let st = Hopi_core.Dist_maintenance.delete_document c dc victim in
-    if st.Maintenance.separating then seen_fast := true else seen_general := true;
-    check_bool "exact after dist delete" true (dist_exact c dc)
-  done;
-  check_bool "both paths exercised" true (!seen_fast || !seen_general)
+    ignore (Hopi.remove_document idx (Splitmix.pick rng docs));
+    check_bool "exact after delete" true (dist_exact idx)
+  done
 
 let dist_suite =
   [
@@ -655,15 +638,20 @@ let test_cycle_delete_document () =
   check_bool "a no longer reaches c" false (Hopi.connected idx ra rc);
   check_bool "c still reaches a" true (Hopi.connected idx rc ra)
 
+(* a deleted document on the cycle may carry a surviving pair's shortest
+   path while the pair stays connected the other way round *)
 let test_cycle_distance_maintenance () =
-  let c, _, b, _ = cyclic_collection () in
-  let dc, _ = Hopi_twohop.Dist_builder.build (Collection.element_graph c) in
-  (* the Anc ∩ Desc overlap must force the general path in the distance
-     variant even though connectivity-wise the structure is symmetric *)
-  let st = Hopi_core.Dist_maintenance.delete_document c dc b in
-  check_bool "distance general path" false st.Maintenance.separating;
-  check_bool "distances exact" true
-    (Hopi_twohop.Verify.dist_cover_vs_graph dc (Collection.element_graph c) = [])
+  let c, a, b, cc = cyclic_collection () in
+  let idx = Hopi.create c in
+  let ra = Collection.doc_root_element c a in
+  let rc = Collection.doc_root_element c cc in
+  Alcotest.(check (option int)) "a ~> c through b" (Some 4)
+    (Cover.dist (Hopi.distance_index idx) ra rc);
+  let st = Hopi.remove_document idx b in
+  check_bool "general path" false st.Maintenance.separating;
+  check_bool "distances exact" true (dist_exact idx);
+  Alcotest.(check (option int)) "a no longer reaches c" None
+    (Cover.dist (Hopi.distance_index idx) ra rc)
 
 let test_cycle_flix () =
   let c, a, _, cc = cyclic_collection () in
@@ -685,21 +673,28 @@ let cycle_suite =
   ]
 
 
+(* insertions drop the cached distance index like every deletion does;
+   the next call rebuilds it over the grown element graph *)
 let test_facade_keeps_distance_index_fresh () =
   let c = small_dblp ~n:8 () in
   let idx = Hopi.create c in
-  (* force the distance index into the cache *)
-  let _ = Hopi.distance_index idx in
+  let cached = Hopi.distance_index idx in
+  check_bool "cached between updates" true (Hopi.distance_index idx == cached);
   let docs = List.sort compare (Collection.doc_ids c) in
-  let u = Collection.doc_root_element c (List.nth docs 0) in
-  let v = Collection.doc_root_element c (List.nth docs 6) in
-  if not (Hopi_graph.Digraph.mem_edge (Collection.element_graph c) u v) then begin
-    ignore (Hopi.insert_link idx u v);
-    (* the cached index must have been updated in place, not rebuilt *)
-    let d = Hopi.distance_index idx in
-    check_int "incrementally exact" 0
-      (List.length (Verify.dist_cover_vs_graph d (Collection.element_graph c)))
-  end
+  let root i = Collection.doc_root_element c (List.nth docs i) in
+  let u = root 0 and v = root 6 in
+  check_bool "no such link yet" false
+    (Hopi_graph.Digraph.mem_edge (Collection.element_graph c) u v);
+  ignore (Hopi.insert_link idx u v);
+  check_bool "insert_link drops the cached index" false (Hopi.distance_index idx == cached);
+  check_bool "exact after insert_link" true (dist_exact idx);
+  let cached = Hopi.distance_index idx in
+  let e = Hopi.insert_element idx ~doc:(List.nth docs 3) ~parent:(root 3) ~tag:"note" in
+  let d = Hopi.distance_index idx in
+  check_bool "insert_element drops the cached index" false (d == cached);
+  check_bool "exact after insert_element" true (dist_exact idx);
+  Alcotest.(check (option int)) "the new element is one edge down" (Some 1)
+    (Cover.dist d (root 3) e)
 
 let facade_dist_suite =
   [

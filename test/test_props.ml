@@ -14,6 +14,8 @@ module Builder = Hopi_twohop.Builder
 module Dist_builder = Hopi_twohop.Dist_builder
 module Verify = Hopi_twohop.Verify
 module Cover = Hopi_twohop.Cover
+module Pager = Hopi_storage.Pager
+module Cover_store = Hopi_storage.Cover_store
 module Int_set = Hopi_util.Int_set
 module Collection = Hopi_collection.Collection
 module Dblp = Hopi_workload.Dblp_gen
@@ -117,6 +119,41 @@ let prop_dist_cover_exact =
         let pp = function None -> "none" | Some d -> string_of_int d in
         QCheck2.Test.fail_reportf "distance (%d,%d): expected %s got %s" du dv
           (pp expected_d) (pp got_d))
+
+(* one label family: a plain cover is a distance cover whose distances
+   are all 0, in memory and in the store *)
+let prop_cover_dist_matches_store =
+  QCheck2.Test.make ~name:"Cover.dist = stored MIN(DIST), plain and distance covers"
+    ~count:40 gen_digraph
+    (fun g ->
+      let plain, _ = Builder.build (Closure.compute g) in
+      let nodes = Digraph.nodes g in
+      List.iter
+        (fun u ->
+          List.iter
+            (fun v ->
+              let want = if Cover.connected plain u v then Some 0 else None in
+              if Cover.dist plain u v <> want then
+                QCheck2.Test.fail_reportf "plain dist (%d,%d) is not Some 0 iff connected" u v)
+            nodes)
+        nodes;
+      let probes = (-1) :: 1_000_000 :: nodes in
+      List.iter
+        (fun (kind, cover) ->
+          let store =
+            Cover_store.of_cover (Pager.create ~pool_pages:16 Pager.Memory) cover
+          in
+          List.iter
+            (fun u ->
+              List.iter
+                (fun v ->
+                  if Cover_store.min_distance store u v <> Cover.dist cover u v then
+                    QCheck2.Test.fail_reportf "%s cover: stored MIN(DIST) (%d,%d) differs" kind
+                      u v)
+                probes)
+            probes)
+        [ ("plain", plain); ("distance", fst (Dist_builder.build g)) ];
+      true)
 
 let prop_build_exact_on_collections =
   QCheck2.Test.make
@@ -273,6 +310,7 @@ let suite =
           prop_cover_exact_on_digraph;
           prop_cover_exact_on_dag;
           prop_dist_cover_exact;
+          prop_cover_dist_matches_store;
         ] );
     ( "props.build",
       qsuite

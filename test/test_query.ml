@@ -250,7 +250,7 @@ let test_eval_max_distance () =
       match m.Eval.path with
       | [ a; b ] ->
         check_bool "within bound" true
-          (match Hopi_twohop.Dist_cover.dist d a b with
+          (match Hopi_twohop.Cover.dist d a b with
            | Some x -> x <= 2
            | None -> false)
       | _ -> Alcotest.fail "binary path")

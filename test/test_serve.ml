@@ -18,7 +18,6 @@ module Dist_builder = Hopi_twohop.Dist_builder
 module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
 module Cover = Hopi_twohop.Cover
-module Dist_cover = Hopi_twohop.Dist_cover
 module Ihs = Hopi_util.Int_hashset
 module Int_set = Hopi_util.Int_set
 
@@ -200,12 +199,13 @@ let test_cache_pool_safety () =
   let cap = capacity_for 64 8 in
   let c = Cache.create ~shards:4 ~capacity_bytes:cap () in
   Pool.with_pool ~jobs:4 @@ fun pool ->
-  Pool.parallel_iter pool 4_000 (fun i ->
-      let key = i mod 97 in
-      match Cache.find c key with
-      | Some a ->
-        if Bytes.length a <> key mod 13 then failwith "payload mixed up between keys"
-      | None -> Cache.add c key (Bytes.make (key mod 13) '\000'));
+  ignore
+    (Pool.parallel_map pool 4_000 (fun i ->
+         let key = i mod 97 in
+         match Cache.find c key with
+         | Some a ->
+           if Bytes.length a <> key mod 13 then failwith "payload mixed up between keys"
+         | None -> Cache.add c key (Bytes.make (key mod 13) '\000')));
   checkb "bytes within budget" true (Cache.bytes c <= cap);
   (* at rest, the per-entry costs must re-add to the accounted bytes *)
   let accounted = ref 0 in
@@ -252,26 +252,18 @@ let all_pairs n = List.concat_map (fun u -> List.map (fun v -> (u, v)) (List.ini
    distances, the transitive closure answers descendants and ancestors. *)
 let snapshot_matches_index ~cache_mb g ~dist =
   let clo = Closure.compute g in
-  let load, mem, reach, distance, n_nodes, any_dist =
-    if dist then begin
-      let dc = fst (Dist_builder.build g) in
-      let any = ref false in
-      Dist_cover.iter_nodes dc (fun v ->
-          let note _ d = if d > 0 then any := true in
-          Dist_cover.iter_lin dc v note;
-          Dist_cover.iter_lout dc v note);
-      ( (fun pager -> Cover_store.of_dist_cover pager dc),
-        Dist_cover.mem_node dc, Dist_cover.connected dc, Dist_cover.dist dc,
-        Dist_cover.n_nodes dc, !any )
-    end
-    else begin
-      let c = fst (Builder.build clo) in
-      ( (fun pager -> Cover_store.of_cover pager c),
-        Cover.mem_node c, Cover.connected c,
-        (fun u v -> if Cover.connected c u v then Some 0 else None),
-        Cover.n_nodes c, false )
-    end
-  in
+  let c = if dist then fst (Dist_builder.build g) else fst (Builder.build clo) in
+  let any_dist = ref false in
+  Cover.iter_nodes c (fun v ->
+      let note _ d = if d > 0 then any_dist := true in
+      Cover.iter_lin c v note;
+      Cover.iter_lout c v note);
+  let load pager = Cover_store.of_cover pager c
+  and mem = Cover.mem_node c
+  and reach = Cover.connected c
+  and distance = Cover.dist c
+  and n_nodes = Cover.n_nodes c
+  and any_dist = !any_dist in
   let closure_set f u = if mem u then Int_set.to_list (f clo u) else [] in
   with_store_file load @@ fun path ->
   let snap = Snapshot.open_file ~pool_pages:64 ~cache_mb path in

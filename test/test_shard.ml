@@ -417,8 +417,9 @@ let test_isolated_elements () =
       let whole = Filename.concat dir "whole.db" in
       let pager = S.Pager.create ~fsync:false (S.Pager.File whole) in
       S.Cover_store.save
-        (if dist then S.Cover_store.of_dist_cover pager (fst (Hopi_twohop.Dist_builder.build g))
-         else S.Cover_store.of_cover pager (fst (Hopi_twohop.Builder.build (Closure.compute g))));
+        (S.Cover_store.of_cover pager
+           (if dist then fst (Hopi_twohop.Dist_builder.build g)
+            else fst (Hopi_twohop.Builder.build (Closure.compute g))));
       S.Pager.close pager;
       let st = Router.split ~dist ~k ~dir:(Filename.concat dir "shards") c in
       checki "k shards" k st.Router.shards;

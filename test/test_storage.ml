@@ -4,7 +4,6 @@ open Hopi_storage
 module Ihs = Hopi_util.Int_hashset
 module Splitmix = Hopi_util.Splitmix
 module Cover = Hopi_twohop.Cover
-module Dist_cover = Hopi_twohop.Dist_cover
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -174,11 +173,11 @@ let test_cover_store_roundtrip () =
   check_int "ancestors" 3 (Ihs.cardinal anc)
 
 let test_cover_store_distance () =
-  let dc = Dist_cover.create () in
-  List.iter (Dist_cover.add_node dc) [ 1; 2; 3 ];
-  Dist_cover.add_out dc ~node:1 ~center:2 ~dist:1;
-  Dist_cover.add_in dc ~node:3 ~center:2 ~dist:4;
-  let store = Cover_store.of_dist_cover (Pager.create Pager.Memory) dc in
+  let dc = Cover.create () in
+  List.iter (Cover.add_node dc) [ 1; 2; 3 ];
+  Cover.add_out dc ~node:1 ~center:2 ~dist:1;
+  Cover.add_in dc ~node:3 ~center:2 ~dist:4;
+  let store = Cover_store.of_cover (Pager.create Pager.Memory) dc in
   Alcotest.(check (option int)) "1->3 = 5" (Some 5) (Cover_store.min_distance store 1 3);
   Alcotest.(check (option int)) "1->2 = 1" (Some 1) (Cover_store.min_distance store 1 2);
   Alcotest.(check (option int)) "2->3 = 4" (Some 4) (Cover_store.min_distance store 2 3);
@@ -244,12 +243,12 @@ let test_cover_store_persistence_roundtrip () =
 
 let test_cover_store_persistence_distances () =
   let path = Filename.temp_file "hopi_dstore" ".db" in
-  let dc = Dist_cover.create () in
-  List.iter (Dist_cover.add_node dc) [ 1; 2; 3 ];
-  Dist_cover.add_out dc ~node:1 ~center:2 ~dist:3;
-  Dist_cover.add_in dc ~node:3 ~center:2 ~dist:4;
+  let dc = Cover.create () in
+  List.iter (Cover.add_node dc) [ 1; 2; 3 ];
+  Cover.add_out dc ~node:1 ~center:2 ~dist:3;
+  Cover.add_in dc ~node:3 ~center:2 ~dist:4;
   let pager = Pager.create (Pager.File path) in
-  Cover_store.save (Cover_store.of_dist_cover pager dc);
+  Cover_store.save (Cover_store.of_cover pager dc);
   Pager.close pager;
   let store2 = Cover_store.open_pager (Pager.open_existing path) in
   Alcotest.(check (option int)) "distance survives" (Some 7)
@@ -263,14 +262,14 @@ let test_cover_store_persistence_distances () =
    the codec relies on the first (the first row of a center's run holds
    its minimum distance) *)
 let test_cover_store_rows_ascend () =
-  let dc = Dist_cover.create () in
-  List.iter (Dist_cover.add_node dc) [ 1; 2; 3; 4; 10 ];
+  let dc = Cover.create () in
+  List.iter (Cover.add_node dc) [ 1; 2; 3; 4; 10 ];
   List.iter
-    (fun (c, d) -> Dist_cover.add_in dc ~node:1 ~center:c ~dist:d)
+    (fun (c, d) -> Cover.add_in dc ~node:1 ~center:c ~dist:d)
     [ (10, 5); (2, 7); (4, 3); (3, 300) ];
-  Dist_cover.add_in dc ~node:4 ~center:10 ~dist:1;
-  Dist_cover.add_in dc ~node:2 ~center:10 ~dist:9;
-  let st = Cover_store.of_dist_cover (Pager.create Pager.Memory) dc in
+  Cover.add_in dc ~node:4 ~center:10 ~dist:1;
+  Cover.add_in dc ~node:2 ~center:10 ~dist:9;
+  let st = Cover_store.of_cover (Pager.create Pager.Memory) dc in
   let rows = ref [] in
   Cover_store.iter_lin st 1 (fun ~center ~dist -> rows := (center, dist) :: !rows);
   let lin1 = [ (2, 7); (3, 300); (4, 3); (10, 5) ] in
@@ -422,7 +421,7 @@ let test_closure_store () =
   check_int "rows verified" (Catalog.cover_tables * 4) (Cover_store.check store)
 
 let prop_dist_store_matches_dist_cover =
-  QCheck2.Test.make ~name:"stored MIN(DIST) = Dist_cover.dist" ~count:25
+  QCheck2.Test.make ~name:"stored MIN(DIST) = Dist_builder's Cover.dist" ~count:25
     QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 14))
     (fun (seed, n) ->
       let rng = Splitmix.create seed in
@@ -435,11 +434,11 @@ let prop_dist_store_matches_dist_cover =
         if u <> v then Hopi_graph.Digraph.add_edge g u v
       done;
       let dc, _ = Hopi_twohop.Dist_builder.build g in
-      let store = Cover_store.of_dist_cover (Pager.create ~pool_pages:16 Pager.Memory) dc in
+      let store = Cover_store.of_cover (Pager.create ~pool_pages:16 Pager.Memory) dc in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
-          if Cover_store.min_distance store u v <> Dist_cover.dist dc u v then ok := false
+          if Cover_store.min_distance store u v <> Cover.dist dc u v then ok := false
         done
       done;
       !ok)
@@ -521,25 +520,25 @@ let prop_bulk_store_matches_cover =
       !ok)
 
 let prop_bulk_dist_store_matches_cover =
-  QCheck2.Test.make ~name:"bulk distance store = Dist_cover across reopen" ~count:15
+  QCheck2.Test.make ~name:"bulk distance store = Cover.dist across reopen" ~count:15
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 2 14))
     (fun (seed, n) ->
       let g = random_graph ~seed ~n ~edges:(2 * n) in
       let dc, _ = Hopi_twohop.Dist_builder.build g in
-      let store = reopened (fun pager -> Cover_store.of_dist_cover pager dc) in
+      let store = reopened (fun pager -> Cover_store.of_cover pager dc) in
       let any_dist = ref false in
-      Dist_cover.iter_nodes dc (fun v ->
+      Cover.iter_nodes dc (fun v ->
           let note _ d = if d > 0 then any_dist := true in
-          Dist_cover.iter_lin dc v note;
-          Dist_cover.iter_lout dc v note);
-      if Cover_store.n_entries store <> Dist_cover.size dc then
+          Cover.iter_lin dc v note;
+          Cover.iter_lout dc v note);
+      if Cover_store.n_entries store <> Cover.size dc then
         QCheck2.Test.fail_report "entry counts differ";
       if Cover_store.with_dist store <> !any_dist then
         QCheck2.Test.fail_report "dist flags differ";
       let ok = ref true in
       for u = 0 to n + 1 do
         for v = 0 to n + 1 do
-          if Cover_store.min_distance store u v <> Dist_cover.dist dc u v then ok := false
+          if Cover_store.min_distance store u v <> Cover.dist dc u v then ok := false
         done
       done;
       !ok)
@@ -770,36 +769,20 @@ let prop_row_tables_match_cover =
       let with_dist = shape land 1 = 1 in
       let nodes, entries = random_label_entries ~seed ~n ~sparse ~hub in
       (* the in-memory cover, its rows, and the store written from it *)
-      let lin, lout, write =
-        if with_dist then begin
-          let dc = Dist_cover.create () in
-          Array.iter (Dist_cover.add_node dc) nodes;
-          List.iter
-            (fun (v, is_in, c, d) ->
-              (if is_in then Dist_cover.add_in else Dist_cover.add_out) dc ~node:v ~center:c ~dist:d)
-            entries;
-          let rows iter v =
-            let l = ref [] in
-            if Dist_cover.mem_node dc v then iter dc v (fun c d -> l := (c, d) :: !l);
-            List.sort compare !l
-          in
-          (rows Dist_cover.iter_lin, rows Dist_cover.iter_lout,
-           fun pgr -> Cover_store.of_dist_cover pgr dc)
-        end
-        else begin
-          let c = Cover.create () in
-          Array.iter (Cover.add_node c) nodes;
-          List.iter
-            (fun (v, is_in, w, _) -> (if is_in then Cover.add_in else Cover.add_out) c ~node:v ~center:w)
-            entries;
-          let rows iter v =
-            let l = ref [] in
-            if Cover.mem_node c v then iter c v (fun w -> l := (w, 0) :: !l);
-            List.sort compare !l
-          in
-          (rows Cover.iter_lin, rows Cover.iter_lout, fun pgr -> Cover_store.of_cover pgr c)
-        end
+      let c = Cover.create () in
+      Array.iter (Cover.add_node c) nodes;
+      List.iter
+        (fun (v, is_in, w, d) ->
+          let dist = if with_dist then d else 0 in
+          (if is_in then Cover.add_in else Cover.add_out) c ~dist ~node:v ~center:w)
+        entries;
+      let rows iter v =
+        let l = ref [] in
+        if Cover.mem_node c v then iter c v (fun w d -> l := (w, d) :: !l);
+        List.sort compare !l
       in
+      let lin = rows Cover.iter_lin and lout = rows Cover.iter_lout in
+      let write pgr = Cover_store.of_cover pgr c in
       let vfs = Vfs.memory () in
       let p = Pager.create_vfs ~vfs "rows.db" in
       Cover_store.save (write p);
@@ -894,24 +877,17 @@ let prop_interval_matches_bfs =
         |> List.filteri (fun i _ -> i mod 7 = 0)
       in
       let write pgr =
-        if with_dist then begin
-          let dc, _ = Hopi_twohop.Dist_builder.build g in
-          List.iteri
-            (fun i (u, v) ->
-              Dist_cover.add_out dc ~node:u ~center:(relay i) ~dist:(Option.get (oracle u v));
-              Dist_cover.add_in dc ~node:v ~center:(relay i) ~dist:0)
-            relayed;
-          Cover_store.of_dist_cover pgr dc
-        end
-        else begin
-          let c, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
-          List.iteri
-            (fun i (u, v) ->
-              Cover.add_out c ~node:u ~center:(relay i);
-              Cover.add_in c ~node:v ~center:(relay i))
-            relayed;
-          Cover_store.of_cover pgr c
-        end
+        let c =
+          if with_dist then fst (Hopi_twohop.Dist_builder.build g)
+          else fst (Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g))
+        in
+        List.iteri
+          (fun i (u, v) ->
+            let dist = if with_dist then Option.get (oracle u v) else 0 in
+            Cover.add_out c ~dist ~node:u ~center:(relay i);
+            Cover.add_in c ~node:v ~center:(relay i))
+          relayed;
+        Cover_store.of_cover pgr c
       in
       let closure = Hopi_graph.Closure.compute g in
       List.for_all

@@ -52,14 +52,56 @@ let test_cover_ancestors_descendants () =
   check_list "anc 3" [ 1; 2; 3 ] (List.sort compare (Ihs.to_list anc));
   check_list "anc 1" [ 1 ] (Ihs.to_list (Cover.ancestors c 1))
 
+(* a connection through a hop center is as long as the two entries' DIST
+   column together; re-adding an entry keeps its least distance *)
 let test_cover_hop_center () =
+  let check_dist = Alcotest.(check (option int)) in
   let c = Cover.create () in
   List.iter (Cover.add_node c) [ 1; 2; 3 ];
+  Cover.add_out c ~node:1 ~center:2 ~dist:2;
+  Cover.add_in c ~node:3 ~center:2 ~dist:3;
+  check_dist "through the center" (Some 5) (Cover.dist c 1 3);
+  check_dist "to the center" (Some 2) (Cover.dist c 1 2);
+  check_dist "none" None (Cover.dist c 3 1);
+  check_dist "self" (Some 0) (Cover.dist c 1 1);
+  check_dist "unregistered" None (Cover.dist c 1 9);
+  Cover.add_out c ~node:1 ~center:2 ~dist:7;
+  check_dist "a longer entry is ignored" (Some 5) (Cover.dist c 1 3);
   Cover.add_out c ~node:1 ~center:2;
-  Cover.add_in c ~node:3 ~center:2;
-  Alcotest.(check (option int)) "witness" (Some 2) (Cover.hop_center c 1 3);
-  Alcotest.(check (option int)) "none" None (Cover.hop_center c 3 1);
-  Alcotest.(check (option int)) "self" (Some 1) (Cover.hop_center c 1 1)
+  check_dist "a shorter one wins" (Some 3) (Cover.dist c 1 3);
+  check_int "entries" 2 (Cover.size c)
+
+(* distances follow their entries through replacement, removal, union
+   and the packed bulk path *)
+let test_cover_dist_column () =
+  let rows iter c v =
+    let l = ref [] in
+    iter c v (fun w d -> l := (w, d) :: !l);
+    List.sort compare !l
+  in
+  let check_rows = Alcotest.(check (list (pair int int))) in
+  let c = Cover.create () in
+  List.iter (Cover.add_node c) [ 1; 2; 3; 4 ];
+  Cover.add_in c ~node:1 ~center:2 ~dist:4;
+  Cover.add_in c ~node:1 ~center:3 ~dist:5;
+  Cover.set_lin c 1 (Int_set.of_list [ 3; 4 ]);
+  check_rows "set_lin keeps surviving distances" [ (3, 5); (4, 0) ] (rows Cover.iter_lin c 1);
+  Cover.add_in c ~node:1 ~center:2;
+  check_rows "a dropped entry comes back at its new distance" [ (2, 0); (3, 5); (4, 0) ]
+    (rows Cover.iter_lin c 1);
+  Cover.add_out c ~node:4 ~center:3 ~dist:6;
+  Cover.remove_node c 3;
+  check_rows "remove_node drops entries naming it" [ (2, 0); (4, 0) ] (rows Cover.iter_lin c 1);
+  Cover.add_out c ~node:4 ~center:3 ~dist:1;
+  check_rows "and its distances" [ (3, 1) ] (rows Cover.iter_lout c 4);
+  let d = Cover.create () in
+  Cover.add_out d ~node:4 ~center:3 ~dist:9;
+  Cover.add_out c ~node:2 ~center:1 ~dist:2;
+  Cover.union_into ~dst:d c;
+  check_rows "union keeps the least distance" [ (3, 1) ] (rows Cover.iter_lout d 4);
+  check_rows "and carries the source's" [ (1, 2) ] (rows Cover.iter_lout d 2);
+  ignore (Cover.add_out_packed d [| Cover.pack_entry ~node:4 ~center:3 |]);
+  check_rows "a packed entry is at distance 0" [ (3, 0) ] (rows Cover.iter_lout d 4)
 
 let test_cover_set_labels () =
   let c = Cover.create () in
@@ -274,13 +316,13 @@ let test_dist_builder_chain () =
   let g = of_edges (List.init 12 (fun i -> (i, i + 1))) in
   let cover, _ = Dist_builder.build g in
   check_int "chain distances" 0 (List.length (Verify.dist_cover_vs_graph cover g));
-  Alcotest.(check (option int)) "end to end" (Some 12) (Dist_cover.dist cover 0 12)
+  Alcotest.(check (option int)) "end to end" (Some 12) (Cover.dist cover 0 12)
 
 let test_dist_builder_two_paths () =
   (* short path 0->1->5 and long path 0->2->3->4->5: distance must be 2 *)
   let g = of_edges [ (0, 1); (1, 5); (0, 2); (2, 3); (3, 4); (4, 5) ] in
   let cover, _ = Dist_builder.build g in
-  Alcotest.(check (option int)) "min path" (Some 2) (Dist_cover.dist cover 0 5);
+  Alcotest.(check (option int)) "min path" (Some 2) (Cover.dist cover 0 5);
   check_int "all exact" 0 (List.length (Verify.dist_cover_vs_graph cover g))
 
 let test_dist_builder_sampling_mode () =
@@ -443,29 +485,30 @@ let prop_codec_cursor_model =
       end;
       true)
 
-(* the layout the snapshot caches: a built cover's label sets, flattened
-   through [Cover.encoded_lin]/[encoded_lout], decode back to exactly the
-   uncompressed label sets *)
+(* the layout the snapshot caches: a built cover's label rows, plain or
+   with distances, sorted by (center, dist) and encoded, decode back to
+   exactly the uncompressed label sets and distances *)
 let prop_codec_cover_roundtrip =
   QCheck2.Test.make
     ~name:"codec: encoded cover labels decode to the uncompressed cover"
     ~count:40
-    QCheck2.Gen.(pair (int_range 0 100000) (int_range 1 14))
-    (fun (seed, n) ->
+    QCheck2.Gen.(triple (int_range 0 100000) (int_range 1 14) bool)
+    (fun (seed, n, dist) ->
       let g = random_graph seed n 0.22 in
-      let cover, _ = Builder.build (Closure.compute g) in
+      let cover =
+        if dist then fst (Dist_builder.build g) else fst (Builder.build (Closure.compute g))
+      in
       Cover.iter_nodes cover (fun v ->
-          let expect set =
-            flatten_rows
-              (Array.of_list
-                 (List.map (fun c -> (c, 0)) (Int_set.to_list set)))
+          let check name iter set =
+            let rows = ref [] in
+            iter cover v (fun c d -> rows := (c, d) :: !rows);
+            let rows = Array.of_list (List.sort compare !rows) in
+            let got = Label_codec.to_array (Label_codec.encode_pairs rows) in
+            if got <> flatten_rows rows || Array.map fst rows <> Int_set.to_array set then
+              QCheck2.Test.fail_reportf "%s(%d) decodes wrong" name v
           in
-          let got_in = Label_codec.to_array (Cover.encoded_lin cover v) in
-          if got_in <> expect (Cover.lin cover v) then
-            QCheck2.Test.fail_reportf "Lin(%d) decodes wrong" v;
-          let got_out = Label_codec.to_array (Cover.encoded_lout cover v) in
-          if got_out <> expect (Cover.lout cover v) then
-            QCheck2.Test.fail_reportf "Lout(%d) decodes wrong" v);
+          check "Lin" Cover.iter_lin (Cover.lin cover v);
+          check "Lout" Cover.iter_lout (Cover.lout cover v));
       true)
 
 let test_codec_enc_rejects_unsorted () =
@@ -500,6 +543,7 @@ let suite =
         Alcotest.test_case "self entries" `Quick test_cover_self_entries_skipped;
         Alcotest.test_case "ancestors/descendants" `Quick test_cover_ancestors_descendants;
         Alcotest.test_case "hop center" `Quick test_cover_hop_center;
+        Alcotest.test_case "dist column" `Quick test_cover_dist_column;
         Alcotest.test_case "set labels" `Quick test_cover_set_labels;
         Alcotest.test_case "remove node" `Quick test_cover_remove_node;
         Alcotest.test_case "union_into" `Quick test_cover_union_into;

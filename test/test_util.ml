@@ -1,4 +1,4 @@
-(* Tests for hopi_util: Int_set, Int_hashset, Lru, Crc32, Bitset, Dyn_array,
+(* Tests for hopi_util: Int_set, Int_hashset, Lru, Crc32, Dyn_array,
    Heap, Splitmix, Stats. *)
 
 open Hopi_util
@@ -308,46 +308,6 @@ let test_crc32_page_flips () =
   done;
   check_bool "restored page verifies" true (Page.verify p = `Ok)
 
-(* {1 Bitset} *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 20 in
-  check_int "empty cardinal" 0 (Bitset.cardinal b);
-  Bitset.set b 0;
-  Bitset.set b 7;
-  Bitset.set b 8;
-  Bitset.set b 19;
-  check_int "cardinal" 4 (Bitset.cardinal b);
-  check_bool "get set" true (Bitset.get b 7);
-  check_bool "get unset" false (Bitset.get b 6);
-  Bitset.unset b 7;
-  check_bool "unset" false (Bitset.get b 7);
-  check_list "to_int_set" [ 0; 8; 19 ] Int_set.(to_list (Bitset.to_int_set b))
-
-let test_bitset_union () =
-  let a = Bitset.create 16 and b = Bitset.create 16 in
-  Bitset.set a 1;
-  Bitset.set b 2;
-  Bitset.set b 1;
-  let changed = Bitset.union_into ~dst:a b in
-  check_bool "changed" true changed;
-  check_list "union" [ 1; 2 ] Int_set.(to_list (Bitset.to_int_set a));
-  let changed2 = Bitset.union_into ~dst:a b in
-  check_bool "no change" false changed2
-
-let test_bitset_bounds () =
-  let b = Bitset.create 8 in
-  Alcotest.check_raises "oob set" (Invalid_argument "Bitset: index 8 out of [0,8)")
-    (fun () -> Bitset.set b 8);
-  Alcotest.check_raises "neg get" (Invalid_argument "Bitset: index -1 out of [0,8)")
-    (fun () -> ignore (Bitset.get b (-1)))
-
-let test_bitset_inter_cardinal () =
-  let a = Bitset.create 32 and b = Bitset.create 32 in
-  List.iter (Bitset.set a) [ 1; 2; 3; 30 ];
-  List.iter (Bitset.set b) [ 2; 3; 4; 31 ];
-  check_int "inter" 2 (Bitset.inter_cardinal a b)
-
 (* {1 Dyn_array} *)
 
 let test_dyn_array () =
@@ -526,7 +486,7 @@ let test_pool_iter_each_once () =
   Pool.with_pool ~jobs:3 (fun pool ->
       let n = 1000 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Pool.parallel_iter pool ~chunk:13 n (fun i -> Atomic.incr hits.(i));
+      ignore (Pool.parallel_map pool ~chunk:13 n (fun i -> Atomic.incr hits.(i)));
       check_bool "each index exactly once" true
         (Array.for_all (fun a -> Atomic.get a = 1) hits))
 
@@ -785,13 +745,6 @@ let suite =
         Alcotest.test_case "split updates and tail" `Quick test_crc32_split_and_tail;
         Alcotest.test_case "bounds check" `Quick test_crc32_bounds;
         Alcotest.test_case "page byte flips" `Quick test_crc32_page_flips;
-      ] );
-    ( "util.bitset",
-      [
-        Alcotest.test_case "basic" `Quick test_bitset_basic;
-        Alcotest.test_case "union_into" `Quick test_bitset_union;
-        Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-        Alcotest.test_case "inter_cardinal" `Quick test_bitset_inter_cardinal;
       ] );
     ("util.dyn_array", [ Alcotest.test_case "basic" `Quick test_dyn_array ]);
     ( "util.heap",
