@@ -450,20 +450,18 @@ let cover_fingerprint cover =
        0
 
 let parallel_build (s : scale) =
-  section "parallel build: jobs=1 vs jobs=N, spill tier, bulk store write";
+  section "parallel build: jobs=1 vs jobs=N, bulk store write";
   (* 3x the documents of the other experiments gives ~10x the join work of
      the earlier revision of this experiment — enough that the pipeline
-     phases (join.psg.sort/merge/bulk) dominate the build and the
-     constrained-memory tier below pushes real volume through spill files *)
+     phases (join.psg.sort/merge/bulk) dominate the build *)
   let c = dblp_collection (3 * s.dblp_docs) in
   let cores = Domain.recommended_domain_count () in
   note "collection: %d docs, %d elements" (Collection.n_docs c)
     (Collection.n_elements c);
   note "this machine reports %d recommended domain(s); measuring jobs=%d" cores
     s.jobs;
-  let config ?build_mem_mb jobs =
-    { Config.default with partitioner = Config.Closure_aware 20_000; jobs;
-      build_mem_mb }
+  let config jobs =
+    { Config.default with partitioner = Config.Closure_aware 20_000; jobs }
   in
   let row label cfg =
     let r, t = Timer.time (fun () -> Build.build cfg c) in
@@ -474,40 +472,21 @@ let parallel_build (s : scale) =
         Fmt.str "%.2fx" (speedup r.Build.cover_cpu_seconds r.Build.cover_seconds);
         seconds r.Build.join_seconds;
         Fmt.str "%.2fx" (speedup r.Build.join_cpu_seconds r.Build.join_seconds);
-        string_of_int r.Build.spilled_runs;
         string_of_int (Cover.size r.Build.cover);
       ] )
   in
   let jn = max 2 s.jobs in
   let r1, t1, row1 = row "1" (config 1) in
   let rn, tn, rown = row (string_of_int jn) (config jn) in
-  (* the larger-than-RAM tier: an 8 MiB budget against a join entry stream
-     two orders of magnitude larger forces the pipeline's sorted runs
-     through temp files.  (A zero budget — spill on every 512-entry check —
-     is the pathological worst case; the determinism suites cover it, but
-     benching it would measure tiny-run overhead, not spill throughput.) *)
-  let rs, ts, rowspill =
-    row (Fmt.str "%d, mem=8MiB" jn) (config ~build_mem_mb:8 jn)
-  in
   print_table
-    [ "jobs"; "total"; "covers"; "cover speedup"; "join"; "join speedup";
-      "spilled runs"; "size" ]
-    [ row1; rown; rowspill ];
+    [ "jobs"; "total"; "covers"; "cover speedup"; "join"; "join speedup"; "size" ]
+    [ row1; rown ];
   let f1 = cover_fingerprint r1.Build.cover
-  and fn = cover_fingerprint rn.Build.cover
-  and fs = cover_fingerprint rs.Build.cover in
+  and fn = cover_fingerprint rn.Build.cover in
   if Cover.size r1.Build.cover <> Cover.size rn.Build.cover || f1 <> fn then
     failwith "parallel build produced a different cover than the sequential one";
-  if Cover.size r1.Build.cover <> Cover.size rs.Build.cover || f1 <> fs then
-    failwith "constrained-memory build produced a different cover";
-  if rs.Build.spilled_runs = 0 then
-    failwith "constrained-memory tier did not spill any runs";
-  if rn.Build.spilled_runs <> 0 then
-    failwith "unconstrained build spilled";
-  note "covers are identical (size %d, fingerprint %x) across jobs and budgets"
+  note "covers are identical (size %d, fingerprint %x) across jobs"
     (Cover.size r1.Build.cover) f1;
-  note "spill tier: %d runs, %.1f MiB through temp files" rs.Build.spilled_runs
-    (float_of_int rs.Build.spilled_bytes /. 1048576.0);
   (* store write: the cover as one row per node and per center, each page
      written once, as `hopi build --store` writes it *)
   let vfs = Hopi_storage.Vfs.memory () in
@@ -526,7 +505,6 @@ let parallel_build (s : scale) =
   g "bench_build_total_ms_jobs1" (ms t1);
   g "bench_build_total_ms_jobsN" (ms tn);
   g "bench_build_join_ms_jobsN" (ms rn.Build.join_seconds);
-  g "bench_build_spill_tier_total_ms" (ms ts);
   g "bench_build_store_write_ms" (ms t_store);
   if cores = 1 then
     note "NOTE: only one core is available here, so no speedup is observable."

@@ -50,7 +50,7 @@ let write_metrics = function
     Hopi_obs.Export.write_json path;
     Fmt.pr "metrics written to %s@." path
 
-let config_of_flags ?build_mem_mb ?spill_dir partitioner joiner limit jobs =
+let config_of_flags partitioner joiner limit jobs =
   let partitioner =
     match partitioner with
     | `Whole -> Config.Whole
@@ -58,7 +58,7 @@ let config_of_flags ?build_mem_mb ?spill_dir partitioner joiner limit jobs =
     | `Random -> Config.Random_nodes limit
     | `Closure -> Config.Closure_aware limit
   in
-  { Config.default with partitioner; joiner; jobs; build_mem_mb; spill_dir }
+  { Config.default with partitioner; joiner; jobs }
 
 (* {1 gen} *)
 
@@ -95,20 +95,16 @@ let write_chrome_trace = function
 let ns_of_ms ms = int_of_float (Float.max 0.0 ms *. 1e6)
 
 let build dir partitioner joiner limit jobs verbose store_path no_fsync metrics_path
-    trace_out build_mem_mb spill_dir =
+    trace_out =
   setup_logs verbose;
   let c = load_dir dir in
   Fmt.pr "collection: %d docs, %d elements, %d links (%d unresolved references)@."
     (Collection.n_docs c) (Collection.n_elements c) (Collection.n_links c)
     (Collection.pending_links c);
-  let config = config_of_flags ?build_mem_mb ?spill_dir partitioner joiner limit jobs in
+  let config = config_of_flags partitioner joiner limit jobs in
   Fmt.pr "config: %a@." Config.pp config;
   let idx, t = Timer.time (fun () -> Hopi.create ~config c) in
   let r = Hopi.last_build idx in
-  if r.Build.spilled_runs > 0 then
-    Fmt.pr "external sort: spilled %d runs (%d MiB) to temp files@."
-      r.Build.spilled_runs
-      (r.Build.spilled_bytes / (1024 * 1024));
   Fmt.pr "built in %a (partition %a, covers %a, join %a)@." Timer.pp_duration t
     Timer.pp_duration r.Build.partition_seconds Timer.pp_duration r.Build.cover_seconds
     Timer.pp_duration r.Build.join_seconds;
@@ -923,22 +919,9 @@ let build_cmd =
                  may lose the save.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log progress.") in
-  let build_mem =
-    Arg.(value & opt (some int) None & info [ "build-mem-mb" ] ~docv:"MB"
-           ~doc:"Memory budget for the join pipeline's external sort: sorted \
-                 runs past the budget spill to $(b,hopi-spill-*) temp files \
-                 and are merged back streamingly.  The built index is \
-                 byte-identical for every value.")
-  in
-  let spill_dir =
-    Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR"
-           ~doc:"Directory for spill temp files (default: the system temp \
-                 directory).")
-  in
   Cmd.v (Cmd.info "build" ~doc:"Build the HOPI index and print statistics")
     Term.(const build $ dir_arg $ partitioner_arg $ joiner_arg $ limit_arg
-          $ jobs $ verbose $ store $ no_fsync $ metrics_arg $ trace_out_arg
-          $ build_mem $ spill_dir)
+          $ jobs $ verbose $ store $ no_fsync $ metrics_arg $ trace_out_arg)
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"

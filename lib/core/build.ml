@@ -71,32 +71,18 @@ let g_join_speedup_pct =
   Registry.gauge "hopi_build_join_speedup_pct"
     ~help:"Join-phase parallel speedup of the last build, percent"
 
-(* build-resource gauges: set from [Gc]/[Spill] statistics, independent of
-   any benchmark harness, so `hopi build --metrics` and the bench gate can
-   both watch them *)
+(* build-resource gauge: set from [Gc] statistics, independent of any
+   benchmark harness, so `hopi build --metrics` and the bench gate can both
+   watch it *)
 
 let g_peak_heap_bytes =
   Registry.gauge "hopi_build_peak_heap_bytes"
     ~help:"Peak major-heap size observed at the end of the last build \
            (Gc top_heap_words, bytes)"
 
-let g_spilled_runs =
-  Registry.gauge "hopi_build_spilled_runs"
-    ~help:"Sorted runs the last build's join pipeline spilled to temp files"
-
-let g_spilled_bytes =
-  Registry.gauge "hopi_build_spilled_bytes"
-    ~help:"Bytes the last build's join pipeline spilled to temp files"
-
-let g_peak_sort_bytes =
-  Registry.gauge "hopi_build_peak_sort_bytes"
-    ~help:"High-water mark of the last build's resident external-sort \
-           memory (bounded by --build-mem-mb)"
-
 type result = {
   cover : Cover.t;
   partitioning : Partitioning.t;
-  partition_covers : Cover.t array;
   partition_entries : int;
   join_entries : int;
   closure_connections : int;
@@ -107,8 +93,6 @@ type result = {
   jobs : int;
   cover_cpu_seconds : float;
   join_cpu_seconds : float;
-  spilled_runs : int;
-  spilled_bytes : int;
 }
 
 (* The §4.3 growth runs in two timed steps: the document graph with its
@@ -220,27 +204,15 @@ let run_build pool (config : Config.t) c =
   Trace.add "closure_connections" !closure_connections;
   let final = Cover.create ~initial:(Collection.n_elements c) () in
   Array.iter (fun cov -> Cover.union_into ~dst:final cov) partition_covers;
-  let spill =
-    match config.Config.build_mem_mb with
-    | None -> None
-    | Some mb ->
-      Some
-        (Hopi_storage.Spill.settings ?dir:config.Config.spill_dir
-           ~budget_bytes:(mb * 1024 * 1024) ())
-  in
   let psg_join ?strategy () =
     let s =
-      Join_psg.join ?strategy ~pool ?spill c partitioning
+      Join_psg.join ?strategy ~pool c partitioning
         ~partition_cover:(fun p -> partition_covers.(p))
         ~final
     in
-    ( s.Join_psg.entries_added,
-      s.Join_psg.cpu_seconds,
-      (s.Join_psg.spilled_runs, s.Join_psg.spilled_bytes, s.Join_psg.peak_sort_bytes)
-    )
+    (s.Join_psg.entries_added, s.Join_psg.cpu_seconds)
   in
-  let (join_entries, join_cpu_seconds, (spilled_runs, spilled_bytes, peak_sort)),
-      join_seconds =
+  let (join_entries, join_cpu_seconds), join_seconds =
     Trace.with_span "build.join" (fun () ->
         Timer.time (fun () ->
             match config.Config.joiner with
@@ -248,16 +220,11 @@ let run_build pool (config : Config.t) c =
               let s =
                 Join_incremental.join final partitioning.Partitioning.cross_links
               in
-              (s.Join_incremental.entries_added, 0.0, (0, 0, 0))
+              (s.Join_incremental.entries_added, 0.0)
             | Config.Psg -> psg_join ()
             | Config.Psg_partitioned budget ->
               psg_join ~strategy:(Join_psg.Partitioned budget) ()))
   in
-  Gauge.set g_spilled_runs spilled_runs;
-  Gauge.set g_spilled_bytes spilled_bytes;
-  Gauge.set g_peak_sort_bytes peak_sort;
-  Trace.add "spilled_runs" spilled_runs;
-  Trace.add "spilled_bytes" spilled_bytes;
   Histogram.observe h_join_ns (Timer.ns_of_s join_seconds);
   (* the incremental joiner is sequential and reports no CPU time: its CPU
      time is its wall time *)
@@ -279,7 +246,6 @@ let run_build pool (config : Config.t) c =
   {
     cover = final;
     partitioning;
-    partition_covers;
     partition_entries;
     join_entries;
     closure_connections = !closure_connections;
@@ -290,8 +256,6 @@ let run_build pool (config : Config.t) c =
     jobs;
     cover_cpu_seconds;
     join_cpu_seconds;
-    spilled_runs;
-    spilled_bytes;
   }
 
 (* One pool spans the whole build: the cover phase maps partitions over it

@@ -6,7 +6,6 @@
 type result = {
   cover : Hopi_twohop.Cover.t;
   partitioning : Hopi_collection.Partitioning.t;
-  partition_covers : Hopi_twohop.Cover.t array;
   partition_entries : int;  (** Σ sizes of the partition covers *)
   join_entries : int;  (** entries added by the join phase *)
   closure_connections : int;  (** Σ per-partition closure sizes *)
@@ -19,10 +18,6 @@ type result = {
       (** cover-phase CPU time summed across pool domains;
           [cover_cpu_seconds /. cover_seconds] is the cover speedup *)
   join_cpu_seconds : float;  (** likewise for the join phase *)
-  spilled_runs : int;
-      (** sorted runs the join's external-sort pipeline spilled to temp
-          files (0 unless [config.build_mem_mb] forced spilling) *)
-  spilled_bytes : int;
 }
 
 val build : Config.t -> Hopi_collection.Collection.t -> result

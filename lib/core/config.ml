@@ -13,8 +13,6 @@ type t = {
   preselect_link_targets : bool;
   seed : int;
   jobs : int;
-  build_mem_mb : int option;
-  spill_dir : string option;
 }
 
 let default =
@@ -25,8 +23,6 @@ let default =
     preselect_link_targets = true;
     seed = 17;
     jobs = 1;
-    build_mem_mb = None;
-    spill_dir = None;
   }
 
 let baseline_edbt04 =
@@ -37,8 +33,6 @@ let baseline_edbt04 =
     preselect_link_targets = false;
     seed = 17;
     jobs = 1;
-    build_mem_mb = None;
-    spill_dir = None;
   }
 
 let pp ppf t =
@@ -50,13 +44,10 @@ let pp ppf t =
     | Closure_aware n -> Printf.sprintf "closure(max_connections=%d)" n
   in
   Format.fprintf ppf
-    "partitioner=%s joiner=%s weights=%s preselect=%b seed=%d jobs=%d%s" part
+    "partitioner=%s joiner=%s weights=%s preselect=%b seed=%d jobs=%d" part
     (match t.joiner with
     | Incremental -> "incremental"
     | Psg -> "psg"
     | Psg_partitioned n -> Printf.sprintf "psg-partitioned(%d)" n)
     (Hopi_partition.Weights.scheme_name t.weight_scheme)
     t.preselect_link_targets t.seed t.jobs
-    (match t.build_mem_mb with
-    | None -> ""
-    | Some mb -> Printf.sprintf " build-mem-mb=%d" mb)

@@ -29,14 +29,6 @@ type t = {
           concurrently" (Section 4.1) — total worker-domain parallelism of
           the build's {!Hopi_util.Pool} (1 = sequential).  The cover is
           identical for any [jobs]: results merge in partition order. *)
-  build_mem_mb : int option;
-      (** Memory budget for the join pipeline's external sort
-          ([--build-mem-mb]): sorted runs past the budget spill to temp
-          files and are merged back streamingly.  [None] never spills.
-          The built cover is identical for every budget. *)
-  spill_dir : string option;
-      (** Directory for spill temp files ([--spill-dir]); defaults to the
-          system temp directory. *)
 }
 
 val default : t

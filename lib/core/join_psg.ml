@@ -9,7 +9,7 @@ module Partitioning = Hopi_collection.Partitioning
 module Psg = Hopi_collection.Psg
 module Pool = Hopi_util.Pool
 module Timer = Hopi_util.Timer
-module Spill = Hopi_storage.Spill
+module Radix_sort = Hopi_util.Radix_sort
 
 let log = Logs.Src.create "hopi.join.psg" ~doc:"PSG-based cross-partition join"
 
@@ -56,9 +56,6 @@ type stats = {
   psg_edges : int;
   psg_partitions : int;
   entries_added : int;
-  spilled_runs : int;
-  spilled_bytes : int;
-  peak_sort_bytes : int;
   cpu_seconds : float;
 }
 
@@ -263,32 +260,87 @@ let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
 
 (* {1 The apply pipeline}
 
-   Applying H̄/Ĥ to [final] is external-memory sort-then-bulk-load: pool
-   tasks emit join entries as packed (node, center) ints into per-task
-   sorted runs, spilling runs to VFS temp files when they exceed the
-   sorter's memory budget (stage [join.psg.sort]); the runs are k-way
-   merged into one globally sorted, deduplicated stream per direction
-   (stage [join.psg.merge]); and the streams are applied to the cover in
-   grouped passes (stage [join.psg.bulk]).  The merged stream is the
-   canonical sorted entry set — independent of job count, budget, or
-   where run boundaries fell — which is what keeps stores byte-identical
-   for every [--jobs]/[--build-mem-mb] combination. *)
+   Applying H̄/Ĥ to [final] is sort-then-bulk-load: pool tasks emit join
+   entries as packed (node, center) ints into a buffer and return them
+   sorted (stage [join.psg.sort]); each direction's task arrays are
+   concatenated and sorted into one stream (stage [join.psg.merge]); and
+   the streams are applied to the cover in grouped passes (stage
+   [join.psg.bulk]).
 
-(* drain a merged sorter into one sorted array *)
-let collect_merged sorter =
-  let buf = ref (Array.make 1024 0) and n = ref 0 in
-  Spill.merged sorter (fun v ->
-      if !n = Array.length !buf then begin
-        let nb = Array.make (2 * !n) 0 in
-        Array.blit !buf 0 nb 0 !n;
-        buf := nb
-      end;
-      !buf.(!n) <- v;
-      incr n);
-  if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
+   Out-side entries repeat: H̄out(s) is copied to every ancestor of s, and
+   the ancestor sets of one partition's link sources overlap heavily.  All
+   those ancestors lie in s's own element partition (Theorem 1), so one
+   task per partition sees every copy of its entries, deduplicates them
+   itself, and the tasks' arrays are disjoint.  In-side entries are
+   distinct by construction (each target is the center of its own).  The
+   sorted stream is therefore the canonical entry set, independent of job
+   count and task boundaries, which keeps stores byte-identical for every
+   [--jobs]. *)
 
-let join ?(strategy = Bfs) ?pool ?spill c (p : Partitioning.t) ~partition_cover
-    ~final =
+(* A task's packed entries.  A full buffer is sorted and deduplicated in
+   place and doubles only if that leaves it more than a quarter full, so it
+   stays within a small factor of the task's distinct entries however often
+   they repeat.  The sort's work space lives with the buffer: a fresh one
+   per flush would be garbage the size of the buffer, and the GC lets the
+   heap grow to several times the live data before reclaiming it. *)
+type buf = { mutable a : int array; mutable scratch : int array; mutable n : int }
+
+let buf_create () = { a = Array.make 4096 0; scratch = Array.make 4096 0; n = 0 }
+
+let sort_uniq b = Radix_sort.sort_uniq_prefix ~scratch:b.scratch b.a b.n
+
+let push b v =
+  if b.n = Array.length b.a then begin
+    b.n <- sort_uniq b;
+    if 4 * b.n > Array.length b.a then begin
+      let a = Array.make (2 * Array.length b.a) 0 in
+      Array.blit b.a 0 a 0 b.n;
+      b.a <- a;
+      b.scratch <- Array.make (Array.length a) 0
+    end
+  end;
+  b.a.(b.n) <- v;
+  b.n <- b.n + 1
+
+(* sorted, duplicate-free *)
+let contents b = Array.sub b.a 0 (sort_uniq b)
+
+(* [collect pool pc n fill] is [[| entries of fill b 0; ...; fill b (n-1) |]],
+   each sorted and duplicate-free.  The tasks run on the pool; each worker
+   owns one buffer and empties it for every task it takes, so a buffer grows
+   once per worker, not once per task (large arrays allocated and dropped
+   task after task fragment the memory the GC takes them from, and the
+   build's peak RSS grows with it). *)
+let collect pool pc n fill =
+  let results = Array.make n [||] in
+  let next = Atomic.make 0 in
+  let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
+  let worker _ =
+    let b = buf_create () in
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          task pc
+            (fun i ->
+              b.n <- 0;
+              fill b i;
+              contents b)
+            i;
+        loop ()
+      end
+    in
+    loop ()
+  in
+  ignore (pmap pool pc (max 1 (min jobs n)) worker);
+  results
+
+let merged parts =
+  let a = Array.concat (Array.to_list parts) in
+  Radix_sort.sort a;
+  a
+
+let join ?(strategy = Bfs) ?pool c (p : Partitioning.t) ~partition_cover ~final =
   Counter.incr m_joins;
   let t_all = Timer.start () in
   let pc = { items = Timer.Acc.create (); wall = Timer.Acc.create () } in
@@ -314,83 +366,56 @@ let join ?(strategy = Bfs) ?pool ?spill c (p : Partitioning.t) ~partition_cover
   in
   Histogram.observe h_psg_chunks psg_partitions;
   Hashtbl.iter (fun _ targets -> Histogram.observe h_hbar_targets (Ihs.cardinal targets)) hbar;
-  let spill_stats =
-    Trace.with_span "join.psg.apply" (fun () ->
-        let sp = match spill with Some s -> s | None -> Spill.settings () in
-        let out_sorter = Spill.sorter sp ~tag:"lout" in
-        let in_sorter = Spill.sorter sp ~tag:"lin" in
-        Fun.protect
-          ~finally:(fun () ->
-            Spill.close out_sorter;
-            Spill.close in_sorter)
-        @@ fun () ->
-        (* stage 1 — emit.  Ĥ out-side: H̄out(s) is copied to every ancestor
-           of s in s's element partition (the ancestors include s itself,
-           which realises H̄ proper).  Ĥ in-side: every partition-level
-           descendant of a link target t gets t in its Lin (H̄in(t) = {t} is
-           implicit on t itself).  Expanding the ancestor/descendant sets
-           only reads the (frozen) partition covers, so each source/target
-           fans out as a pool task building its own sorted run. *)
-        (* items are sliced into a few contiguous chunks per pool domain;
-           each chunk task owns ONE run for all its items, so run count —
-           and with it allocation, sorter-mutex traffic, and merge fan-in —
-           scales with the pool, not with the item count.  Chunk boundaries
-           move with [jobs], but the merge canonicalises the stream, so the
-           cover does not. *)
-        let chunked sorter items emit =
-          let n = Array.length items in
-          let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
-          let n_chunks = max 1 (min n (8 * jobs)) in
-          let per = (n + n_chunks - 1) / n_chunks in
-          ignore
-            (pmap pool pc n_chunks
-               (task pc (fun ci ->
-                    let lo = ci * per and hi = min n ((ci + 1) * per) in
-                    if lo < hi then begin
-                      let run = Spill.run sorter in
-                      for i = lo to hi - 1 do
-                        emit run items.(i)
-                      done;
-                      Spill.finish run
-                    end)))
-        in
+  Trace.with_span "join.psg.apply" (fun () ->
+      (* stage 1 — emit.  Ĥ out-side: H̄out(s) is copied to every ancestor
+         of s in s's element partition (the ancestors include s itself,
+         which realises H̄ proper).  Ĥ in-side: every partition-level
+         descendant of a link target t gets t in its Lin (H̄in(t) = {t} is
+         implicit on t itself).  Expanding the ancestor/descendant sets
+         only reads the (frozen) partition covers, so the tasks run on the
+         pool. *)
+      let out_parts, in_parts =
         Trace.with_span "join.psg.sort" (fun () ->
-            let sources =
-              Array.of_list
-                (List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) hbar []))
+            let by_part = Array.make p.Partitioning.n [] in
+            Hashtbl.iter
+              (fun s _ ->
+                let q = Partitioning.part_of_element p c s in
+                by_part.(q) <- s :: by_part.(q))
+              hbar;
+            let by_part =
+              Array.of_list (List.filter (fun l -> l <> []) (Array.to_list by_part))
             in
-            chunked out_sorter sources (fun run s ->
-                let targets = sorted_array (Hashtbl.find hbar s) in
-                Ihs.iter
-                  (fun a ->
-                    Array.iter
-                      (fun t ->
-                        if a <> t then
-                          Spill.add run (Cover.pack_entry ~node:a ~center:t))
-                      targets)
-                  (Cover.ancestors (cover_of_element s) s));
-            chunked in_sorter (sorted_array psg.Psg.targets) (fun run t ->
-                Ihs.iter
-                  (fun d ->
-                    if d <> t then
-                      Spill.add run (Cover.pack_entry ~node:d ~center:t))
-                  (Cover.descendants (cover_of_element t) t)));
-        (* stage 2 — k-way merge each direction's runs into one globally
-           sorted, deduplicated entry stream *)
-        let out_entries = ref [||] and in_entries = ref [||] in
-        Trace.with_span "join.psg.merge" (fun () ->
-            out_entries := collect_merged out_sorter;
-            in_entries := collect_merged in_sorter);
-        (* stage 3 — grouped bulk application to the final cover *)
-        Trace.with_span "join.psg.bulk" (fun () ->
-            ignore (Cover.add_out_packed final !out_entries);
-            ignore (Cover.add_in_packed final !in_entries));
-        let so = Spill.stats out_sorter and si = Spill.stats in_sorter in
-        ( so.Spill.spilled_runs + si.Spill.spilled_runs,
-          so.Spill.spilled_bytes + si.Spill.spilled_bytes,
-          so.Spill.peak_resident_bytes + si.Spill.peak_resident_bytes ))
-  in
-  let spilled_runs, spilled_bytes, peak_sort_bytes = spill_stats in
+            let out_parts =
+              collect pool pc (Array.length by_part) (fun b i ->
+                  List.iter
+                    (fun s ->
+                      let targets = sorted_array (Hashtbl.find hbar s) in
+                      Ihs.iter
+                        (fun a ->
+                          Array.iter
+                            (fun t -> if a <> t then push b (Cover.pack_entry ~node:a ~center:t))
+                            targets)
+                        (Cover.ancestors (cover_of_element s) s))
+                    by_part.(i))
+            in
+            let targets = sorted_array psg.Psg.targets in
+            let in_parts =
+              collect pool pc (Array.length targets) (fun b i ->
+                  let t = targets.(i) in
+                  Ihs.iter
+                    (fun d -> if d <> t then push b (Cover.pack_entry ~node:d ~center:t))
+                    (Cover.descendants (cover_of_element t) t))
+            in
+            (out_parts, in_parts))
+      in
+      (* stage 2 — one sorted entry stream per direction *)
+      let out_entries, in_entries =
+        Trace.with_span "join.psg.merge" (fun () -> (merged out_parts, merged in_parts))
+      in
+      (* stage 3 — grouped bulk application to the final cover *)
+      Trace.with_span "join.psg.bulk" (fun () ->
+          ignore (Cover.add_out_packed final out_entries);
+          ignore (Cover.add_in_packed final in_entries)));
   let entries_added = Cover.size final - before in
   Counter.add m_entries entries_added;
   Log.info (fun m ->
@@ -402,9 +427,6 @@ let join ?(strategy = Bfs) ?pool ?spill c (p : Partitioning.t) ~partition_cover
     psg_edges = Digraph.n_edges psg.Psg.graph;
     psg_partitions;
     entries_added;
-    spilled_runs;
-    spilled_bytes;
-    peak_sort_bytes;
     cpu_seconds =
       Timer.elapsed_s t_all -. Timer.Acc.total_s pc.wall
       +. Timer.Acc.total_s pc.items;

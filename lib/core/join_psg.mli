@@ -30,11 +30,6 @@ type stats = {
   psg_edges : int;
   psg_partitions : int;  (** 1 for [Bfs] *)
   entries_added : int;
-  spilled_runs : int;
-      (** Sorted runs the apply pipeline spilled to temp files. *)
-  spilled_bytes : int;
-  peak_sort_bytes : int;
-      (** High-water mark of the pipeline's resident sort memory. *)
   cpu_seconds : float;
       (** CPU time summed across domains (equals wall time when no pool is
           given); [cpu_seconds /. join wall time] is the join speedup. *)
@@ -43,7 +38,6 @@ type stats = {
 val join :
   ?strategy:strategy ->
   ?pool:Hopi_util.Pool.t ->
-  ?spill:Hopi_storage.Spill.settings ->
   Hopi_collection.Collection.t ->
   Hopi_collection.Partitioning.t ->
   partition_cover:(int -> Hopi_twohop.Cover.t) ->
@@ -51,19 +45,16 @@ val join :
   stats
 (** [partition_cover p] must be the 2-hop cover of partition [p]; [final]
     (already containing the union of the partition covers) receives the
-    [H̄]/[Ĥ] entries through a three-stage external-memory pipeline:
-    chunked sorted runs ([join.psg.sort], fanned out over the pool), a
-    k-way deduplicating merge into one globally sorted stream per
-    direction ([join.psg.merge]), and a grouped bulk application to
-    [final] ([join.psg.bulk] — {!Hopi_twohop.Cover.add_out_packed}).
+    [H̄]/[Ĥ] entries through a three-stage pipeline: per-task packed entry
+    arrays ([join.psg.sort], fanned out over the pool; the out-side task of
+    an element partition deduplicates its own entries, which no other
+    partition's task can repeat), one sorted stream per direction
+    ([join.psg.merge]), and a grouped bulk application to [final]
+    ([join.psg.bulk] — {!Hopi_twohop.Cover.add_out_packed}).
 
     With [pool], the read-only bulk work — H̄ traversals ([Bfs]), per-chunk
     closures ([Partitioned]), and the partition-level ancestor/descendant
-    expansions of [Ĥ] that feed the runs — fans out over the pool's
-    domains.  [spill] bounds the pipeline's resident sort memory: runs
-    over budget are spilled to temp files through
-    {!Hopi_storage.Spill} and merged back streamingly.  The merged
-    stream is the canonical sorted entry set whatever the job count,
-    budget, or run boundaries, so the resulting cover is identical
-    (entry-for-entry and in stored order) for every [pool]/[spill]
-    combination — including none. *)
+    expansions of [Ĥ] — fans out over the pool's domains.  The sorted
+    stream is the canonical entry set whatever the job count or task
+    boundaries, so the resulting cover is identical (entry-for-entry and in
+    stored order) for every [pool], including none. *)

@@ -49,8 +49,7 @@ type t = {
   list_dir : string -> string list;
       (** Names (without the directory prefix) of the files in a
           directory, sorted; an unreadable or missing directory lists as
-          empty.  Used by {!Spill.cleanup_dir} to find orphaned temp
-          files after a crash. *)
+          empty. *)
 }
 
 val real : t

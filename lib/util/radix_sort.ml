@@ -1,29 +1,40 @@
-(* LSD radix sort over non-negative ints, 16-bit digits.  The build
-   pipeline sorts tens of millions of packed (node, center) entries per
-   run; a comparison sort pays ~[log n] indirect compare calls per entry
-   where counting passes pay a handful of array reads and writes.  The
-   number of passes adapts to the largest value actually present, so
-   small-id workloads (the common case: both packed halves are far below
-   2^31) sort in two or three passes. *)
+(* LSD radix sort over non-negative ints.  The build pipeline sorts tens
+   of millions of packed (node, center) entries; a comparison sort pays
+   ~[log n] indirect compare calls per entry where counting passes pay a
+   handful of array reads and writes.  The number of passes adapts to the
+   largest value actually present, so small-id workloads (the common case:
+   both packed halves are far below 2^31) sort in two or three passes.
 
-let digit_bits = 16
+   Digits are 16 bits wide, except below [small] entries: there the
+   per-pass clear and prefix sum of 2^16 bucket counters outweigh the
+   entries themselves (a 4,096-entry sort costs five times as much per
+   entry), so small prefixes take twice as many passes over 8-bit
+   digits.  The bound keeps the counters no larger than the entries. *)
 
-let n_buckets = 1 lsl digit_bits
+let small = 1 lsl 16
 
-let digit_mask = n_buckets - 1
-
-let sort_prefix a len =
+(* [scratch] is used as the work space when it holds [len] entries *)
+let sort_prefix_with scratch a len =
   if len > 1 then begin
     let max_v = ref 0 in
     for i = 0 to len - 1 do
       if a.(i) < 0 then invalid_arg "Radix_sort.sort: negative entry";
       if a.(i) > !max_v then max_v := a.(i)
     done;
-    let scratch = Array.make len 0 in
+    let digit_bits = if len < small then 8 else 16 in
+    let n_buckets = 1 lsl digit_bits in
+    let digit_mask = n_buckets - 1 in
+    let scratch =
+      match scratch with
+      | Some s when Array.length s >= len -> s
+      | _ -> Array.make len 0
+    in
     let count = Array.make n_buckets 0 in
     let src = ref a and dst = ref scratch in
     let shift = ref 0 in
-    while !max_v lsr !shift > 0 do
+    (* [lsr] by the word size or more is unspecified (x86 masks the count,
+       so [max_v lsr 64] is [max_v]): stop once the digits cover the word *)
+    while !shift < Sys.int_size && !max_v lsr !shift > 0 do
       Array.fill count 0 n_buckets 0;
       let s = !src and d = !dst and sh = !shift in
       for i = 0 to len - 1 do
@@ -50,4 +61,17 @@ let sort_prefix a len =
     if !src != a then Array.blit !src 0 a 0 len
   end
 
+let sort_prefix a len = sort_prefix_with None a len
+
 let sort a = sort_prefix a (Array.length a)
+
+let sort_uniq_prefix ?scratch a len =
+  sort_prefix_with scratch a len;
+  let k = ref (min len 1) in
+  for i = 1 to len - 1 do
+    if a.(i) <> a.(!k - 1) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  !k

@@ -531,68 +531,6 @@ let test_failed_open_releases_pager () =
   check_int "no page of the failed open stays pooled" 0
     (Pager.Read_pool.stats pool).Pager.Read_pool.resident
 
-(* {1 Spill temp files under crashes} *)
-
-(* the build pipeline's external sorter writes hopi-spill-* temp files; a
-   crash at ANY write/remove during a spilling build may orphan some of
-   them (a file created but not yet recorded is invisible to [Spill.close]).
-   Recovery is [Spill.cleanup_dir]: after a crash at every op index, one
-   cleanup pass must leave the spill directory free of temps. *)
-let spill_dir = "/spill"
-
-let spill_temps vfs =
-  List.filter
-    (fun f -> String.starts_with ~prefix:Spill.temp_prefix f)
-    (vfs.Vfs.list_dir spill_dir)
-
-(* a deterministic budget-0 sorter workload: every finished run spills, the
-   merge streams everything back from temp files, close removes them *)
-let spill_feed vfs =
-  let sp = Spill.settings ~vfs ~dir:spill_dir ~budget_bytes:0 () in
-  let s = Spill.sorter sp ~tag:"crash" in
-  Fun.protect ~finally:(fun () -> Spill.close s) @@ fun () ->
-  let rng = Splitmix.create 3 in
-  let r = Spill.run s in
-  for _ = 1 to 2000 do
-    Spill.add r (Splitmix.int rng 1_000)
-  done;
-  Spill.finish r;
-  let count = ref 0 in
-  Spill.merged s (fun _ -> incr count);
-  (!count, Spill.stats s)
-
-let test_spill_crash_cleanup () =
-  let fv = Fv.create () in
-  let vfs = Fv.vfs fv in
-  (* fault-free baseline: the workload spills, merges correctly, and a clean
-     close leaves no temps *)
-  let merged, st = spill_feed vfs in
-  check_bool "baseline merged entries" true (merged > 0);
-  check_bool "baseline spilled runs" true (st.Spill.spilled_runs > 1);
-  check_int "clean close leaves no temps" 0 (List.length (spill_temps vfs));
-  let n_ops = Fv.op_count fv in
-  check_bool "workload does real I/O" true (n_ops > 4);
-  (* crash at every op index (the boundary index n_ops never fires); the
-     cleanup pass must always leave the directory temp-free *)
-  for k = 0 to n_ops do
-    Fv.reset_ops fv;
-    Fv.arm_crash fv ~op:k ~mode:Fv.Drop_unsynced ();
-    (match spill_feed vfs with
-    | m, _ ->
-      if k < n_ops then Alcotest.failf "crash at op %d did not fire" k;
-      check_int "boundary run merges the full stream" merged m;
-      Fv.disarm fv
-    | exception Fv.Crash -> ()
-    | exception Fun.Finally_raised Fv.Crash -> ());
-    ignore (Spill.cleanup_dir ~vfs spill_dir);
-    (match spill_temps vfs with
-    | [] -> ()
-    | temps ->
-      Alcotest.failf "crash at op %d orphaned %d temp(s) past cleanup" k
-        (List.length temps))
-  done;
-  check_int "final cleanup finds nothing" 0 (Spill.cleanup_dir ~vfs spill_dir)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -609,8 +547,6 @@ let suite =
         Alcotest.test_case "generation flip crash matrix" `Quick test_flip_crash_matrix;
         Alcotest.test_case "generation rollback crash matrix" `Quick
           test_rollback_crash_matrix;
-        Alcotest.test_case "spill temp cleanup after crash" `Quick
-          test_spill_crash_cleanup;
       ]
       @ qsuite [ prop_crash_soak ] );
   ]

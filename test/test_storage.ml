@@ -1,4 +1,4 @@
-(* Tests for hopi_storage: Pager, Cover_store, Row_table, Spill. *)
+(* Tests for hopi_storage: Pager, Cover_store, Row_table. *)
 
 open Hopi_storage
 module Ihs = Hopi_util.Int_hashset
@@ -954,115 +954,6 @@ let test_interval_cuts_negatives () =
   check_bool "a connected pair still answers" true (Cover_store.connected st 0 2);
   check_int "... through the merge" 4 (cuts () - c0)
 
-(* {1 Spill} *)
-
-let spill_dir = "/spill"
-
-let spill_temps vfs =
-  List.filter
-    (fun f -> String.starts_with ~prefix:Spill.temp_prefix f)
-    (vfs.Vfs.list_dir spill_dir)
-
-let prop_spill_merge_oracle =
-  (* random entries scattered over random concurrent-style runs under a
-     range of budgets (0 = spill everything) must merge back to exactly the
-     sorted deduplicated entry set, and close must leave no temp files *)
-  QCheck2.Test.make ~name:"Spill merge = sort_uniq oracle" ~count:60
-    QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 0 2_000) (int_range 0 3))
-    (fun (seed, n, budget_sel) ->
-      let rng = Splitmix.create seed in
-      let vfs = Vfs.memory () in
-      let budget_bytes =
-        match budget_sel with 0 -> 0 | 1 -> 64 | 2 -> 4096 | _ -> max_int
-      in
-      let sp = Spill.settings ~vfs ~dir:spill_dir ~budget_bytes () in
-      let s = Spill.sorter sp ~tag:"prop" in
-      let n_runs = 1 + Splitmix.int rng 4 in
-      let runs = Array.init n_runs (fun _ -> Spill.run s) in
-      let all = ref [] in
-      for _ = 1 to n do
-        let e = Splitmix.int rng 300 in
-        all := e :: !all;
-        Spill.add runs.(Splitmix.int rng n_runs) e
-      done;
-      Array.iter Spill.finish runs;
-      let got = ref [] in
-      Spill.merged s (fun e -> got := e :: !got);
-      let got = List.rev !got in
-      let st = Spill.stats s in
-      Spill.close s;
-      if got <> List.sort_uniq compare !all then
-        QCheck2.Test.fail_report "merged stream <> sorted dedup oracle";
-      if st.Spill.entries <> n then
-        QCheck2.Test.fail_reportf "entries stat %d <> %d" st.Spill.entries n;
-      if budget_bytes = 0 && n > 0 && st.Spill.spilled_runs = 0 then
-        QCheck2.Test.fail_report "zero budget with entries did not spill";
-      if budget_bytes = max_int && st.Spill.spilled_runs <> 0 then
-        QCheck2.Test.fail_report "unlimited budget spilled";
-      if st.Spill.spilled_runs > 0 && st.Spill.spilled_bytes = 0 then
-        QCheck2.Test.fail_report "spilled runs but no spilled bytes";
-      if spill_temps vfs <> [] then QCheck2.Test.fail_report "close left temp files";
-      true)
-
-let test_spill_bounded_fanin () =
-  (* a zero budget over a large feed produces far more spilled runs than
-     the merge's fan-in cap; intermediate merge passes must fold them
-     without ever opening them all (and without changing the stream) *)
-  let vfs = Vfs.memory () in
-  let sp = Spill.settings ~vfs ~dir:spill_dir ~budget_bytes:0 () in
-  let s = Spill.sorter sp ~tag:"fanin" in
-  let rng = Splitmix.create 11 in
-  let r = Spill.run s in
-  let n = 60_000 in
-  let all = Array.init n (fun _ -> Splitmix.int rng 1_000_000) in
-  Array.iter (Spill.add r) all;
-  Spill.finish r;
-  check_bool "spilled far past the fan-in cap" true
-    ((Spill.stats s).Spill.spilled_runs > 100);
-  let got = ref [] in
-  Spill.merged s (fun e -> got := e :: !got);
-  let expect = List.sort_uniq compare (Array.to_list all) in
-  Alcotest.(check (list int)) "stream survives merge passes" expect (List.rev !got);
-  Spill.close s;
-  check_int "temps removed (incl. merge-pass outputs)" 0
-    (List.length (spill_temps vfs))
-
-let test_spill_close_idempotent () =
-  let vfs = Vfs.memory () in
-  let sp = Spill.settings ~vfs ~dir:spill_dir ~budget_bytes:0 () in
-  let s = Spill.sorter sp ~tag:"close" in
-  let r = Spill.run s in
-  for i = 0 to 999 do
-    Spill.add r (i mod 37)
-  done;
-  Spill.finish r;
-  check_bool "spilled to temp files" true (spill_temps vfs <> []);
-  Spill.close s;
-  check_int "temps removed" 0 (List.length (spill_temps vfs));
-  Spill.close s (* second close is a no-op *)
-
-let test_spill_cleanup_dir () =
-  (* a sorter abandoned without close (a crashed build) leaves temps behind;
-     cleanup_dir finds and removes exactly the hopi-spill-* files *)
-  let vfs = Vfs.memory () in
-  let sp = Spill.settings ~vfs ~dir:spill_dir ~budget_bytes:0 () in
-  let s = Spill.sorter sp ~tag:"orphan" in
-  let r = Spill.run s in
-  for i = 0 to 1999 do
-    Spill.add r i
-  done;
-  Spill.finish r;
-  let orphans = List.length (spill_temps vfs) in
-  check_bool "orphaned temps exist" true (orphans > 0);
-  (* an unrelated file in the same directory must survive *)
-  let f = vfs.Vfs.open_file (Filename.concat spill_dir "keep.db") ~create:true in
-  f.Vfs.close ();
-  check_int "cleanup count" orphans (Spill.cleanup_dir ~vfs spill_dir);
-  check_int "temps gone" 0 (List.length (spill_temps vfs));
-  check_bool "unrelated file kept" true
-    (vfs.Vfs.exists (Filename.concat spill_dir "keep.db"));
-  check_int "second cleanup finds nothing" 0 (Spill.cleanup_dir ~vfs spill_dir)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -1118,13 +1009,4 @@ let suite =
           prop_bulk_store_matches_cover;
           prop_bulk_dist_store_matches_cover;
         ] );
-    ( "storage.spill",
-      [
-        Alcotest.test_case "bounded merge fan-in" `Quick test_spill_bounded_fanin;
-        Alcotest.test_case "close removes temps, idempotent" `Quick
-          test_spill_close_idempotent;
-        Alcotest.test_case "cleanup_dir removes orphans only" `Quick
-          test_spill_cleanup_dir;
-      ]
-      @ qsuite [ prop_spill_merge_oracle ] );
   ]

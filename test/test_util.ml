@@ -1,5 +1,5 @@
 (* Tests for hopi_util: Int_set, Int_hashset, Lru, Crc32, Dyn_array,
-   Heap, Splitmix, Stats. *)
+   Radix_sort, Heap, Splitmix, Stats. *)
 
 open Hopi_util
 
@@ -324,6 +324,41 @@ let test_dyn_array () =
   check_int "last" 9604 (Dyn_array.last d);
   Alcotest.check_raises "oob" (Invalid_argument "Dyn_array: index 99 out of [0,99)")
     (fun () -> ignore (Dyn_array.get d 99))
+
+(* {1 Radix_sort} *)
+
+(* prefixes on both sides of the 8-bit digit path's [2^16]-entry bound and
+   tiny ones, drawn from a few distinct values each (down to one) below a
+   random power of two up to [max_int], so that most entries repeat and the
+   pass count varies; some inputs arrive sorted, a tail of negative entries
+   past the prefix must be ignored, and the work space is fresh, passed in,
+   or passed in too short *)
+let prop_sort_uniq_prefix =
+  QCheck2.Test.make ~name:"sort_uniq_prefix = List.sort_uniq" ~count:40
+    QCheck2.Gen.(
+      tup4
+        (oneof [ int_bound 40; int_range 65_480 65_600; int_range 70_000 100_000 ])
+        (int_range 1 3_000) bool (int_bound 1_000_000))
+    (fun (len, n_distinct, presorted, seed) ->
+      let rng = Splitmix.create seed in
+      let bits = 1 + Splitmix.int rng 62 in
+      let bound = if bits = 62 then max_int else 1 lsl bits in
+      let pool = Array.init n_distinct (fun _ -> Splitmix.int rng bound) in
+      let tail = Splitmix.int rng 3 in
+      let a = Array.init (len + tail) (fun i -> if i < len then Splitmix.pick rng pool else -1) in
+      if presorted then begin
+        let s = Array.sub a 0 len in
+        Array.sort compare s;
+        Array.blit s 0 a 0 len
+      end;
+      let want = List.sort_uniq compare (Array.to_list (Array.sub a 0 len)) in
+      let k =
+        match Splitmix.int rng 3 with
+        | 0 -> Radix_sort.sort_uniq_prefix a len
+        | 1 -> Radix_sort.sort_uniq_prefix ~scratch:(Array.make (len + tail) 7) a len
+        | _ -> Radix_sort.sort_uniq_prefix ~scratch:(Array.make (len / 2) 7) a len
+      in
+      Array.to_list (Array.sub a 0 k) = want)
 
 (* {1 Heap} *)
 
@@ -747,6 +782,7 @@ let suite =
         Alcotest.test_case "page byte flips" `Quick test_crc32_page_flips;
       ] );
     ("util.dyn_array", [ Alcotest.test_case "basic" `Quick test_dyn_array ]);
+    ("util.radix_sort", qsuite [ prop_sort_uniq_prefix ]);
     ( "util.heap",
       Alcotest.test_case "order" `Quick test_heap_order :: qsuite [ prop_heap_sorts ] );
     ( "util.splitmix",
