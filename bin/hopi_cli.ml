@@ -125,20 +125,6 @@ let build dir partitioner joiner limit jobs verbose store_path no_fsync metrics_
   write_metrics metrics_path;
   write_chrome_trace trace_out
 
-(* {1 trace} *)
-
-(* Build DIR's index and export the span tree as a Chrome trace — the
-   profiling view of the per-phase tables (`build.cover` tasks and the
-   `join.psg.*` phases land on their worker domains' lanes). *)
-let trace dir partitioner joiner limit jobs verbose chrome_out =
-  setup_logs verbose;
-  let c = load_dir dir in
-  let config = config_of_flags partitioner joiner limit jobs in
-  let idx, t = Timer.time (fun () -> Hopi.create ~config c) in
-  Fmt.pr "built %d cover entries in %a (jobs %d)@." (Hopi.size idx) Timer.pp_duration t
-    jobs;
-  write_chrome_trace (Some chrome_out)
-
 (* {1 inspect} *)
 
 (* A store this build cannot read: the error on one line, and what to do
@@ -159,10 +145,11 @@ let inspect path =
   let module Cs = Hopi_storage.Cover_store in
   let pager = Hopi_storage.Pager.open_existing path in
   let store = Cs.open_pager pager in
-  Fmt.pr "%s: %d nodes, %d label entries (%d stored integers) on %d pages (%d KiB)@."
+  Fmt.pr "%s: %d nodes, %d label entries (%d stored integers) on %d pages (%d KiB)%s@."
     path (Cs.n_nodes store) (Cs.n_entries store) (Cs.stored_integers store)
     (Hopi_storage.Pager.n_pages pager)
-    (Hopi_storage.Pager.size_bytes pager / 1024);
+    (Hopi_storage.Pager.size_bytes pager / 1024)
+    (if Cs.with_dist store then ", distance-aware" else "");
   let tables = Cs.table_bytes store in
   let row_bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 tables in
   Fmt.pr "row tables: %s; %.2f bytes per label entry (all four tables)@."
@@ -556,11 +543,10 @@ let serve_live session store_path cache_mb pool_pages corpus_dir maintain retain
           let st = G.flip gen in
           Fmt.str
             "generation %d live (%.2f ms; %d nodes dirtied, %d cache entries \
-             invalidated%s)"
+             invalidated)"
             st.G.generation
             (float_of_int st.G.duration_ns /. 1e6)
-            st.G.dirtied st.G.invalidated
-            (if st.G.full_invalidation then "; full invalidation" else ""))
+            st.G.dirtied st.G.invalidated)
     | "rollback" ->
       Some (fun () -> Fmt.str "generation %d live (rolled back)" (G.rollback gen))
     | line when String.length line > 6 && String.sub line 0 6 = "apply " ->
@@ -1135,23 +1121,6 @@ let inspect_cmd =
   Cmd.v (Cmd.info "inspect" ~doc:"Print statistics of a stored index file")
     Term.(const inspect $ file)
 
-let trace_cmd =
-  let jobs =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the traced build.")
-  in
-  let chrome =
-    Arg.(required & opt (some string) None & info [ "chrome" ] ~docv:"FILE"
-           ~doc:"Output path of the Chrome trace-event JSON.")
-  in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log progress.") in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Build DIR's index and export the span tree as a Chrome trace \
-             (profile the build phases visually in Perfetto)")
-    Term.(const trace $ dir_arg $ partitioner_arg $ joiner_arg $ limit_arg $ jobs
-          $ verbose $ chrome)
-
 let slowlog_cmd =
   let store = Arg.(required & pos 0 (some file) None & info [] ~docv:"STORE") in
   let batch =
@@ -1203,5 +1172,5 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "hopi" ~doc)
           [ gen_cmd; build_cmd; query_cmd; serve_cmd; shard_split_cmd; client_cmd;
-            check_cmd; inspect_cmd; verify_store_cmd; metrics_cmd; trace_cmd;
+            check_cmd; inspect_cmd; verify_store_cmd; metrics_cmd;
             slowlog_cmd ]))

@@ -2,19 +2,13 @@ module Digraph = Hopi_graph.Digraph
 
 type t = {
   graph : Digraph.t;
-  node_weight : (int, int) Hashtbl.t;
   edge_weight : (int * int, float) Hashtbl.t;
 }
 
 let of_collection ?(link_weight = fun _ -> 1.0) c =
   let graph = Digraph.create ~initial:(Collection.n_docs c) () in
-  let node_weight = Hashtbl.create (Collection.n_docs c) in
   let edge_weight = Hashtbl.create 64 in
-  List.iter
-    (fun did ->
-      Digraph.add_node graph did;
-      Hashtbl.replace node_weight did (Collection.n_elements_of_doc c did))
-    (Collection.doc_ids c);
+  List.iter (Digraph.add_node graph) (Collection.doc_ids c);
   List.iter
     (fun (u, v) ->
       let du = Collection.doc_of_element c u
@@ -24,10 +18,6 @@ let of_collection ?(link_weight = fun _ -> 1.0) c =
       let prev = Option.value ~default:0.0 (Hashtbl.find_opt edge_weight (du, dv)) in
       Hashtbl.replace edge_weight (du, dv) (prev +. w))
     (Collection.inter_links c);
-  { graph; node_weight; edge_weight }
+  { graph; edge_weight }
 
 let edge_weight t u v = Option.value ~default:0.0 (Hashtbl.find_opt t.edge_weight (u, v))
-
-let node_weight t d = Option.value ~default:0 (Hashtbl.find_opt t.node_weight d)
-
-let total_node_weight t = Hashtbl.fold (fun _ w acc -> acc + w) t.node_weight 0

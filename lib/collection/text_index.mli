@@ -12,6 +12,3 @@ val build : Collection.t -> t
 val subtree_contains : t -> Collection.t -> int -> string -> bool
 (** Does the element's subtree (within its document tree) contain the term?
     Uses pre/post containment against the posting list. *)
-
-val tokenize : string -> string list
-(** Exposed for tests. *)

@@ -265,7 +265,3 @@ let build (config : Config.t) c =
   Counter.incr m_builds;
   Pool.with_pool ~jobs:config.Config.jobs (fun pool ->
       Trace.with_span "build" (fun () -> run_build pool config c))
-
-let compression r =
-  if Cover.size r.cover = 0 then 1.0
-  else float_of_int r.closure_connections /. float_of_int (Cover.size r.cover)

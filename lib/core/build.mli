@@ -25,9 +25,3 @@ val build : Config.t -> Hopi_collection.Collection.t -> result
     cover is identical — entry-for-entry and in stored order — for every
     [jobs] value: per-partition results land in partition-indexed slots and
     all merging happens on the calling domain in deterministic order. *)
-
-val compression : result -> float
-(** Transitive-closure connections divided by cover entries — the paper's
-    "compression" column (with the closure measured per partition plus
-    cross-partition connections uncounted; the paper reports it against the
-    full closure). *)

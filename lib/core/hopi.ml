@@ -20,8 +20,6 @@ let collection t = t.collection
 
 let cover t = t.cover
 
-let config t = t.config
-
 let last_build t = t.last_build
 
 (* drops the cached distance and text indexes; the next
@@ -36,8 +34,6 @@ let invalidate t =
 let connected t u v = Cover.connected t.cover u v
 
 let descendants t u = Cover.descendants t.cover u
-
-let ancestors t v = Cover.ancestors t.cover v
 
 let filter_tag t tag s =
   Ihs.fold
@@ -61,17 +57,9 @@ let remove_document t did =
   invalidate t;
   Maintenance.delete_document t.collection t.cover did
 
-let modify_document t did root =
-  invalidate t;
-  Maintenance.modify_document t.collection t.cover did root
-
 let modify_document_diff t did root =
   invalidate t;
   Maintenance.modify_document_diff t.collection t.cover did root
-
-let insert_subtree t ~doc ~parent fragment =
-  invalidate t;
-  Maintenance.insert_subtree t.collection t.cover ~doc ~parent fragment
 
 let remove_subtree t eid =
   invalidate t;

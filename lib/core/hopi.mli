@@ -9,8 +9,9 @@
       Hopi.connected idx u v          (* ancestor/descendant/link axis test *)
     ]}
 
-    The index stays consistent across {!insert_document}, {!remove_document},
-    {!insert_link} and the other maintenance entry points. *)
+    The index stays consistent across {!insert_document_xml},
+    {!remove_document}, {!insert_link} and the other maintenance entry
+    points. *)
 
 type t
 
@@ -20,8 +21,6 @@ val create : ?config:Config.t -> Hopi_collection.Collection.t -> t
 val collection : t -> Hopi_collection.Collection.t
 
 val cover : t -> Hopi_twohop.Cover.t
-
-val config : t -> Config.t
 
 val last_build : t -> Build.result
 (** Statistics of the most recent (re)build. *)
@@ -35,26 +34,18 @@ val connected : t -> int -> int -> bool
 
 val descendants : t -> int -> Hopi_util.Int_hashset.t
 
-val ancestors : t -> int -> Hopi_util.Int_hashset.t
-
 val descendants_with_tag : t -> int -> string -> int list
 
 (** {1 Maintenance} *)
-
-val insert_document : t -> name:string -> Hopi_xml.Xml_tree.t -> int
 
 val insert_document_xml :
   t -> name:string -> string -> (int, Hopi_xml.Xml_parser.error) result
 
 val remove_document : t -> int -> Maintenance.delete_stats
 
-val modify_document : t -> int -> Hopi_xml.Xml_tree.t -> int
-
 val modify_document_diff : t -> int -> Hopi_xml.Xml_tree.t -> Maintenance.diff_stats
 (** Diff-based modification (Section 6.3): subtree-level edits instead of
     delete + reinsert. *)
-
-val insert_subtree : t -> doc:int -> parent:int -> Hopi_xml.Xml_tree.t -> int list
 
 val remove_subtree : t -> int -> int
 (** Returns the number of partially recomputed nodes (0 on the fast path). *)

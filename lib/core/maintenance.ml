@@ -252,13 +252,6 @@ let delete_link c cover u v =
     d;
   Cover.union_into ~dst:cover hat
 
-(* {1 Modifications} *)
-
-let modify_document c cover did root =
-  let name = Collection.doc_name c did in
-  ignore (delete_document c cover did);
-  insert_document c cover ~name root
-
 (* {1 Subtree-level updates and diff-based modification (Section 6.3)} *)
 
 let insert_subtree c cover ~doc ~parent fragment =

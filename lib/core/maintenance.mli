@@ -26,10 +26,6 @@ val insert_element :
   int
 (** New element under [parent]; the tree edge is reflected in the cover. *)
 
-val insert_edge : Hopi_twohop.Cover.t -> int -> int -> unit
-(** Cover-only update for an edge that was already added to the element
-    graph: the target becomes the center of all new connections. *)
-
 val insert_link :
   Hopi_collection.Collection.t ->
   Hopi_twohop.Cover.t ->
@@ -65,16 +61,6 @@ val delete_link :
 
 (** {1 Subtree-level updates (Section 6.3)} *)
 
-val insert_subtree :
-  Hopi_collection.Collection.t ->
-  Hopi_twohop.Cover.t ->
-  doc:int ->
-  parent:int ->
-  Hopi_xml.Xml_tree.t ->
-  int list
-(** Graft a parsed fragment under an existing element; returns the created
-    element ids (preorder). *)
-
 val delete_subtree :
   Hopi_collection.Collection.t -> Hopi_twohop.Cover.t -> int -> int
 (** Remove an element and its tree descendants.  When no edge leaves the
@@ -84,14 +70,6 @@ val delete_subtree :
     path). *)
 
 (** {1 Modifications (Section 6.3)} *)
-
-val modify_document :
-  Hopi_collection.Collection.t ->
-  Hopi_twohop.Cover.t ->
-  int ->
-  Hopi_xml.Xml_tree.t ->
-  int
-(** Drop and re-insert under the same name; returns the new document id. *)
 
 type diff_stats = {
   subtrees_deleted : int;

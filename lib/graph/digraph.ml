@@ -56,16 +56,6 @@ let n_nodes t = Hashtbl.length t.nodes
 
 let n_edges t = t.n_edges
 
-let succ t v =
-  match Hashtbl.find_opt t.nodes v with
-  | None -> []
-  | Some a -> Ihs.to_list a.out
-
-let pred t v =
-  match Hashtbl.find_opt t.nodes v with
-  | None -> []
-  | Some a -> Ihs.to_list a.inc
-
 let iter_succ t v f =
   match Hashtbl.find_opt t.nodes v with
   | None -> ()
@@ -75,16 +65,6 @@ let iter_pred t v f =
   match Hashtbl.find_opt t.nodes v with
   | None -> ()
   | Some a -> Ihs.iter f a.inc
-
-let out_degree t v =
-  match Hashtbl.find_opt t.nodes v with
-  | None -> 0
-  | Some a -> Ihs.cardinal a.out
-
-let in_degree t v =
-  match Hashtbl.find_opt t.nodes v with
-  | None -> 0
-  | Some a -> Ihs.cardinal a.inc
 
 let iter_nodes t f = Hashtbl.iter (fun v _ -> f v) t.nodes
 
@@ -120,10 +100,4 @@ let induced_subgraph t keep =
   Ihs.iter
     (fun u -> iter_succ t u (fun v -> if Ihs.mem keep v then add_edge g u v))
     keep;
-  g
-
-let transpose t =
-  let g = create ~initial:(n_nodes t) () in
-  iter_nodes t (fun v -> add_node g v);
-  iter_edges t (fun u v -> add_edge g v u);
   g

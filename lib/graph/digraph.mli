@@ -28,18 +28,9 @@ val n_nodes : t -> int
 
 val n_edges : t -> int
 
-val succ : t -> int -> int list
-(** Successors; [] for unknown nodes. *)
-
-val pred : t -> int -> int list
-
 val iter_succ : t -> int -> (int -> unit) -> unit
 
 val iter_pred : t -> int -> (int -> unit) -> unit
-
-val out_degree : t -> int -> int
-
-val in_degree : t -> int -> int
 
 val iter_nodes : t -> (int -> unit) -> unit
 
@@ -55,5 +46,3 @@ val nodes : t -> int list
 
 val induced_subgraph : t -> Hopi_util.Int_hashset.t -> t
 (** Subgraph on the given nodes with all edges between them. *)
-
-val transpose : t -> t

@@ -30,7 +30,7 @@ let reachable_backward g sources =
 let reachable_avoiding g ~avoid sources =
   reachable_generic Digraph.iter_succ g sources ~avoid
 
-let bfs_distances_bounded g src ~max_depth =
+let bfs_distances g src =
   let dist = Hashtbl.create 64 in
   if Digraph.mem_node g src then begin
     Hashtbl.add dist src 0;
@@ -39,17 +39,14 @@ let bfs_distances_bounded g src ~max_depth =
     while not (Queue.is_empty q) do
       let u = Queue.pop q in
       let du = Hashtbl.find dist u in
-      if du < max_depth then
-        Digraph.iter_succ g u (fun v ->
-            if not (Hashtbl.mem dist v) then begin
-              Hashtbl.add dist v (du + 1);
-              Queue.add v q
-            end)
+      Digraph.iter_succ g u (fun v ->
+          if not (Hashtbl.mem dist v) then begin
+            Hashtbl.add dist v (du + 1);
+            Queue.add v q
+          end)
     done
   end;
   dist
-
-let bfs_distances g src = bfs_distances_bounded g src ~max_depth:max_int
 
 let is_reachable g u v =
   if not (Digraph.mem_node g u && Digraph.mem_node g v) then false

@@ -16,8 +16,5 @@ val bfs_distances : Digraph.t -> int -> (int, int) Hashtbl.t
 (** Unweighted shortest-path distances from one source (distance 0 to
     itself).  Only reachable nodes appear in the table. *)
 
-val bfs_distances_bounded : Digraph.t -> int -> max_depth:int -> (int, int) Hashtbl.t
-(** Like {!bfs_distances} but stops expanding beyond [max_depth] hops. *)
-
 val is_reachable : Digraph.t -> int -> int -> bool
 (** BFS oracle [u ⇝ v] (true when [u = v] and [u] is a node). *)

@@ -17,15 +17,11 @@ val scheme_name : scheme -> string
 
 val all_schemes : scheme list
 
-val link_weight :
-  ?max_depth:int -> Hopi_collection.Collection.t -> scheme -> (int * int -> float)
-(** Returns the per-link weight function to feed into
-    {!Hopi_collection.Doc_graph.of_collection}.  [max_depth] bounds the
-    skeleton-graph traversals (default 8). *)
-
 val doc_graph :
   ?max_depth:int ->
   Hopi_collection.Collection.t ->
   scheme ->
   Hopi_collection.Doc_graph.t
-(** Convenience: document-level graph under the given scheme. *)
+(** The document-level graph with each link weighted by the scheme
+    ({!Hopi_collection.Doc_graph.of_collection}'s [link_weight]).
+    [max_depth] bounds the skeleton-graph traversals (default 8). *)

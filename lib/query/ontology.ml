@@ -13,13 +13,6 @@ let add t a b sim =
 
 let create pairs = List.fold_left (fun t (a, b, s) -> add t a b s) empty pairs
 
-let similarity t a b =
-  if a = b then 1.0
-  else
-    match Smap.find_opt a t with
-    | None -> 0.0
-    | Some m -> Option.value ~default:0.0 (Smap.find_opt b m)
-
 let expand t tag ~threshold =
   let related =
     match Smap.find_opt tag t with

@@ -4,18 +4,6 @@
 
 type t
 
-val empty : t
-
-val create : (string * string * float) list -> t
-(** Symmetric similarity pairs; similarity of a tag to itself is always 1. *)
-
-val add : t -> string -> string -> float -> t
-(** [add t a b sim] records the symmetric similarity [sim] for the pair
-    [(a, b)], replacing any earlier value. *)
-
-val similarity : t -> string -> string -> float
-(** In [0,1]; 0 when unrelated. *)
-
 val expand : t -> string -> threshold:float -> (string * float) list
 (** All tags with similarity ≥ threshold, including the tag itself (1.0),
     best first. *)

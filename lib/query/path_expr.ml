@@ -80,28 +80,3 @@ let parse_exn s =
   match parse s with
   | Ok t -> t
   | Error msg -> invalid_arg ("Path_expr.parse: " ^ msg)
-
-let rec to_string t =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun { axis; test; predicates } ->
-      Buffer.add_string buf (match axis with Child -> "/" | Descendant -> "//");
-      (match test with
-       | Tag tag -> Buffer.add_string buf tag
-       | Similar tag ->
-         Buffer.add_char buf '~';
-         Buffer.add_string buf tag
-       | Any -> Buffer.add_char buf '*');
-      List.iter
-        (fun p ->
-          Buffer.add_char buf '[';
-          (match p with
-           | Path e -> Buffer.add_string buf (to_string e)
-           | Contains term ->
-             Buffer.add_char buf '\"';
-             Buffer.add_string buf term;
-             Buffer.add_char buf '\"');
-          Buffer.add_char buf ']')
-        predicates)
-    t;
-  Buffer.contents buf

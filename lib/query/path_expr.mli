@@ -40,6 +40,3 @@ val parse : string -> (t, string) result
 (** @return [Error msg] on syntax errors (empty steps, bad characters). *)
 
 val parse_exn : string -> t
-
-val to_string : t -> string
-(** Inverse of {!parse}. *)

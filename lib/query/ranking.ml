@@ -1,7 +1,5 @@
 let distance_score d = 1.0 /. (1.0 +. float_of_int d)
 
-let combine = ( *. )
-
 type 'a ranked = { item : 'a; score : float }
 
 let top_k k l =

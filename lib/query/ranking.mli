@@ -5,9 +5,6 @@
 val distance_score : int -> float
 (** [1 / (1 + d)]; 1.0 for distance 0. *)
 
-val combine : float -> float -> float
-(** Multiplicative score aggregation. *)
-
 type 'a ranked = { item : 'a; score : float }
 
 val top_k : int -> 'a ranked list -> 'a ranked list

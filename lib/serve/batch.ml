@@ -148,8 +148,6 @@ let eval_engine ?ctx eng q =
   (match a with Failed _ -> Counter.incr m_failed | _ -> ());
   a
 
-let eval ?path_eval snap q = eval_engine (engine_of_snapshot ?path_eval snap) q
-
 (* Count and time one batch evaluated by [run]. *)
 let timed_batch run queries =
   Counter.incr m_batches;

@@ -81,9 +81,6 @@ type engine = {
 
 val engine_of_snapshot : ?path_eval:path_eval -> Snapshot.t -> engine
 
-val eval : ?path_eval:path_eval -> Snapshot.t -> query -> answer
-(** Evaluate one query (counted and timed). *)
-
 val eval_engine : ?ctx:ctx -> engine -> query -> answer
 
 val eval_batch :

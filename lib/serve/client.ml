@@ -22,11 +22,9 @@ let connect_tcp host port =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-let fd t = t.fd
-
 let send_raw t b = Frame.write t.fd b
 
-let read_reply_checked ?max_bytes ?expect_id t =
+let read_reply ?max_bytes ?expect_id t =
   match Frame.read ?max_bytes t.fd with
   | None -> Error "connection closed by the server"
   | exception End_of_file -> Error "reply truncated"
@@ -46,11 +44,9 @@ let read_reply_checked ?max_bytes ?expect_id t =
       | Frame.Error -> Ok (Refused payload)
       | k -> Error (Format.asprintf "unexpected %a frame from the server" Frame.pp_kind k)))
 
-let read_reply ?max_bytes t = read_reply_checked ?max_bytes t
-
 let roundtrip ?max_bytes t ~id frame =
   match Frame.write t.fd frame with
-  | () -> read_reply_checked ?max_bytes ~expect_id:id t
+  | () -> read_reply ?max_bytes ~expect_id:id t
   | exception Unix.Unix_error (err, fn, _) -> Error (fn ^ ": " ^ Unix.error_message err)
 
 let request ?max_bytes t lines =

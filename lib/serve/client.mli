@@ -31,7 +31,6 @@ val send_raw : t -> Bytes.t -> unit
 (** Write arbitrary bytes (the fuzz suite's malformed frames).
     @raise Unix.Unix_error when the peer already closed. *)
 
-val read_reply : ?max_bytes:int -> t -> (reply, string) result
-(** Read one reply frame without sending anything first. *)
-
-val fd : t -> Unix.file_descr
+val read_reply : ?max_bytes:int -> ?expect_id:int -> t -> (reply, string) result
+(** Read one reply frame without sending anything first; with
+    [expect_id], a reply to any other request id is an [Error]. *)

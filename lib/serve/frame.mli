@@ -53,9 +53,6 @@ exception Protocol_error of string
 (** The byte stream is not a frame stream (bad magic length, oversized
     declaration).  The connection must be closed. *)
 
-val header_bytes : int
-(** 9: the length field plus kind and id. *)
-
 val default_max_bytes : int
 (** Default cap on [len] (4 MiB): bounds the memory one connection can
     demand before any validation. *)

@@ -8,12 +8,14 @@
    wmu, which is what "serving never pauses" rests on.
 
    Cache versioning: [versions] maps a node to the generation of its last
-   label change, [floor] is the global lower bound raised on wholesale
-   rebuilds.  Each snapshot freezes a copy at open time, so the key a
-   reader computes for a node can never drift while its batch runs; an
-   entry cached under an old version is never *wrong*, merely unreachable
-   once every snapshot of that vintage is gone — flip-time eviction is
-   space reclamation, not a correctness mechanism. *)
+   label change (0 for a node never changed since the family was opened).
+   Each snapshot freezes a copy at open time, so the key a reader computes
+   for a node can never drift while its batch runs; an entry cached under
+   an old version is never *wrong*, merely unreachable once every snapshot
+   of that vintage is gone — flip-time eviction is space reclamation, not a
+   correctness mechanism.  Every label change reaches [dirty] through the
+   cover's change hook, installed once in [create]: the index's cover is
+   never replaced, because nothing outside [apply] mutates the index. *)
 
 module S = Hopi_storage
 module Hopi = Hopi_core.Hopi
@@ -71,9 +73,6 @@ type t = {
   mu : Mutex.t; (* slot table, live pointer, manifest mirror *)
   dirty : Ihs.t; (* nodes whose labels changed since the last flip *)
   versions : (int, int) Hashtbl.t; (* node -> generation of last label change *)
-  mutable floor : int;
-  mutable need_floor : bool; (* next flip must invalidate wholesale *)
-  mutable tracked_cover : Cover.t;
   mutable manifest : S.Manifest.t;
   mutable live_slot : slot;
   mutable slots : slot list;
@@ -89,29 +88,11 @@ let with_lock mu f =
 
 let persist_store idx pager = S.Cover_store.save (S.Cover_store.of_cover pager (Hopi.cover idx))
 
-(* {1 Dirty tracking}
-
-   The hook lands on whatever cover the index currently holds.
-   [Hopi.rebuild] (through [apply_with]) replaces it wholesale; when a
-   refresh notices the swap it cannot attribute the differences to nodes,
-   so it schedules a version-floor raise instead. *)
-
-let refresh_cover_tracker t =
-  let cov = Hopi.cover t.index in
-  if not (cov == t.tracked_cover) then begin
-    Cover.set_on_label_change t.tracked_cover None;
-    Cover.set_on_label_change cov (Some (fun v -> Ihs.add t.dirty v));
-    t.tracked_cover <- cov;
-    t.need_floor <- true
-  end
-
 (* {1 Slots} *)
 
-let node_version_fn t =
-  let tbl = Hashtbl.copy t.versions in
-  let floor = t.floor in
-  fun v ->
-    match Hashtbl.find_opt tbl v with Some k when k > floor -> k | _ -> floor
+let version_in versions v = Option.value ~default:0 (Hashtbl.find_opt versions v)
+
+let node_version_fn t = version_in (Hashtbl.copy t.versions)
 
 let open_slot t g =
   let snap =
@@ -172,11 +153,10 @@ let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true) ~
   let t =
     { base; index; cache; page_pool; retain; fsync;
       wmu = Mutex.create (); mu = Mutex.create (); dirty = Ihs.create ();
-      versions = Hashtbl.create 256; floor = 0; need_floor = false;
-      tracked_cover = Hopi.cover index; manifest;
+      versions = Hashtbl.create 256; manifest;
       live_slot = slot; slots = [ slot ]; pending = 0; closed = false }
   in
-  Cover.set_on_label_change t.tracked_cover (Some (fun v -> Ihs.add t.dirty v));
+  Cover.set_on_label_change (Hopi.cover index) (Some (fun v -> Ihs.add t.dirty v));
   Gauge.set g_live manifest.S.Manifest.live;
   Gauge.set g_lag 0;
   Gauge.set g_retained 1;
@@ -190,7 +170,7 @@ let close t =
         t.slots <- [];
         Gauge.set g_retained 0
       end);
-  Cover.set_on_label_change t.tracked_cover None
+  Cover.set_on_label_change (Hopi.cover t.index) None
 
 (* {1 Reader side} *)
 
@@ -223,15 +203,6 @@ type op =
   | Del_doc of string
   | Add_element of { doc : int; parent : int; tag : string }
   | Del_subtree of int
-
-let pp_op ppf = function
-  | Add_link (u, v) -> Format.fprintf ppf "add-link %d %d" u v
-  | Del_link (u, v) -> Format.fprintf ppf "del-link %d %d" u v
-  | Add_doc { name; xml } -> Format.fprintf ppf "add-doc %s %s" name xml
-  | Del_doc name -> Format.fprintf ppf "del-doc %s" name
-  | Add_element { doc; parent; tag } ->
-    Format.fprintf ppf "add-element %d %d %s" doc parent tag
-  | Del_subtree e -> Format.fprintf ppf "del-subtree %d" e
 
 let int_arg what s =
   match int_of_string_opt s with
@@ -357,16 +328,8 @@ let bump_pending t =
 
 let apply t op =
   with_lock t.wmu (fun () ->
-      refresh_cover_tracker t;
       let r = apply_to_index t.index op in
       (match r with Ok _ -> bump_pending t | Error _ -> ());
-      r)
-
-let apply_with t f =
-  with_lock t.wmu (fun () ->
-      refresh_cover_tracker t;
-      let r = f t.index in
-      bump_pending t;
       r)
 
 (* {1 Generation control} *)
@@ -376,48 +339,32 @@ type flip_stats = {
   duration_ns : int;
   dirtied : int;
   invalidated : int;
-  full_invalidation : bool;
 }
 
 let flip t =
   with_lock t.wmu (fun () ->
       let timer = Timer.start () in
-      refresh_cover_tracker t;
       let m' =
         S.Manifest.publish ~fsync:t.fsync ~base:t.base
           ~load:(persist_store t.index)
           ()
       in
       let g = m'.S.Manifest.live in
-      let full = t.need_floor in
       let dirty_nodes = Ihs.to_list t.dirty in
       let dirtied = List.length dirty_nodes in
       let invalidated =
-        if full then begin
-          (* per-node attribution is meaningless after a wholesale rebuild:
-             raise the floor so every pre-flip key becomes unreachable *)
-          t.floor <- g;
-          t.need_floor <- false;
-          Hashtbl.reset t.versions;
-          0
-        end
-        else
-          List.fold_left
-            (fun acc v ->
-              let ov =
-                match Hashtbl.find_opt t.versions v with
-                | Some k when k > t.floor -> k
-                | _ -> t.floor
-              in
-              let evict dir =
-                if Label_cache.remove t.cache (Label_cache.key ~version:ov dir v)
-                then 1
-                else 0
-              in
-              let acc = acc + evict Label_cache.Lin + evict Label_cache.Lout in
-              Hashtbl.replace t.versions v g;
-              acc)
-            0 dirty_nodes
+        List.fold_left
+          (fun acc v ->
+            let ov = version_in t.versions v in
+            let evict dir =
+              if Label_cache.remove t.cache (Label_cache.key ~version:ov dir v)
+              then 1
+              else 0
+            in
+            let acc = acc + evict Label_cache.Lin + evict Label_cache.Lout in
+            Hashtbl.replace t.versions v g;
+            acc)
+          0 dirty_nodes
       in
       Ihs.clear t.dirty;
       let slot = open_slot t g in
@@ -434,8 +381,7 @@ let flip t =
       Gauge.set g_flip_last ns;
       Gauge.set g_live g;
       Gauge.set g_lag 0;
-      { generation = g; duration_ns = ns; dirtied; invalidated;
-        full_invalidation = full })
+      { generation = g; duration_ns = ns; dirtied; invalidated })
 
 let rollback t =
   with_lock t.wmu (fun () ->
@@ -471,7 +417,5 @@ let tip t = with_lock t.mu (fun () -> t.manifest.S.Manifest.tip)
 let pending_ops t = with_lock t.mu (fun () -> t.pending)
 
 let retained t = with_lock t.mu (fun () -> List.length t.slots)
-
-let index t = t.index
 
 let cache t = t.cache

@@ -23,10 +23,8 @@
     bumps the version of exactly the nodes the churn dirtied, evicts their
     old entries, and leaves every untouched entry shared between the old
     and new snapshots — no full-cache flush, warm hit rates across flips.
-    When a flip cannot attribute changes to specific nodes (the cover was
-    wholesale rebuilt), it raises a global version floor instead: all prior entries
-    become unreachable and age out; correctness never depends on eviction
-    because stale versions are simply never requested.
+    Correctness never depends on eviction: a stale version is simply never
+    requested again.
 
     Metrics: [hopi_serve_generation_live], [hopi_serve_generation_lag_ops],
     [hopi_serve_generations_retained], [hopi_serve_generation_flip_last_ns],
@@ -59,8 +57,7 @@ val create :
     the one {!Label_cache} they share.  Generation numbers double as
     cache-key versions, so a family serves at most 2{^31} generations
     ({!Label_cache.key} refuses larger ones rather than alias them).  The
-    caller must not mutate the index except through
-    {!apply}/{!apply_with}. *)
+    caller must not mutate the index except through {!apply}. *)
 
 (** {1 Reader side} *)
 
@@ -95,9 +92,6 @@ val parse_op : string -> (op, string) result
     [add-doc NAME XML...], [del-doc NAME], [add-element DOC PARENT TAG],
     [del-subtree E]. *)
 
-val pp_op : Format.formatter -> op -> unit
-(** Prints the {!parse_op} syntax back. *)
-
 val apply_to_index : Hopi_core.Hopi.t -> op -> (string, string) result
 (** Apply one operation to a bare index — the exact semantics {!apply}
     uses, exposed so a differential harness can replay a recorded
@@ -111,12 +105,6 @@ val apply : t -> op -> (string, string) result
     is unaffected until {!flip}.  Serialised with other writers and with
     {!flip}/{!rollback}. *)
 
-val apply_with : t -> (Hopi_core.Hopi.t -> 'a) -> 'a
-(** Run an arbitrary mutation under the writer lock (tests and embedders;
-    counts as one pending operation).  If the function swaps whole index
-    structures (e.g. [Hopi.rebuild]) the next flip detects it and falls
-    back to full cache invalidation. *)
-
 (** {1 Generation control} *)
 
 type flip_stats = {
@@ -124,8 +112,6 @@ type flip_stats = {
   duration_ns : int;
   dirtied : int;  (** distinct nodes whose labels the churn touched *)
   invalidated : int;  (** label-cache entries evicted for those nodes *)
-  full_invalidation : bool;
-      (** the version floor was raised instead of per-node eviction *)
 }
 
 val flip : t -> flip_stats
@@ -158,9 +144,6 @@ val pending_ops : t -> int
 val retained : t -> int
 (** Generations currently open (live, rollback target, and any still
     pinned by in-flight readers). *)
-
-val index : t -> Hopi_core.Hopi.t
-(** The writer index.  Do not mutate it directly — use {!apply}. *)
 
 val cache : t -> Label_cache.t
 

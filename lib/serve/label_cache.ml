@@ -89,10 +89,6 @@ let hits () = m_hits
 
 let misses () = m_misses
 
-let evictions () = m_evictions
-
-let invalidations () = m_invalidations
-
 let bytes t = (Lru.stats t).cost
 
 let entries t = (Lru.stats t).entries

@@ -12,8 +12,9 @@
 
     Concurrency and policy are the [Lru]'s: per-shard mutexes, so domains
     serving disjoint keys rarely contend, and exact LRU per shard within
-    its slice of [capacity_bytes].  An entry is charged {!entry_cost}, and
-    one costlier than its shard's slice is not cached.  Entries are shared
+    its slice of [capacity_bytes].  An entry is charged its encoded bytes
+    plus a fixed overhead, and one costlier than its shard's slice is not
+    cached.  Entries are shared
     with every reader of the key and must be treated as read-only.
 
     Metrics (registered in [Hopi_obs.Registry]):
@@ -47,8 +48,6 @@ val create : ?shards:int -> capacity_bytes:int -> unit -> t
     and {!add} is a no-op — the cold-path configuration used by
     benchmarks and by [--cache-mb 0]. *)
 
-val enabled : t -> bool
-
 val find : t -> int -> Hopi_twohop.Label_codec.t option
 (** {!Hopi_util.Lru.find}: promotes the entry; counts a hit or a miss. *)
 
@@ -69,10 +68,6 @@ val entries : t -> int
 
 val capacity_bytes : t -> int
 
-val entry_cost : Hopi_twohop.Label_codec.t -> int
-(** The bytes an entry with this payload is charged — exposed so tests can
-    account for the eviction bound exactly. *)
-
 (** {1 Metric handles}
 
     The process-wide cache counters (all caches share them), exposed so
@@ -82,7 +77,3 @@ val entry_cost : Hopi_twohop.Label_codec.t -> int
 val hits : unit -> Hopi_obs.Counter.t
 
 val misses : unit -> Hopi_obs.Counter.t
-
-val evictions : unit -> Hopi_obs.Counter.t
-
-val invalidations : unit -> Hopi_obs.Counter.t

@@ -32,6 +32,7 @@ module Builder = Hopi_twohop.Builder
 module Dist_builder = Hopi_twohop.Dist_builder
 module S = Hopi_storage
 module Ihs = Hopi_util.Int_hashset
+module Heap = Hopi_util.Heap
 module Codec = Hopi_twohop.Label_codec
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
@@ -241,28 +242,23 @@ let routing_rows snaps elem_shard targets closure_of =
 (* weighted single-source shortest paths over the PSG in its dense form
    ([adj.(u)] the out-edges [(v, w)] of node [u]), starting from [s]'s
    out-edges so a cycle back to [s] is found at its real positive
-   distance; [max_int] marks an unreached node *)
-module Pq = Set.Make (struct
-  type t = int * int (* distance, node *)
-
-  let compare (d1, u1) (d2, u2) = if d1 <> d2 then Int.compare d1 d2 else Int.compare u1 u2
-end)
-
+   distance; [max_int] marks an unreached node.  Dijkstra on the max-heap
+   keyed by the negated distance, with lazy deletion: a popped entry whose
+   distance is no longer its node's is stale and skipped. *)
 let psg_from adj s =
   let dist = Array.make (Array.length adj) max_int in
-  let pq = ref Pq.empty in
+  let pq = Heap.create () in
   let relax d v =
     if d < dist.(v) then begin
       dist.(v) <- d;
-      pq := Pq.add (d, v) !pq
+      Heap.push pq ~prio:(-.float_of_int d) (d, v)
     end
   in
   Array.iter (fun (v, w) -> relax w v) adj.(s);
   let rec drain () =
-    match Pq.min_elt_opt !pq with
+    match Heap.pop_max pq with
     | None -> ()
-    | Some ((d, u) as el) ->
-      pq := Pq.remove el !pq;
+    | Some (_, (d, u)) ->
       if dist.(u) = d then Array.iter (fun (v, w) -> relax (d + w) v) adj.(u);
       drain ()
   in

@@ -65,12 +65,6 @@ type split_stats = {
   entries : int;  (** label entries summed over the shard stores *)
 }
 
-val shard_path : dir:string -> int -> string
-(** [dir/shard-NNN.db] *)
-
-val routing_path : dir:string -> string
-(** [dir/routing.idx] *)
-
 val split :
   ?vfs:Hopi_storage.Vfs.t ->
   ?dist:bool ->
@@ -154,12 +148,6 @@ val shard_of : t -> int -> int option
     exactly this). *)
 
 val connected : t -> int -> int -> bool
-
-val min_distance : t -> int -> int -> int option
-
-val descendants : t -> int -> Hopi_util.Int_hashset.t
-
-val ancestors : t -> int -> Hopi_util.Int_hashset.t
 
 val engine : t -> Batch.engine
 (** The scatter-gather {!Batch.engine} ([path_eval] unset). *)

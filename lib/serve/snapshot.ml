@@ -8,7 +8,6 @@ module S = Hopi_storage
 
 type t = {
   path : string;
-  pool : S.Pager.Read_pool.t;
   pgr : S.Pager.t;
   src : S.Cover_store.source;
   cache : Label_cache.t;
@@ -59,7 +58,7 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
       mem = S.Cover_store.mem_node st;
       fetch = (fun dir v -> cached_fetch st cache node_version dir v) }
   in
-  { path; pool; pgr; src; cache; epoch; mu = Mutex.create (); closed = false }
+  { path; pgr; src; cache; epoch; mu = Mutex.create (); closed = false }
 
 (* The pager is a shared read-only view: the row read path touches no
    mutable pager state, page lookups go through the sharded pool, and
@@ -77,8 +76,6 @@ let close t =
     S.Pager.close t.pgr
   end
 
-let with_dist t = S.Cover_store.with_dist t.src.store
-
 let n_nodes t = S.Cover_store.n_nodes t.src.store
 
 let n_entries t = S.Cover_store.n_entries t.src.store
@@ -88,10 +85,6 @@ let cache t = t.cache
 let path t = t.path
 
 let epoch t = t.epoch
-
-let read_pool t = t.pool
-
-let mem_node t v = (src t).mem v
 
 let iter_nodes t f = S.Cover_store.iter_nodes t.src.store f
 

@@ -62,10 +62,6 @@ val close : t -> unit
 (** Release the shared pager (dropping this snapshot's pages from the
     read pool).  Call after all in-flight batches have drained. *)
 
-val with_dist : t -> bool
-(** Do stored labels carry distances (so {!min_distance} can answer more
-    than reachability)? *)
-
 val n_nodes : t -> int
 (** Registered nodes. *)
 
@@ -73,10 +69,6 @@ val n_entries : t -> int
 (** Label entries across LIN and LOUT. *)
 
 val cache : t -> Label_cache.t
-
-val read_pool : t -> Hopi_storage.Pager.Read_pool.t
-(** The shared page pool this snapshot serves from (its own, or the one
-    passed as [pool]). *)
 
 val path : t -> string
 
@@ -89,8 +81,6 @@ val epoch : t -> int
 (** {1 Queries}
 
     All query functions may be called concurrently from any domain. *)
-
-val mem_node : t -> int -> bool
 
 val iter_nodes : t -> (int -> unit) -> unit
 (** Every registered node, ascending, from the directory read at open
@@ -107,7 +97,8 @@ val connected : t -> int -> int -> bool
 val min_distance : t -> int -> int -> int option
 (** Shortest stored distance.  On a plain (distance-free) cover every
     reachable pair reports the stored distance 0; only a distance-aware
-    cover ({!with_dist}) carries real path lengths. *)
+    cover ({!Hopi_storage.Cover_store.with_dist}) carries real path
+    lengths. *)
 
 val descendants : t -> int -> Hopi_util.Int_hashset.t
 (** Every node reachable from the argument (including itself).  The

@@ -18,7 +18,8 @@ let magic = 0x484F5049 (* "HOPI" *)
 (* version 2: checksummed page headers, catalog gained kind + arity;
    version 3: cover stores are row tables (heap + directory);
    version 4: the directory is a varint stream holding a reachability
-   interval per key *)
+   interval per key.  A file of any other version raises
+   [Storage_error (Bad_version _)]. *)
 let version = 4
 
 let cover_tables = 4

@@ -23,14 +23,6 @@ type t = {
   rows : rows;  (** LIN/LOUT, forward and backward: {!cover_tables} row tables *)
 }
 
-val magic : int
-
-val version : int
-(** = 4: a cover store's {!Row_table} directory is one varint stream
-    that holds a reachability interval per key (version 3 kept 32-bit
-    words and no intervals; version 2 B+-trees).  A file of any other
-    version raises [Storage_error (Bad_version _)]. *)
-
 val cover_tables : int
 (** = 4: Lin, Lin by center, Lout, Lout by center. *)
 

@@ -28,8 +28,6 @@ let open_pager pgr =
   let { Catalog.with_dist; rows } = Catalog.read pgr in
   attach pgr ~with_dist (Row_table.open_rows pgr rows)
 
-let pager t = t.pgr
-
 let mem_node t v =
   let i = Row_table.slot t.rows v in
   i >= 0 && Row_table.registered t.rows i
@@ -382,8 +380,6 @@ let connected t u v = reach (source t) u v
 let min_distance t u v = dist (source t) u v
 
 let descendants t u = desc (source t) u
-
-let ancestors t v = anc (source t) v
 
 let n_entries t = Row_table.entries t.rows (forward Lin) + Row_table.entries t.rows (forward Lout)
 

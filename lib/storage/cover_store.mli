@@ -32,8 +32,8 @@
 
     Both run as {!Hopi_twohop.Label_codec} stream merges over a
     {!type-source}, the one implementation of the cover queries: the
-    store's own {!connected}/{!min_distance}/{!descendants}/{!ancestors}
-    read rows from the heap, and [Hopi_serve.Snapshot] runs the same
+    store's own {!connected}/{!min_distance}/{!descendants} and
+    {!anc} over {!val-source} read rows from the heap, and [Hopi_serve.Snapshot] runs the same
     operators over its label cache.  A cold label fetch or by-center scan
     is one directory lookup in memory plus, for a row that fits in a page,
     one page read. *)
@@ -76,8 +76,6 @@ val of_closure : Pager.t -> Hopi_graph.Closure.t -> t
     in every cover).  A [reach] is a lookup in one row, and [desc]/[anc]
     read one row each.
     @raise Invalid_argument as {!of_cover}. *)
-
-val pager : t -> Pager.t
 
 val save : t -> unit
 (** Write the catalog and {!Pager.commit}: the save is atomic — a crash at
@@ -167,8 +165,6 @@ val connected : t -> int -> int -> bool
 val min_distance : t -> int -> int -> int option
 
 val descendants : t -> int -> Hopi_util.Int_hashset.t
-
-val ancestors : t -> int -> Hopi_util.Int_hashset.t
 
 (** {1 Statistics} *)
 

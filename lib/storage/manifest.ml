@@ -21,8 +21,6 @@ let path ~base = base ^ ".gens"
 
 let gen_path ~base k = if k = 0 then base else Printf.sprintf "%s.gen%d" base k
 
-let exists ?(vfs = Vfs.real) ~base () = vfs.Vfs.exists (path ~base)
-
 let validate m =
   if m.tip < 0 || m.live < 0 || m.previous < 0 || m.live > m.tip
      || m.previous > m.tip

@@ -34,15 +34,10 @@ val gen_path : base:string -> int -> string
 (** The store file of generation [k]: [base] itself for [k = 0],
     [base.gen<k>] otherwise. *)
 
-val exists : ?vfs:Vfs.t -> base:string -> unit -> bool
-
-val read : ?vfs:Vfs.t -> base:string -> unit -> t
-(** Read the committed manifest.
-    @raise Storage_error.Storage_error when missing or corrupt. *)
-
 val read_file : ?vfs:Vfs.t -> string -> t
-(** {!read} addressed by the manifest file itself rather than the family
-    base — used by [hopi verify-store] when pointed at a [.gens] file. *)
+(** Read the committed manifest at the given manifest file — used by
+    [hopi verify-store] when pointed at a [.gens] file.
+    @raise Storage_error.Storage_error when missing or corrupt. *)
 
 val commit : ?vfs:Vfs.t -> ?fsync:bool -> base:string -> t -> unit
 (** Atomically replace the manifest: write a fresh one-page file and

@@ -4,7 +4,7 @@
     index-organized tables, Section 3.4) with its own page stack of row
     tables; this module is the byte-level layer.
 
-    The first {!header_bytes} bytes of every page belong to the pager, not
+    The first 8 bytes of every page belong to the pager, not
     to the page's user: bytes [0..3] hold a CRC-32 of the payload (stamped
     by {!Pager.write}, verified on every read-pool miss), byte [4] is an
     initialization flag (0 = never written, 1 = checksummed), bytes [5..7]
@@ -14,19 +14,13 @@
 val size : int
 (** Page size in bytes (4096). *)
 
-val header_bytes : int
-(** Bytes reserved at the front of every page for the checksum header (8). *)
-
 val payload_off : int
-(** First byte offset usable by page content (= {!header_bytes}). *)
+(** First byte offset usable by page content, after the 8-byte checksum
+    header. *)
 
 type t = Bytes.t
 
 val create : unit -> t
-
-val get_u8 : t -> int -> int
-
-val set_u8 : t -> int -> int -> unit
 
 val get_i32 : t -> int -> int
 (** Signed 32-bit little-endian. *)

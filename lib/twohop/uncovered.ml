@@ -77,5 +77,3 @@ let choose t =
        t.succ
    with Exit -> ());
   !found
-
-let iter t f = Hashtbl.iter (fun u s -> Ihs.iter (fun v -> f u v) s) t.succ

@@ -32,5 +32,3 @@ val source_count : t -> int
 
 val choose : t -> (int * int) option
 (** Any uncovered pair. *)
-
-val iter : t -> (int -> int -> unit) -> unit

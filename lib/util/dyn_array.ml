@@ -2,8 +2,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let make n x = { data = Array.make n x; len = n }
-
 let length t = t.len
 
 let check t i =
@@ -31,34 +29,6 @@ let pop t =
   t.len <- t.len - 1;
   t.data.(t.len)
 
-let last t =
-  if t.len = 0 then invalid_arg "Dyn_array.last: empty";
-  t.data.(t.len - 1)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun x -> acc := f !acc x) t;
-  !acc
-
-let to_list t = List.init t.len (fun i -> t.data.(i))
-
 let to_array t = Array.sub t.data 0 t.len
 
-let of_list l =
-  let t = create () in
-  List.iter (push t) l;
-  t
-
 let clear t = t.len <- 0
-
-let is_empty t = t.len = 0

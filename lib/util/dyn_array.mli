@@ -4,9 +4,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a dynamic array holding [n] copies of [x]. *)
-
 val length : 'a t -> int
 
 val get : 'a t -> int -> 'a
@@ -18,21 +15,6 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** @raise Invalid_argument if empty. *)
 
-val last : 'a t -> 'a
-(** @raise Invalid_argument if empty. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val to_list : 'a t -> 'a list
-
 val to_array : 'a t -> 'a array
 
-val of_list : 'a list -> 'a t
-
 val clear : 'a t -> unit
-
-val is_empty : 'a t -> bool

@@ -2,8 +2,6 @@ type 'a t = (float * 'a) Dyn_array.t
 
 let create () = Dyn_array.create ()
 
-let length = Dyn_array.length
-
 let is_empty t = Dyn_array.length t = 0
 
 let swap t i j =
@@ -49,5 +47,3 @@ let pop_max t =
   end
 
 let peek_max t = if is_empty t then None else Some (Dyn_array.get t 0)
-
-let clear = Dyn_array.clear

@@ -3,20 +3,17 @@
     The 2-hop-cover builder uses a heap of candidate center nodes with
     *lazily maintained* priorities (Section 3.2 of the paper): entries are
     popped, their priority re-validated, and pushed back when stale.  The
-    heap therefore only needs [push] and [pop_max]. *)
+    router's Dijkstra over the PSG uses it the same way, keyed by the
+    negated distance, skipping popped entries that a shorter path has
+    superseded.  Neither needs more than [push], [pop_max] and
+    [peek_max]. *)
 
 type 'a t
 
 val create : unit -> 'a t
-
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
 
 val push : 'a t -> prio:float -> 'a -> unit
 
 val pop_max : 'a t -> (float * 'a) option
 
 val peek_max : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit

@@ -120,13 +120,6 @@ let to_int_set t =
   Array.sort Int.compare a;
   Int_set.of_sorted_array_unsafe a
 
-let add_int_set t s = Int_set.iter (fun x -> add t x) s
-
-let of_int_set s =
-  let t = create ~initial:(Int_set.cardinal s) () in
-  add_int_set t s;
-  t
-
 let clear t =
   if t.size > 0 then Array.fill t.slots 0 (Array.length t.slots) free;
   t.size <- 0;

@@ -41,8 +41,6 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_int_set : t -> Int_set.t
 (** The elements, sorted. *)
 
-val of_int_set : Int_set.t -> t
-
 val to_list : t -> int list
 (** Unordered. *)
 

@@ -3,8 +3,6 @@ type t = int array
 
 let empty : t = [||]
 
-let singleton x = [| x |]
-
 let of_sorted_array_unsafe a = a
 
 let of_list l =
@@ -18,158 +16,17 @@ let to_array t = Array.copy t
 
 let cardinal = Array.length
 
-let is_empty t = Array.length t = 0
-
-(* Binary search: index of [x] in [t], or [None]. *)
-let find_index t x =
-  let lo = ref 0 and hi = ref (Array.length t - 1) in
-  let res = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = t.(mid) in
-    if v = x then begin
-      res := Some mid;
-      lo := !hi + 1
-    end
-    else if v < x then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !res
-
-let mem x t = find_index t x <> None
-
-(* Index of the first element >= x (= length if none). *)
-let lower_bound t x =
+(* Binary search. *)
+let mem x t =
   let lo = ref 0 and hi = ref (Array.length t) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if t.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  !lo
-
-let add x t =
-  let i = lower_bound t x in
-  let n = Array.length t in
-  if i < n && t.(i) = x then t
-  else begin
-    let r = Array.make (n + 1) x in
-    Array.blit t 0 r 0 i;
-    Array.blit t i r (i + 1) (n - i);
-    r
-  end
-
-let remove x t =
-  match find_index t x with
-  | None -> t
-  | Some i ->
-    let n = Array.length t in
-    let r = Array.make (n - 1) 0 in
-    Array.blit t 0 r 0 i;
-    Array.blit t (i + 1) r i (n - 1 - i);
-    r
-
-let union a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 then b
-  else if nb = 0 then a
-  else begin
-    let r = Array.make (na + nb) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < na && !j < nb do
-      let x = a.(!i) and y = b.(!j) in
-      if x < y then begin r.(!k) <- x; incr i end
-      else if y < x then begin r.(!k) <- y; incr j end
-      else begin r.(!k) <- x; incr i; incr j end;
-      incr k
-    done;
-    while !i < na do r.(!k) <- a.(!i); incr i; incr k done;
-    while !j < nb do r.(!k) <- b.(!j); incr j; incr k done;
-    if !k = na + nb then r else Array.sub r 0 !k
-  end
-
-let inter a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 || nb = 0 then empty
-  else begin
-    let r = Array.make (min na nb) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < na && !j < nb do
-      let x = a.(!i) and y = b.(!j) in
-      if x < y then incr i
-      else if y < x then incr j
-      else begin r.(!k) <- x; incr k; incr i; incr j end
-    done;
-    if !k = 0 then empty else Array.sub r 0 !k
-  end
-
-let diff a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 then empty
-  else if nb = 0 then a
-  else begin
-    let r = Array.make na 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < na do
-      let x = a.(!i) in
-      while !j < nb && b.(!j) < x do incr j done;
-      if !j >= nb || b.(!j) <> x then begin r.(!k) <- x; incr k end;
-      incr i
-    done;
-    if !k = na then a else if !k = 0 then empty else Array.sub r 0 !k
-  end
-
-let choose_inter a b =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j =
-    if i >= na || j >= nb then None
-    else
-      let x = a.(i) and y = b.(j) in
-      if x < y then go (i + 1) j
-      else if y < x then go i (j + 1)
-      else Some x
-  in
-  go 0 0
-
-let inter_is_empty a b = choose_inter a b = None
-
-let subset a b =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j =
-    if i >= na then true
-    else if j >= nb then false
-    else
-      let x = a.(i) and y = b.(j) in
-      if x = y then go (i + 1) (j + 1)
-      else if y < x then go i (j + 1)
-      else false
-  in
-  go 0 0
+  !lo < Array.length t && t.(!lo) = x
 
 let iter f t = Array.iter f t
-
-let fold f t acc = Array.fold_left (fun acc x -> f x acc) acc t
-
-let exists f t = Array.exists f t
-
-let for_all f t = Array.for_all f t
 
 let filter f t =
   let r = Array.of_seq (Seq.filter f (Array.to_seq t)) in
   if Array.length r = Array.length t then t else r
-
-let min_elt t = if Array.length t = 0 then raise Not_found else t.(0)
-
-let max_elt t =
-  let n = Array.length t in
-  if n = 0 then raise Not_found else t.(n - 1)
-
-let equal a b = a = b
-
-let compare = compare
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-       Format.pp_print_int)
-    (to_list t)

@@ -1,14 +1,11 @@
 (** Immutable sets of integers backed by sorted arrays.
 
-    Optimised for the access pattern of 2-hop-cover labels: sets are built
-    once (or in large batches) and then intersected many times.  Membership
-    is [O(log n)]; intersection and union are linear merges. *)
+    Sets are built once from a list or a sorted array and then only read;
+    membership is [O(log n)]. *)
 
 type t
 
 val empty : t
-
-val singleton : int -> t
 
 val of_list : int list -> t
 (** Duplicates are removed. *)
@@ -23,46 +20,8 @@ val to_array : t -> int array
 
 val cardinal : t -> int
 
-val is_empty : t -> bool
-
 val mem : int -> t -> bool
-
-val add : int -> t -> t
-
-val remove : int -> t -> t
-
-val union : t -> t -> t
-
-val inter : t -> t -> t
-
-val diff : t -> t -> t
-
-val inter_is_empty : t -> t -> bool
-(** [inter_is_empty a b] avoids materialising the intersection. *)
-
-val choose_inter : t -> t -> int option
-(** First (smallest) common element, if any. *)
-
-val subset : t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
 
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
-val exists : (int -> bool) -> t -> bool
-
-val for_all : (int -> bool) -> t -> bool
-
 val filter : (int -> bool) -> t -> t
-
-val min_elt : t -> int
-(** @raise Not_found on the empty set. *)
-
-val max_elt : t -> int
-(** @raise Not_found on the empty set. *)
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -29,8 +29,6 @@ type delta = { entries : int; cost : int; evicted : int }
     (negative when it shrank the cache) and how many entries it evicted
     from an LRU end. *)
 
-val no_change : delta
-
 val find : 'a t -> int -> 'a option
 (** Promotes the entry to most recently used; counts a hit or a miss. *)
 

@@ -24,14 +24,7 @@
 
 type t
 
-val create : jobs:int -> t
-(** [jobs] is the total parallelism including the caller; clamped to
-    [>= 1].  [create ~jobs:1] spawns no domains. *)
-
 val jobs : t -> int
-
-val shutdown : t -> unit
-(** Joins the worker domains.  Idempotent.  The pool must be idle. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exceptions). *)

@@ -37,5 +37,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- x
   done
-
-let split t = { state = next_int64 t }

@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create seed] — equal seeds yield equal streams. *)
 
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  @raise Invalid_argument if
     [bound <= 0]. *)
@@ -28,6 +26,3 @@ val pick : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val split : t -> t
-(** An independent generator (for concurrent substreams). *)

@@ -2,15 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let m = mean xs in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 (* [Float.compare], not the polymorphic [compare]: the generic comparison
    goes through the runtime's structural-compare path on boxed floats and
    gives unspecified orderings in the presence of nan. *)

@@ -3,9 +3,6 @@
 
 val mean : float array -> float
 
-val stddev : float array -> float
-(** Sample standard deviation; 0 for fewer than two samples. *)
-
 val min_max : float array -> float * float
 (** @raise Invalid_argument on an empty array. *)
 

@@ -26,8 +26,6 @@ let union t a b =
     Hashtbl.replace t.size big (sa + sb)
   end
 
-let same t a b = find t a = find t b
-
 let classes t =
   let acc = Hashtbl.create 16 in
   Hashtbl.iter

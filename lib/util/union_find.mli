@@ -9,7 +9,5 @@ val find : t -> int -> int
 
 val union : t -> int -> int -> unit
 
-val same : t -> int -> int -> bool
-
 val classes : t -> (int, int list) Hashtbl.t
 (** Representative -> members, for every key ever touched. *)

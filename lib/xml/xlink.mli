@@ -14,7 +14,3 @@ val targets_of_element : Xml_tree.t -> target list
 (** Targets referenced by this element's attributes, in attribute order.
     Recognised attributes: [xlink:href], [href] (value [doc][#frag]),
     [idref] (one id), [idrefs] (whitespace-separated ids). *)
-
-val parse_href : string -> target
-(** [parse_href "d.xml#e5"] = [{doc = Some "d.xml"; fragment = "e5"}];
-    [parse_href "#e5"] = [{doc = None; fragment = "e5"}]. *)

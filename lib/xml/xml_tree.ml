@@ -6,47 +6,7 @@ type t = {
 
 and child = Element of t | Text of string
 
-let element ?(attrs = []) ?(children = []) tag = { tag; attrs; children }
-
 let attr t name = List.assoc_opt name t.attrs
-
-let child_elements t =
-  List.filter_map (function Element e -> Some e | Text _ -> None) t.children
-
-let rec iter_elements f t =
-  f t;
-  List.iter (function Element e -> iter_elements f e | Text _ -> ()) t.children
-
-let rec fold_elements f acc t =
-  let acc = f acc t in
-  List.fold_left
-    (fun acc -> function Element e -> fold_elements f acc e | Text _ -> acc)
-    acc t.children
-
-let count_elements t = fold_elements (fun n _ -> n + 1) 0 t
-
-let text_content t =
-  let buf = Buffer.create 64 in
-  let rec go t =
-    List.iter
-      (function Element e -> go e | Text s -> Buffer.add_string buf s)
-      t.children
-  in
-  go t;
-  Buffer.contents buf
-
-let find_by_id t id =
-  let found = ref None in
-  (try
-     iter_elements
-       (fun e ->
-         if !found = None && attr e "id" = Some id then begin
-           found := Some e;
-           raise Exit
-         end)
-       t
-   with Exit -> ());
-  !found
 
 let escape_text s =
   let buf = Buffer.create (String.length s) in
@@ -108,8 +68,3 @@ let to_string ?(indent = false) t =
   in
   go 0 t;
   Buffer.contents buf
-
-let rec depth t =
-  match child_elements t with
-  | [] -> 1
-  | es -> 1 + List.fold_left (fun m e -> max m (depth e)) 0 es

@@ -163,7 +163,7 @@ let run_soak ~dist () =
   | e :: _ ->
     Alcotest.failf "%d cold-read failures, e.g.: %s" (Atomic.get failures) e);
   checkb "soak served queries" true (Atomic.get total > 0);
-  let stats = Pager.Read_pool.stats (Snapshot.read_pool snap) in
+  let stats = Pager.Read_pool.stats pool in
   checkb "pool saw misses (cold path exercised)" true (stats.misses > 0);
   checkb "pool saw hits (pages shared between probes)" true (stats.hits > 0);
   checkb "pool evicted (churn exercised)" true (stats.evictions > 0);
@@ -186,8 +186,7 @@ let test_pool_shared_across_opens () =
   let pool = Pager.Read_pool.create ~pages:64 () in
   let a = Snapshot.open_file ~pool ~cache_mb:0 path in
   let b = Snapshot.open_file ~pool ~cache_mb:0 path in
-  checkb "both handles share the pool" true
-    (Snapshot.read_pool a == pool && Snapshot.read_pool b == pool);
+  let misses () = (Pager.Read_pool.stats pool).misses in
   let verify snap =
     for u = 0 to n - 1 do
       for v = 0 to n - 1 do
@@ -197,7 +196,10 @@ let test_pool_shared_across_opens () =
     done
   in
   verify a;
+  let after_a = misses () in
+  checkb "a reads through the given pool" true (after_a > 0);
   verify b;
+  checkb "b reads through the same pool" true (misses () > after_a);
   Snapshot.close a;
   (* a's pages are dropped by tag; b must re-fault its own pages, never
      see a stale or foreign one *)
@@ -225,15 +227,16 @@ let test_metric_attribution () =
   let priv0 = Pager.stats priv in
   let hits0 = counter "hopi_storage_shared_pool_hits_total"
   and misses0 = counter "hopi_storage_shared_pool_misses_total" in
-  let snap = Snapshot.open_file ~pool_pages:8 ~cache_mb:0 path in
+  let snap_pool = Pager.Read_pool.create ~pages:8 () in
+  let snap = Snapshot.open_file ~pool:snap_pool ~cache_mb:0 path in
   Fun.protect ~finally:(fun () -> Snapshot.close snap) @@ fun () ->
-  let pool0 = Pager.Read_pool.stats (Snapshot.read_pool snap) in
+  let pool0 = Pager.Read_pool.stats snap_pool in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
       ignore (Snapshot.connected snap u v)
     done
   done;
-  let pool = Pager.Read_pool.stats (Snapshot.read_pool snap) in
+  let pool = Pager.Read_pool.stats snap_pool in
   checkb "snapshot pool misses moved" true (pool.misses > pool0.misses);
   checkb "snapshot pool hits moved" true (pool.hits > pool0.hits);
   checkb "pool stats coherent" true (pool.resident <= pool.capacity);

@@ -142,8 +142,6 @@ let test_doc_graph () =
   check_int "edges" 3 (Digraph.n_edges dg.Doc_graph.graph);
   check_bool "d1->d2" true (Digraph.mem_edge dg.Doc_graph.graph d1 d2);
   Alcotest.(check (float 1e-9)) "weight d1->d2" 1.0 (Doc_graph.edge_weight dg d1 d2);
-  check_int "node weight" 7 (Doc_graph.node_weight dg d1);
-  check_int "total weight" 14 (Doc_graph.total_node_weight dg);
   ignore d3
 
 (* {1 Skeleton} *)

@@ -264,9 +264,11 @@ let test_modify_document () =
   let docs = List.sort compare (Collection.doc_ids c) in
   let victim = List.nth docs 3 in
   let parse = Hopi_xml.Xml_parser.parse_string_exn in
+  let name = Collection.doc_name c victim in
   let new_doc = parse {|<article id="r"><title id="t">replaced</title></article>|} in
-  let did = Hopi.modify_document idx victim new_doc in
+  ignore (Hopi.modify_document_diff idx victim new_doc);
   check_bool "exact after modify" true (Hopi.self_check idx);
+  let did = Option.get (Collection.find_doc c name) in
   check_int "replaced doc has 2 elements" 2
     (Collection.n_elements_of_doc (Hopi.collection idx) did)
 
@@ -287,27 +289,42 @@ let test_delete_then_reinsert_roundtrip () =
   check_int "no pending" 0 (Collection.pending_links (Hopi.collection idx))
 
 let test_subtree_insert_delete () =
-  let c = small_dblp ~n:10 () in
+  let cfg = { (Dblp.default ~n_docs:10) with seed = 20050405 } in
+  let c = Dblp.generate cfg in
   let idx = Hopi.create c in
-  let docs = List.sort compare (Collection.doc_ids c) in
-  let d0 = List.nth docs 0 and d5 = List.nth docs 5 in
+  let doc i = Option.get (Collection.find_doc c (Dblp.doc_name i)) in
+  let d0 = doc 0 and d5 = doc 5 in
   let r0 = Collection.doc_root_element c d0 in
-  (* graft a fragment that links to another document *)
+  (* graft a fragment that links to another document: the new version of
+     d0 is the old one plus the fragment, which the diff inserts as one
+     subtree *)
+  let parse = Hopi_xml.Xml_parser.parse_string_exn in
   let fragment =
-    Hopi_xml.Xml_parser.parse_string_exn
+    parse
       (Printf.sprintf
          {|<appendix><note id="n1"/><cite xlink:href="%s#r"/></appendix>|}
          (Collection.doc_name c d5))
   in
-  let created = Hopi.insert_subtree idx ~doc:d0 ~parent:r0 fragment in
+  let old = parse (Dblp.document_xml cfg 0) in
+  let grafted =
+    Hopi_xml.Xml_tree.{ old with children = old.children @ [ Element fragment ] }
+  in
+  let stats = Hopi.modify_document_diff idx d0 grafted in
+  check_bool "no fallback" false stats.Maintenance.fell_back;
+  check_int "one subtree inserted" 1 stats.Maintenance.subtrees_inserted;
+  let appendix =
+    match Collection.elements_with_tag c "appendix" with
+    | [ e ] -> e
+    | es -> Alcotest.failf "%d appendix elements" (List.length es)
+  in
+  let created = appendix :: Collection.children c appendix in
   check_int "three elements" 3 (List.length created);
   check_bool "exact after graft" true (Hopi.self_check idx);
   let r5 = Collection.doc_root_element c d5 in
   check_bool "new cross link indexed" true (Hopi.connected idx r0 r5);
   (* delete the fragment again: the cross connection must disappear unless
      another citation provides it *)
-  let recomputed = Hopi.remove_subtree idx (List.hd created) in
-  ignore recomputed;
+  ignore (Hopi.remove_subtree idx appendix);
   check_bool "exact after prune" true (Hopi.self_check idx);
   let still_alive e =
     match Collection.element_info c e with
@@ -528,8 +545,7 @@ let test_dist_insert_document () =
   let idx = Hopi.create c in
   ignore (Hopi.distance_index idx);
   for i = 8 to 9 do
-    let root = Hopi_xml.Xml_parser.parse_string_exn (Dblp.document_xml cfg i) in
-    ignore (Hopi.insert_document idx ~name:(Dblp.doc_name i) root);
+    ignore (Hopi.insert_document_xml idx ~name:(Dblp.doc_name i) (Dblp.document_xml cfg i));
     check_bool (Printf.sprintf "exact after doc %d" i) true (dist_exact idx)
   done
 

@@ -23,16 +23,24 @@ let diamond () =
 
 (* {1 Digraph} *)
 
+let succ g v =
+  let acc = ref [] in
+  Digraph.iter_succ g v (fun w -> acc := w :: !acc);
+  List.sort compare !acc
+
+let pred g v =
+  let acc = ref [] in
+  Digraph.iter_pred g v (fun w -> acc := w :: !acc);
+  List.sort compare !acc
+
 let test_digraph_basics () =
   let g = diamond () in
   check_int "nodes" 6 (Digraph.n_nodes g);
   check_int "edges" 6 (Digraph.n_edges g);
   check_bool "mem_edge" true (Digraph.mem_edge g 0 1);
   check_bool "no reverse" false (Digraph.mem_edge g 1 0);
-  check_list "succ 0" [ 1; 2 ] (List.sort compare (Digraph.succ g 0));
-  check_list "pred 3" [ 1; 2; 4 ] (List.sort compare (Digraph.pred g 3));
-  check_int "out_degree" 2 (Digraph.out_degree g 0);
-  check_int "in_degree 3" 3 (Digraph.in_degree g 3)
+  check_list "succ 0" [ 1; 2 ] (succ g 0);
+  check_list "pred 3" [ 1; 2; 4 ] (pred g 3)
 
 let test_digraph_idempotent_edges () =
   let g = of_edges [ (1, 2); (1, 2); (1, 2) ] in
@@ -51,15 +59,8 @@ let test_digraph_remove_node () =
   Digraph.remove_node g 3;
   check_int "nodes" 5 (Digraph.n_nodes g);
   check_int "edges" 2 (Digraph.n_edges g);
-  check_list "succ 1 empty" [] (Digraph.succ g 1);
-  check_list "succ 4 empty" [] (Digraph.succ g 4)
-
-let test_digraph_transpose () =
-  let g = of_edges [ (1, 2); (2, 3) ] in
-  let gt = Digraph.transpose g in
-  check_bool "reversed" true (Digraph.mem_edge gt 2 1);
-  check_bool "reversed2" true (Digraph.mem_edge gt 3 2);
-  check_int "same nodes" 3 (Digraph.n_nodes gt)
+  check_list "succ 1 empty" [] (succ g 1);
+  check_list "succ 4 empty" [] (succ g 4)
 
 let test_digraph_induced () =
   let g = diamond () in
@@ -97,12 +98,6 @@ let test_bfs_distances () =
   check_int "d(0,4)" 3 (Hashtbl.find d 4);
   check_bool "unreachable" true (Hashtbl.find_opt d 5 = None)
 
-let test_bfs_bounded () =
-  let g = of_edges [ (0, 1); (1, 2); (2, 3) ] in
-  let d = Traversal.bfs_distances_bounded g 0 ~max_depth:2 in
-  check_bool "depth 2 in" true (Hashtbl.mem d 2);
-  check_bool "depth 3 out" false (Hashtbl.mem d 3)
-
 let test_is_reachable () =
   let g = diamond () in
   check_bool "0->4" true (Traversal.is_reachable g 0 4);
@@ -136,9 +131,9 @@ let test_closure_bounded () =
 let test_closure_scc_members () =
   (* 3 and 4 form one SCC: they share their successor and ancestor sets *)
   let c = Closure.compute (diamond ()) in
-  check_bool "3,4 same succs" true (Int_set.equal (Closure.succs c 3) (Closure.succs c 4));
-  check_bool "3,4 same preds" true (Int_set.equal (Closure.preds c 3) (Closure.preds c 4));
-  check_bool "0,1 differ" false (Int_set.equal (Closure.succs c 0) (Closure.succs c 1))
+  check_bool "3,4 same succs" true (Int_set.to_list (Closure.succs c 3) = Int_set.to_list (Closure.succs c 4));
+  check_bool "3,4 same preds" true (Int_set.to_list (Closure.preds c 3) = Int_set.to_list (Closure.preds c 4));
+  check_bool "0,1 differ" false (Int_set.to_list (Closure.succs c 0) = Int_set.to_list (Closure.succs c 1))
 
 let test_closure_big_cycle () =
   let n = 50 in
@@ -235,10 +230,11 @@ let prop_closure_oracle =
       let c = Closure.compute g in
       let total = ref 0 and ok = ref (Closure.n_nodes c = n) in
       Digraph.iter_nodes g (fun v ->
-          let down = Ihs.to_int_set (Traversal.reachable g [ v ]) in
-          let up = Ihs.to_int_set (Traversal.reachable_backward g [ v ]) in
-          total := !total + Int_set.cardinal down;
-          if not (Int_set.equal down (Closure.succs c v) && Int_set.equal up (Closure.preds c v))
+          let down = Int_set.to_list (Ihs.to_int_set (Traversal.reachable g [ v ])) in
+          let up = Int_set.to_list (Ihs.to_int_set (Traversal.reachable_backward g [ v ])) in
+          total := !total + List.length down;
+          if not (down = Int_set.to_list (Closure.succs c v)
+                  && up = Int_set.to_list (Closure.preds c v))
           then ok := false);
       !ok && Closure.n_connections c = !total && Closure.count_connections g = !total)
 
@@ -263,7 +259,6 @@ let suite =
         Alcotest.test_case "idempotent edges" `Quick test_digraph_idempotent_edges;
         Alcotest.test_case "remove edge" `Quick test_digraph_remove_edge;
         Alcotest.test_case "remove node" `Quick test_digraph_remove_node;
-        Alcotest.test_case "transpose" `Quick test_digraph_transpose;
         Alcotest.test_case "induced subgraph" `Quick test_digraph_induced;
       ] );
     ( "graph.traversal",
@@ -271,7 +266,6 @@ let suite =
         Alcotest.test_case "reachable" `Quick test_reachable;
         Alcotest.test_case "reachable_avoiding" `Quick test_reachable_avoiding;
         Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
-        Alcotest.test_case "bfs bounded" `Quick test_bfs_bounded;
         Alcotest.test_case "is_reachable" `Quick test_is_reachable;
       ] );
     ( "graph.closure",

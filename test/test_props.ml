@@ -181,9 +181,9 @@ let prop_jobs_determinism =
           if Cover.size r1.Build.cover <> Cover.size r.Build.cover then
             QCheck2.Test.fail_reportf "jobs=%d: cover sizes differ: %d vs %d" jobs
               (Cover.size r1.Build.cover) (Cover.size r.Build.cover);
-          if Build.compression r1 <> Build.compression r then
-            QCheck2.Test.fail_reportf "jobs=%d: compression differs: %f vs %f" jobs
-              (Build.compression r1) (Build.compression r);
+          if r1.Build.closure_connections <> r.Build.closure_connections then
+            QCheck2.Test.fail_reportf "jobs=%d: closure connections differ: %d vs %d" jobs
+              r1.Build.closure_connections r.Build.closure_connections;
           canonical r1.Build.cover = canonical r.Build.cover)
         [ 2; 3; 4 ])
 
@@ -237,7 +237,7 @@ let replay_soak ~gen_cfg ~trace_seed ~n_ops =
         failwith "soak: index diverged from BFS oracle after an update")
     ops;
   (* final differential check against an actual from-scratch rebuild *)
-  let rebuilt = Hopi.create ~config:(Hopi.config idx) (Hopi.collection idx) in
+  let rebuilt = Hopi.create (Hopi.collection idx) in
   if canonical (Hopi.cover idx) <> canonical (Hopi.cover rebuilt) then begin
     (* maintained covers may legitimately differ in entries from rebuilt
        ones — but they must answer identically; compare all pairs *)

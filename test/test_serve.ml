@@ -29,17 +29,28 @@ let checki = Alcotest.(check int)
 
 let arr n = Bytes.make n '\007'
 
+(* the bytes a cache charges for an entry with this payload, as measured
+   through a cache large enough to hold it *)
+let entry_cost a =
+  let c = Cache.create ~shards:1 ~capacity_bytes:(1 lsl 30) () in
+  Cache.add c 0 a;
+  Cache.bytes c
+
 (* capacity for exactly [n] entries of payload [len] in a 1-shard cache *)
-let capacity_for n len = n * Cache.entry_cost (arr len)
+let capacity_for n len = n * entry_cost (arr len)
+
+let counter name = Counter.get (Hopi_obs.Registry.counter name)
+let evictions () = counter "hopi_serve_cache_evictions_total"
+let invalidations () = counter "hopi_serve_cache_invalidations_total"
 
 let test_cache_basic () =
   let c = Cache.create ~shards:1 ~capacity_bytes:(capacity_for 4 10) () in
-  checkb "enabled" true (Cache.enabled c);
+  checki "capacity" (capacity_for 4 10) (Cache.capacity_bytes c);
   checkb "miss on empty" true (Cache.find c 1 = None);
   Cache.add c 1 (arr 10);
   checkb "hit after add" true (Cache.find c 1 <> None);
   checki "entries" 1 (Cache.entries c);
-  checki "bytes" (Cache.entry_cost (arr 10)) (Cache.bytes c)
+  checki "bytes" (entry_cost (arr 10)) (Cache.bytes c)
 
 let test_cache_eviction_bound () =
   let cap = capacity_for 4 10 in
@@ -72,7 +83,7 @@ let test_cache_replace () =
   Cache.add c 1 (arr 10);
   Cache.add c 1 (arr 20);
   checki "one entry after replace" 1 (Cache.entries c);
-  checki "replacement cost accounted" (Cache.entry_cost (arr 20)) (Cache.bytes c);
+  checki "replacement cost accounted" (entry_cost (arr 20)) (Cache.bytes c);
   match Cache.find c 1 with
   | Some a -> checki "replacement payload" 20 (Bytes.length a)
   | None -> Alcotest.fail "replaced entry missing"
@@ -86,7 +97,7 @@ let test_cache_oversize_skipped () =
 
 let test_cache_disabled () =
   let c = Cache.create ~capacity_bytes:0 () in
-  checkb "disabled" false (Cache.enabled c);
+  checki "disabled: no capacity" 0 (Cache.capacity_bytes c);
   let h0 = Counter.get (Cache.hits ()) and m0 = Counter.get (Cache.misses ()) in
   Cache.add c 1 (arr 10);
   checkb "find misses" true (Cache.find c 1 = None);
@@ -98,7 +109,7 @@ let test_cache_metrics () =
   let c = Cache.create ~shards:1 ~capacity_bytes:(capacity_for 2 10) () in
   let h0 = Counter.get (Cache.hits ())
   and m0 = Counter.get (Cache.misses ())
-  and e0 = Counter.get (Cache.evictions ()) in
+  and e0 = evictions () in
   ignore (Cache.find c 1); (* miss *)
   Cache.add c 1 (arr 10);
   ignore (Cache.find c 1); (* hit *)
@@ -106,7 +117,7 @@ let test_cache_metrics () =
   Cache.add c 3 (arr 10); (* evicts 1 *)
   checki "one miss" (m0 + 1) (Counter.get (Cache.misses ()));
   checki "one hit" (h0 + 1) (Counter.get (Cache.hits ()));
-  checki "one eviction" (e0 + 1) (Counter.get (Cache.evictions ()))
+  checki "one eviction" (e0 + 1) (evictions ())
 
 (* versioned keys: one packed integer per (version, node, direction), no
    collisions across a representative grid, and version 0 is exactly the
@@ -178,16 +189,16 @@ let test_cache_remove () =
   Cache.add c k1 (arr 10);
   Cache.add c k2 (arr 10);
   checki "two entries" 2 (Cache.entries c);
-  let i0 = Counter.get (Cache.invalidations ())
-  and e0 = Counter.get (Cache.evictions ()) in
+  let i0 = invalidations ()
+  and e0 = evictions () in
   checkb "remove present key" true (Cache.remove c k1);
   checki "one entry left" 1 (Cache.entries c);
-  checki "bytes re-accounted exactly" (Cache.entry_cost (arr 10)) (Cache.bytes c);
+  checki "bytes re-accounted exactly" (entry_cost (arr 10)) (Cache.bytes c);
   checkb "removed key misses" true (Cache.find c k1 = None);
   checkb "other version of the same node survives" true (Cache.find c k2 <> None);
   checkb "remove absent key" false (Cache.remove c k1);
-  checki "one invalidation counted" (i0 + 1) (Counter.get (Cache.invalidations ()));
-  checki "no eviction counted" e0 (Counter.get (Cache.evictions ()));
+  checki "one invalidation counted" (i0 + 1) (invalidations ());
+  checki "no eviction counted" e0 (evictions ());
   checkb "remove last entry" true (Cache.remove c k2);
   checki "empty" 0 (Cache.entries c);
   checki "accounting back to zero" 0 (Cache.bytes c)
@@ -211,7 +222,7 @@ let test_cache_pool_safety () =
   let accounted = ref 0 in
   for key = 0 to 96 do
     match Cache.find c key with
-    | Some a -> accounted := !accounted + Cache.entry_cost a
+    | Some a -> accounted := !accounted + entry_cost a
     | None -> ()
   done;
   checki "cost accounting consistent" (Cache.bytes c) !accounted
@@ -253,22 +264,15 @@ let all_pairs n = List.concat_map (fun u -> List.map (fun v -> (u, v)) (List.ini
 let snapshot_matches_index ~cache_mb g ~dist =
   let clo = Closure.compute g in
   let c = if dist then fst (Dist_builder.build g) else fst (Builder.build clo) in
-  let any_dist = ref false in
-  Cover.iter_nodes c (fun v ->
-      let note _ d = if d > 0 then any_dist := true in
-      Cover.iter_lin c v note;
-      Cover.iter_lout c v note);
   let load pager = Cover_store.of_cover pager c
   and mem = Cover.mem_node c
   and reach = Cover.connected c
   and distance = Cover.dist c
-  and n_nodes = Cover.n_nodes c
-  and any_dist = !any_dist in
+  and n_nodes = Cover.n_nodes c in
   let closure_set f u = if mem u then Int_set.to_list (f clo u) else [] in
   with_store_file load @@ fun path ->
   let snap = Snapshot.open_file ~pool_pages:64 ~cache_mb path in
   Fun.protect ~finally:(fun () -> Snapshot.close snap) @@ fun () ->
-  checkb "with_dist agrees" any_dist (Snapshot.with_dist snap);
   checki "n_nodes agrees" n_nodes (Snapshot.n_nodes snap);
   let n = Digraph.n_nodes g in
   List.iter
@@ -276,7 +280,7 @@ let snapshot_matches_index ~cache_mb g ~dist =
       let ctx = Printf.sprintf "(%d,%d) dist=%b cache=%d" u v dist cache_mb in
       (* twice per pair: the second round hits any cache *)
       for _ = 1 to 2 do
-        checkb ("mem " ^ ctx) (mem u) (Snapshot.mem_node snap u);
+        checkb ("mem " ^ ctx) (mem u) (Snapshot.connected snap u u);
         checkb ("connected " ^ ctx) (reach u v) (Snapshot.connected snap u v);
         check
           Alcotest.(option int)

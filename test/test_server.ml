@@ -397,14 +397,10 @@ let wait_for ?(timeout = 5.0) pred =
 
 (* the reply frame to request [id], its rendered lines *)
 let read_lines_of cl ~id =
-  match Frame.read (Client.fd cl) with
-  | Some { Frame.kind = Response; id = got; payload } when got = id -> (
-    match Frame.response_payload payload with
-    | Ok (_, lines) -> lines
-    | Error e -> Alcotest.failf "reply %d: %s" id e)
-  | Some { Frame.id = got; payload; _ } ->
-    Alcotest.failf "wanted the reply to %d, got frame %d (%s)" id got payload
-  | None -> Alcotest.failf "connection closed before the reply to %d" id
+  match Client.read_reply ~expect_id:id cl with
+  | Ok (Client.Answers (_, lines)) -> lines
+  | Ok _ -> Alcotest.failf "reply %d: not an answer frame" id
+  | Error e -> Alcotest.failf "reply %d: %s" id e
 
 let test_server_frames_in_parallel () =
   (* A's frame holds its worker until B's frame has started: with one

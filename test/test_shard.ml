@@ -23,6 +23,15 @@ module Gen = QCheck2.Gen
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
 
+(* the routed queries, as the scatter-gather engine binds them *)
+let min_distance r = (Router.engine r).Batch.min_distance
+let descendants r = (Router.engine r).Batch.descendants
+let ancestors r = (Router.engine r).Batch.ancestors
+
+(* the file layout of a shard directory *)
+let shard_path ~dir k = Filename.concat dir (Printf.sprintf "shard-%03d.db" k)
+let routing_path ~dir = Filename.concat dir "routing.idx"
+
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -58,7 +67,7 @@ let test_failed_open_closes_shards () =
   let c = Dblp.generate (Dblp.default ~n_docs:9) in
   ignore (Router.split ~k:3 ~dir c);
   (* flip a catalog byte of the last shard *)
-  let shard = Router.shard_path ~dir 2 in
+  let shard = shard_path ~dir 2 in
   let off = Hopi_storage.Page.payload_off + 1 in
   let ic = open_in_bin shard in
   seek_in ic off;
@@ -83,9 +92,9 @@ let test_split_layout () =
   let st = Router.split ~k:3 ~dir c in
   checki "k shards" 3 st.Router.shards;
   checki "every element assigned" (Collection.n_elements c) st.Router.elements;
-  checkb "routing index written" true (Sys.file_exists (Router.routing_path ~dir));
+  checkb "routing index written" true (Sys.file_exists (routing_path ~dir));
   (* the routing index holds the links and nothing the shards can tell *)
-  In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all
+  In_channel.with_open_bin (routing_path ~dir) In_channel.input_all
   |> String.split_on_char '\n'
   |> List.iter (fun l ->
          match String.split_on_char ' ' l with
@@ -95,7 +104,7 @@ let test_split_layout () =
     checkb
       (Printf.sprintf "shard %d store written" s)
       true
-      (Sys.file_exists (Router.shard_path ~dir s))
+      (Sys.file_exists (shard_path ~dir s))
   done;
   let r = Router.open_dir dir in
   Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
@@ -135,9 +144,9 @@ let test_unknown_ids_mirror_store () =
   checkb "ghost -> known unreachable" false (Router.connected r ghost dom.(0));
   checkb "known -> ghost unreachable" false (Router.connected r dom.(0) ghost);
   checkb "ghost not self-reachable" false (Router.connected r ghost ghost);
-  check Alcotest.(option int) "ghost distance" None (Router.min_distance r ghost dom.(0));
-  checkb "ghost descendants empty" true (Ihs.is_empty (Router.descendants r ghost));
-  checkb "ghost ancestors empty" true (Ihs.is_empty (Router.ancestors r ghost))
+  check Alcotest.(option int) "ghost distance" None (min_distance r ghost dom.(0));
+  checkb "ghost descendants empty" true (Ihs.is_empty (descendants r ghost));
+  checkb "ghost ancestors empty" true (Ihs.is_empty (ancestors r ghost))
 
 (* The Batch engine over the router renders exactly like direct calls. *)
 let test_engine_rendering () =
@@ -155,12 +164,12 @@ let test_engine_rendering () =
         (string_of_bool (Router.connected r u v))
         (Batch.render (Batch.eval_engine eng (Batch.Reach (u, v))));
       check Alcotest.string "dist renders"
-        (match Router.min_distance r u v with
+        (match min_distance r u v with
         | Some d -> string_of_int d
         | None -> "unreachable")
         (Batch.render (Batch.eval_engine eng (Batch.Dist (u, v))));
       check Alcotest.string "desc renders"
-        (string_of_int (Ihs.cardinal (Router.descendants r u)))
+        (string_of_int (Ihs.cardinal (descendants r u)))
         (Batch.render (Batch.eval_engine eng (Batch.Desc u)));
       check Alcotest.string "path needs an evaluator"
         "error: path queries need a corpus (serve --corpus DIR)"
@@ -175,7 +184,7 @@ let test_same_shard_dist_is_scatter () =
   let c = Dblp.generate (Dblp.default ~n_docs:6) in
   ignore (Router.split ~dist:true ~k:3 ~dir c : Router.split_stats);
   let target =
-    In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all
+    In_channel.with_open_bin (routing_path ~dir) In_channel.input_all
     |> String.split_on_char '\n'
     |> List.find_map (fun l ->
            match String.split_on_char ' ' l with
@@ -190,7 +199,7 @@ let test_same_shard_dist_is_scatter () =
   let scatter = Registry.counter "hopi_router_scatter_total"
   and single = Registry.counter "hopi_router_single_shard_total" in
   let s0 = Counter.get scatter and g0 = Counter.get single in
-  check Alcotest.(option int) "self distance" (Some 0) (Router.min_distance r tg tg);
+  check Alcotest.(option int) "self distance" (Some 0) (min_distance r tg tg);
   checki "counted as a scatter" (s0 + 1) (Counter.get scatter);
   checki "not as single-shard" g0 (Counter.get single)
 
@@ -246,36 +255,36 @@ let test_self_centers () =
       with_two_doc_split ~dist @@ fun r el ->
       let d n = if dist then Some n else Some 0 in
       checkb "source -> target" true (Router.connected r (el "x") (el "i"));
-      check dist_opt "source -> target distance" (d 1) (Router.min_distance r (el "x") (el "i"));
+      check dist_opt "source -> target distance" (d 1) (min_distance r (el "x") (el "i"));
       checkb "source -> below the target" true (Router.connected r (el "x") (el "o"));
       check dist_opt "source -> below the target distance" (d 2)
-        (Router.min_distance r (el "x") (el "o"));
+        (min_distance r (el "x") (el "o"));
       checkb "above the source -> target" true (Router.connected r (el "a") (el "i"));
       check dist_opt "above the source -> target distance" (d 2)
-        (Router.min_distance r (el "a") (el "i"));
+        (min_distance r (el "a") (el "i"));
       checkb "target -/-> source" false (Router.connected r (el "i") (el "x"));
-      check dist_opt "target -/-> source distance" None (Router.min_distance r (el "i") (el "x"));
+      check dist_opt "target -/-> source distance" None (min_distance r (el "i") (el "x"));
       check
         Alcotest.(list int)
         "desc of the source"
         (List.sort compare [ el "x"; el "i"; el "o"; el "y" ])
-        (sorted_of_ihs (Router.descendants r (el "x")));
+        (sorted_of_ihs (descendants r (el "x")));
       check
         Alcotest.(list int)
         "anc of the target"
         (List.sort compare [ el "i"; el "b"; el "x"; el "w"; el "a" ])
-        (sorted_of_ihs (Router.ancestors r (el "i"))))
+        (sorted_of_ihs (ancestors r (el "i"))))
     [ false; true ]
 
 (* same-shard pairs whose (shortest) path leaves the shard and comes back *)
 let test_leave_and_return () =
   with_two_doc_split ~dist:true @@ fun r el ->
   checkb "x reaches y only through b.xml" true (Router.connected r (el "x") (el "y"));
-  check dist_opt "x -> y" (Some 3) (Router.min_distance r (el "x") (el "y"));
-  check dist_opt "w -> y: 3 across, not 4 within" (Some 3) (Router.min_distance r (el "w") (el "y"));
-  check dist_opt "a -> y" (Some 4) (Router.min_distance r (el "a") (el "y"));
-  check dist_opt "c1 -> y stays within" (Some 3) (Router.min_distance r (el "c1") (el "y"));
-  check dist_opt "y -/-> x" None (Router.min_distance r (el "y") (el "x"));
+  check dist_opt "x -> y" (Some 3) (min_distance r (el "x") (el "y"));
+  check dist_opt "w -> y: 3 across, not 4 within" (Some 3) (min_distance r (el "w") (el "y"));
+  check dist_opt "a -> y" (Some 4) (min_distance r (el "a") (el "y"));
+  check dist_opt "c1 -> y stays within" (Some 3) (min_distance r (el "c1") (el "y"));
+  check dist_opt "y -/-> x" None (min_distance r (el "y") (el "x"));
   checkb "y -/-> x" false (Router.connected r (el "y") (el "x"))
 
 (* {1 The routing index is validated at open} *)
@@ -284,7 +293,7 @@ let test_leave_and_return () =
    [magic] replaces its first line; the link count and the checksum are
    recomputed *)
 let rewrite_routing ?magic ?(links = Fun.id) dir =
-  let path = Router.routing_path ~dir in
+  let path = routing_path ~dir in
   let data = In_channel.with_open_bin path In_channel.input_all in
   let body = String.sub data 0 (String.length data - String.length "crc XXXXXXXX\n") in
   let head, ls =
@@ -329,9 +338,9 @@ let with_split ~k n_docs f =
   with_temp_dir @@ fun dir ->
   let c = Dblp.generate (Dblp.default ~n_docs) in
   ignore (Router.split ~k ~dir c : Router.split_stats);
-  let clean = In_channel.with_open_bin (Router.routing_path ~dir) In_channel.input_all in
+  let clean = In_channel.with_open_bin (routing_path ~dir) In_channel.input_all in
   let restore () =
-    Out_channel.with_open_bin (Router.routing_path ~dir) (fun oc -> output_string oc clean)
+    Out_channel.with_open_bin (routing_path ~dir) (fun oc -> output_string oc clean)
   in
   f c dir restore
 
@@ -367,8 +376,8 @@ let test_same_shard_link_rejected () =
    notice the elements the overwritten shard lost *)
 let test_element_in_two_shards_rejected () =
   with_split ~k:2 6 @@ fun _ dir _ ->
-  let copy = In_channel.with_open_bin (Router.shard_path ~dir 0) In_channel.input_all in
-  Out_channel.with_open_bin (Router.shard_path ~dir 1) (fun oc -> output_string oc copy);
+  let copy = In_channel.with_open_bin (shard_path ~dir 0) In_channel.input_all in
+  Out_channel.with_open_bin (shard_path ~dir 1) (fun oc -> output_string oc copy);
   rewrite_routing dir ~links:(fun _ -> []);
   expect_rejected "an element in two shards" ~says:"registered in shards 0 and 1" dir
 
@@ -440,12 +449,12 @@ let test_isolated_elements () =
             Alcotest.(list int)
             (what "desc %d" u)
             (sorted_of_ihs (Snapshot.descendants snap u))
-            (sorted_of_ihs (Router.descendants r u));
+            (sorted_of_ihs (descendants r u));
           check
             Alcotest.(list int)
             (what "anc %d" u)
             (sorted_of_ihs (Snapshot.ancestors snap u))
-            (sorted_of_ihs (Router.ancestors r u)))
+            (sorted_of_ihs (ancestors r u)))
         dom;
       let ids = Array.append dom [| ghost |] in
       Array.iter
@@ -454,7 +463,7 @@ let test_isolated_elements () =
             (fun v ->
               checkb (what "reach %d %d" u v) (Snapshot.connected snap u v) (Router.connected r u v);
               check dist_opt (what "dist %d %d" u v) (Snapshot.min_distance snap u v)
-                (Router.min_distance r u v))
+                (min_distance r u v))
             ids)
         ids)
     [ (false, 2); (false, 3); (true, 2); (true, 3) ]
@@ -499,7 +508,7 @@ let test_dblp60_differential () =
         let want_dist = if not want then None else if dist then bfs_dist u v else Some 0 in
         check dist_opt
           (Printf.sprintf "dist=%b: dist %d -> %d" dist u v)
-          want_dist (Router.min_distance r u v)
+          want_dist (min_distance r u v)
       done;
       checkb "most sampled pairs cross shards" true (!crossing > 2000);
       for i = 0 to 49 do
@@ -508,12 +517,12 @@ let test_dblp60_differential () =
           Alcotest.(list int)
           (Printf.sprintf "dist=%b: desc %d" dist u)
           (Int_set.to_list (Closure.succs clo u))
-          (sorted_of_ihs (Router.descendants r u));
+          (sorted_of_ihs (descendants r u));
         check
           Alcotest.(list int)
           (Printf.sprintf "dist=%b: anc %d" dist u)
           (Int_set.to_list (Closure.preds clo u))
-          (sorted_of_ihs (Router.ancestors r u))
+          (sorted_of_ihs (ancestors r u))
       done)
     [ false; true ]
 
@@ -558,7 +567,7 @@ let prop_differential =
           else
             match sp with None -> Some 0 | Some sp -> Shortest.dist sp u v
         in
-        let got_dist = Router.min_distance r u v in
+        let got_dist = min_distance r u v in
         if got_dist <> want_dist then
           QCheck2.Test.fail_reportf
             "k=%d dist=%b: dist %d -> %d is %s, oracle says %s" k dist u v
@@ -581,13 +590,13 @@ let prop_differential =
       Array.iter
         (fun u ->
           let want_desc = Int_set.to_list (Closure.succs clo u) in
-          let got_desc = sorted_of_ihs (Router.descendants r u) in
+          let got_desc = sorted_of_ihs (descendants r u) in
           if got_desc <> want_desc then
             QCheck2.Test.fail_reportf
               "k=%d dist=%b: desc %d has %d members, oracle %d" k dist u
               (List.length got_desc) (List.length want_desc);
           let want_anc = Int_set.to_list (Closure.preds clo u) in
-          let got_anc = sorted_of_ihs (Router.ancestors r u) in
+          let got_anc = sorted_of_ihs (ancestors r u) in
           if got_anc <> want_anc then
             QCheck2.Test.fail_reportf
               "k=%d dist=%b: anc %d has %d members, oracle %d" k dist u
@@ -609,8 +618,8 @@ let prop_reopen_stable =
       let sample r =
         Array.map
           (fun u ->
-            ( Router.min_distance r u dom.(0),
-              Ihs.cardinal (Router.descendants r u) ))
+            ( min_distance r u dom.(0),
+              Ihs.cardinal (descendants r u) ))
           dom
       in
       let r1 = Router.open_dir dir in
@@ -641,7 +650,7 @@ let with_routing_flips ~clean ~flipped =
   let c = Dblp.generate (Dblp.default ~n_docs:6) in
   let stats = Router.split ~vfs ~k:3 ~dir c in
   clean ~vfs dir stats;
-  let path = Router.routing_path ~dir in
+  let path = routing_path ~dir in
   let snap = Fv.snapshot fv in
   let n = String.length (Vfs.read_file vfs path) in
   for off = 0 to n - 1 do
@@ -665,12 +674,12 @@ let test_routing_flip_rejected () =
 let test_read_routing_flips () =
   with_routing_flips
     ~clean:(fun ~vfs dir (stats : Router.split_stats) ->
-      let r = Router.read_routing ~vfs (Router.routing_path ~dir) in
+      let r = Router.read_routing ~vfs (routing_path ~dir) in
       checki "shards" stats.Router.shards r.Router.n_shards;
       checki "links" stats.Router.cross_links (List.length r.Router.links);
       checkb "some cross links" true (r.Router.links <> []))
     ~flipped:(fun ~vfs dir what ->
-      match Router.read_routing ~vfs (Router.routing_path ~dir) with
+      match Router.read_routing ~vfs (routing_path ~dir) with
       | _ -> Alcotest.failf "%s went unnoticed" what
       | exception E.Storage_error (E.Bad_catalog _) -> ())
 
@@ -682,7 +691,7 @@ let test_routing_crash_matrix () =
   with_temp_dir @@ fun dir ->
   let fv = Fv.create () in
   let vfs = Fv.vfs fv in
-  let files = Router.routing_path ~dir :: List.init 3 (Router.shard_path ~dir) in
+  let files = routing_path ~dir :: List.init 3 (shard_path ~dir) in
   let contents () = List.map (fun p -> Vfs.read_file vfs p) files in
   let split n_docs () =
     ignore (Router.split ~vfs ~k:3 ~dir (Dblp.generate (Dblp.default ~n_docs)) : Router.split_stats)

@@ -18,62 +18,9 @@ let test_int_set_mem () =
   List.iter (fun x -> check_bool (string_of_int x) true (Int_set.mem x s)) [ 2; 4; 6; 8; 10 ];
   List.iter (fun x -> check_bool (string_of_int x) false (Int_set.mem x s)) [ 1; 3; 5; 7; 9; 11; 0; -1 ]
 
-let test_int_set_add_remove () =
-  let s = Int_set.of_list [ 1; 5; 9 ] in
-  check_list "add mid" [ 1; 3; 5; 9 ] Int_set.(to_list (add 3 s));
-  check_list "add front" [ 0; 1; 5; 9 ] Int_set.(to_list (add 0 s));
-  check_list "add back" [ 1; 5; 9; 12 ] Int_set.(to_list (add 12 s));
-  check_list "add existing" [ 1; 5; 9 ] Int_set.(to_list (add 5 s));
-  check_list "remove mid" [ 1; 9 ] Int_set.(to_list (remove 5 s));
-  check_list "remove missing" [ 1; 5; 9 ] Int_set.(to_list (remove 4 s))
-
-let test_int_set_set_ops () =
-  let a = Int_set.of_list [ 1; 2; 3; 4 ] and b = Int_set.of_list [ 3; 4; 5; 6 ] in
-  check_list "union" [ 1; 2; 3; 4; 5; 6 ] Int_set.(to_list (union a b));
-  check_list "inter" [ 3; 4 ] Int_set.(to_list (inter a b));
-  check_list "diff" [ 1; 2 ] Int_set.(to_list (diff a b));
-  check_bool "inter_is_empty no" false (Int_set.inter_is_empty a b);
-  check_bool "inter_is_empty yes" true
-    Int_set.(inter_is_empty (of_list [ 1; 2 ]) (of_list [ 3; 4 ]));
-  Alcotest.(check (option int)) "choose_inter" (Some 3) (Int_set.choose_inter a b);
-  check_bool "subset yes" true Int_set.(subset (of_list [ 2; 3 ]) a);
-  check_bool "subset no" false (Int_set.subset a b)
-
-let test_int_set_minmax () =
-  let s = Int_set.of_list [ 7; 3; 9 ] in
-  check_int "min" 3 (Int_set.min_elt s);
-  check_int "max" 9 (Int_set.max_elt s);
-  Alcotest.check_raises "min empty" Not_found (fun () ->
-      ignore (Int_set.min_elt Int_set.empty))
-
 (* qcheck properties for Int_set *)
 
 let int_list = QCheck2.Gen.(list_size (int_bound 40) (int_bound 100))
-
-let prop_union_is_set_union =
-  QCheck2.Test.make ~name:"Int_set.union = List union" ~count:200
-    QCheck2.Gen.(pair int_list int_list)
-    (fun (xs, ys) ->
-      let expected = List.sort_uniq compare (xs @ ys) in
-      Int_set.(to_list (union (of_list xs) (of_list ys))) = expected)
-
-let prop_inter_is_set_inter =
-  QCheck2.Test.make ~name:"Int_set.inter = List inter" ~count:200
-    QCheck2.Gen.(pair int_list int_list)
-    (fun (xs, ys) ->
-      let expected =
-        List.sort_uniq compare (List.filter (fun x -> List.mem x ys) xs)
-      in
-      Int_set.(to_list (inter (of_list xs) (of_list ys))) = expected)
-
-let prop_diff_is_set_diff =
-  QCheck2.Test.make ~name:"Int_set.diff = List diff" ~count:200
-    QCheck2.Gen.(pair int_list int_list)
-    (fun (xs, ys) ->
-      let expected =
-        List.sort_uniq compare (List.filter (fun x -> not (List.mem x ys)) xs)
-      in
-      Int_set.(to_list (diff (of_list xs) (of_list ys))) = expected)
 
 let prop_mem_matches_list =
   QCheck2.Test.make ~name:"Int_set.mem = List.mem" ~count:200
@@ -95,9 +42,11 @@ let test_hashset_basic () =
   check_list "to_int_set" [ 7 ] Int_set.(to_list (Int_hashset.to_int_set h))
 
 let test_hashset_roundtrip () =
-  let s = Int_set.of_list [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
-  check_bool "roundtrip" true
-    (Int_set.equal s (Int_hashset.to_int_set (Int_hashset.of_int_set s)))
+  let xs = [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
+  let h = Int_hashset.create () in
+  List.iter (Int_hashset.add h) xs;
+  check_list "roundtrip" (List.sort_uniq compare xs)
+    (Int_set.to_list (Int_hashset.to_int_set h))
 
 let test_hashset_growth_and_removal () =
   let h = Int_hashset.create ~initial:0 () in
@@ -292,18 +241,18 @@ let test_crc32_page_flips () =
   let module Page = Hopi_storage.Page in
   let p = Page.create () in
   for i = Page.payload_off to Page.size - 1 do
-    Page.set_u8 p i (((i * 131) + 7) land 0xFF)
+    Bytes.set_uint8 p i (((i * 131) + 7) land 0xFF)
   done;
   Page.stamp p;
   check_bool "stamped page verifies" true (Page.verify p = `Ok);
   for off = Page.payload_off to Page.payload_off + 15 do
     List.iter
       (fun bits ->
-        let orig = Page.get_u8 p off in
-        Page.set_u8 p off (orig lxor bits);
+        let orig = Bytes.get_uint8 p off in
+        Bytes.set_uint8 p off (orig lxor bits);
         check_bool (Printf.sprintf "flip 0x%02x at %d detected" bits off) true
           (Page.verify p = `Corrupt);
-        Page.set_u8 p off orig)
+        Bytes.set_uint8 p off orig)
       [ 0x01; 0x80; 0xFF ]
   done;
   check_bool "restored page verifies" true (Page.verify p = `Ok)
@@ -321,7 +270,6 @@ let test_dyn_array () =
   check_int "set" (-1) (Dyn_array.get d 9);
   check_int "pop" 9801 (Dyn_array.pop d);
   check_int "after pop" 99 (Dyn_array.length d);
-  check_int "last" 9604 (Dyn_array.last d);
   Alcotest.check_raises "oob" (Invalid_argument "Dyn_array: index 99 out of [0,99)")
     (fun () -> ignore (Dyn_array.get d 99))
 
@@ -398,7 +346,7 @@ let prop_heap_sorts =
 let test_splitmix_deterministic () =
   let a = Splitmix.create 7 and b = Splitmix.create 7 in
   for _ = 1 to 100 do
-    check_bool "same stream" true (Splitmix.next_int64 a = Splitmix.next_int64 b)
+    check_int "same stream" (Splitmix.int a max_int) (Splitmix.int b max_int)
   done
 
 let test_splitmix_bounds () =
@@ -425,11 +373,12 @@ let test_union_find () =
   check_bool "singleton" true (Union_find.find uf 1 = 1);
   Union_find.union uf 1 2;
   Union_find.union uf 3 4;
-  check_bool "1~2" true (Union_find.same uf 1 2);
-  check_bool "3~4" true (Union_find.same uf 3 4);
-  check_bool "1!~3" false (Union_find.same uf 1 3);
+  let same a b = Union_find.find uf a = Union_find.find uf b in
+  check_bool "1~2" true (same 1 2);
+  check_bool "3~4" true (same 3 4);
+  check_bool "1!~3" false (same 1 3);
   Union_find.union uf 2 3;
-  check_bool "transitive" true (Union_find.same uf 1 4);
+  check_bool "transitive" true (same 1 4);
   let classes = Union_find.classes uf in
   check_int "one class" 1 (Hashtbl.length classes);
   Hashtbl.iter (fun _ members -> check_int "four members" 4 (List.length members)) classes
@@ -458,10 +407,9 @@ let prop_union_find_is_partition =
 
 let check_float = Alcotest.(check (float 1e-9))
 
-let test_stats_mean_stddev () =
+let test_stats_mean () =
   check_float "mean" 3.0 (Stats.mean [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
-  check_float "stddev" (sqrt 2.5) (Stats.stddev [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
-  check_float "stddev singleton" 0.0 (Stats.stddev [| 42.0 |])
+  check_float "mean of nothing" 0.0 (Stats.mean [||])
 
 let test_stats_percentile () =
   let xs = [| 10.0; 20.0; 30.0; 40.0 |] in
@@ -569,6 +517,9 @@ let test_timer_acc () =
 
 (* {1 Lru} *)
 
+(* the delta of a mutation that changed nothing *)
+let no_change = { Lru.entries = 0; cost = 0; evicted = 0 }
+
 (* Model-based check of a one-shard [Lru] against a reference LRU: an
    association list in recency order (most recent first).  Values are
    (cost, serial) pairs, so a value returned for the wrong add shows up,
@@ -634,7 +585,7 @@ module Lru_model = struct
     end
 
   let add m k ((c, _) as v) =
-    if c > m.capacity then Lru.no_change
+    if c > m.capacity then no_change
     else begin
       let replaced = drop m (Int.equal k) in
       m.order <- (k, v) :: m.order;
@@ -696,11 +647,11 @@ let prop_lru_model =
 let test_lru_disabled () =
   let lru = Lru.create ~capacity:0 ~cost:(fun _ -> 1) () in
   check_bool "disabled" false (Lru.enabled lru);
-  check_bool "add is a no-op" true (Lru.add lru 1 "x" = Lru.no_change);
+  check_bool "add is a no-op" true (Lru.add lru 1 "x" = no_change);
   check_bool "find misses" true (Lru.find lru 1 = None);
   check_bool "peek misses" true (Lru.peek lru 1 = None);
-  check_bool "remove is a no-op" true (Lru.remove lru 1 = Lru.no_change);
-  check_bool "remove_if is a no-op" true (Lru.remove_if lru (fun _ -> true) = Lru.no_change);
+  check_bool "remove is a no-op" true (Lru.remove lru 1 = no_change);
+  check_bool "remove_if is a no-op" true (Lru.remove_if lru (fun _ -> true) = no_change);
   check_bool "nothing counted" true
     (Lru.stats lru
     = { Lru.capacity = 0; cost = 0; entries = 0; hits = 0; misses = 0; evictions = 0 })
@@ -749,17 +700,8 @@ let suite =
       [
         Alcotest.test_case "of_list" `Quick test_int_set_of_list;
         Alcotest.test_case "mem" `Quick test_int_set_mem;
-        Alcotest.test_case "add/remove" `Quick test_int_set_add_remove;
-        Alcotest.test_case "set ops" `Quick test_int_set_set_ops;
-        Alcotest.test_case "min/max" `Quick test_int_set_minmax;
       ]
-      @ qsuite
-          [
-            prop_union_is_set_union;
-            prop_inter_is_set_inter;
-            prop_diff_is_set_diff;
-            prop_mem_matches_list;
-          ] );
+      @ qsuite [ prop_mem_matches_list ] );
     ( "util.int_hashset",
       [
         Alcotest.test_case "basic" `Quick test_hashset_basic;
@@ -796,7 +738,7 @@ let suite =
       :: qsuite [ prop_union_find_is_partition ] );
     ( "util.stats",
       [
-        Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
+        Alcotest.test_case "mean" `Quick test_stats_mean;
         Alcotest.test_case "percentile" `Quick test_stats_percentile;
         Alcotest.test_case "min/max" `Quick test_stats_min_max;
         Alcotest.test_case "summary" `Quick test_stats_summary;

@@ -1,4 +1,4 @@
-(* Tests for hopi_xml: parser, tree utilities, link extraction. *)
+(* Tests for hopi_xml: parser, printer, link extraction. *)
 
 open Hopi_xml
 
@@ -8,13 +8,25 @@ let check_string = Alcotest.(check string)
 
 let parse = Xml_parser.parse_string_exn
 
+(* what the parse produced: child elements, element count, height and the
+   concatenated text *)
+let elements (t : Xml_tree.t) =
+  List.filter_map (function Xml_tree.Element e -> Some e | Text _ -> None) t.children
+
+let rec count t = List.fold_left (fun n e -> n + count e) 1 (elements t)
+
+let rec depth t = 1 + List.fold_left (fun m e -> max m (depth e)) 0 (elements t)
+
+let rec text (t : Xml_tree.t) =
+  String.concat "" (List.map (function Xml_tree.Text s -> s | Element e -> text e) t.children)
+
 (* {1 Parser} *)
 
 let test_parse_simple () =
   let t = parse "<a><b/><c>text</c></a>" in
   check_string "root tag" "a" t.Xml_tree.tag;
-  check_int "children" 2 (List.length (Xml_tree.child_elements t));
-  check_int "elements" 3 (Xml_tree.count_elements t)
+  check_int "children" 2 (List.length (elements t));
+  check_int "elements" 3 (count t)
 
 let test_parse_attributes () =
   let t = parse {|<a x="1" y='two' z="a&amp;b"/>|} in
@@ -25,7 +37,7 @@ let test_parse_attributes () =
 
 let test_parse_entities () =
   let t = parse "<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;</a>" in
-  check_string "decoded" "<>&\"'AB" (Xml_tree.text_content t)
+  check_string "decoded" "<>&\"'AB" (text t)
 
 let test_parse_prolog_comment_cdata () =
   let src =
@@ -35,11 +47,11 @@ let test_parse_prolog_comment_cdata () =
 <a><!-- inner --><![CDATA[<raw>&stuff;]]></a>|}
   in
   let t = parse src in
-  check_string "cdata raw" "<raw>&stuff;" (Xml_tree.text_content t)
+  check_string "cdata raw" "<raw>&stuff;" (text t)
 
 let test_parse_nested_same_tag () =
   let t = parse "<a><a><a/></a></a>" in
-  check_int "depth" 3 (Xml_tree.depth t)
+  check_int "depth" 3 (depth t)
 
 let expect_error src =
   match Xml_parser.parse_string src with
@@ -85,13 +97,11 @@ let prop_generated_roundtrip =
              let attrs = map (fun l -> List.sort_uniq (fun (a,_) (b,_) -> compare a b) l)
                  (list_size (int_bound 2) attr) in
              if n = 0 then
-               map2 (fun t a -> Hopi_xml.Xml_tree.element ~attrs:a t) tag attrs
+               map2 (fun tag attrs -> { Xml_tree.tag; attrs; children = [] }) tag attrs
              else
                map3
-                 (fun t a cs ->
-                   Hopi_xml.Xml_tree.element ~attrs:a
-                     ~children:(List.map (fun c -> Hopi_xml.Xml_tree.Element c) cs)
-                     t)
+                 (fun tag attrs cs ->
+                   { Xml_tree.tag; attrs; children = List.map (fun c -> Xml_tree.Element c) cs })
                  tag attrs
                  (list_size (int_bound 3) (self (n / 2)))))
   in
@@ -120,32 +130,18 @@ let prop_parser_never_crashes_markup =
       match Xml_parser.parse_string s with
       | Ok _ | Error _ -> true)
 
-(* {1 Tree utilities} *)
-
-let test_find_by_id () =
-  let t = parse {|<a><b id="x"/><c><d id="y"/></c></a>|} in
-  (match Xml_tree.find_by_id t "y" with
-   | Some e -> check_string "tag" "d" e.Xml_tree.tag
-   | None -> Alcotest.fail "id y not found");
-  check_bool "missing" true (Xml_tree.find_by_id t "zzz" = None)
-
-let test_iter_preorder () =
-  let t = parse "<a><b><c/></b><d/></a>" in
-  let tags = ref [] in
-  Xml_tree.iter_elements (fun e -> tags := e.Xml_tree.tag :: !tags) t;
-  Alcotest.(check (list string)) "preorder" [ "a"; "b"; "c"; "d" ] (List.rev !tags)
-
 (* {1 Xlink} *)
 
 let test_parse_href () =
   let open Xlink in
+  let href h = targets_of_element (parse (Printf.sprintf {|<x href="%s"/>|} h)) in
   Alcotest.(check bool) "doc+frag" true
-    (parse_href "d.xml#e5" = { doc = Some "d.xml"; fragment = "e5" });
+    (href "d.xml#e5" = [ { doc = Some "d.xml"; fragment = "e5" } ]);
   Alcotest.(check bool) "frag only" true
-    (parse_href "#e5" = { doc = None; fragment = "e5" });
+    (href "#e5" = [ { doc = None; fragment = "e5" } ]);
   Alcotest.(check bool) "doc only" true
-    (parse_href "d.xml" = { doc = Some "d.xml"; fragment = "" });
-  Alcotest.(check bool) "empty" true (parse_href "" = { doc = None; fragment = "" })
+    (href "d.xml" = [ { doc = Some "d.xml"; fragment = "" } ]);
+  Alcotest.(check bool) "empty" true (href "" = [ { doc = None; fragment = "" } ])
 
 let test_targets_of_element () =
   let t = parse {|<cite xlink:href="p2.xml#e1" idref="a" idrefs="b c"/>|} in
@@ -175,11 +171,6 @@ let suite =
             prop_parser_never_crashes;
             prop_parser_never_crashes_markup;
           ] );
-    ( "xml.tree",
-      [
-        Alcotest.test_case "find_by_id" `Quick test_find_by_id;
-        Alcotest.test_case "preorder" `Quick test_iter_preorder;
-      ] );
     ( "xml.xlink",
       [
         Alcotest.test_case "parse_href" `Quick test_parse_href;
