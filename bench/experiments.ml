@@ -390,7 +390,7 @@ let flix (s : scale) =
 (* {1 Ablation: PSG H̄ strategies} *)
 
 let psg_strategies (s : scale) =
-  section "ablation: PSG join H̄ strategies (per-source BFS vs recursive partitioning)";
+  section "ablation: PSG join H̄ strategies (one PSG closure vs recursive partitioning)";
   let c = dblp_collection s.dblp_docs in
   let run name joiner =
     let config =
@@ -402,7 +402,7 @@ let psg_strategies (s : scale) =
   print_table
     [ "H̄ strategy"; "time"; "size" ]
     [
-      run "per-source BFS" Config.Psg;
+      run "one PSG closure" Config.Psg;
       run "partitioned (1k conns)" (Config.Psg_partitioned 1_000);
       run "partitioned (100k conns)" (Config.Psg_partitioned 100_000);
     ];

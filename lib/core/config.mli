@@ -13,7 +13,7 @@ type partitioner =
 
 type joiner =
   | Incremental  (** EDBT'04 link-by-link join (Section 3.3) — Table 2 baseline *)
-  | Psg  (** new PSG join, H̄ by per-source traversal (Section 4.1) *)
+  | Psg  (** new PSG join, H̄ from one closure of the PSG (Section 4.1) *)
   | Psg_partitioned of int
       (** PSG join with the recursive PSG partitioning, per-PSG-partition
           closure budget (Section 4.1, "if the PSG is too large") *)

@@ -2,7 +2,6 @@ module Cover = Hopi_twohop.Cover
 module Ihs = Hopi_util.Int_hashset
 module Union_find = Hopi_util.Union_find
 module Digraph = Hopi_graph.Digraph
-module Traversal = Hopi_graph.Traversal
 module Closure = Hopi_graph.Closure
 module Int_set = Hopi_util.Int_set
 module Partitioning = Hopi_collection.Partitioning
@@ -26,6 +25,10 @@ let m_entries =
   Registry.counter "hopi_join_psg_entries_total"
     ~help:"Cover entries added by PSG joins"
 
+let m_out_emitted =
+  Registry.counter "hopi_join_psg_out_emitted_total"
+    ~help:"H-hat out-side entries pushed into the PSG join's task buffers"
+
 let m_fixpoint_rounds =
   Registry.counter "hopi_join_psg_fixpoint_rounds_total"
     ~help:"H-bar fixpoint propagation rounds (partitioned strategy)"
@@ -46,10 +49,10 @@ let h_hbar_targets =
 
 let h_task_ns =
   Registry.histogram "hopi_join_psg_task_duration_ns"
-    ~help:"Per-item time of parallelisable join work (H-bar traversals, \
-           chunk closures, ancestor/descendant expansions)"
+    ~help:"Per-item time of parallelisable join work (chunk closures, \
+           ancestor/descendant expansions)"
 
-type strategy = Bfs | Partitioned of int
+type strategy = One_closure | Partitioned of int
 
 type stats = {
   psg_nodes : int;
@@ -102,29 +105,26 @@ let sorted_array ihs =
   Array.sort compare a;
   a
 
-(* H̄out as a table: link source -> set of link targets it reaches in the
-   PSG (the source itself excluded; self-entries are implicit).  One
-   traversal per source, independent of all others — the per-source work
-   fans out over the pool; the table is assembled sequentially in sorted
-   source order. *)
-let hbar_bfs ?pool ~pc (psg : Psg.t) =
+(* H̄out as a table: link source -> the dense numbers (positions in
+   [targets], ascending) of the link targets it reaches in the PSG, the
+   source itself excluded (self-entries are implicit).  One closure of the
+   whole PSG answers every source: its component bitsets share the work
+   that a traversal per source would repeat. *)
+let hbar_closure (psg : Psg.t) ~targets =
   let sources = sorted_array psg.Psg.sources in
-  let per_source =
-    pmap pool pc (Array.length sources)
-      (task pc (fun i ->
-           let s = sources.(i) in
-           let reached = Traversal.reachable psg.Psg.graph [ s ] in
-           let targets = Ihs.create () in
-           Ihs.iter
-             (fun x -> if Ihs.mem psg.Psg.targets x && x <> s then Ihs.add targets x)
-             reached;
-           targets))
-  in
-  let hbar = Hashtbl.create (Ihs.cardinal psg.Psg.sources) in
+  let reached = Closure.succs_among psg.Psg.graph ~from:sources ~among:targets in
+  let hbar = Hashtbl.create (Array.length sources) in
   Array.iteri
-    (fun i targets ->
-      if not (Ihs.is_empty targets) then Hashtbl.replace hbar sources.(i) targets)
-    per_source;
+    (fun i s ->
+      let ks = reached.(i) in
+      (* a source that is also a target reaches itself *)
+      let ks =
+        if Array.exists (fun k -> targets.(k) = s) ks then
+          Array.of_list (List.filter (fun k -> targets.(k) <> s) (Array.to_list ks))
+        else ks
+      in
+      if ks <> [||] then Hashtbl.replace hbar s ks)
+    sources;
   (hbar, 1)
 
 (* The paper's recursion: partition the PSG so that no link edge crosses
@@ -258,6 +258,26 @@ let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
   done;
   (hbar, !n_chunks)
 
+(* [hbar_partitioned]'s table in [hbar_closure]'s form: each set holds
+   link targets only, so one merge pass against [targets] numbers it *)
+let densify ~targets h =
+  let out = Hashtbl.create (Hashtbl.length h) in
+  Hashtbl.iter
+    (fun s set ->
+      let k = ref 0 in
+      let ks =
+        Array.map
+          (fun t ->
+            while targets.(!k) < t do
+              incr k
+            done;
+            !k)
+          (sorted_array set)
+      in
+      Hashtbl.replace out s ks)
+    h;
+  out
+
 (* {1 The apply pipeline}
 
    Applying H̄/Ĥ to [final] is sort-then-bulk-load: pool tasks emit join
@@ -267,56 +287,55 @@ let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
    the streams are applied to the cover in grouped passes (stage
    [join.psg.bulk]).
 
-   Out-side entries repeat: H̄out(s) is copied to every ancestor of s, and
-   the ancestor sets of one partition's link sources overlap heavily.  All
-   those ancestors lie in s's own element partition (Theorem 1), so one
-   task per partition sees every copy of its entries, deduplicates them
-   itself, and the tasks' arrays are disjoint.  In-side entries are
-   distinct by construction (each target is the center of its own).  The
-   sorted stream is therefore the canonical entry set, independent of job
-   count and task boundaries, which keeps stores byte-identical for every
+   Every entry is emitted once.  Out-side, H̄out(s) is copied to every
+   ancestor of s, and the ancestor sets of one partition's link sources
+   overlap heavily.  All those ancestors lie in s's own element partition
+   (Theorem 1), so one task per partition sees every copy of its entries.
+   It walks each ancestor a once, over the H̄out sets of all the link
+   sources a reaches, and a stamp per link target (the last ancestor it
+   was emitted for) drops the repeats.  No two partitions share an
+   ancestor, so a worker's stamps never need clearing between tasks, and
+   the tasks' arrays are disjoint.  In-side entries are distinct by
+   construction (each target is the center of its own).  The sorted
+   stream is therefore the canonical entry set, independent of job count
+   and task boundaries, which keeps stores byte-identical for every
    [--jobs]. *)
 
-(* A task's packed entries.  A full buffer is sorted and deduplicated in
-   place and doubles only if that leaves it more than a quarter full, so it
-   stays within a small factor of the task's distinct entries however often
-   they repeat.  The sort's work space lives with the buffer: a fresh one
-   per flush would be garbage the size of the buffer, and the GC lets the
-   heap grow to several times the live data before reclaiming it. *)
+(* A task's packed entries, in a buffer that doubles when full.  Sorting
+   them also drops repeats: a backstop, as every entry is emitted once.
+   The sort's work space lives with the buffer: a fresh one per task would
+   be garbage the size of the buffer, and the GC lets the heap grow to
+   several times the live data before reclaiming it. *)
 type buf = { mutable a : int array; mutable scratch : int array; mutable n : int }
 
 let buf_create () = { a = Array.make 4096 0; scratch = Array.make 4096 0; n = 0 }
 
-let sort_uniq b = Radix_sort.sort_uniq_prefix ~scratch:b.scratch b.a b.n
-
 let push b v =
   if b.n = Array.length b.a then begin
-    b.n <- sort_uniq b;
-    if 4 * b.n > Array.length b.a then begin
-      let a = Array.make (2 * Array.length b.a) 0 in
-      Array.blit b.a 0 a 0 b.n;
-      b.a <- a;
-      b.scratch <- Array.make (Array.length a) 0
-    end
+    let a = Array.make (2 * b.n) 0 in
+    Array.blit b.a 0 a 0 b.n;
+    b.a <- a;
+    b.scratch <- Array.make (2 * b.n) 0
   end;
   b.a.(b.n) <- v;
   b.n <- b.n + 1
 
 (* sorted, duplicate-free *)
-let contents b = Array.sub b.a 0 (sort_uniq b)
+let contents b = Array.sub b.a 0 (Radix_sort.sort_uniq_prefix ~scratch:b.scratch b.a b.n)
 
-(* [collect pool pc n fill] is [[| entries of fill b 0; ...; fill b (n-1) |]],
-   each sorted and duplicate-free.  The tasks run on the pool; each worker
-   owns one buffer and empties it for every task it takes, so a buffer grows
-   once per worker, not once per task (large arrays allocated and dropped
-   task after task fragment the memory the GC takes them from, and the
-   build's peak RSS grows with it). *)
-let collect pool pc n fill =
+(* [collect pool pc n ~state fill] is
+   [[| entries of fill st b 0; ...; fill st b (n-1) |]], each sorted and
+   duplicate-free.  The tasks run on the pool; each worker owns one buffer
+   and one [st = state ()], and keeps both for every task it takes, so a
+   buffer grows once per worker, not once per task (large arrays allocated
+   and dropped task after task fragment the memory the GC takes them from,
+   and the build's peak RSS grows with it). *)
+let collect pool pc n ~state fill =
   let results = Array.make n [||] in
   let next = Atomic.make 0 in
   let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
   let worker _ =
-    let b = buf_create () in
+    let b = buf_create () and st = state () in
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
@@ -324,7 +343,7 @@ let collect pool pc n fill =
           task pc
             (fun i ->
               b.n <- 0;
-              fill b i;
+              fill st b i;
               contents b)
             i;
         loop ()
@@ -340,7 +359,7 @@ let merged parts =
   Radix_sort.sort a;
   a
 
-let join ?(strategy = Bfs) ?pool c (p : Partitioning.t) ~partition_cover ~final =
+let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover ~final =
   Counter.incr m_joins;
   let t_all = Timer.start () in
   let pc = { items = Timer.Acc.create (); wall = Timer.Acc.create () } in
@@ -357,15 +376,18 @@ let join ?(strategy = Bfs) ?pool c (p : Partitioning.t) ~partition_cover ~final 
   in
   Histogram.observe h_psg_nodes (Digraph.n_nodes psg.Psg.graph);
   Histogram.observe h_psg_edges (Digraph.n_edges psg.Psg.graph);
+  (* the link targets, ascending; a target's position is its dense number *)
+  let targets = sorted_array psg.Psg.targets in
   let hbar, psg_partitions =
     Trace.with_span "join.psg.hbar" (fun () ->
         match strategy with
-        | Bfs -> hbar_bfs ?pool ~pc psg
+        | One_closure -> hbar_closure psg ~targets
         | Partitioned max_connections ->
-          hbar_partitioned ?pool ~pc psg ~max_connections)
+          let h, n_chunks = hbar_partitioned ?pool ~pc psg ~max_connections in
+          (densify ~targets h, n_chunks))
   in
   Histogram.observe h_psg_chunks psg_partitions;
-  Hashtbl.iter (fun _ targets -> Histogram.observe h_hbar_targets (Ihs.cardinal targets)) hbar;
+  Hashtbl.iter (fun _ ks -> Histogram.observe h_hbar_targets (Array.length ks)) hbar;
   Trace.with_span "join.psg.apply" (fun () ->
       (* stage 1 — emit.  Ĥ out-side: H̄out(s) is copied to every ancestor
          of s in s's element partition (the ancestors include s itself,
@@ -386,21 +408,38 @@ let join ?(strategy = Bfs) ?pool c (p : Partitioning.t) ~partition_cover ~final 
               Array.of_list (List.filter (fun l -> l <> []) (Array.to_list by_part))
             in
             let out_parts =
-              collect pool pc (Array.length by_part) (fun b i ->
+              collect pool pc (Array.length by_part)
+                ~state:(fun () -> Array.make (Array.length targets) (-1))
+                (fun stamp b i ->
+                  (* ancestor -> the H̄out sets of the link sources it reaches *)
+                  let reached = Hashtbl.create 256 in
                   List.iter
                     (fun s ->
-                      let targets = sorted_array (Hashtbl.find hbar s) in
+                      let ks = Hashtbl.find hbar s in
                       Ihs.iter
                         (fun a ->
-                          Array.iter
-                            (fun t -> if a <> t then push b (Cover.pack_entry ~node:a ~center:t))
-                            targets)
+                          let sets = Option.value (Hashtbl.find_opt reached a) ~default:[] in
+                          Hashtbl.replace reached a (ks :: sets))
                         (Cover.ancestors (cover_of_element s) s))
-                    by_part.(i))
+                    by_part.(i);
+                  let emitted = ref 0 in
+                  Hashtbl.iter
+                    (fun a sets ->
+                      List.iter
+                        (Array.iter (fun k ->
+                             if stamp.(k) <> a then begin
+                               stamp.(k) <- a;
+                               if targets.(k) <> a then begin
+                                 push b (Cover.pack_entry ~node:a ~center:targets.(k));
+                                 incr emitted
+                               end
+                             end))
+                        sets)
+                    reached;
+                  Counter.add m_out_emitted !emitted)
             in
-            let targets = sorted_array psg.Psg.targets in
             let in_parts =
-              collect pool pc (Array.length targets) (fun b i ->
+              collect pool pc (Array.length targets) ~state:ignore (fun () b i ->
                   let t = targets.(i) in
                   Ihs.iter
                     (fun d -> if d <> t then push b (Cover.pack_entry ~node:d ~center:t))

@@ -11,8 +11,12 @@
 
     Two strategies compute [H̄]:
 
-    - [Bfs] (default): one traversal per link source — the "adapted
-      transitive closure algorithm" of the paper, memory-light.
+    - [One_closure] (default): one closure of the whole PSG (Tarjan plus
+      a reachability bitset per strongly connected component,
+      {!Hopi_graph.Closure.succs_among}), from which every link source's
+      [H̄out] is read — the paper's "adapted transitive closure
+      algorithm".  It holds one bitset per PSG component in memory at
+      once.
     - [Partitioned]: the paper's recursion for PSGs whose transitive closure
       exceeds memory — the PSG is split so that every cross-partition PSG
       edge starts at a link target and ends at a link source (link edges are
@@ -22,13 +26,13 @@
       link-source ancestors of their targets. *)
 
 type strategy =
-  | Bfs
+  | One_closure
   | Partitioned of int  (** closure-connection budget per PSG partition *)
 
 type stats = {
   psg_nodes : int;
   psg_edges : int;
-  psg_partitions : int;  (** 1 for [Bfs] *)
+  psg_partitions : int;  (** 1 for [One_closure] *)
   entries_added : int;
   cpu_seconds : float;
       (** CPU time summed across domains (equals wall time when no pool is
@@ -47,13 +51,14 @@ val join :
     (already containing the union of the partition covers) receives the
     [H̄]/[Ĥ] entries through a three-stage pipeline: per-task packed entry
     arrays ([join.psg.sort], fanned out over the pool; the out-side task of
-    an element partition deduplicates its own entries, which no other
-    partition's task can repeat), one sorted stream per direction
+    an element partition emits each of its entries once, through a stamp
+    per link target, and no other partition's task can repeat them), one
+    sorted stream per direction
     ([join.psg.merge]), and a grouped bulk application to [final]
     ([join.psg.bulk] — {!Hopi_twohop.Cover.add_out_packed}).
 
-    With [pool], the read-only bulk work — H̄ traversals ([Bfs]), per-chunk
-    closures ([Partitioned]), and the partition-level ancestor/descendant
+    With [pool], the read-only bulk work — per-chunk closures
+    ([Partitioned]) and the partition-level ancestor/descendant
     expansions of [Ĥ] — fans out over the pool's domains.  The sorted
     stream is the canonical entry set whatever the job count or task
     boundaries, so the resulting cover is identical (entry-for-entry and in

@@ -136,6 +136,38 @@ let count_connections g =
   done;
   !total
 
+let succs_among g ~from ~among =
+  let k = kernel g in
+  let number = Hashtbl.create (Array.length k.ids) in
+  Array.iteri (fun x v -> Hashtbl.replace number v x) k.ids;
+  let comp v =
+    match Hashtbl.find_opt number v with
+    | Some x -> k.comp.(x)
+    | None -> invalid_arg "Closure.succs_among: not a node of the graph"
+  in
+  let among_comp = Array.map comp among in
+  Array.map
+    (fun u ->
+      let p = comp u in
+      let r = k.reach.(p) in
+      let hit j =
+        let q = among_comp.(j) in
+        q <= p && r.(q / bits) land (1 lsl (q mod bits)) <> 0
+      in
+      let n = ref 0 in
+      for j = 0 to Array.length among - 1 do
+        if hit j then incr n
+      done;
+      let js = Array.make !n 0 and i = ref 0 in
+      for j = 0 to Array.length among - 1 do
+        if hit j then begin
+          js.(!i) <- j;
+          incr i
+        end
+      done;
+      js)
+    from
+
 let compute g =
   let k = kernel g in
   let members = Array.make k.n_comp [] in

@@ -66,35 +66,20 @@ let summary xs =
    torn float is ever read — the lock is per recording, which is fine for
    per-item (not per-operation) granularity. *)
 module Recorder = struct
-  type t = { mu : Mutex.t; mutable samples : float list; mutable n : int }
+  type t = { mu : Mutex.t; mutable samples : float list }
 
-  let create () = { mu = Mutex.create (); samples = []; n = 0 }
+  let create () = { mu = Mutex.create (); samples = [] }
 
   let record t x =
     Mutex.lock t.mu;
     t.samples <- x :: t.samples;
-    t.n <- t.n + 1;
     Mutex.unlock t.mu
 
-  let count t =
-    Mutex.lock t.mu;
-    let n = t.n in
-    Mutex.unlock t.mu;
-    n
-
-  let snapshot t =
+  let summary t =
     Mutex.lock t.mu;
     let xs = Array.of_list t.samples in
     Mutex.unlock t.mu;
-    xs
-
-  let reset t =
-    Mutex.lock t.mu;
-    t.samples <- [];
-    t.n <- 0;
-    Mutex.unlock t.mu
-
-  let summary t = summary (snapshot t)
+    summary xs
 end
 
 let z_98 = 2.3263

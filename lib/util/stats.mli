@@ -38,14 +38,7 @@ module Recorder : sig
 
   val record : t -> float -> unit
 
-  val count : t -> int
-
-  val snapshot : t -> float array
-  (** Fresh array; order unspecified. *)
-
   val summary : t -> summary
-
-  val reset : t -> unit
 end
 
 val proportion_ci_upper : successes:int -> samples:int -> z:float -> float

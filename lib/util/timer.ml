@@ -48,13 +48,7 @@ module Acc = struct
     let ns = Int64.to_int ns in
     ignore (Atomic.fetch_and_add t (if ns < 0 then 0 else ns))
 
-  let add_s t s = ignore (Atomic.fetch_and_add t (ns_of_s s))
-
-  let total_ns t = Atomic.get t
-
   let total_s t = float_of_int (Atomic.get t) *. 1e-9
-
-  let reset t = Atomic.set t 0
 
   let timed t f =
     let t0 = start () in

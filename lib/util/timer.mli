@@ -37,13 +37,7 @@ module Acc : sig
   val add_ns : t -> int64 -> unit
   (** Negative durations clamp to zero. *)
 
-  val add_s : t -> float -> unit
-
-  val total_ns : t -> int
-
   val total_s : t -> float
-
-  val reset : t -> unit
 
   val timed : t -> (unit -> 'a) -> 'a
   (** Run [f] and add its duration (also on exceptions). *)

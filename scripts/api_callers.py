@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Check that every public value of lib/ has a caller outside the tests.
 
-For each top-level `val` in lib/**/*.mli, count the references to it in the
-.ml files of lib/, bin/, bench/, examples/ and perfbench/, leaving out the
-value's own .ml. A reference is
+For each top-level `val` in lib/**/*.mli, and each `val` of a top-level
+`module X : sig ... end` block, count the references to it in the .ml files
+of lib/, bin/, bench/, examples/ and perfbench/, leaving out the value's own
+.ml. A reference to `M.v` is
 
   * a qualified name `M.v`, also under a longer path (`Hopi_util.M.v`);
   * `A.v` where `module A = ...M` aliases the module in any scanned file;
   * a bare `v` after `open M` / `let open M in` (to the end of the file) or
     inside a local open `M.( ... )`.
 
+A reference to `M.X.v` is `M.X.v` (or `A.X.v` for an alias `A` of `M`), `B.v`
+where `module B = ...M.X`, `X.v` where `M` is open, or a bare `v` where
+`M.X` is open.
+
 Comments, strings and character literals are blanked out before matching.
-Values in nested module signatures (`module X : sig ... end`) are not checked.
 
 A value with no caller fails the check unless ALLOW names it with a reason;
 an ALLOW entry for a value that is gone or has a caller fails it too, so the
@@ -29,7 +33,8 @@ import sys
 CALLER_DIRS = ["lib", "bin", "bench", "examples", "perfbench"]
 
 # Values that only tests call but that stay: differential oracles, harness
-# entry points and the raw protocol access of the robustness tests.
+# entry points, the raw protocol access of the robustness tests and a read
+# pool's own statistics.
 ALLOW = {
     "Cover.in_labelled_with": "oracle of the by-center store differential",
     "Cover.out_labelled_with": "oracle of the by-center store differential",
@@ -38,6 +43,7 @@ ALLOW = {
     "Generation.apply_to_index": "replays churn on the offline twin of the live-vs-offline differential",
     "Client.send_raw": "raw frames for the protocol robustness tests",
     "Client.read_reply": "reads the replies to raw frames in the protocol robustness tests",
+    "Pager.Read_pool.stats": "one shared pool's own numbers in the cold-path tests (Pager.stats reads them within pager.ml)",
 }
 
 IDENT = r"[a-z_][A-Za-z0-9_']*"
@@ -113,14 +119,22 @@ def module_name(path):
     return base[0].upper() + base[1:]
 
 
-def top_level_vals(mli_text):
-    """(name, line) of each `val` at signature depth 0."""
+def signature_vals(mli_text):
+    """(submodule, name, line) of each `val` at signature depth 0 (submodule
+    None) and of each `val` directly inside a top-level
+    `module X : sig ... end` (submodule "X")."""
     vals = []
     depth = 0
+    submodule = None
     for lineno, line in enumerate(mli_text.split("\n"), 1):
-        m = re.match(r"val\s+(" + IDENT + r")\s*:", line)
+        m = re.match(r"\s*val\s+(" + IDENT + r")\s*:", line)
         if m and depth == 0:
-            vals.append((m.group(1), lineno))
+            vals.append((None, m.group(1), lineno))
+        elif m and depth == 1 and submodule:
+            vals.append((submodule, m.group(1), lineno))
+        if depth == 0:
+            m = re.match(r"module\s+([A-Z]\w*)\s*:\s*sig\b", line)
+            submodule = m.group(1) if m else None
         for tok in re.findall(r"\b(sig|struct|object|end)\b", line):
             depth += -1 if tok == "end" else 1
     return vals
@@ -162,10 +176,12 @@ def main():
 
     # module aliases from every scanned file: alias name -> lib modules
     aliases = {}
+    alias_paths = []  # (alias, aliased path), for aliases of submodules
     alias_re = re.compile(r"\bmodule\s+([A-Z]\w*)\s*=\s*([A-Z][\w.]*)")
     for text in sources.values():
         for a, target in alias_re.findall(text):
             aliases.setdefault(a, set()).add(target.split(".")[-1])
+            alias_paths.append((a, target))
     changed = True
     while changed:  # resolve aliases of aliases
         changed = False
@@ -185,41 +201,62 @@ def main():
         last = path.split(".")[-1]
         return ({last} | aliases.get(last, set())) & lib_modules
 
-    # opened regions per file: (module, start, end)
+    def opened(path):
+        """Region keys an open of `path` brings into scope: a lib module `M`,
+        or `(M, X)` for a path ending in `M.X`."""
+        keys = set(resolves_to(path))
+        if "." in path:
+            parent, last = path.rsplit(".", 1)
+            keys |= {(mod, last) for mod in resolves_to(parent)}
+        return keys
+
+    # opened regions per file: (region key, start, end)
     open_re = re.compile(r"\bopen!?\s+([A-Z][\w.]*)")
     local_re = re.compile(r"\b([A-Z][\w.]*)\.\(")
     regions = {}
     for p, text in sources.items():
         rs = []
         for m in open_re.finditer(text):
-            for mod in resolves_to(m.group(1)):
-                rs.append((mod, m.end(), len(text)))
+            for key in opened(m.group(1)):
+                rs.append((key, m.end(), len(text)))
         for m in local_re.finditer(text):
-            for mod in resolves_to(m.group(1)):
-                rs.append((mod, m.end() - 1, matching_paren(text, m.end() - 1)))
+            for key in opened(m.group(1)):
+                rs.append((key, m.end() - 1, matching_paren(text, m.end() - 1)))
         regions[p] = rs
 
-    missing, stale, checked = [], [], 0
+    def bare(name):
+        return re.compile(r"(?<![\w.'~?])" + name + r"(?![\w'])")
+
+    missing, stale, known = [], [], set()
     for mli in mlis:
         mod = module_name(mli)
         own = mli[:-1]
-        vals = top_level_vals(strip(open(mli).read()))
         qual = "|".join(sorted(names_of[mod]))
-        for v, line in vals:
-            checked += 1
-            key = f"{mod}.{v}"
-            q_re = re.compile(r"\b(?:" + qual + r")\." + re.escape(v) + r"(?![\w'])")
-            bare_re = re.compile(r"(?<![\w.'~?])" + re.escape(v) + r"(?![\w'])")
+        for sub, v, line in signature_vals(strip(open(mli).read())):
+            ev = re.escape(v)
+            if sub is None:
+                key = f"{mod}.{v}"
+                q_re = re.compile(r"\b(?:" + qual + r")\." + ev + r"(?![\w'])")
+                in_scope = [(mod, bare(ev))]
+            else:
+                key = f"{mod}.{sub}.{v}"
+                sub_names = {a for a, target in alias_paths if (mod, sub) in opened(target)}
+                q_re = re.compile(
+                    r"\b(?:(?:" + qual + r")\." + sub
+                    + "".join("|" + a for a in sorted(sub_names))
+                    + r")\." + ev + r"(?![\w'])"
+                )
+                in_scope = [(mod, bare(sub + r"\." + ev)), ((mod, sub), bare(ev))]
+            known.add(key)
             callers = []
             for p, text in sources.items():
                 if p == own:
                     continue
-                hit = q_re.search(text) is not None
-                if not hit:
-                    for m2, a, b in regions[p]:
-                        if m2 == mod and bare_re.search(text, a, b):
-                            hit = True
-                            break
+                hit = q_re.search(text) is not None or any(
+                    k == want and pat.search(text, a, b)
+                    for k, a, b in regions[p]
+                    for want, pat in in_scope
+                )
                 if hit:
                     callers.append(os.path.relpath(p, root))
             rel = os.path.relpath(mli, root)
@@ -229,12 +266,8 @@ def main():
                 stale.append(f"{key}: allowlisted but called from {', '.join(callers)}")
             elif not callers and key not in ALLOW:
                 missing.append(f"{rel}:{line}: {key} has no caller outside test/")
-    known = {
-        f"{module_name(mli)}.{v}"
-        for mli in mlis
-        for v, _ in top_level_vals(strip(open(mli).read()))
-    }
-    stale += [f"{k}: allowlisted but not a top-level val" for k in ALLOW if k not in known]
+    checked = len(known)
+    stale += [f"{k}: allowlisted but not a checked val" for k in ALLOW if k not in known]
     for line in missing + stale:
         print(line)
     print(

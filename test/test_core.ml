@@ -104,8 +104,8 @@ let test_psg_partitioned_strategies () =
       let r = Build.build config c in
       check_bool (Printf.sprintf "budget %d exact" budget) true (exact c r.Build.cover))
     [ 1; 100; 5_000; max_int ];
-  (* identical size to the BFS strategy under an unbounded budget *)
-  let bfs =
+  (* identical size to the one-closure strategy under an unbounded budget *)
+  let one =
     Build.build { Config.default with partitioner = Config.Random_nodes 120 } c
   in
   let part =
@@ -117,7 +117,7 @@ let test_psg_partitioned_strategies () =
       }
       c
   in
-  check_int "same cover size as BFS H̄" (Cover.size bfs.Build.cover)
+  check_int "same cover size as one-closure H̄" (Cover.size one.Build.cover)
     (Cover.size part.Build.cover)
 
 (* {1 Hopi facade} *)

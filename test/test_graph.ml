@@ -238,6 +238,21 @@ let prop_closure_oracle =
           then ok := false);
       !ok && Closure.n_connections c = !total && Closure.count_connections g = !total)
 
+let prop_succs_among_oracle =
+  QCheck2.Test.make ~name:"succs_among = BFS oracle" ~count:80
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 1 300) (int_range 1 4))
+    (fun (seed, n, stride) ->
+      let g = sparse_graph seed n in
+      let from = Array.of_list (Digraph.nodes g) in
+      let among = Array.of_list (List.filteri (fun i _ -> i mod stride = 0) (Digraph.nodes g)) in
+      let got = Closure.succs_among g ~from ~among in
+      Array.for_all2
+        (fun u js ->
+          let reach = Traversal.reachable g [ u ] in
+          let want = List.filter (fun j -> Ihs.mem reach among.(j)) (List.init (Array.length among) Fun.id) in
+          Array.to_list js = want)
+        from got)
+
 (* {1 Shortest} *)
 
 let test_shortest_diamond () =
@@ -277,6 +292,12 @@ let suite =
         Alcotest.test_case "scc chain" `Quick test_closure_scc_chain;
         Alcotest.test_case "62-bit word boundaries" `Quick test_closure_word_boundaries;
       ]
-      @ qsuite [ prop_closure_matches_bfs; prop_closure_count_consistent; prop_closure_oracle ] );
+      @ qsuite
+          [
+            prop_closure_matches_bfs;
+            prop_closure_count_consistent;
+            prop_closure_oracle;
+            prop_succs_among_oracle;
+          ] );
     ("graph.shortest", [ Alcotest.test_case "diamond" `Quick test_shortest_diamond ]);
   ]

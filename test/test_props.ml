@@ -18,6 +18,9 @@ module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
 module Int_set = Hopi_util.Int_set
 module Collection = Hopi_collection.Collection
+module Partitioning = Hopi_collection.Partitioning
+module Traversal = Hopi_graph.Traversal
+module Ihs = Hopi_util.Int_hashset
 module Dblp = Hopi_workload.Dblp_gen
 module Config = Hopi_core.Config
 module Build = Hopi_core.Build
@@ -165,6 +168,85 @@ let prop_build_exact_on_collections =
       no_mismatch "build"
         (Verify.cover_vs_graph r.Build.cover (Collection.element_graph c)))
 
+(* the collection partitioned into several pieces, so the PSG join has
+   links to cross *)
+let gen_split_partitioner =
+  Gen.oneofl
+    [ Config.Singleton; Config.Random_nodes 40; Config.Random_nodes 120; Config.Closure_aware 2_000 ]
+
+(* H̄ from one closure of the PSG and the paper's recursion over PSG
+   partitions, loose budget or tight, must add the same entries *)
+let prop_hbar_strategies_agree =
+  QCheck2.Test.make
+    ~name:"PSG join: one-closure H̄ = partitioned H̄ (unbounded and tight budgets)"
+    ~count:12
+    Gen.(pair gen_collection_cfg gen_split_partitioner)
+    (fun (gen_cfg, partitioner) ->
+      let c = Dblp.generate gen_cfg in
+      let build joiner =
+        canonical (Build.build { Config.default with partitioner; joiner } c).Build.cover
+      in
+      let one = build Config.Psg in
+      List.for_all
+        (fun budget ->
+          one = build (Config.Psg_partitioned budget)
+          || QCheck2.Test.fail_reportf "budget %d: covers differ" budget)
+        [ max_int; 20 ])
+
+(* The distinct Ĥout entries of a partitioning, from BFS alone: the PSG
+   over the cross-partition links (within-partition target-to-source
+   edges found by BFS in the partition's subgraph), H̄out(s) = the link
+   targets other than s that s reaches in it, copied to every
+   within-partition ancestor [a] of [s] as [(a, t)], [a <> t]. *)
+let hat_out_entries c (p : Partitioning.t) =
+  let part = Partitioning.part_of_element p c in
+  let subgraphs = Hashtbl.create 16 in
+  let subgraph q =
+    match Hashtbl.find_opt subgraphs q with
+    | Some g -> g
+    | None ->
+      let g = Partitioning.element_subgraph p c q in
+      Hashtbl.add subgraphs q g;
+      g
+  in
+  let links = p.Partitioning.cross_links in
+  let sources = List.sort_uniq compare (List.map fst links)
+  and targets = List.sort_uniq compare (List.map snd links) in
+  let psg = Digraph.create () in
+  List.iter (fun (s, t) -> Digraph.add_edge psg s t) links;
+  List.iter
+    (fun t ->
+      let within = Traversal.reachable (subgraph (part t)) [ t ] in
+      List.iter
+        (fun s -> if s <> t && Ihs.mem within s then Digraph.add_edge psg t s)
+        sources)
+    targets;
+  let entries = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      let reached = Traversal.reachable psg [ s ] in
+      let hbar = List.filter (fun t -> t <> s && Ihs.mem reached t) targets in
+      Ihs.iter
+        (fun a -> List.iter (fun t -> if a <> t then Hashtbl.replace entries (a, t) ()) hbar)
+        (Traversal.reachable_backward (subgraph (part s)) [ s ]))
+    sources;
+  Hashtbl.length entries
+
+let prop_out_emitted_once =
+  let emitted = Hopi_obs.Registry.counter "hopi_join_psg_out_emitted_total" in
+  QCheck2.Test.make
+    ~name:"PSG join pushes each distinct Ĥout entry once"
+    ~count:12
+    Gen.(triple gen_collection_cfg gen_split_partitioner (int_range 1 3))
+    (fun (gen_cfg, partitioner, jobs) ->
+      let c = Dblp.generate gen_cfg in
+      let before = Hopi_obs.Counter.get emitted in
+      let r = Build.build { Config.default with partitioner; jobs } c in
+      let pushed = Hopi_obs.Counter.get emitted - before
+      and distinct = hat_out_entries c r.Build.partitioning in
+      pushed = distinct
+      || QCheck2.Test.fail_reportf "pushed %d Ĥout entries, %d distinct" pushed distinct)
+
 let prop_jobs_determinism =
   (* every job count hands the cover phase's partitions and the join's
      tasks to the domains in its own order; the cover must not notice *)
@@ -294,6 +376,8 @@ let suite =
       qsuite
         [
           prop_build_exact_on_collections;
+          prop_hbar_strategies_agree;
+          prop_out_emitted_once;
           prop_jobs_determinism;
           prop_fixed_seed_reproducible;
         ] );
