@@ -164,31 +164,8 @@ let inspect path =
 
 (* {1 verify-store} *)
 
-(* a routing index is a text file with a trailing CRC line, not a page
-   file: it gets its own check, which opens no shard *)
-let verify_routing path =
-  let module R = Hopi_serve.Router in
-  match R.read_routing path with
-  | r ->
-    Fmt.pr "%s: ok — routing index, %d shards, %d cross links%s, checksum verified@." path
-      r.R.n_shards (List.length r.R.links)
-      (if r.R.dist then " (distance-aware)" else "")
-  | exception Hopi_storage.Storage_error.Storage_error e ->
-    report_storage_error path e;
-    exit 1
-  | exception Sys_error msg ->
-    Fmt.epr "%s@." msg;
-    exit 1
-
-(* an unreadable path is left to the page-file check, which reports it *)
-let starts_with_routing_magic path =
-  let magic = Hopi_serve.Router.routing_magic in
-  try
-    In_channel.with_open_bin path (fun ic ->
-        In_channel.really_input_string ic (String.length magic) = Some magic)
-  with Sys_error _ -> false
-
-let verify_page_file path =
+let verify_store path verbose =
+  setup_logs verbose;
   let module S = Hopi_storage in
   match S.Pager.open_existing path with
   | exception S.Storage_error.Storage_error e ->
@@ -202,6 +179,12 @@ let verify_page_file path =
         (String.concat ", " (List.map string_of_int bad));
       exit 1
     end;
+    let fail e =
+      report_storage_error path e;
+      exit 1
+    in
+    (* page 0's magic tells a store, a generation manifest and a routing
+       index apart: each reader rejects the others' with [Bad_magic] *)
     let what =
       match S.Catalog.read pager with
       | (_ : S.Catalog.t) -> (
@@ -211,24 +194,27 @@ let verify_page_file path =
         | exception S.Storage_error.Storage_error e ->
           Fmt.pr "%s: STRUCTURE FAILURE: %s@." path (S.Storage_error.to_string e);
           exit 1)
-      | exception S.Storage_error.Storage_error e -> (
-        (* not an index store: a generation manifest is a pager file too *)
+      | exception S.Storage_error.Storage_error (Bad_magic _ as e) -> (
         match S.Manifest.read_file path with
         | m ->
           Printf.sprintf "generation manifest (live %d, previous %d, tip %d)"
             m.S.Manifest.live m.S.Manifest.previous m.S.Manifest.tip
-        | exception S.Storage_error.Storage_error _ ->
-          report_storage_error path e;
-          exit 1)
+        | exception S.Storage_error.Storage_error (Bad_magic _) -> (
+          let module R = Hopi_serve.Router in
+          match R.read_routing path with
+          | r ->
+            Printf.sprintf "routing index (generation %d, %d shards, %d cross links%s)"
+              r.R.gen r.R.n_shards (List.length r.R.links)
+              (if r.R.dist then ", distance-aware" else "")
+          | exception S.Storage_error.Storage_error (Bad_magic _) -> fail e
+          | exception S.Storage_error.Storage_error e -> fail e)
+        | exception S.Storage_error.Storage_error e -> fail e)
+      | exception S.Storage_error.Storage_error e -> fail e
     in
     Fmt.pr "%s: ok — %s, %d pages (%d KiB), all checksums verified@." path what
       (S.Pager.n_pages pager)
       (S.Pager.size_bytes pager / 1024);
     S.Pager.close pager
-
-let verify_store path verbose =
-  setup_logs verbose;
-  if starts_with_routing_magic path then verify_routing path else verify_page_file path
 
 (* {1 query} *)
 
@@ -606,7 +592,9 @@ let serve_store session store_path cache_mb pool_pages corpus =
     | Some dir ->
       let c = load_dir dir in
       let idx = Hopi.create c in
-      prewarm_for_pool idx ~distance:true;
+      (* path queries run with the default options, which never read the
+         distance index *)
+      prewarm_for_pool idx ~distance:false;
       Fmt.epr "corpus %s loaded for path queries (%d elements)@." dir
         (Collection.n_elements c);
       Some
@@ -1045,8 +1033,9 @@ let shard_split_cmd =
   let out =
     Arg.(required & opt (some string) None & info [ "out" ] ~docv:"DIR"
            ~doc:"Shard directory to write (created if missing): one \
-                 $(b,shard-NNN.db) cover store per shard plus the \
-                 replicated $(b,routing.idx).")
+                 $(b,shard-NNN.db) cover store per shard \
+                 ($(b,shard-NNN.db.genG) on a re-split) plus the \
+                 $(b,routing.idx) that commits them.")
   in
   let k =
     Arg.(value & opt int 2 & info [ "k"; "shards" ] ~docv:"K"
@@ -1160,9 +1149,9 @@ let verify_store_cmd =
   in
   Cmd.v
     (Cmd.info "verify-store"
-       ~doc:"Checksum-verify every page of a stored index, shard store or \
-             generation manifest, or the checksum and structure of a shard \
-             directory's routing.idx (read-only: a published file is never \
+       ~doc:"Checksum-verify every page of a stored index, shard store, \
+             generation manifest or shard directory's routing.idx, then \
+             check its structure (read-only: a published file is never \
              written); exits 1 on any corruption")
     Term.(const verify_store $ file $ verbose)
 

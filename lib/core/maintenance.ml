@@ -173,39 +173,44 @@ let delete_separating c cover did anc_docs desc_docs =
     vd;
   Ihs.iter (fun v -> Cover.remove_node cover v) v_di
 
-(* Theorem 3: general deletion of an arbitrary element set.  The closure is
-   partially recomputed from the (old) element-level ancestors A_di of the
-   removed elements; the new partial cover L̂ replaces the Lout labels of
-   A_di and is unioned into everything else, while descendants D_di drop
-   Lin entries from A_di.  The theorem's proof only uses that V_di is the
-   removed node set, so the same algorithm serves document deletion and
-   subtree deletion (Section 6.3). *)
+(* Theorem 3's partial recomputation.  [anc] and [desc] are the
+   ancestors and descendants of the deleted part, taken on the graph
+   before the deletion; [g] is the graph after it, where [removed] still
+   names the deleted nodes (empty when only edges went).  The closure is
+   recomputed from the surviving ancestors; the new partial cover L̂
+   replaces their Lout labels and is unioned into everything else, while
+   the surviving descendants drop Lin entries from [anc].  Returns the
+   number of nodes recomputed. *)
+let recompute_around g cover ~removed anc desc =
+  let seeds = Ihs.fold (fun x acc -> if Ihs.mem removed x then acc else x :: acc) anc [] in
+  let r = Traversal.reachable_avoiding g ~avoid:(Ihs.mem removed) seeds in
+  let hat = cover_of_induced g r in
+  (* overrides first, then the component-wise union with L̂ *)
+  Ihs.iter
+    (fun a -> if not (Ihs.mem removed a) then Cover.set_lout cover a Int_set.empty)
+    anc;
+  Ihs.iter
+    (fun d ->
+      if not (Ihs.mem removed d) then begin
+        let keep w = not (Ihs.mem anc w) in
+        Cover.set_lin cover d (Int_set.filter keep (Cover.lin cover d))
+      end)
+    desc;
+  Cover.union_into ~dst:cover hat;
+  Ihs.cardinal r
+
+(* Theorem 3: general deletion of an arbitrary element set V_di, from its
+   element-level ancestors A_di.  The theorem's proof only uses that V_di
+   is the removed node set, so the same algorithm serves document deletion
+   and subtree deletion (Section 6.3). *)
 let delete_nodes_general c cover v_di =
   let g = Collection.element_graph c in
   let v_di_list = Ihs.to_list v_di in
   let a_di = Traversal.reachable_backward g v_di_list in
   let d_di = Traversal.reachable g v_di_list in
-  (* nodes reachable from the surviving ancestors once [did] is gone *)
-  let seeds =
-    Ihs.fold (fun x acc -> if Ihs.mem v_di x then acc else x :: acc) a_di []
-  in
-  let avoid x = Ihs.mem v_di x in
-  let r = Traversal.reachable_avoiding g ~avoid seeds in
-  let hat = cover_of_induced g r in
-  (* overrides first, then the component-wise union with L̂ *)
-  Ihs.iter
-    (fun a -> if not (Ihs.mem v_di a) then Cover.set_lout cover a Int_set.empty)
-    a_di;
-  Ihs.iter
-    (fun d ->
-      if not (Ihs.mem v_di d) then begin
-        let keep w = not (Ihs.mem a_di w) in
-        Cover.set_lin cover d (Int_set.filter keep (Cover.lin cover d))
-      end)
-    d_di;
-  Cover.union_into ~dst:cover hat;
+  let recomputed = recompute_around g cover ~removed:v_di a_di d_di in
   Ihs.iter (fun v -> Cover.remove_node cover v) v_di;
-  Ihs.cardinal r
+  recomputed
 
 let delete_general c cover did =
   let v_di = Ihs.create () in
@@ -241,16 +246,7 @@ let delete_link c cover u v =
   let a = Traversal.reachable_backward g [ u ] in
   let d = Traversal.reachable g [ v ] in
   Collection.remove_link c u v;
-  (* partial closure recomputation from the (old) ancestors of u *)
-  let seeds = Ihs.to_list a in
-  let hat = cover_of_induced g (Traversal.reachable g seeds) in
-  Ihs.iter (fun x -> Cover.set_lout cover x Int_set.empty) a;
-  Ihs.iter
-    (fun x ->
-      let keep w = not (Ihs.mem a w) in
-      Cover.set_lin cover x (Int_set.filter keep (Cover.lin cover x)))
-    d;
-  Cover.union_into ~dst:cover hat
+  ignore (recompute_around g cover ~removed:(Ihs.create ()) a d : int)
 
 (* {1 Subtree-level updates and diff-based modification (Section 6.3)} *)
 

@@ -61,16 +61,31 @@ type split_stats = {
   entries : int;
 }
 
-let shard_path ~dir k = Filename.concat dir (Printf.sprintf "shard-%03d.db" k)
+(* Shard stores of generation [gen]: [shard-NNN.db] for a first split,
+   [shard-NNN.db.gen<G>] for the G-th re-split of a directory. *)
+let shard_path ~dir ~gen k =
+  S.Manifest.gen_path ~base:(Filename.concat dir (Printf.sprintf "shard-%03d.db" k)) gen
 
 let routing_path ~dir = Filename.concat dir "routing.idx"
 
-let routing_magic = "hopi-shard-routing"
+(* The generation a shard store's published name carries; [None] for any
+   other name, a temporary file included. *)
+let shard_gen name =
+  match Scanf.sscanf_opt name "shard-%_u.db%!" () with
+  | Some () -> Some 0
+  | None -> Scanf.sscanf_opt name "shard-%_u.db.gen%u%!" Fun.id
 
-let magic = routing_magic ^ " 2"
+(* routing.idx is a page file whose payloads, read in page order, form one
+   byte stream: seven 32-bit words — magic, version, generation, shard
+   count, dist flag, link count, link-stream bytes — then the sorted cross
+   links as one Label_codec stream of (source, target) rows. *)
+let magic = 0x48525449 (* "HRTI" *)
 
-(* format 1 also stored the element map and the PSG closure *)
-let magic_v1 = routing_magic ^ " 1"
+let version = 1
+
+let header_bytes = 28
+
+let page_bytes = S.Page.size - S.Page.payload_off
 
 (* {1 Split} *)
 
@@ -96,16 +111,42 @@ let assign_docs c k =
     docs;
   part_of_doc
 
+let write_routing ~vfs ~fsync path ~gen ~k ~dist links =
+  let enc = Codec.Enc.create () in
+  List.iter (fun (u, v) -> Codec.Enc.row enc ~center:u ~dist:v) links;
+  let stream = Codec.Enc.finish enc in
+  let body = Bytes.make (header_bytes + Bytes.length stream) '\000' in
+  List.iteri
+    (fun i w -> S.Page.set_i32 body (4 * i) w)
+    [ magic; version; gen; k; Bool.to_int dist; List.length links; Bytes.length stream ];
+  Bytes.blit stream 0 body header_bytes (Bytes.length stream);
+  let pager = S.Pager.create_vfs ~fsync ~vfs path in
+  let rec pages off =
+    if off < Bytes.length body then begin
+      let page = S.Page.create () and n = min page_bytes (Bytes.length body - off) in
+      Bytes.blit body off page S.Page.payload_off n;
+      S.Pager.write pager (S.Pager.alloc pager) page;
+      pages (off + n)
+    end
+  in
+  pages 0;
+  S.Pager.close pager
+
 let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
   if k < 1 then invalid_arg "Router.split: k < 1";
   let k = max 1 (min k (max 1 (Collection.n_docs c))) in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  (* one past every generation the directory holds, 0 for a first split *)
+  let gen =
+    1 + List.fold_left (fun g name -> max g (Option.value ~default:(-1) (shard_gen name)))
+          (-1) (vfs.S.Vfs.list_dir dir)
+  in
   let part = Partitioning.make c ~part_of_doc:(assign_docs c k) ~n:k in
   (* per shard: the within-partition cover, persisted *)
   let entries = ref 0 in
   for p = 0 to k - 1 do
     let sub = Partitioning.element_subgraph part c p in
-    let pager = S.Pager.create_vfs ~fsync ~vfs (shard_path ~dir p) in
+    let pager = S.Pager.create_vfs ~fsync ~vfs (shard_path ~dir ~gen p) in
     let cover =
       if dist then fst (Dist_builder.build sub) else fst (Builder.build (Closure.compute sub))
     in
@@ -114,24 +155,15 @@ let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
     entries := !entries + S.Cover_store.n_entries store;
     S.Pager.close pager
   done;
-  (* the routing index: the cross links *)
-  let buf = Buffer.create 4096 and crc = ref Hopi_util.Crc32.init in
-  let line fmt =
-    Printf.ksprintf
-      (fun l ->
-        Buffer.add_string buf l;
-        crc := Hopi_util.Crc32.update !crc (Bytes.unsafe_of_string l) ~pos:0 ~len:(String.length l))
-      (fmt ^^ "\n")
-  in
-  line "%s" magic;
-  line "shards %d" k;
-  line "dist %d" (if dist then 1 else 0);
+  (* the routing index names generation [gen]: its rename commits the split *)
   let links = List.sort compare part.Partitioning.cross_links in
-  line "links %d" (List.length links);
-  List.iter (fun (u, v) -> line "l %d %d" u v) links;
-  line "end";
-  Buffer.add_string buf (Printf.sprintf "crc %08lx\n" (Hopi_util.Crc32.finish !crc));
-  S.Vfs.write_file vfs ~fsync (routing_path ~dir) buf;
+  write_routing ~vfs ~fsync (routing_path ~dir) ~gen ~k ~dist links;
+  let live = List.init k (fun p -> Filename.basename (shard_path ~dir ~gen p)) in
+  List.iter
+    (fun name ->
+      if String.starts_with ~prefix:"shard-" name && not (List.mem name live) then
+        vfs.S.Vfs.remove (Filename.concat dir name))
+    (vfs.S.Vfs.list_dir dir);
   {
     shards = k;
     elements = Collection.n_elements c;
@@ -154,19 +186,6 @@ type t = {
 }
 
 let bad_index path msg = raise (Sys_error (Printf.sprintf "%s: bad routing index: %s" path msg))
-
-(* The routing index ends with a ["crc XXXXXXXX"] line: the CRC-32 of
-   every byte before it.  (The parser stops at the "end" line above it.) *)
-let verify_crc path data =
-  let corrupt msg = S.Storage_error.raise_error (Bad_catalog (path ^ ": " ^ msg)) in
-  let start = String.length data - String.length "crc XXXXXXXX\n" in
-  if start < 0 || String.sub data start 4 <> "crc " || not (String.ends_with ~suffix:"\n" data)
-  then corrupt "routing index has no checksum line";
-  match Int32.of_string_opt ("0x" ^ String.sub data (start + 4) 8) with
-  | None -> corrupt "routing index has no checksum line"
-  | Some crc ->
-    if crc <> Hopi_util.Crc32.digest (Bytes.unsafe_of_string data) ~pos:0 ~len:start then
-      corrupt "routing index checksum mismatch"
 
 let push h key x = Hashtbl.replace h key (x :: Option.value ~default:[] (Hashtbl.find_opt h key))
 
@@ -322,51 +341,45 @@ let psg_closure ~with_dist snaps shard links targets =
   Hashtbl.iter (fun tg l -> Hashtbl.replace rev tg (Array.of_list l)) rev_l;
   (closure_of, rev)
 
-type routing = { n_shards : int; dist : bool; links : (int * int) list }
+type routing = { gen : int; n_shards : int; dist : bool; links : (int * int) list }
 
-(* the checksum first, then the format-2 lines; no shard is opened *)
+(* the header words and the link stream, checked against each other; no
+   shard is opened *)
 let read_routing ?(vfs = S.Vfs.real) path =
-  let data = S.Vfs.read_file vfs path in
-  verify_crc path data;
-  let lines = ref (String.split_on_char '\n' data) in
-  let lineno = ref 0 in
-  let fail msg = bad_index path (Printf.sprintf "line %d: %s" !lineno msg) in
-  let line () =
-    incr lineno;
-    match !lines with
-    | l :: rest ->
-      lines := rest;
-      l
-    | [] -> fail "truncated"
-  in
-  let counted prefix =
-    match String.split_on_char ' ' (line ()) with
-    | [ p; n ] when p = prefix -> (
-      match int_of_string_opt n with Some n when n >= 0 -> n | _ -> fail (prefix ^ " count"))
-    | _ -> fail ("expected \"" ^ prefix ^ " N\"")
-  in
-  (match line () with
-  | l when l = magic -> ()
-  | l when l = magic_v1 -> fail "format 1 (it stores the PSG closure); re-run shard-split"
-  | _ -> fail "magic mismatch");
-  let n_shards = counted "shards" in
-  if n_shards < 1 then fail "no shards";
-  let dist = counted "dist" <> 0 in
-  let links =
-    List.init (counted "links") (fun _ ->
-        match String.split_on_char ' ' (line ()) with
-        | [ "l"; u; v ] -> (
-          match (int_of_string_opt u, int_of_string_opt v) with
-          | Some u, Some v -> (u, v)
-          | _ -> fail "link line")
-        | _ -> fail "link line")
-  in
-  if line () <> "end" then fail "missing end marker";
-  { n_shards; dist; links }
+  let pager = S.Pager.open_vfs ~pool_pages:4 ~vfs path in
+  Fun.protect ~finally:(fun () -> S.Pager.close pager) @@ fun () ->
+  let n = S.Pager.n_pages pager in
+  if n = 0 then S.Storage_error.raise_error (Truncated (path ^ ": routing index has no page"));
+  let body = Bytes.create (n * page_bytes) in
+  for p = 0 to n - 1 do
+    Bytes.blit (S.Pager.read pager p) S.Page.payload_off body (p * page_bytes) page_bytes
+  done;
+  let word i = S.Page.get_i32 body (4 * i) in
+  if word 0 <> magic then S.Storage_error.raise_error (Bad_magic { got = word 0; expected = magic });
+  if word 1 <> version then
+    S.Storage_error.raise_error (Bad_version { got = word 1; expected = version });
+  let bad msg = S.Storage_error.raise_error (Bad_catalog (path ^ ": routing index " ^ msg)) in
+  let gen = word 2 and n_shards = word 3 and dist = word 4 and n_links = word 5 and len = word 6 in
+  if gen < 0 || n_shards < 1 || (dist <> 0 && dist <> 1) || n_links < 0 || len < 0 then
+    bad "header out of range";
+  if (header_bytes + len + page_bytes - 1) / page_bytes <> n then
+    bad (Printf.sprintf "link stream of %d bytes on %d pages" len n);
+  let cur = Codec.cursor () and links = ref [] in
+  Codec.reset cur body ~pos:header_bytes ~len;
+  (try
+     while Codec.advance cur do
+       let l = (Codec.center cur, Codec.dist cur) in
+       (match !links with prev :: _ when compare prev l > 0 -> bad "links out of order" | _ -> ());
+       links := l :: !links
+     done
+   with Invalid_argument _ -> bad "link stream truncated");
+  if List.length !links <> n_links then
+    bad (Printf.sprintf "holds %d links, its header says %d" (List.length !links) n_links);
+  { gen; n_shards; dist = dist = 1; links = List.rev !links }
 
 let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   let path = routing_path ~dir in
-  let { n_shards = k; dist = with_dist; links } = read_routing ~vfs path in
+  let { gen; n_shards = k; dist = with_dist; links } = read_routing ~vfs path in
   (* one shared page pool and label cache across all shard snapshots *)
   let pool = S.Pager.Read_pool.create ~pages:pool_pages () in
   let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in
@@ -381,7 +394,7 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   let snaps =
     closing (fun () ->
         Array.init k (fun p ->
-            let s = Snapshot.open_file ~pool ~vfs ~cache (shard_path ~dir p) in
+            let s = Snapshot.open_file ~pool ~vfs ~cache (shard_path ~dir ~gen p) in
             opened := s :: !opened;
             s))
   in

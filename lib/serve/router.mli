@@ -5,8 +5,8 @@
     balanced shards, builds one independent 2-hop cover store per shard
     (covering only within-shard connections), and writes a small
     {e routing index} next to them holding only what the shards cannot
-    tell: the shard count, the [dist] flag and the cross-shard links
-    [L_P].
+    tell: which generation of shard stores it commits, the shard count,
+    the [dist] flag and the cross-shard links [L_P].
 
     {!open_dir} derives the rest from the shards.  The element→shard map
     is each shard's registered node set.  The {e partition skeleton
@@ -78,53 +78,56 @@ val split :
     count, deterministically; [k] is clamped to the document count.
     [dist] (default [false]) builds distance-aware shard covers.
 
-    Every file — each shard store, then [routing.idx] — is published on
-    [vfs] (default {!Hopi_storage.Vfs.real}) the one way page files are:
-    written under a temporary name, fsynced (unless [fsync] is [false])
-    and renamed into place, so each file on its own is either the old or
-    the new one after a crash.  The directory as a whole is {e not}
-    atomic: a crash part-way through a re-split can leave new shards
-    beside an old routing index.  The routing index ends with a
-    ["crc XXXXXXXX"] line, the CRC-32 of every byte before it.
+    Every file is published on [vfs] (default {!Hopi_storage.Vfs.real})
+    the one way page files are: written under a temporary name, fsynced
+    (unless [fsync] is [false]) and renamed into place.  The shard stores
+    come first, under the names of a new generation G: one past the
+    highest generation any shard file in [dir] carries, so a re-split
+    never overwrites the stores being served ([shard-NNN.db] for G = 0,
+    a first split; [shard-NNN.db.gen<G>] after, see
+    {!Hopi_storage.Manifest.gen_path}).  [routing.idx], which names G, is
+    published last: its rename commits the split, so after a crash
+    anywhere the directory serves the old split or the new one in full.
+    Only then are the shard files of every other generation deleted.
     @raise Invalid_argument when [k < 1]. *)
 
 (** {1 The routing index} *)
 
-val routing_magic : string
-(** ["hopi-shard-routing"]: the first word of every routing index, of
-    any format. *)
-
 type routing = {
+  gen : int;  (** the generation of the shard stores it names *)
   n_shards : int;
   dist : bool;  (** the shards hold distance-aware covers *)
-  links : (int * int) list;  (** the cross-shard links, in file order *)
+  links : (int * int) list;  (** the cross-shard links, ascending *)
 }
 
 val read_routing : ?vfs:Hopi_storage.Vfs.t -> string -> routing
-(** Read and check one routing index file through [vfs] (default
-    {!Hopi_storage.Vfs.real}): its trailing CRC-32, then its format-2
-    structure.  It opens no shard; {!open_dir} starts with it, and
-    [hopi verify-store] runs it alone.
-    @raise Hopi_storage.Storage_error.Storage_error [Bad_catalog] when
-    the checksum fails, and [Sys_error] when a checksummed file does not
-    parse (a format-1 index asks for a re-run of [shard-split]). *)
+(** Read and check one routing index through [vfs] (default
+    {!Hopi_storage.Vfs.real}).  It is a {!Hopi_storage.Pager} file: a
+    header (magic, version, generation, shard count, [dist] flag, link
+    count, stream length) and the sorted links as one
+    {!Hopi_twohop.Label_codec} stream of (source, target) rows, carried
+    across as many pages as they need.  It opens no shard; {!open_dir}
+    starts with it, and [hopi verify-store] runs it alone.
+    @raise Hopi_storage.Storage_error.Storage_error [Checksum] on a
+    damaged page, [Truncated] on a file that is not whole pages (a text
+    routing index of an older version: its hint asks for a re-run of
+    [shard-split]), [Bad_magic] on another page file, [Bad_version], and
+    [Bad_catalog] when the header and the link stream disagree. *)
 
 (** {1 Serving} *)
 
 val open_dir : ?vfs:Hopi_storage.Vfs.t -> ?pool_pages:int -> ?cache_mb:int -> string -> t
-(** Open every shard store (one shared read-only page pool across all of
-    them) and load the routing index, both through [vfs] (default
+(** Load the routing index, then open the shard stores of the generation
+    it names (one shared read-only page pool across all of them), both
+    through [vfs] (default
     {!Hopi_storage.Vfs.real}); derive the element map, the PSG and its
     closure from the shards, then build the exit and entry rows from the
     label sets of every link endpoint, read through the shared label
     cache.
     @raise Hopi_storage.Storage_error.Storage_error on a missing or
-    damaged file — [Bad_catalog] when the routing index fails its
-    checksum — and [Sys_error] on a routing index whose checksum holds
-    but whose contents do not parse (a format-1 index, which stored the
-    closure, asks for a re-run of [shard-split]), on an element two
-    shards register, or on a link with an endpoint no shard registers or
-    with both endpoints in one shard. *)
+    damaged file (as {!read_routing} for the routing index), and
+    [Sys_error] on an element two shards register, or on a link with an
+    endpoint no shard registers or with both endpoints in one shard. *)
 
 val close : t -> unit
 

@@ -28,6 +28,12 @@ let hint = function
       "the store was written in another format version: rebuild it with \
        `hopi build CORPUS --store FILE` (or `hopi shard-split CORPUS` for a shard \
        directory)"
+  | Truncated _ ->
+    Some
+      "every file this version writes is whole pages: a shard directory's \
+       routing.idx written as text by an older version is rewritten by re-running \
+       `hopi shard-split CORPUS --out DIR`; a damaged store is rebuilt with \
+       `hopi build CORPUS --store FILE`"
   | _ -> None
 
 let () =

@@ -11,8 +11,8 @@ type t =
   | Bad_magic of { got : int; expected : int }
   | Bad_version of { got : int; expected : int }
   | Bad_catalog of string
-      (** a catalog page is well-formed but inconsistent, or a shard
-          routing index fails its checksum *)
+      (** a catalog page, generation manifest or shard routing index is
+          well-formed but inconsistent *)
   | Checksum of { page : int }  (** page failed CRC/flag verification *)
 
 exception Storage_error of t
@@ -23,5 +23,7 @@ val to_string : t -> string
 
 val hint : t -> string option
 (** What an operator can do about the failure, when there is something:
-    a store written in another format version is rebuilt from its corpus
-    ([hopi build --store], or [hopi shard-split] for a shard directory). *)
+    a store written in another format version, or a file that is not
+    whole pages (a text [routing.idx] of an older version, say), is
+    rebuilt from its corpus ([hopi build --store], or [hopi shard-split]
+    for a shard directory). *)

@@ -201,24 +201,6 @@ let publish t ~fsync file path =
   if fsync then file.sync ();
   t.rename ~sync:fsync (tmp_path path) path
 
-(* written in chunks straight out of the buffer: no copy of the whole
-   contents is ever made *)
-let write_file t ~fsync path contents =
-  let f = t.open_file (tmp_path path) ~create:true in
-  Fun.protect ~finally:f.close @@ fun () ->
-  let chunk = Bytes.create 65536 in
-  let len = Buffer.length contents in
-  let rec go off =
-    if off < len then begin
-      let n = min (Bytes.length chunk) (len - off) in
-      Buffer.blit contents off chunk 0 n;
-      f.write chunk ~off ~pos:0 ~len:n;
-      go (off + n)
-    end
-  in
-  go 0;
-  publish t ~fsync f path
-
 let read_file t path =
   let f = t.open_file path ~create:false in
   Fun.protect ~finally:f.close @@ fun () ->

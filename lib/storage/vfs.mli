@@ -72,10 +72,6 @@ val publish : t -> fsync:bool -> file -> string -> unit
     sync it (when [fsync]) and rename it over [path] — the commit point.
     [f] stays open and now reads as [path]. *)
 
-val write_file : t -> fsync:bool -> string -> Buffer.t -> unit
-(** [write_file vfs ~fsync path contents] writes [contents] to
-    [tmp_path path] and {!publish}es it. *)
-
 val read_file : t -> string -> string
 (** The whole contents of a file.
     @raise Storage_error.Storage_error [File_not_found] when missing. *)

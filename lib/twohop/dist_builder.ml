@@ -5,6 +5,7 @@ module Stats = Hopi_util.Stats
 module Splitmix = Hopi_util.Splitmix
 module Digraph = Hopi_graph.Digraph
 module Shortest = Hopi_graph.Shortest
+module Trace = Hopi_obs.Trace
 
 type stats = {
   iterations : int;
@@ -114,7 +115,7 @@ let apply_choice ctx cover uncov w (r : Densest.result) =
     r.Densest.c_out
 
 let build ?(seed = 42) ?(exact_threshold = max_samples) g =
-  let ctx = make_ctx g in
+  let ctx = Trace.with_span "dist.apsp" (fun () -> make_ctx g) in
   let rng = Splitmix.create seed in
   let cover = Cover.create ~initial:(Digraph.n_nodes g) () in
   Digraph.iter_nodes g (fun v -> Cover.add_node cover v);
@@ -126,9 +127,11 @@ let build ?(seed = 42) ?(exact_threshold = max_samples) g =
   let iterations = ref 0 and recomputations = ref 0 and reinserts = ref 0 in
   let sampled = ref 0 in
   let queue = Heap.create () in
-  Digraph.iter_nodes g (fun w ->
-      let p = initial_priority rng ~exact_threshold ctx sampled w in
-      if p > 0.0 then Heap.push queue ~prio:p w);
+  Trace.with_span "dist.densities" (fun () ->
+      Digraph.iter_nodes g (fun w ->
+          let p = initial_priority rng ~exact_threshold ctx sampled w in
+          if p > 0.0 then Heap.push queue ~prio:p w));
+  Trace.with_span "dist.greedy" @@ fun () ->
   while not (Uncovered.is_empty uncov) do
     match Heap.pop_max queue with
     | None -> (

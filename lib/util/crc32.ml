@@ -34,7 +34,7 @@ let mask32 = 0xFFFF_FFFF
 let init = 0xFFFFFFFFl
 
 let update state buf ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Crc32.update";
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Crc32.digest";
   let t = tables in
   let byte i = Char.code (Bytes.unsafe_get buf i) in
   let c = ref (Int32.to_int state land mask32) in

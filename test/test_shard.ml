@@ -28,7 +28,7 @@ let min_distance r = (Router.engine r).Batch.min_distance
 let descendants r = (Router.engine r).Batch.descendants
 let ancestors r = (Router.engine r).Batch.ancestors
 
-(* the file layout of a shard directory *)
+(* the file layout of a shard directory after a first split (generation 0) *)
 let shard_path ~dir k = Filename.concat dir (Printf.sprintf "shard-%03d.db" k)
 let routing_path ~dir = Filename.concat dir "routing.idx"
 
@@ -92,20 +92,16 @@ let test_split_layout () =
   let st = Router.split ~k:3 ~dir c in
   checki "k shards" 3 st.Router.shards;
   checki "every element assigned" (Collection.n_elements c) st.Router.elements;
-  checkb "routing index written" true (Sys.file_exists (routing_path ~dir));
-  (* the routing index holds the links and nothing the shards can tell *)
-  In_channel.with_open_bin (routing_path ~dir) In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.iter (fun l ->
-         match String.split_on_char ' ' l with
-         | [ "" ] | ("hopi-shard-routing" | "shards" | "dist" | "links" | "l" | "end" | "crc") :: _ -> ()
-         | _ -> Alcotest.failf "routing index line %S" l);
-  for s = 0 to 2 do
-    checkb
-      (Printf.sprintf "shard %d store written" s)
-      true
-      (Sys.file_exists (shard_path ~dir s))
-  done;
+  (* a first split writes generation 0: the shards under their plain names *)
+  check
+    Alcotest.(list string)
+    "the directory holds the shards and the routing index"
+    [ "routing.idx"; "shard-000.db"; "shard-001.db"; "shard-002.db" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  let rt = Router.read_routing (routing_path ~dir) in
+  checki "routing generation" 0 rt.Router.gen;
+  checki "routing shard count" 3 rt.Router.n_shards;
+  checki "routing links" st.Router.cross_links (List.length rt.Router.links);
   let r = Router.open_dir dir in
   Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
   checki "n_shards round-trips" 3 (Router.n_shards r);
@@ -183,16 +179,10 @@ let test_same_shard_dist_is_scatter () =
   with_temp_dir @@ fun dir ->
   let c = Dblp.generate (Dblp.default ~n_docs:6) in
   ignore (Router.split ~dist:true ~k:3 ~dir c : Router.split_stats);
-  let target =
-    In_channel.with_open_bin (routing_path ~dir) In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.find_map (fun l ->
-           match String.split_on_char ' ' l with
-           | [ "l"; _; v ] -> int_of_string_opt v
-           | _ -> None)
-  in
   let tg =
-    match target with Some tg -> tg | None -> Alcotest.fail "no cross link"
+    match (Router.read_routing (routing_path ~dir)).Router.links with
+    | (_, tg) :: _ -> tg
+    | [] -> Alcotest.fail "no cross link"
   in
   let r = Router.open_dir dir in
   Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
@@ -287,38 +277,39 @@ let test_leave_and_return () =
   check dist_opt "y -/-> x" None (min_distance r (el "y") (el "x"));
   checkb "y -/-> x" false (Router.connected r (el "y") (el "x"))
 
-(* {1 The routing index is validated at open} *)
+(* {1 The routing index is validated at open}
 
-(* rewrite a split's routing index: [links] maps its cross links and
-   [magic] replaces its first line; the link count and the checksum are
-   recomputed *)
-let rewrite_routing ?magic ?(links = Fun.id) dir =
-  let path = routing_path ~dir in
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  let body = String.sub data 0 (String.length data - String.length "crc XXXXXXXX\n") in
-  let head, ls =
-    List.fold_right
-      (fun l (head, ls) ->
-        match String.split_on_char ' ' l with
-        | [ "l"; u; v ] -> (head, (int_of_string u, int_of_string v) :: ls)
-        | ("links" | "end" | "") :: _ -> (head, ls)
-        | _ -> (l :: head, ls))
-      (String.split_on_char '\n' body) ([], [])
-  in
-  let head = match (magic, head) with Some m, _ :: rest -> m :: rest | _ -> head in
-  let ls = links ls in
-  let body =
-    String.concat ""
-      (List.map (fun l -> l ^ "\n")
-         (head
-         @ [ Printf.sprintf "links %d" (List.length ls) ]
-         @ List.map (fun (u, v) -> Printf.sprintf "l %d %d" u v) ls
-         @ [ "end" ]))
-  in
-  let crc = Hopi_util.Crc32.digest (Bytes.of_string body) ~pos:0 ~len:(String.length body) in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc body;
-      Printf.fprintf oc "crc %08lx\n" crc)
+   A routing index is checksummed, so an inconsistent one is built by
+   pairing one split's routing.idx with another split's shards.  Element
+   ids run in document order, one per element. *)
+
+let split_docs ~k dir docs =
+  let c = Collection.create () in
+  List.iteri
+    (fun i xml ->
+      ignore
+        (Collection.add_document c ~name:(Printf.sprintf "d%d.xml" i)
+           (Hopi_xml.Xml_parser.parse_string_exn xml)
+          : int))
+    docs;
+  ignore (Router.split ~k ~dir c : Router.split_stats);
+  (* each split on its own is sound *)
+  Router.close (Router.open_dir dir)
+
+let copy_file src dst =
+  let data = In_channel.with_open_bin src In_channel.input_all in
+  Out_channel.with_open_bin dst (fun oc -> output_string oc data)
+
+(* one link, 1 -> 3: d0 holds elements 0 and 1, d1 elements 2 and 3 *)
+let with_link_routing f =
+  with_temp_dir @@ fun links_dir ->
+  split_docs ~k:2 links_dir
+    [ {|<a><x xlink:href="d1.xml#r"/></a>|}; {|<b><y id="r"/></b>|} ];
+  check
+    Alcotest.(list (pair int int))
+    "the routing index's links" [ (1, 3) ]
+    (Router.read_routing (routing_path ~dir:links_dir)).Router.links;
+  with_temp_dir @@ fun dir -> f ~routing:(routing_path ~dir:links_dir) dir
 
 let contains s sub =
   let n = String.length sub in
@@ -334,57 +325,56 @@ let expect_rejected what ~says dir =
   | exception Sys_error msg ->
     if not (contains msg says) then Alcotest.failf "%s: %S does not say %S" what msg says
 
-let with_split ~k n_docs f =
-  with_temp_dir @@ fun dir ->
-  let c = Dblp.generate (Dblp.default ~n_docs) in
-  ignore (Router.split ~k ~dir c : Router.split_stats);
-  let clean = In_channel.with_open_bin (routing_path ~dir) In_channel.input_all in
-  let restore () =
-    Out_channel.with_open_bin (routing_path ~dir) (fun oc -> output_string oc clean)
-  in
-  f c dir restore
-
+(* shards registering elements 0 and 1 only *)
 let test_unregistered_link_rejected () =
-  with_split ~k:3 6 @@ fun c dir restore ->
-  let ghost = Array.fold_left max 0 (elements c) + 17 in
-  (* the rewrite itself is sound: the same links reopen *)
-  rewrite_routing dir;
-  Router.close (Router.open_dir dir);
-  rewrite_routing dir ~links:(function
-    | (_, t) :: _ as ls -> (ghost, t) :: ls
-    | [] -> Alcotest.fail "the split has no cross link");
-  expect_rejected "a link from an unknown element" ~says:"in no shard" dir;
-  restore ();
-  rewrite_routing dir ~links:(fun ls -> (fst (List.hd ls), ghost) :: ls);
-  expect_rejected "a link to an unknown element" ~says:"in no shard" dir
+  with_link_routing @@ fun ~routing dir ->
+  split_docs ~k:2 dir [ {|<a/>|}; {|<b/>|} ];
+  copy_file routing (routing_path ~dir);
+  expect_rejected "a link to an unknown element" ~says:"link endpoint 3 is in no shard" dir
 
+(* shards holding elements 0..3 in shard 0 *)
 let test_same_shard_link_rejected () =
-  with_split ~k:3 6 @@ fun c dir _ ->
-  let r = Router.open_dir dir in
-  let dom = elements c in
-  let u = dom.(0) in
-  let v =
-    match Array.find_opt (fun v -> v <> u && Router.shard_of r v = Router.shard_of r u) dom with
-    | Some v -> v
-    | None -> Alcotest.fail "a shard with one element"
-  in
-  Router.close r;
-  rewrite_routing dir ~links:(fun ls -> (u, v) :: ls);
-  expect_rejected "a link inside one shard" ~says:"stays inside shard" dir
+  with_link_routing @@ fun ~routing dir ->
+  split_docs ~k:2 dir [ {|<a><x/><y/><z/></a>|}; {|<b/>|} ];
+  copy_file routing (routing_path ~dir);
+  expect_rejected "a link inside one shard" ~says:"link 1 -> 3 stays inside shard 0" dir
 
-(* two shards that register the same elements, and no links that could
-   notice the elements the overwritten shard lost *)
+(* two shards that register the same elements, under a routing index with
+   no links that could notice the elements the overwritten shard lost *)
 let test_element_in_two_shards_rejected () =
-  with_split ~k:2 6 @@ fun _ dir _ ->
-  let copy = In_channel.with_open_bin (shard_path ~dir 0) In_channel.input_all in
-  Out_channel.with_open_bin (shard_path ~dir 1) (fun oc -> output_string oc copy);
-  rewrite_routing dir ~links:(fun _ -> []);
+  with_temp_dir @@ fun dir ->
+  split_docs ~k:2 dir [ {|<a/>|}; {|<b/>|} ];
+  checki "no links" 0 (List.length (Router.read_routing (routing_path ~dir)).Router.links);
+  copy_file (shard_path ~dir 0) (shard_path ~dir 1);
   expect_rejected "an element in two shards" ~says:"registered in shards 0 and 1" dir
 
-let test_format1_rejected () =
-  with_split ~k:2 6 @@ fun _ dir _ ->
-  rewrite_routing dir ~magic:"hopi-shard-routing 1";
-  expect_rejected "a format-1 routing index" ~says:"re-run shard-split" dir
+module E = Hopi_storage.Storage_error
+
+(* the text routing index of older versions: a storage error whose hint
+   asks for a re-split, and the re-split moves off the old shard names *)
+let test_text_routing_rejected () =
+  with_temp_dir @@ fun dir ->
+  let c = Dblp.generate (Dblp.default ~n_docs:6) in
+  ignore (Router.split ~k:2 ~dir c : Router.split_stats);
+  Out_channel.with_open_bin (routing_path ~dir) (fun oc ->
+      output_string oc "hopi-shard-routing 2\nshards 2\ndist 0\nlinks 0\nend\ncrc 3a6d5bd8\n");
+  (match Router.open_dir dir with
+  | r ->
+    Router.close r;
+    Alcotest.fail "a text routing index went unnoticed"
+  | exception E.Storage_error e -> (
+    match E.hint e with
+    | Some h when contains h "shard-split" -> ()
+    | _ -> Alcotest.failf "%s: no hint to re-run shard-split" (E.to_string e)));
+  let st = Router.split ~k:2 ~dir c in
+  check
+    Alcotest.(list string)
+    "a re-split writes generation 1 and deletes generation 0"
+    [ "routing.idx"; "shard-000.db.gen1"; "shard-001.db.gen1" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  let r = Router.open_dir dir in
+  Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
+  checki "the re-split serves" st.Router.elements (Router.n_nodes r)
 
 (* {1 Isolated elements}
 
@@ -637,12 +627,12 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 module Fv = Hopi_fault_vfs.Fault_vfs
 module Vfs = Hopi_storage.Vfs
-module E = Hopi_storage.Storage_error
+module Page = Hopi_storage.Page
 
-(* every byte of routing.idx is covered by its trailing CRC line: a flip
-   anywhere — body or checksum line — is rejected as a typed storage error
-   before any shard is opened.  [clean] sees the split as written,
-   [flipped] each copy of it with one routing byte flipped. *)
+(* every payload byte of routing.idx is under its page's checksum: a flip
+   anywhere is rejected as a checksum error before any shard is opened.
+   [clean] sees the split as written, [flipped] each copy of it with one
+   payload byte flipped. *)
 let with_routing_flips ~clean ~flipped =
   with_temp_dir @@ fun dir ->
   let fv = Fv.create () in
@@ -653,10 +643,13 @@ let with_routing_flips ~clean ~flipped =
   let path = routing_path ~dir in
   let snap = Fv.snapshot fv in
   let n = String.length (Vfs.read_file vfs path) in
+  checki "routing.idx is whole pages" 0 (n mod Page.size);
   for off = 0 to n - 1 do
-    Fv.restore fv snap;
-    Fv.corrupt_byte fv path ~off;
-    flipped ~vfs dir (Printf.sprintf "flipped routing byte %d of %d" off n)
+    if off mod Page.size >= Page.payload_off then begin
+      Fv.restore fv snap;
+      Fv.corrupt_byte fv path ~off;
+      flipped ~vfs dir (Printf.sprintf "flipped routing byte %d of %d" off n)
+    end
   done
 
 let test_routing_flip_rejected () =
@@ -667,7 +660,7 @@ let test_routing_flip_rejected () =
       | r ->
         Router.close r;
         Alcotest.failf "%s went unnoticed" what
-      | exception E.Storage_error (E.Bad_catalog _) -> ())
+      | exception E.Storage_error (E.Checksum _) -> ())
 
 (* the check [hopi verify-store] runs on a routing index, over the same
    bytes: the clean file's counts, and every flip rejected *)
@@ -681,34 +674,50 @@ let test_read_routing_flips () =
     ~flipped:(fun ~vfs dir what ->
       match Router.read_routing ~vfs (routing_path ~dir) with
       | _ -> Alcotest.failf "%s went unnoticed" what
-      | exception E.Storage_error (E.Bad_catalog _) -> ())
+      | exception E.Storage_error (E.Checksum _) -> ())
 
-(* re-splitting a directory over an existing split, crashing at every
-   counted op: routing.idx and every shard store are each the old or the
-   new file, and a new routing index only ever sits beside new shards —
-   they are published first *)
+(* Re-splitting a directory over an existing split, crashing at every
+   counted op: the directory always opens, and it answers a fixed sample
+   of queries exactly as the old split or exactly as the new one — the
+   old one up to the routing rename, the new one from it on. *)
 let test_routing_crash_matrix () =
   with_temp_dir @@ fun dir ->
   let fv = Fv.create () in
   let vfs = Fv.vfs fv in
-  let files = routing_path ~dir :: List.init 3 (shard_path ~dir) in
-  let contents () = List.map (fun p -> Vfs.read_file vfs p) files in
   let split n_docs () =
     ignore (Router.split ~vfs ~k:3 ~dir (Dblp.generate (Dblp.default ~n_docs)) : Router.split_stats)
   in
+  let ids = List.init 40 (fun i -> 3 * i) in
+  let answers () =
+    let r = Router.open_dir ~vfs dir in
+    Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
+    List.concat_map
+      (fun u ->
+        let v = (7 * u) + 5 in
+        [
+          string_of_bool (Router.connected r u v);
+          Option.fold ~none:"-" ~some:string_of_int (min_distance r u v);
+          String.concat "," (List.map string_of_int (sorted_of_ihs (descendants r u)));
+          String.concat "," (List.map string_of_int (sorted_of_ihs (ancestors r v)));
+        ])
+      ids
+  in
   split 6 ();
   let s_old = Fv.snapshot fv in
-  let old_files = contents () in
+  let old_answers = answers () in
   Fv.reset_ops fv;
   split 160 ();
   let n_ops = Fv.op_count fv in
-  let new_files = contents () in
-  List.iter2
-    (fun p (o, n) -> checkb (p ^ " changes") true (o <> n))
-    files (List.combine old_files new_files);
-  let new_routing = ref 0 in
+  let new_answers = answers () in
+  checkb "the two splits answer differently" true (old_answers <> new_answers);
+  check
+    Alcotest.(list string)
+    "only the live generation's files remain"
+    [ "routing.idx"; "shard-000.db.gen1"; "shard-001.db.gen1"; "shard-002.db.gen1" ]
+    (vfs.Vfs.list_dir dir);
   List.iter
     (fun (mode, tear) ->
+      let committed = ref false in
       for k = 0 to n_ops do
         Fv.restore fv s_old;
         Fv.reset_ops fv;
@@ -717,23 +726,14 @@ let test_routing_crash_matrix () =
         | () -> if k < n_ops then Alcotest.failf "crash at op %d did not fire" k
         | exception Fv.Crash -> ());
         Fv.disarm fv;
-        let now = contents () in
-        List.iteri
-          (fun i (f, (o, n)) ->
-            if f <> o && f <> n then
-              Alcotest.failf "crash at op %d: %s is neither old nor new" k (List.nth files i))
-          (List.combine now (List.combine old_files new_files));
-        if List.hd now = List.hd new_files then begin
-          incr new_routing;
-          if now <> new_files then
-            Alcotest.failf "crash at op %d: new routing index beside old shards" k;
-          Router.close (Router.open_dir ~vfs dir)
-        end
-      done)
+        let now = answers () in
+        if now = new_answers then committed := true
+        else if now <> old_answers then Alcotest.failf "crash at op %d: a mix of old and new" k
+        else if !committed then Alcotest.failf "crash at op %d: the old split after the new" k
+      done;
+      checkb "a completed re-split serves the new split" true !committed)
     [ (Fv.Drop_unsynced, None); (Fv.Keep_unsynced, None); (Fv.Drop_unsynced, Some 37) ];
-  (* the routing rename is the last op: only completed re-splits show it *)
-  checkb "re-split does real I/O" true (n_ops > 20);
-  checki "only completed re-splits publish the new routing index" 3 !new_routing
+  checkb "re-split does real I/O" true (n_ops > 20)
 
 let suite =
   [
@@ -761,14 +761,14 @@ let suite =
           test_dblp60_differential;
         Alcotest.test_case "flipped routing byte is rejected" `Quick
           test_routing_flip_rejected;
-        Alcotest.test_case "routing crash matrix: each file old or new" `Quick
+        Alcotest.test_case "routing crash matrix: old split or new" `Quick
           test_routing_crash_matrix;
         Alcotest.test_case "link inside one shard is rejected" `Quick
           test_same_shard_link_rejected;
         Alcotest.test_case "element in two shards is rejected" `Quick
           test_element_in_two_shards_rejected;
-        Alcotest.test_case "format-1 routing index asks for a re-split" `Quick
-          test_format1_rejected;
+        Alcotest.test_case "text routing index asks for a re-split" `Quick
+          test_text_routing_rejected;
         Alcotest.test_case "read_routing: counts, and every flipped byte rejected" `Quick
           test_read_routing_flips;
         Alcotest.test_case "isolated elements: map from the shard registries" `Quick
