@@ -112,9 +112,7 @@ let assign_docs c k =
   part_of_doc
 
 let write_routing ~vfs ~fsync path ~gen ~k ~dist links =
-  let enc = Codec.Enc.create () in
-  List.iter (fun (u, v) -> Codec.Enc.row enc ~center:u ~dist:v) links;
-  let stream = Codec.Enc.finish enc in
+  let stream = Codec.encode_pairs (Array.of_list links) in
   let body = Bytes.make (header_bytes + Bytes.length stream) '\000' in
   List.iteri
     (fun i w -> S.Page.set_i32 body (4 * i) w)
@@ -158,11 +156,15 @@ let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
   (* the routing index names generation [gen]: its rename commits the split *)
   let links = List.sort compare part.Partitioning.cross_links in
   write_routing ~vfs ~fsync (routing_path ~dir) ~gen ~k ~dist links;
+  (* then the other generations' shard stores and their temporary
+     leftovers go; any other file stays *)
   let live = List.init k (fun p -> Filename.basename (shard_path ~dir ~gen p)) in
+  let stale name =
+    let store = Option.value ~default:name (Filename.chop_suffix_opt ~suffix:(S.Vfs.tmp_path "") name) in
+    shard_gen store <> None && not (List.mem name live)
+  in
   List.iter
-    (fun name ->
-      if String.starts_with ~prefix:"shard-" name && not (List.mem name live) then
-        vfs.S.Vfs.remove (Filename.concat dir name))
+    (fun name -> if stale name then vfs.S.Vfs.remove (Filename.concat dir name))
     (vfs.S.Vfs.list_dir dir);
   {
     shards = k;

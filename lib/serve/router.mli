@@ -88,7 +88,8 @@ val split :
     {!Hopi_storage.Manifest.gen_path}).  [routing.idx], which names G, is
     published last: its rename commits the split, so after a crash
     anywhere the directory serves the old split or the new one in full.
-    Only then are the shard files of every other generation deleted.
+    Only then are the shard stores of every other generation, and their
+    temporary leftovers, deleted; no other file in [dir] is touched.
     @raise Invalid_argument when [k < 1]. *)
 
 (** {1 The routing index} *)

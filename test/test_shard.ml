@@ -300,16 +300,19 @@ let copy_file src dst =
   let data = In_channel.with_open_bin src In_channel.input_all in
   Out_channel.with_open_bin dst (fun oc -> output_string oc data)
 
-(* one link, 1 -> 3: d0 holds elements 0 and 1, d1 elements 2 and 3 *)
-let with_link_routing f =
+(* a split of two documents with the one cross link [link]: d0 holds
+   elements 0 and 1, d1 elements 2 and 3 *)
+let with_link_routing docs link f =
   with_temp_dir @@ fun links_dir ->
-  split_docs ~k:2 links_dir
-    [ {|<a><x xlink:href="d1.xml#r"/></a>|}; {|<b><y id="r"/></b>|} ];
+  split_docs ~k:2 links_dir docs;
   check
     Alcotest.(list (pair int int))
-    "the routing index's links" [ (1, 3) ]
+    "the routing index's links" [ link ]
     (Router.read_routing (routing_path ~dir:links_dir)).Router.links;
   with_temp_dir @@ fun dir -> f ~routing:(routing_path ~dir:links_dir) dir
+
+let link_out = ([ {|<a><x xlink:href="d1.xml#r"/></a>|}; {|<b><y id="r"/></b>|} ], (1, 3))
+let link_back = ([ {|<a><y id="r"/></a>|}; {|<b><x xlink:href="d0.xml#r"/></b>|} ], (3, 1))
 
 let contains s sub =
   let n = String.length sub in
@@ -325,16 +328,21 @@ let expect_rejected what ~says dir =
   | exception Sys_error msg ->
     if not (contains msg says) then Alcotest.failf "%s: %S does not say %S" what msg says
 
-(* shards registering elements 0 and 1 only *)
+(* shards registering elements 0 and 1 only, under a link to element 3
+   and under a link from it *)
 let test_unregistered_link_rejected () =
-  with_link_routing @@ fun ~routing dir ->
-  split_docs ~k:2 dir [ {|<a/>|}; {|<b/>|} ];
-  copy_file routing (routing_path ~dir);
-  expect_rejected "a link to an unknown element" ~says:"link endpoint 3 is in no shard" dir
+  List.iter
+    (fun (what, (docs, link)) ->
+      with_link_routing docs link @@ fun ~routing dir ->
+      split_docs ~k:2 dir [ {|<a/>|}; {|<b/>|} ];
+      copy_file routing (routing_path ~dir);
+      expect_rejected what ~says:"link endpoint 3 is in no shard" dir)
+    [ ("a link to an unknown element", link_out); ("a link from an unknown element", link_back) ]
 
 (* shards holding elements 0..3 in shard 0 *)
 let test_same_shard_link_rejected () =
-  with_link_routing @@ fun ~routing dir ->
+  let docs, link = link_out in
+  with_link_routing docs link @@ fun ~routing dir ->
   split_docs ~k:2 dir [ {|<a><x/><y/><z/></a>|}; {|<b/>|} ];
   copy_file routing (routing_path ~dir);
   expect_rejected "a link inside one shard" ~says:"link 1 -> 3 stays inside shard 0" dir
@@ -375,6 +383,23 @@ let test_text_routing_rejected () =
   let r = Router.open_dir dir in
   Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
   checki "the re-split serves" st.Router.elements (Router.n_nodes r)
+
+(* a re-split deletes the other generations' shard stores and their
+   temporary leftovers, and no other file *)
+let test_resplit_keeps_foreign_files () =
+  with_temp_dir @@ fun dir ->
+  let c = Dblp.generate (Dblp.default ~n_docs:6) in
+  ignore (Router.split ~k:2 ~dir c : Router.split_stats);
+  copy_file (shard_path ~dir 0) (Filename.concat dir "shard-000.db.bak");
+  List.iter
+    (fun name -> Out_channel.with_open_bin (Filename.concat dir name) ignore)
+    [ "shard-notes.txt"; "shard-005.db.gen3.tmp"; "shard-001.db.tmp" ];
+  ignore (Router.split ~k:2 ~dir c : Router.split_stats);
+  check
+    Alcotest.(list string)
+    "generation 0 and the leftovers go, the rest stays"
+    [ "routing.idx"; "shard-000.db.bak"; "shard-000.db.gen1"; "shard-001.db.gen1"; "shard-notes.txt" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
 
 (* {1 Isolated elements}
 
@@ -769,6 +794,8 @@ let suite =
           test_element_in_two_shards_rejected;
         Alcotest.test_case "text routing index asks for a re-split" `Quick
           test_text_routing_rejected;
+        Alcotest.test_case "re-split keeps files that are no shard store" `Quick
+          test_resplit_keeps_foreign_files;
         Alcotest.test_case "read_routing: counts, and every flipped byte rejected" `Quick
           test_read_routing_flips;
         Alcotest.test_case "isolated elements: map from the shard registries" `Quick
