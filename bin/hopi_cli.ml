@@ -15,6 +15,7 @@
 
 module Collection = Hopi_collection.Collection
 module Timer = Hopi_util.Timer
+module Trace = Hopi_obs.Trace
 open Hopi_core
 
 (* A bad input — a corpus, a batch file, a combination of arguments — is
@@ -97,7 +98,7 @@ let ns_of_ms ms = int_of_float (Float.max 0.0 ms *. 1e6)
 let build dir partitioner joiner limit jobs verbose store_path no_fsync metrics_path
     trace_out =
   setup_logs verbose;
-  let c = load_dir dir in
+  let c = Trace.with_span "build.load" (fun () -> load_dir dir) in
   Fmt.pr "collection: %d docs, %d elements, %d links (%d unresolved references)@."
     (Collection.n_docs c) (Collection.n_elements c) (Collection.n_links c)
     (Collection.pending_links c);
@@ -116,8 +117,17 @@ let build dir partitioner joiner limit jobs verbose store_path no_fsync metrics_
      let pager =
        Hopi_storage.Pager.create ~fsync:(not no_fsync) (Hopi_storage.Pager.File path)
      in
-     let store = Hopi.to_store idx pager in
-     Hopi_storage.Cover_store.save store;
+     let store =
+       Trace.with_span "build.store" (fun () ->
+           (* drop the build's garbage first: the store write allocates its
+              row buffers on top of the finished cover, and without a full
+              collection here the major heap grows for them instead (1000
+              DBLP docs: 376 against 315 MiB peak RSS) *)
+           Gc.full_major ();
+           let store = Hopi.to_store idx pager in
+           Hopi_storage.Cover_store.save store;
+           store)
+     in
      Fmt.pr "stored %d LIN/LOUT entries on %d pages in %s@."
        (Hopi_storage.Cover_store.n_entries store)
        (Hopi_storage.Pager.n_pages pager) path;

@@ -1,28 +1,24 @@
 module Int_set = Hopi_util.Int_set
+module Bitrow = Hopi_util.Bitrow
 
-type t = {
-  succs : (int, Int_set.t) Hashtbl.t;  (* node -> descendants incl self *)
-  preds : (int, Int_set.t) Hashtbl.t;  (* node -> ancestors incl self *)
-  n_connections : int;
-}
-
-(* The dense kernel behind both entry points.  Nodes are numbered in
+(* The dense kernel behind every entry point.  Nodes are visited in
    [Digraph.iter_nodes] order with their successors in CSR form; one
    iterative Tarjan pass numbers the SCCs in emission order, so every SCC
-   a component reaches is finished before it.  [reach.(p)] is the set of
-   SCCs [p] reaches (itself included) as a word bitset of 62 bits per word,
-   so no word uses the sign bit; it has [p / 62 + 1] words, since it holds
-   no SCC above [p]. *)
+   a component reaches is finished before it, and gives the members of
+   each SCC consecutive *local numbers* as it emits it.  Everything a
+   component reaches therefore has a smaller local number than its last
+   member.  [reach.(p)] is the set of local numbers SCC [p] reaches (its
+   own members included) as a {!Bitrow} from word [lo.(p)]: it covers only
+   the words from its lowest reached number up to its last member. *)
 type kernel = {
-  ids : int array;  (* node number -> node id *)
-  comp : int array;  (* node number -> SCC *)
-  n_comp : int;
-  size : int array;  (* SCC -> member count *)
+  ids : int array;  (* local number -> node id *)
+  comp : int array;  (* local number -> SCC *)
+  first : int array;  (* SCC -> its first local number; [n_comp] -> n *)
+  lo : int array;  (* SCC -> first word of its reach row *)
   reach : int array array;
-  big : int list;  (* the SCCs with more than one member *)
 }
 
-let bits = 62
+let bits = Bitrow.bits
 
 let kernel g =
   let ids, off, succ = Digraph.csr g ~pred:false in
@@ -30,8 +26,9 @@ let kernel g =
   let index = Array.make n (-1) and link = Array.make n 0 and comp = Array.make n (-1) in
   let stack = Array.make n 0 and sp = ref 0 in
   let call = Array.make n 0 and next = Array.make n 0 and cp = ref 0 in
-  let size = Array.make n 0 and reach = Array.make n [||] and mark = Array.make n (-1) in
-  let counter = ref 0 and n_comp = ref 0 and big = ref [] in
+  let first = Array.make (n + 1) n and lo = Array.make n 0 and reach = Array.make n [||] in
+  let local = Array.make n 0 and mark = Array.make n (-1) and seen = Array.make n 0 in
+  let counter = ref 0 and n_comp = ref 0 and n_local = ref 0 in
   let enter v =
     index.(v) <- !counter;
     link.(v) <- !counter;
@@ -42,8 +39,9 @@ let kernel g =
     next.(!cp) <- off.(v);
     incr cp
   in
-  (* pop [v]'s SCC [p] off the stack; its reach is its own bit plus the
-     reach of every other SCC one of its edges enters *)
+  (* pop [v]'s SCC [p] off the stack and number its members; its reach is
+     its own members plus the reach of every other SCC one of its edges
+     enters, collected once each into [seen] *)
   let emit v =
     let p = !n_comp in
     incr n_comp;
@@ -51,27 +49,40 @@ let kernel g =
     while stack.(!bottom) <> v do
       decr bottom
     done;
+    let f = !n_local in
+    first.(p) <- f;
     for k = !bottom to !sp - 1 do
-      comp.(stack.(k)) <- p
+      comp.(stack.(k)) <- p;
+      local.(stack.(k)) <- f + k - !bottom
     done;
-    let r = Array.make ((p / bits) + 1) 0 in
-    r.(p / bits) <- 1 lsl (p mod bits);
+    n_local := f + !sp - !bottom;
+    let l = ref (f / bits) and n_seen = ref 0 in
     for k = !bottom to !sp - 1 do
       let x = stack.(k) in
       for e = off.(x) to off.(x + 1) - 1 do
         let q = comp.(succ.(e)) in
         if q <> p && mark.(q) <> p then begin
           mark.(q) <- p;
-          let rq = reach.(q) in
-          for i = 0 to Array.length rq - 1 do
-            r.(i) <- r.(i) lor rq.(i)
-          done
+          seen.(!n_seen) <- q;
+          incr n_seen;
+          if lo.(q) < !l then l := lo.(q)
         end
       done
     done;
+    let l = !l in
+    let r = Array.make (((!n_local - 1) / bits) + 1 - l) 0 in
+    for x = f to !n_local - 1 do
+      r.((x / bits) - l) <- r.((x / bits) - l) lor (1 lsl (x mod bits))
+    done;
+    for s = 0 to !n_seen - 1 do
+      let q = seen.(s) in
+      let rq = reach.(q) and d = lo.(q) - l in
+      for i = 0 to Array.length rq - 1 do
+        r.(d + i) <- r.(d + i) lor rq.(i)
+      done
+    done;
+    lo.(p) <- l;
     reach.(p) <- r;
-    size.(p) <- !sp - !bottom;
-    if size.(p) > 1 then big := p :: !big;
     sp := !bottom
   in
   for root = 0 to n - 1 do
@@ -97,63 +108,51 @@ let kernel g =
       done
     end
   done;
-  { ids; comp; n_comp = !n_comp; size; reach; big = !big }
-
-let popcount x =
-  let x = x - ((x lsr 1) land 0x1555555555555555) in
-  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
-  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
-  (x * 0x0101010101010101) lsr 56
-
-(* [f q] for every SCC [q] in [r], ascending *)
-let iter_bits f r =
+  let n_comp = !n_comp in
+  let by_local = Array.make n 0 and comp_local = Array.make n 0 in
   Array.iteri
-    (fun i w ->
-      let w = ref w and q = ref (i * bits) in
-      while !w <> 0 do
-        if !w land 1 <> 0 then f !q;
-        w := !w lsr 1;
-        incr q
-      done)
-    r
+    (fun x l ->
+      by_local.(l) <- ids.(x);
+      comp_local.(l) <- comp.(x))
+    local;
+  {
+    ids = by_local;
+    comp = comp_local;
+    first = Array.sub first 0 (n_comp + 1);
+    lo = Array.sub lo 0 n_comp;
+    reach = Array.sub reach 0 n_comp;
+  }
 
-(* nodes SCC [p] reaches: one per SCC in its reach set, plus [size - 1]
-   more for each non-singleton one among them *)
-let reached k p =
-  let r = k.reach.(p) in
-  let n = ref 0 in
-  Array.iter (fun w -> n := !n + popcount w) r;
-  List.iter
-    (fun q -> if q <= p && r.(q / bits) land (1 lsl (q mod bits)) <> 0 then n := !n + k.size.(q) - 1)
-    k.big;
-  !n
+(* does SCC [p] reach local number [x]? *)
+let reaches k p x = Bitrow.mem ~lo:k.lo.(p) k.reach.(p) x
 
-let count_connections g =
-  let k = kernel g in
+let n_comp k = Array.length k.reach
+
+let size k p = k.first.(p + 1) - k.first.(p)
+
+let total_connections k =
   let total = ref 0 in
-  for p = 0 to k.n_comp - 1 do
-    total := !total + (k.size.(p) * reached k p)
+  for p = 0 to n_comp k - 1 do
+    total := !total + (size k p * Bitrow.count k.reach.(p))
   done;
   !total
+
+let count_connections g = total_connections (kernel g)
 
 let succs_among g ~from ~among =
   let k = kernel g in
   let number = Hashtbl.create (Array.length k.ids) in
   Array.iteri (fun x v -> Hashtbl.replace number v x) k.ids;
-  let comp v =
+  let local v =
     match Hashtbl.find_opt number v with
-    | Some x -> k.comp.(x)
+    | Some x -> x
     | None -> invalid_arg "Closure.succs_among: not a node of the graph"
   in
-  let among_comp = Array.map comp among in
+  let among_local = Array.map local among in
   Array.map
     (fun u ->
-      let p = comp u in
-      let r = k.reach.(p) in
-      let hit j =
-        let q = among_comp.(j) in
-        q <= p && r.(q / bits) land (1 lsl (q mod bits)) <> 0
-      in
+      let p = k.comp.(local u) in
+      let hit j = reaches k p among_local.(j) in
       let n = ref 0 in
       for j = 0 to Array.length among - 1 do
         if hit j then incr n
@@ -168,66 +167,93 @@ let succs_among g ~from ~among =
       js)
     from
 
+(* The transposed reach sets, per SCC: its ancestor SCCs, ascending, are
+   [up.(up_off.(q))] .. [up.(up_off.(q + 1) - 1)].  Only the cover
+   builders ask for ancestors, so this is built on first use. *)
+type ancestors = { up_off : int array; up : int array }
+
+type t = {
+  k : kernel;
+  number : (int, int) Hashtbl.t;  (* node id -> local number *)
+  n_connections : int;
+  mutable anc : ancestors option;
+}
+
 let compute g =
   let k = kernel g in
-  let members = Array.make k.n_comp [] in
-  Array.iteri (fun x p -> members.(p) <- k.ids.(x) :: members.(p)) k.comp;
-  (* per SCC: the node ids it reaches ([down]) and those reaching it
-     ([up], counted while [down] fills, then filled from the top) *)
-  let n_up = Array.make k.n_comp 0 in
-  let down =
-    Array.init k.n_comp (fun p ->
-        let a = Array.make (reached k p) 0 and i = ref 0 in
-        iter_bits
-          (fun q ->
-            List.iter (fun v -> a.(!i) <- v; incr i) members.(q);
-            n_up.(q) <- n_up.(q) + k.size.(p))
-          k.reach.(p);
-        a)
-  in
-  let up = Array.map (fun m -> Array.make m 0) n_up in
-  for p = 0 to k.n_comp - 1 do
-    iter_bits
-      (fun q ->
-        List.iter (fun u -> n_up.(q) <- n_up.(q) - 1; up.(q).(n_up.(q)) <- u) members.(p))
-      k.reach.(p)
-  done;
-  let sorted a =
-    Array.sort Int.compare a;
-    Int_set.of_sorted_array_unsafe a
-  in
-  let down = Array.map sorted down and up = Array.map sorted up in
-  (* inserted in [Digraph.iter_nodes] order into tables of the graph's
-     size, as ever: [iter_nodes] below orders [Builder]'s greedy
-     tie-breaks, so the stored covers depend on it *)
-  let n = Array.length k.ids in
-  let succs = Hashtbl.create n and preds = Hashtbl.create n and total = ref 0 in
-  Array.iteri
-    (fun x v ->
-      let p = k.comp.(x) in
-      Hashtbl.replace succs v down.(p);
-      Hashtbl.replace preds v up.(p);
-      total := !total + Int_set.cardinal down.(p))
-    k.ids;
-  { succs; preds; n_connections = !total }
+  let number = Hashtbl.create (Array.length k.ids) in
+  Array.iteri (fun x v -> Hashtbl.replace number v x) k.ids;
+  { k; number; n_connections = total_connections k; anc = None }
+
+(* [f q] for every SCC [q] SCC [p] reaches, ascending: one call per SCC at
+   its first member's bit *)
+let iter_reached_comps k p f =
+  Bitrow.iter ~lo:k.lo.(p) k.reach.(p) (fun x ->
+      let q = k.comp.(x) in
+      if k.first.(q) = x then f q)
+
+let index_ancestors t =
+  match t.anc with
+  | Some a -> a
+  | None ->
+    let k = t.k in
+    let nc = n_comp k in
+    let up_off = Array.make (nc + 1) 0 in
+    for p = 0 to nc - 1 do
+      iter_reached_comps k p (fun q -> up_off.(q + 1) <- up_off.(q + 1) + 1)
+    done;
+    for q = 0 to nc - 1 do
+      up_off.(q + 1) <- up_off.(q + 1) + up_off.(q)
+    done;
+    let fill = Array.sub up_off 0 nc and up = Array.make up_off.(nc) 0 in
+    for p = 0 to nc - 1 do
+      iter_reached_comps k p (fun q ->
+          up.(fill.(q)) <- p;
+          fill.(q) <- fill.(q) + 1)
+    done;
+    let a = { up_off; up } in
+    t.anc <- Some a;
+    a
 
 let n_connections t = t.n_connections
 
-let n_nodes t = Hashtbl.length t.succs
+let n_nodes t = Array.length t.k.ids
+
+let number t v = Option.value ~default:(-1) (Hashtbl.find_opt t.number v)
+
+let id t x = t.k.ids.(x)
+
+let reach_lo t x = t.k.lo.(t.k.comp.(x))
+
+let reach_row t x = t.k.reach.(t.k.comp.(x))
+
+let iter_ancestors t x f =
+  let a = index_ancestors t and k = t.k in
+  let q = k.comp.(x) in
+  for i = a.up_off.(q) to a.up_off.(q + 1) - 1 do
+    let p = a.up.(i) in
+    for y = k.first.(p) to k.first.(p + 1) - 1 do
+      f y
+    done
+  done
+
+let mem t u v =
+  let x = number t u and y = number t v in
+  x >= 0 && y >= 0 && reaches t.k t.k.comp.(x) y
+
+let id_set t iter x =
+  let ids = ref [] in
+  iter x (fun y -> ids := t.k.ids.(y) :: !ids);
+  Int_set.of_list !ids
+
+let iter_succs t x f = Bitrow.iter ~lo:(reach_lo t x) (reach_row t x) f
 
 let succs t v =
-  match Hashtbl.find_opt t.succs v with
-  | Some s -> s
-  | None -> Int_set.empty
+  let x = number t v in
+  if x < 0 then Int_set.empty else id_set t (iter_succs t) x
 
 let preds t v =
-  match Hashtbl.find_opt t.preds v with
-  | Some s -> s
-  | None -> Int_set.empty
+  let x = number t v in
+  if x < 0 then Int_set.empty else id_set t (iter_ancestors t) x
 
-let mem t u v = Int_set.mem v (succs t u)
-
-let iter_nodes t f = Hashtbl.iter (fun v _ -> f v) t.succs
-
-let iter_pairs t f =
-  Hashtbl.iter (fun u s -> Int_set.iter (fun v -> f u v) s) t.succs
+let iter_nodes t f = Array.iter f t.k.ids

@@ -2,10 +2,14 @@
 
     The closure is the input of the 2-hop-cover computation (Section 3.2 of
     the paper).  Every entry point runs one iterative Tarjan pass over the
-    graph in compressed sparse rows and keep, per strongly connected
-    component, the components it reaches as a word bitset, so cyclic
-    graphs are handled and the cost is O(#components²/w + |E|) for the
-    count, plus O(|T| log |T|) to materialise the sets.
+    graph in compressed sparse rows and gives the members of each strongly
+    connected component consecutive {e local numbers} [0 .. n_nodes - 1]
+    in emission order, which is topological: a node reaches only numbers
+    below its component's last member.  Per component it keeps the local
+    numbers it reaches as a {!Hopi_util.Bitrow} that covers only the words
+    between the lowest and the highest of them, so cyclic graphs are
+    handled and the cost is O(|E| + Σ row words).  Nothing is materialised
+    per node: the id-level sets below are read off the rows on each call.
 
     Connection counts always include the reflexive pairs [(v,v)], matching
     the paper's definition of [C(G)]. *)
@@ -39,6 +43,26 @@ val preds : t -> int -> Hopi_util.Int_set.t
 (** Ancestors of a node, including itself ([Cin] in the paper). *)
 
 val iter_nodes : t -> (int -> unit) -> unit
+(** Node ids in ascending local number. *)
 
-val iter_pairs : t -> (int -> int -> unit) -> unit
-(** All connections, including reflexive ones. *)
+(** {1 Local numbers}
+
+    The cover builders work on local numbers throughout. *)
+
+val number : t -> int -> int
+(** Local number of a node id, [-1] if the id is not a node. *)
+
+val id : t -> int -> int
+(** Node id of a local number. *)
+
+val reach_lo : t -> int -> int
+
+val reach_row : t -> int -> int array
+(** [(reach_lo c x, reach_row c x)] is the {!Hopi_util.Bitrow} of the
+    local numbers [x] reaches, itself included; members of one component
+    share it, and it must not be written to. *)
+
+val iter_ancestors : t -> int -> (int -> unit) -> unit
+(** [iter_ancestors c x f]: [f y] for every local number [y ⇝ x], [x]
+    included, ascending.  The first call indexes the transposed rows, one
+    int per pair of components in the closure. *)

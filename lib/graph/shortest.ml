@@ -9,8 +9,3 @@ let dist t u v =
   match Hashtbl.find_opt t u with
   | None -> None
   | Some d -> Hashtbl.find_opt d v
-
-let iter_from t u f =
-  match Hashtbl.find_opt t u with
-  | None -> ()
-  | Some d -> Hashtbl.iter f d

@@ -12,6 +12,3 @@ val all_pairs : Digraph.t -> t
 val dist : t -> int -> int -> int option
 (** [dist t u v] is the length of a shortest path, [Some 0] iff [u = v]
     (and [u] is a node), [None] if unreachable. *)
-
-val iter_from : t -> int -> (int -> int -> unit) -> unit
-(** [iter_from t u f] calls [f v d] for every [v] reachable from [u]. *)

@@ -73,9 +73,13 @@ module Read_pool = struct
 
   type stats = { capacity : int; resident : int; hits : int; misses : int; evictions : int }
 
-  (* a budget below one page still gets the one-page-per-shard floor *)
-  let create ?shards ~pages () =
-    { lru = Lru.create ?shards ~capacity:(max 1 pages) ~cost:(fun _ -> 1) ();
+  (* at most as many shards as pages, so [Lru]'s one-page-per-shard floor
+     never lifts the pool above its budget (a budget below one page still
+     gets one page) *)
+  let create ?(shards = 16) ~pages () =
+    let pages = max 1 pages in
+    let rec floor_pow2 k = if 2 * k > pages then k else floor_pow2 (2 * k) in
+    { lru = Lru.create ~shards:(min shards (floor_pow2 1)) ~capacity:pages ~cost:(fun _ -> 1) ();
       next_tag = Atomic.make 0 }
 
   let fresh_tag t = Atomic.fetch_and_add t.next_tag 1

@@ -59,10 +59,11 @@ module Read_pool : sig
   }
 
   val create : ?shards:int -> pages:int -> unit -> t
-  (** [shards] (default 16) is rounded up to a power of two; [pages] is
-      the total page budget, split across shards as
-      {!Hopi_util.Lru.create} does (each shard keeps at least one page, so
-      tiny budgets round up to one per shard). *)
+  (** [pages] (at least 1) is the total page budget, split across shards
+      as {!Hopi_util.Lru.create} does.  [shards] (default 16) is capped at
+      the largest power of two ≤ [pages], since each shard keeps at least
+      one page, and rounded up to a power of two: a pool never holds more
+      than [max 1 pages] pages. *)
 
   val stats : t -> stats
   (** This pool's own numbers (the metric series above are process-wide). *)

@@ -1,6 +1,6 @@
-module Int_set = Hopi_util.Int_set
 module Ihs = Hopi_util.Int_hashset
 module Heap = Hopi_util.Heap
+module Bitrow = Hopi_util.Bitrow
 module Closure = Hopi_graph.Closure
 module Counter = Hopi_obs.Counter
 module Histogram = Hopi_obs.Histogram
@@ -21,6 +21,10 @@ let m_recomputations =
   Registry.counter "hopi_twohop_densest_recomputations_total"
     ~help:"Densest-subgraph recomputations (lazy priority refreshes)"
 
+let m_center_graph_edges =
+  Registry.counter "hopi_twohop_center_graph_edges_total"
+    ~help:"Center-graph edges enumerated over all densest-subgraph recomputations"
+
 let m_reinserts =
   Registry.counter "hopi_twohop_reinserts_total"
     ~help:"Heap reinserts after a stale priority lost to the next-best"
@@ -39,117 +43,132 @@ type stats = {
   reinserts : int;
 }
 
-(* Uncovered connections from [u] into [cout], iterating whichever side is
-   smaller: the uncovered successors of [u] (hash set) or [cout] itself
-   (sorted array with O(1)-amortised membership via the uncovered set). *)
-let uncovered_into uncov cout u =
-  let vs = ref [] in
-  if Uncovered.succ_count uncov u <= Int_set.cardinal cout then
-    Uncovered.iter_succ uncov u (fun v -> if Int_set.mem v cout then vs := v :: !vs)
-  else
-    Int_set.iter (fun v -> if Uncovered.mem uncov u v then vs := v :: !vs) cout;
-  !vs
+(* One build's state.  Everything runs on the closure's local numbers; the
+   cover is written with node ids.  [mask] is a row from word 0 over all
+   local numbers, all zero between uses. *)
+type ctx = {
+  clo : Closure.t;
+  cover : Cover.t;
+  uncov : Uncovered.t;
+  graph : Densest.t;
+  mask : int array;
+  mutable edges : int;  (* center-graph edges of the recomputations *)
+}
 
-(* Left side of [w]'s center graph: ancestors of [w] that still have
-   uncovered connections — iterate whichever is smaller, the ancestor set or
-   the set of nodes with uncovered out-edges. *)
-let live_ins uncov cin =
-  if Uncovered.source_count uncov <= Int_set.cardinal cin then begin
-    let ins = ref [] in
-    Uncovered.iter_sources uncov (fun u -> if Int_set.mem u cin then ins := u :: !ins);
-    Array.of_list !ins
-  end
-  else Int_set.to_array cin
+let add_out ctx u w = Cover.add_out ctx.cover ~node:(Closure.id ctx.clo u) ~center:(Closure.id ctx.clo w)
+
+let add_in ctx v w = Cover.add_in ctx.cover ~node:(Closure.id ctx.clo v) ~center:(Closure.id ctx.clo w)
 
 (* Cover every uncovered connection running through [w] (used for center
    preselection): C'_in/C'_out are the ancestors/descendants of [w] that
    actually have an uncovered connection through it. *)
-let cover_via_center cover uncov clo w =
-  let cin = Closure.preds clo w and cout = Closure.succs clo w in
-  let touched_targets = Ihs.create () in
+let cover_via_center ctx w =
+  let lo = Closure.reach_lo ctx.clo w and r = Closure.reach_row ctx.clo w in
   let covered = ref 0 in
-  Array.iter
-    (fun u ->
-      let vs = ref (uncovered_into uncov cout u) in
-      if !vs <> [] then begin
-        Cover.add_out cover ~node:u ~center:w;
-        List.iter
-          (fun v ->
-            Uncovered.remove uncov u v;
-            incr covered;
-            Ihs.add touched_targets v)
-          !vs
-      end)
-    (live_ins uncov cin);
-  Ihs.iter (fun v -> Cover.add_in cover ~node:v ~center:w) touched_targets;
+  Uncovered.iter_live_ins ctx.uncov w (fun u ->
+      let n = Uncovered.cover ~touched:ctx.mask ctx.uncov u ~lo r in
+      if n > 0 then begin
+        add_out ctx u w;
+        covered := !covered + n
+      end);
+  for k = lo to lo + Array.length r - 1 do
+    Bitrow.iter_word (k * Bitrow.bits) ctx.mask.(k) (fun v -> add_in ctx v w);
+    ctx.mask.(k) <- 0
+  done;
   !covered
 
-(* Current densest subgraph of [w]'s center graph under the uncovered set. *)
-let densest_for uncov clo w =
-  let cin = Closure.preds clo w and cout = Closure.succs clo w in
-  Densest.run ~ins:(live_ins uncov cin) ~edges_of:(uncovered_into uncov cout)
+(* Current densest subgraph of [w]'s center graph under the uncovered set:
+   its left side is the live ancestors of [w], and each one's edges are the
+   word AND of its uncovered row with [w]'s closure row. *)
+let densest_for ctx w =
+  let lo = Closure.reach_lo ctx.clo w and r = Closure.reach_row ctx.clo w in
+  Densest.start ctx.graph;
+  Uncovered.iter_live_ins ctx.uncov w (fun u ->
+      Densest.add_left ctx.graph u;
+      Uncovered.iter_into ctx.uncov u ~lo r (Densest.add_edge ctx.graph));
+  Densest.run ctx.graph
 
-let apply_choice cover uncov w (r : Densest.result) =
-  let before = Uncovered.count uncov in
-  let n_out = List.length r.Densest.c_out in
-  let c_out_set = Ihs.create ~initial:n_out () in
-  List.iter (fun v -> Ihs.add c_out_set v) r.Densest.c_out;
-  List.iter
+let recompute ctx w =
+  let r = densest_for ctx w in
+  ctx.edges <- ctx.edges + Densest.edges ctx.graph;
+  r
+
+let apply_choice ctx w (r : Densest.result) =
+  let removed = ref 0 in
+  Array.iter (fun v -> ctx.mask.(v / Bitrow.bits) <- ctx.mask.(v / Bitrow.bits) lor (1 lsl (v mod Bitrow.bits))) r.Densest.c_out;
+  Array.iter
     (fun u ->
-      Cover.add_out cover ~node:u ~center:w;
-      let vs = ref [] in
-      if Uncovered.succ_count uncov u <= n_out then
-        Uncovered.iter_succ uncov u (fun v -> if Ihs.mem c_out_set v then vs := v :: !vs)
-      else
-        List.iter (fun v -> if Uncovered.mem uncov u v then vs := v :: !vs) r.Densest.c_out;
-      List.iter (fun v -> Uncovered.remove uncov u v) !vs)
+      add_out ctx u w;
+      removed := !removed + Uncovered.cover ctx.uncov u ~lo:0 ctx.mask)
     r.Densest.c_in;
-  List.iter (fun v -> Cover.add_in cover ~node:v ~center:w) r.Densest.c_out;
-  Histogram.observe h_covered_per_pick (before - Uncovered.count uncov)
+  Array.iter
+    (fun v ->
+      add_in ctx v w;
+      ctx.mask.(v / Bitrow.bits) <- 0)
+    r.Densest.c_out;
+  Histogram.observe h_covered_per_pick !removed
+
+let start clo uncov =
+  let n = Closure.n_nodes clo in
+  let cover = Cover.create ~initial:n () in
+  Closure.iter_nodes clo (fun v -> Cover.add_node cover v);
+  Histogram.observe h_uncovered_initial (Uncovered.count uncov);
+  {
+    clo;
+    cover;
+    uncov;
+    graph = Densest.create ();
+    mask = Array.make ((n / Bitrow.bits) + 1) 0;
+    edges = 0;
+  }
 
 let build ?(preselect_centers = []) ?only_pairs clo =
   Counter.incr m_builds;
-  let cover = Cover.create ~initial:(Closure.n_nodes clo) () in
-  Closure.iter_nodes clo (fun v -> Cover.add_node cover v);
+  let n = Closure.n_nodes clo in
   let uncov =
     match only_pairs with
     | None -> Uncovered.of_closure clo
-    | Some pairs -> Uncovered.of_pairs (List.filter (fun (u, v) -> Closure.mem clo u v) pairs)
+    | Some pairs ->
+      Uncovered.of_pairs clo
+        (List.map (fun (u, v) -> (Closure.number clo u, Closure.number clo v)) pairs
+         |> List.filter (fun (x, y) -> x >= 0 && y >= 0))
   in
-  Histogram.observe h_uncovered_initial (Uncovered.count uncov);
+  let ctx = start clo uncov in
   let iterations = ref 0 and recomputations = ref 0 and reinserts = ref 0 in
   (* Phase 1: preselected centers (cross-partition link targets). *)
   let seen = Ihs.create () in
   List.iter
     (fun w ->
-      if Closure.mem clo w w && not (Ihs.mem seen w) then begin
-        Ihs.add seen w;
-        let covered = cover_via_center cover uncov clo w in
+      let x = Closure.number clo w in
+      if x >= 0 && not (Ihs.mem seen x) then begin
+        Ihs.add seen x;
+        let covered = cover_via_center ctx x in
         if covered > 0 then begin
           incr iterations;
           Histogram.observe h_covered_per_pick covered
         end
       end)
     preselect_centers;
-  (* Phase 2: greedy loop with lazily updated priorities.  Without a pair
-     restriction the initial priority of a node is the density of its
-     initial center graph — a complete bipartite graph, hence its own
-     densest subgraph.  With [only_pairs] the initial center graphs are
-     sparse, so the complete-bipartite formula overestimates wildly and
-     would make the lazy queue churn; compute the exact initial densities
-     instead. *)
+  (* Phase 2: greedy loop with lazily updated priorities, ties to the
+     lowest local number.  Without a pair restriction the initial priority
+     of a node is the density of its initial center graph — a complete
+     bipartite graph, hence its own densest subgraph.  With [only_pairs]
+     the initial center graphs are sparse, so the complete-bipartite
+     formula overestimates wildly and would make the lazy queue churn;
+     compute the exact initial densities instead. *)
   let queue = Heap.create () in
-  Closure.iter_nodes clo (fun w ->
-      match only_pairs with
-      | None ->
-        let a = Int_set.cardinal (Closure.preds clo w) in
-        let d = Int_set.cardinal (Closure.succs clo w) in
-        if a + d > 0 then
-          Heap.push queue ~prio:(float_of_int (a * d) /. float_of_int (a + d)) w
-      | Some _ -> (
-        match densest_for uncov clo w with
-        | Some r -> Heap.push queue ~prio:r.Densest.density w
-        | None -> ()));
+  for w = 0 to n - 1 do
+    match only_pairs with
+    | None ->
+      let a = ref 0 in
+      Closure.iter_ancestors clo w (fun _ -> incr a);
+      let d = Bitrow.count (Closure.reach_row clo w) in
+      Heap.push queue ~prio:(float_of_int (!a * d) /. float_of_int (!a + d)) ~rank:w w
+    | Some _ -> (
+      match densest_for ctx w with
+      | Some r -> Heap.push queue ~prio:r.Densest.density ~rank:w w
+      | None -> ())
+  done;
   while not (Uncovered.is_empty uncov) do
     match Heap.pop_max queue with
     | None ->
@@ -157,12 +176,12 @@ let build ?(preselect_centers = []) ?only_pairs clo =
          and v is re-pushed after every use.  Guard anyway. *)
       (match Uncovered.choose uncov with
        | Some (u, v) ->
-         Cover.add_out cover ~node:u ~center:v;
+         add_out ctx u v;
          Uncovered.remove uncov u v
        | None -> ())
     | Some (_, w) -> (
       incr recomputations;
-      match densest_for uncov clo w with
+      match recompute ctx w with
       | None -> () (* nothing uncovered through w anymore: drop it *)
       | Some r ->
         let next_best =
@@ -171,20 +190,18 @@ let build ?(preselect_centers = []) ?only_pairs clo =
           | None -> neg_infinity
         in
         if r.Densest.density >= next_best then begin
-          apply_choice cover uncov w r;
-          incr iterations;
-          (* w may still cover more connections later *)
-          Heap.push queue ~prio:r.Densest.density w
+          apply_choice ctx w r;
+          incr iterations
         end
-        else begin
-          incr reinserts;
-          Heap.push queue ~prio:r.Densest.density w
-        end)
+        else incr reinserts;
+        (* w may still cover more connections later *)
+        Heap.push queue ~prio:r.Densest.density ~rank:w w)
   done;
   Counter.add m_center_picks !iterations;
   Counter.add m_recomputations !recomputations;
+  Counter.add m_center_graph_edges ctx.edges;
   Counter.add m_reinserts !reinserts;
-  ( cover,
+  ( ctx.cover,
     {
       iterations = !iterations;
       recomputations = !recomputations;
@@ -192,25 +209,26 @@ let build ?(preselect_centers = []) ?only_pairs clo =
     } )
 
 let build_eager clo =
-  let cover = Cover.create ~initial:(Closure.n_nodes clo) () in
-  Closure.iter_nodes clo (fun v -> Cover.add_node cover v);
-  let uncov = Uncovered.of_closure clo in
+  let ctx = start clo (Uncovered.of_closure clo) in
   let iterations = ref 0 and recomputations = ref 0 in
-  while not (Uncovered.is_empty uncov) do
-    (* scan every node for its current densest subgraph *)
+  while not (Uncovered.is_empty ctx.uncov) do
+    (* scan every node for its current densest subgraph; ties to the
+       lowest local number *)
     let best = ref None in
-    Closure.iter_nodes clo (fun w ->
-        incr recomputations;
-        match densest_for uncov clo w with
-        | None -> ()
-        | Some r -> (
-          match !best with
-          | Some (_, r') when r'.Densest.density >= r.Densest.density -> ()
-          | _ -> best := Some (w, r)));
+    for w = 0 to Closure.n_nodes clo - 1 do
+      incr recomputations;
+      match recompute ctx w with
+      | None -> ()
+      | Some r -> (
+        match !best with
+        | Some (_, r') when r'.Densest.density >= r.Densest.density -> ()
+        | _ -> best := Some (w, r))
+    done;
     match !best with
     | None -> assert false (* uncovered non-empty implies a non-empty center graph *)
     | Some (w, r) ->
-      apply_choice cover uncov w r;
+      apply_choice ctx w r;
       incr iterations
   done;
-  (cover, { iterations = !iterations; recomputations = !recomputations; reinserts = 0 })
+  Counter.add m_center_graph_edges ctx.edges;
+  (ctx.cover, { iterations = !iterations; recomputations = !recomputations; reinserts = 0 })

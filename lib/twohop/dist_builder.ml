@@ -1,9 +1,8 @@
-module Int_set = Hopi_util.Int_set
-module Ihs = Hopi_util.Int_hashset
 module Heap = Hopi_util.Heap
+module Bitrow = Hopi_util.Bitrow
 module Stats = Hopi_util.Stats
 module Splitmix = Hopi_util.Splitmix
-module Digraph = Hopi_graph.Digraph
+module Closure = Hopi_graph.Closure
 module Shortest = Hopi_graph.Shortest
 module Trace = Hopi_obs.Trace
 
@@ -16,29 +15,17 @@ type stats = {
 
 let max_samples = 13_600
 
+(* Distances by node id; everything else on the closure's local numbers,
+   as in [Builder]. *)
 type ctx = {
   apsp : Shortest.t;
-  succs : (int, Int_set.t) Hashtbl.t;  (* descendants incl self *)
-  preds : (int, Int_set.t) Hashtbl.t;  (* ancestors incl self *)
+  clo : Closure.t;
+  cover : Cover.t;
+  uncov : Uncovered.t;
+  graph : Densest.t;
 }
 
-let make_ctx g =
-  let apsp = Shortest.all_pairs g in
-  let succs = Hashtbl.create (Digraph.n_nodes g) in
-  let preds_acc = Hashtbl.create (Digraph.n_nodes g) in
-  Digraph.iter_nodes g (fun v -> Hashtbl.replace preds_acc v (ref []));
-  Digraph.iter_nodes g (fun u ->
-      let vs = ref [] in
-      Shortest.iter_from apsp u (fun v _ ->
-          vs := v :: !vs;
-          let r = Hashtbl.find preds_acc v in
-          r := u :: !r);
-      Hashtbl.replace succs u (Int_set.of_list !vs));
-  let preds = Hashtbl.create (Digraph.n_nodes g) in
-  Hashtbl.iter (fun v r -> Hashtbl.replace preds v (Int_set.of_list !r)) preds_acc;
-  { apsp; succs; preds }
-
-let d ctx u v = Shortest.dist ctx.apsp u v
+let d ctx x y = Shortest.dist ctx.apsp (Closure.id ctx.clo x) (Closure.id ctx.clo y)
 
 (* Is w on a shortest path from u to v? *)
 let on_shortest ctx u w v =
@@ -46,91 +33,92 @@ let on_shortest ctx u w v =
   | Some a, Some b, Some c -> a + b = c
   | _ -> false
 
+let dist ctx x y =
+  match d ctx x y with
+  | Some n -> n
+  | None -> assert false
+
+let to_array iter =
+  let l = ref [] in
+  iter (fun x -> l := x :: !l);
+  Array.of_list (List.rev !l)
+
 (* Upper-bound estimate √E/2 for the maximal density of a center graph with
    E edges; E is counted exactly or sampled with a 98% CI upper bound. *)
 let initial_priority rng ~exact_threshold ctx sampled w =
-  let cin = Hashtbl.find ctx.preds w and cout = Hashtbl.find ctx.succs w in
-  let a = Int_set.cardinal cin and b = Int_set.cardinal cout in
+  let cin = to_array (Closure.iter_ancestors ctx.clo w) in
+  let cout = to_array (Bitrow.iter ~lo:(Closure.reach_lo ctx.clo w) (Closure.reach_row ctx.clo w)) in
+  let a = Array.length cin and b = Array.length cout in
   let candidates = a * b in
   if candidates = 0 then 0.0
   else if candidates <= exact_threshold then begin
     let e = ref 0 in
-    Int_set.iter
-      (fun u ->
-        Int_set.iter (fun v -> if u <> v && on_shortest ctx u w v then incr e) cout)
+    Array.iter
+      (fun u -> Array.iter (fun v -> if u <> v && on_shortest ctx u w v then incr e) cout)
       cin;
     sqrt (float_of_int !e) /. 2.0
   end
   else begin
     incr sampled;
-    let cin_arr = Int_set.to_array cin and cout_arr = Int_set.to_array cout in
     let n = min max_samples candidates in
     let hits = ref 0 in
     for _ = 1 to n do
-      let u = cin_arr.(Splitmix.int rng a) and v = cout_arr.(Splitmix.int rng b) in
+      let u = cin.(Splitmix.int rng a) and v = cout.(Splitmix.int rng b) in
       if u <> v && on_shortest ctx u w v then incr hits
     done;
     let frac = Stats.proportion_ci_upper ~successes:!hits ~samples:n ~z:Stats.z_98 in
     sqrt (frac *. float_of_int candidates) /. 2.0
   end
 
-let densest_for ctx uncov w =
-  let cin = Hashtbl.find ctx.preds w and cout = Hashtbl.find ctx.succs w in
-  let edges_of u =
-    let vs = ref [] in
-    if Uncovered.succ_count uncov u <= Int_set.cardinal cout then
-      Uncovered.iter_succ uncov u (fun v ->
-          if Int_set.mem v cout && on_shortest ctx u w v then vs := v :: !vs)
-    else
-      Int_set.iter
-        (fun v -> if Uncovered.mem uncov u v && on_shortest ctx u w v then vs := v :: !vs)
-        cout;
-    !vs
-  in
-  Densest.run ~ins:(Int_set.to_array cin) ~edges_of
+let densest_for ctx w =
+  let lo = Closure.reach_lo ctx.clo w and r = Closure.reach_row ctx.clo w in
+  Densest.start ctx.graph;
+  Uncovered.iter_live_ins ctx.uncov w (fun u ->
+      Densest.add_left ctx.graph u;
+      Uncovered.iter_into ctx.uncov u ~lo r (fun v ->
+          if on_shortest ctx u w v then Densest.add_edge ctx.graph v));
+  Densest.run ctx.graph
 
-let apply_choice ctx cover uncov w (r : Densest.result) =
-  let c_out_set = Ihs.create ~initial:(List.length r.Densest.c_out) () in
-  List.iter (fun v -> Ihs.add c_out_set v) r.Densest.c_out;
-  List.iter
+let apply_choice ctx w (r : Densest.result) =
+  let id = Closure.id ctx.clo in
+  Array.iter
     (fun u ->
-      (match d ctx u w with
-       | Some du -> Cover.add_out cover ~node:u ~center:w ~dist:du
-       | None -> assert false);
-      let vs = ref [] in
-      if Uncovered.succ_count uncov u <= Ihs.cardinal c_out_set then
-        Uncovered.iter_succ uncov u (fun v ->
-            if Ihs.mem c_out_set v && on_shortest ctx u w v then vs := v :: !vs)
-      else
-        Ihs.iter
-          (fun v -> if Uncovered.mem uncov u v && on_shortest ctx u w v then vs := v :: !vs)
-          c_out_set;
-      List.iter (fun v -> Uncovered.remove uncov u v) !vs)
+      Cover.add_out ctx.cover ~node:(id u) ~center:(id w) ~dist:(dist ctx u w);
+      Array.iter
+        (fun v ->
+          if Uncovered.mem ctx.uncov u v && on_shortest ctx u w v then Uncovered.remove ctx.uncov u v)
+        r.Densest.c_out)
     r.Densest.c_in;
-  List.iter
-    (fun v ->
-      match d ctx w v with
-      | Some dv -> Cover.add_in cover ~node:v ~center:w ~dist:dv
-      | None -> assert false)
+  Array.iter
+    (fun v -> Cover.add_in ctx.cover ~node:(id v) ~center:(id w) ~dist:(dist ctx w v))
     r.Densest.c_out
 
 let build ?(seed = 42) ?(exact_threshold = max_samples) g =
-  let ctx = Trace.with_span "dist.apsp" (fun () -> make_ctx g) in
+  let apsp, clo =
+    Trace.with_span "dist.apsp" (fun () -> (Shortest.all_pairs g, Closure.compute g))
+  in
+  let n = Closure.n_nodes clo in
   let rng = Splitmix.create seed in
-  let cover = Cover.create ~initial:(Digraph.n_nodes g) () in
-  Digraph.iter_nodes g (fun v -> Cover.add_node cover v);
-  let pairs = ref [] in
-  Hashtbl.iter
-    (fun u s -> Int_set.iter (fun v -> if u <> v then pairs := (u, v) :: !pairs) s)
-    ctx.succs;
-  let uncov = Uncovered.of_pairs !pairs in
+  let cover = Cover.create ~initial:n () in
+  Closure.iter_nodes clo (fun v -> Cover.add_node cover v);
+  let ctx =
+    {
+      apsp;
+      clo;
+      cover;
+      uncov = Uncovered.of_closure clo;
+      graph = Densest.create ();
+    }
+  in
+  let uncov = ctx.uncov in
   let iterations = ref 0 and recomputations = ref 0 and reinserts = ref 0 in
   let sampled = ref 0 in
   let queue = Heap.create () in
   Trace.with_span "dist.densities" (fun () ->
-      Digraph.iter_nodes g (fun w ->
-          let p = initial_priority rng ~exact_threshold ctx sampled w in
-          if p > 0.0 then Heap.push queue ~prio:p w));
+      for w = 0 to n - 1 do
+        let p = initial_priority rng ~exact_threshold ctx sampled w in
+        if p > 0.0 then Heap.push queue ~prio:p ~rank:w w
+      done);
   Trace.with_span "dist.greedy" @@ fun () ->
   while not (Uncovered.is_empty uncov) do
     match Heap.pop_max queue with
@@ -139,14 +127,12 @@ let build ?(seed = 42) ?(exact_threshold = max_samples) g =
          isolated nodes): cover any leftover pair directly *)
       match Uncovered.choose uncov with
       | Some (u, v) ->
-        (match d ctx u v with
-         | Some duv -> Cover.add_out cover ~node:u ~center:v ~dist:duv
-         | None -> assert false);
+        Cover.add_out cover ~node:(Closure.id clo u) ~center:(Closure.id clo v) ~dist:(dist ctx u v);
         Uncovered.remove uncov u v
       | None -> ())
     | Some (_, w) -> (
       incr recomputations;
-      match densest_for ctx uncov w with
+      match densest_for ctx w with
       | None -> ()
       | Some r ->
         let next_best =
@@ -155,14 +141,11 @@ let build ?(seed = 42) ?(exact_threshold = max_samples) g =
           | None -> neg_infinity
         in
         if r.Densest.density >= next_best then begin
-          apply_choice ctx cover uncov w r;
-          incr iterations;
-          Heap.push queue ~prio:r.Densest.density w
+          apply_choice ctx w r;
+          incr iterations
         end
-        else begin
-          incr reinserts;
-          Heap.push queue ~prio:r.Densest.density w
-        end)
+        else incr reinserts;
+        Heap.push queue ~prio:r.Densest.density ~rank:w w)
   done;
   ( cover,
     {

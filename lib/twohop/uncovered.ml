@@ -1,79 +1,105 @@
-module Ihs = Hopi_util.Int_hashset
 module Closure = Hopi_graph.Closure
+module Bitrow = Hopi_util.Bitrow
 
-type t = { succ : (int, Ihs.t) Hashtbl.t; mutable count : int }
+let bits = Bitrow.bits
 
-let create () = { succ = Hashtbl.create 64; count = 0 }
+(* [rows.(u)] covers the words of [u]'s closure row from
+   [Closure.reach_lo clo u]; a row of [of_pairs] stays empty until a pair
+   from [u] is added. *)
+type t = {
+  clo : Closure.t;
+  rows : int array array;
+  counts : int array;
+  mutable count : int;
+}
 
-let add t u v =
-  if u <> v then begin
-    let s =
-      match Hashtbl.find_opt t.succ u with
-      | Some s -> s
-      | None ->
-        let s = Ihs.create () in
-        Hashtbl.add t.succ u s;
-        s
-    in
-    if not (Ihs.mem s v) then begin
-      Ihs.add s v;
-      t.count <- t.count + 1
-    end
-  end
+let lo t u = Closure.reach_lo t.clo u
 
-let of_closure c =
-  let t = create () in
-  Closure.iter_pairs c (fun u v -> add t u v);
-  t
+let of_closure clo =
+  let n = Closure.n_nodes clo in
+  let rows =
+    Array.init n (fun u ->
+        let r = Array.copy (Closure.reach_row clo u) in
+        let i = (u / bits) - Closure.reach_lo clo u in
+        r.(i) <- r.(i) land lnot (1 lsl (u mod bits));
+        r)
+  in
+  let counts = Array.map Bitrow.count rows in
+  { clo; rows; counts; count = Array.fold_left ( + ) 0 counts }
 
-let of_pairs pairs =
-  let t = create () in
-  List.iter (fun (u, v) -> add t u v) pairs;
+let of_pairs clo pairs =
+  let n = Closure.n_nodes clo in
+  let t = { clo; rows = Array.make n [||]; counts = Array.make n 0; count = 0 } in
+  List.iter
+    (fun (u, v) ->
+      let l = lo t u in
+      if u <> v && Bitrow.mem ~lo:l (Closure.reach_row clo u) v then begin
+        if t.rows.(u) = [||] then
+          t.rows.(u) <- Array.make (Array.length (Closure.reach_row clo u)) 0;
+        let r = t.rows.(u) and i = (v / bits) - l and b = 1 lsl (v mod bits) in
+        if r.(i) land b = 0 then begin
+          r.(i) <- r.(i) lor b;
+          t.counts.(u) <- t.counts.(u) + 1;
+          t.count <- t.count + 1
+        end
+      end)
+    pairs;
   t
 
 let count t = t.count
 
 let is_empty t = t.count = 0
 
-let mem t u v =
-  match Hashtbl.find_opt t.succ u with
-  | Some s -> Ihs.mem s v
-  | None -> false
+let mem t u v = Bitrow.mem ~lo:(lo t u) t.rows.(u) v
+
+let take t u n =
+  t.counts.(u) <- t.counts.(u) - n;
+  t.count <- t.count - n
 
 let remove t u v =
-  match Hashtbl.find_opt t.succ u with
-  | None -> ()
-  | Some s ->
-    if Ihs.mem s v then begin
-      Ihs.remove s v;
-      t.count <- t.count - 1;
-      if Ihs.is_empty s then Hashtbl.remove t.succ u
-    end
+  if mem t u v then begin
+    let i = (v / bits) - lo t u in
+    t.rows.(u).(i) <- t.rows.(u).(i) land lnot (1 lsl (v mod bits));
+    take t u 1
+  end
 
-let iter_succ t u f =
-  match Hashtbl.find_opt t.succ u with
-  | Some s -> Ihs.iter f s
-  | None -> ()
+let iter_live_ins t w f = Closure.iter_ancestors t.clo w (fun u -> if t.counts.(u) > 0 then f u)
 
-let succ_count t u =
-  match Hashtbl.find_opt t.succ u with
-  | Some s -> Ihs.cardinal s
-  | None -> 0
+(* the words [u]'s row shares with the row [(lo, r)]: [k] runs over
+   absolute word numbers *)
+let overlap t u ~lo:l r f =
+  let lu = lo t u and ru = t.rows.(u) in
+  for k = max lu l to min (lu + Array.length ru) (l + Array.length r) - 1 do
+    f ru (k - lu) r.(k - l) k
+  done
 
-let iter_sources t f = Hashtbl.iter (fun u _ -> f u) t.succ
+let iter_into t u ~lo r f =
+  if t.counts.(u) > 0 then
+    overlap t u ~lo r (fun ru i w k -> Bitrow.iter_word (k * bits) (ru.(i) land w) f)
 
-let source_count t = Hashtbl.length t.succ
+let cover ?touched t u ~lo r =
+  let removed = ref 0 in
+  if t.counts.(u) > 0 then
+    overlap t u ~lo r (fun ru i w k ->
+        let hit = ru.(i) land w in
+        if hit <> 0 then begin
+          ru.(i) <- ru.(i) lxor hit;
+          removed := !removed + Bitrow.popcount hit;
+          match touched with
+          | Some m -> m.(k) <- m.(k) lor hit
+          | None -> ()
+        end);
+  take t u !removed;
+  !removed
 
 let choose t =
-  let found = ref None in
-  (try
-     Hashtbl.iter
-       (fun u s ->
-         Ihs.iter
-           (fun v ->
-             found := Some (u, v);
-             raise Exit)
-           s)
-       t.succ
-   with Exit -> ());
-  !found
+  let rec go u =
+    if u >= Array.length t.counts then None
+    else if t.counts.(u) = 0 then go (u + 1)
+    else begin
+      let v = ref (-1) in
+      Bitrow.iter ~lo:(lo t u) t.rows.(u) (fun x -> if !v < 0 then v := x);
+      Some (u, !v)
+    end
+  in
+  go 0

@@ -1,6 +1,13 @@
 (** The set [T'] of not-yet-covered connections maintained by the cover
-    builder (Section 3.2).  Reflexive pairs are excluded from the start:
-    they are covered for free by the implicit self-labels. *)
+    builders (Section 3.2), over the local numbers of a
+    {!Hopi_graph.Closure}.  Reflexive pairs are excluded from the start:
+    they are covered for free by the implicit self-labels.
+
+    Each source [u] keeps its uncovered successors as a {!Hopi_util.Bitrow}
+    over the words of its closure row, plus their count; the set keeps the
+    total.  Membership and
+    removal are bit operations, and the successors of [u] that a center
+    [w] reaches are a word AND of [u]'s row with [w]'s closure row. *)
 
 type t
 
@@ -8,8 +15,9 @@ val of_closure : Hopi_graph.Closure.t -> t
 (** Start from a full transitive closure: every non-reflexive connection
     is initially uncovered. *)
 
-val of_pairs : (int * int) list -> t
-(** Non-reflexive pairs only; reflexive input pairs are dropped. *)
+val of_pairs : Hopi_graph.Closure.t -> (int * int) list -> t
+(** Only the given pairs of local numbers; reflexive pairs and pairs not
+    in the closure are dropped. *)
 
 val count : t -> int
 
@@ -20,15 +28,19 @@ val mem : t -> int -> int -> bool
 val remove : t -> int -> int -> unit
 (** Mark one connection as covered (idempotent). *)
 
-val iter_succ : t -> int -> (int -> unit) -> unit
-(** Uncovered connections leaving a node. *)
+val iter_live_ins : t -> int -> (int -> unit) -> unit
+(** [iter_live_ins t w f]: [f u] for every ancestor [u] of [w] that still
+    has an uncovered connection, ascending: the left side of [w]'s center
+    graph. *)
 
-val succ_count : t -> int -> int
+val iter_into : t -> int -> lo:int -> int array -> (int -> unit) -> unit
+(** [iter_into t u ~lo r f]: [f v] for every uncovered [(u, v)] with [v]
+    in the row [(lo, r)], ascending.  [f] may remove [(u, v)]. *)
 
-val iter_sources : t -> (int -> unit) -> unit
-(** Nodes that still have at least one uncovered outgoing connection. *)
-
-val source_count : t -> int
+val cover : ?touched:int array -> t -> int -> lo:int -> int array -> int
+(** [cover t u ~lo r] removes every uncovered [(u, v)] with [v] in the row
+    [(lo, r)] and returns how many it removed; [touched], a row from word 0,
+    gains each removed [v]. *)
 
 val choose : t -> (int * int) option
 (** Any uncovered pair. *)

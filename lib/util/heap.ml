@@ -1,4 +1,5 @@
-type 'a t = (float * 'a) Dyn_array.t
+(* entries are [(prio, rank, x)]; [above a b]: [a] pops before [b] *)
+type 'a t = (float * int * 'a) Dyn_array.t
 
 let create () = Dyn_array.create ()
 
@@ -9,12 +10,14 @@ let swap t i j =
   Dyn_array.set t i (Dyn_array.get t j);
   Dyn_array.set t j x
 
-let prio_at t i = fst (Dyn_array.get t i)
+let above t i j =
+  let p, r, _ = Dyn_array.get t i and q, s, _ = Dyn_array.get t j in
+  p > q || (p = q && r < s)
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if prio_at t i > prio_at t parent then begin
+    if above t i parent then begin
       swap t i parent;
       sift_up t parent
     end
@@ -24,26 +27,28 @@ let rec sift_down t i =
   let n = Dyn_array.length t in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let best = ref i in
-  if l < n && prio_at t l > prio_at t !best then best := l;
-  if r < n && prio_at t r > prio_at t !best then best := r;
+  if l < n && above t l !best then best := l;
+  if r < n && above t r !best then best := r;
   if !best <> i then begin
     swap t i !best;
     sift_down t !best
   end
 
-let push t ~prio x =
-  Dyn_array.push t (prio, x);
+let push t ~prio ?(rank = 0) x =
+  Dyn_array.push t (prio, rank, x);
   sift_up t (Dyn_array.length t - 1)
+
+let top (p, _, x) = (p, x)
 
 let pop_max t =
   let n = Dyn_array.length t in
   if n = 0 then None
   else begin
-    let top = Dyn_array.get t 0 in
+    let first = Dyn_array.get t 0 in
     swap t 0 (n - 1);
     ignore (Dyn_array.pop t);
     if Dyn_array.length t > 0 then sift_down t 0;
-    Some top
+    Some (top first)
   end
 
-let peek_max t = if is_empty t then None else Some (Dyn_array.get t 0)
+let peek_max t = if is_empty t then None else Some (top (Dyn_array.get t 0))

@@ -6,13 +6,16 @@
     router's Dijkstra over the PSG uses it the same way, keyed by the
     negated distance, skipping popped entries that a shorter path has
     superseded.  Neither needs more than [push], [pop_max] and
-    [peek_max]. *)
+    [peek_max].  Among equal priorities the lower [rank] pops first; the
+    cover builder ranks centers by local number, so its greedy ties fall
+    to the lowest one. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
-val push : 'a t -> prio:float -> 'a -> unit
+val push : 'a t -> prio:float -> ?rank:int -> 'a -> unit
+(** [rank] defaults to 0. *)
 
 val pop_max : 'a t -> (float * 'a) option
 

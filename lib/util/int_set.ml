@@ -12,8 +12,6 @@ let of_list l =
 
 let to_list = Array.to_list
 
-let to_array t = Array.copy t
-
 let cardinal = Array.length
 
 (* Binary search. *)

@@ -15,9 +15,6 @@ val of_sorted_array_unsafe : int array -> t
 
 val to_list : t -> int list
 
-val to_array : t -> int array
-(** Returns a fresh array in increasing order. *)
-
 val cardinal : t -> int
 
 val mem : int -> t -> bool

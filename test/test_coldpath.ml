@@ -299,7 +299,8 @@ let test_rebuild_under_open_snapshot () =
   checkb "the open snapshot still answers from the store it opened" true (batch snap = before)
 
 (* the page budget is honoured whole when it does not divide by the shard
-   count; only budgets below one page per shard round up *)
+   count, and a budget below 16 pages gets fewer shards rather than a
+   one-page floor per shard; only a budget below one page rounds up *)
 let test_pool_budget_remainder () =
   let capacity ?shards pages =
     (Pager.Read_pool.stats (Pager.Read_pool.create ?shards ~pages ())).capacity
@@ -307,7 +308,8 @@ let test_pool_budget_remainder () =
   checki "20 pages over 16 shards" 20 (capacity 20);
   checki "4096 pages" 4096 (capacity 4096);
   checki "2 pages, one shard" 2 (capacity ~shards:1 2);
-  checki "one page per shard at least" 16 (capacity 5)
+  checki "5 pages, not one per default shard" 5 (capacity 5);
+  checki "below one page" 1 (capacity 0)
 
 let suite =
   [

@@ -736,6 +736,33 @@ let test_row_is_one_pool_touch () =
   check_bool "rows on several pages" true (Pager.n_pages pgr > 6);
   Pager.close pgr
 
+(* a default-sharded pool below 16 pages keeps to its budget: reading
+   every page of a many-page store through a 2-page pool never holds more
+   than 2 and evicts *)
+let test_small_pool_keeps_budget () =
+  let cover, _ =
+    Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (random_graph ~seed:3 ~n:2000 ~edges:1500))
+  in
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~vfs "small.db" in
+  Cover_store.save (Cover_store.of_cover p cover);
+  Pager.close p;
+  let pool = Pager.Read_pool.create ~pages:2 () in
+  let pgr = Pager.open_shared_vfs ~vfs ~pool "small.db" in
+  check_bool "more pages than the pool" true (Pager.n_pages pgr > 4);
+  for round = 1 to 2 do
+    for id = 0 to Pager.n_pages pgr - 1 do
+      ignore (Pager.read pgr id);
+      let s = Pager.Read_pool.stats pool in
+      check_bool (Printf.sprintf "round %d page %d: at most 2 resident" round id) true
+        (s.Pager.Read_pool.resident <= 2)
+    done
+  done;
+  let s = Pager.Read_pool.stats pool in
+  check_int "capacity" 2 s.Pager.Read_pool.capacity;
+  check_bool "evicted" true (s.Pager.Read_pool.evictions > 0);
+  Pager.close pgr
+
 (* A cover straight from random label entries: node ids dense or sparse
    (as in shards and live generations), every fifth node without
    entries, a few centers that are not nodes, distances of one and two
@@ -1002,6 +1029,7 @@ let suite =
         Alcotest.test_case "corrupt directory word fails verify" `Quick
           test_verify_corrupt_directory;
         Alcotest.test_case "a row is one pool touch" `Quick test_row_is_one_pool_touch;
+        Alcotest.test_case "a 2-page pool holds at most 2 pages" `Quick test_small_pool_keeps_budget;
         Alcotest.test_case "interval cuts negatives" `Quick test_interval_cuts_negatives;
       ]
       @ qsuite [ prop_row_tables_match_cover; prop_interval_matches_bfs ] );

@@ -142,29 +142,41 @@ let test_cover_union_into () =
 let test_uncovered_basics () =
   let clo = Closure.compute (diamond ()) in
   let u = Uncovered.of_closure clo in
+  let n0 = Closure.number clo 0 and n4 = Closure.number clo 4 in
   (* diamond closure has 15 connections for nodes 0-4 incl reflexive(5);
      non-reflexive = 15 - 5 = 10 *)
   check_int "count" 10 (Uncovered.count u);
-  check_bool "mem" true (Uncovered.mem u 0 4);
-  check_bool "no reflexive" false (Uncovered.mem u 0 0);
-  Uncovered.remove u 0 4;
-  check_bool "removed" false (Uncovered.mem u 0 4);
+  check_bool "mem" true (Uncovered.mem u n0 n4);
+  check_bool "no reflexive" false (Uncovered.mem u n0 n0);
+  Uncovered.remove u n0 n4;
+  check_bool "removed" false (Uncovered.mem u n0 n4);
   check_int "count after" 9 (Uncovered.count u);
-  Uncovered.remove u 0 4;
+  Uncovered.remove u n0 n4;
   check_int "idempotent" 9 (Uncovered.count u)
 
 (* {1 Densest} *)
 
+(* one center graph: [ins] ascending, [edges_of u] its right nodes *)
+let densest ~ins ~edges_of =
+  let d = Densest.create () in
+  Densest.start d;
+  Array.iter
+    (fun u ->
+      Densest.add_left d u;
+      List.iter (Densest.add_edge d) (edges_of u))
+    ins;
+  Densest.run d
+
 let test_densest_complete_bipartite () =
   (* K_{2,3}: density = 6/5 *)
   let edges_of u = if u = 1 || u = 2 then [ 10; 11; 12 ] else [] in
-  match Densest.run ~ins:[| 1; 2 |] ~edges_of with
+  match densest ~ins:[| 1; 2 |] ~edges_of with
   | None -> Alcotest.fail "expected a subgraph"
   | Some r ->
     Alcotest.(check (float 1e-9)) "density" (6.0 /. 5.0) r.Densest.density;
     check_int "edges" 6 r.Densest.n_edges;
-    check_list "c_in" [ 1; 2 ] (List.sort compare r.Densest.c_in);
-    check_list "c_out" [ 10; 11; 12 ] (List.sort compare r.Densest.c_out)
+    check_list "c_in" [ 1; 2 ] (Array.to_list r.Densest.c_in);
+    check_list "c_out" [ 10; 11; 12 ] (Array.to_list r.Densest.c_out)
 
 let test_densest_picks_dense_part () =
   (* node 1..3 fully connected to 10..12 (9 edges), node 4 with single edge
@@ -174,20 +186,20 @@ let test_densest_picks_dense_part () =
     | 4 -> [ 20 ]
     | _ -> []
   in
-  match Densest.run ~ins:[| 1; 2; 3; 4 |] ~edges_of with
+  match densest ~ins:[| 1; 2; 3; 4 |] ~edges_of with
   | None -> Alcotest.fail "expected a subgraph"
   | Some r ->
-    check_list "c_in" [ 1; 2; 3 ] (List.sort compare r.Densest.c_in);
-    check_list "c_out" [ 10; 11; 12 ] (List.sort compare r.Densest.c_out);
+    check_list "c_in" [ 1; 2; 3 ] (Array.to_list r.Densest.c_in);
+    check_list "c_out" [ 10; 11; 12 ] (Array.to_list r.Densest.c_out);
     Alcotest.(check (float 1e-9)) "density" 1.5 r.Densest.density
 
 let test_densest_no_edges () =
-  check_bool "none" true (Densest.run ~ins:[| 1; 2 |] ~edges_of:(fun _ -> []) = None)
+  check_bool "none" true (densest ~ins:[| 1; 2 |] ~edges_of:(fun _ -> []) = None)
 
 let test_densest_shared_node_both_sides () =
   (* the same id may appear as in-node and out-node (cycles) *)
   let edges_of = function 1 -> [ 1; 2 ] | 2 -> [ 1 ] | _ -> [] in
-  match Densest.run ~ins:[| 1; 2 |] ~edges_of with
+  match densest ~ins:[| 1; 2 |] ~edges_of with
   | None -> Alcotest.fail "expected a subgraph"
   | Some r -> check_int "3 edges" 3 r.Densest.n_edges
 
@@ -304,6 +316,203 @@ let prop_builder_not_larger_than_closure =
       (* each closure connection adds at most 2 label entries; greedy covers
          should do no worse than the trivial labelling *)
       Cover.size cover <= 2 * Closure.n_connections clo)
+
+(* {1 Properties of the dense cover phase} *)
+
+(* One workspace for every case: a stale right-node index between runs
+   shows up as a wrong graph. *)
+let shared_densest = Densest.create ()
+
+(* a random bipartite graph of at most 7+7 nodes: ascending left numbers,
+   right numbers drawn from the same range (a number may sit on both
+   sides), each edge with probability [p] *)
+let gen_bipartite =
+  QCheck2.Gen.(
+    map
+      (fun (seed, nl, nr) ->
+        let rng = Splitmix.create seed in
+        let pick k =
+          let a = Array.init 12 Fun.id in
+          Splitmix.shuffle rng a;
+          List.sort compare (Array.to_list (Array.sub a 0 k))
+        in
+        let left = pick nl and right = pick nr and p = Splitmix.float rng 1.0 in
+        List.map (fun u -> (u, List.filter (fun _ -> Splitmix.float rng 1.0 < p) right)) left)
+      (triple (int_range 0 1_000_000) (int_range 0 7) (int_range 0 7)))
+
+(* subsets as bit masks over each side's distinct nodes *)
+let brute_force_density g =
+  let left = Array.of_list (List.map fst g) in
+  let right = Array.of_list (List.sort_uniq compare (List.concat_map snd g)) in
+  let index a x =
+    let r = ref (-1) in
+    Array.iteri (fun i y -> if y = x then r := i) a;
+    !r
+  in
+  let edges = List.concat_map (fun (u, vs) -> List.map (fun v -> (index left u, index right v)) vs) g in
+  let best = ref 0.0 in
+  for ml = 0 to (1 lsl Array.length left) - 1 do
+    for mr = 0 to (1 lsl Array.length right) - 1 do
+      let nodes = Hopi_util.Bitrow.popcount ml + Hopi_util.Bitrow.popcount mr in
+      let e =
+        List.length (List.filter (fun (i, j) -> ml land (1 lsl i) <> 0 && mr land (1 lsl j) <> 0) edges)
+      in
+      if nodes > 0 then best := Float.max !best (float_of_int e /. float_of_int nodes)
+    done
+  done;
+  !best
+
+let prop_densest_brute_force =
+  QCheck2.Test.make ~name:"Densest.run: 2-approximation, recount and no isolated node (≤ 7+7 nodes)"
+    ~count:300 gen_bipartite (fun g ->
+      let d = shared_densest in
+      Densest.start d;
+      List.iter
+        (fun (u, vs) ->
+          Densest.add_left d u;
+          List.iter (Densest.add_edge d) vs)
+        g;
+      let m = List.length (List.concat_map snd g) in
+      Densest.edges d = m
+      &&
+      match Densest.run d with
+      | None -> m = 0
+      | Some r ->
+        let edge u v = List.mem v (List.assoc u g) in
+        let kept_edges =
+          Array.fold_left
+            (fun n u -> n + Array.fold_left (fun n v -> if edge u v then n + 1 else n) 0 r.Densest.c_out)
+            0 r.Densest.c_in
+        in
+        let nodes = Array.length r.Densest.c_in + Array.length r.Densest.c_out in
+        m > 0
+        && r.Densest.n_edges = kept_edges
+        && r.Densest.density = float_of_int kept_edges /. float_of_int nodes
+        && r.Densest.density *. 2.0 >= brute_force_density g -. 1e-9
+        && Array.for_all (fun u -> Array.exists (edge u) r.Densest.c_out) r.Densest.c_in
+        && Array.for_all (fun v -> Array.exists (fun u -> edge u v) r.Densest.c_in) r.Densest.c_out)
+
+(* A random digraph with strongly connected components, large enough for
+   closure rows of several words: mostly forward edges along a random
+   order, plus a few back edges that close cycles. *)
+let gen_scc_graph =
+  QCheck2.Gen.(
+    map
+      (fun (seed, n) ->
+        let rng = Splitmix.create seed in
+        let order = Array.init n Fun.id in
+        Splitmix.shuffle rng order;
+        let g = Digraph.create () in
+        Array.iter (fun v -> Digraph.add_node g (3 * v)) order;
+        for _ = 1 to n + (n / 2) do
+          let i = Splitmix.int rng n and j = Splitmix.int rng n in
+          let i, j = if Splitmix.int rng 12 = 0 then (max i j, min i j) else (min i j, max i j) in
+          if i <> j then Digraph.add_edge g (3 * order.(i)) (3 * order.(j))
+        done;
+        (seed, g))
+      (pair (int_range 0 1_000_000) (int_range 1 160)))
+
+let prop_uncovered_model =
+  QCheck2.Test.make ~name:"Uncovered = pair-set model under random removals" ~count:40
+    gen_scc_graph (fun (seed, g) ->
+      let clo = Closure.compute g in
+      let n = Closure.n_nodes clo in
+      let rng = Splitmix.create (seed + 1) in
+      let reach x y = x <> y && Closure.mem clo (Closure.id clo x) (Closure.id clo y) in
+      (* from the full closure, or from a random subset of pairs (some not
+         in the closure, some reflexive) *)
+      let model = Hashtbl.create 64 in
+      let t =
+        if Splitmix.bool rng then begin
+          for x = 0 to n - 1 do
+            for y = 0 to n - 1 do
+              if reach x y then Hashtbl.replace model (x, y) ()
+            done
+          done;
+          Uncovered.of_closure clo
+        end
+        else begin
+          let pairs = List.init (3 * n) (fun _ -> (Splitmix.int rng n, Splitmix.int rng n)) in
+          List.iter (fun (x, y) -> if reach x y then Hashtbl.replace model (x, y) ()) pairs;
+          Uncovered.of_pairs clo pairs
+        end
+      in
+      let succs x = List.filter (fun y -> Hashtbl.mem model (x, y)) (List.init n Fun.id) in
+      let agrees () =
+        let ok = ref (Uncovered.count t = Hashtbl.length model) in
+        let live = ref 0 in
+        for x = 0 to n - 1 do
+          let want = succs x in
+          if want <> [] then incr live;
+          let got = ref [] in
+          Uncovered.iter_into t x ~lo:(Closure.reach_lo clo x) (Closure.reach_row clo x) (fun y ->
+              got := y :: !got);
+          if List.rev !got <> want then ok := false;
+          for y = 0 to n - 1 do
+            if Uncovered.mem t x y <> Hashtbl.mem model (x, y) then ok := false
+          done;
+          let ins = ref [] in
+          Uncovered.iter_live_ins t x (fun u -> ins := u :: !ins);
+          let want_ins =
+            List.filter (fun u -> (u = x || reach u x) && succs u <> []) (List.init n Fun.id)
+          in
+          if List.rev !ins <> want_ins then ok := false
+        done;
+        !ok && Uncovered.is_empty t = (!live = 0)
+      in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 12 do
+        let x = Splitmix.int rng n and w = Splitmix.int rng n in
+        if Splitmix.bool rng then begin
+          (* one pair, possibly not uncovered *)
+          Uncovered.remove t x w;
+          Hashtbl.remove model (x, w)
+        end
+        else begin
+          (* every pair from x into w's reach, as a center's preselection does *)
+          let touched = Array.make ((n / Hopi_util.Bitrow.bits) + 1) 0 in
+          let want = List.filter (fun y -> reach w y || y = w) (succs x) in
+          let got = Uncovered.cover ~touched t x ~lo:(Closure.reach_lo clo w) (Closure.reach_row clo w) in
+          List.iter (fun y -> Hashtbl.remove model (x, y)) want;
+          let marked = ref [] in
+          Hopi_util.Bitrow.iter ~lo:0 touched (fun y -> marked := y :: !marked);
+          if got <> List.length want || List.rev !marked <> want then ok := false
+        end;
+        if not (agrees ()) then ok := false
+      done;
+      (match Uncovered.choose t with
+       | None -> if Hashtbl.length model <> 0 then ok := false
+       | Some p -> if not (Hashtbl.mem model p) then ok := false);
+      !ok)
+
+let prop_builder_pairs_and_centers =
+  QCheck2.Test.make
+    ~name:"Builder ~only_pairs and ~preselect_centers = BFS on graphs with SCCs" ~count:40
+    gen_scc_graph (fun (seed, g) ->
+      let rng = Splitmix.create (seed + 2) in
+      let nodes = Array.of_list (Digraph.nodes g) in
+      let n = Array.length nodes in
+      let any () = if Splitmix.int rng 10 = 0 then 1 else nodes.(Splitmix.int rng n) in
+      let reach = Hashtbl.create n in
+      Array.iter (fun u -> Hashtbl.replace reach u (Hopi_graph.Traversal.reachable g [ u ])) nodes;
+      let reaches u v = match Hashtbl.find_opt reach u with Some s -> Ihs.mem s v | None -> false in
+      let clo = Closure.compute g in
+      (* the Flix path: only the listed pairs must be answered (pairs of
+         unknown ids and unconnected pairs are listed too); no answer may
+         be a false positive *)
+      let pairs = List.init (2 * n) (fun _ -> (any (), any ())) in
+      let cover, _ = Builder.build ~only_pairs:pairs clo in
+      let sound = ref true in
+      Array.iter
+        (fun u -> Array.iter (fun v -> if Cover.connected cover u v && not (reaches u v) then sound := false) nodes)
+        nodes;
+      let pairs_ok =
+        List.for_all (fun (u, v) -> (not (reaches u v)) || u = v || Cover.connected cover u v) pairs
+      in
+      (* preselected centers, unknown ids and repeats among them: exact *)
+      let centers = List.init (Splitmix.int rng 8) (fun _ -> any ()) in
+      let cover, _ = Builder.build ~preselect_centers:(centers @ centers) clo in
+      !sound && pairs_ok && Verify.cover_vs_graph cover g = [])
 
 (* {1 Dist_builder} *)
 
@@ -504,7 +713,7 @@ let prop_codec_cover_roundtrip =
             iter cover v (fun c d -> rows := (c, d) :: !rows);
             let rows = Array.of_list (List.sort compare !rows) in
             let got = Label_codec.to_array (Label_codec.encode_pairs rows) in
-            if got <> flatten_rows rows || Array.map fst rows <> Int_set.to_array set then
+            if got <> flatten_rows rows || Array.to_list (Array.map fst rows) <> Int_set.to_list set then
               QCheck2.Test.fail_reportf "%s(%d) decodes wrong" name v
           in
           check "Lin" Cover.iter_lin (Cover.lin cover v);
@@ -548,14 +757,16 @@ let suite =
         Alcotest.test_case "remove node" `Quick test_cover_remove_node;
         Alcotest.test_case "union_into" `Quick test_cover_union_into;
       ] );
-    ("twohop.uncovered", [ Alcotest.test_case "basics" `Quick test_uncovered_basics ]);
+    ( "twohop.uncovered",
+      [ Alcotest.test_case "basics" `Quick test_uncovered_basics ] @ qsuite [ prop_uncovered_model ] );
     ( "twohop.densest",
       [
         Alcotest.test_case "complete bipartite" `Quick test_densest_complete_bipartite;
         Alcotest.test_case "picks dense part" `Quick test_densest_picks_dense_part;
         Alcotest.test_case "no edges" `Quick test_densest_no_edges;
         Alcotest.test_case "node on both sides" `Quick test_densest_shared_node_both_sides;
-      ] );
+      ]
+      @ qsuite [ prop_densest_brute_force ] );
     ( "twohop.builder",
       [
         Alcotest.test_case "diamond" `Quick test_builder_diamond;
@@ -570,7 +781,8 @@ let suite =
         Alcotest.test_case "eager = lazy" `Quick test_builder_eager_matches_lazy;
         Alcotest.test_case "only_pairs" `Quick test_builder_only_pairs;
       ]
-      @ qsuite [ prop_builder_exact; prop_builder_not_larger_than_closure ] );
+      @ qsuite
+          [ prop_builder_exact; prop_builder_not_larger_than_closure; prop_builder_pairs_and_centers ] );
     ( "twohop.dist",
       [
         Alcotest.test_case "diamond" `Quick test_dist_builder_diamond;
