@@ -55,9 +55,11 @@ type ctx = {
   mutable edges : int;  (* center-graph edges of the recomputations *)
 }
 
-let add_out ctx u w = Cover.add_out ctx.cover ~node:(Closure.id ctx.clo u) ~center:(Closure.id ctx.clo w)
+let add_out ctx u w =
+  Cover.add_out ctx.cover ~node:(Closure.id ctx.clo u) ~center:(Closure.id ctx.clo w)
 
-let add_in ctx v w = Cover.add_in ctx.cover ~node:(Closure.id ctx.clo v) ~center:(Closure.id ctx.clo w)
+let add_in ctx v w =
+  Cover.add_in ctx.cover ~node:(Closure.id ctx.clo v) ~center:(Closure.id ctx.clo w)
 
 (* Cover every uncovered connection running through [w] (used for center
    preselection): C'_in/C'_out are the ancestors/descendants of [w] that
@@ -93,9 +95,11 @@ let recompute ctx w =
   ctx.edges <- ctx.edges + Densest.edges ctx.graph;
   r
 
+(* cover C'_in × C'_out through [w]: [mask] holds C'_out while each row
+   of C'_in drops it *)
 let apply_choice ctx w (r : Densest.result) =
-  let removed = ref 0 in
-  Array.iter (fun v -> ctx.mask.(v / Bitrow.bits) <- ctx.mask.(v / Bitrow.bits) lor (1 lsl (v mod Bitrow.bits))) r.Densest.c_out;
+  let removed = ref 0 and bits = Bitrow.bits in
+  Array.iter (fun v -> ctx.mask.(v / bits) <- ctx.mask.(v / bits) lor (1 lsl (v mod bits))) r.Densest.c_out;
   Array.iter
     (fun u ->
       add_out ctx u w;
@@ -104,11 +108,11 @@ let apply_choice ctx w (r : Densest.result) =
   Array.iter
     (fun v ->
       add_in ctx v w;
-      ctx.mask.(v / Bitrow.bits) <- 0)
+      ctx.mask.(v / bits) <- 0)
     r.Densest.c_out;
   Histogram.observe h_covered_per_pick !removed
 
-let start clo uncov =
+let make_ctx clo uncov =
   let n = Closure.n_nodes clo in
   let cover = Cover.create ~initial:n () in
   Closure.iter_nodes clo (fun v -> Cover.add_node cover v);
@@ -133,7 +137,7 @@ let build ?(preselect_centers = []) ?only_pairs clo =
         (List.map (fun (u, v) -> (Closure.number clo u, Closure.number clo v)) pairs
          |> List.filter (fun (x, y) -> x >= 0 && y >= 0))
   in
-  let ctx = start clo uncov in
+  let ctx = make_ctx clo uncov in
   let iterations = ref 0 and recomputations = ref 0 and reinserts = ref 0 in
   (* Phase 1: preselected centers (cross-partition link targets). *)
   let seen = Ihs.create () in
@@ -209,7 +213,7 @@ let build ?(preselect_centers = []) ?only_pairs clo =
     } )
 
 let build_eager clo =
-  let ctx = start clo (Uncovered.of_closure clo) in
+  let ctx = make_ctx clo (Uncovered.of_closure clo) in
   let iterations = ref 0 and recomputations = ref 0 in
   while not (Uncovered.is_empty ctx.uncov) do
     (* scan every node for its current densest subgraph; ties to the

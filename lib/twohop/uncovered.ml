@@ -34,7 +34,7 @@ let of_pairs clo pairs =
     (fun (u, v) ->
       let l = lo t u in
       if u <> v && Bitrow.mem ~lo:l (Closure.reach_row clo u) v then begin
-        if t.rows.(u) = [||] then
+        if Array.length t.rows.(u) = 0 then
           t.rows.(u) <- Array.make (Array.length (Closure.reach_row clo u)) 0;
         let r = t.rows.(u) and i = (v / bits) - l and b = 1 lsl (v mod bits) in
         if r.(i) land b = 0 then begin
