@@ -104,16 +104,14 @@ let run t =
     for x = 0 to n - 1 do
       adj_off.(x + 1) <- adj_off.(x) + deg.(x)
     done;
-    for i = 0 to nl - 1 do
-      for e = off.(i) to off.(i + 1) - 1 do
-        adj.(e) <- nl + dst.(e)
-      done
-    done;
+    (* [next] is free until the queue below fills it: here it holds each
+       right node's next free adjacency slot *)
     let fill = t.next in
     Array.blit adj_off nl fill 0 t.n_right;
     for i = 0 to nl - 1 do
       for e = off.(i) to off.(i + 1) - 1 do
         let j = dst.(e) in
+        adj.(e) <- nl + j;
         adj.(fill.(j)) <- i;
         fill.(j) <- fill.(j) + 1
       done
