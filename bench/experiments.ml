@@ -611,7 +611,7 @@ let storage_durability (s : scale) =
   (match publish next with
   | () -> failwith "storage_durability: crash did not fire"
   | exception Fv.Crash -> ());
-  let pgr = Pager.open_vfs ~pool_pages:64 ~vfs "dur.db" in
+  let pgr = Pager.open_existing ~pool_pages:64 ~vfs "dur.db" in
   let clean = Pager.verify_pages pgr = [] in
   let reopened = Cover_store.open_pager pgr in
   let unchanged = Vfs.read_file vfs "dur.db" = old_bytes in

@@ -39,7 +39,7 @@ let cache_tests () =
   done;
   Pager.close w;
   let pool = Pager.Read_pool.create ~pages:4096 () in
-  let r = Pager.open_shared_vfs ~vfs ~pool "micro.db" in
+  let r = Pager.open_shared ~vfs ~pool "micro.db" in
   for id = 0 to n - 1 do
     ignore (Pager.read r id)
   done;

@@ -20,15 +20,19 @@ type kernel = {
 
 let bits = Bitrow.bits
 
-let kernel g =
-  let ids, off, succ = Digraph.csr g ~pred:false in
-  let n = Array.length ids in
-  let index = Array.make n (-1) and link = Array.make n 0 and comp = Array.make n (-1) in
+(* One iterative Tarjan pass over the CSR graph [(off, succ)] on nodes
+   [0 .. n - 1]: roots ascending, each node's successors in row order.  It
+   numbers the SCCs in emission order into [comp] (all [-1] on entry;
+   [-1] also means "not yet in an SCC"), so every SCC a component reaches
+   is emitted before it.  [emit p stack bottom top] runs as SCC [p] is
+   emitted, once [comp] holds [p] for its members [stack.(bottom)] ..
+   [stack.(top - 1)].  Answers the number of SCCs. *)
+let tarjan ~off ~succ ~comp emit =
+  let n = Array.length off - 1 in
+  let index = Array.make n (-1) and link = Array.make n 0 in
   let stack = Array.make n 0 and sp = ref 0 in
   let call = Array.make n 0 and next = Array.make n 0 and cp = ref 0 in
-  let first = Array.make (n + 1) n and lo = Array.make n 0 and reach = Array.make n [||] in
-  let local = Array.make n 0 and mark = Array.make n (-1) and seen = Array.make n 0 in
-  let counter = ref 0 and n_comp = ref 0 and n_local = ref 0 in
+  let counter = ref 0 and n_comp = ref 0 in
   let enter v =
     index.(v) <- !counter;
     link.(v) <- !counter;
@@ -39,25 +43,84 @@ let kernel g =
     next.(!cp) <- off.(v);
     incr cp
   in
-  (* pop [v]'s SCC [p] off the stack and number its members; its reach is
-     its own members plus the reach of every other SCC one of its edges
-     enters, collected once each into [seen] *)
-  let emit v =
-    let p = !n_comp in
-    incr n_comp;
-    let bottom = ref (!sp - 1) in
-    while stack.(!bottom) <> v do
-      decr bottom
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      enter root;
+      while !cp > 0 do
+        let v = call.(!cp - 1) and e = next.(!cp - 1) in
+        if e < off.(v + 1) then begin
+          next.(!cp - 1) <- e + 1;
+          let w = succ.(e) in
+          (* on the stack = entered and not yet in an SCC *)
+          if index.(w) < 0 then enter w
+          else if comp.(w) < 0 && index.(w) < link.(v) then link.(v) <- index.(w)
+        end
+        else begin
+          decr cp;
+          if link.(v) = index.(v) then begin
+            let p = !n_comp in
+            incr n_comp;
+            let bottom = ref (!sp - 1) in
+            while stack.(!bottom) <> v do
+              decr bottom
+            done;
+            for k = !bottom to !sp - 1 do
+              comp.(stack.(k)) <- p
+            done;
+            emit p stack !bottom !sp;
+            sp := !bottom
+          end;
+          if !cp > 0 then begin
+            let u = call.(!cp - 1) in
+            if link.(v) < link.(u) then link.(u) <- link.(v)
+          end
+        end
+      done
+    end
+  done;
+  !n_comp
+
+let intervals ~off ~succ =
+  let n = Array.length off - 1 in
+  let post = Array.make n (-1) and low = Array.make n 0 in
+  (* an SCC's [low] is the least of its own [post] and its successors'
+     [low]: every other SCC it enters was emitted, and got its [low],
+     before it *)
+  let emit p stack bottom top =
+    let l = ref p in
+    for k = bottom to top - 1 do
+      let x = stack.(k) in
+      for e = off.(x) to off.(x + 1) - 1 do
+        let y = succ.(e) in
+        if post.(y) <> p && low.(y) < !l then l := low.(y)
+      done
     done;
+    for k = bottom to top - 1 do
+      low.(stack.(k)) <- !l
+    done
+  in
+  ignore (tarjan ~off ~succ ~comp:post emit : int);
+  (post, low)
+
+let kernel g =
+  let ids, off, succ = Digraph.csr g ~pred:false in
+  let n = Array.length ids in
+  let comp = Array.make n (-1) in
+  let first = Array.make (n + 1) n and lo = Array.make n 0 and reach = Array.make n [||] in
+  let local = Array.make n 0 and mark = Array.make n (-1) and seen = Array.make n 0 in
+  let n_local = ref 0 in
+  (* number SCC [p]'s members; its reach is its own members plus the
+     reach of every other SCC one of its edges enters, collected once
+     each into [seen] *)
+  let emit p stack bottom top =
     let f = !n_local in
     first.(p) <- f;
-    for k = !bottom to !sp - 1 do
-      comp.(stack.(k)) <- p;
-      local.(stack.(k)) <- f + k - !bottom
+    for k = bottom to top - 1 do
+      local.(stack.(k)) <- f + k - bottom
     done;
-    n_local := f + !sp - !bottom;
+    n_local := f + top - bottom;
     let l = ref (f / bits) and n_seen = ref 0 in
-    for k = !bottom to !sp - 1 do
+    for k = bottom to top - 1 do
       let x = stack.(k) in
       for e = off.(x) to off.(x + 1) - 1 do
         let q = comp.(succ.(e)) in
@@ -82,33 +145,9 @@ let kernel g =
       done
     done;
     lo.(p) <- l;
-    reach.(p) <- r;
-    sp := !bottom
+    reach.(p) <- r
   in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then begin
-      enter root;
-      while !cp > 0 do
-        let v = call.(!cp - 1) and e = next.(!cp - 1) in
-        if e < off.(v + 1) then begin
-          next.(!cp - 1) <- e + 1;
-          let w = succ.(e) in
-          (* on the stack = entered and not yet in an SCC *)
-          if index.(w) < 0 then enter w
-          else if comp.(w) < 0 && index.(w) < link.(v) then link.(v) <- index.(w)
-        end
-        else begin
-          decr cp;
-          if link.(v) = index.(v) then emit v;
-          if !cp > 0 then begin
-            let u = call.(!cp - 1) in
-            if link.(v) < link.(u) then link.(u) <- link.(v)
-          end
-        end
-      done
-    end
-  done;
-  let n_comp = !n_comp in
+  let n_comp = tarjan ~off ~succ ~comp emit in
   let by_local = Array.make n 0 and comp_local = Array.make n 0 in
   Array.iteri
     (fun x l ->

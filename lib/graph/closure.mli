@@ -29,6 +29,16 @@ val succs_among : Digraph.t -> from:int array -> among:int array -> int array ar
     and the cost past the pass is [|from| × |among|] bit tests.
     @raise Invalid_argument if a node of [from] or [among] is not in [g]. *)
 
+val intervals : off:int array -> succ:int array -> int array * int array
+(** Reachability intervals of the graph on nodes [0 .. Array.length off - 2]
+    whose successors of [u] are [succ.(off.(u))] .. [succ.(off.(u + 1) - 1)],
+    from the same Tarjan pass as every other entry point: roots ascending,
+    successors in row order.  [(post, low)]: [post.(u)] is the emission index
+    of [u]'s SCC, [low.(u)] the least [post] [u] reaches.  Members of one SCC
+    share both, and [u ⇝ v] implies [post.(v) <= post.(u)] and
+    [low.(u) <= low.(v)]; so [v] lies in [[low.(u), post.(u)]] whenever
+    [u ⇝ v]. *)
+
 val n_connections : t -> int
 
 val n_nodes : t -> int

@@ -348,7 +348,7 @@ type routing = { gen : int; n_shards : int; dist : bool; links : (int * int) lis
 (* the header words and the link stream, checked against each other; no
    shard is opened *)
 let read_routing ?(vfs = S.Vfs.real) path =
-  let pager = S.Pager.open_vfs ~pool_pages:4 ~vfs path in
+  let pager = S.Pager.open_existing ~pool_pages:4 ~vfs path in
   Fun.protect ~finally:(fun () -> S.Pager.close pager) @@ fun () ->
   let n = S.Pager.n_pages pager in
   if n = 0 then S.Storage_error.raise_error (Truncated (path ^ ": routing index has no page"));

@@ -38,7 +38,7 @@ let open_file ?(pool_pages = 4096) ?pool ?vfs ?(cache_mb = 64) ?cache
     | Some p -> p
     | None -> S.Pager.Read_pool.create ~pages:pool_pages ()
   in
-  let pgr = S.Pager.open_shared_vfs ~vfs ~pool path in
+  let pgr = S.Pager.open_shared ~vfs ~pool path in
   (* a bad catalog or a corrupt directory page must not leak the file or
      leave this pager's pages in the caller's pool; once open, the
      directory is in memory, so membership tests never touch a page *)

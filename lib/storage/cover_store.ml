@@ -96,76 +96,11 @@ let sorted_ints n fill =
 
    The cover graph has an edge [u -> c] for each [c] in [Lout(u)] and
    [c -> v] for each [c] in [Lin(v)], over directory slots: its closure is
-   exactly what the cover answers.  An iterative Tarjan over it — roots
-   in ascending slot order, successors in row order — numbers each SCC by
-   its emission index [post], and gives it [low], the least [post] it
-   reaches: the min of its own [post] and its successors' [low] (every
-   SCC a component reaches is emitted before it).  So [u] reaching [v]
-   implies [post v <= post u] and [low u <= low v], whatever the cover. *)
-
-let intervals n succ_off succ =
-  let index = Array.make n (-1) and link = Array.make n 0 in
-  let on_stack = Bytes.make n '\000' in
-  let post = Array.make n (-1) and scc_low = Array.make n 0 in
-  let stack = Array.make n 0 and sp = ref 0 in
-  let call = Array.make n 0 and next = Array.make n 0 and cp = ref 0 in
-  let counter = ref 0 and n_scc = ref 0 in
-  let enter v =
-    index.(v) <- !counter;
-    link.(v) <- !counter;
-    incr counter;
-    stack.(!sp) <- v;
-    incr sp;
-    Bytes.set on_stack v '\001';
-    call.(!cp) <- v;
-    next.(!cp) <- succ_off.(v);
-    incr cp
-  in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then begin
-      enter root;
-      while !cp > 0 do
-        let v = call.(!cp - 1) and e = next.(!cp - 1) in
-        if e < succ_off.(v + 1) then begin
-          next.(!cp - 1) <- e + 1;
-          let w = succ.(e) in
-          if index.(w) < 0 then enter w
-          else if Bytes.get on_stack w <> '\000' then link.(v) <- min link.(v) index.(w)
-        end
-        else begin
-          decr cp;
-          if link.(v) = index.(v) then begin
-            let p = !n_scc in
-            incr n_scc;
-            let bottom = ref !sp in
-            while stack.(!bottom - 1) <> v do
-              decr bottom
-            done;
-            decr bottom;
-            for k = !bottom to !sp - 1 do
-              Bytes.set on_stack stack.(k) '\000';
-              post.(stack.(k)) <- p
-            done;
-            let lo = ref p in
-            for k = !bottom to !sp - 1 do
-              let x = stack.(k) in
-              for e = succ_off.(x) to succ_off.(x + 1) - 1 do
-                let q = post.(succ.(e)) in
-                if q <> p && scc_low.(q) < !lo then lo := scc_low.(q)
-              done
-            done;
-            scc_low.(p) <- !lo;
-            sp := !bottom
-          end;
-          if !cp > 0 then begin
-            let u = call.(!cp - 1) in
-            link.(u) <- min link.(u) link.(v)
-          end
-        end
-      done
-    end
-  done;
-  (post, Array.map (fun p -> scc_low.(p)) post)
+   exactly what the cover answers.  {!Hopi_graph.Closure.intervals} runs
+   over it — roots in ascending slot order, successors in row order — and
+   numbers each SCC by its emission index [post] and gives it [low], the
+   least [post] it reaches.  So [u] reaching [v] implies [post v <= post u]
+   and [low u <= low v], whatever the cover. *)
 
 let write pgr l =
   Catalog.reserve "Cover_store" pgr;
@@ -257,7 +192,7 @@ let write pgr l =
       fill.(c) <- fill.(c) + 1
     done
   done;
-  let post, low = intervals n succ_off succ in
+  let post, low = Hopi_graph.Closure.intervals ~off:succ_off ~succ in
   attach pgr ~with_dist:!any_dist (Row_table.finish w ~post ~low)
 
 let of_cover pgr cover =

@@ -58,7 +58,7 @@ let parse pager =
   m
 
 let read_file ?(vfs = Vfs.real) p =
-  let pager = Pager.open_vfs ~pool_pages:4 ~vfs p in
+  let pager = Pager.open_existing ~pool_pages:4 ~vfs p in
   Fun.protect ~finally:(fun () -> Pager.close pager) (fun () -> parse pager)
 
 let read ?(vfs = Vfs.real) ~base () = read_file ~vfs (path ~base)

@@ -156,7 +156,7 @@ let create ?pool_pages ?fsync backend =
   | Memory -> create_vfs ?pool_pages ?fsync ~vfs:(Vfs.memory ()) "mem.db"
   | File path -> create_vfs ?pool_pages ?fsync ~vfs:Vfs.real path
 
-let open_shared_vfs ~vfs ~pool path =
+let open_shared ?(vfs = Vfs.real) ~pool path =
   let file = vfs.Vfs.open_file path ~create:false in
   let size = file.Vfs.size () in
   if size mod Page.size <> 0 then begin
@@ -166,12 +166,8 @@ let open_shared_vfs ~vfs ~pool path =
   end;
   mk ~mode:Reading ~pool ~fsync:false ~vfs ~file ~next_page:(size / Page.size)
 
-let open_shared ~pool path = open_shared_vfs ~vfs:Vfs.real ~pool path
-
-let open_vfs ?(pool_pages = 256) ~vfs path =
-  open_shared_vfs ~vfs ~pool:(private_pool pool_pages) path
-
-let open_existing ?pool_pages path = open_vfs ?pool_pages ~vfs:Vfs.real path
+let open_existing ?(pool_pages = 256) ?vfs path =
+  open_shared ?vfs ~pool:(private_pool pool_pages) path
 
 let with_io t f =
   Mutex.lock t.io_mu;

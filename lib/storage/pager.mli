@@ -20,7 +20,7 @@
       reading it;
     - a published file is never written again: after {!commit} the pager
       still reads, but every write-side entry point raises
-      [Invalid_argument], and {!open_existing} / {!open_vfs} /
+      [Invalid_argument], and {!open_existing} and
       {!open_shared} return read-only views.
 
     [fsync:false] trades power-loss durability for speed: publication is
@@ -40,7 +40,7 @@ type t
     reading committed store files, so a page any domain faulted in is
     warm for all of them -- the fix for the cold-read anti-scaling of
     per-domain private pools (see DESIGN.md, Shared read path).  A pager
-    made by {!create}, {!open_existing} or {!open_vfs} gets a private
+    made by {!create} or {!open_existing} gets a private
     one-shard pool of [pool_pages].  Entries are immutable verified page
     images: eviction drops the table reference only, so readers holding
     a page across an eviction keep a valid image.  Metrics, summed over
@@ -94,8 +94,8 @@ val create_vfs : ?pool_pages:int -> ?fsync:bool -> vfs:Vfs.t -> string -> t
 (** Like [create (File path)] but on an explicit {!Vfs} (used by the
     fault-injection tests). *)
 
-val open_shared : pool:Read_pool.t -> string -> t
-(** Open a committed page file as a {e read-only view} whose page
+val open_shared : ?vfs:Vfs.t -> pool:Read_pool.t -> string -> t
+(** Open a committed page file (on [vfs], default {!Vfs.real}) as a {e read-only view} whose page
     fetches probe (and fill) [pool], so any number of domains sharing one
     pager -- or several pagers over one pool -- serve from one warm set
     of pages.  Miss reads are serialised per pager (the underlying file
@@ -110,15 +110,9 @@ val open_shared : pool:Read_pool.t -> string -> t
     files, [Truncated] on a file that is not a whole number of pages,
     [Io] on an unreadable one. *)
 
-val open_shared_vfs : vfs:Vfs.t -> pool:Read_pool.t -> string -> t
-(** {!open_shared} on an explicit {!Vfs} (fault-injection tests). *)
-
-val open_existing : ?pool_pages:int -> string -> t
+val open_existing : ?pool_pages:int -> ?vfs:Vfs.t -> string -> t
 (** {!open_shared} over a private one-shard {!Read_pool} of [pool_pages]
     (default 256). *)
-
-val open_vfs : ?pool_pages:int -> vfs:Vfs.t -> string -> t
-(** Like {!open_existing} on an explicit {!Vfs}. *)
 
 val alloc : t -> int
 (** Reserve the next page id.  The caller builds the page and hands it

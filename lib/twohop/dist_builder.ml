@@ -3,7 +3,7 @@ module Bitrow = Hopi_util.Bitrow
 module Stats = Hopi_util.Stats
 module Splitmix = Hopi_util.Splitmix
 module Closure = Hopi_graph.Closure
-module Shortest = Hopi_graph.Shortest
+module Digraph = Hopi_graph.Digraph
 module Trace = Hopi_obs.Trace
 
 type stats = {
@@ -15,28 +15,63 @@ type stats = {
 
 let max_samples = 13_600
 
-(* Distances by node id; everything else on the closure's local numbers,
-   as in [Builder]. *)
+(* Everything on the closure's local numbers, as in [Builder].  [rows.(x)]
+   holds [x]'s BFS distance to local number [base.(x) + i] at [i], [-1]
+   where unreached; it spans the words of [x]'s closure row, so it holds
+   every number [x] reaches. *)
 type ctx = {
-  apsp : Shortest.t;
+  base : int array;
+  rows : int array array;
   clo : Closure.t;
   cover : Cover.t;
   uncov : Uncovered.t;
   graph : Densest.t;
 }
 
-let d ctx x y = Shortest.dist ctx.apsp (Closure.id ctx.clo x) (Closure.id ctx.clo y)
+let d ctx x y =
+  let r = ctx.rows.(x) and i = y - ctx.base.(x) in
+  if i >= 0 && i < Array.length r then r.(i) else -1
 
 (* Is w on a shortest path from u to v? *)
 let on_shortest ctx u w v =
-  match (d ctx u w, d ctx w v, d ctx u v) with
-  | Some a, Some b, Some c -> a + b = c
-  | _ -> false
+  let a = d ctx u w and b = d ctx w v in
+  a >= 0 && b >= 0 && a + b = d ctx u v
 
 let dist ctx x y =
-  match d ctx x y with
-  | Some n -> n
-  | None -> assert false
+  let n = d ctx x y in
+  assert (n >= 0);
+  n
+
+(* one BFS per node over the graph's CSR, into its local number's row *)
+let distance_rows g clo =
+  let ids, off, adj = Digraph.csr g ~pred:false in
+  let n = Array.length ids in
+  let local = Array.map (Closure.number clo) ids in
+  let base = Array.init n (fun x -> Closure.reach_lo clo x * Bitrow.bits) in
+  let rows = Array.make n [||] and queue = Array.make n 0 in
+  for s = 0 to n - 1 do
+    let x = local.(s) in
+    let b = base.(x) in
+    let r = Array.make (Array.length (Closure.reach_row clo x) * Bitrow.bits) (-1) in
+    r.(x - b) <- 0;
+    queue.(0) <- s;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let i = queue.(!head) in
+      incr head;
+      let next = r.(local.(i) - b) + 1 in
+      for e = off.(i) to off.(i + 1) - 1 do
+        let j = adj.(e) in
+        if r.(local.(j) - b) < 0 then begin
+          r.(local.(j) - b) <- next;
+          queue.(!tail) <- j;
+          incr tail
+        end
+      done
+    done;
+    rows.(x) <- r
+  done;
+  (base, rows)
 
 let to_array iter =
   let l = ref [] in
@@ -94,8 +129,10 @@ let apply_choice ctx w (r : Densest.result) =
     r.Densest.c_out
 
 let build ?(seed = 42) ?(exact_threshold = max_samples) g =
-  let apsp, clo =
-    Trace.with_span "dist.apsp" (fun () -> (Shortest.all_pairs g, Closure.compute g))
+  let clo, (base, rows) =
+    Trace.with_span "dist.apsp" (fun () ->
+        let clo = Closure.compute g in
+        (clo, distance_rows g clo))
   in
   let n = Closure.n_nodes clo in
   let rng = Splitmix.create seed in
@@ -103,7 +140,8 @@ let build ?(seed = 42) ?(exact_threshold = max_samples) g =
   Closure.iter_nodes clo (fun v -> Cover.add_node cover v);
   let ctx =
     {
-      apsp;
+      base;
+      rows;
       clo;
       cover;
       uncov = Uncovered.of_closure clo;

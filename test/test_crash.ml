@@ -59,7 +59,7 @@ let cover_b () = cover_of (random_graph ~seed:8 ~n:2000 ~m:1500)
 (* The file at [file] as a reader sees it: every page CRC-checked and
    digested, plus the store's answers over [dom]. *)
 let reopen vfs file dom =
-  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs file in
+  let pgr = Pager.open_existing ~pool_pages:8 ~vfs file in
   Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
   if Pager.verify_pages pgr <> [] then failwith "corrupt page after recovery";
   let digests =
@@ -183,7 +183,7 @@ let test_byte_flip_detected () =
     let in_page = id * 131 mod Page.size in
     Fv.restore fv s1;
     Fv.corrupt_byte fv path ~off:((id * Page.size) + in_page);
-    let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
+    let pgr = Pager.open_existing ~pool_pages:8 ~vfs path in
     check_int
       (Printf.sprintf "flip in page %d at +%d detected" id in_page)
       1
@@ -193,7 +193,7 @@ let test_byte_flip_detected () =
   (* a flipped catalog byte is also rejected on the normal open path *)
   Fv.restore fv s1;
   Fv.corrupt_byte fv path ~off:(Page.payload_off + 1);
-  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
+  let pgr = Pager.open_existing ~pool_pages:8 ~vfs path in
   check_bool "catalog checksum failure raised" true
     (match Cover_store.open_pager pgr with
     | _ -> false
@@ -278,7 +278,7 @@ let churned_graph () =
   g
 
 let gen_matrix vfs live =
-  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs (Manifest.gen_path ~base:gen_base live) in
+  let pgr = Pager.open_existing ~pool_pages:8 ~vfs (Manifest.gen_path ~base:gen_base live) in
   Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
   let st = Cover_store.open_pager pgr in
   let m = List.map (fun u -> List.map (Cover_store.connected st u) gen_dom) gen_dom in
@@ -516,7 +516,7 @@ let test_read_fault_matrix () =
 let test_failed_open_releases_pager () =
   let fv, vfs, _, _ = setup () in
   let dir_page =
-    let pgr = Pager.open_vfs ~pool_pages:8 ~vfs path in
+    let pgr = Pager.open_existing ~pool_pages:8 ~vfs path in
     Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
     (Catalog.read pgr).Catalog.rows.dir_first
   in

@@ -1,4 +1,4 @@
-(* Tests for hopi_graph: Digraph, Traversal, Closure, Shortest. *)
+(* Tests for hopi_graph: Digraph, Traversal, Closure. *)
 
 open Hopi_graph
 module Ihs = Hopi_util.Int_hashset
@@ -253,16 +253,42 @@ let prop_succs_among_oracle =
           Array.to_list js = want)
         from got)
 
-(* {1 Shortest} *)
+(* The intervals on the CSR of a cyclic graph, against BFS: [post]
+   numbers exactly the SCCs, topologically, and [low u] is exactly the
+   least [post] that [u] reaches. *)
+let prop_intervals_oracle =
+  QCheck2.Test.make ~name:"intervals = reachability definition" ~count:80
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 2 160))
+    (fun (seed, n) ->
+      let g = sparse_graph seed n in
+      let ids, off, succ = Digraph.csr g ~pred:false in
+      let post, low = Closure.intervals ~off ~succ in
+      let reach = Array.map (fun v -> Traversal.reachable g [ v ]) ids in
+      let reaches i j = Ihs.mem reach.(i) ids.(j) in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        let least = ref max_int in
+        for j = 0 to n - 1 do
+          if reaches i j then begin
+            least := min !least post.(j);
+            if post.(j) > post.(i) then ok := false
+          end;
+          if (post.(i) = post.(j)) <> (reaches i j && reaches j i) then ok := false
+        done;
+        if low.(i) <> !least then ok := false
+      done;
+      !ok)
+
+(* {1 Shortest distances} *)
 
 let test_shortest_diamond () =
   let g = diamond () in
-  let sp = Shortest.all_pairs g in
-  Alcotest.(check (option int)) "0->3" (Some 2) (Shortest.dist sp 0 3);
-  Alcotest.(check (option int)) "0->0" (Some 0) (Shortest.dist sp 0 0);
-  Alcotest.(check (option int)) "4->4" (Some 0) (Shortest.dist sp 4 4);
-  Alcotest.(check (option int)) "3->4" (Some 1) (Shortest.dist sp 3 4);
-  Alcotest.(check (option int)) "1->2" None (Shortest.dist sp 1 2)
+  let dist u v = Hashtbl.find_opt (Traversal.bfs_distances g u) v in
+  Alcotest.(check (option int)) "0->3" (Some 2) (dist 0 3);
+  Alcotest.(check (option int)) "0->0" (Some 0) (dist 0 0);
+  Alcotest.(check (option int)) "4->4" (Some 0) (dist 4 4);
+  Alcotest.(check (option int)) "3->4" (Some 1) (dist 3 4);
+  Alcotest.(check (option int)) "1->2" None (dist 1 2)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -298,6 +324,7 @@ let suite =
             prop_closure_count_consistent;
             prop_closure_oracle;
             prop_succs_among_oracle;
+            prop_intervals_oracle;
           ] );
     ("graph.shortest", [ Alcotest.test_case "diamond" `Quick test_shortest_diamond ]);
   ]

@@ -41,6 +41,25 @@ let gen_digraph =
   List.iter (fun (u, v) -> if u <> v then Digraph.add_edge g u v) edges;
   g
 
+(* cyclic digraph of 63-160 nodes and 1.2 edges per node, most pointing
+   a few nodes ahead: many SCCs, so closure rows span several 62-bit
+   words and many start past word 0 *)
+let gen_wide_digraph =
+  let open Gen in
+  int_range 63 160 >>= fun n ->
+  let edge =
+    int_bound (n - 1) >>= fun u ->
+    frequency [ (2, int_bound (n - 1)); (8, int_range 1 4 >|= fun k -> min (n - 1) (u + k)) ]
+    >|= fun v -> (u, v)
+  in
+  list_repeat (6 * n / 5) edge >|= fun edges ->
+  let g = Digraph.create () in
+  for v = 0 to n - 1 do
+    Digraph.add_node g v
+  done;
+  List.iter (fun (u, v) -> if u <> v then Digraph.add_edge g u v) edges;
+  g
+
 (* acyclic digraph: edges only from smaller to larger node ids *)
 let gen_dag =
   let open Gen in
@@ -113,7 +132,8 @@ let prop_cover_exact_on_dag =
       no_mismatch "cover_vs_graph" (Verify.cover_vs_graph cover g))
 
 let prop_dist_cover_exact =
-  QCheck2.Test.make ~name:"distance cover = BFS distances" ~count:40 gen_digraph
+  QCheck2.Test.make ~name:"distance cover = BFS distances" ~count:40
+    (Gen.oneof [ gen_digraph; gen_wide_digraph ])
     (fun g ->
       let cover, _ = Dist_builder.build g in
       match Verify.dist_cover_vs_graph cover g with

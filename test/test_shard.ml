@@ -14,7 +14,7 @@ module Router = Hopi_serve.Router
 module Batch = Hopi_serve.Batch
 module Collection = Hopi_collection.Collection
 module Closure = Hopi_graph.Closure
-module Shortest = Hopi_graph.Shortest
+module Traversal = Hopi_graph.Traversal
 module Dblp = Hopi_workload.Dblp_gen
 module Splitmix = Hopi_util.Splitmix
 module Ihs = Hopi_util.Int_hashset
@@ -568,7 +568,19 @@ let prop_differential =
       Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
       let g = Collection.element_graph c in
       let clo = Closure.compute g in
-      let sp = if dist then Some (Shortest.all_pairs g) else None in
+      (* BFS distances from each source, on first use *)
+      let bfs = Hashtbl.create 64 in
+      let bfs_dist u v =
+        let from_u =
+          match Hashtbl.find_opt bfs u with
+          | Some d -> d
+          | None ->
+            let d = Traversal.bfs_distances g u in
+            Hashtbl.replace bfs u d;
+            d
+        in
+        Hashtbl.find_opt from_u v
+      in
       let dom = elements c in
       let n = Array.length dom in
       let ghost = Array.fold_left max 0 dom + 31 in
@@ -579,8 +591,8 @@ let prop_differential =
             k dist u v want_reach;
         let want_dist =
           if not want_reach then None
-          else
-            match sp with None -> Some 0 | Some sp -> Shortest.dist sp u v
+          else if dist then bfs_dist u v
+          else Some 0
         in
         let got_dist = min_distance r u v in
         if got_dist <> want_dist then

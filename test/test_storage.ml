@@ -358,7 +358,7 @@ let test_catalog_wrong_kind () =
     | Storage_error.Bad_catalog msg -> contains msg "unknown store kind 1"
     | _ -> false
   in
-  let pager2 = Pager.open_vfs ~vfs "kind.db" in
+  let pager2 = Pager.open_existing ~vfs "kind.db" in
   check_bool "wrong kind rejected" true
     (match Cover_store.open_pager pager2 with
     | _ -> false
@@ -393,7 +393,7 @@ let test_published_file_rejects_writes () =
   rejects_writes "committed" p;
   check_int "committed pager still reads" 7 (Page.get_i32 (Pager.read p id) po);
   Pager.close p;
-  let q = Pager.open_vfs ~vfs "pub.db" in
+  let q = Pager.open_existing ~vfs "pub.db" in
   rejects_writes "reopened" q;
   check_int "reopened pager reads" 7 (Page.get_i32 (Pager.read q id) po);
   Pager.close q;
@@ -426,15 +426,23 @@ let test_closure_store () =
 
 let prop_dist_store_matches_dist_cover =
   QCheck2.Test.make ~name:"stored MIN(DIST) = Dist_builder's Cover.dist" ~count:25
-    QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 14))
+    QCheck2.Gen.(pair (int_range 0 100000) (oneof [ int_range 2 14; int_range 63 160 ]))
     (fun (seed, n) ->
       let rng = Splitmix.create seed in
       let g = Hopi_graph.Digraph.create () in
       for v = 0 to n - 1 do
         Hopi_graph.Digraph.add_node g v
       done;
-      for _ = 1 to 2 * n do
-        let u = Splitmix.int rng n and v = Splitmix.int rng n in
+      (* past one 62-bit word, 1.2 edges per node, most pointing a few
+         nodes ahead: many SCCs, so distance rows span several words and
+         many start past word 0 *)
+      let wide = n > Hopi_util.Bitrow.bits in
+      for _ = 1 to if wide then 6 * n / 5 else 2 * n do
+        let u = Splitmix.int rng n in
+        let v =
+          if wide && Splitmix.int rng 5 > 0 then min (n - 1) (u + 1 + Splitmix.int rng 4)
+          else Splitmix.int rng n
+        in
         if u <> v then Hopi_graph.Digraph.add_edge g u v
       done;
       let dc, _ = Hopi_twohop.Dist_builder.build g in
@@ -494,7 +502,7 @@ let reopened write =
   let pager = Pager.create_vfs ~pool_pages:16 ~vfs "bulk.db" in
   Cover_store.save (write pager);
   Pager.close pager;
-  Cover_store.open_pager (Pager.open_vfs ~pool_pages:16 ~vfs "bulk.db")
+  Cover_store.open_pager (Pager.open_existing ~pool_pages:16 ~vfs "bulk.db")
 
 let prop_bulk_store_matches_cover =
   QCheck2.Test.make ~name:"bulk store = in-memory cover across reopen" ~count:20
@@ -577,7 +585,7 @@ let rewrite_page vfs file id f =
 (* what [hopi verify-store] runs on a cover store: the checksums, then
    the directory invariants (at open) and the row check *)
 let verify_store vfs file =
-  let pgr = Pager.open_vfs ~pool_pages:8 ~vfs file in
+  let pgr = Pager.open_existing ~pool_pages:8 ~vfs file in
   Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
   if Pager.verify_pages pgr <> [] then `Checksum
   else
@@ -589,7 +597,7 @@ let verify_store vfs file =
    each of its seven fields (key word, four row lengths, post,
    post - low) *)
 let directory_fields vfs file =
-  let pgr = Pager.open_vfs ~vfs file in
+  let pgr = Pager.open_existing ~vfs file in
   Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
   let l = (Catalog.read pgr).Catalog.rows in
   let payload = Page.size - po in
@@ -672,7 +680,7 @@ let test_verify_corrupt_directory () =
      check sees it *)
   let post i = value i 5 and low i = value i 5 - value i 6 in
   let victim =
-    let pgr = Pager.open_vfs ~vfs "dir.db" in
+    let pgr = Pager.open_existing ~vfs "dir.db" in
     Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
     let st = Cover_store.open_pager pgr in
     let keys = Array.make n 0 in
@@ -707,7 +715,7 @@ let test_row_is_one_pool_touch () =
   Cover_store.save (Cover_store.of_cover p cover);
   Pager.close p;
   let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
-  let pgr = Pager.open_shared_vfs ~vfs ~pool "touch.db" in
+  let pgr = Pager.open_shared ~vfs ~pool "touch.db" in
   let st = Cover_store.open_pager pgr in
   let touches () =
     let s = Pager.Read_pool.stats pool in
@@ -748,7 +756,7 @@ let test_small_pool_keeps_budget () =
   Cover_store.save (Cover_store.of_cover p cover);
   Pager.close p;
   let pool = Pager.Read_pool.create ~pages:2 () in
-  let pgr = Pager.open_shared_vfs ~vfs ~pool "small.db" in
+  let pgr = Pager.open_shared ~vfs ~pool "small.db" in
   check_bool "more pages than the pool" true (Pager.n_pages pgr > 4);
   for round = 1 to 2 do
     for id = 0 to Pager.n_pages pgr - 1 do
@@ -819,7 +827,7 @@ let prop_row_tables_match_cover =
       Cover_store.save (write p);
       Pager.close p;
       let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
-      let pgr = Pager.open_shared_vfs ~vfs ~pool "rows.db" in
+      let pgr = Pager.open_shared ~vfs ~pool "rows.db" in
       Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
       let st = Cover_store.open_pager pgr in
       let namers rows =
@@ -933,7 +941,7 @@ let prop_interval_matches_bfs =
           if Vfs.read_file vfs "a.db" <> Vfs.read_file vfs "b.db" then
             QCheck2.Test.fail_report "the same cover wrote different bytes";
           let pool = Pager.Read_pool.create ~shards:1 ~pages:2 () in
-          let pgr = Pager.open_shared_vfs ~vfs ~pool "a.db" in
+          let pgr = Pager.open_shared ~vfs ~pool "a.db" in
           Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
           let st = Cover_store.open_pager pgr in
           ignore (Cover_store.check st : int);
