@@ -32,11 +32,12 @@ module Builder = Hopi_twohop.Builder
 module Dist_builder = Hopi_twohop.Dist_builder
 module S = Hopi_storage
 module Ihs = Hopi_util.Int_hashset
-module Heap = Hopi_util.Heap
+module Bitrow = Hopi_util.Bitrow
 module Codec = Hopi_twohop.Label_codec
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
 module Gauge = Hopi_obs.Gauge
+module Trace = Hopi_obs.Trace
 
 let m_single =
   Registry.counter "hopi_router_single_shard_total"
@@ -175,6 +176,22 @@ let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
 
 (* {1 Loading} *)
 
+(* The PSG's closure as flat arrays over dense numbers: link sources and
+   link targets, each ascending.  Source [i]'s rows are positions
+   [row_t.(row_off.(i))] .. [row_t.(row_off.(i + 1) - 1)] of the targets
+   it reaches, at [row_d] of the same positions on distance-aware shards
+   ([row_d] is empty on plain ones, where every distance is 0); target
+   [j]'s reaching sources are [rev_s.(rev_off.(j))] ..
+   [rev_s.(rev_off.(j + 1) - 1)], as ids. *)
+type closure = {
+  sources : int array;
+  row_off : int array;
+  row_t : int array;
+  row_d : int array;
+  rev_off : int array;
+  rev_s : int array;
+}
+
 type t = {
   k : int;
   with_dist : bool;
@@ -183,13 +200,25 @@ type t = {
   has_targets : bool array;  (* per shard: does a cross link land in it? *)
   exits : (int, Codec.t) Hashtbl.t;  (* center c -> rows (t, d(c ~> t)) *)
   entries_at : (int, Codec.t) Hashtbl.t;  (* center c' -> rows (t, d(t ~> c')) *)
-  rev : (int, int array) Hashtbl.t;  (* target -> the sources reaching it *)
+  targets : int array;  (* link targets ascending: the closure's target numbers *)
+  rev_off : int array;
+  rev_s : int array;
   entries : int;
 }
 
 let bad_index path msg = raise (Sys_error (Printf.sprintf "%s: bad routing index: %s" path msg))
 
 let push h key x = Hashtbl.replace h key (x :: Option.value ~default:[] (Hashtbl.find_opt h key))
+
+(* position of [x] in the ascending array [a], or -1 *)
+let position a x =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid) = x then mid else if a.(mid) < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
 
 (* [f center d] once per distinct center of a label set, at the run's
    least distance (the first row of each run) *)
@@ -203,42 +232,53 @@ let iter_runs enc f =
 
 (* The second-level 2-hop tables, over the shards' labels (fetched
    through the shared label cache).  [targets] holds the link targets
-   ascending; [closure_of] maps each link source to its closure rows
-   (index into [targets], d_psg).
+   ascending, the dense keys of the closure rows.
 
-   exit rows: every source [s] hands its closure rows, shifted by
-   [din(c, s)], to each center [c ∈ Lin(s) ∪ {s}]; a center keeps the
+   exit rows: every source [s] with a closure row hands its rows, shifted
+   by [din(c, s)], to each center [c ∈ Lin(s) ∪ {s}]; a center keeps the
    least distance per target, gathered in one dense scratch array.
    entry rows: each target [t] at [dout(t, c')] under every center
    [c' ∈ Lout(t) ∪ {t}].  Both are set as gauges. *)
-let routing_rows snaps elem_shard targets closure_of =
+let routing_rows snaps elem_shard targets clo =
   let label dir v = Snapshot.label snaps.(Hashtbl.find elem_shard v) dir v in
   let namers = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun s rows ->
-      push namers s (rows, 0);
-      iter_runs (label S.Cover_store.Lin s) (fun c din -> push namers c (rows, din)))
-    closure_of;
+  Array.iteri
+    (fun i s ->
+      if clo.row_off.(i + 1) > clo.row_off.(i) then begin
+        push namers s (i, 0);
+        iter_runs (label S.Cover_store.Lin s) (fun c din -> push namers c (i, din))
+      end)
+    clo.sources;
+  let plain = Array.length clo.row_d = 0 in
+  let dist e = if plain then 0 else clo.row_d.(e) in
+  (* [best] holds each target's least distance, [seen] marks the targets
+     touched, read back ascending *)
   let best = Array.make (Array.length targets) max_int in
+  let seen = Array.make ((Array.length targets / Bitrow.bits) + 1) 0 in
   let exits = Hashtbl.create (Hashtbl.length namers) in
   Hashtbl.iter
     (fun c by ->
-      let touched = ref [] in
       List.iter
-        (fun (rows, din) ->
-          List.iter
-            (fun (ti, d) ->
-              if best.(ti) = max_int then touched := ti :: !touched;
-              if din + d < best.(ti) then best.(ti) <- din + d)
-            rows)
+        (fun (i, din) ->
+          for e = clo.row_off.(i) to clo.row_off.(i + 1) - 1 do
+            let ti = clo.row_t.(e) and d = din + dist e in
+            if d < best.(ti) then begin
+              best.(ti) <- d;
+              seen.(ti / Bitrow.bits) <- seen.(ti / Bitrow.bits) lor (1 lsl (ti mod Bitrow.bits))
+            end
+          done)
         by;
-      let e = Codec.Enc.create () in
-      List.iter
-        (fun ti ->
-          Codec.Enc.row e ~center:targets.(ti) ~dist:best.(ti);
-          best.(ti) <- max_int)
-        (List.sort compare !touched);
-      Hashtbl.replace exits c (Codec.Enc.finish e))
+      let enc = Codec.Enc.create () in
+      Array.iteri
+        (fun wi word ->
+          if word <> 0 then begin
+            Bitrow.iter_word (wi * Bitrow.bits) word (fun ti ->
+                Codec.Enc.row enc ~center:targets.(ti) ~dist:best.(ti);
+                best.(ti) <- max_int);
+            seen.(wi) <- 0
+          end)
+        seen;
+      Hashtbl.replace exits c (Codec.Enc.finish enc))
     namers;
   (* targets go in descending, so each center's list comes out ascending *)
   let entry_l = Hashtbl.create 64 in
@@ -260,32 +300,6 @@ let routing_rows snaps elem_shard targets closure_of =
   Gauge.set g_bytes !bytes;
   (exits, entries_at)
 
-(* weighted single-source shortest paths over the PSG in its dense form
-   ([adj.(u)] the out-edges [(v, w)] of node [u]), starting from [s]'s
-   out-edges so a cycle back to [s] is found at its real positive
-   distance; [max_int] marks an unreached node.  Dijkstra on the max-heap
-   keyed by the negated distance, with lazy deletion: a popped entry whose
-   distance is no longer its node's is stale and skipped. *)
-let psg_from adj s =
-  let dist = Array.make (Array.length adj) max_int in
-  let pq = Heap.create () in
-  let relax d v =
-    if d < dist.(v) then begin
-      dist.(v) <- d;
-      Heap.push pq ~prio:(-.float_of_int d) (d, v)
-    end
-  in
-  Array.iter (fun (v, w) -> relax w v) adj.(s);
-  let rec drain () =
-    match Heap.pop_max pq with
-    | None -> ()
-    | Some (_, (d, u)) ->
-      if dist.(u) = d then Array.iter (fun (v, w) -> relax (d + w) v) adj.(u);
-      drain ()
-  in
-  drain ();
-  dist
-
 (* The element map: every node a shard registers, in exactly one shard. *)
 let element_map path snaps =
   let n = Array.fold_left (fun acc s -> acc + Snapshot.n_nodes s) 0 snaps in
@@ -299,49 +313,156 @@ let element_map path snaps =
     snaps;
   elem_shard
 
-(* The PSG over the cross links (its within edges answered by the shard
-   snapshots) and its closure: per link source the link targets it
-   reaches, as (index into [targets], d_psg), and per target the sources
-   reaching it.  A link costs 1 and a within edge the shard's stored
-   distance, each computed once; plain shards route reachability only,
-   so there every closure distance is 0. *)
-let psg_closure ~with_dist snaps shard links targets =
-  let psg =
-    Psg.build ~part_of:shard ~links ~reaches_within_partition:(fun t s ->
-        Snapshot.connected snaps.(shard t) t s)
+(* Shortest paths over the PSG of distance-aware shards.  The PSG is
+   built once in CSR form with integer weights: a link 1, a within edge
+   its shard's stored distance (-1, absent, for one with none).  The
+   answer [search s ~want f] runs Dial's bucket queue from link source
+   [s], starting at its out-edges so a cycle back to [s] is found at its
+   real positive distance.  Every weight is at most [nb - 1], so while
+   bucket [d mod nb] is drained every queued distance lies in
+   [[d, d + nb - 1]] and the [nb] circular buckets hold them apart; a
+   popped node whose distance is no longer [d] is stale and skipped.  The
+   search stops once [want] link targets are settled; [f] then reads the
+   distance of each target number ([max_int]: not reached), and the
+   scratch is reset for the next search. *)
+let dial_search snaps shard g targets =
+  let ids, off, adj = Digraph.csr g ~pred:false in
+  let n = Array.length ids in
+  let number = Hashtbl.create n in
+  Array.iteri (fun x v -> Hashtbl.replace number v x) ids;
+  let w = Array.make (Array.length adj) (-1) in
+  for x = 0 to n - 1 do
+    let u = ids.(x) in
+    for e = off.(x) to off.(x + 1) - 1 do
+      let v = ids.(adj.(e)) in
+      if shard u <> shard v then w.(e) <- 1
+      else Option.iter (fun d -> w.(e) <- d) (Snapshot.min_distance snaps.(shard u) u v)
+    done
+  done;
+  let target_at = Array.map (Hashtbl.find number) targets in
+  let is_target = Array.make n false in
+  Array.iter (fun x -> is_target.(x) <- true) target_at;
+  let nb = Array.fold_left max 0 w + 1 in
+  (* per bucket its last queued entry (-1: empty); per entry its node and
+     the entry queued before it.  A search settles each node once and
+     relaxes its out-edges then, and [s]'s also at the start: at most
+     twice the edges are queued. *)
+  let head = Array.make nb (-1) in
+  let node = Array.make ((2 * Array.length adj) + 1) 0 in
+  let next = Array.make (Array.length node) 0 in
+  let dist = Array.make n max_int and seen = Array.make n 0 in
+  fun s ~want f ->
+    let queued = ref 0 and pending = ref 0 and n_seen = ref 0 in
+    let relax x d =
+      for e = off.(x) to off.(x + 1) - 1 do
+        let y = adj.(e) and dy = d + w.(e) in
+        if w.(e) >= 0 && dy < dist.(y) then begin
+          if dist.(y) = max_int then begin
+            seen.(!n_seen) <- y;
+            incr n_seen
+          end;
+          dist.(y) <- dy;
+          let b = dy mod nb in
+          node.(!queued) <- y;
+          next.(!queued) <- head.(b);
+          head.(b) <- !queued;
+          incr queued;
+          incr pending
+        end
+      done
+    in
+    relax (Hashtbl.find number s) 0;
+    let d = ref 0 and left = ref want in
+    while !pending > 0 && !left > 0 do
+      let b = !d mod nb in
+      let q = head.(b) in
+      if q < 0 then incr d
+      else begin
+        head.(b) <- next.(q);
+        decr pending;
+        let y = node.(q) in
+        if dist.(y) = !d then begin
+          if is_target.(y) then decr left;
+          relax y !d
+        end
+      end
+    done;
+    f (fun j -> dist.(target_at.(j)));
+    for i = 0 to !n_seen - 1 do
+      dist.(seen.(i)) <- max_int
+    done;
+    Array.fill head 0 nb (-1)
+
+(* The PSG's closure from one kernel pass ({!Closure.succs_among}, the
+   PSG join's): per link source the link targets it reaches, and per
+   target the sources reaching it.  The kernel is reflexive, the routed
+   closure is not: a source that is also a target keeps itself only when
+   a PSG cycle leads back to it.  The PSG has no self-loop, so that is
+   when some successor of [s] reaches [s]; a successor that is no source
+   is a target whose successors are sources of its shard, each with a
+   kernel row.  Plain shards route reachability only, so every distance
+   is 0; distance-aware ones read each source's distances off one
+   {!dial_search}, stopped once every target of the source's row is
+   settled. *)
+let psg_closure ~with_dist snaps shard (psg : Psg.t) targets =
+  let g = psg.Psg.graph in
+  let sources = Array.of_list (List.sort compare (Ihs.to_list psg.Psg.sources)) in
+  let reached = Closure.succs_among g ~from:sources ~among:targets in
+  let row_has i j = position reached.(i) j >= 0 in
+  (* the target number of [s] when its self hit goes, else -1 *)
+  let self_drop s =
+    let j = position targets s in
+    let reaches_s v =
+      let i = position sources v in
+      if i >= 0 then row_has i j
+      else begin
+        let hit = ref false in
+        Digraph.iter_succ g v (fun x -> if row_has (position sources x) j then hit := true);
+        !hit
+      end
+    in
+    let cycle = ref false in
+    if j >= 0 then Digraph.iter_succ g s (fun v -> if (not !cycle) && reaches_s v then cycle := true);
+    if !cycle then -1 else j
   in
-  let ix = Hashtbl.create 64 and nodes = ref [] in
-  Digraph.iter_nodes psg.Psg.graph (fun v ->
-      Hashtbl.replace ix v (Hashtbl.length ix);
-      nodes := v :: !nodes);
-  let adj =
-    Array.of_list (List.rev !nodes)
-    |> Array.map (fun u ->
-           let out = ref [] in
-           Digraph.iter_succ psg.Psg.graph u (fun v ->
-               let w =
-                 if shard u <> shard v then Some 1 else Snapshot.min_distance snaps.(shard u) u v
-               in
-               Option.iter (fun w -> out := (Hashtbl.find ix v, w) :: !out) w);
-           Array.of_list !out)
+  let search = if with_dist then Some (dial_search snaps shard g targets) else None in
+  let cap = Array.fold_left (fun n r -> n + Array.length r) 0 reached in
+  let row_off = Array.make (Array.length sources + 1) 0 in
+  let row_t = Array.make cap 0 and row_d = Array.make (if with_dist then cap else 0) 0 in
+  let n = ref 0 in
+  let add j d =
+    row_t.(!n) <- j;
+    if with_dist then row_d.(!n) <- d;
+    incr n
   in
-  let target_ix = Array.map (Hashtbl.find ix) targets in
-  let closure_of = Hashtbl.create 64 and rev_l = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      let dist = psg_from adj (Hashtbl.find ix s) in
-      Array.iteri
-        (fun ti tg ->
-          let d = dist.(target_ix.(ti)) in
-          if d < max_int then begin
-            push closure_of s (ti, if with_dist then d else 0);
-            push rev_l tg s
-          end)
-        targets)
-    (List.sort compare (Ihs.to_list psg.Psg.sources));
-  let rev = Hashtbl.create (Hashtbl.length rev_l) in
-  Hashtbl.iter (fun tg l -> Hashtbl.replace rev tg (Array.of_list l)) rev_l;
-  (closure_of, rev)
+  Array.iteri
+    (fun i s ->
+      let r = reached.(i) and self = self_drop s in
+      (match search with
+      | None -> Array.iter (fun j -> if j <> self then add j 0) r
+      | Some search ->
+        let want = Array.length r - if self >= 0 then 1 else 0 in
+        (* a target no search reaches goes (an edge with no stored distance) *)
+        search s ~want (fun dist ->
+            Array.iter (fun j -> if j <> self && dist j < max_int then add j (dist j)) r));
+      row_off.(i + 1) <- !n)
+    sources;
+  let row_t = Array.sub row_t 0 !n and row_d = if with_dist then Array.sub row_d 0 !n else [||] in
+  let rev_off = Array.make (Array.length targets + 1) 0 in
+  Array.iter (fun j -> rev_off.(j + 1) <- rev_off.(j + 1) + 1) row_t;
+  for j = 0 to Array.length targets - 1 do
+    rev_off.(j + 1) <- rev_off.(j + 1) + rev_off.(j)
+  done;
+  let fill = Array.sub rev_off 0 (Array.length targets) and rev_s = Array.make !n 0 in
+  Array.iteri
+    (fun i s ->
+      for e = row_off.(i) to row_off.(i + 1) - 1 do
+        let j = row_t.(e) in
+        rev_s.(fill.(j)) <- s;
+        fill.(j) <- fill.(j) + 1
+      done)
+    sources;
+  { sources; row_off; row_t; row_d; rev_off; rev_s }
 
 type routing = { gen : int; n_shards : int; dist : bool; links : (int * int) list }
 
@@ -415,12 +536,31 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
       has_targets.(b) <- true;
       Ihs.add target_set v)
     links;
-  (* targets ascending: the dense key of the exit-row scratch array *)
+  (* targets ascending: the dense key of the closure rows *)
   let targets = Array.of_list (List.sort compare (Ihs.to_list target_set)) in
-  let closure_of, rev = psg_closure ~with_dist snaps shard links targets in
-  let exits, entries_at = routing_rows snaps elem_shard targets closure_of in
+  let psg =
+    Trace.with_span "router.open.psg" (fun () ->
+        Psg.build ~part_of:shard ~links ~reaches_within_partition:(fun t s ->
+            Snapshot.connected snaps.(shard t) t s))
+  in
+  let clo = Trace.with_span "router.open.closure" (fun () -> psg_closure ~with_dist snaps shard psg targets) in
+  let exits, entries_at =
+    Trace.with_span "router.open.rows" (fun () -> routing_rows snaps elem_shard targets clo)
+  in
   let entries = Array.fold_left (fun acc s -> acc + Snapshot.n_entries s) 0 snaps in
-  { k; with_dist; snaps; elem_shard; has_targets; exits; entries_at; rev; entries }
+  {
+    k;
+    with_dist;
+    snaps;
+    elem_shard;
+    has_targets;
+    exits;
+    entries_at;
+    targets;
+    rev_off = clo.rev_off;
+    rev_s = clo.rev_s;
+    entries;
+  }
 
 let close t = Array.iter Snapshot.close t.snaps
 
@@ -542,7 +682,10 @@ let ancestors t v =
     List.iter
       (fun (rows, _) ->
         Codec.iter_centers rows (fun tg ->
-            Array.iter (Ihs.add sset) (Option.value ~default:[||] (Hashtbl.find_opt t.rev tg))))
+            let j = position t.targets tg in
+            for e = t.rev_off.(j) to t.rev_off.(j + 1) - 1 do
+              Ihs.add sset t.rev_s.(e)
+            done))
       (entries_of t b v);
     Counter.incr (if Ihs.is_empty sset then m_single else m_scatter);
     Ihs.iter

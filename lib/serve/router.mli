@@ -14,8 +14,10 @@
     nodes, the links as edges, and a within edge wherever a link target
     reaches a link source inside its shard (answered by that shard's
     snapshot); its {e transitive closure} pairs every link source [s]
-    with every link target [t] it reaches, at [d_psg(s,t)] (a link costs
-    1, a within edge the shard's stored distance).
+    with every link target [t] it reaches over at least one PSG edge, at
+    [d_psg(s,t)] (a link costs 1, a within edge the shard's stored
+    distance): a source that is also a target is paired with itself
+    only when a PSG cycle returns to it.
 
     {!open_dir} serves the shard directory as one logical index with
     exactly {!Hopi_storage.Cover_store} semantics.  At open it folds the
@@ -120,11 +122,15 @@ val read_routing : ?vfs:Hopi_storage.Vfs.t -> string -> routing
 val open_dir : ?vfs:Hopi_storage.Vfs.t -> ?pool_pages:int -> ?cache_mb:int -> string -> t
 (** Load the routing index, then open the shard stores of the generation
     it names (one shared read-only page pool across all of them), both
-    through [vfs] (default
-    {!Hopi_storage.Vfs.real}); derive the element map, the PSG and its
-    closure from the shards, then build the exit and entry rows from the
+    through [vfs] (default {!Hopi_storage.Vfs.real}); derive the element
+    map and the PSG from the shards (span [router.open.psg]); take the
+    PSG's closure from one {!Hopi_graph.Closure.succs_among} pass, the
+    kernel the PSG join runs, with every distance 0 on plain shards and,
+    on distance-aware ones, one bucket-queue (Dial) shortest-path search
+    per link source over the integer-weighted PSG (span
+    [router.open.closure]); then build the exit and entry rows from the
     label sets of every link endpoint, read through the shared label
-    cache.
+    cache (span [router.open.rows]).
     @raise Hopi_storage.Storage_error.Storage_error on a missing or
     damaged file (as {!read_routing} for the routing index), and
     [Sys_error] on an element two shards register, or on a link with an

@@ -34,7 +34,7 @@ let rec sift_down t i =
     sift_down t !best
   end
 
-let push t ~prio ?(rank = 0) x =
+let push t ~prio ~rank x =
   Dyn_array.push t (prio, rank, x);
   sift_up t (Dyn_array.length t - 1)
 

@@ -427,61 +427,120 @@ let isolated_collection () =
     ];
   c
 
-let test_isolated_elements () =
+(* [f dir r snap what] on [c] split at [k] under [dir] and opened as [r],
+   beside [snap], one unsharded Cover_store over the whole collection *)
+let with_split_and_whole ~dist ~k c f =
   let module S = Hopi_storage in
-  let module Snapshot = Hopi_serve.Snapshot in
-  let c = isolated_collection () in
   let g = Collection.element_graph c in
+  with_temp_dir @@ fun tmp ->
+  let whole = Filename.concat tmp "whole.db" in
+  let pager = S.Pager.create ~fsync:false (S.Pager.File whole) in
+  S.Cover_store.save
+    (S.Cover_store.of_cover pager
+       (if dist then fst (Hopi_twohop.Dist_builder.build g)
+        else fst (Hopi_twohop.Builder.build (Closure.compute g))));
+  S.Pager.close pager;
+  let dir = Filename.concat tmp "shards" in
+  let st = Router.split ~dist ~k ~dir c in
+  checki "k shards" k st.Router.shards;
+  checkb "some link crosses shards" true (st.Router.cross_links > 0);
+  let r = Router.open_dir dir in
+  let snap = Hopi_serve.Snapshot.open_file ~cache_mb:0 whole in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.close r;
+      Hopi_serve.Snapshot.close snap)
+  @@ fun () -> f dir r snap
+
+(* desc and anc of every node of [dom], and reach and dist over all pairs
+   of [ids], answer as the unsharded store does *)
+let check_like_store what r snap ~dom ~ids =
+  let module Snapshot = Hopi_serve.Snapshot in
+  Array.iter
+    (fun u ->
+      check Alcotest.(list int) (what ("desc " ^ string_of_int u))
+        (sorted_of_ihs (Snapshot.descendants snap u))
+        (sorted_of_ihs (descendants r u));
+      check Alcotest.(list int) (what ("anc " ^ string_of_int u))
+        (sorted_of_ihs (Snapshot.ancestors snap u))
+        (sorted_of_ihs (ancestors r u)))
+    dom;
+  Array.iter
+    (fun u ->
+      Array.iter
+        (fun v ->
+          let pair = Printf.sprintf " %d %d" u v in
+          checkb (what ("reach" ^ pair)) (Snapshot.connected snap u v) (Router.connected r u v);
+          check dist_opt (what ("dist" ^ pair)) (Snapshot.min_distance snap u v) (min_distance r u v))
+        ids)
+    ids
+
+let test_isolated_elements () =
+  let c = isolated_collection () in
   let dom = elements c in
   let ghost = Array.fold_left max 0 dom + 5 in
   checki "one element per document" 8 (Array.length dom);
   List.iter
     (fun (dist, k) ->
-      with_temp_dir @@ fun dir ->
-      let whole = Filename.concat dir "whole.db" in
-      let pager = S.Pager.create ~fsync:false (S.Pager.File whole) in
-      S.Cover_store.save
-        (S.Cover_store.of_cover pager
-           (if dist then fst (Hopi_twohop.Dist_builder.build g)
-            else fst (Hopi_twohop.Builder.build (Closure.compute g))));
-      S.Pager.close pager;
-      let st = Router.split ~dist ~k ~dir:(Filename.concat dir "shards") c in
-      checki "k shards" k st.Router.shards;
-      checkb "some link crosses shards" true (st.Router.cross_links > 0);
-      let r = Router.open_dir (Filename.concat dir "shards") in
-      let snap = Snapshot.open_file ~cache_mb:0 whole in
-      Fun.protect
-        ~finally:(fun () ->
-          Router.close r;
-          Snapshot.close snap)
-      @@ fun () ->
-      let what fmt = Printf.sprintf ("dist=%b k=%d: " ^^ fmt) dist k in
+      with_split_and_whole ~dist ~k c @@ fun _ r snap ->
+      let what s = Printf.sprintf "dist=%b k=%d: %s" dist k s in
       checki (what "every element mapped") (Array.length dom) (Router.n_nodes r);
       Array.iter
-        (fun u ->
-          checkb (what "%d has a shard" u) true (Router.shard_of r u <> None);
-          check
-            Alcotest.(list int)
-            (what "desc %d" u)
-            (sorted_of_ihs (Snapshot.descendants snap u))
-            (sorted_of_ihs (descendants r u));
-          check
-            Alcotest.(list int)
-            (what "anc %d" u)
-            (sorted_of_ihs (Snapshot.ancestors snap u))
-            (sorted_of_ihs (ancestors r u)))
+        (fun u -> checkb (what (Printf.sprintf "%d has a shard" u)) true (Router.shard_of r u <> None))
         dom;
-      let ids = Array.append dom [| ghost |] in
-      Array.iter
-        (fun u ->
-          Array.iter
-            (fun v ->
-              checkb (what "reach %d %d" u v) (Snapshot.connected snap u v) (Router.connected r u v);
-              check dist_opt (what "dist %d %d" u v) (Snapshot.min_distance snap u v)
-                (min_distance r u v))
-            ids)
-        ids)
+      check_like_store what r snap ~dom ~ids:(Array.append dom [| ghost |]))
     [ (false, 2); (false, 3); (true, 2); (true, 3) ]
+
+(* {1 An element that is a link source and a link target}
+
+   [e] in a.xml links to [f] in b.xml and is itself the target of a link.
+   On the cycle, the link into [e] comes from below [f] through c.xml, so
+   the PSG leads from [e] back to [e]; off it, c.xml links into [e] and
+   b.xml links on into c.xml, and no PSG path returns.  a.xml is the
+   heaviest document: at k = 3 every document has a shard of its own, at
+   k = 2 b.xml and c.xml share one.  The within edge [f ⇝ g] (2 steps)
+   is the heaviest PSG edge at k = 3, so a search that settles [f] queues
+   [g] one full turn of the bucket queue ahead. *)
+let source_and_target ~cycle =
+  let c = Collection.create () in
+  List.iter
+    (fun (name, xml) ->
+      ignore (Collection.add_document c ~name (Hopi_xml.Xml_parser.parse_string_exn xml) : int))
+    (if cycle then
+       [
+         ("a.xml", {|<a><p><e id="e" xlink:href="b.xml#f"/></p><q/><r/></a>|});
+         ("b.xml", {|<b><f id="f"><m><g xlink:href="c.xml#h"/></m></f></b>|});
+         ("c.xml", {|<c><h id="h"><i xlink:href="a.xml#e"/></h></c>|});
+       ]
+     else
+       [
+         ("a.xml", {|<a><p><e id="e" xlink:href="b.xml#f"/></p><q/><r/></a>|});
+         ("b.xml", {|<b><f id="f"><m><g xlink:href="c.xml#j"/></m></f></b>|});
+         ("c.xml", {|<c><h xlink:href="a.xml#e"/><j id="j"/></c>|});
+       ]);
+  c
+
+(* Every answer equals the unsharded store's, and the exit and entry rows
+   number what a per-source shortest-path search over the PSG gave
+   (recorded from it): [e]'s self row is there exactly on the cycle. *)
+let test_source_and_target () =
+  let rows = Registry.gauge "hopi_router_exit_rows" in
+  List.iter
+    (fun (cycle, dist, k, want_rows) ->
+      let c = source_and_target ~cycle in
+      let e = match Collection.elements_with_tag c "e" with [ e ] -> e | _ -> Alcotest.fail "no <e>" in
+      let dom = elements c in
+      with_split_and_whole ~dist ~k c @@ fun dir r snap ->
+      let what s = Printf.sprintf "cycle=%b dist=%b k=%d: %s" cycle dist k s in
+      let links = (Router.read_routing (routing_path ~dir)).Router.links in
+      checkb (what "e is a link source") true (List.exists (fun (u, _) -> u = e) links);
+      checkb (what "e is a link target") true (List.exists (fun (_, v) -> v = e) links);
+      checki (what "exit rows") want_rows (Hopi_obs.Gauge.get rows);
+      check_like_store what r snap ~dom ~ids:dom)
+    [
+      (true, false, 2, 13); (true, false, 3, 21); (true, true, 2, 13); (true, true, 3, 21);
+      (false, false, 2, 9); (false, false, 3, 15); (false, true, 2, 9); (false, true, 3, 15);
+    ]
 
 (* {1 A larger deterministic differential}
 
@@ -812,6 +871,8 @@ let suite =
           test_read_routing_flips;
         Alcotest.test_case "isolated elements: map from the shard registries" `Quick
           test_isolated_elements;
+        Alcotest.test_case "link source and target: a self row only on a PSG cycle" `Quick
+          test_source_and_target;
       ]
       @ qsuite [ prop_differential; prop_reopen_stable ] );
   ]

@@ -305,8 +305,8 @@ let prop_sort_uniq_prefix =
 
 let test_heap_order () =
   let h = Heap.create () in
-  List.iter (fun (p, x) -> Heap.push h ~prio:p x)
-    [ (1.0, "a"); (5.0, "b"); (3.0, "c"); (4.0, "d"); (2.0, "e") ];
+  List.iteri (fun rank (p, x) -> Heap.push h ~prio:p ~rank x)
+    [ (1.0, "a"); (5.0, "b"); (3.0, "c"); (4.0, "d"); (2.0, "e"); (3.0, "f"); (3.0, "g") ];
   let order = ref [] in
   let rec drain () =
     match Heap.pop_max h with
@@ -316,7 +316,8 @@ let test_heap_order () =
     | None -> ()
   in
   drain ();
-  Alcotest.(check (list string)) "max first" [ "b"; "d"; "c"; "e"; "a" ]
+  (* equal priorities pop lowest rank first *)
+  Alcotest.(check (list string)) "max first" [ "b"; "d"; "c"; "f"; "g"; "e"; "a" ]
     (List.rev !order)
 
 let prop_heap_sorts =
@@ -324,7 +325,7 @@ let prop_heap_sorts =
     QCheck2.Gen.(list_size (int_bound 50) (float_bound_inclusive 100.0))
     (fun ps ->
       let h = Heap.create () in
-      List.iter (fun p -> Heap.push h ~prio:p ()) ps;
+      List.iteri (fun rank p -> Heap.push h ~prio:p ~rank ()) ps;
       let rec drain acc =
         match Heap.pop_max h with
         | Some (p, ()) -> drain (p :: acc)
