@@ -202,25 +202,23 @@ let run_build pool (config : Config.t) c =
   Counter.add m_closure_connections !closure_connections;
   Trace.add "partition_entries" partition_entries;
   Trace.add "closure_connections" !closure_connections;
-  let final = Cover.create ~initial:(Collection.n_elements c) () in
-  Array.iter (fun cov -> Cover.union_into ~dst:final cov) partition_covers;
   let psg_join ?strategy () =
-    let s =
-      Join_psg.join ?strategy ~pool c partitioning
-        ~partition_cover:(fun p -> partition_covers.(p))
-        ~final
-    in
-    (s.Join_psg.entries_added, s.Join_psg.cpu_seconds)
+    let final, s = Join_psg.join ?strategy ~pool c partitioning ~partition_covers in
+    (final, s.Join_psg.entries_added, s.Join_psg.cpu_seconds)
   in
-  let (join_entries, join_cpu_seconds), join_seconds =
+  let (final, join_entries, join_cpu_seconds), join_seconds =
     Trace.with_span "build.join" (fun () ->
         Timer.time (fun () ->
             match config.Config.joiner with
             | Config.Incremental ->
+              (* the union of the partition covers, frozen; the join
+                 writes to its overlay, folded in at the end *)
+              let final = Cover.merge partition_covers ~lout:[||] ~lin:[||] in
               let s =
                 Join_incremental.join final partitioning.Partitioning.cross_links
               in
-              (s.Join_incremental.entries_added, 0.0)
+              Cover.compact final;
+              (final, s.Join_incremental.entries_added, 0.0)
             | Config.Psg -> psg_join ()
             | Config.Psg_partitioned budget ->
               psg_join ~strategy:(Join_psg.Partitioned budget) ()))

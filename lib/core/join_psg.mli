@@ -44,18 +44,17 @@ val join :
   ?pool:Hopi_util.Pool.t ->
   Hopi_collection.Collection.t ->
   Hopi_collection.Partitioning.t ->
-  partition_cover:(int -> Hopi_twohop.Cover.t) ->
-  final:Hopi_twohop.Cover.t ->
-  stats
-(** [partition_cover p] must be the 2-hop cover of partition [p]; [final]
-    (already containing the union of the partition covers) receives the
-    [H̄]/[Ĥ] entries through a three-stage pipeline: per-task packed entry
-    arrays ([join.psg.sort], fanned out over the pool; the out-side task of
-    an element partition emits each of its entries once, through a stamp
-    per link target, and no other partition's task can repeat them), one
-    sorted stream per direction
-    ([join.psg.merge]), and a grouped bulk application to [final]
-    ([join.psg.bulk] — {!Hopi_twohop.Cover.add_out_packed}).
+  partition_covers:Hopi_twohop.Cover.t array ->
+  Hopi_twohop.Cover.t * stats
+(** [partition_covers.(p)] must be the 2-hop cover of partition [p].  The
+    result is the final cover: the union of the partition covers and the
+    [H̄]/[Ĥ] entries, built through a three-stage pipeline: per-task
+    packed entry arrays ([join.psg.sort], fanned out over the pool; the
+    out-side task of an element partition emits each of its entries once,
+    through a stamp per link target, and no other partition's task can
+    repeat them), one sorted stream per direction ([join.psg.merge]), and
+    one merge of the partition covers' rows with both streams into a
+    frozen cover ([join.psg.bulk] — {!Hopi_twohop.Cover.merge}).
 
     With [pool], the read-only bulk work — per-chunk closures
     ([Partitioned]) and the partition-level ancestor/descendant

@@ -188,22 +188,19 @@ let succs_among g ~from ~among =
     | None -> invalid_arg "Closure.succs_among: not a node of the graph"
   in
   let among_local = Array.map local among in
+  (* one pass of bit tests per source, into a buffer shared by all *)
+  let buf = Array.make (Array.length among) 0 in
   Array.map
     (fun u ->
       let p = k.comp.(local u) in
-      let hit j = reaches k p among_local.(j) in
       let n = ref 0 in
       for j = 0 to Array.length among - 1 do
-        if hit j then incr n
-      done;
-      let js = Array.make !n 0 and i = ref 0 in
-      for j = 0 to Array.length among - 1 do
-        if hit j then begin
-          js.(!i) <- j;
-          incr i
+        if reaches k p among_local.(j) then begin
+          buf.(!n) <- j;
+          incr n
         end
       done;
-      js)
+      Array.sub buf 0 !n)
     from
 
 (* The transposed reach sets, per SCC: its ancestor SCCs, ascending, are

@@ -26,7 +26,8 @@ val succs_among : Digraph.t -> from:int array -> among:int array -> int array ar
 (** [(succs_among g ~from ~among).(i)] holds, ascending, every position [j]
     with [from.(i) ⇝ among.(j)] (reflexively).  One kernel pass, read
     straight off the component bitsets: no per-node set is materialised,
-    and the cost past the pass is [|from| × |among|] bit tests.
+    and the cost past the pass is [|from| × |among|] bit tests, each made
+    once.
     @raise Invalid_argument if a node of [from] or [among] is not in [g]. *)
 
 val intervals : off:int array -> succ:int array -> int array * int array

@@ -86,6 +86,8 @@ let with_lock mu f =
 
 (* {1 Persistence} *)
 
+(* the maintenance since the last flip sits in the cover's overlay: the
+   store write compacts it into the frozen base, then copies the rows *)
 let persist_store idx pager = S.Cover_store.save (S.Cover_store.of_cover pager (Hopi.cover idx))
 
 (* {1 Slots} *)

@@ -1,7 +1,6 @@
 module Ihs = Hopi_util.Int_hashset
 module Cover = Hopi_twohop.Cover
 module Codec = Hopi_twohop.Label_codec
-module Dyn_array = Hopi_util.Dyn_array
 
 type dir = Lin | Lout
 
@@ -63,34 +62,14 @@ let iter_out_by_center t w f =
 
 (* {1 Writing a store}
 
-   The directory's keys are the registered nodes plus any center that is
-   not one.  Per direction, the forward rows are each node's entries
-   sorted by (center, dist) — packed [center lsl 31 lor dist] so the
-   sorts are int sorts — and the backward rows are the same entries
-   bucketed by center slot in one counting pass over the nodes in key
-   order, so every bucket comes out ascending by node with no sort.
-   Everything is a function of the cover's content, so the pages are
-   byte-identical for equal covers. *)
+   A frozen cover already holds the store's rows: its keys are the
+   directory's (the registered nodes plus any center that is not one),
+   its forward rows are each node's entries ascending by center, and its
+   backward rows are each center's node slots ascending.  Writing copies
+   them through the row codec, so the pages are a function of the cover's
+   content and byte-identical for equal covers. *)
 
-type labels = {
-  nodes : int array;  (* registered, ascending *)
-  registered : int -> bool;
-  iter : dir -> int -> (int -> int -> unit) -> unit;
-      (* [iter dir v f]: [f center dist] over v's entries, in any order *)
-}
-
-let pack_bits = 31
-
-let pack_mask = (1 lsl pack_bits) - 1
-
-let sorted_ints n fill =
-  let a = Array.make n 0 in
-  let i = ref 0 in
-  fill (fun v ->
-      a.(!i) <- v;
-      incr i);
-  Array.sort Int.compare a;
-  a
+let pack_mask = (1 lsl 31) - 1
 
 (* {2 The reachability interval}
 
@@ -102,119 +81,60 @@ let sorted_ints n fill =
    least [post] it reaches.  So [u] reaching [v] implies [post v <= post u]
    and [low u <= low v], whatever the cover. *)
 
-let write pgr l =
+let of_cover pgr cover =
   Catalog.reserve "Cover_store" pgr;
-  let extra = Ihs.create () in
-  Array.iter
-    (fun v ->
-      List.iter
-        (fun dir -> l.iter dir v (fun c _ -> if not (l.registered c) then Ihs.add extra c))
-        [ Lin; Lout ])
-    l.nodes;
-  let keys =
-    sorted_ints (Array.length l.nodes + Ihs.cardinal extra) (fun add ->
-        Array.iter add l.nodes;
-        Ihs.iter add extra)
-  in
+  let { Cover.keys; lin; lout } = Cover.frozen cover in
   let n = Array.length keys in
-  let w = Row_table.writer pgr ~keys ~registered:l.registered in
-  let any_dist = ref false in
-  (* writes both tables of a direction and answers its backward rows as
-     [(count, bucket)]: center slot [s]'s entries are [bucket.(j)] for [j]
-     in [\[count.(s), count.(s + 1))], each [node slot lsl 31 lor dist],
-     ascending *)
-  let direction dir =
-    (* forward rows, counting each center slot's entries on the way *)
-    let count = Array.make (n + 1) 0 in
-    let buf = Dyn_array.create () in
-    Row_table.add_table w (fun i ->
-        Dyn_array.clear buf;
-        if l.registered keys.(i) then
-          l.iter dir keys.(i) (fun c d ->
-              if c < 0 || c > pack_mask || d < 0 || d > pack_mask then
-                invalid_arg (Printf.sprintf "Cover_store: entry (%d, %d) out of range" c d);
-              if d > 0 then any_dist := true;
-              Dyn_array.push buf ((c lsl pack_bits) lor d);
-              let s = Row_table.search keys c in
-              count.(s + 1) <- count.(s + 1) + 1);
-        let row = Dyn_array.to_array buf in
-        Array.sort Int.compare row;
-        let e = Codec.Enc.create () in
-        Array.iter (fun x -> Codec.Enc.row e ~center:(x lsr pack_bits) ~dist:(x land pack_mask)) row;
-        Codec.Enc.finish e);
-    (* backward rows: bucket (node slot, dist) by center slot *)
-    for s = 1 to n do
-      count.(s) <- count.(s) + count.(s - 1)
+  List.iter
+    (fun d ->
+      Array.iter
+        (fun x ->
+          if x > pack_mask then
+            invalid_arg (Printf.sprintf "Cover_store: distance %d out of range" x))
+        d)
+    [ lin.dist; lout.dist ];
+  let w = Row_table.writer pgr ~keys ~registered:(Cover.mem_node cover) in
+  let encode ctr dist lo hi =
+    let e = Codec.Enc.create () in
+    for j = lo to hi - 1 do
+      Codec.Enc.row e ~center:ctr.(j) ~dist:(if Array.length dist = 0 then 0 else dist.(j))
     done;
-    let fill = Array.sub count 0 n in
-    let bucket = Array.make count.(n) 0 in
-    Array.iteri
-      (fun i v ->
-        if l.registered v then
-          l.iter dir v (fun c d ->
-              let s = Row_table.search keys c in
-              bucket.(fill.(s)) <- (i lsl pack_bits) lor d;
-              fill.(s) <- fill.(s) + 1))
-      keys;
-    Row_table.add_table w (fun s ->
-        let e = Codec.Enc.create () in
-        for j = count.(s) to count.(s + 1) - 1 do
-          Codec.Enc.row e ~center:(bucket.(j) lsr pack_bits) ~dist:(bucket.(j) land pack_mask)
-        done;
-        Codec.Enc.finish e);
-    (count, bucket)
+    Codec.Enc.finish e
   in
-  let in_count, in_bucket = direction Lin in
-  let out_count, out_bucket = direction Lout in
+  List.iter
+    (fun (r : Cover.rows) ->
+      Row_table.add_table w (fun i -> encode r.ctr r.dist r.off.(i) r.off.(i + 1));
+      Row_table.add_table w (fun s -> encode r.by_node r.by_dist r.by_off.(s) r.by_off.(s + 1)))
+    [ lin; lout ];
   (* the cover graph's successors of slot [u]: the centers of Lout(u) in
      row order (Lout's backward rows turned around), then the nodes naming
      [u] in their Lin (its Lin backward row) *)
   let succ_off = Array.make (n + 1) 0 in
-  Array.iter
-    (fun x ->
-      let u = x lsr pack_bits in
-      succ_off.(u + 1) <- succ_off.(u + 1) + 1)
-    out_bucket;
+  Array.iter (fun u -> succ_off.(u + 1) <- succ_off.(u + 1) + 1) lout.by_node;
   for s = 0 to n - 1 do
-    succ_off.(s + 1) <- succ_off.(s + 1) + in_count.(s + 1) - in_count.(s) + succ_off.(s)
+    succ_off.(s + 1) <- succ_off.(s + 1) + lin.by_off.(s + 1) - lin.by_off.(s) + succ_off.(s)
   done;
   let succ = Array.make succ_off.(n) 0 and fill = Array.sub succ_off 0 n in
   for c = 0 to n - 1 do
-    for j = out_count.(c) to out_count.(c + 1) - 1 do
-      let u = out_bucket.(j) lsr pack_bits in
+    for j = lout.by_off.(c) to lout.by_off.(c + 1) - 1 do
+      let u = lout.by_node.(j) in
       succ.(fill.(u)) <- c;
       fill.(u) <- fill.(u) + 1
     done
   done;
   for c = 0 to n - 1 do
-    for j = in_count.(c) to in_count.(c + 1) - 1 do
-      succ.(fill.(c)) <- in_bucket.(j) lsr pack_bits;
+    for j = lin.by_off.(c) to lin.by_off.(c + 1) - 1 do
+      succ.(fill.(c)) <- lin.by_node.(j);
       fill.(c) <- fill.(c) + 1
     done
   done;
   let post, low = Hopi_graph.Closure.intervals ~off:succ_off ~succ in
-  attach pgr ~with_dist:!any_dist (Row_table.finish w ~post ~low)
-
-let of_cover pgr cover =
-  write pgr
-    { nodes = sorted_ints (Cover.n_nodes cover) (Cover.iter_nodes cover);
-      registered = Cover.mem_node cover;
-      iter =
-        (fun dir v f ->
-          (match dir with Lin -> Cover.iter_lin | Lout -> Cover.iter_lout) cover v f) }
+  let with_dist = Array.length lin.dist > 0 || Array.length lout.dist > 0 in
+  attach pgr ~with_dist (Row_table.finish w ~post ~low)
 
 (* the trivial cover: Lout(v) is every node v reaches but itself, Lin is
    empty *)
-let of_closure pgr clo =
-  let module C = Hopi_graph.Closure in
-  write pgr
-    { nodes = sorted_ints (C.n_nodes clo) (C.iter_nodes clo);
-      registered = (fun v -> C.mem clo v v);
-      iter =
-        (fun dir v f ->
-          match dir with
-          | Lin -> ()
-          | Lout -> Hopi_util.Int_set.iter (fun w -> if w <> v then f w 0) (C.succs clo v)) }
+let of_closure pgr clo = of_cover pgr (Cover.of_closure clo)
 
 (* {1 Queries}
 

@@ -44,8 +44,8 @@ type t
 
     A store is written once, onto a fresh pager: page 0 is reserved for
     the {!Catalog}, then the row heap and the directory are written in
-    one pass per direction (forward rows, then the backward rows bucketed
-    from them), each page handed to {!Pager.write} once.  The page layout
+    one pass per direction (forward rows, then backward rows, both copied
+    from the frozen cover), each page handed to {!Pager.write} once.  The page layout
     is a function of the cover's content.  The directory's keys are the
     registered nodes plus any center that is not one.  {!save} makes the
     store durable.
@@ -61,7 +61,9 @@ type t
 
 val of_cover : Pager.t -> Hopi_twohop.Cover.t -> t
 (** Store a cover with each entry's distance in the DIST column (all 0
-    for a plain cover).
+    for a plain cover).  The cover is compacted first
+    ({!Hopi_twohop.Cover.compact}); its frozen rows are then copied as
+    they are, so no row is sorted or bucketed here.
     @raise Invalid_argument when the pager already has pages, or on a
     node id outside [\[0, 2^31)]. *)
 

@@ -216,29 +216,7 @@ let n_keys t = Array.length t.keys
 
 let key t i = t.keys.(i)
 
-let search keys v =
-  let n = Array.length keys in
-  if n = 0 then -1
-  else if Array.unsafe_get keys (n - 1) - Array.unsafe_get keys 0 = n - 1 then begin
-    let i = v - Array.unsafe_get keys 0 in
-    if i >= 0 && i < n then i else -1
-  end
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      let k = Array.unsafe_get keys mid in
-      if k = v then begin
-        found := mid;
-        lo := !hi + 1
-      end
-      else if k < v then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
-  end
-
-let slot t v = search t.keys v
+let slot t v = Hopi_twohop.Cover.slot t.keys v
 
 let registered t i = Bytes.get t.reg i <> '\000'
 

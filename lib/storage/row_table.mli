@@ -74,12 +74,8 @@ val key : t -> int -> int
 (** The key at a slot (its rank among the keys). *)
 
 val slot : t -> int -> int
-(** The slot of a key, or [-1]: {!search} over the keys. *)
-
-val search : int array -> int -> int
-(** [search keys v]: the index of [v] in the strictly ascending [keys],
-    or [-1] — one probe when the keys are consecutive integers, a binary
-    search otherwise. *)
+(** The slot of a key, or [-1]: {!Hopi_twohop.Cover.slot} over the
+    keys. *)
 
 val registered : t -> int -> bool
 (** Is the key at this slot a registered node? *)

@@ -205,6 +205,7 @@ let build ?(preselect_centers = []) ?only_pairs clo =
   Counter.add m_recomputations !recomputations;
   Counter.add m_center_graph_edges ctx.edges;
   Counter.add m_reinserts !reinserts;
+  Cover.compact ctx.cover;
   ( ctx.cover,
     {
       iterations = !iterations;
@@ -235,4 +236,5 @@ let build_eager clo =
       incr iterations
   done;
   Counter.add m_center_graph_edges ctx.edges;
+  Cover.compact ctx.cover;
   (ctx.cover, { iterations = !iterations; recomputations = !recomputations; reinserts = 0 })

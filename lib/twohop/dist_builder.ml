@@ -185,6 +185,7 @@ let build ?(seed = 42) ?(exact_threshold = max_samples) g =
         else incr reinserts;
         Heap.push queue ~prio:r.Densest.density ~rank:w w)
   done;
+  Cover.compact cover;
   ( cover,
     {
       iterations = !iterations;

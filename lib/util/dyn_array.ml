@@ -31,4 +31,3 @@ let pop t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let clear t = t.len <- 0

@@ -17,4 +17,3 @@ val pop : 'a t -> 'a
 
 val to_array : 'a t -> 'a array
 
-val clear : 'a t -> unit

@@ -113,12 +113,6 @@ let fold f t acc =
 
 let to_list t = fold List.cons t []
 
-let to_int_set t =
-  let a = Array.make (cardinal t) 0 in
-  let n = ref 0 in
-  iter (fun x -> Array.unsafe_set a !n x; incr n) t;
-  Array.sort Int.compare a;
-  Int_set.of_sorted_array_unsafe a
 
 let clear t =
   if t.size > 0 then Array.fill t.slots 0 (Array.length t.slots) free;

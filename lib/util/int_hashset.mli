@@ -14,7 +14,7 @@
     sorted, and liable to change with capacity or after a {!remove}.  The
     set being iterated must not be mutated ([add], [remove], [clear])
     until the iteration returns; mutating a {e different} set is fine.
-    Callers that need deterministic output sort first ({!to_int_set}). *)
+    Callers that need deterministic output sort first. *)
 
 type t
 
@@ -37,9 +37,6 @@ val iter : (int -> unit) -> t -> unit
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Unordered; see the iteration contract above. *)
-
-val to_int_set : t -> Int_set.t
-(** The elements, sorted. *)
 
 val to_list : t -> int list
 (** Unordered. *)

@@ -12,8 +12,6 @@ let of_list l =
 
 let to_list = Array.to_list
 
-let cardinal = Array.length
-
 (* Binary search. *)
 let mem x t =
   let lo = ref 0 and hi = ref (Array.length t) in

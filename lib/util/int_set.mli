@@ -15,8 +15,6 @@ val of_sorted_array_unsafe : int array -> t
 
 val to_list : t -> int list
 
-val cardinal : t -> int
-
 val mem : int -> t -> bool
 
 val iter : (int -> unit) -> t -> unit

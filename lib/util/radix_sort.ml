@@ -13,12 +13,13 @@
 
 let small = 1 lsl 16
 
-(* [scratch] is used as the work space when it holds [len] entries *)
-let sort_prefix_with scratch a len =
+(* [scratch] is used as the work space when it holds [len] entries; the
+   digits start at bit [from_bit] *)
+let sort_prefix_with ~from_bit scratch a len =
   if len > 1 then begin
     let max_v = ref 0 in
     for i = 0 to len - 1 do
-      if a.(i) < 0 then invalid_arg "Radix_sort.sort: negative entry";
+      if a.(i) < 0 then invalid_arg "Radix_sort.sort_uniq_prefix: negative entry";
       if a.(i) > !max_v then max_v := a.(i)
     done;
     let digit_bits = if len < small then 8 else 16 in
@@ -31,7 +32,7 @@ let sort_prefix_with scratch a len =
     in
     let count = Array.make n_buckets 0 in
     let src = ref a and dst = ref scratch in
-    let shift = ref 0 in
+    let shift = ref from_bit in
     (* [lsr] by the word size or more is unspecified (x86 masks the count,
        so [max_v lsr 64] is [max_v]): stop once the digits cover the word *)
     while !shift < Sys.int_size && !max_v lsr !shift > 0 do
@@ -61,12 +62,8 @@ let sort_prefix_with scratch a len =
     if !src != a then Array.blit !src 0 a 0 len
   end
 
-let sort_prefix a len = sort_prefix_with None a len
-
-let sort a = sort_prefix a (Array.length a)
-
-let sort_uniq_prefix ?scratch a len =
-  sort_prefix_with scratch a len;
+let sort_uniq_prefix ?scratch ?(from_bit = 0) a len =
+  sort_prefix_with ~from_bit scratch a len;
   let k = ref (min len 1) in
   for i = 1 to len - 1 do
     if a.(i) <> a.(!k - 1) then begin

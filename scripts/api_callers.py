@@ -38,6 +38,9 @@ CALLER_DIRS = ["lib", "bin", "bench", "examples", "perfbench"]
 ALLOW = {
     "Cover.in_labelled_with": "oracle of the by-center store differential",
     "Cover.out_labelled_with": "oracle of the by-center store differential",
+    "Cover.iter_lin": "reads rows with their distances in the overlay model test and the store differentials",
+    "Cover.iter_lout": "reads rows with their distances in the overlay model test and the store differentials",
+    "Closure.mem": "reachability oracle of the closure, cover and shard tests",
     "Partitioning.check": "oracle of the partition invariants in the partitioner tests",
     "Hopi.rebuild": "builds the offline twin of the live-vs-offline differential",
     "Generation.apply_to_index": "replays churn on the offline twin of the live-vs-offline differential",

@@ -268,7 +268,7 @@ let snapshot_matches_index ~cache_mb g ~dist =
   and mem = Cover.mem_node c
   and reach = Cover.connected c
   and distance = Cover.dist c
-  and n_nodes = Cover.n_nodes c in
+  and n_nodes = List.length (Cover.nodes c) in
   let closure_set f u = if mem u then Int_set.to_list (f clo u) else [] in
   with_store_file load @@ fun path ->
   let snap = Snapshot.open_file ~pool_pages:64 ~cache_mb path in

@@ -471,7 +471,7 @@ let prop_store_anc_desc_match_cover =
       let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
       let store = Cover_store.of_cover (Pager.create ~pool_pages:16 Pager.Memory) cover in
       let same a b =
-        Hopi_util.Int_set.to_list (Ihs.to_int_set a) = Hopi_util.Int_set.to_list (Ihs.to_int_set b)
+        List.sort compare (Ihs.to_list a) = List.sort compare (Ihs.to_list b)
       in
       let ok = ref true in
       for v = 0 to n - 1 do
@@ -514,10 +514,10 @@ let prop_bulk_store_matches_cover =
       if Cover_store.n_entries store <> Cover.size cover then
         QCheck2.Test.fail_reportf "entries %d <> %d" (Cover_store.n_entries store)
           (Cover.size cover);
-      if Cover_store.n_nodes store <> Cover.n_nodes cover then
+      if Cover_store.n_nodes store <> List.length (Cover.nodes cover) then
         QCheck2.Test.fail_report "node counts differ";
       if Cover_store.with_dist store then QCheck2.Test.fail_report "plain store has distances";
-      let same a b = Hopi_util.Int_set.to_list (Ihs.to_int_set a) = Hopi_util.Int_set.to_list (Ihs.to_int_set b) in
+      let same a b = List.sort compare (Ihs.to_list a) = List.sort compare (Ihs.to_list b) in
       let ok = ref true in
       for u = 0 to n + 1 do
         if Cover_store.mem_node store u <> Cover.mem_node cover u then ok := false;
@@ -539,10 +539,11 @@ let prop_bulk_dist_store_matches_cover =
       let dc, _ = Hopi_twohop.Dist_builder.build g in
       let store = reopened (fun pager -> Cover_store.of_cover pager dc) in
       let any_dist = ref false in
-      Cover.iter_nodes dc (fun v ->
+      List.iter (fun v ->
           let note _ d = if d > 0 then any_dist := true in
           Cover.iter_lin dc v note;
-          Cover.iter_lout dc v note);
+          Cover.iter_lout dc v note)
+        (Cover.nodes dc);
       if Cover_store.n_entries store <> Cover.size dc then
         QCheck2.Test.fail_report "entry counts differ";
       if Cover_store.with_dist store <> !any_dist then
@@ -685,7 +686,7 @@ let test_verify_corrupt_directory () =
     let st = Cover_store.open_pager pgr in
     let keys = Array.make n 0 in
     Array.iteri (fun i _ -> keys.(i) <- (if i = 0 then 0 else keys.(i - 1)) + (value i 0 lsr 1)) keys;
-    let slot k = Row_table.search keys k in
+    let slot k = Hopi_twohop.Cover.slot keys k in
     List.find
       (fun u ->
         value u 6 > 0 && one_byte u 6
@@ -726,7 +727,7 @@ let test_row_is_one_pool_touch () =
     f ();
     touches () - t0
   in
-  Cover.iter_nodes cover (fun v ->
+  List.iter (fun v ->
       let expect n = if n = 0 then 0 else 1 in
       List.iter
         (fun (what, dir, card) ->
@@ -737,10 +738,11 @@ let test_row_is_one_pool_touch () =
       List.iter
         (fun (what, scan, namers) ->
           check_int (Printf.sprintf "%s(%d): pool touches" what v)
-            (expect (Ihs.cardinal (namers cover v)))
+            (expect (List.length (Hopi_util.Int_set.to_list (namers cover v))))
             (touched (fun () -> scan st v (fun ~node:_ ~dist:_ -> ()))))
         [ ("in_by_center", Cover_store.iter_in_by_center, Cover.in_labelled_with);
-          ("out_by_center", Cover_store.iter_out_by_center, Cover.out_labelled_with) ]);
+          ("out_by_center", Cover_store.iter_out_by_center, Cover.out_labelled_with) ])
+    (Cover.nodes cover);
   check_bool "rows on several pages" true (Pager.n_pages pgr > 6);
   Pager.close pgr
 

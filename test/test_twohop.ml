@@ -100,7 +100,7 @@ let test_cover_dist_column () =
   Cover.union_into ~dst:d c;
   check_rows "union keeps the least distance" [ (3, 1) ] (rows Cover.iter_lout d 4);
   check_rows "and carries the source's" [ (1, 2) ] (rows Cover.iter_lout d 2);
-  ignore (Cover.add_out_packed d [| Cover.pack_entry ~node:4 ~center:3 |]);
+  let d = Cover.merge [| d |] ~lout:[| Cover.pack_entry ~node:4 ~center:3 |] ~lin:[||] in
   check_rows "a packed entry is at distance 0" [ (3, 0) ] (rows Cover.iter_lout d 4)
 
 let test_cover_set_labels () =
@@ -113,8 +113,8 @@ let test_cover_set_labels () =
   check_int "size stays 2" 2 (Cover.size c);
   check_list "lout" [ 3; 4 ] (Int_set.to_list (Cover.lout c 1));
   (* backward index consistency *)
-  check_bool "2 inv dropped" false (Ihs.mem (Cover.out_labelled_with c 2) 1);
-  check_bool "4 inv added" true (Ihs.mem (Cover.out_labelled_with c 4) 1)
+  check_bool "2 inv dropped" false (Int_set.mem 1 (Cover.out_labelled_with c 2));
+  check_bool "4 inv added" true (Int_set.mem 1 (Cover.out_labelled_with c 4))
 
 let test_cover_remove_node () =
   let c = Cover.create () in
@@ -136,6 +136,324 @@ let test_cover_union_into () =
   Cover.union_into ~dst:a b;
   check_bool "1->3" true (Cover.connected a 1 3);
   check_int "size" 2 (Cover.size a)
+
+(* {2 The overlay against a reference model}
+
+   Random sequences of writes, unions, merges and compactions over a few
+   ids, so that entries collide, centers need not be nodes and nodes keep
+   empty labels.  After every step each read of the cover is compared
+   with a model of plain hash tables, and the nodes the change hook
+   reported with the nodes whose labels the step changed. *)
+
+module Model = struct
+  type t = {
+    nodes : (int, unit) Hashtbl.t;
+    lin : (int * int, int) Hashtbl.t;  (* (node, center) -> dist *)
+    lout : (int * int, int) Hashtbl.t;
+    changed : (int, unit) Hashtbl.t;  (* nodes whose labels the step changed *)
+  }
+
+  let create () =
+    { nodes = Hashtbl.create 16; lin = Hashtbl.create 16; lout = Hashtbl.create 16;
+      changed = Hashtbl.create 16 }
+
+  let side m is_in = if is_in then m.lin else m.lout
+
+  let add_node m v = Hashtbl.replace m.nodes v ()
+
+  let add m is_in ~node ~center ~dist =
+    if node <> center then begin
+      add_node m node;
+      let t = side m is_in in
+      match Hashtbl.find_opt t (node, center) with
+      | None ->
+        Hashtbl.replace t (node, center) dist;
+        Hashtbl.replace m.changed node ()
+      | Some d ->
+        if dist < d then begin
+          Hashtbl.replace t (node, center) dist;
+          Hashtbl.replace m.changed node ()
+        end
+    end
+
+  (* [node]'s row, ascending by center *)
+  let row m is_in v =
+    Hashtbl.fold (fun (n, c) d acc -> if n = v then (c, d) :: acc else acc) (side m is_in) []
+    |> List.sort compare
+
+  let set m is_in node centers =
+    add_node m node;
+    let t = side m is_in in
+    let keep = List.filter (fun c -> c <> node) centers in
+    List.iter
+      (fun (c, _) ->
+        if not (List.mem c keep) then begin
+          Hashtbl.remove t (node, c);
+          Hashtbl.replace m.changed node ()
+        end)
+      (row m is_in node);
+    List.iter
+      (fun c ->
+        if not (Hashtbl.mem t (node, c)) then begin
+          Hashtbl.replace t (node, c) 0;
+          Hashtbl.replace m.changed node ()
+        end)
+      keep
+
+  let remove_node m v =
+    if Hashtbl.mem m.nodes v then begin
+      set m true v [];
+      set m false v [];
+      List.iter
+        (fun is_in ->
+          let t = side m is_in in
+          let namers = Hashtbl.fold (fun (n, c) _ acc -> if c = v then n :: acc else acc) t [] in
+          List.iter
+            (fun n ->
+              Hashtbl.remove t (n, v);
+              Hashtbl.replace m.changed n ())
+            namers)
+        [ true; false ];
+      Hashtbl.remove m.nodes v;
+      Hashtbl.replace m.changed v ()
+    end
+
+  let namers m is_in w =
+    Hashtbl.fold (fun (n, c) _ acc -> if c = w then n :: acc else acc) (side m is_in) []
+    |> List.sort compare
+
+  let mem m v = Hashtbl.mem m.nodes v
+
+  let dist m u v =
+    if not (mem m u && mem m v) then None
+    else if u = v then Some 0
+    else begin
+      let best = ref None in
+      let note d = match !best with Some b when b <= d -> () | _ -> best := Some d in
+      let out_u = (u, 0) :: row m false u and in_v = (v, 0) :: row m true v in
+      List.iter
+        (fun (w, du) -> List.iter (fun (w', dv) -> if w = w' then note (du + dv)) in_v)
+        out_u;
+      !best
+    end
+
+  (* the node, each center of its labels on one side, and every node
+     naming one of those centers on the other *)
+  let reach_set m ~own ~other u =
+    if not (mem m u) then []
+    else
+      (u :: List.map fst (row m own u))
+      |> List.concat_map (fun w -> w :: namers m other w)
+      |> List.sort_uniq compare
+
+  let size m = Hashtbl.length m.lin + Hashtbl.length m.lout
+end
+
+type cover_op =
+  | Add of bool * int * int * int  (* Lin?, node, center, dist *)
+  | Add_node of int
+  | Set of bool * int * int list
+  | Remove of int
+  | Union of (bool * int * int * int) list * bool  (* entries of a fresh cover, frozen? *)
+  | Merge of (bool * int * int) list * (bool * int * int * int) list
+      (* packed entries, entries of a second cover *)
+  | Compact
+
+let show_cover_op = function
+  | Add (i, n, c, d) -> Printf.sprintf "add_%s %d %d ~dist:%d" (if i then "in" else "out") n c d
+  | Add_node v -> Printf.sprintf "add_node %d" v
+  | Set (i, n, cs) ->
+    Printf.sprintf "set_%s %d [%s]" (if i then "lin" else "lout") n
+      (String.concat ";" (List.map string_of_int cs))
+  | Remove v -> Printf.sprintf "remove_node %d" v
+  | Union (es, frozen) -> Printf.sprintf "union_into (%d entries, frozen %b)" (List.length es) frozen
+  | Merge (es, more) ->
+    Printf.sprintf "merge (%d packed, a second cover of %d entries)" (List.length es) (List.length more)
+  | Compact -> "compact"
+
+let n_ids = 10
+
+let prop_cover_overlay_model =
+  let open QCheck2.Gen in
+  let id = int_bound (n_ids - 1) in
+  let dist = oneof [ pure 0; int_range 1 3 ] in
+  let entry = map (fun (((i, n), c), d) -> (i, n, c, d)) (pair (pair (pair bool id) id) dist) in
+  let op =
+    frequency
+      [
+        (10, map (fun (i, n, c, d) -> Add (i, n, c, d)) entry);
+        (2, map (fun v -> Add_node v) id);
+        (3, map (fun ((i, n), cs) -> Set (i, n, cs)) (pair (pair bool id) (list_size (int_bound 4) id)));
+        (2, map (fun v -> Remove v) id);
+        (2, map (fun (es, f) -> Union (es, f)) (pair (list_size (int_bound 6) entry) bool));
+        (1, map (fun (es, more) -> Merge (es, more))
+              (pair (list_size (int_bound 6) (triple bool id id)) (list_size (int_bound 4) entry)));
+        (3, pure Compact);
+      ]
+  in
+  QCheck2.Test.make ~name:"cover overlay = hash-table model" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_cover_op ops))
+    (list_size (int_range 1 40) op)
+    (fun ops ->
+      let m = Model.create () in
+      let c = ref (Cover.create ()) in
+      let reported = Hashtbl.create 16 in
+      let hook t = Cover.set_on_label_change t (Some (fun v -> Hashtbl.replace reported v ())) in
+      hook !c;
+      let cover_of es =
+        let src = Cover.create () in
+        List.iter
+          (fun (is_in, node, center, dist) ->
+            (if is_in then Cover.add_in else Cover.add_out) ~dist src ~node ~center)
+          es;
+        src
+      in
+      let fail step what = QCheck2.Test.fail_reportf "after %s: %s" (show_cover_op step) what in
+      let sorted_ihs h = List.sort compare (Ihs.to_list h) in
+      let rows iter v =
+        let l = ref [] in
+        iter !c v (fun w d -> l := (w, d) :: !l);
+        List.sort compare !l
+      in
+      let check step =
+        let t = !c in
+        let ids = List.init (n_ids + 2) (fun i -> i - 1) in
+        if List.sort compare (Cover.nodes t) <> List.sort compare (Hashtbl.fold (fun v () l -> v :: l) m.Model.nodes [])
+        then fail step "nodes";
+        if Cover.size t <> Model.size m then
+          fail step (Printf.sprintf "size %d, model %d" (Cover.size t) (Model.size m));
+        List.iter
+          (fun v ->
+            if Cover.mem_node t v <> Model.mem m v then fail step (Printf.sprintf "mem_node %d" v);
+            List.iter
+              (fun (is_in, name, iter, labels, card, labelled) ->
+                let want = Model.row m is_in v in
+                if rows iter v <> want then fail step (Printf.sprintf "iter_%s %d" name v);
+                if Int_set.to_list (labels t v) <> List.map fst want then fail step (Printf.sprintf "%s %d" name v);
+                if card t v <> List.length want then fail step (Printf.sprintf "%s_cardinal %d" name v);
+                if Int_set.to_list (labelled t v) <> Model.namers m is_in v then
+                  fail step (Printf.sprintf "%s_labelled_with %d" name v))
+              [ (true, "lin", Cover.iter_lin, Cover.lin, Cover.lin_cardinal, Cover.in_labelled_with);
+                (false, "lout", Cover.iter_lout, Cover.lout, Cover.lout_cardinal, Cover.out_labelled_with) ];
+            if sorted_ihs (Cover.descendants t v) <> Model.reach_set m ~own:false ~other:true v then
+              fail step (Printf.sprintf "descendants %d" v);
+            if sorted_ihs (Cover.ancestors t v) <> Model.reach_set m ~own:true ~other:false v then
+              fail step (Printf.sprintf "ancestors %d" v);
+            List.iter
+              (fun u ->
+                let want = Model.dist m v u in
+                if Cover.dist t v u <> want then fail step (Printf.sprintf "dist %d %d" v u);
+                if Cover.connected t v u <> (want <> None) then fail step (Printf.sprintf "connected %d %d" v u))
+              ids)
+          ids;
+        let got = List.sort compare (Hashtbl.fold (fun v () l -> v :: l) reported []) in
+        let want = List.sort compare (Hashtbl.fold (fun v () l -> v :: l) m.Model.changed []) in
+        if got <> want then fail step "nodes reported by the change hook"
+      in
+      List.iter
+        (fun step ->
+          Hashtbl.reset reported;
+          Hashtbl.reset m.Model.changed;
+          (match step with
+           | Add (is_in, node, center, dist) ->
+             (if is_in then Cover.add_in else Cover.add_out) ~dist !c ~node ~center;
+             Model.add m is_in ~node ~center ~dist
+           | Add_node v ->
+             Cover.add_node !c v;
+             Model.add_node m v
+           | Set (is_in, node, cs) ->
+             (if is_in then Cover.set_lin else Cover.set_lout) !c node (Int_set.of_list cs);
+             Model.set m is_in node cs
+           | Remove v ->
+             Cover.remove_node !c v;
+             Model.remove_node m v
+           | Union (es, frozen) ->
+             let src = cover_of es in
+             if frozen then Cover.compact src;
+             Cover.union_into ~dst:!c src;
+             List.iter (fun (is_in, node, center, dist) -> Model.add m is_in ~node ~center ~dist) es
+           | Merge (es, more) ->
+             let packed is_in =
+               List.filter_map
+                 (fun (i, node, center) -> if i = is_in then Some (Cover.pack_entry ~node ~center) else None)
+                 es
+               |> List.sort compare |> Array.of_list
+             in
+             c := Cover.merge [| !c; cover_of more |] ~lout:(packed false) ~lin:(packed true);
+             hook !c;
+             List.iter (fun (is_in, node, center, dist) -> Model.add m is_in ~node ~center ~dist) more;
+             List.iter (fun (is_in, node, center) -> Model.add m is_in ~node ~center ~dist:0) es;
+             (* a new cover: nothing reports *)
+             Hashtbl.reset m.Model.changed
+           | Compact -> Cover.compact !c);
+          check step)
+        ops;
+      true)
+
+(* {2 Stores do not depend on the representation} *)
+
+let store_bytes cover =
+  let vfs = Hopi_storage.Vfs.memory () in
+  let p = Hopi_storage.Pager.create_vfs ~vfs "s.db" in
+  Hopi_storage.Cover_store.save (Hopi_storage.Cover_store.of_cover p cover);
+  Hopi_storage.Pager.close p;
+  let h = vfs.Hopi_storage.Vfs.open_file "s.db" ~create:false in
+  let len = h.Hopi_storage.Vfs.size () in
+  let b = Bytes.create len in
+  ignore (Hopi_storage.Vfs.read_full h b ~off:0 ~pos:0 ~len);
+  h.Hopi_storage.Vfs.close ();
+  Bytes.to_string b
+
+let prop_store_independent_of_representation =
+  let open QCheck2.Gen in
+  let id = int_bound 30 in
+  QCheck2.Test.make ~name:"of_cover: frozen = built through the overlay" ~count:60
+    (triple (list_size (int_range 1 80) (quad bool id id (oneof [ pure 0; int_range 1 5 ])))
+       (list_size (int_bound 6) id) bool)
+    (fun (entries, empty_nodes, with_dist) ->
+      let entries =
+        List.map (fun (i, n, c, d) -> (i, n, c, if with_dist then d else 0)) entries
+      in
+      (* nodes only below 25, so centers from 25 up are not nodes *)
+      let entries = List.filter (fun (_, n, _, _) -> n < 25) entries in
+      let empty_nodes = List.filter (fun v -> v < 25) empty_nodes in
+      let fill c es =
+        List.iter (Cover.add_node c) empty_nodes;
+        List.iter
+          (fun (is_in, node, center, dist) ->
+            (if is_in then Cover.add_in else Cover.add_out) ~dist c ~node ~center)
+          es
+      in
+      (* frozen: every entry added, then compacted *)
+      let frozen = Cover.create () in
+      fill frozen entries;
+      Cover.compact frozen;
+      (* the overlay alone, entries in the other order *)
+      let overlay = Cover.create () in
+      fill overlay (List.rev entries);
+      (* half frozen, half in the overlay over it *)
+      let half = List.length entries / 2 in
+      let mixed = Cover.create () in
+      fill mixed (List.filteri (fun i _ -> i < half) entries);
+      Cover.compact mixed;
+      fill mixed (List.filteri (fun i _ -> i >= half) entries);
+      let want = store_bytes frozen in
+      let same c = String.equal want (store_bytes c) in
+      (* distance 0 only: the same entries packed into a merge *)
+      let merged =
+        with_dist
+        ||
+        let packed is_in =
+          List.filter_map
+            (fun (i, node, center, _) -> if i = is_in then Some (Cover.pack_entry ~node ~center) else None)
+            entries
+          |> List.sort compare |> Array.of_list
+        in
+        let base = Cover.create () in
+        List.iter (Cover.add_node base) empty_nodes;
+        same (Cover.merge [| base |] ~lout:(packed false) ~lin:(packed true))
+      in
+      same overlay && same mixed && merged)
 
 (* {1 Uncovered} *)
 
@@ -707,7 +1025,7 @@ let prop_codec_cover_roundtrip =
       let cover =
         if dist then fst (Dist_builder.build g) else fst (Builder.build (Closure.compute g))
       in
-      Cover.iter_nodes cover (fun v ->
+      List.iter (fun v ->
           let check name iter set =
             let rows = ref [] in
             iter cover v (fun c d -> rows := (c, d) :: !rows);
@@ -717,7 +1035,8 @@ let prop_codec_cover_roundtrip =
               QCheck2.Test.fail_reportf "%s(%d) decodes wrong" name v
           in
           check "Lin" Cover.iter_lin (Cover.lin cover v);
-          check "Lout" Cover.iter_lout (Cover.lout cover v));
+          check "Lout" Cover.iter_lout (Cover.lout cover v))
+        (Cover.nodes cover);
       true)
 
 let test_codec_enc_rejects_unsorted () =
@@ -756,7 +1075,8 @@ let suite =
         Alcotest.test_case "set labels" `Quick test_cover_set_labels;
         Alcotest.test_case "remove node" `Quick test_cover_remove_node;
         Alcotest.test_case "union_into" `Quick test_cover_union_into;
-      ] );
+      ]
+      @ qsuite [ prop_cover_overlay_model; prop_store_independent_of_representation ] );
     ( "twohop.uncovered",
       [ Alcotest.test_case "basics" `Quick test_uncovered_basics ] @ qsuite [ prop_uncovered_model ] );
     ( "twohop.densest",

@@ -39,14 +39,14 @@ let test_hashset_basic () =
   check_bool "mem" true (Int_hashset.mem h 5);
   Int_hashset.remove h 5;
   check_bool "removed" false (Int_hashset.mem h 5);
-  check_list "to_int_set" [ 7 ] Int_set.(to_list (Int_hashset.to_int_set h))
+  check_list "to_list" [ 7 ] (Int_hashset.to_list h)
 
 let test_hashset_roundtrip () =
   let xs = [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
   let h = Int_hashset.create () in
   List.iter (Int_hashset.add h) xs;
   check_list "roundtrip" (List.sort_uniq compare xs)
-    (Int_set.to_list (Int_hashset.to_int_set h))
+    (List.sort compare (Int_hashset.to_list h))
 
 let test_hashset_growth_and_removal () =
   let h = Int_hashset.create ~initial:0 () in
@@ -75,7 +75,7 @@ type hs_op =
   | Cardinal
   | Iter
   | Fold
-  | To_int_set
+  | To_list
   | Clear
   | Copy
   | Drain_other of int
@@ -89,7 +89,7 @@ let show_op = function
   | Cardinal -> "cardinal"
   | Iter -> "iter"
   | Fold -> "fold"
-  | To_int_set -> "to_int_set"
+  | To_list -> "to_list"
   | Clear -> "clear"
   | Copy -> "copy"
   | Drain_other m -> Printf.sprintf "drain_other %d" m
@@ -113,7 +113,7 @@ let hs_ops_gen =
         (1, pure Cardinal);
         (1, pure Iter);
         (1, pure Fold);
-        (1, pure To_int_set);
+        (1, pure To_list);
         (1, pure Clear);
         (1, pure Copy);
         (1, map (fun m -> Drain_other m) (int_range 1 4));
@@ -154,7 +154,7 @@ let prop_hashset_model =
         | Fold ->
           List.sort Int.compare (Int_hashset.fold List.cons !h [])
           = Model.elements !m
-        | To_int_set -> Int_set.to_list (Int_hashset.to_int_set !h) = Model.elements !m
+        | To_list -> List.sort Int.compare (Int_hashset.to_list !h) = Model.elements !m
         | Clear ->
           Int_hashset.clear !h;
           m := Model.empty;
@@ -299,6 +299,29 @@ let prop_sort_uniq_prefix =
         | 1 -> Radix_sort.sort_uniq_prefix ~scratch:(Array.make (len + tail) 7) a len
         | _ -> Radix_sort.sort_uniq_prefix ~scratch:(Array.make (len / 2) 7) a len
       in
+      Array.to_list (Array.sub a 0 k) = want)
+
+(* [from_bit]: entries drawn as (high, low) pairs, the lows of each high
+   value ascending in the order they are laid out, the highs interleaved
+   at random; a stable sort on the high part alone sorts them *)
+let prop_sort_from_bit =
+  QCheck2.Test.make ~name:"sort_uniq_prefix ~from_bit = List.sort_uniq on ordered groups" ~count:40
+    QCheck2.Gen.(triple (int_range 0 3_000) (int_range 1 40) (int_bound 1_000_000))
+    (fun (len, n_high, seed) ->
+      let rng = Splitmix.create seed in
+      (* lows stay below [len] <= 3,000 < 2^12 *)
+      let from_bit = 12 + Splitmix.int rng 30 in
+      let next_low = Array.make n_high 0 in
+      let a =
+        Array.init len (fun _ ->
+            let h = Splitmix.int rng n_high in
+            (* repeats of the previous low now and then *)
+            let low = next_low.(h) + Splitmix.int rng 2 in
+            next_low.(h) <- low;
+            (h lsl from_bit) lor low)
+      in
+      let want = List.sort_uniq compare (Array.to_list a) in
+      let k = Radix_sort.sort_uniq_prefix ~from_bit a len in
       Array.to_list (Array.sub a 0 k) = want)
 
 (* {1 Heap} *)
@@ -715,7 +738,7 @@ let suite =
         Alcotest.test_case "page byte flips" `Quick test_crc32_page_flips;
       ] );
     ("util.dyn_array", [ Alcotest.test_case "basic" `Quick test_dyn_array ]);
-    ("util.radix_sort", qsuite [ prop_sort_uniq_prefix ]);
+    ("util.radix_sort", qsuite [ prop_sort_uniq_prefix; prop_sort_from_bit ]);
     ( "util.heap",
       Alcotest.test_case "order" `Quick test_heap_order :: qsuite [ prop_heap_sorts ] );
     ( "util.splitmix",
