@@ -232,9 +232,13 @@ let base_registered t v =
   let i = slot t.keys v in
   i >= 0 && Bytes.unsafe_get t.registered i <> '\000'
 
-let mem_node t v =
-  if base_registered t v then Ihs.is_empty t.removed || not (Ihs.mem t.removed v)
+(* [v], at slot [i] of the keys, is a node *)
+let node_at t i v =
+  if i >= 0 && Bytes.unsafe_get t.registered i <> '\000' then
+    Ihs.is_empty t.removed || not (Ihs.mem t.removed v)
   else (not (Ihs.is_empty t.added)) && Ihs.mem t.added v
+
+let mem_node t v = node_at t (slot t.keys v) v
 
 let n_nodes t = t.base_nodes - Ihs.cardinal t.removed + Ihs.cardinal t.added
 
@@ -274,14 +278,17 @@ let iter_row t s v f =
       f b.ctr.(j) (dist_at b.dist j)
     done
 
-(* the distance of entry [(v, c)], -1 if there is none *)
-let row_dist t s v c =
+(* the distance of entry [(v, c)], -1 if there is none; [i] is [v]'s
+   slot *)
+let row_dist s v i c =
   match find_repl s v with
   | Some r -> ( match Itbl.find_opt r c with Some d -> d | None -> -1)
   | None ->
-    let b = s.base and lo, hi = base_range t s v in
-    let j = search b.ctr lo hi c in
-    if j < 0 then -1 else dist_at b.dist j
+    if i < 0 then -1
+    else
+      let b = s.base in
+      let j = search b.ctr b.off.(i) b.off.(i + 1) c in
+      if j < 0 then -1 else dist_at b.dist j
 
 let cardinal t s v =
   match find_repl s v with
@@ -336,100 +343,66 @@ let out_labelled_with t w = labelled_with t t.lout w
 
 (* {2 Queries} *)
 
-(* [f dout din] for every center common to Lout(u) and Lin(v): a merge
-   of two base rows of similar length, otherwise the shorter row probed
-   against the other *)
-let iter_common t u v f =
+(* [f dout din] for every center common to Lout(u) and Lin(v), [iu] and
+   [iv] their slots: a merge of two base rows, otherwise the shorter row
+   probed against the other *)
+let iter_common t u iu v iv f =
   let o = t.lout and n = t.lin in
   match (find_repl o u, find_repl n v) with
   | None, None ->
     let ob = o.base and nb = n.base in
-    let olo, ohi = base_range t o u and nlo, nhi = base_range t n v in
-    let ol = ohi - olo and nl = nhi - nlo in
-    if ol > 16 * nl then
-      for j = nlo to nhi - 1 do
-        let k = search ob.ctr olo ohi nb.ctr.(j) in
-        if k >= 0 then f (dist_at ob.dist k) (dist_at nb.dist j)
-      done
-    else if nl > 16 * ol then
-      for j = olo to ohi - 1 do
-        let k = search nb.ctr nlo nhi ob.ctr.(j) in
-        if k >= 0 then f (dist_at ob.dist j) (dist_at nb.dist k)
-      done
-    else begin
-      let i = ref olo and j = ref nlo in
-      while !i < ohi && !j < nhi do
-        let a = Array.unsafe_get ob.ctr !i and b = Array.unsafe_get nb.ctr !j in
-        if a < b then incr i
-        else if b < a then incr j
-        else begin
-          f (dist_at ob.dist !i) (dist_at nb.dist !j);
-          incr i;
-          incr j
-        end
-      done
-    end
+    let olo = if iu < 0 then 0 else ob.off.(iu) and ohi = if iu < 0 then 0 else ob.off.(iu + 1) in
+    let nlo = if iv < 0 then 0 else nb.off.(iv) and nhi = if iv < 0 then 0 else nb.off.(iv + 1) in
+    let i = ref olo and j = ref nlo in
+    while !i < ohi && !j < nhi do
+      let a = Array.unsafe_get ob.ctr !i and b = Array.unsafe_get nb.ctr !j in
+      if a < b then incr i
+      else if b < a then incr j
+      else begin
+        f (dist_at ob.dist !i) (dist_at nb.dist !j);
+        incr i;
+        incr j
+      end
+    done
   | _ ->
     if cardinal t o u <= cardinal t n v then
       iter_row t o u (fun w du ->
-          let dv = row_dist t n v w in
+          let dv = row_dist n v iv w in
           if dv >= 0 then f du dv)
     else
       iter_row t n v (fun w dv ->
-          let du = row_dist t o u w in
+          let du = row_dist o u iu w in
           if du >= 0 then f du dv)
 
 exception Found
 
-let clean t =
-  Itbl.length t.lin.repl = 0
-  && Itbl.length t.lout.repl = 0
-  && Ihs.is_empty t.added
-  && Ihs.is_empty t.removed
-
-(* [connected] on the base alone: each node's slot is looked up once *)
-let base_connected t u v =
-  let iu = slot t.keys u and iv = slot t.keys v in
-  iu >= 0 && iv >= 0
-  && Bytes.unsafe_get t.registered iu <> '\000'
-  && Bytes.unsafe_get t.registered iv <> '\000'
-  && (u = v
-     ||
-     let o = t.lout.base and n = t.lin.base in
-     let olo = o.off.(iu) and ohi = o.off.(iu + 1) and nlo = n.off.(iv) and nhi = n.off.(iv + 1) in
-     search o.ctr olo ohi v >= 0
-     || search n.ctr nlo nhi u >= 0
-     ||
-     let i = ref olo and j = ref nlo and hit = ref false in
-     while (not !hit) && !i < ohi && !j < nhi do
-       let a = Array.unsafe_get o.ctr !i and b = Array.unsafe_get n.ctr !j in
-       if a < b then incr i else if b < a then incr j else hit := true
-     done;
-     !hit)
-
+(* each node's slot is looked up once, not once per row read:
+   join.psg.build_psg asks this for every link target and source of a
+   partition *)
 let connected t u v =
-  if clean t then base_connected t u v
-  else if not (mem_node t u && mem_node t v) then false
+  let iu = slot t.keys u and iv = slot t.keys v in
+  if not (node_at t iu u && node_at t iv v) then false
   else if u = v then true
   else
     (* implicit self entries: u ∈ Lout(u), v ∈ Lin(v) *)
-    row_dist t t.lout u v >= 0
-    || row_dist t t.lin v u >= 0
+    row_dist t.lout u iu v >= 0
+    || row_dist t.lin v iv u >= 0
     ||
-    match iter_common t u v (fun _ _ -> raise_notrace Found) with
+    match iter_common t u iu v iv (fun _ _ -> raise_notrace Found) with
     | () -> false
     | exception Found -> true
 
 let dist t u v =
-  if not (mem_node t u && mem_node t v) then None
+  let iu = slot t.keys u and iv = slot t.keys v in
+  if not (node_at t iu u && node_at t iv v) then None
   else if u = v then Some 0
   else begin
     (* implicit centers: w = u (dout 0) and w = v (din 0) *)
     let best = ref max_int in
     let consider d = if d >= 0 && d < !best then best := d in
-    consider (row_dist t t.lin v u);
-    consider (row_dist t t.lout u v);
-    iter_common t u v (fun du dv -> consider (du + dv));
+    consider (row_dist t.lin v iv u);
+    consider (row_dist t.lout u iu v);
+    iter_common t u iu v iv (fun du dv -> consider (du + dv));
     if !best = max_int then None else Some !best
   end
 
@@ -578,6 +551,12 @@ let remove_node t v =
 
 (* {2 Compaction} *)
 
+let clean t =
+  Itbl.length t.lin.repl = 0
+  && Itbl.length t.lout.repl = 0
+  && Ihs.is_empty t.added
+  && Ihs.is_empty t.removed
+
 let compact t =
   if not (clean t) then begin
     let nodes =
@@ -648,21 +627,19 @@ let merge covers ~lout ~lin =
       covers;
     sort_uniq (Array.concat !ids)
   in
-  (* each node's rows in the covers: [owner]/[oslot] name the first cover
-     registering it, [more] any further ones *)
+  (* each node's row: [owner] names the one cover registering it *)
   let nr = Array.length nodes in
-  let owner = Array.make nr (-1) and oslot = Array.make nr 0 and more = Hashtbl.create 1 in
+  let owner = Array.make nr (-1) and oslot = Array.make nr 0 in
   Array.iteri
     (fun j c ->
       Array.iteri
         (fun s v ->
           if Bytes.get c.registered s <> '\000' then begin
             let r = slot nodes v in
-            if owner.(r) < 0 then begin
-              owner.(r) <- j;
-              oslot.(r) <- s
-            end
-            else Hashtbl.add more r (j, s)
+            if owner.(r) >= 0 then
+              invalid_arg (Printf.sprintf "Cover.merge: node %d is in two covers" v);
+            owner.(r) <- j;
+            oslot.(r) <- s
           end)
         c.keys)
     covers;
@@ -681,59 +658,38 @@ let merge covers ~lout ~lin =
     let p1 = cursor.(k) in
     (* the run's centers, without self-entries and repeats *)
     let skip p = packed.(p) land pack_mask = v || (p > p0 && packed.(p) = packed.(p - 1)) in
-    let row (j, s) =
-      let b = (side covers.(j) dir).base in
-      (b, b.off.(s), b.off.(s + 1))
+    (* the node's sorted row and the sorted run: a merge, the run at
+       distance 0 *)
+    let b, lo, hi =
+      if owner.(i) < 0 then (no_rows, 0, 0)
+      else
+        let b = (side covers.(owner.(i)) dir).base in
+        (b, b.off.(oslot.(i)), b.off.(oslot.(i) + 1))
     in
-    match if owner.(i) < 0 then [] else (owner.(i), oslot.(i)) :: Hashtbl.find_all more i with
-    | ([] | [ _ ]) as rows ->
-      (* one sorted row and the sorted run: a merge, the run at distance 0 *)
-      let b, lo, hi = match rows with [ r ] -> row r | _ -> (no_rows, 0, 0) in
-      let x = ref lo and p = ref p0 in
-      while !x < hi || !p < p1 do
-        if !p < p1 && skip !p then incr p
-        else if !p >= p1 then begin
+    let x = ref lo and p = ref p0 in
+    while !x < hi || !p < p1 do
+      if !p < p1 && skip !p then incr p
+      else if !p >= p1 then begin
+        push a b.ctr.(!x) (dist_at b.dist !x);
+        incr x
+      end
+      else begin
+        let c = packed.(!p) land pack_mask in
+        if !x >= hi || c < b.ctr.(!x) then begin
+          push a c 0;
+          incr p
+        end
+        else if b.ctr.(!x) < c then begin
           push a b.ctr.(!x) (dist_at b.dist !x);
           incr x
         end
         else begin
-          let c = packed.(!p) land pack_mask in
-          if !x >= hi || c < b.ctr.(!x) then begin
-            push a c 0;
-            incr p
-          end
-          else if b.ctr.(!x) < c then begin
-            push a b.ctr.(!x) (dist_at b.dist !x);
-            incr x
-          end
-          else begin
-            push a c 0;
-            incr x;
-            incr p
-          end
+          push a c 0;
+          incr x;
+          incr p
         end
-      done
-    | rows ->
-      (* a node in several covers: pool its entries, least distance first *)
-      let es = ref [] in
-      List.iter
-        (fun r ->
-          let b, lo, hi = row r in
-          for x = lo to hi - 1 do
-            es := (b.ctr.(x), dist_at b.dist x) :: !es
-          done)
-        rows;
-      for p = p0 to p1 - 1 do
-        if not (skip p) then es := (packed.(p) land pack_mask, 0) :: !es
-      done;
-      let last = ref None in
-      List.iter
-        (fun (c, d) ->
-          if !last <> Some c then begin
-            push a c d;
-            last := Some c
-          end)
-        (List.sort compare !es)
+      end
+    done
   in
   let cap dir =
     Array.fold_left (fun acc c -> acc + (side c dir).count) 0 covers

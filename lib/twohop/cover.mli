@@ -136,15 +136,17 @@ val compact : t -> unit
     centers still named. *)
 
 val merge : t array -> lout:int array -> lin:int array -> t
-(** [merge covers ~lout ~lin] is the frozen cover holding the union of
-    [covers]' labels (each entry at its least distance) and the packed
-    entries ({!pack_entry}) of [lout] and [lin], each exactly an
-    {!add_out}/{!add_in} at distance 0: self-entries are skipped and
-    repeats count once.  Its nodes are every cover's nodes and every node
-    a packed entry other than a self-entry names.  The packed arrays must
-    be sorted ascending.  The covers are compacted first; then every row
-    is one linear merge of a cover's row with a run of the packed array
-    (this is the build's [join.psg.bulk] stage). *)
+(** [merge covers ~lout ~lin] is the frozen cover holding [covers]'
+    labels and the packed entries ({!pack_entry}) of [lout] and [lin],
+    each exactly an {!add_out}/{!add_in} at distance 0: self-entries are
+    skipped and repeats count once.  The covers must have disjoint nodes,
+    as the partitions of a build do; {!union_into} joins overlapping ones.
+    Its nodes are every cover's nodes and every node a packed entry other
+    than a self-entry names.  The packed arrays must be sorted ascending.
+    The covers are compacted first; then every row is one linear merge of
+    its node's cover row with a run of the packed array (this is the
+    build's [join.psg.bulk] stage).
+    @raise Invalid_argument if two covers register the same node. *)
 
 val of_closure : Hopi_graph.Closure.t -> t
 (** The trivial frozen cover of a closure: [Lout(v)] holds every node [v]

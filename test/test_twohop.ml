@@ -137,6 +137,17 @@ let test_cover_union_into () =
   check_bool "1->3" true (Cover.connected a 1 3);
   check_int "size" 2 (Cover.size a)
 
+let test_cover_merge_disjoint () =
+  let a = Cover.create () and b = Cover.create () in
+  Cover.add_out a ~node:1 ~center:2;
+  Cover.add_in b ~node:3 ~center:2;
+  let m = Cover.merge [| a; b |] ~lout:[||] ~lin:[||] in
+  check_bool "1->3" true (Cover.connected m 1 3);
+  Cover.add_node b 1;
+  match Cover.merge [| a; b |] ~lout:[||] ~lin:[||] with
+  | _ -> Alcotest.fail "merged two covers sharing node 1"
+  | exception Invalid_argument _ -> ()
+
 (* {2 The overlay against a reference model}
 
    Random sequences of writes, unions, merges and compactions over a few
@@ -379,7 +390,13 @@ let prop_cover_overlay_model =
                  es
                |> List.sort compare |> Array.of_list
              in
-             c := Cover.merge [| !c; cover_of more |] ~lout:(packed false) ~lin:(packed true);
+             (* merged covers have disjoint nodes: entries for nodes of
+                the cover are joined into it, the rest come as a second
+                cover *)
+             let overlapping, disjoint = List.partition (fun (_, node, _, _) -> Cover.mem_node !c node) more in
+             Cover.union_into ~dst:!c (cover_of overlapping);
+             Hashtbl.reset reported;
+             c := Cover.merge [| !c; cover_of disjoint |] ~lout:(packed false) ~lin:(packed true);
              hook !c;
              List.iter (fun (is_in, node, center, dist) -> Model.add m is_in ~node ~center ~dist) more;
              List.iter (fun (is_in, node, center) -> Model.add m is_in ~node ~center ~dist:0) es;
@@ -1075,6 +1092,7 @@ let suite =
         Alcotest.test_case "set labels" `Quick test_cover_set_labels;
         Alcotest.test_case "remove node" `Quick test_cover_remove_node;
         Alcotest.test_case "union_into" `Quick test_cover_union_into;
+        Alcotest.test_case "merge needs disjoint nodes" `Quick test_cover_merge_disjoint;
       ]
       @ qsuite [ prop_cover_overlay_model; prop_store_independent_of_representation ] );
     ( "twohop.uncovered",
