@@ -5,7 +5,6 @@
 
 module Pool = Hopi_util.Pool
 module Timer = Hopi_util.Timer
-module Ihs = Hopi_util.Int_hashset
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
 module Gauge = Hopi_obs.Gauge
@@ -93,17 +92,26 @@ type ctx = { conn : int; queue_wait_ns : int }
 type engine = {
   connected : int -> int -> bool;
   min_distance : int -> int -> int option;
-  descendants : int -> Ihs.t;
-  ancestors : int -> Ihs.t;
+  descendants : ?f:(int -> unit) -> int -> int;
+  ancestors : ?f:(int -> unit) -> int -> int;
   path_eval : path_eval option;
 }
+
+(* a snapshot's result sets are streamed, never built: count what the
+   iterator yields *)
+let counted iter snap ?(f = ignore) u =
+  let n = ref 0 in
+  iter snap u (fun w ->
+      incr n;
+      f w);
+  !n
 
 let engine_of_snapshot ?path_eval snap =
   {
     connected = Snapshot.connected snap;
     min_distance = Snapshot.min_distance snap;
-    descendants = Snapshot.descendants snap;
-    ancestors = Snapshot.ancestors snap;
+    descendants = counted Snapshot.iter_desc snap;
+    ancestors = counted Snapshot.iter_anc snap;
     path_eval;
   }
 
@@ -111,8 +119,8 @@ let eval_unmetered eng q =
   match q with
   | Reach (u, v) -> Bool (eng.connected u v)
   | Dist (u, v) -> Distance (eng.min_distance u v)
-  | Desc u -> Count (Ihs.cardinal (eng.descendants u))
-  | Anc u -> Count (Ihs.cardinal (eng.ancestors u))
+  | Desc u -> Count (eng.descendants u)
+  | Anc u -> Count (eng.ancestors u)
   | Path expr -> (
     match eng.path_eval with
     | None -> Failed "path queries need a corpus (serve --corpus DIR)"

@@ -68,16 +68,21 @@ type ctx = { conn : int; queue_wait_ns : int }
 type engine = {
   connected : int -> int -> bool;
   min_distance : int -> int -> int option;
-  descendants : int -> Hopi_util.Int_hashset.t;
-  ancestors : int -> Hopi_util.Int_hashset.t;
+  descendants : ?f:(int -> unit) -> int -> int;
+  ancestors : ?f:(int -> unit) -> int -> int;
   path_eval : path_eval option;
 }
 (** What evaluation needs from an index: the four query callbacks (with
     {!Snapshot}'s semantics — reflexive reachability for known nodes,
     [desc]/[anc] including the node itself, unknown ids unreachable and
-    empty) plus the optional path evaluator.  All callbacks must be safe
-    from any pool domain.  {!Router.engine} routes these over K shards;
-    {!engine_of_snapshot} binds them to one store. *)
+    empty) plus the optional path evaluator.  [descendants ?f u] answers
+    the size of [u]'s descendant set and calls [f] (default: nothing) once
+    on each of its nodes; [ancestors] likewise.  All callbacks must be
+    safe from any pool domain.  {!Router.engine} routes these over K
+    shards, building the one cross-shard union set;
+    {!engine_of_snapshot} binds them to one store, where
+    {!Snapshot.iter_desc}/{!Snapshot.iter_anc} stream the nodes and
+    nothing is built. *)
 
 val engine_of_snapshot : ?path_eval:path_eval -> Snapshot.t -> engine
 

@@ -653,31 +653,32 @@ let min_distance t u v =
       | _, c -> Some c
     end
 
-let descendants t u =
-  match shard_of t u with
-  | None ->
-    Counter.incr m_single;
-    Ihs.create ()
+(* the cross-shard unions: the home shard's set plus every shard
+   reached through a cross link, streamed into one set *)
+let descendants t ?f u =
+  let acc = Ihs.create () in
+  (match shard_of t u with
+  | None -> Counter.incr m_single
   | Some a ->
-    let acc = Snapshot.descendants t.snaps.(a) u in
+    Snapshot.iter_desc t.snaps.(a) u (Ihs.add acc);
     let tset = Ihs.create () in
     List.iter (fun (rows, _) -> Codec.iter_centers rows (Ihs.add tset)) (exits_of t a u);
     Counter.incr (if Ihs.is_empty tset then m_single else m_scatter);
     Ihs.iter
       (fun tg ->
         match shard_of t tg with
-        | Some b -> Ihs.iter (fun w -> Ihs.add acc w) (Snapshot.descendants t.snaps.(b) tg)
+        | Some b -> Snapshot.iter_desc t.snaps.(b) tg (Ihs.add acc)
         | None -> ())
-      tset;
-    acc
+      tset);
+  Option.iter (fun f -> Ihs.iter f acc) f;
+  Ihs.cardinal acc
 
-let ancestors t v =
-  match shard_of t v with
-  | None ->
-    Counter.incr m_single;
-    Ihs.create ()
+let ancestors t ?f v =
+  let acc = Ihs.create () in
+  (match shard_of t v with
+  | None -> Counter.incr m_single
   | Some b ->
-    let acc = Snapshot.ancestors t.snaps.(b) v in
+    Snapshot.iter_anc t.snaps.(b) v (Ihs.add acc);
     let sset = Ihs.create () in
     List.iter
       (fun (rows, _) ->
@@ -691,10 +692,11 @@ let ancestors t v =
     Ihs.iter
       (fun s ->
         match shard_of t s with
-        | Some a -> Ihs.iter (fun w -> Ihs.add acc w) (Snapshot.ancestors t.snaps.(a) s)
+        | Some a -> Snapshot.iter_anc t.snaps.(a) s (Ihs.add acc)
         | None -> ())
-      sset;
-    acc
+      sset);
+  Option.iter (fun f -> Ihs.iter f acc) f;
+  Ihs.cardinal acc
 
 let engine t =
   {

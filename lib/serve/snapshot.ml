@@ -94,6 +94,6 @@ let connected t u v = S.Cover_store.reach (src t) u v
 
 let min_distance t u v = S.Cover_store.dist (src t) u v
 
-let descendants t u = S.Cover_store.desc (src t) u
+let iter_desc t u f = S.Cover_store.iter_desc (src t) u f
 
-let ancestors t v = S.Cover_store.anc (src t) v
+let iter_anc t v f = S.Cover_store.iter_anc (src t) v f

@@ -5,7 +5,7 @@
     queries from it without ever writing a page.
 
     A snapshot is the store plus a cache: the queries are
-    {!Hopi_storage.Cover_store.reach}/[dist]/[desc]/[anc] run over a
+    {!Hopi_storage.Cover_store.reach}/[dist]/[iter_desc]/[iter_anc] run over a
     {!Hopi_storage.Cover_store.type-source} whose membership test is the
     store's directory, read into memory at open time, and whose label
     fetch goes through the {!Label_cache}, where label sets live in their
@@ -100,9 +100,11 @@ val min_distance : t -> int -> int -> int option
     cover ({!Hopi_storage.Cover_store.with_dist}) carries real path
     lengths. *)
 
-val descendants : t -> int -> Hopi_util.Int_hashset.t
-(** Every node reachable from the argument (including itself).  The
-    argument's [Lout] comes through the label cache; the per-center
-    backward rows do not. *)
+val iter_desc : t -> int -> (int -> unit) -> unit
+(** [iter_desc t u f] calls [f] once on every node reachable from [u]
+    (including [u] itself; nothing for an unknown node), building no set:
+    {!Hopi_storage.Cover_store.iter_desc}.  The argument's [Lout] comes
+    through the label cache; the per-center backward rows do not. *)
 
-val ancestors : t -> int -> Hopi_util.Int_hashset.t
+val iter_anc : t -> int -> (int -> unit) -> unit
+(** Dual of {!iter_desc}: every node reaching the argument. *)

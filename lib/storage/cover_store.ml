@@ -1,4 +1,3 @@
-module Ihs = Hopi_util.Int_hashset
 module Cover = Hopi_twohop.Cover
 module Codec = Hopi_twohop.Label_codec
 
@@ -195,46 +194,37 @@ let dist src u v =
    of those centers on the other side: one backward row per center,
    decoded in place (these enumerate result sets, so the rows go
    uncached).  A per-call mark over directory slots lets each node reach
-   the result set once, however many rows name it. *)
-let reach_set src ~dir ~by_center u =
-  let acc = Ihs.create () in
+   [f] once, however many rows name it. *)
+let iter_reach src ~dir ~by_center u f =
   if src.mem u then begin
     let rows = src.store.rows in
     let seen = Bytes.make (Row_table.n_keys rows) '\000' in
     let c = Codec.cursor () in
+    let yield s = f (Row_table.key rows s) in
     let via_center w =
       let s = Row_table.slot rows w in
-      if s < 0 then Ihs.add acc w
+      if s < 0 then f w
       else begin
         if Bytes.unsafe_get seen s = '\000' then begin
           Bytes.unsafe_set seen s '\001';
-          Ihs.add acc w
+          f w
         end;
         Row_table.load rows c by_center s;
-        while Codec.advance c do
-          let s = Codec.center c in
-          if Bytes.unsafe_get seen s = '\000' then begin
-            Bytes.unsafe_set seen s '\001';
-            Ihs.add acc (Row_table.key rows s)
-          end
-        done
+        Codec.iter_unmarked c seen yield
       end
     in
     via_center u;
     Codec.iter_centers (src.fetch dir u) via_center
-  end;
-  acc
+  end
 
 (* desc: the centers of Lout(u), then the nodes naming each in their Lin *)
-let desc src u = reach_set src ~dir:Lout ~by_center:(backward Lin) u
+let iter_desc src u f = iter_reach src ~dir:Lout ~by_center:(backward Lin) u f
 
-let anc src v = reach_set src ~dir:Lin ~by_center:(backward Lout) v
+let iter_anc src v f = iter_reach src ~dir:Lin ~by_center:(backward Lout) v f
 
 let connected t u v = reach (source t) u v
 
 let min_distance t u v = dist (source t) u v
-
-let descendants t u = desc (source t) u
 
 let n_entries t = Row_table.entries t.rows (forward Lin) + Row_table.entries t.rows (forward Lout)
 

@@ -32,8 +32,8 @@
 
     Both run as {!Hopi_twohop.Label_codec} stream merges over a
     {!type-source}, the one implementation of the cover queries: the
-    store's own {!connected}/{!min_distance}/{!descendants} and
-    {!anc} over {!val-source} read rows from the heap, and [Hopi_serve.Snapshot] runs the same
+    store's own {!connected}/{!min_distance} and {!iter_desc}/{!iter_anc}
+    over {!val-source} read rows from the heap, and [Hopi_serve.Snapshot] runs the same
     operators over its label cache.  A cold label fetch or by-center scan
     is one directory lookup in memory plus, for a row that fits in a page,
     one page read. *)
@@ -129,7 +129,7 @@ val fetch : t -> dir -> int -> Hopi_twohop.Label_codec.t
     bytes (empty for a node the store does not hold). *)
 
 type source = {
-  store : t;  (** backward rows for {!desc}/{!anc} *)
+  store : t;  (** backward rows for {!iter_desc}/{!iter_anc} *)
   mem : int -> bool;  (** node membership *)
   fetch : dir -> int -> Hopi_twohop.Label_codec.t;  (** label sets *)
 }
@@ -153,20 +153,22 @@ val dist : source -> int -> int -> int option
     stores every distance as 0.  A pair the interval rejects is [None]
     with no [fetch], as in {!reach}. *)
 
-val desc : source -> int -> Hopi_util.Int_hashset.t
-(** Every node reachable from the argument, including itself (empty for
-    an unknown node): the centers of its [Lout], then the backward LIN
-    row of each center, decoded in place. *)
+val iter_desc : source -> int -> (int -> unit) -> unit
+(** [iter_desc src u f] calls [f] once on every node reachable from [u],
+    including [u] itself (never for an unknown node): [u], the centers of
+    its [Lout], then the backward LIN row of each center, each row decoded
+    in place by one {!Hopi_twohop.Label_codec.iter_unmarked} pass against
+    a per-call mark over directory slots.  No set is built; a node named
+    by several rows, or with several distances in one, is still given to
+    [f] once. *)
 
-val anc : source -> int -> Hopi_util.Int_hashset.t
-(** Dual of {!desc}. *)
+val iter_anc : source -> int -> (int -> unit) -> unit
+(** Dual of {!iter_desc}: every node reaching the argument. *)
 
 val connected : t -> int -> int -> bool
 (** {!reach} over {!val-source}. *)
 
 val min_distance : t -> int -> int -> int option
-
-val descendants : t -> int -> Hopi_util.Int_hashset.t
 
 (** {1 Statistics} *)
 

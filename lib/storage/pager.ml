@@ -98,10 +98,6 @@ module Read_pool = struct
     Counter.incr (if Option.is_some r then m_shared_hits else m_shared_misses);
     r
 
-  (* like [find] but without metrics or promotion: the re-check under the
-     attached pager's I/O lock after a raced miss *)
-  let peek t key = Lru.peek t.lru key
-
   let add t key page = note (Lru.add t.lru key page)
 
   let remove t key = note (Lru.remove t.lru key)
@@ -118,10 +114,13 @@ end
 (* A [Writing] pager hands out page ids and writes each finished page to
    [Vfs.tmp_path path] until [commit] publishes that file over [path];
    every other pager is [Reading].  Reads in either mode go through the
-   pager's [Read_pool] under its tag; a miss is read (and CRC-verified)
-   under [io_mu] -- the one Vfs file handle positions with lseek, so file
-   I/O from several domains must not interleave on it -- and writes take
-   [io_mu] too, so a raced read cannot re-pool an image a write replaced. *)
+   pager's [Read_pool] under its tag.  [io_mu] covers file I/O only -- the
+   one Vfs file handle positions with lseek, so file I/O from several
+   domains must not interleave on it: a miss reads the raw page under it,
+   then checks the CRC and pools the page without it.  [writes] counts
+   page writes; a write bumps it before dropping the pooled image, and a
+   miss re-reads it after pooling, so a raced read cannot leave pooled an
+   image a write replaced. *)
 type mode = Writing of string | Reading
 
 type t = {
@@ -134,13 +133,13 @@ type t = {
   do_fsync : bool;
   mutable next_page : int;
   mutable disk_reads : int;
-  mutable disk_writes : int;
+  writes : int Atomic.t;
   mutable fsyncs : int;
 }
 
 let mk ~mode ~pool ~fsync ~vfs ~file ~next_page =
   { mode; pool; tag = Read_pool.fresh_tag pool; io_mu = Mutex.create (); vfs; file;
-    do_fsync = fsync; next_page; disk_reads = 0; disk_writes = 0; fsyncs = 0 }
+    do_fsync = fsync; next_page; disk_reads = 0; writes = Atomic.make 0; fsyncs = 0 }
 
 (* the pool a pager reads through when nobody shares one with it *)
 let private_pool pool_pages = Read_pool.create ~shards:1 ~pages:pool_pages ()
@@ -199,40 +198,44 @@ let write t id page =
   Page.stamp page;
   with_io t (fun () ->
       t.file.Vfs.write page ~off:(id * Page.size) ~pos:0 ~len:Page.size;
+      Atomic.incr t.writes;
       Read_pool.remove t.pool (Read_pool.key_of ~tag:t.tag id));
-  t.disk_writes <- t.disk_writes + 1;
   Counter.incr m_page_writes
 
-let read_from_store t id =
-  t.disk_reads <- t.disk_reads + 1;
-  Counter.incr m_page_reads;
-  (* per-request attribution: the serving layer snapshots this domain's
-     cell around each query (see Hopi_obs.Reqtrace) *)
-  Hopi_obs.Reqtrace.Local.note_pager_read ();
+(* the raw page off the file, under the I/O lock, with the write count it
+   was read at *)
+let read_raw t id =
   let page = Page.create () in
-  ignore (Vfs.read_full t.file page ~off:(id * Page.size) ~pos:0 ~len:Page.size);
-  (match Page.verify page with
-  | `Ok | `Fresh -> ()
-  | `Corrupt ->
-    Counter.incr m_checksum_failures;
-    Storage_error.raise_error (Checksum { page = id }));
-  page
+  with_io t (fun () ->
+      t.disk_reads <- t.disk_reads + 1;
+      ignore (Vfs.read_full t.file page ~off:(id * Page.size) ~pos:0 ~len:Page.size);
+      (page, Atomic.get t.writes))
 
-(* probe the pool without the I/O lock; on a miss, re-check under it so
-   a raced miss fills exactly once *)
+(* Probe the pool; on a miss read the raw page under the I/O lock, then
+   check its CRC and pool it outside it.  Two domains missing on one page
+   both read it (each read counted) and the later add replaces the
+   earlier image, an equal one.  A corrupt page raises before it is
+   pooled.  A write between the raw read and the add has replaced the
+   image: it is dropped again, so the next read sees the written bytes. *)
 let read t id =
   check_id t "read" id;
   let key = Read_pool.key_of ~tag:t.tag id in
   match Read_pool.find t.pool key with
   | Some page -> page
   | None ->
-    with_io t (fun () ->
-        match Read_pool.peek t.pool key with
-        | Some page -> page
-        | None ->
-          let page = read_from_store t id in
-          Read_pool.add t.pool key page;
-          page)
+    let page, writes = read_raw t id in
+    Counter.incr m_page_reads;
+    (* per-request attribution: the serving layer snapshots this domain's
+       cell around each query (see Hopi_obs.Reqtrace) *)
+    Hopi_obs.Reqtrace.Local.note_pager_read ();
+    (match Page.verify page with
+    | `Ok | `Fresh -> ()
+    | `Corrupt ->
+      Counter.incr m_checksum_failures;
+      Storage_error.raise_error (Checksum { page = id }));
+    Read_pool.add t.pool key page;
+    if Atomic.get t.writes <> writes then Read_pool.remove t.pool key;
+    page
 
 let commit t =
   let path = require_writing t "commit" in
@@ -270,14 +273,14 @@ type stats = {
 
 let stats t =
   { pages = t.next_page; pool = Read_pool.stats t.pool; disk_reads = t.disk_reads;
-    disk_writes = t.disk_writes; fsyncs = t.fsyncs }
+    disk_writes = Atomic.get t.writes; fsyncs = t.fsyncs }
 
 let close t =
   (match t.mode with Writing _ -> commit t | Reading -> ());
   Read_pool.drop_tag t.pool t.tag;
   Log.info (fun m ->
       m "pager closed: %d pages, %d page reads, %d page writes, %d fsyncs" t.next_page
-        t.disk_reads t.disk_writes t.fsyncs);
+        t.disk_reads (Atomic.get t.writes) t.fsyncs);
   t.file.Vfs.close ()
 
 let size_bytes t = t.next_page * Page.size

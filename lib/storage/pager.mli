@@ -98,9 +98,12 @@ val open_shared : ?vfs:Vfs.t -> pool:Read_pool.t -> string -> t
 (** Open a committed page file (on [vfs], default {!Vfs.real}) as a {e read-only view} whose page
     fetches probe (and fill) [pool], so any number of domains sharing one
     pager -- or several pagers over one pool -- serve from one warm set
-    of pages.  Miss reads are serialised per pager (the underlying file
-    handle is not positionally safe across domains) and CRC-verified
-    before they enter the pool.
+    of pages.  A miss reads the raw page under the pager's I/O lock (the
+    underlying file handle is not positionally safe across domains),
+    then CRC-verifies it outside the lock before it enters the pool.
+    Domains missing on one page at once each read it, and each read
+    counts in [hopi_storage_page_reads_total]; a corrupt page raises
+    before it is pooled.
 
     The returned pager accepts {!read}, the introspection functions and
     {!close}; every write-side operation ({!alloc}, {!write}, {!commit})

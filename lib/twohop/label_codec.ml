@@ -128,6 +128,35 @@ let center c = c.center
 
 let dist c = c.dist
 
+(* The row loop of [next] with the distance skipped, plus the mark test:
+   one pass, no call per row but [f] on a center seen first.  A row of
+   two one-byte varints is one 16-bit load; anything else goes through
+   the varint reader. *)
+let iter_unmarked c seen f =
+  let b = c.b and stop = c.stop in
+  let pos = ref c.pos and center = ref c.center in
+  while !pos < stop do
+    let p = !pos in
+    let w = if p + 1 < stop then Bytes.get_uint16_le b p else 0x80 in
+    if w land 0x8080 = 0 then begin
+      center := !center + (w land 0x7f);
+      pos := p + 2
+    end
+    else begin
+      c.pos <- p;
+      center := !center + varint c;
+      ignore (varint c);
+      pos := c.pos
+    end;
+    let s = !center in
+    if Bytes.get seen s = '\000' then begin
+      Bytes.unsafe_set seen s '\001';
+      f s
+    end
+  done;
+  c.pos <- stop;
+  c.center <- !center
+
 (* advance to the first row of the next (strictly greater) center;
    false when the current run was the last *)
 let next_center c =

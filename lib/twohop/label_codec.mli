@@ -72,6 +72,16 @@ val center : cursor -> int
 
 val dist : cursor -> int
 
+val iter_unmarked : cursor -> Bytes.t -> (int -> unit) -> unit
+(** [iter_unmarked c seen f] decodes the rest of [c]'s range in one
+    pass, reading centers only: each row whose center [s] is not yet
+    marked in [seen] ([seen.[s] = '\000']) is marked and given to [f s],
+    so [f] sees each center once however many rows (distances) or calls
+    name it.  This is the scan of a backward row, whose centers are
+    directory slots and [seen] a mark per slot.
+    @raise Invalid_argument on a truncated varint or a center outside
+    [seen]. *)
+
 (** {1 Probes} *)
 
 val iter_centers : t -> (int -> unit) -> unit

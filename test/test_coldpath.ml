@@ -26,7 +26,6 @@ module Cover_store = Hopi_storage.Cover_store
 module Cover = Hopi_twohop.Cover
 module Int_set = Hopi_util.Int_set
 module Splitmix = Hopi_util.Splitmix
-module Ihs = Hopi_util.Int_hashset
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -69,7 +68,12 @@ let with_store_file load f =
       Pager.close pager;
       f path)
 
-let sorted_ihs s = List.sort compare (Ihs.to_list s)
+(* every node an iterator yields, sorted: equal to a sorted oracle set
+   only when each node is yielded once *)
+let yielded iter u =
+  let acc = ref [] in
+  iter u (fun w -> acc := w :: !acc);
+  List.sort compare !acc
 
 (* the oracle: every answer the soak will check, computed once before any
    domain is spawned — reach and dist by the in-memory cover the store is
@@ -146,9 +150,9 @@ let run_soak ~dist () =
             done;
             (* result-set scans exercise the backward indexes cold too *)
             let u = Splitmix.int rng n in
-            if sorted_ihs (Snapshot.descendants snap u) <> oracle.desc.(u) then
+            if yielded (Snapshot.iter_desc snap) u <> oracle.desc.(u) then
               record_err (Printf.sprintf "reader %d: descendants %d diverged" k u);
-            if sorted_ihs (Snapshot.ancestors snap u) <> oracle.anc.(u) then
+            if yielded (Snapshot.iter_anc snap) u <> oracle.anc.(u) then
               record_err (Printf.sprintf "reader %d: ancestors %d diverged" k u);
             Atomic.incr total
           done

@@ -18,7 +18,6 @@ module Dist_builder = Hopi_twohop.Dist_builder
 module Pager = Hopi_storage.Pager
 module Cover_store = Hopi_storage.Cover_store
 module Cover = Hopi_twohop.Cover
-module Ihs = Hopi_util.Int_hashset
 module Int_set = Hopi_util.Int_set
 
 let check = Alcotest.check
@@ -253,7 +252,12 @@ let with_store_file load f =
       Pager.close pager;
       f path)
 
-let sorted_ihs s = List.sort compare (Ihs.to_list s)
+(* every node an iterator yields, sorted: equal to a sorted oracle set
+   only when each node is yielded once *)
+let yielded iter u =
+  let acc = ref [] in
+  iter u (fun w -> acc := w :: !acc);
+  List.sort compare !acc
 
 (* every (u, v) pair over a node range, plus ids the store never saw *)
 let all_pairs n = List.concat_map (fun u -> List.map (fun v -> (u, v)) (List.init (n + 2) Fun.id)) (List.init (n + 2) Fun.id)
@@ -290,12 +294,12 @@ let snapshot_matches_index ~cache_mb g ~dist =
           Alcotest.(list int)
           ("descendants " ^ ctx)
           (closure_set Closure.succs u)
-          (sorted_ihs (Snapshot.descendants snap u));
+          (yielded (Snapshot.iter_desc snap) u);
         check
           Alcotest.(list int)
           ("ancestors " ^ ctx)
           (closure_set Closure.preds v)
-          (sorted_ihs (Snapshot.ancestors snap v))
+          (yielded (Snapshot.iter_anc snap) v)
       done)
     (all_pairs n);
   true

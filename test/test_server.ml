@@ -367,8 +367,8 @@ let test_server_ctx_reaches_reqtrace () =
                      {
                        Batch.connected = (fun _ _ -> true);
                        min_distance = (fun _ _ -> Some 0);
-                       descendants = (fun _ -> Ihs.create ());
-                       ancestors = (fun _ -> Ihs.create ());
+                       descendants = (fun ?f:_ _ -> 0);
+                       ancestors = (fun ?f:_ _ -> 0);
                        path_eval = None;
                      }
                      q) queries)

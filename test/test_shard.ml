@@ -23,10 +23,19 @@ module Gen = QCheck2.Gen
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
 
-(* the routed queries, as the scatter-gather engine binds them *)
+(* the routed queries, as the scatter-gather engine binds them; a result
+   set is what the engine's callback yields, as many nodes as the count
+   it answers *)
 let min_distance r = (Router.engine r).Batch.min_distance
-let descendants r = (Router.engine r).Batch.descendants
-let ancestors r = (Router.engine r).Batch.ancestors
+
+let routed_set (count : ?f:(int -> unit) -> int -> int) u =
+  let s = Ihs.create () in
+  let n = count ~f:(Ihs.add s) u in
+  if n <> Ihs.cardinal s then Alcotest.failf "node %d: count %d, %d nodes" u n (Ihs.cardinal s);
+  s
+
+let descendants r = routed_set (Router.engine r).Batch.descendants
+let ancestors r = routed_set (Router.engine r).Batch.ancestors
 
 (* the file layout of a shard directory after a first split (generation 0) *)
 let shard_path ~dir k = Filename.concat dir (Printf.sprintf "shard-%03d.db" k)
@@ -57,6 +66,13 @@ let elements c =
   Array.of_list (List.sort compare !acc)
 
 let sorted_of_ihs s = List.sort compare (Ihs.to_list s)
+
+(* every node an iterator yields, sorted: equal to a sorted set only when
+   each node is yielded once *)
+let yielded iter u =
+  let acc = ref [] in
+  iter u (fun w -> acc := w :: !acc);
+  List.sort compare !acc
 
 (* {1 Deterministic shape checks} *)
 
@@ -459,10 +475,10 @@ let check_like_store what r snap ~dom ~ids =
   Array.iter
     (fun u ->
       check Alcotest.(list int) (what ("desc " ^ string_of_int u))
-        (sorted_of_ihs (Snapshot.descendants snap u))
+        (yielded (Snapshot.iter_desc snap) u)
         (sorted_of_ihs (descendants r u));
       check Alcotest.(list int) (what ("anc " ^ string_of_int u))
-        (sorted_of_ihs (Snapshot.ancestors snap u))
+        (yielded (Snapshot.iter_anc snap) u)
         (sorted_of_ihs (ancestors r u)))
     dom;
   Array.iter

@@ -11,6 +11,14 @@ let catalog_version = 4
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_ints = Alcotest.(check (list int))
+
+(* every node an iterator yields, sorted: equal to a sorted set only when
+   each node is yielded once *)
+let yielded iter u =
+  let acc = ref [] in
+  iter u (fun w -> acc := w :: !acc);
+  List.sort compare !acc
 
 (* user data lives above the pager-owned checksum header *)
 let po = Page.payload_off
@@ -171,10 +179,9 @@ let test_cover_store_roundtrip () =
   check_bool "3->1" false (Cover_store.connected store 3 1);
   check_bool "reflexive" true (Cover_store.connected store 2 2);
   check_bool "unknown node" false (Cover_store.connected store 1 99);
-  let desc = Cover_store.descendants store 1 in
-  check_int "descendants" 3 (Ihs.cardinal desc);
-  let anc = Cover_store.anc (Cover_store.source store) 3 in
-  check_int "ancestors" 3 (Ihs.cardinal anc)
+  let src = Cover_store.source store in
+  check_ints "descendants" [ 1; 2; 3 ] (yielded (Cover_store.iter_desc src) 1);
+  check_ints "ancestors" [ 1; 2; 3 ] (yielded (Cover_store.iter_anc src) 3)
 
 let test_cover_store_distance () =
   let dc = Cover.create () in
@@ -420,8 +427,9 @@ let test_closure_store () =
   check_bool "1->3" true (Cover_store.connected store 1 3);
   check_bool "reflexive" true (Cover_store.connected store 4 4);
   check_bool "3->1" false (Cover_store.connected store 3 1);
-  check_int "descendants of 1" 4 (Ihs.cardinal (Cover_store.descendants store 1));
-  check_int "ancestors of 3" 3 (Ihs.cardinal (Cover_store.anc (Cover_store.source store) 3));
+  let src = Cover_store.source store in
+  check_ints "descendants of 1" [ 1; 2; 3; 4 ] (yielded (Cover_store.iter_desc src) 1);
+  check_ints "ancestors of 3" [ 1; 2; 3 ] (yielded (Cover_store.iter_anc src) 3);
   check_int "rows verified" (Catalog.cover_tables * 4) (Cover_store.check store)
 
 let prop_dist_store_matches_dist_cover =
@@ -470,15 +478,12 @@ let prop_store_anc_desc_match_cover =
       done;
       let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
       let store = Cover_store.of_cover (Pager.create ~pool_pages:16 Pager.Memory) cover in
-      let same a b =
-        List.sort compare (Ihs.to_list a) = List.sort compare (Ihs.to_list b)
-      in
+      let src = Cover_store.source store in
+      let same iter set v = yielded iter v = List.sort compare (Ihs.to_list set) in
       let ok = ref true in
       for v = 0 to n - 1 do
-        if not (same (Cover_store.descendants store v) (Cover.descendants cover v))
-        then ok := false;
-        if not (same (Cover_store.anc (Cover_store.source store) v) (Cover.ancestors cover v)) then
-          ok := false
+        if not (same (Cover_store.iter_desc src) (Cover.descendants cover v) v) then ok := false;
+        if not (same (Cover_store.iter_anc src) (Cover.ancestors cover v) v) then ok := false
       done;
       !ok)
 
@@ -517,14 +522,13 @@ let prop_bulk_store_matches_cover =
       if Cover_store.n_nodes store <> List.length (Cover.nodes cover) then
         QCheck2.Test.fail_report "node counts differ";
       if Cover_store.with_dist store then QCheck2.Test.fail_report "plain store has distances";
-      let same a b = List.sort compare (Ihs.to_list a) = List.sort compare (Ihs.to_list b) in
+      let src = Cover_store.source store in
+      let same iter set u = yielded iter u = List.sort compare (Ihs.to_list set) in
       let ok = ref true in
       for u = 0 to n + 1 do
         if Cover_store.mem_node store u <> Cover.mem_node cover u then ok := false;
-        if not (same (Cover_store.descendants store u) (Cover.descendants cover u))
-        then ok := false;
-        if not (same (Cover_store.anc (Cover_store.source store) u) (Cover.ancestors cover u))
-        then ok := false;
+        if not (same (Cover_store.iter_desc src) (Cover.descendants cover u) u) then ok := false;
+        if not (same (Cover_store.iter_anc src) (Cover.ancestors cover u) u) then ok := false;
         for v = 0 to n + 1 do
           if Cover_store.connected store u v <> Cover.connected cover u v then ok := false
         done
@@ -746,6 +750,80 @@ let test_row_is_one_pool_touch () =
   check_bool "rows on several pages" true (Pager.n_pages pgr > 6);
   Pager.close pgr
 
+(* Cold misses from four domains at once through a 2-page shared pool:
+   a miss reads the raw page under the pager's I/O lock and checks its
+   CRC outside it, so misses on one page race.  Every image served must
+   be the file's; after a payload byte is flipped on disk, every read of
+   that page raises [Checksum], is counted, and never leaves the page in
+   the pool (a pooled page would be served on the next read, unchecked). *)
+let test_concurrent_cold_misses () =
+  let path = Filename.temp_file "hopi_cold_miss" ".db" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
+  let n_pages = 12 and bad = 5 in
+  let p = Pager.create ~fsync:false (Pager.File path) in
+  for _ = 1 to n_pages do
+    let id = Pager.alloc p in
+    let page = Page.create () in
+    for k = po to Page.size - 1 do
+      Bytes.set_uint8 page k (((id * 131) + (k * 7)) land 0xFF)
+    done;
+    Pager.write p id page
+  done;
+  Pager.close p;
+  let failures () =
+    Hopi_obs.Counter.get (Hopi_obs.Registry.counter "hopi_storage_checksum_failures_total")
+  in
+  (* four domains over one fresh pager and pool; per domain: images that
+     differ from the file, [Checksum]s on the flipped page, and reads of it
+     that were served *)
+  let readers ~flipped =
+    let file = In_channel.with_open_bin path In_channel.input_all in
+    let pool = Pager.Read_pool.create ~pages:2 () in
+    let pgr = Pager.open_shared ~pool path in
+    Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+    let reader k =
+      Domain.spawn (fun () ->
+          let rng = Splitmix.create (k + 1) in
+          let wrong = ref 0 and rejected = ref 0 and served_bad = ref 0 in
+          for _ = 1 to 1500 do
+            let id = Splitmix.int rng n_pages in
+            match Pager.read pgr id with
+            | page ->
+              if flipped && id = bad then incr served_bad
+              else if Bytes.to_string page <> String.sub file (id * Page.size) Page.size then
+                incr wrong
+            | exception Storage_error.Storage_error (Storage_error.Checksum { page })
+              when flipped && page = bad && id = bad ->
+              incr rejected
+          done;
+          (!wrong, !rejected, !served_bad))
+    in
+    List.map Domain.join (List.init 4 reader)
+  in
+  List.iteri
+    (fun k (wrong, _, _) -> check_int (Printf.sprintf "domain %d: images = the file" k) 0 wrong)
+    (readers ~flipped:false);
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let off = (bad * Page.size) + po + 100 in
+  let byte = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd byte 0 1);
+  Bytes.set_uint8 byte 0 (Bytes.get_uint8 byte 0 lxor 0x10);
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd byte 0 1);
+  Unix.close fd;
+  let f0 = failures () in
+  let runs = readers ~flipped:true in
+  List.iteri
+    (fun k (wrong, rejected, served_bad) ->
+      check_int (Printf.sprintf "domain %d: other images = the file" k) 0 wrong;
+      check_bool (Printf.sprintf "domain %d: reads of the flipped page raise" k) true (rejected > 0);
+      check_int (Printf.sprintf "domain %d: the flipped page is never served" k) 0 served_bad)
+    runs;
+  check_int "every rejection counted"
+    (List.fold_left (fun acc (_, r, _) -> acc + r) 0 runs)
+    (failures () - f0)
+
 (* a default-sharded pool below 16 pages keeps to its budget: reading
    every page of a many-page store through a 2-page pool never holds more
    than 2 and evicts *)
@@ -876,6 +954,103 @@ let prop_row_tables_match_cover =
         QCheck2.Test.fail_reportf "the hub's backward row holds only %d entries" !hub_row;
       if Cover_store.n_nodes st <> n then QCheck2.Test.fail_report "n_nodes";
       ignore (Cover_store.check st : int);
+      true)
+
+(* {1 desc/anc iterators} *)
+
+(* A distance store written row by row, in the shape no cover produces:
+   node 2 appears with two distances in center 1's backward LIN row, and
+   nodes 2 and 3 are named by several backward rows, one of them that of
+   center 50, which is not a node.  The iterators yield each node once. *)
+let test_iterators_yield_once () =
+  let keys = [| 0; 1; 2; 3; 50 |] in
+  let slot k =
+    let rec go i = if keys.(i) = k then i else go (i + 1) in
+    go 0
+  in
+  let table rows i =
+    Hopi_twohop.Label_codec.encode_pairs
+      (Array.of_list (try List.assoc keys.(i) rows with Not_found -> []))
+  in
+  (* forward rows (center, dist) by node; backward rows (slot, dist) by center *)
+  let lin = [ (2, [ (1, 1); (1, 3); (50, 2) ]); (3, [ (0, 4); (1, 2); (50, 1) ]) ]
+  and lin_by = [ (0, [ (slot 3, 4) ]); (1, [ (slot 2, 1); (slot 2, 3); (slot 3, 2) ]);
+                 (50, [ (slot 2, 2); (slot 3, 1) ]) ]
+  and lout = [ (0, [ (1, 1); (50, 2) ]) ]
+  and lout_by = [ (1, [ (slot 0, 1) ]); (50, [ (slot 0, 2) ]) ] in
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~vfs "dup.db" in
+  Catalog.reserve "test" p;
+  let w = Row_table.writer p ~keys ~registered:(fun k -> k <> 50) in
+  List.iter (fun rows -> Row_table.add_table w (table rows)) [ lin; lin_by; lout; lout_by ];
+  let zero = Array.make (Array.length keys) 0 in
+  let rows = Row_table.finish w ~post:zero ~low:zero in
+  Catalog.write p { Catalog.with_dist = true; rows = Row_table.layout rows };
+  Pager.close p;
+  let st = Cover_store.open_pager (Pager.open_existing ~pool_pages:2 ~vfs "dup.db") in
+  let src = Cover_store.source st in
+  check_ints "desc 0" [ 0; 1; 2; 3; 50 ] (yielded (Cover_store.iter_desc src) 0);
+  check_ints "desc 1" [ 1; 2; 3 ] (yielded (Cover_store.iter_desc src) 1);
+  check_ints "anc 2" [ 0; 1; 2; 50 ] (yielded (Cover_store.iter_anc src) 2);
+  check_ints "anc 3" [ 0; 1; 3; 50 ] (yielded (Cover_store.iter_anc src) 3);
+  check_ints "a center that is not a node has no result" [] (yielded (Cover_store.iter_desc src) 50);
+  check_ints "an unknown node has no result" [] (yielded (Cover_store.iter_anc src) 7)
+
+(* desc/anc over stores read through a 2-page pool against BFS over the
+   graph: plain and distance covers, dense or sparse ids, and relay
+   centers that are not nodes joining connected pairs (a relay named in
+   [Lout(u)] is in u's result, as in [Cover.descendants]).  Relays name
+   the same nodes as other centers do, so nodes are reached through
+   several backward rows; yielding any node twice fails the check. *)
+let prop_iterators_match_bfs =
+  QCheck2.Test.make ~name:"desc/anc iterators = BFS oracle, each node once" ~count:40
+    QCheck2.Gen.(quad (int_range 0 1_000_000) (int_range 1 40) bool bool)
+    (fun (seed, n, sparse, with_dist) ->
+      let id i = if sparse then 7 + (13 * i) + (i * i mod 5) else i in
+      let g = random_graph ~seed ~n ~edges:(3 * n / 2) in
+      let g' = Hopi_graph.Digraph.create () in
+      for i = 0 to n - 1 do
+        Hopi_graph.Digraph.add_node g' (id i)
+      done;
+      Hopi_graph.Digraph.iter_edges g (fun u v -> Hopi_graph.Digraph.add_edge g' (id u) (id v));
+      let g = g' and nodes = List.init n id in
+      let reach u = Hopi_graph.Traversal.reachable g [ u ] in
+      let reached_by v = Hopi_graph.Traversal.reachable_backward g [ v ] in
+      let relay i = 1_000_000 + i in
+      let relayed =
+        List.concat_map (fun u -> List.map (fun v -> (u, v)) (Ihs.to_list (reach u))) nodes
+        |> List.filter (fun (u, v) -> u <> v)
+        |> List.filteri (fun i _ -> i mod 5 = 0)
+      in
+      let c =
+        if with_dist then fst (Hopi_twohop.Dist_builder.build g)
+        else fst (Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g))
+      in
+      List.iteri
+        (fun i (u, v) ->
+          Cover.add_out c ~dist:(if with_dist then 1 else 0) ~node:u ~center:(relay i);
+          Cover.add_in c ~node:v ~center:(relay i))
+        relayed;
+      let st = reopened (fun p -> Cover_store.of_cover p c) in
+      let src = Cover_store.source st in
+      let relays_of pick =
+        List.concat (List.mapi (fun i pair -> if pick pair then [ relay i ] else []) relayed)
+      in
+      let expect set extra = List.sort compare (Ihs.to_list set @ extra) in
+      List.iter
+        (fun u ->
+          let want = expect (reach u) (relays_of (fun (a, _) -> a = u)) in
+          if yielded (Cover_store.iter_desc src) u <> want then
+            QCheck2.Test.fail_reportf "desc %d" u;
+          let want = expect (reached_by u) (relays_of (fun (_, b) -> b = u)) in
+          if yielded (Cover_store.iter_anc src) u <> want then
+            QCheck2.Test.fail_reportf "anc %d" u)
+        nodes;
+      List.iter
+        (fun x ->
+          if yielded (Cover_store.iter_desc src) x <> [] || yielded (Cover_store.iter_anc src) x <> []
+          then QCheck2.Test.fail_reportf "%d is no node, yet has a result" x)
+        [ relay 0; -1; 5_000_000 ];
       true)
 
 (* {1 The reachability interval} *)
@@ -1028,6 +1203,7 @@ let suite =
         Alcotest.test_case "version-2 store: rebuild hint" `Quick test_catalog_v2_store;
         Alcotest.test_case "version-3 store: rebuild hint" `Quick test_catalog_v3_store;
         Alcotest.test_case "rows ascend by dist" `Quick test_cover_store_rows_ascend;
+        Alcotest.test_case "desc/anc yield each node once" `Quick test_iterators_yield_once;
         Alcotest.test_case "truncated store" `Quick test_catalog_truncated;
         Alcotest.test_case "wrong store kind" `Quick test_catalog_wrong_kind;
         Alcotest.test_case "bulk load requires a fresh store" `Quick
@@ -1040,6 +1216,8 @@ let suite =
           test_verify_corrupt_directory;
         Alcotest.test_case "a row is one pool touch" `Quick test_row_is_one_pool_touch;
         Alcotest.test_case "a 2-page pool holds at most 2 pages" `Quick test_small_pool_keeps_budget;
+        Alcotest.test_case "concurrent cold misses through a 2-page pool" `Quick
+          test_concurrent_cold_misses;
         Alcotest.test_case "interval cuts negatives" `Quick test_interval_cuts_negatives;
       ]
       @ qsuite [ prop_row_tables_match_cover; prop_interval_matches_bfs ] );
@@ -1048,6 +1226,7 @@ let suite =
         [
           prop_dist_store_matches_dist_cover;
           prop_store_anc_desc_match_cover;
+          prop_iterators_match_bfs;
           prop_bulk_store_matches_cover;
           prop_bulk_dist_store_matches_cover;
         ] );

@@ -969,6 +969,43 @@ let prop_codec_probes =
         QCheck2.Test.fail_report "merge_min diverges";
       true)
 
+(* [iter_unmarked] over several rows sharing one mark array yields each
+   center once, in first-seen order: rows with dense runs (the 8-byte
+   step), duplicate centers at several distances, deltas and distances
+   of two varint bytes (the fallback), and rows embedded mid-buffer *)
+let prop_codec_iter_unmarked =
+  let gen_row =
+    let open QCheck2.Gen in
+    let center = oneof [ int_bound 40; int_bound 600; int_bound 4_999 ] in
+    let dist = oneof [ return 0; int_bound 3; int_bound 300 ] in
+    list_size (int_bound 60) (pair center dist) >|= fun l -> Array.of_list (List.sort compare l)
+  in
+  QCheck2.Test.make ~name:"codec: iter_unmarked yields each center once" ~count:300
+    QCheck2.Gen.(pair (list_size (int_range 1 5) gen_row) (int_bound 9))
+    (fun (rows, pad) ->
+      let seen = Bytes.make 5_000 '\000' and got = ref [] and want = ref [] in
+      let c = Label_codec.cursor () in
+      List.iter
+        (fun r ->
+          Array.iter (fun (w, _) -> if not (List.mem w !want) then want := w :: !want) r;
+          let enc = Label_codec.encode_pairs r in
+          let buf = Bytes.make (Bytes.length enc + (2 * pad)) '\xff' in
+          Bytes.blit enc 0 buf pad (Bytes.length enc);
+          Label_codec.reset c buf ~pos:pad ~len:(Bytes.length enc);
+          Label_codec.iter_unmarked c seen (fun w -> got := w :: !got);
+          if Label_codec.advance c then QCheck2.Test.fail_report "cursor left inside the row")
+        rows;
+      if !got <> !want then QCheck2.Test.fail_report "yields differ from the first-seen centers";
+      true)
+
+let test_codec_iter_unmarked_bounds () =
+  let c = Label_codec.cursor () in
+  let enc = Label_codec.encode_pairs [| (3, 0); (9, 0) |] in
+  Label_codec.reset c enc ~pos:0 ~len:(Bytes.length enc);
+  match Label_codec.iter_unmarked c (Bytes.make 9 '\000') ignore with
+  | () -> Alcotest.fail "a center past the marks was accepted"
+  | exception Invalid_argument _ -> ()
+
 (* the allocation-free cursor, pointed at a set embedded mid-buffer (as a
    stored row sits on a page), decodes exactly [to_array]; and the probes
    built on it agree with a model computed from [to_array] alone *)
@@ -1134,9 +1171,11 @@ let suite =
         Alcotest.test_case "empty label set" `Quick test_codec_empty;
         Alcotest.test_case "encoder rejects unsorted rows" `Quick
           test_codec_enc_rejects_unsorted;
+        Alcotest.test_case "iter_unmarked checks centers against the marks" `Quick
+          test_codec_iter_unmarked_bounds;
       ]
       @ qsuite
           [ prop_codec_roundtrip; prop_codec_probes; prop_codec_cursor_model;
-            prop_codec_cover_roundtrip ]
+            prop_codec_iter_unmarked; prop_codec_cover_roundtrip ]
     );
   ]

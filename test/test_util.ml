@@ -215,6 +215,47 @@ let test_crc32_tails () =
     check_crc "random range" (crc_reference b ~pos ~len) (Crc32.digest b ~pos ~len)
   done
 
+(* the slicing kernel against the bit-at-a-time definition: every start
+   within a 16-byte step and every length up to four steps, so each tail
+   length meets each alignment *)
+let test_crc32_every_offset () =
+  let rng = Splitmix.create 11 in
+  let buf = Bytes.init 96 (fun _ -> Char.chr (Splitmix.int rng 256)) in
+  for pos = 0 to 15 do
+    for len = 0 to 64 do
+      check_crc
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc_reference buf ~pos ~len) (Crc32.digest buf ~pos ~len)
+    done
+  done
+
+(* the page payload as the pager checks it: 4,088 bytes from offset 8,
+   which is not 16-aligned *)
+let test_crc32_page_payload () =
+  let rng = Splitmix.create 12 in
+  for _ = 1 to 4 do
+    let page = Bytes.init 4096 (fun _ -> Char.chr (Splitmix.int rng 256)) in
+    check_crc "random page payload" (crc_reference page ~pos:8 ~len:4088)
+      (Crc32.digest page ~pos:8 ~len:4088)
+  done
+
+(* [update] composes: the digest of a buffer is [update] of the digest of
+   any prefix over the rest, at every split from 0 to 40 *)
+let test_crc32_update_composes () =
+  let rng = Splitmix.create 13 in
+  List.iter
+    (fun n ->
+      let b = Bytes.init n (fun _ -> Char.chr (Splitmix.int rng 256)) in
+      let whole = Crc32.digest b ~pos:0 ~len:n in
+      for k = 0 to min 40 n do
+        let head = Crc32.digest b ~pos:0 ~len:k in
+        check_crc
+          (Printf.sprintf "length %d split at %d" n k)
+          whole
+          (Crc32.update head b ~pos:k ~len:(n - k))
+      done)
+    [ 40; 57; 200 ]
+
 let test_crc32_bounds () =
   let b = Bytes.make 16 'x' in
   let rejects name f =
@@ -734,6 +775,10 @@ let suite =
       [
         Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
         Alcotest.test_case "unaligned tails = reference" `Quick test_crc32_tails;
+        Alcotest.test_case "every pos 0..15, len 0..64 = reference" `Quick
+          test_crc32_every_offset;
+        Alcotest.test_case "page payload at offset 8 = reference" `Quick test_crc32_page_payload;
+        Alcotest.test_case "update composes over splits" `Quick test_crc32_update_composes;
         Alcotest.test_case "bounds check" `Quick test_crc32_bounds;
         Alcotest.test_case "page byte flips" `Quick test_crc32_page_flips;
       ] );
