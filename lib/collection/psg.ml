@@ -8,7 +8,7 @@ type t = {
   link_edges : (int * int) list;
 }
 
-let build ~part_of ~links ~reaches_within_partition =
+let build ~links ~lin ~lout =
   let graph = Digraph.create () in
   let sources = Ihs.create () and targets = Ihs.create () in
   List.iter
@@ -17,25 +17,25 @@ let build ~part_of ~links ~reaches_within_partition =
       Ihs.add targets v;
       Digraph.add_edge graph u v)
     links;
-  (* intra-partition connections from link targets to link sources *)
-  let by_part_src = Hashtbl.create 16 and by_part_tgt = Hashtbl.create 16 in
-  let push h k x =
-    let l = Option.value ~default:[] (Hashtbl.find_opt h k) in
-    Hashtbl.replace h k (x :: l)
+  (* within edges, read off the labels: every source under each center of
+     Lin(s) ∪ {s}, then each target's Lout(t) ∪ {t} against those buckets *)
+  let by_center = Hashtbl.create (4 * Ihs.cardinal sources) in
+  let bucket s c =
+    Hashtbl.replace by_center c (s :: Option.value ~default:[] (Hashtbl.find_opt by_center c))
   in
-  Ihs.iter (fun s -> push by_part_src (part_of s) s) sources;
-  Ihs.iter (fun t -> push by_part_tgt (part_of t) t) targets;
-  Hashtbl.iter
-    (fun part tgts ->
-      match Hashtbl.find_opt by_part_src part with
-      | None -> ()
-      | Some srcs ->
-        List.iter
-          (fun t ->
-            List.iter
-              (fun s ->
-                if t <> s && reaches_within_partition t s then Digraph.add_edge graph t s)
-              srcs)
-          tgts)
-    by_part_tgt;
+  Ihs.iter
+    (fun s ->
+      bucket s s;
+      lin s (bucket s))
+    sources;
+  Ihs.iter
+    (fun t ->
+      let within c =
+        match Hashtbl.find_opt by_center c with
+        | Some ss -> List.iter (fun s -> if s <> t then Digraph.add_edge graph t s) ss
+        | None -> ()
+      in
+      within t;
+      lout t within)
+    targets;
   { graph; sources; targets; link_edges = links }

@@ -5,7 +5,7 @@
     links [L_P] plus an edge [(t, s)] whenever a link target [t] and a link
     source [s] lie in the same partition and [t ⇝ s] *within* that partition
     — connectivity that the per-partition 2-hop covers already answer, so it
-    is supplied as an oracle. *)
+    is read off their labels. *)
 
 type t = {
   graph : Hopi_graph.Digraph.t;
@@ -17,10 +17,16 @@ type t = {
 }
 
 val build :
-  part_of:(int -> int) ->
   links:(int * int) list ->
-  reaches_within_partition:(int -> int -> bool) ->
+  lin:(int -> (int -> unit) -> unit) ->
+  lout:(int -> (int -> unit) -> unit) ->
   t
-(** The PSG of the cross-partition [links], each element placed in
-    partition [part_of e].  [reaches_within_partition t s] must answer
-    whether [t ⇝ s] using only nodes of their (common) partition. *)
+(** The PSG of the cross-partition [links].  [lin s f] and [lout t f]
+    call [f] on each center of the node's [Lin] or [Lout] label in the
+    2-hop cover of its own partition.  The within edge [t → s] exists
+    exactly when [t <> s] and some center of [Lout(t) ∪ {t}] is in
+    [Lin(s) ∪ {s}]: the cover's own reachability test.  A partition
+    cover's centers never leave its partition, so a common center also
+    says that [t] and [s] share one.  One pass: each source goes into a
+    bucket per center of [Lin(s) ∪ {s}], then each target's
+    [Lout(t) ∪ {t}] is scanned once against the buckets. *)

@@ -3,7 +3,7 @@ module Ihs = Hopi_util.Int_hashset
 module Union_find = Hopi_util.Union_find
 module Digraph = Hopi_graph.Digraph
 module Closure = Hopi_graph.Closure
-module Int_set = Hopi_util.Int_set
+module Bitrow = Hopi_util.Bitrow
 module Partitioning = Hopi_collection.Partitioning
 module Psg = Hopi_collection.Psg
 module Pool = Hopi_util.Pool
@@ -49,7 +49,7 @@ let h_hbar_targets =
 
 let h_task_ns =
   Registry.histogram "hopi_join_psg_task_duration_ns"
-    ~help:"Per-item time of parallelisable join work (chunk closures, \
+    ~help:"Per-item time of parallelisable join work (chunk kernel passes, \
            ancestor/descendant expansions)"
 
 type strategy = One_closure | Partitioned of int
@@ -63,8 +63,8 @@ type stats = {
 }
 
 (* The parallel sections below run read-only item functions on the pool
-   (BFS over the frozen PSG, closure of a chunk subgraph, label expansion
-   against the frozen partition covers) and collect results into per-index
+   (a kernel pass over a chunk of the frozen PSG, label expansion against
+   the frozen partition covers) and collect results into per-index
    slots; all writes to shared structures happen afterwards on the calling
    domain, iterating the slots in sorted order.  That split is what keeps
    the join deterministic — and hence the final cover bit-identical — for
@@ -105,35 +105,14 @@ let sorted_array ihs =
   Array.sort compare a;
   a
 
-(* H̄out as a table: link source -> the dense numbers (positions in
-   [targets], ascending) of the link targets it reaches in the PSG, the
-   source itself excluded (self-entries are implicit).  One closure of the
-   whole PSG answers every source: its component bitsets share the work
-   that a traversal per source would repeat. *)
-let hbar_closure (psg : Psg.t) ~targets =
-  let sources = sorted_array psg.Psg.sources in
-  let reached = Closure.succs_among psg.Psg.graph ~from:sources ~among:targets in
-  let hbar = Hashtbl.create (Array.length sources) in
-  Array.iteri
-    (fun i s ->
-      let ks = reached.(i) in
-      (* a source that is also a target reaches itself *)
-      let ks =
-        if Array.exists (fun k -> targets.(k) = s) ks then
-          Array.of_list (List.filter (fun k -> targets.(k) <> s) (Array.to_list ks))
-        else ks
-      in
-      if ks <> [||] then Hashtbl.replace hbar s ks)
-    sources;
-  (hbar, 1)
-
-(* The paper's recursion: partition the PSG so that no link edge crosses
+(* The paper's recursion, answering as [Closure.succs_among g ~from:sources
+   ~among:targets] does: partition the PSG so that no link edge crosses
    partitions (grouping link edges with union-find guarantees the required
    property: every cross-partition PSG edge is a within-element-partition
-   connection, i.e. goes from a link target to a link source), compute
-   partial H̄ covers per PSG partition from materialised closures, and
+   connection, i.e. goes from a link target to a link source), read each
+   partition's partial H̄ off one kernel pass over its subgraph, and
    propagate along cross edges until a fixpoint. *)
-let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
+let hbar_partitioned ?pool ~pc (psg : Psg.t) ~sources ~targets ~max_connections =
   let uf = Union_find.create () in
   Digraph.iter_nodes psg.Psg.graph (fun v -> ignore (Union_find.find uf v));
   List.iter (fun (s, t) -> Union_find.union uf s t) psg.Psg.link_edges;
@@ -180,60 +159,63 @@ let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
       current := members @ !current)
     components;
   flush_chunk ();
-  (* per-chunk closures: chunks are disjoint subgraphs, so their closures
-     compute independently on the pool *)
   let chunk_members = Array.make (max !n_chunks 1) [] in
   Hashtbl.iter
     (fun v ch -> chunk_members.(ch) <- v :: chunk_members.(ch))
     chunk_of;
-  let chunk_closure =
+  (* per chunk, its link sources and targets by global number, and one
+     kernel pass over its subgraph: chunks are disjoint subgraphs, so the
+     passes run independently on the pool *)
+  let chunk_rows =
     pmap pool pc
       (Array.length chunk_members)
       (task pc (fun ch ->
+           let members = List.sort compare chunk_members.(ch) in
            let keep = Ihs.create () in
-           List.iter (fun v -> Ihs.add keep v) chunk_members.(ch);
-           Closure.compute (Digraph.induced_subgraph psg.Psg.graph keep)))
+           List.iter (Ihs.add keep) members;
+           let ends numbered =
+             Array.of_list (List.filter (fun v -> Cover.slot numbered v >= 0) members)
+           in
+           let from = ends sources and among = ends targets in
+           let reached =
+             Closure.succs_among (Digraph.induced_subgraph psg.Psg.graph keep) ~from ~among
+           in
+           ( Array.map (Cover.slot sources) from,
+             Array.map (Array.map (fun j -> Cover.slot targets among.(j))) reached )))
   in
-  (* initial H̄ within chunks *)
-  let hbar = Hashtbl.create (Ihs.cardinal psg.Psg.sources) in
-  let hbar_of s =
-    match Hashtbl.find_opt hbar s with
-    | Some set -> set
-    | None ->
-      let set = Ihs.create () in
-      Hashtbl.add hbar s set;
-      set
-  in
-  Ihs.iter
-    (fun s ->
-      let clo = chunk_closure.(Hashtbl.find chunk_of s) in
-      let set = hbar_of s in
-      Int_set.iter
-        (fun x -> if x <> s && Ihs.mem psg.Psg.targets x then Ihs.add set x)
-        (Closure.succs clo s))
-    psg.Psg.sources;
+  (* H̄ as one dense bit row per source over the target numbers, set to
+     the chunk rows; inverted, they give each target its chunk-source
+     ancestors, the target itself counting when it is a source *)
+  let bits = Bitrow.bits in
+  let words = (Array.length targets / bits) + 1 in
+  let rows = Array.init (Array.length sources) (fun _ -> Array.make words 0) in
+  let set r j = r.(j / bits) <- r.(j / bits) lor (1 lsl (j mod bits)) in
+  let ancestors = Array.make (Array.length targets) [] in
+  Array.iter
+    (fun (from, reached) ->
+      Array.iteri
+        (fun i a ->
+          Array.iter
+            (fun j ->
+              set rows.(a) j;
+              ancestors.(j) <- a :: ancestors.(j))
+            reached.(i))
+        from)
+    chunk_rows;
+  Array.iteri
+    (fun j t ->
+      let a = Cover.slot sources t in
+      if a >= 0 && not (Bitrow.mem ~lo:0 rows.(a) j) then ancestors.(j) <- a :: ancestors.(j))
+    targets;
   (* cross-chunk edges: all go target -> source by construction *)
   let cross = ref [] in
   Digraph.iter_edges psg.Psg.graph (fun x y ->
       if Hashtbl.find chunk_of x <> Hashtbl.find chunk_of y then begin
-        assert (Ihs.mem psg.Psg.targets x && Ihs.mem psg.Psg.sources y);
-        cross := (x, y) :: !cross
+        let j = Cover.slot targets x and i = Cover.slot sources y in
+        assert (j >= 0 && i >= 0);
+        cross := (j, i, Cover.slot targets y) :: !cross
       end);
-  (* link-source ancestors of a target within its chunk *)
-  let chunk_source_ancestors t =
-    let clo = chunk_closure.(Hashtbl.find chunk_of t) in
-    Int_set.filter (fun a -> Ihs.mem psg.Psg.sources a) (Closure.preds clo t)
-  in
-  let anc_cache = Hashtbl.create 64 in
-  let ancestors_of t =
-    match Hashtbl.find_opt anc_cache t with
-    | Some a -> a
-    | None ->
-      let a = chunk_source_ancestors t in
-      Hashtbl.add anc_cache t a;
-      a
-  in
-  (* fixpoint propagation: H̄out(a) ∪= H̄out(s) ∪ ({s} ∩ targets) for each
+  (* fixpoint propagation: row(a) ∪= row(s) ∪ ({s} ∩ targets) for each
      cross edge (t, s) and each source ancestor a of t (cycles across chunks
      make a single topological pass insufficient) *)
   let changed = ref true in
@@ -241,42 +223,33 @@ let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
     Counter.incr m_fixpoint_rounds;
     changed := false;
     List.iter
-      (fun (t, s) ->
-        let from_s = Hashtbl.find_opt hbar s in
-        let s_is_target = Ihs.mem psg.Psg.targets s in
-        Int_set.iter
+      (fun (j, i, sj) ->
+        let from_s = rows.(i) in
+        List.iter
           (fun a ->
-            let set = hbar_of a in
-            let before = Ihs.cardinal set in
-            (match from_s with
-             | Some src -> Ihs.iter (fun x -> if x <> a then Ihs.add set x) src
-             | None -> ());
-            if s_is_target && s <> a then Ihs.add set s;
-            if Ihs.cardinal set > before then changed := true)
-          (ancestors_of t))
+            let r = rows.(a) in
+            for w = 0 to words - 1 do
+              let x = r.(w) lor from_s.(w) in
+              if x <> r.(w) then begin
+                r.(w) <- x;
+                changed := true
+              end
+            done;
+            if sj >= 0 && not (Bitrow.mem ~lo:0 r sj) then begin
+              set r sj;
+              changed := true
+            end)
+          ancestors.(j))
       !cross
   done;
-  (hbar, !n_chunks)
-
-(* [hbar_partitioned]'s table in [hbar_closure]'s form: each set holds
-   link targets only, so one merge pass against [targets] numbers it *)
-let densify ~targets h =
-  let out = Hashtbl.create (Hashtbl.length h) in
-  Hashtbl.iter
-    (fun s set ->
-      let k = ref 0 in
-      let ks =
-        Array.map
-          (fun t ->
-            while targets.(!k) < t do
-              incr k
-            done;
-            !k)
-          (sorted_array set)
-      in
-      Hashtbl.replace out s ks)
-    h;
-  out
+  let reached r =
+    let ks = Array.make (Bitrow.count r) 0 and n = ref 0 in
+    Bitrow.iter ~lo:0 r (fun j ->
+        ks.(!n) <- j;
+        incr n);
+    ks
+  in
+  (Array.map reached rows, !n_chunks)
 
 (* {1 The apply pipeline}
 
@@ -373,29 +346,42 @@ let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover
      their sizes *)
   let before = Array.fold_left (fun acc cov -> acc + Cover.size cov) 0 partition_covers in
   let cover_of_element e = partition_covers.(Partitioning.part_of_element p c e) in
-  let reaches t s =
-    Partitioning.part_of_element p c t = Partitioning.part_of_element p c s
-    && Cover.connected (cover_of_element t) t s
-  in
   let psg =
     Trace.with_span "join.psg.build_psg" (fun () ->
-        Psg.build ~part_of:(Partitioning.part_of_element p c) ~links:p.Partitioning.cross_links
-          ~reaches_within_partition:reaches)
+        let centers iter v f = iter (cover_of_element v) v (fun c _ -> f c) in
+        Psg.build ~links:p.Partitioning.cross_links ~lin:(centers Cover.iter_lin)
+          ~lout:(centers Cover.iter_lout))
   in
   Histogram.observe h_psg_nodes (Digraph.n_nodes psg.Psg.graph);
   Histogram.observe h_psg_edges (Digraph.n_edges psg.Psg.graph);
-  (* the link targets, ascending; a target's position is its dense number *)
-  let targets = sorted_array psg.Psg.targets in
+  (* the link sources and targets, ascending; a target's position is its
+     dense number *)
+  let sources = sorted_array psg.Psg.sources and targets = sorted_array psg.Psg.targets in
   let hbar, psg_partitions =
     Trace.with_span "join.psg.hbar" (fun () ->
-        match strategy with
-        | One_closure -> hbar_closure psg ~targets
-        | Partitioned max_connections ->
-          let h, n_chunks = hbar_partitioned ?pool ~pc psg ~max_connections in
-          (densify ~targets h, n_chunks))
+        (* both strategies answer in {!Closure.succs_among}'s form: per
+           link source, the dense numbers of the link targets it reaches
+           over at least one PSG edge.  One closure of the whole PSG
+           answers every source: its component bitsets share the work
+           that a traversal per source would repeat. *)
+        let reached, n_chunks =
+          match strategy with
+          | One_closure -> (Closure.succs_among psg.Psg.graph ~from:sources ~among:targets, 1)
+          | Partitioned max_connections ->
+            hbar_partitioned ?pool ~pc psg ~sources ~targets ~max_connections
+        in
+        (* a source that is also a target reaches itself on a PSG cycle,
+           but H̄out(s) leaves s out *)
+        ( Array.mapi
+            (fun i ks ->
+              let self = Cover.slot targets sources.(i) in
+              if Array.mem self ks then Array.of_seq (Seq.filter (( <> ) self) (Array.to_seq ks))
+              else ks)
+            reached,
+          n_chunks ))
   in
   Histogram.observe h_psg_chunks psg_partitions;
-  Hashtbl.iter (fun _ ks -> Histogram.observe h_hbar_targets (Array.length ks)) hbar;
+  Array.iter (fun ks -> if ks <> [||] then Histogram.observe h_hbar_targets (Array.length ks)) hbar;
   let final =
     Trace.with_span "join.psg.apply" (fun () ->
         (* stage 1 — emit.  Ĥ out-side: H̄out(s) is copied to every ancestor
@@ -408,10 +394,12 @@ let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover
         let out_parts, in_parts =
           Trace.with_span "join.psg.sort" (fun () ->
               let by_part = Array.make p.Partitioning.n [] in
-              Hashtbl.iter
-                (fun s _ ->
-                  let q = Partitioning.part_of_element p c s in
-                  by_part.(q) <- s :: by_part.(q))
+              Array.iteri
+                (fun i ks ->
+                  if ks <> [||] then begin
+                    let q = Partitioning.part_of_element p c sources.(i) in
+                    by_part.(q) <- i :: by_part.(q)
+                  end)
                 hbar;
               let by_part =
                 Array.of_list (List.filter (fun l -> l <> []) (Array.to_list by_part))
@@ -423,8 +411,8 @@ let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover
                     (* ancestor -> the H̄out sets of the link sources it reaches *)
                     let reached = Hashtbl.create 256 in
                     List.iter
-                      (fun s ->
-                        let ks = Hashtbl.find hbar s in
+                      (fun i ->
+                        let s = sources.(i) and ks = hbar.(i) in
                         Ihs.iter
                           (fun a ->
                             let sets = Option.value (Hashtbl.find_opt reached a) ~default:[] in

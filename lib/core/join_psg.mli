@@ -20,10 +20,18 @@
     - [Partitioned]: the paper's recursion for PSGs whose transitive closure
       exceeds memory — the PSG is split so that every cross-partition PSG
       edge starts at a link target and ends at a link source (link edges are
-      grouped by union-find, so they can never cross), partial [H̄] covers
-      are computed per PSG-partition from materialised closures, and
-      connected by propagating [H̄out] along the cross edges to the
-      link-source ancestors of their targets. *)
+      grouped by union-find, so they can never cross), each PSG-partition's
+      partial [H̄] is read off one {!Hopi_graph.Closure.succs_among} pass
+      over its subgraph, and the partial covers are connected by
+      propagating [H̄out] along the cross edges to the link-source
+      ancestors of their targets, over one bit row per link source, until
+      a fixpoint.
+
+    Both answer in [succs_among]'s form, the link targets each link source
+    reaches over at least one PSG edge; the join then drops a source from
+    its own [H̄out].  The PSG itself is read off the partition covers'
+    labels ({!Hopi_collection.Psg.build}), the way the router builds it
+    from the shards'. *)
 
 type strategy =
   | One_closure
@@ -56,7 +64,7 @@ val join :
     one merge of the partition covers' rows with both streams into a
     frozen cover ([join.psg.bulk] — {!Hopi_twohop.Cover.merge}).
 
-    With [pool], the read-only bulk work — per-chunk closures
+    With [pool], the read-only bulk work — per-chunk kernel passes
     ([Partitioned]) and the partition-level ancestor/descendant
     expansions of [Ĥ] — fans out over the pool's domains.  The sorted
     stream is the canonical entry set whatever the job count or task

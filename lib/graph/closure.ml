@@ -192,10 +192,14 @@ let succs_among g ~from ~among =
   let buf = Array.make (Array.length among) 0 in
   Array.map
     (fun u ->
-      let p = k.comp.(local u) in
+      let x = local u in
+      let p = k.comp.(x) in
+      (* the row holds [x] itself; an edge leads back to it only on a
+         cycle: another member in its SCC, or a self-loop *)
+      let self = if size k p > 1 || Digraph.mem_edge g u u then -1 else x in
       let n = ref 0 in
       for j = 0 to Array.length among - 1 do
-        if reaches k p among_local.(j) then begin
+        if among_local.(j) <> self && reaches k p among_local.(j) then begin
           buf.(!n) <- j;
           incr n
         end

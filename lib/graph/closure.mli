@@ -24,10 +24,13 @@ val count_connections : Digraph.t -> int
 
 val succs_among : Digraph.t -> from:int array -> among:int array -> int array array
 (** [(succs_among g ~from ~among).(i)] holds, ascending, every position [j]
-    with [from.(i) ⇝ among.(j)] (reflexively).  One kernel pass, read
-    straight off the component bitsets: no per-node set is materialised,
-    and the cost past the pass is [|from| × |among|] bit tests, each made
-    once.
+    such that a path of at least one edge leads from [from.(i)] to
+    [among.(j)].  Unlike every other entry point it is not reflexive: a
+    node reaches itself only on a cycle, when its strongly connected
+    component has another member or it has a self-loop.  One kernel pass,
+    read straight off the component bitsets: no per-node set is
+    materialised, and the cost past the pass is [|from| × |among|] bit
+    tests, each made once.
     @raise Invalid_argument if a node of [from] or [among] is not in [g]. *)
 
 val intervals : off:int array -> succ:int array -> int array * int array

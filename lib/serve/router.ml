@@ -7,9 +7,10 @@
    and (b) the transitive closure of the PSG — whose nodes are the
    cross-link endpoints, whose link edges are the cross links themselves,
    and whose within edges connect a link target to every link source it
-   reaches inside its own partition.  The shards answer every within edge,
-   so the routing index stores only the links, and the closure is derived
-   at open.  A query crossing shards resolves as
+   reaches inside its own partition.  The shards' labels give every
+   within edge, so the routing index stores only the links, and the PSG
+   and its closure are derived at open, by the same stage the PSG join
+   runs.  A query crossing shards resolves as
 
      u ==within==> s  --PSG closure-->  t  ==within==> v
 
@@ -394,37 +395,17 @@ let dial_search snaps shard g targets =
     Array.fill head 0 nb (-1)
 
 (* The PSG's closure from one kernel pass ({!Closure.succs_among}, the
-   PSG join's): per link source the link targets it reaches, and per
-   target the sources reaching it.  The kernel is reflexive, the routed
-   closure is not: a source that is also a target keeps itself only when
-   a PSG cycle leads back to it.  The PSG has no self-loop, so that is
-   when some successor of [s] reaches [s]; a successor that is no source
-   is a target whose successors are sources of its shard, each with a
-   kernel row.  Plain shards route reachability only, so every distance
-   is 0; distance-aware ones read each source's distances off one
+   PSG join's): per link source the link targets it reaches over at least
+   one PSG edge, and per target the sources reaching it.  A source that
+   is also a target so keeps itself only when a PSG cycle leads back to
+   it.  Plain shards route reachability only, so every distance is 0;
+   distance-aware ones read each source's distances off one
    {!dial_search}, stopped once every target of the source's row is
    settled. *)
 let psg_closure ~with_dist snaps shard (psg : Psg.t) targets =
   let g = psg.Psg.graph in
   let sources = Array.of_list (List.sort compare (Ihs.to_list psg.Psg.sources)) in
   let reached = Closure.succs_among g ~from:sources ~among:targets in
-  let row_has i j = position reached.(i) j >= 0 in
-  (* the target number of [s] when its self hit goes, else -1 *)
-  let self_drop s =
-    let j = position targets s in
-    let reaches_s v =
-      let i = position sources v in
-      if i >= 0 then row_has i j
-      else begin
-        let hit = ref false in
-        Digraph.iter_succ g v (fun x -> if row_has (position sources x) j then hit := true);
-        !hit
-      end
-    in
-    let cycle = ref false in
-    if j >= 0 then Digraph.iter_succ g s (fun v -> if (not !cycle) && reaches_s v then cycle := true);
-    if !cycle then -1 else j
-  in
   let search = if with_dist then Some (dial_search snaps shard g targets) else None in
   let cap = Array.fold_left (fun n r -> n + Array.length r) 0 reached in
   let row_off = Array.make (Array.length sources + 1) 0 in
@@ -437,14 +418,13 @@ let psg_closure ~with_dist snaps shard (psg : Psg.t) targets =
   in
   Array.iteri
     (fun i s ->
-      let r = reached.(i) and self = self_drop s in
+      let r = reached.(i) in
       (match search with
-      | None -> Array.iter (fun j -> if j <> self then add j 0) r
+      | None -> Array.iter (fun j -> add j 0) r
       | Some search ->
-        let want = Array.length r - if self >= 0 then 1 else 0 in
         (* a target no search reaches goes (an edge with no stored distance) *)
-        search s ~want (fun dist ->
-            Array.iter (fun j -> if j <> self && dist j < max_int then add j (dist j)) r));
+        search s ~want:(Array.length r) (fun dist ->
+            Array.iter (fun j -> if dist j < max_int then add j (dist j)) r));
       row_off.(i + 1) <- !n)
     sources;
   let row_t = Array.sub row_t 0 !n and row_d = if with_dist then Array.sub row_d 0 !n else [||] in
@@ -540,8 +520,8 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
   let targets = Array.of_list (List.sort compare (Ihs.to_list target_set)) in
   let psg =
     Trace.with_span "router.open.psg" (fun () ->
-        Psg.build ~part_of:shard ~links ~reaches_within_partition:(fun t s ->
-            Snapshot.connected snaps.(shard t) t s))
+        let centers dir v = Codec.iter_centers (Snapshot.label snaps.(shard v) dir v) in
+        Psg.build ~links ~lin:(centers S.Cover_store.Lin) ~lout:(centers S.Cover_store.Lout))
   in
   let clo = Trace.with_span "router.open.closure" (fun () -> psg_closure ~with_dist snaps shard psg targets) in
   let exits, entries_at =

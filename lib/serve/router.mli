@@ -12,8 +12,9 @@
     is each shard's registered node set.  The {e partition skeleton
     graph} (PSG, {!Hopi_collection.Psg}) has the cross-link endpoints as
     nodes, the links as edges, and a within edge wherever a link target
-    reaches a link source inside its shard (answered by that shard's
-    snapshot); its {e transitive closure} pairs every link source [s]
+    reaches a link source inside its shard (read off that shard's labels:
+    a center of [Lout(t) ∪ {t}] in [Lin(s) ∪ {s}]); its {e transitive
+    closure} pairs every link source [s]
     with every link target [t] it reaches over at least one PSG edge, at
     [d_psg(s,t)] (a link costs 1, a within edge the shard's stored
     distance): a source that is also a target is paired with itself
@@ -123,11 +124,14 @@ val open_dir : ?vfs:Hopi_storage.Vfs.t -> ?pool_pages:int -> ?cache_mb:int -> st
 (** Load the routing index, then open the shard stores of the generation
     it names (one shared read-only page pool across all of them), both
     through [vfs] (default {!Hopi_storage.Vfs.real}); derive the element
-    map and the PSG from the shards (span [router.open.psg]); take the
-    PSG's closure from one {!Hopi_graph.Closure.succs_among} pass, the
-    kernel the PSG join runs, with every distance 0 on plain shards and,
-    on distance-aware ones, one bucket-queue (Dial) shortest-path search
-    per link source over the integer-weighted PSG (span
+    map, and the PSG from the shards' labels with
+    {!Hopi_collection.Psg.build} as the PSG join does from the partition
+    covers' (span [router.open.psg]); take the PSG's closure (reachability
+    over at least one edge) from one {!Hopi_graph.Closure.succs_among}
+    pass, the kernel the PSG join runs, with every distance 0 on plain
+    shards and, on distance-aware ones, one bucket-queue (Dial)
+    shortest-path search per link source over the integer-weighted PSG
+    (span
     [router.open.closure]); then build the exit and entry rows from the
     label sets of every link endpoint, read through the shared label
     cache (span [router.open.rows]).

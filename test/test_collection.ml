@@ -313,28 +313,77 @@ let test_partition_subgraph () =
   (* contains the d1->d2 link but not links into d3 *)
   check_int "edges: 6 tree(d1) + 2 tree(d2) + 1 intra + 1 link" 10 (Digraph.n_edges g0)
 
-let test_psg () =
-  let c, d1, d2, _ = make_collection () in
+(* The PSG read off the partition covers' labels has exactly the edges of
+   the PSG whose within edges come from BFS restricted to the common
+   partition. *)
+let psg_of_covers c p =
+  let covers =
+    Array.init p.Partitioning.n (fun q ->
+        fst (Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (Partitioning.element_subgraph p c q))))
+  in
+  let centers iter v f = iter covers.(Partitioning.part_of_element p c v) v (fun c _ -> f c) in
+  let psg =
+    Psg.build ~links:p.Partitioning.cross_links ~lin:(centers Hopi_twohop.Cover.iter_lin)
+      ~lout:(centers Hopi_twohop.Cover.iter_lout)
+  in
+  let g = Collection.element_graph c in
+  let bfs = Digraph.create () in
+  List.iter (fun (s, t) -> Digraph.add_edge bfs s t) p.Partitioning.cross_links;
+  Ihs.iter
+    (fun t ->
+      let part = Partitioning.part_of_element p c t in
+      let ok v = Partitioning.part_of_element p c v = part in
+      let seen = Traversal.reachable_avoiding g ~avoid:(fun v -> not (ok v)) [ t ] in
+      Ihs.iter (fun s -> if s <> t && Ihs.mem seen s then Digraph.add_edge bfs t s) psg.Psg.sources)
+    psg.Psg.targets;
+  let edges g =
+    let l = ref [] in
+    Digraph.iter_edges g (fun u v -> l := (u, v) :: !l);
+    List.sort compare !l
+  in
+  check_bool "labels = BFS edges" true (edges psg.Psg.graph = edges bfs);
+  psg
+
+let partitioning c ~together =
   let part_of_doc = Hashtbl.create 3 in
   List.iter
-    (fun did -> Hashtbl.replace part_of_doc did (if did = d1 || did = d2 then 0 else 1))
+    (fun did -> Hashtbl.replace part_of_doc did (if List.mem did together then 0 else 1))
     (Collection.doc_ids c);
-  let p = Partitioning.make c ~part_of_doc ~n:2 in
-  let g = Collection.element_graph c in
-  let psg =
-    Psg.build ~part_of:(Partitioning.part_of_element p c) ~links:p.Partitioning.cross_links
-      ~reaches_within_partition:(fun t s ->
-        (* oracle: plain BFS restricted to the common partition *)
-        let part = Partitioning.part_of_element p c t in
-        let ok v = Partitioning.part_of_element p c v = part in
-        let seen = Traversal.reachable_avoiding g ~avoid:(fun v -> not (ok v)) [ t ] in
-        Ihs.mem seen s)
-  in
+  Partitioning.make c ~part_of_doc ~n:2
+
+let test_psg () =
+  let c, d1, d2, _ = make_collection () in
+  let psg = psg_of_covers c (partitioning c ~together:[ d1; d2 ]) in
   check_int "sources: d1 cite + d2 cite" 2 (Ihs.cardinal psg.Psg.sources);
   check_int "targets: d3 root" 1 (Ihs.cardinal psg.Psg.targets);
   (* cross links: both into d3 root; no target->source edges possible in
      partition 1 (d3 has no sources) *)
-  check_int "edges" 2 (Digraph.n_edges psg.Psg.graph)
+  check_int "edges" 2 (Digraph.n_edges psg.Psg.graph);
+  (* d2 alone: d2's root reaches its own cite, a link source *)
+  let psg = psg_of_covers c (partitioning c ~together:[ d2 ]) in
+  check_int "sources: d1 cite to d2 + d2 cite" 2 (Ihs.cardinal psg.Psg.sources);
+  check_int "targets: d2 root + d3 root" 2 (Ihs.cardinal psg.Psg.targets);
+  check_int "edges: 2 links + 1 within" 3 (Digraph.n_edges psg.Psg.graph)
+
+(* The within edges come from the centers alone: [t -> s] for a common
+   center of [Lout(t) ∪ {t}] and [Lin(s) ∪ {s}], whether it is [s], [t] or
+   a third node; never [t -> t] for a node that is both. *)
+let test_psg_within_from_labels () =
+  let lout = [ (10, [ 11 ]); (30, [ 99 ]); (40, [ 98 ]); (50, [ 51 ]) ]
+  and lin = [ (21, [ 20 ]); (31, [ 99 ]); (41, [ 97 ]); (50, [ 20 ]) ] in
+  let label l v f = List.iter f (Option.value ~default:[] (List.assoc_opt v l)) in
+  let links =
+    [ (11, 1); (21, 1); (31, 1); (41, 1); (50, 1); (0, 10); (0, 20); (0, 30); (0, 40); (0, 50) ]
+  in
+  let psg = Psg.build ~links ~lin:(label lin) ~lout:(label lout) in
+  let g = psg.Psg.graph in
+  check_bool "s in Lout(t)" true (Digraph.mem_edge g 10 11);
+  check_bool "t in Lin(s)" true (Digraph.mem_edge g 20 21);
+  check_bool "a common third center" true (Digraph.mem_edge g 30 31);
+  check_bool "t in Lin(s), s a target too" true (Digraph.mem_edge g 20 50);
+  check_bool "no common center" false (Digraph.mem_edge g 40 41);
+  check_bool "no self edge" false (Digraph.mem_edge g 50 50);
+  check_int "edges: 10 links + 4 within" 14 (Digraph.n_edges g)
 
 let suite =
   [
@@ -366,5 +415,6 @@ let suite =
         Alcotest.test_case "whole" `Quick test_partitioning_whole;
         Alcotest.test_case "subgraph" `Quick test_partition_subgraph;
         Alcotest.test_case "psg" `Quick test_psg;
+        Alcotest.test_case "psg within edges from labels" `Quick test_psg_within_from_labels;
       ] );
   ]

@@ -120,6 +120,40 @@ let test_psg_partitioned_strategies () =
   check_int "same cover size as one-closure H̄" (Cover.size one.Build.cover)
     (Cover.size part.Build.cover)
 
+(* [t] is a link source and a link target, with a within edge to the
+   link source [s] below it; its document and [s]'s link sit in different
+   PSG chunks under a budget of 1, so the partitioned strategy must count
+   [t] among its own chunk-source ancestors for H̄out(t) to take what [s]
+   reaches.  Both strategies give every source the same H̄, as counted by
+   the [hopi_join_psg_hbar_targets] histogram (Ĥ would hide a short
+   H̄out(t) in the cover: [t] is an ancestor of [s]). *)
+let test_psg_source_that_is_target () =
+  let c = Collection.create () in
+  List.iter
+    (fun (name, xml) ->
+      ignore (Collection.add_document c ~name (Hopi_xml.Xml_parser.parse_string_exn xml) : int))
+    [
+      ("a.xml", {|<a><t id="t" xlink:href="b.xml"><s xlink:href="c.xml"/></t></a>|});
+      ("b.xml", {|<b/>|});
+      ("c.xml", {|<c/>|});
+      ("d.xml", {|<d><x xlink:href="a.xml#t"/></d>|});
+    ];
+  let h = Hopi_obs.Registry.histogram "hopi_join_psg_hbar_targets" in
+  let hbar joiner =
+    let count = Hopi_obs.Histogram.count h and sum = Hopi_obs.Histogram.sum h in
+    let r = Build.build { Config.default with partitioner = Config.Singleton; joiner } c in
+    check_bool "exact" true (exact c r.Build.cover);
+    (Hopi_obs.Histogram.count h - count, Hopi_obs.Histogram.sum h - sum)
+  in
+  let sources_and_targets = Alcotest.(pair int int) in
+  (* H̄(x) = {t, b, c}, H̄(t) = {b, c}, H̄(s) = {c} *)
+  Alcotest.check sources_and_targets "one closure" (3, 6) (hbar Config.Psg);
+  List.iter
+    (fun budget ->
+      Alcotest.check sources_and_targets (Printf.sprintf "partitioned, budget %d" budget) (3, 6)
+        (hbar (Config.Psg_partitioned budget)))
+    [ 1; max_int ]
+
 (* {1 Hopi facade} *)
 
 let test_hopi_queries () =
@@ -467,6 +501,8 @@ let base_suite =
           Alcotest.test_case "inex (tree only)" `Quick test_inex_build;
           Alcotest.test_case "psg vs incremental" `Quick test_psg_vs_incremental_same_relation;
           Alcotest.test_case "psg partitioned strategies" `Quick test_psg_partitioned_strategies;
+          Alcotest.test_case "psg: a link source that is a link target" `Quick
+            test_psg_source_that_is_target;
         ] );
     ( "core.hopi",
       [

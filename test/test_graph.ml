@@ -238,6 +238,15 @@ let prop_closure_oracle =
           then ok := false);
       !ok && Closure.n_connections c = !total && Closure.count_connections g = !total)
 
+(* [succs_among] is strict: a node is in its own row only on a cycle *)
+let test_succs_among_self () =
+  let g = Digraph.create () in
+  List.iter (fun (u, v) -> Digraph.add_edge g u v) [ (0, 1); (1, 0); (2, 2); (3, 4); (4, 0) ];
+  let rows = Closure.succs_among g ~from:[| 0; 2; 3 |] ~among:[| 0; 2; 3 |] in
+  check_list "2-cycle reaches itself" [ 0 ] (Array.to_list rows.(0));
+  check_list "self-loop reaches itself" [ 1 ] (Array.to_list rows.(1));
+  check_list "acyclic node does not" [ 0 ] (Array.to_list rows.(2))
+
 let prop_succs_among_oracle =
   QCheck2.Test.make ~name:"succs_among = BFS oracle" ~count:80
     QCheck2.Gen.(triple (int_range 0 100_000) (int_range 1 300) (int_range 1 4))
@@ -248,7 +257,10 @@ let prop_succs_among_oracle =
       let got = Closure.succs_among g ~from ~among in
       Array.for_all2
         (fun u js ->
-          let reach = Traversal.reachable g [ u ] in
+          (* along at least one edge: BFS from the successors of [u] *)
+          let succs = ref [] in
+          Digraph.iter_succ g u (fun v -> succs := v :: !succs);
+          let reach = Traversal.reachable g !succs in
           let want = List.filter (fun j -> Ihs.mem reach among.(j)) (List.init (Array.length among) Fun.id) in
           Array.to_list js = want)
         from got)
@@ -317,6 +329,7 @@ let suite =
         Alcotest.test_case "big cycle" `Quick test_closure_big_cycle;
         Alcotest.test_case "scc chain" `Quick test_closure_scc_chain;
         Alcotest.test_case "62-bit word boundaries" `Quick test_closure_word_boundaries;
+        Alcotest.test_case "succs_among reaches itself only on a cycle" `Quick test_succs_among_self;
       ]
       @ qsuite
           [

@@ -213,12 +213,12 @@ let prop_hbar_strategies_agree =
           || QCheck2.Test.fail_reportf "budget %d: covers differ" budget)
         [ max_int; 20 ])
 
-(* The distinct Ĥout entries of a partitioning, from BFS alone: the PSG
-   over the cross-partition links (within-partition target-to-source
-   edges found by BFS in the partition's subgraph), H̄out(s) = the link
-   targets other than s that s reaches in it, copied to every
-   within-partition ancestor [a] of [s] as [(a, t)], [a <> t]. *)
-let hat_out_entries c (p : Partitioning.t) =
+(* The PSG of a partitioning from BFS alone: the cross-partition links,
+   and a within edge from each link target to every other link source that
+   BFS finds from it in its partition's subgraph.  Answers the PSG, the
+   link sources and targets (each ascending) and the subgraph of each
+   partition. *)
+let bfs_psg c (p : Partitioning.t) =
   let part = Partitioning.part_of_element p c in
   let subgraphs = Hashtbl.create 16 in
   let subgraph q =
@@ -241,6 +241,13 @@ let hat_out_entries c (p : Partitioning.t) =
         (fun s -> if s <> t && Ihs.mem within s then Digraph.add_edge psg t s)
         sources)
     targets;
+  (psg, sources, targets, fun v -> subgraph (part v))
+
+(* The distinct Ĥout entries of a partitioning, from BFS alone: H̄out(s) =
+   the link targets other than s that s reaches in the BFS PSG, copied to
+   every within-partition ancestor [a] of [s] as [(a, t)], [a <> t]. *)
+let hat_out_entries c (p : Partitioning.t) =
+  let psg, sources, targets, subgraph_of = bfs_psg c p in
   let entries = Hashtbl.create 64 in
   List.iter
     (fun s ->
@@ -248,9 +255,37 @@ let hat_out_entries c (p : Partitioning.t) =
       let hbar = List.filter (fun t -> t <> s && Ihs.mem reached t) targets in
       Ihs.iter
         (fun a -> List.iter (fun t -> if a <> t then Hashtbl.replace entries (a, t) ()) hbar)
-        (Traversal.reachable_backward (subgraph (part s)) [ s ]))
+        (Traversal.reachable_backward (subgraph_of s) [ s ]))
     sources;
   Hashtbl.length entries
+
+let edge_list g =
+  let l = ref [] in
+  Digraph.iter_edges g (fun u v -> l := (u, v) :: !l);
+  List.sort compare !l
+
+(* [Psg.build] reads the within edges off the partition covers' labels,
+   plain or distance-aware; they must be exactly the BFS PSG's *)
+let prop_psg_labels_equal_bfs =
+  QCheck2.Test.make ~name:"PSG from partition-cover labels = PSG from BFS" ~count:12
+    Gen.(triple gen_collection_cfg gen_split_partitioner bool)
+    (fun (gen_cfg, partitioner, dist) ->
+      let c = Dblp.generate gen_cfg in
+      let p = (Build.build { Config.default with partitioner } c).Build.partitioning in
+      let covers =
+        Array.init p.Partitioning.n (fun q ->
+            let sub = Partitioning.element_subgraph p c q in
+            if dist then fst (Dist_builder.build sub) else fst (Builder.build (Closure.compute sub)))
+      in
+      let centers iter v f = iter covers.(Partitioning.part_of_element p c v) v (fun c _ -> f c) in
+      let psg =
+        Hopi_collection.Psg.build ~links:p.Partitioning.cross_links
+          ~lin:(centers Cover.iter_lin) ~lout:(centers Cover.iter_lout)
+      in
+      let want, _, _, _ = bfs_psg c p in
+      edge_list psg.Hopi_collection.Psg.graph = edge_list want
+      || QCheck2.Test.fail_reportf "PSG edges differ: %d from labels, %d from BFS"
+           (Digraph.n_edges psg.Hopi_collection.Psg.graph) (Digraph.n_edges want))
 
 let prop_out_emitted_once =
   let emitted = Hopi_obs.Registry.counter "hopi_join_psg_out_emitted_total" in
@@ -398,6 +433,7 @@ let suite =
           prop_build_exact_on_collections;
           prop_hbar_strategies_agree;
           prop_out_emitted_once;
+          prop_psg_labels_equal_bfs;
           prop_jobs_determinism;
           prop_fixed_seed_reproducible;
         ] );
