@@ -219,7 +219,10 @@ let distance (s : scale) =
   let (dist_exact, _), t_exact =
     Timer.time (fun () -> Dist_builder.build ~exact_threshold:max_int g)
   in
-  let mismatches = List.length (Verify.dist_cover_vs_graph dist_sampled g) in
+  let mismatches =
+    List.length (Verify.dist_cover_vs_graph dist_sampled g)
+    + List.length (Verify.dist_cover_vs_graph dist_exact g)
+  in
   print_table
     [ "cover"; "entries"; "build"; "overhead" ]
     [
@@ -241,7 +244,8 @@ let distance (s : scale) =
     ];
   note "sampled-density estimates used for %d center candidates (cap %d samples, 98%% CI)"
     st_sampled.Dist_builder.sampled_nodes Dist_builder.max_samples;
-  note "distance answers verified against BFS: %d mismatches" mismatches;
+  note "distance answers of both covers verified against BFS: %d mismatches" mismatches;
+  if mismatches > 0 then failwith "distance: a distance cover disagrees with BFS";
   note "paper: low space overhead for including distance information";
   (* storage representation with DIST column *)
   let pager = Pager.create ~pool_pages:128 Pager.Memory in
@@ -537,7 +541,10 @@ let lazy_queue (s : scale) =
       [ "recompute all"; seconds t_eager; string_of_int (Cover.size eager_cover);
         string_of_int eager_stats.Hopi_twohop.Builder.recomputations ];
     ];
-  note "the paper's lazy queue needs ~%.0fx fewer densest-subgraph computations"
+  if canonical lazy_cover <> canonical eager_cover then
+    failwith "lazy_queue: the lazy and the eager loop built different covers";
+  note "both covers are identical, entry for entry; the paper's lazy queue needs";
+  note "  ~%.0fx fewer densest-subgraph computations"
     (float_of_int eager_stats.Hopi_twohop.Builder.recomputations
     /. Float.max 1.0 (float_of_int lazy_stats.Hopi_twohop.Builder.recomputations))
 

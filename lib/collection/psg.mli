@@ -9,8 +9,10 @@
 
 type t = {
   graph : Hopi_graph.Digraph.t;
-  sources : Hopi_util.Int_hashset.t;  (** sources of cross-partition links *)
-  targets : Hopi_util.Int_hashset.t;  (** targets of cross-partition links *)
+  sources : int array;
+      (** sources of cross-partition links, ascending: a source's index is
+          its dense number *)
+  targets : int array;  (** targets of cross-partition links, ascending *)
   link_edges : (int * int) list;
       (** the [L_P] edges (source → target); all other PSG edges are
           within-partition connections (target → source) *)

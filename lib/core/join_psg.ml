@@ -94,17 +94,6 @@ let task pc f i =
   Histogram.observe h_task_ns (Int64.to_int ns);
   r
 
-let sorted_array ihs =
-  let a = Array.make (Ihs.cardinal ihs) 0 in
-  let i = ref 0 in
-  Ihs.iter
-    (fun x ->
-      a.(!i) <- x;
-      incr i)
-    ihs;
-  Array.sort compare a;
-  a
-
 (* The paper's recursion, answering as [Closure.succs_among g ~from:sources
    ~among:targets] does: partition the PSG so that no link edge crosses
    partitions (grouping link edges with union-find guarantees the required
@@ -112,7 +101,8 @@ let sorted_array ihs =
    connection, i.e. goes from a link target to a link source), read each
    partition's partial H̄ off one kernel pass over its subgraph, and
    propagate along cross edges until a fixpoint. *)
-let hbar_partitioned ?pool ~pc (psg : Psg.t) ~sources ~targets ~max_connections =
+let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
+  let sources = psg.Psg.sources and targets = psg.Psg.targets in
   let uf = Union_find.create () in
   Digraph.iter_nodes psg.Psg.graph (fun v -> ignore (Union_find.find uf v));
   List.iter (fun (s, t) -> Union_find.union uf s t) psg.Psg.link_edges;
@@ -356,7 +346,7 @@ let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover
   Histogram.observe h_psg_edges (Digraph.n_edges psg.Psg.graph);
   (* the link sources and targets, ascending; a target's position is its
      dense number *)
-  let sources = sorted_array psg.Psg.sources and targets = sorted_array psg.Psg.targets in
+  let sources = psg.Psg.sources and targets = psg.Psg.targets in
   let hbar, psg_partitions =
     Trace.with_span "join.psg.hbar" (fun () ->
         (* both strategies answer in {!Closure.succs_among}'s form: per
@@ -368,7 +358,7 @@ let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover
           match strategy with
           | One_closure -> (Closure.succs_among psg.Psg.graph ~from:sources ~among:targets, 1)
           | Partitioned max_connections ->
-            hbar_partitioned ?pool ~pc psg ~sources ~targets ~max_connections
+            hbar_partitioned ?pool ~pc psg ~max_connections
         in
         (* a source that is also a target reaches itself on a PSG cycle,
            but H̄out(s) leaves s out *)

@@ -129,8 +129,9 @@ let sweep_locked t =
 
 let create ?(pool_pages = 4096) ?(cache_mb = 64) ?(retain = 2) ?(fsync = true) ~base index =
   let cache = Label_cache.create ~capacity_bytes:(cache_mb * 1024 * 1024) () in
-  (* one shared read pool for every generation this family will serve:
-     pages untouched by a flip stay warm across the swap *)
+  (* one shared read pool for every generation this family will serve,
+     bounding their page memory together; a flip's new store file attaches
+     under a fresh tag and starts cold, the label cache is what stays warm *)
   let page_pool = S.Pager.Read_pool.create ~pages:pool_pages () in
   let manifest =
     match S.Manifest.recover ~base () with

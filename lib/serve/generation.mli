@@ -52,9 +52,11 @@ val create :
     on disk.  Every generation is a plain (distance-free) cover store.
     [pool_pages]
     (default 4096) sizes the {e one} shared read-only page pool every
-    generation's snapshot serves from — pages of store regions a flip did
-    not rewrite stay warm across the swap — and [cache_mb] (default 64)
-    the one {!Label_cache} they share.  Generation numbers double as
+    generation's snapshot serves from, which bounds their page memory
+    together.  A flip writes every row into a new store file, attached
+    under a fresh pool tag, so a new generation starts with no pooled
+    pages: what carries over a flip is the label cache.  [cache_mb]
+    (default 64) sizes the one {!Label_cache} they share.  Generation numbers double as
     cache-key versions, so a family serves at most 2{^31} generations
     ({!Label_cache.key} refuses larger ones rather than alias them).  The
     caller must not mutate the index except through {!apply}. *)

@@ -35,6 +35,7 @@ module S = Hopi_storage
 module Ihs = Hopi_util.Int_hashset
 module Bitrow = Hopi_util.Bitrow
 module Codec = Hopi_twohop.Label_codec
+module Cover = Hopi_twohop.Cover
 module Registry = Hopi_obs.Registry
 module Counter = Hopi_obs.Counter
 module Gauge = Hopi_obs.Gauge
@@ -210,16 +211,6 @@ type t = {
 let bad_index path msg = raise (Sys_error (Printf.sprintf "%s: bad routing index: %s" path msg))
 
 let push h key x = Hashtbl.replace h key (x :: Option.value ~default:[] (Hashtbl.find_opt h key))
-
-(* position of [x] in the ascending array [a], or -1 *)
-let position a x =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) = x then mid else if a.(mid) < x then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
 
 (* [f center d] once per distinct center of a label set, at the run's
    least distance (the first row of each run) *)
@@ -402,9 +393,8 @@ let dial_search snaps shard g targets =
    distance-aware ones read each source's distances off one
    {!dial_search}, stopped once every target of the source's row is
    settled. *)
-let psg_closure ~with_dist snaps shard (psg : Psg.t) targets =
-  let g = psg.Psg.graph in
-  let sources = Array.of_list (List.sort compare (Ihs.to_list psg.Psg.sources)) in
+let psg_closure ~with_dist snaps shard (psg : Psg.t) =
+  let g = psg.Psg.graph and sources = psg.Psg.sources and targets = psg.Psg.targets in
   let reached = Closure.succs_among g ~from:sources ~among:targets in
   let search = if with_dist then Some (dial_search snaps shard g targets) else None in
   let cap = Array.fold_left (fun n r -> n + Array.length r) 0 reached in
@@ -508,22 +498,21 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
     | Some p -> p
     | None -> bad_index path (Printf.sprintf "link endpoint %d is in no shard" e)
   in
-  let has_targets = Array.make k false and target_set = Ihs.create () in
+  let has_targets = Array.make k false in
   List.iter
     (fun (u, v) ->
       let a = shard u and b = shard v in
       if a = b then bad_index path (Printf.sprintf "link %d -> %d stays inside shard %d" u v a);
-      has_targets.(b) <- true;
-      Ihs.add target_set v)
+      has_targets.(b) <- true)
     links;
-  (* targets ascending: the dense key of the closure rows *)
-  let targets = Array.of_list (List.sort compare (Ihs.to_list target_set)) in
   let psg =
     Trace.with_span "router.open.psg" (fun () ->
         let centers dir v = Codec.iter_centers (Snapshot.label snaps.(shard v) dir v) in
         Psg.build ~links ~lin:(centers S.Cover_store.Lin) ~lout:(centers S.Cover_store.Lout))
   in
-  let clo = Trace.with_span "router.open.closure" (fun () -> psg_closure ~with_dist snaps shard psg targets) in
+  (* link targets ascending: the dense key of the closure rows *)
+  let targets = psg.Psg.targets in
+  let clo = Trace.with_span "router.open.closure" (fun () -> psg_closure ~with_dist snaps shard psg) in
   let exits, entries_at =
     Trace.with_span "router.open.rows" (fun () -> routing_rows snaps elem_shard targets clo)
   in
@@ -663,7 +652,7 @@ let ancestors t ?f v =
     List.iter
       (fun (rows, _) ->
         Codec.iter_centers rows (fun tg ->
-            let j = position t.targets tg in
+            let j = Cover.slot t.targets tg in
             for e = t.rev_off.(j) to t.rev_off.(j + 1) - 1 do
               Ihs.add sset t.rev_s.(e)
             done))

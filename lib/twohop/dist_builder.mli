@@ -7,6 +7,10 @@
     edges is estimated as [√E / 2], with [E] obtained exactly for small
     candidate sets and otherwise by sampling at most [13,600] candidate
     pairs and taking the upper bound of the 98% confidence interval.
+    Everything else is the plain builder's: {!Builder.greedy} runs the
+    lazy loop and records the same [hopi_twohop_*] counters; this module
+    supplies the estimates, the shortest-path test on each center-graph
+    edge and a choice's removal with its distances.
 
     The result is a {!Cover.t} whose entries carry their distances in the
     DIST column, so {!Cover.dist} answers shortest distances. *)

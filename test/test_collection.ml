@@ -329,12 +329,16 @@ let psg_of_covers c p =
   let g = Collection.element_graph c in
   let bfs = Digraph.create () in
   List.iter (fun (s, t) -> Digraph.add_edge bfs s t) p.Partitioning.cross_links;
-  Ihs.iter
+  (* the link ends, each side once and ascending *)
+  let ends f = Array.of_list (List.sort_uniq compare (List.map f p.Partitioning.cross_links)) in
+  check_bool "sources = link sources, ascending" true (psg.Psg.sources = ends fst);
+  check_bool "targets = link targets, ascending" true (psg.Psg.targets = ends snd);
+  Array.iter
     (fun t ->
       let part = Partitioning.part_of_element p c t in
       let ok v = Partitioning.part_of_element p c v = part in
       let seen = Traversal.reachable_avoiding g ~avoid:(fun v -> not (ok v)) [ t ] in
-      Ihs.iter (fun s -> if s <> t && Ihs.mem seen s then Digraph.add_edge bfs t s) psg.Psg.sources)
+      Array.iter (fun s -> if s <> t && Ihs.mem seen s then Digraph.add_edge bfs t s) psg.Psg.sources)
     psg.Psg.targets;
   let edges g =
     let l = ref [] in
@@ -354,15 +358,15 @@ let partitioning c ~together =
 let test_psg () =
   let c, d1, d2, _ = make_collection () in
   let psg = psg_of_covers c (partitioning c ~together:[ d1; d2 ]) in
-  check_int "sources: d1 cite + d2 cite" 2 (Ihs.cardinal psg.Psg.sources);
-  check_int "targets: d3 root" 1 (Ihs.cardinal psg.Psg.targets);
+  check_int "sources: d1 cite + d2 cite" 2 (Array.length psg.Psg.sources);
+  check_int "targets: d3 root" 1 (Array.length psg.Psg.targets);
   (* cross links: both into d3 root; no target->source edges possible in
      partition 1 (d3 has no sources) *)
   check_int "edges" 2 (Digraph.n_edges psg.Psg.graph);
   (* d2 alone: d2's root reaches its own cite, a link source *)
   let psg = psg_of_covers c (partitioning c ~together:[ d2 ]) in
-  check_int "sources: d1 cite to d2 + d2 cite" 2 (Ihs.cardinal psg.Psg.sources);
-  check_int "targets: d2 root + d3 root" 2 (Ihs.cardinal psg.Psg.targets);
+  check_int "sources: d1 cite to d2 + d2 cite" 2 (Array.length psg.Psg.sources);
+  check_int "targets: d2 root + d3 root" 2 (Array.length psg.Psg.targets);
   check_int "edges: 2 links + 1 within" 3 (Digraph.n_edges psg.Psg.graph)
 
 (* The within edges come from the centers alone: [t -> s] for a common

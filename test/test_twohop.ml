@@ -876,6 +876,28 @@ let test_dist_builder_sampling_mode () =
   check_int "exact with sampling" 0 (List.length (Verify.dist_cover_vs_graph cover g));
   check_bool "sampling used" true (stats.Dist_builder.sampled_nodes > 0)
 
+(* Both builders run the one greedy loop, which records its work in the
+   [hopi_twohop_*] counters: around a build, the counters move by the
+   build's own stats. *)
+let test_greedy_counters () =
+  let module Counter = Hopi_obs.Counter in
+  let picks = Hopi_obs.Registry.counter "hopi_twohop_center_picks_total"
+  and recomputations = Hopi_obs.Registry.counter "hopi_twohop_densest_recomputations_total" in
+  let deltas name build =
+    let p0 = Counter.get picks and r0 = Counter.get recomputations in
+    let iterations, recomps = build () in
+    check_bool (name ^ " picks something") true (iterations > 0);
+    check_int (name ^ ": center picks") iterations (Counter.get picks - p0);
+    check_int (name ^ ": recomputations") recomps (Counter.get recomputations - r0)
+  in
+  let g = random_graph 7 14 0.2 in
+  deltas "plain" (fun () ->
+      let _, st = Builder.build (Closure.compute g) in
+      (st.Builder.iterations, st.Builder.recomputations));
+  deltas "distance" (fun () ->
+      let _, st = Dist_builder.build g in
+      (st.Dist_builder.iterations, st.Dist_builder.recomputations))
+
 let prop_dist_builder_exact =
   QCheck2.Test.make ~name:"Dist_builder returns exact distances" ~count:30
     QCheck2.Gen.(pair (int_range 0 100000) (int_range 1 12))
@@ -1164,6 +1186,7 @@ let suite =
         Alcotest.test_case "chain" `Quick test_dist_builder_chain;
         Alcotest.test_case "two paths" `Quick test_dist_builder_two_paths;
         Alcotest.test_case "sampling mode" `Quick test_dist_builder_sampling_mode;
+        Alcotest.test_case "greedy counters" `Quick test_greedy_counters;
       ]
       @ qsuite [ prop_dist_builder_exact ] );
     ( "twohop.codec",
