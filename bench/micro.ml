@@ -4,11 +4,11 @@
    the per-query speedup that motivates a connection index in the first
    place — plus distance lookups and descendant enumeration (in memory,
    and cold through the store's row tables), and the kernels under them:
-   the page checksum every pool miss verifies, the label-codec decoder
-   every probe and by-center scan runs, the integer hash set every
-   desc/anc answer and cover build fills, and a hit in each of the two
-   read-side caches (both instances of one LRU); and the build's
-   partition-phase kernels. *)
+   the page checksum every pool miss verifies and a whole pool miss, the
+   label-codec decoder every probe and by-center scan runs, the integer
+   hash set every desc/anc answer and cover build fills, and a hit in
+   each of the two read-side caches (both instances of one LRU); and the
+   build's partition-phase kernels. *)
 
 open Bechamel
 open Toolkit
@@ -58,6 +58,26 @@ let cache_tests () =
    result table reports that benchmark per row *)
 let codec_rows = 256
 
+(* One pool miss on a published store, the whole cold path under a
+   query: a read through a 1-page pool over a real two-page temp file,
+   alternating pages so every read misses (a positioned read into a
+   fresh image, its CRC check and the pool add). *)
+let miss_test () =
+  let path = Filename.temp_file "hopi_micro_miss" ".db" in
+  at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
+  let w = Pager.create ~fsync:false (Pager.File path) in
+  for k = 1 to 2 do
+    let page = Hopi_storage.Page.create () in
+    Bytes.fill page 8 (4096 - 8) (Char.chr k);
+    Pager.write w (Pager.alloc w) page
+  done;
+  Pager.close w;
+  let r = Pager.open_shared ~pool:(Pager.Read_pool.create ~shards:1 ~pages:1 ()) path in
+  let id = ref 0 in
+  Test.make ~name:"pager/miss" (Staged.stage (fun () ->
+      id := !id lxor 1;
+      Pager.read r !id))
+
 (* One page-miss check ([digest] over a page payload), one decode of a
    256-row label set with centers 1-3 apart (one varint byte each), and
    one batch of 256 adds plus 256 lookups (half of them hits) into a
@@ -75,6 +95,7 @@ let kernel_tests () =
   [
     Test.make ~name:"crc32/page" (Staged.stage (fun () ->
         Crc32.digest page ~pos:8 ~len:4088));
+    miss_test ();
     Test.make ~name:"label_codec/iter_centers" (Staged.stage (fun () ->
         Hopi_twohop.Label_codec.iter_centers label (fun c -> sum := !sum + c)));
     Test.make ~name:"int_hashset/add+mem" (Staged.stage (fun () ->

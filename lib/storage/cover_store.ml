@@ -42,7 +42,7 @@ let scan t table v f =
   let i = Row_table.slot t.rows v in
   if i >= 0 then begin
     let c = Codec.cursor () in
-    Row_table.load t.rows c table i;
+    Row_table.load t.rows (Row_table.memo ()) c table i;
     while Codec.advance c do
       f (Codec.center c) (Codec.dist c)
     done
@@ -194,12 +194,14 @@ let dist src u v =
    of those centers on the other side: one backward row per center,
    decoded in place (these enumerate result sets, so the rows go
    uncached).  A per-call mark over directory slots lets each node reach
-   [f] once, however many rows name it. *)
+   [f] once, however many rows name it.  The centers ascend, and so do
+   their backward rows in the heap, so a page memo makes each run of rows
+   on one page a single pool lookup. *)
 let iter_reach src ~dir ~by_center u f =
   if src.mem u then begin
     let rows = src.store.rows in
     let seen = Bytes.make (Row_table.n_keys rows) '\000' in
-    let c = Codec.cursor () in
+    let c = Codec.cursor () and memo = Row_table.memo () in
     let yield s = f (Row_table.key rows s) in
     let via_center w =
       let s = Row_table.slot rows w in
@@ -209,7 +211,7 @@ let iter_reach src ~dir ~by_center u f =
           Bytes.unsafe_set seen s '\001';
           f w
         end;
-        Row_table.load rows c by_center s;
+        Row_table.load rows memo c by_center s;
         Codec.iter_unmarked c seen yield
       end
     in
@@ -267,12 +269,12 @@ let check t =
   let n = Row_table.n_keys rows in
   let key = Row_table.key rows in
   let bad fmt = Printf.ksprintf (fun s -> Storage_error.raise_error (Bad_catalog s)) fmt in
-  let c = Codec.cursor () in
+  let c = Codec.cursor () and memo = Row_table.memo () in
   (* [f slot center dist] on every entry of a table *)
   let scan_table table f =
     let count = ref 0 in
     for i = 0 to n - 1 do
-      Row_table.load rows c table i;
+      Row_table.load rows memo c table i;
       let prev_c = ref (-1) and prev_d = ref (-1) in
       match
         while Codec.advance c do

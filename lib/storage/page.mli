@@ -36,6 +36,8 @@ val stamp : t -> unit
 
 val verify : t -> [ `Ok | `Fresh | `Corrupt ]
 (** [`Ok]: written flag set and CRC matches.  [`Fresh]: the whole page is
-    zero (a never-written page read back as a hole).  [`Corrupt]:
+    zero (a never-written page read back as a hole), which only a pager
+    still writing accepts: every page of a published file is stamped,
+    so there it is a zeroed page.  [`Corrupt]:
     anything else — a flipped payload byte, a flipped CRC byte, a flipped
     flag, or a torn write. *)

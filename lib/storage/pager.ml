@@ -114,13 +114,15 @@ end
 (* A [Writing] pager hands out page ids and writes each finished page to
    [Vfs.tmp_path path] until [commit] publishes that file over [path];
    every other pager is [Reading].  Reads in either mode go through the
-   pager's [Read_pool] under its tag.  [io_mu] covers file I/O only -- the
-   one Vfs file handle positions with lseek, so file I/O from several
-   domains must not interleave on it: a miss reads the raw page under it,
-   then checks the CRC and pools the page without it.  [writes] counts
-   page writes; a write bumps it before dropping the pooled image, and a
-   miss re-reads it after pooling, so a raced read cannot leave pooled an
-   image a write replaced. *)
+   pager's [Read_pool] under its tag.  [io_mu] serialises a writing
+   pager's file I/O, so a read never sees a page half written.  A
+   published file is never written, and a read is one positioned [Vfs]
+   read, so a [Reading] pager's misses take no lock at all.  Either way
+   the CRC check and the pool add run outside the lock.  [writes] counts page writes; a write bumps it
+   before dropping the pooled image, and a miss re-reads it after
+   pooling, so a raced read cannot leave pooled an image a write
+   replaced.  [written] flags each allocated page once written, so
+   [commit] can refuse to publish a page nobody wrote. *)
 type mode = Writing of string | Reading
 
 type t = {
@@ -132,14 +134,16 @@ type t = {
   file : Vfs.file;
   do_fsync : bool;
   mutable next_page : int;
-  mutable disk_reads : int;
+  mutable written : Bytes.t;
+  disk_reads : int Atomic.t;
   writes : int Atomic.t;
   mutable fsyncs : int;
 }
 
 let mk ~mode ~pool ~fsync ~vfs ~file ~next_page =
   { mode; pool; tag = Read_pool.fresh_tag pool; io_mu = Mutex.create (); vfs; file;
-    do_fsync = fsync; next_page; disk_reads = 0; writes = Atomic.make 0; fsyncs = 0 }
+    do_fsync = fsync; next_page; written = Bytes.empty; disk_reads = Atomic.make 0;
+    writes = Atomic.make 0; fsyncs = 0 }
 
 (* the pool a pager reads through when nobody shares one with it *)
 let private_pool pool_pages = Read_pool.create ~shards:1 ~pages:pool_pages ()
@@ -185,7 +189,12 @@ let alloc t =
   ignore (require_writing t "alloc");
   Counter.incr m_pages_allocated;
   let id = t.next_page in
-  t.next_page <- t.next_page + 1;
+  if id >= Bytes.length t.written then begin
+    let grown = Bytes.make (max 64 (2 * id)) '\000' in
+    Bytes.blit t.written 0 grown 0 id;
+    t.written <- grown
+  end;
+  t.next_page <- id + 1;
   id
 
 let n_pages t = t.next_page
@@ -198,25 +207,46 @@ let write t id page =
   Page.stamp page;
   with_io t (fun () ->
       t.file.Vfs.write page ~off:(id * Page.size) ~pos:0 ~len:Page.size;
+      Bytes.set t.written id '\001';
       Atomic.incr t.writes;
       Read_pool.remove t.pool (Read_pool.key_of ~tag:t.tag id));
   Counter.incr m_page_writes
 
-(* the raw page off the file, under the I/O lock, with the write count it
-   was read at *)
+(* page [id] off the file into [page], zero past a short read (a file
+   cut short after it was opened) *)
+let read_into t page id =
+  let got = Vfs.read_full t.file page ~off:(id * Page.size) ~pos:0 ~len:Page.size in
+  if got < Page.size then Bytes.fill page got (Page.size - got) '\000'
+
+(* a file read: under the I/O lock while the pager writes, lock-free once
+   the file is published *)
+let reading t f = match t.mode with Reading -> f () | Writing _ -> with_io t f
+
+(* the raw page off the file, with the write count it was read at.  The
+   image is fresh, never an evicted page's buffer: a reader may still
+   hold that one. *)
 let read_raw t id =
-  let page = Page.create () in
-  with_io t (fun () ->
-      t.disk_reads <- t.disk_reads + 1;
-      ignore (Vfs.read_full t.file page ~off:(id * Page.size) ~pos:0 ~len:Page.size);
+  let page = Bytes.create Page.size in
+  Atomic.incr t.disk_reads;
+  reading t (fun () ->
+      read_into t page id;
       (page, Atomic.get t.writes))
 
-(* Probe the pool; on a miss read the raw page under the I/O lock, then
-   check its CRC and pool it outside it.  Two domains missing on one page
-   both read it (each read counted) and the later add replaces the
-   earlier image, an equal one.  A corrupt page raises before it is
-   pooled.  A write between the raw read and the add has replaced the
-   image: it is dropped again, so the next read sees the written bytes. *)
+(* A page image passes when its CRC matches; an all-zero page (never
+   written) passes only while the pager writes, since [commit] publishes
+   no such page. *)
+let sound t page =
+  match Page.verify page with
+  | `Ok -> true
+  | `Fresh -> ( match t.mode with Writing _ -> true | Reading -> false)
+  | `Corrupt -> false
+
+(* Probe the pool; on a miss read the raw page, then check its CRC and
+   pool it.  Two domains missing on one page both read it (each read
+   counted) and the later add replaces the earlier image, an equal one.
+   A corrupt page raises before it is pooled.  A write between the raw
+   read and the add has replaced the image: it is dropped again, so the
+   next read sees the written bytes. *)
 let read t id =
   check_id t "read" id;
   let key = Read_pool.key_of ~tag:t.tag id in
@@ -228,17 +258,20 @@ let read t id =
     (* per-request attribution: the serving layer snapshots this domain's
        cell around each query (see Hopi_obs.Reqtrace) *)
     Hopi_obs.Reqtrace.Local.note_pager_read ();
-    (match Page.verify page with
-    | `Ok | `Fresh -> ()
-    | `Corrupt ->
+    if not (sound t page) then begin
       Counter.incr m_checksum_failures;
-      Storage_error.raise_error (Checksum { page = id }));
+      Storage_error.raise_error (Checksum { page = id })
+    end;
     Read_pool.add t.pool key page;
     if Atomic.get t.writes <> writes then Read_pool.remove t.pool key;
     page
 
 let commit t =
   let path = require_writing t "commit" in
+  (match Bytes.index_opt (Bytes.sub t.written 0 t.next_page) '\000' with
+   | Some id ->
+     invalid_arg (Printf.sprintf "Pager.commit: page %d was allocated but never written" id)
+   | None -> ());
   (* the commit point: the synced temp file is renamed over [path] *)
   Vfs.publish t.vfs ~fsync:t.do_fsync t.file path;
   if t.do_fsync then begin
@@ -250,16 +283,12 @@ let commit t =
   Counter.incr m_commits
 
 let verify_pages t =
-  (* the raw file scan must not interleave with concurrent miss reads *)
-  with_io t @@ fun () ->
+  reading t @@ fun () ->
   let bad = ref [] in
-  let page = Page.create () in
+  let page = Bytes.create Page.size in
   for id = t.next_page - 1 downto 0 do
-    Bytes.fill page 0 Page.size '\000';
-    ignore (Vfs.read_full t.file page ~off:(id * Page.size) ~pos:0 ~len:Page.size);
-    match Page.verify page with
-    | `Ok | `Fresh -> ()
-    | `Corrupt -> bad := id :: !bad
+    read_into t page id;
+    if not (sound t page) then bad := id :: !bad
   done;
   !bad
 
@@ -272,7 +301,7 @@ type stats = {
 }
 
 let stats t =
-  { pages = t.next_page; pool = Read_pool.stats t.pool; disk_reads = t.disk_reads;
+  { pages = t.next_page; pool = Read_pool.stats t.pool; disk_reads = Atomic.get t.disk_reads;
     disk_writes = Atomic.get t.writes; fsyncs = t.fsyncs }
 
 let close t =
@@ -280,7 +309,7 @@ let close t =
   Read_pool.drop_tag t.pool t.tag;
   Log.info (fun m ->
       m "pager closed: %d pages, %d page reads, %d page writes, %d fsyncs" t.next_page
-        t.disk_reads (Atomic.get t.writes) t.fsyncs);
+        (Atomic.get t.disk_reads) (Atomic.get t.writes) t.fsyncs);
   t.file.Vfs.close ()
 
 let size_bytes t = t.next_page * Page.size

@@ -11,7 +11,9 @@
 
     - every page carries a CRC-32 header ({!Page.stamp}) written by
       {!write} and verified on every pool miss -- a flipped byte anywhere
-      in a persisted page raises [Storage_error (Checksum _)];
+      in a persisted page raises [Storage_error (Checksum _)], and so
+      does a page of a published file that reads as never written
+      (all zero), since {!commit} publishes none;
     - a page file is written once: {!create} writes [path.tmp]
       ({!Vfs.tmp_path}), and {!commit} publishes it -- fsync, rename over
       [path] ({!Vfs.publish}).  The rename is the commit point, so a
@@ -74,7 +76,9 @@ type stats = {
   pool : Read_pool.stats;
       (** the pool this pager reads through: pool-wide numbers when the
           pool is shared *)
-  disk_reads : int;  (** this pager's pool misses, each a page read *)
+  disk_reads : int;
+      (** this pager's pool misses, each a page read (counted atomically:
+          misses from several domains all count) *)
   disk_writes : int;
   fsyncs : int;
       (** sync points issued: the file and its directory at publication
@@ -98,12 +102,12 @@ val open_shared : ?vfs:Vfs.t -> pool:Read_pool.t -> string -> t
 (** Open a committed page file (on [vfs], default {!Vfs.real}) as a {e read-only view} whose page
     fetches probe (and fill) [pool], so any number of domains sharing one
     pager -- or several pagers over one pool -- serve from one warm set
-    of pages.  A miss reads the raw page under the pager's I/O lock (the
-    underlying file handle is not positionally safe across domains),
-    then CRC-verifies it outside the lock before it enters the pool.
-    Domains missing on one page at once each read it, and each read
-    counts in [hopi_storage_page_reads_total]; a corrupt page raises
-    before it is pooled.
+    of pages.  The file is published, so nothing writes it: a miss is
+    one positioned {!Vfs} read into a fresh image, taken by any number
+    of domains at once without a lock, then a CRC check before the
+    image enters the pool.  Domains missing on one page at once each
+    read it, and each read counts in [hopi_storage_page_reads_total]; a
+    corrupt page raises before it is pooled.
 
     The returned pager accepts {!read}, the introspection functions and
     {!close}; every write-side operation ({!alloc}, {!write}, {!commit})
@@ -139,9 +143,10 @@ val write : t -> int -> Page.t -> unit
 val read : t -> int -> Page.t
 (** Fetch a page through the pager's {!Read_pool}.  The returned image
     is shared with every other reader of the pool and must not be
-    mutated.
+    mutated; it stays valid after the pool evicts it.
     @raise Storage_error.Storage_error [(Checksum _)] when the on-disk
-    image fails verification. *)
+    image fails verification, or, once the file is published, reads as
+    a page never written. *)
 
 val commit : t -> unit
 (** Publish the file: fsync [path.tmp], rename it over [path] and (with
@@ -149,12 +154,14 @@ val commit : t -> unit
     leaves [path] holding either the previous file or the new one, never
     a mixture.  Afterwards the pager reads the published file and
     rejects writes.
-    @raise Invalid_argument as {!alloc}. *)
+    @raise Invalid_argument as {!alloc}, or when a page was allocated
+    but never written ({!close} raises the same). *)
 
 val verify_pages : t -> int list
 (** Checksum-verify every page image directly from the backing file
-    (bypassing the pool); returns the ids of corrupt pages.  Used by
-    [hopi verify-store]. *)
+    (bypassing the pool); returns the ids of corrupt pages, under the
+    rule {!read} applies (on a published file an all-zero page is
+    corrupt).  Used by [hopi verify-store]. *)
 
 val stats : t -> stats
 

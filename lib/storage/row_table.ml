@@ -230,36 +230,53 @@ let row_bytes t table =
   let off = t.off.(table) in
   off.(Array.length off - 1)
 
+(* {2 The page memo}
+
+   The last heap page a scan read.  Pooled images are immutable and stay
+   valid after eviction, so holding one is safe for as long as the scan
+   runs. *)
+
+type memo = { mutable page_no : int; mutable image : Page.t }
+
+let memo () = { page_no = -1; image = Bytes.empty }
+
+(* heap page [no], through the memo *)
+let heap_page t m no =
+  if m.page_no <> no then begin
+    m.image <- Pager.read t.pgr (t.layout.Catalog.heap_first + no);
+    m.page_no <- no
+  end;
+  m.image
+
 (* the bytes of a row longer than what is left of its first page,
    gathered from consecutive heap pages *)
-let gather t s len =
+let gather t m s len =
   let b = Bytes.create len in
   let got = ref 0 in
   while !got < len do
     let at = s + !got in
     let n = min (len - !got) (payload - (at mod payload)) in
-    Bytes.blit (Pager.read t.pgr (t.layout.Catalog.heap_first + (at / payload))) (po + (at mod payload)) b !got n;
+    Bytes.blit (heap_page t m (at / payload)) (po + (at mod payload)) b !got n;
     got := !got + n
   done;
   b
 
 (* the buffer holding a non-empty row, and where in it the row starts:
    the pooled page image itself when the row fits in one page *)
-let locate t table i len =
+let locate t m table i len =
   let s = t.start.(table).(i) in
-  if (s mod payload) + len <= payload then
-    (Pager.read t.pgr (t.layout.Catalog.heap_first + (s / payload)), po + (s mod payload))
-  else (gather t s len, 0)
+  if (s mod payload) + len <= payload then (heap_page t m (s / payload), po + (s mod payload))
+  else (gather t m s len, 0)
 
 let length t table i =
   let off = t.off.(table) in
   off.(i + 1) - off.(i)
 
-let load t c table i =
+let load t m c table i =
   let len = length t table i in
   if len = 0 then Codec.reset c Codec.empty ~pos:0 ~len:0
   else begin
-    let b, pos = locate t table i len in
+    let b, pos = locate t m table i len in
     Codec.reset c b ~pos ~len
   end
 
@@ -267,6 +284,6 @@ let row t table i =
   let len = length t table i in
   if len = 0 then Codec.empty
   else begin
-    let b, pos = locate t table i len in
+    let b, pos = locate t (memo ()) table i len in
     Bytes.sub b pos len
   end

@@ -93,10 +93,19 @@ val entries : t -> int -> int
 val row : t -> int -> int -> Hopi_twohop.Label_codec.t
 (** [row t table slot]: a copy of the row. *)
 
-val load : t -> Hopi_twohop.Label_codec.cursor -> int -> int -> unit
-(** [load t c table slot] points [c] at the row in place — on the pooled
-    page image itself when the row fits in one page, so nothing is
-    allocated. *)
+type memo
+(** A one-page memo for a scan: the heap page it read last.  Rows loaded
+    one after another through one memo share a single {!Pager.read} for
+    as long as they lie on one page.  Keep a memo for one scan of a
+    finished row set and out of other domains' hands. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
+val load : t -> memo -> Hopi_twohop.Label_codec.cursor -> int -> int -> unit
+(** [load t m c table slot] points [c] at the row in place — on the
+    pooled page image itself when the row fits in one page, so nothing is
+    allocated — reading heap pages through [m]. *)
 
 val row_bytes : t -> int -> int
 (** Bytes of one table's rows, padding excluded. *)

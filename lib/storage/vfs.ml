@@ -46,6 +46,11 @@ let sync_dir path =
   | Unix.Unix_error (Unix.EINVAL, _, _) -> ()
   | Unix.Unix_error (e, _, _) -> io "fsync %s: %s" dir (Unix.error_message e)
 
+(* [pread fd buf pos len off]: up to [len] bytes (at most 64 KiB) from
+   file offset [off] into [buf] at [pos], a range the caller has
+   checked *)
+external pread : Unix.file_descr -> Bytes.t -> int -> int -> int -> int = "hopi_vfs_pread"
+
 let real =
   let open_file path ~create =
     let flags =
@@ -61,9 +66,8 @@ let real =
     {
       read =
         (fun buf ~off ~pos ~len ->
-          wrap "read" path (fun () ->
-              ignore (Unix.lseek fd off Unix.SEEK_SET);
-              Unix.read fd buf pos len));
+          if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Vfs.read";
+          wrap "read" path (fun () -> pread fd buf pos len off));
       write =
         (fun buf ~off ~pos ~len ->
           wrap "write" path (fun () ->

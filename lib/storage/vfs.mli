@@ -23,7 +23,12 @@ type file = {
       (** [read buf ~off ~pos ~len] reads up to [len] bytes from file
           offset [off] into [buf] at [pos]; returns the number of bytes
           read, [0] at end-of-file.  May return short counts — use
-          {!read_full} to loop. *)
+          {!read_full} to loop.  A positioned read: it moves no shared
+          file offset, so while nothing writes the file any number of
+          domains may read through one handle at once ({!real} issues
+          one [pread(2)] with the runtime lock released).
+          @raise Invalid_argument when [pos]/[len] do not name a range
+          of [buf]. *)
   write : Bytes.t -> off:int -> pos:int -> len:int -> unit;
       (** Write exactly [len] bytes from [buf.[pos]] at file offset [off],
           extending the file if needed. *)

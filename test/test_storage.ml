@@ -750,12 +750,14 @@ let test_row_is_one_pool_touch () =
   check_bool "rows on several pages" true (Pager.n_pages pgr > 6);
   Pager.close pgr
 
-(* Cold misses from four domains at once through a 2-page shared pool:
-   a miss reads the raw page under the pager's I/O lock and checks its
-   CRC outside it, so misses on one page race.  Every image served must
-   be the file's; after a payload byte is flipped on disk, every read of
-   that page raises [Checksum], is counted, and never leaves the page in
-   the pool (a pooled page would be served on the next read, unchecked). *)
+(* Cold misses from four domains at once through a 2-page shared pool
+   over [Vfs.real]: the file is published, so a miss is a positioned
+   read taken without any lock, and misses on one page race.  Every
+   image served must be the file's, and every miss is one counted page
+   read ([disk_reads] against the process counter); after a payload byte
+   is flipped on disk, every read of that page raises [Checksum], is
+   counted, and never leaves the page in the pool (a pooled page would
+   be served on the next read, unchecked). *)
 let test_concurrent_cold_misses () =
   let path = Filename.temp_file "hopi_cold_miss" ".db" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
@@ -776,11 +778,15 @@ let test_concurrent_cold_misses () =
   (* four domains over one fresh pager and pool; per domain: images that
      differ from the file, [Checksum]s on the flipped page, and reads of it
      that were served *)
+  let page_reads () =
+    Hopi_obs.Counter.get (Hopi_obs.Registry.counter "hopi_storage_page_reads_total")
+  in
   let readers ~flipped =
     let file = In_channel.with_open_bin path In_channel.input_all in
     let pool = Pager.Read_pool.create ~pages:2 () in
     let pgr = Pager.open_shared ~pool path in
     Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+    let r0 = page_reads () in
     let reader k =
       Domain.spawn (fun () ->
           let rng = Splitmix.create (k + 1) in
@@ -798,7 +804,10 @@ let test_concurrent_cold_misses () =
           done;
           (!wrong, !rejected, !served_bad))
     in
-    List.map Domain.join (List.init 4 reader)
+    let runs = List.map Domain.join (List.init 4 reader) in
+    check_int "disk_reads = the page-read counter's delta" (page_reads () - r0)
+      (Pager.stats pgr).Pager.disk_reads;
+    runs
   in
   List.iteri
     (fun k (wrong, _, _) -> check_int (Printf.sprintf "domain %d: images = the file" k) 0 wrong)
@@ -823,6 +832,95 @@ let test_concurrent_cold_misses () =
   check_int "every rejection counted"
     (List.fold_left (fun acc (_, r, _) -> acc + r) 0 runs)
     (failures () - f0)
+
+(* Every page of a published file is stamped, so a page that reads as
+   all zeros is damage, not a page never written: a read and
+   verify-store's checksum scan both reject it.  A writer that leaves an
+   allocated page unwritten cannot publish. *)
+let test_zeroed_page_is_corrupt () =
+  let cover, _ =
+    Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (random_graph ~seed:3 ~n:2000 ~edges:1500))
+  in
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~vfs "zero.db" in
+  let st = Cover_store.of_cover p cover in
+  Cover_store.save st;
+  Pager.close p;
+  check_bool "a clean store verifies" true (verify_store vfs "zero.db" <> `Checksum);
+  (* page 0 is the catalog, the heap starts at page 1 *)
+  let victim = 2 in
+  let h = vfs.Vfs.open_file "zero.db" ~create:false in
+  h.Vfs.write (Page.create ()) ~off:(victim * Page.size) ~pos:0 ~len:Page.size;
+  h.Vfs.close ();
+  let pgr = Pager.open_existing ~pool_pages:8 ~vfs "zero.db" in
+  Fun.protect ~finally:(fun () -> Pager.close pgr) (fun () ->
+      check_bool "a read raises Checksum" true
+        (match Pager.read pgr victim with
+         | _ -> false
+         | exception Storage_error.Storage_error (Storage_error.Checksum { page }) -> page = victim);
+      check_ints "verify_pages names the page" [ victim ] (Pager.verify_pages pgr));
+  check_bool "verify-store fails on the checksum" true (verify_store vfs "zero.db" = `Checksum);
+  let w = Pager.create_vfs ~vfs "gap.db" in
+  let a = Pager.alloc w in
+  let _unwritten = Pager.alloc w in
+  Pager.write w a (Page.create ());
+  Alcotest.check_raises "commit refuses an unwritten page"
+    (Invalid_argument "Pager.commit: page 1 was allocated but never written")
+    (fun () -> Pager.commit w);
+  check_bool "nothing published" false (vfs.Vfs.exists "gap.db")
+
+(* [desc]/[anc] read the backward row of the node and of each center of
+   its label, centers ascending, through a one-page memo: a run of those
+   rows on one heap page costs one pool lookup.  The expected count is
+   the number of page changes along the same row sequence, read row by
+   row through a 1-page pool (where a lookup misses exactly when the page
+   changes), plus the forward label fetch.  Answers stay the BFS
+   oracle's. *)
+let test_page_memo () =
+  let g = random_graph ~seed:9 ~n:2000 ~edges:1500 in
+  let cover, _ = Hopi_twohop.Builder.build (Hopi_graph.Closure.compute g) in
+  let vfs = Vfs.memory () in
+  let p = Pager.create_vfs ~vfs "memo.db" in
+  Cover_store.save (Cover_store.of_cover p cover);
+  Pager.close p;
+  let pool = Pager.Read_pool.create ~shards:1 ~pages:1 () in
+  let pgr = Pager.open_shared ~vfs ~pool "memo.db" in
+  Fun.protect ~finally:(fun () -> Pager.close pgr) @@ fun () ->
+  let st = Cover_store.open_pager pgr in
+  let src = Cover_store.source st in
+  let lookups () =
+    let s = Pager.Read_pool.stats pool in
+    s.Pager.Read_pool.hits + s.Pager.Read_pool.misses
+  in
+  let misses () = (Pager.Read_pool.stats pool).Pager.Read_pool.misses in
+  let saved = ref 0 in
+  List.iter
+    (fun (what, iter, iter_fwd, scan_bwd, oracle) ->
+      List.iter
+        (fun u ->
+          let centers = ref [ u ] in
+          iter_fwd st u (fun ~center ~dist:_ -> centers := center :: !centers);
+          let centers = List.rev !centers in
+          (* page 0, the catalog, is no heap page: the first row misses *)
+          ignore (Pager.read pgr 0);
+          let m0 = misses () and l0 = lookups () in
+          List.iter (fun w -> scan_bwd st w (fun ~node:_ ~dist:_ -> ())) centers;
+          let runs = misses () - m0 and rows = lookups () - l0 in
+          let fwd = if List.length centers > 1 then 1 else 0 in
+          let l0 = lookups () in
+          let got = yielded (iter src) u in
+          check_int (Printf.sprintf "%s(%d): one lookup per run of rows" what u) (fwd + runs)
+            (lookups () - l0);
+          saved := !saved + rows - runs;
+          check_ints (Printf.sprintf "%s(%d) = BFS" what u)
+            (List.sort compare (Ihs.to_list (oracle g [ u ])))
+            got)
+        (List.init 200 (fun i -> i * 10)))
+    [ ("desc", Cover_store.iter_desc, Cover_store.iter_lout, Cover_store.iter_in_by_center,
+       Hopi_graph.Traversal.reachable);
+      ("anc", Cover_store.iter_anc, Cover_store.iter_lin, Cover_store.iter_out_by_center,
+       Hopi_graph.Traversal.reachable_backward) ];
+  check_bool "the memo saved lookups" true (!saved > 0)
 
 (* a default-sharded pool below 16 pages keeps to its budget: reading
    every page of a many-page store through a 2-page pool never holds more
@@ -1218,6 +1316,9 @@ let suite =
         Alcotest.test_case "a 2-page pool holds at most 2 pages" `Quick test_small_pool_keeps_budget;
         Alcotest.test_case "concurrent cold misses through a 2-page pool" `Quick
           test_concurrent_cold_misses;
+        Alcotest.test_case "a zeroed page of a published file is corrupt" `Quick
+          test_zeroed_page_is_corrupt;
+        Alcotest.test_case "desc/anc: one pool lookup per page run" `Quick test_page_memo;
         Alcotest.test_case "interval cuts negatives" `Quick test_interval_cuts_negatives;
       ]
       @ qsuite [ prop_row_tables_match_cover; prop_interval_matches_bfs ] );

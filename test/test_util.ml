@@ -215,7 +215,7 @@ let test_crc32_tails () =
     check_crc "random range" (crc_reference b ~pos ~len) (Crc32.digest b ~pos ~len)
   done
 
-(* the slicing kernel against the bit-at-a-time definition: every start
+(* the kernel against the bit-at-a-time definition: every start
    within a 16-byte step and every length up to four steps, so each tail
    length meets each alignment *)
 let test_crc32_every_offset () =
