@@ -4,11 +4,11 @@ module Union_find = Hopi_util.Union_find
 module Digraph = Hopi_graph.Digraph
 module Closure = Hopi_graph.Closure
 module Bitrow = Hopi_util.Bitrow
+module Collection = Hopi_collection.Collection
 module Partitioning = Hopi_collection.Partitioning
 module Psg = Hopi_collection.Psg
 module Pool = Hopi_util.Pool
 module Timer = Hopi_util.Timer
-module Radix_sort = Hopi_util.Radix_sort
 
 let log = Logs.Src.create "hopi.join.psg" ~doc:"PSG-based cross-partition join"
 
@@ -27,7 +27,7 @@ let m_entries =
 
 let m_out_emitted =
   Registry.counter "hopi_join_psg_out_emitted_total"
-    ~help:"H-hat out-side entries pushed into the PSG join's task buffers"
+    ~help:"H-hat out-side entries the PSG join's per-node flatten emits"
 
 let m_fixpoint_rounds =
   Registry.counter "hopi_join_psg_fixpoint_rounds_total"
@@ -50,7 +50,7 @@ let h_hbar_targets =
 let h_task_ns =
   Registry.histogram "hopi_join_psg_task_duration_ns"
     ~help:"Per-item time of parallelisable join work (chunk kernel passes, \
-           ancestor/descendant expansions)"
+           node-range flattens of the exit and entry rows)"
 
 type strategy = One_closure | Partitioned of int
 
@@ -63,12 +63,12 @@ type stats = {
 }
 
 (* The parallel sections below run read-only item functions on the pool
-   (a kernel pass over a chunk of the frozen PSG, label expansion against
-   the frozen partition covers) and collect results into per-index
-   slots; all writes to shared structures happen afterwards on the calling
-   domain, iterating the slots in sorted order.  That split is what keeps
-   the join deterministic — and hence the final cover bit-identical — for
-   every [jobs] value. *)
+   (a kernel pass over a chunk of the frozen PSG, the flatten of a node
+   range against the frozen partition covers) and collect results into
+   per-index slots; all writes to shared structures happen afterwards on
+   the calling domain, iterating the slots in sorted order.  That split
+   is what keeps the join deterministic — and hence the final cover
+   bit-identical — for every [jobs] value. *)
 
 type par_clock = { items : Timer.Acc.t; wall : Timer.Acc.t }
 
@@ -243,90 +243,22 @@ let hbar_partitioned ?pool ~pc (psg : Psg.t) ~max_connections =
 
 (* {1 The apply pipeline}
 
-   Building the final cover is sort-then-merge: pool tasks emit join
-   entries as packed (node, center) ints into a buffer and return them
-   sorted (stage [join.psg.sort]); each direction's task arrays are
-   concatenated and sorted into one stream (stage [join.psg.merge]); and
-   one linear merge of the partition covers' rows with the two streams
-   writes the final cover's flat rows (stage [join.psg.bulk]).
+   The row stage ({!Psg.routes}, the router's) folds H̄ into per-center
+   rows over the partition covers' labels.  Within a partition [a ⇝ s]
+   exactly when a center of [Lout(a) ∪ {a}] is in [Lin(s) ∪ {s}], and a
+   center lies in one partition, so Ĥout(a) — H̄out(s) over the sources
+   [s] that [a] reaches, minus [a] — is the union of [exit(c)] over
+   [c ∈ Lout(a) ∪ {a}], and Ĥin(v) that of [entry(c')] over
+   [c' ∈ Lin(v) ∪ {v}], minus [v] (Theorem 1).  Pool tasks flatten
+   contiguous ranges of the ascending node ids (stage [join.psg.sort]),
+   so every node's entries come out once and in center order, and the
+   task arrays concatenated are sorted (stage [join.psg.merge]).  One
+   merge of the partition covers' rows with the two streams writes the
+   final cover (stage [join.psg.bulk]).  No entry depends on task
+   boundaries or domains: stores are byte-identical for every [--jobs]. *)
 
-   Every entry is emitted once.  Out-side, H̄out(s) is copied to every
-   ancestor of s, and the ancestor sets of one partition's link sources
-   overlap heavily.  All those ancestors lie in s's own element partition
-   (Theorem 1), so one task per partition sees every copy of its entries.
-   It walks each ancestor a once, over the H̄out sets of all the link
-   sources a reaches, and a stamp per link target (the last ancestor it
-   was emitted for) drops the repeats.  No two partitions share an
-   ancestor, so a worker's stamps never need clearing between tasks, and
-   the tasks' arrays are disjoint.  In-side entries are distinct by
-   construction (each target is the center of its own).  The sorted
-   stream is therefore the canonical entry set, independent of job count
-   and task boundaries, which keeps stores byte-identical for every
-   [--jobs]. *)
-
-(* A task's packed entries, in a buffer that doubles when full.  Sorting
-   them also drops repeats: a backstop, as every entry is emitted once.
-   The sort's work space lives with the buffer: a fresh one per task would
-   be garbage the size of the buffer, and the GC lets the heap grow to
-   several times the live data before reclaiming it. *)
-type buf = { mutable a : int array; mutable scratch : int array; mutable n : int }
-
-let buf_create () = { a = Array.make 4096 0; scratch = Array.make 4096 0; n = 0 }
-
-let push b v =
-  if b.n = Array.length b.a then begin
-    let a = Array.make (2 * b.n) 0 in
-    Array.blit b.a 0 a 0 b.n;
-    b.a <- a;
-    b.scratch <- Array.make (2 * b.n) 0
-  end;
-  b.a.(b.n) <- v;
-  b.n <- b.n + 1
-
-(* sorted, duplicate-free *)
-let contents b = Array.sub b.a 0 (Radix_sort.sort_uniq_prefix ~scratch:b.scratch b.a b.n)
-
-(* [collect pool pc n ~state fill] is
-   [[| entries of fill st b 0; ...; fill st b (n-1) |]], each sorted and
-   duplicate-free.  The tasks run on the pool; each worker owns one buffer
-   and one [st = state ()], and keeps both for every task it takes, so a
-   buffer grows once per worker, not once per task (large arrays allocated
-   and dropped task after task fragment the memory the GC takes them from,
-   and the build's peak RSS grows with it). *)
-let collect pool pc n ~state fill =
-  let results = Array.make n [||] in
-  let next = Atomic.make 0 in
-  let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
-  let worker _ =
-    let b = buf_create () and st = state () in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <-
-          task pc
-            (fun i ->
-              b.n <- 0;
-              fill st b i;
-              contents b)
-            i;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  ignore (pmap pool pc (max 1 (min jobs n)) worker);
-  results
-
-(* one sorted stream from a direction's task arrays, which concatenated
-   already stand in center order within each node: an out-side task holds
-   all its nodes' entries, sorted, and no two tasks share a node; in-side
-   tasks come in ascending target order, one center each.  So a stable
-   sort on the node half of the packed entries (bits 31 up) is enough.
-   The two directions share one sort work space. *)
-let merged ~scratch parts =
-  let a = Array.concat (Array.to_list parts) in
-  let k = Radix_sort.sort_uniq_prefix ~scratch ~from_bit:31 a (Array.length a) in
-  if k = Array.length a then a else Array.sub a 0 k
+(* nodes per flatten task *)
+let task_nodes = 1024
 
 let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_covers =
   Counter.incr m_joins;
@@ -336,11 +268,11 @@ let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover
      their sizes *)
   let before = Array.fold_left (fun acc cov -> acc + Cover.size cov) 0 partition_covers in
   let cover_of_element e = partition_covers.(Partitioning.part_of_element p c e) in
+  let label iter v f = iter (cover_of_element v) v f in
   let psg =
     Trace.with_span "join.psg.build_psg" (fun () ->
-        let centers iter v f = iter (cover_of_element v) v (fun c _ -> f c) in
-        Psg.build ~links:p.Partitioning.cross_links ~lin:(centers Cover.iter_lin)
-          ~lout:(centers Cover.iter_lout))
+        Psg.build ~links:p.Partitioning.cross_links ~lin:(label Cover.iter_lin)
+          ~lout:(label Cover.iter_lout))
   in
   Histogram.observe h_psg_nodes (Digraph.n_nodes psg.Psg.graph);
   Histogram.observe h_psg_edges (Digraph.n_edges psg.Psg.graph);
@@ -374,81 +306,57 @@ let join ?(strategy = One_closure) ?pool c (p : Partitioning.t) ~partition_cover
   Array.iter (fun ks -> if ks <> [||] then Histogram.observe h_hbar_targets (Array.length ks)) hbar;
   let final =
     Trace.with_span "join.psg.apply" (fun () ->
-        (* stage 1 — emit.  Ĥ out-side: H̄out(s) is copied to every ancestor
-           of s in s's element partition (the ancestors include s itself,
-           which realises H̄ proper).  Ĥ in-side: every partition-level
-           descendant of a link target t gets t in its Lin (H̄in(t) = {t} is
-           implicit on t itself).  Expanding the ancestor/descendant sets
-           only reads the (frozen) partition covers, so the tasks run on the
-           pool. *)
+        (* stage 1 — the row stage over H̄, then every node's flatten on the
+           pool: both only read the frozen partition covers *)
         let out_parts, in_parts =
           Trace.with_span "join.psg.sort" (fun () ->
-              let by_part = Array.make p.Partitioning.n [] in
-              Array.iteri
-                (fun i ks ->
-                  if ks <> [||] then begin
-                    let q = Partitioning.part_of_element p c sources.(i) in
-                    by_part.(q) <- i :: by_part.(q)
-                  end)
-                hbar;
-              let by_part =
-                Array.of_list (List.filter (fun l -> l <> []) (Array.to_list by_part))
+              let exits, entries =
+                Psg.routes ~targets ~lin:(label Cover.iter_lin) ~lout:(label Cover.iter_lout)
+                  (Psg.of_sets ~keys:sources hbar)
               in
-              let out_parts =
-                collect pool pc (Array.length by_part)
-                  ~state:(fun () -> Array.make (Array.length targets) (-1))
-                  (fun stamp b i ->
-                    (* ancestor -> the H̄out sets of the link sources it reaches *)
-                    let reached = Hashtbl.create 256 in
-                    List.iter
-                      (fun i ->
-                        let s = sources.(i) and ks = hbar.(i) in
-                        Ihs.iter
-                          (fun a ->
-                            let sets = Option.value (Hashtbl.find_opt reached a) ~default:[] in
-                            Hashtbl.replace reached a (ks :: sets))
-                          (Cover.ancestors (cover_of_element s) s))
-                      by_part.(i);
-                    let emitted = ref 0 in
-                    Hashtbl.iter
-                      (fun a sets ->
-                        List.iter
-                          (Array.iter (fun k ->
-                               if stamp.(k) <> a then begin
-                                 stamp.(k) <- a;
-                                 if targets.(k) <> a then begin
-                                   push b (Cover.pack_entry ~node:a ~center:targets.(k));
-                                   incr emitted
-                                 end
-                               end))
-                          sets)
-                      reached;
-                    Counter.add m_out_emitted !emitted)
+              let nodes = ref [] in
+              Collection.iter_elements c (fun v -> nodes := v :: !nodes);
+              let nodes = Array.of_list (List.sort Int.compare !nodes) in
+              let n = Array.length nodes in
+              let exit_at = Psg.index exits and entry_at = Psg.index entries in
+              (* a task's entries, counted, then written at their exact size *)
+              let parts =
+                pmap pool pc
+                  ((n + task_nodes - 1) / task_nodes)
+                  (task pc (fun i ->
+                       let s = Psg.scratch (Array.length targets) in
+                       let pass emit =
+                         for x = i * task_nodes to min n ((i + 1) * task_nodes) - 1 do
+                           let a = nodes.(x) in
+                           let each d j =
+                             if targets.(j) <> a then emit d (Cover.pack_entry ~node:a ~center:targets.(j))
+                           in
+                           Psg.flatten s exits exit_at (label Cover.iter_lout) a (each 0);
+                           Psg.flatten s entries entry_at (label Cover.iter_lin) a (each 1)
+                         done
+                       in
+                       let len = [| 0; 0 |] in
+                       pass (fun d _ -> len.(d) <- len.(d) + 1);
+                       let part = Array.map (fun l -> Array.make l 0) len in
+                       Array.fill len 0 2 0;
+                       pass (fun d e ->
+                           part.(d).(len.(d)) <- e;
+                           len.(d) <- len.(d) + 1);
+                       (part.(0), part.(1))))
               in
-              let in_parts =
-                collect pool pc (Array.length targets) ~state:ignore (fun () b i ->
-                    let t = targets.(i) in
-                    Ihs.iter
-                      (fun d -> if d <> t then push b (Cover.pack_entry ~node:d ~center:t))
-                      (Cover.descendants (cover_of_element t) t))
-              in
-              (out_parts, in_parts))
+              (Array.map fst parts, Array.map snd parts))
         in
-        (* stage 2 — one sorted entry stream per direction *)
+        (* stage 2 — one sorted stream per direction: the node ranges ascend *)
         let out_entries, in_entries =
           Trace.with_span "join.psg.merge" (fun () ->
-              let length parts = Array.fold_left (fun n a -> n + Array.length a) 0 parts in
-              let scratch = Array.make (max (length out_parts) (length in_parts)) 0 in
-              (merged ~scratch out_parts, merged ~scratch in_parts))
+              let concat parts = Array.concat (Array.to_list parts) in
+              (concat out_parts, concat in_parts))
         in
-        (* stage 3 — one merge of the partition covers' rows with the two
-           streams into the final, frozen cover *)
+        Counter.add m_out_emitted (Array.length out_entries);
+        (* stage 3 — the partition covers' rows and both streams, merged *)
         Trace.with_span "join.psg.bulk" (fun () ->
-            (* the task buffers, task arrays and sort work space are
-               garbage by now, together about as large as the cover about
-               to be written: collected first, the heap does not grow for
-               the cover on top of them (1000 DBLP docs, --jobs 1: 138
-               against 181 MB peak heap, 140 against 186 MiB peak RSS) *)
+            (* the task arrays are garbage now: collected first, the heap
+               does not grow for the cover on top of them *)
             Gc.full_major ();
             Cover.merge partition_covers ~lout:out_entries ~lin:in_entries))
   in

@@ -4,9 +4,10 @@
     It builds the partition-level skeleton graph (PSG), computes the compact
     cover [H̄] that uses cross-link *targets* as centers
     ([H̄out(s) = {t | t link target, s ⇝ t in the PSG}], [H̄in(t) = {t}],
-    which is implicit), and then copies entries to partition-level ancestors
-    of link sources and descendants of link targets (the supplementary cover
-    [Ĥ]).  The union of the partition covers, [H̄] and [Ĥ] is a 2-hop cover
+    which is implicit), and then gives [H̄out(s)] to every partition-level
+    ancestor of a link source [s] and every link target [t] to the
+    [Lin] of each partition-level descendant of [t] (the supplementary
+    cover [Ĥ]).  The union of the partition covers, [H̄] and [Ĥ] is a 2-hop cover
     for the whole element graph.
 
     Two strategies compute [H̄]:
@@ -56,17 +57,18 @@ val join :
   Hopi_twohop.Cover.t * stats
 (** [partition_covers.(p)] must be the 2-hop cover of partition [p].  The
     result is the final cover: the union of the partition covers and the
-    [H̄]/[Ĥ] entries, built through a three-stage pipeline: per-task
-    packed entry arrays ([join.psg.sort], fanned out over the pool; the
-    out-side task of an element partition emits each of its entries once,
-    through a stamp per link target, and no other partition's task can
-    repeat them), one sorted stream per direction ([join.psg.merge]), and
-    one merge of the partition covers' rows with both streams into a
-    frozen cover ([join.psg.bulk] — {!Hopi_twohop.Cover.merge}).
+    [H̄]/[Ĥ] entries, built in three stages.  [join.psg.sort]: the row
+    stage ({!Hopi_collection.Psg.routes}, the router's) folds [H̄] into
+    per-center rows over the partition covers' labels, and pool tasks
+    flatten, over contiguous ranges of the ascending node ids, the rows
+    of each node's [Lout(a) ∪ {a}] into [Ĥout(a)] and of [Lin(v) ∪ {v}]
+    into [Ĥin(v)].  [join.psg.merge]: the tasks' packed entry arrays,
+    each in (node, center) order, concatenated into one sorted stream per
+    direction.  [join.psg.bulk]: one merge of the partition covers' rows
+    with both streams into a frozen cover ({!Hopi_twohop.Cover.merge}).
 
-    With [pool], the read-only bulk work — per-chunk kernel passes
-    ([Partitioned]) and the partition-level ancestor/descendant
-    expansions of [Ĥ] — fans out over the pool's domains.  The sorted
-    stream is the canonical entry set whatever the job count or task
-    boundaries, so the resulting cover is identical (entry-for-entry and in
-    stored order) for every [pool], including none. *)
+    With [pool], the per-chunk kernel passes ([Partitioned]) and the
+    flatten tasks fan out over the pool's domains.  A node's entries do
+    not depend on which task or domain computes them, so the cover is
+    identical (entry-for-entry and in stored order) for every [pool],
+    including none. *)

@@ -8,21 +8,21 @@
    cross-link endpoints, whose link edges are the cross links themselves,
    and whose within edges connect a link target to every link source it
    reaches inside its own partition.  The shards' labels give every
-   within edge, so the routing index stores only the links, and the PSG
-   and its closure are derived at open, by the same stage the PSG join
-   runs.  A query crossing shards resolves as
+   within edge, so the routing index stores only the links, and the PSG,
+   its closure and the per-center rows are derived at open by the stages
+   the PSG join runs.  A query crossing shards resolves as
 
      u ==within==> s  --PSG closure-->  t  ==within==> v
 
    and both within segments are 2-hop label merges, so the whole path is
-   a second-level 2-hop merge whose centers are shard-cover centers
-   (§3.4, with the cross-link endpoints preselected as in §4.2): [exit c]
-   folds [c ⇝ s ⇝ t] over every source [s] that names [c] (in [Lin(s)] or
-   as [s] itself), [entry c'] lists every target [t] that reaches [c']
-   (in [Lout(t)] or as [t] itself), and [u ⇝ v] crosses iff some
+   a second-level 2-hop merge whose centers are shard-cover centers: the
+   row stage ({!Psg.routes}) gives [exit c], the closure rows of every
+   source naming [c] (in [Lin(s)] or as [s]), and [entry c'], every target
+   naming [c'] (in [Lout(t)] or as [t]); [u ⇝ v] crosses iff some
    [c ∈ Lout(u) ∪ {u}] and [c' ∈ Lin(v) ∪ {v}] have a target in common.
-   The closure is multi-hop, so paths that traverse — or re-enter — any
-   number of shards are covered. *)
+   The join flattens the same rows into each node's labels; the router
+   keeps them per center.  The closure is multi-hop, so paths that
+   traverse — or re-enter — any number of shards are covered. *)
 
 module Collection = Hopi_collection.Collection
 module Partitioning = Hopi_collection.Partitioning
@@ -178,21 +178,12 @@ let split ?(vfs = S.Vfs.real) ?(dist = false) ?(fsync = true) ~k ~dir c =
 
 (* {1 Loading} *)
 
-(* The PSG's closure as flat arrays over dense numbers: link sources and
-   link targets, each ascending.  Source [i]'s rows are positions
-   [row_t.(row_off.(i))] .. [row_t.(row_off.(i + 1) - 1)] of the targets
-   it reaches, at [row_d] of the same positions on distance-aware shards
-   ([row_d] is empty on plain ones, where every distance is 0); target
-   [j]'s reaching sources are [rev_s.(rev_off.(j))] ..
-   [rev_s.(rev_off.(j + 1) - 1)], as ids. *)
-type closure = {
-  sources : int array;
-  row_off : int array;
-  row_t : int array;
-  row_d : int array;
-  rev_off : int array;
-  rev_s : int array;
-}
+(* The PSG's closure over dense numbers: link sources and link targets,
+   each ascending.  [rows] holds per source the targets it reaches, at
+   their distances on distance-aware shards (no distances on plain ones,
+   where every distance is 0); target [j]'s reaching sources are
+   [rev_s.(rev_off.(j))] .. [rev_s.(rev_off.(j + 1) - 1)], as ids. *)
+type closure = { rows : Psg.rows; rev_off : int array; rev_s : int array }
 
 type t = {
   k : int;
@@ -210,8 +201,6 @@ type t = {
 
 let bad_index path msg = raise (Sys_error (Printf.sprintf "%s: bad routing index: %s" path msg))
 
-let push h key x = Hashtbl.replace h key (x :: Option.value ~default:[] (Hashtbl.find_opt h key))
-
 (* [f center d] once per distinct center of a label set, at the run's
    least distance (the first row of each run) *)
 let iter_runs enc f =
@@ -222,72 +211,34 @@ let iter_runs enc f =
         f center dist
       end)
 
-(* The second-level 2-hop tables, over the shards' labels (fetched
-   through the shared label cache).  [targets] holds the link targets
-   ascending, the dense keys of the closure rows.
-
-   exit rows: every source [s] with a closure row hands its rows, shifted
-   by [din(c, s)], to each center [c ∈ Lin(s) ∪ {s}]; a center keeps the
-   least distance per target, gathered in one dense scratch array.
-   entry rows: each target [t] at [dout(t, c')] under every center
-   [c' ∈ Lout(t) ∪ {t}].  Both are set as gauges. *)
-let routing_rows snaps elem_shard targets clo =
-  let label dir v = Snapshot.label snaps.(Hashtbl.find elem_shard v) dir v in
-  let namers = Hashtbl.create 256 in
-  Array.iteri
-    (fun i s ->
-      if clo.row_off.(i + 1) > clo.row_off.(i) then begin
-        push namers s (i, 0);
-        iter_runs (label S.Cover_store.Lin s) (fun c din -> push namers c (i, din))
-      end)
-    clo.sources;
-  let plain = Array.length clo.row_d = 0 in
-  let dist e = if plain then 0 else clo.row_d.(e) in
-  (* [best] holds each target's least distance, [seen] marks the targets
-     touched, read back ascending *)
-  let best = Array.make (Array.length targets) max_int in
-  let seen = Array.make ((Array.length targets / Bitrow.bits) + 1) 0 in
-  let exits = Hashtbl.create (Hashtbl.length namers) in
-  Hashtbl.iter
-    (fun c by ->
-      List.iter
-        (fun (i, din) ->
-          for e = clo.row_off.(i) to clo.row_off.(i + 1) - 1 do
-            let ti = clo.row_t.(e) and d = din + dist e in
-            if d < best.(ti) then begin
-              best.(ti) <- d;
-              seen.(ti / Bitrow.bits) <- seen.(ti / Bitrow.bits) lor (1 lsl (ti mod Bitrow.bits))
-            end
-          done)
-        by;
-      let enc = Codec.Enc.create () in
-      Array.iteri
-        (fun wi word ->
-          if word <> 0 then begin
-            Bitrow.iter_word (wi * Bitrow.bits) word (fun ti ->
-                Codec.Enc.row enc ~center:targets.(ti) ~dist:best.(ti);
-                best.(ti) <- max_int);
-            seen.(wi) <- 0
-          end)
-        seen;
-      Hashtbl.replace exits c (Codec.Enc.finish enc))
-    namers;
-  (* targets go in descending, so each center's list comes out ascending *)
-  let entry_l = Hashtbl.create 64 in
-  for i = Array.length targets - 1 downto 0 do
-    let tg = targets.(i) in
-    push entry_l tg (tg, 0);
-    iter_runs (label S.Cover_store.Lout tg) (fun c dout -> push entry_l c (tg, dout))
-  done;
-  let entries_at = Hashtbl.create (Hashtbl.length entry_l) in
-  Hashtbl.iter (fun c l -> Hashtbl.replace entries_at c (Codec.encode_pairs (Array.of_list l))) entry_l;
-  let rows = ref 0 and bytes = ref 0 in
-  let count _ enc =
-    rows := !rows + Codec.n_rows enc;
-    bytes := !bytes + Codec.size_bytes enc
+(* The second-level 2-hop tables: the PSG join's row stage
+   ({!Psg.routes}) over the shards' labels, fetched through the shared
+   label cache, with the closure's rows as they are (a source on a PSG
+   cycle keeps itself).  Each row is encoded as one label set of (link
+   target, distance) rows: [exit(c)] at the least [din(c, s) + d(s, t)],
+   [entry(c')] at [dout(t, c')].  Both are set as gauges. *)
+let routing_rows label targets clo =
+  let exits, entries =
+    Psg.routes ~targets ~lin:(label S.Cover_store.Lin) ~lout:(label S.Cover_store.Lout) clo.rows
   in
-  Hashtbl.iter count exits;
-  Hashtbl.iter count entries_at;
+  let rows = ref 0 and bytes = ref 0 in
+  let table (r : Psg.rows) =
+    let tbl = Hashtbl.create (Array.length r.Psg.keys) in
+    Array.iteri
+      (fun i c ->
+        let enc = Codec.Enc.create () and k = ref 0 in
+        Bitrow.iter ~lo:r.Psg.lo.(i) r.Psg.bits.(i) (fun j ->
+            let dist = if Array.length r.Psg.dist = 0 then 0 else r.Psg.dist.(i).(!k) in
+            Codec.Enc.row enc ~center:targets.(j) ~dist;
+            incr k);
+        let enc = Codec.Enc.finish enc in
+        rows := !rows + Codec.n_rows enc;
+        bytes := !bytes + Codec.size_bytes enc;
+        Hashtbl.replace tbl c enc)
+      r.Psg.keys;
+    tbl
+  in
+  let exits = table exits and entries_at = table entries in
   Gauge.set g_rows !rows;
   Gauge.set g_bytes !bytes;
   (exits, entries_at)
@@ -396,43 +347,32 @@ let dial_search snaps shard g targets =
 let psg_closure ~with_dist snaps shard (psg : Psg.t) =
   let g = psg.Psg.graph and sources = psg.Psg.sources and targets = psg.Psg.targets in
   let reached = Closure.succs_among g ~from:sources ~among:targets in
-  let search = if with_dist then Some (dial_search snaps shard g targets) else None in
-  let cap = Array.fold_left (fun n r -> n + Array.length r) 0 reached in
-  let row_off = Array.make (Array.length sources + 1) 0 in
-  let row_t = Array.make cap 0 and row_d = Array.make (if with_dist then cap else 0) 0 in
-  let n = ref 0 in
-  let add j d =
-    row_t.(!n) <- j;
-    if with_dist then row_d.(!n) <- d;
-    incr n
-  in
-  Array.iteri
-    (fun i s ->
-      let r = reached.(i) in
-      (match search with
-      | None -> Array.iter (fun j -> add j 0) r
-      | Some search ->
+  let dist = Array.make (if with_dist then Array.length sources else 0) [||] in
+  if with_dist then begin
+    let search = dial_search snaps shard g targets in
+    Array.iteri
+      (fun i s ->
         (* a target no search reaches goes (an edge with no stored distance) *)
-        search s ~want:(Array.length r) (fun dist ->
-            Array.iter (fun j -> if dist j < max_int then add j (dist j)) r));
-      row_off.(i + 1) <- !n)
-    sources;
-  let row_t = Array.sub row_t 0 !n and row_d = if with_dist then Array.sub row_d 0 !n else [||] in
+        search s ~want:(Array.length reached.(i)) (fun d ->
+            reached.(i) <- Array.of_seq (Seq.filter (fun j -> d j < max_int) (Array.to_seq reached.(i)));
+            dist.(i) <- Array.map d reached.(i)))
+      sources
+  end;
   let rev_off = Array.make (Array.length targets + 1) 0 in
-  Array.iter (fun j -> rev_off.(j + 1) <- rev_off.(j + 1) + 1) row_t;
-  for j = 0 to Array.length targets - 1 do
-    rev_off.(j + 1) <- rev_off.(j + 1) + rev_off.(j)
+  Array.iter (Array.iter (fun j -> rev_off.(j + 1) <- rev_off.(j + 1) + 1)) reached;
+  for j = 1 to Array.length targets do
+    rev_off.(j) <- rev_off.(j) + rev_off.(j - 1)
   done;
-  let fill = Array.sub rev_off 0 (Array.length targets) and rev_s = Array.make !n 0 in
+  let fill = Array.copy rev_off and rev_s = Array.make rev_off.(Array.length targets) 0 in
   Array.iteri
-    (fun i s ->
-      for e = row_off.(i) to row_off.(i + 1) - 1 do
-        let j = row_t.(e) in
-        rev_s.(fill.(j)) <- s;
-        fill.(j) <- fill.(j) + 1
-      done)
-    sources;
-  { sources; row_off; row_t; row_d; rev_off; rev_s }
+    (fun i r ->
+      Array.iter
+        (fun j ->
+          rev_s.(fill.(j)) <- sources.(i);
+          fill.(j) <- fill.(j) + 1)
+        r)
+    reached;
+  { rows = Psg.of_sets ~keys:sources ~dist reached; rev_off; rev_s }
 
 type routing = { gen : int; n_shards : int; dist : bool; links : (int * int) list }
 
@@ -505,16 +445,16 @@ let open_dir ?(vfs = S.Vfs.real) ?(pool_pages = 4096) ?(cache_mb = 64) dir =
       if a = b then bad_index path (Printf.sprintf "link %d -> %d stays inside shard %d" u v a);
       has_targets.(b) <- true)
     links;
+  let label dir v = iter_runs (Snapshot.label snaps.(shard v) dir v) in
   let psg =
     Trace.with_span "router.open.psg" (fun () ->
-        let centers dir v = Codec.iter_centers (Snapshot.label snaps.(shard v) dir v) in
-        Psg.build ~links ~lin:(centers S.Cover_store.Lin) ~lout:(centers S.Cover_store.Lout))
+        Psg.build ~links ~lin:(label S.Cover_store.Lin) ~lout:(label S.Cover_store.Lout))
   in
   (* link targets ascending: the dense key of the closure rows *)
   let targets = psg.Psg.targets in
   let clo = Trace.with_span "router.open.closure" (fun () -> psg_closure ~with_dist snaps shard psg) in
   let exits, entries_at =
-    Trace.with_span "router.open.rows" (fun () -> routing_rows snaps elem_shard targets clo)
+    Trace.with_span "router.open.rows" (fun () -> routing_rows label targets clo)
   in
   let entries = Array.fold_left (fun acc s -> acc + Snapshot.n_entries s) 0 snaps in
   {

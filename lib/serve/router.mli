@@ -21,8 +21,9 @@
     only when a PSG cycle returns to it.
 
     {!open_dir} serves the shard directory as one logical index with
-    exactly {!Hopi_storage.Cover_store} semantics.  At open it folds the
-    PSG closure into a second level of 2-hop labels over the shards' own
+    exactly {!Hopi_storage.Cover_store} semantics.  At open the row stage
+    the PSG join flattens ({!Hopi_collection.Psg.routes}) folds the PSG
+    closure into a second level of 2-hop labels over the shards' own
     labels, whose centers are the shard-cover centers around the cross
     links (the paper's §3.4 merge, with link targets as the preselected
     centers of §4.2):

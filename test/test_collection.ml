@@ -321,10 +321,10 @@ let psg_of_covers c p =
     Array.init p.Partitioning.n (fun q ->
         fst (Hopi_twohop.Builder.build (Hopi_graph.Closure.compute (Partitioning.element_subgraph p c q))))
   in
-  let centers iter v f = iter covers.(Partitioning.part_of_element p c v) v (fun c _ -> f c) in
+  let label iter v f = iter covers.(Partitioning.part_of_element p c v) v f in
   let psg =
-    Psg.build ~links:p.Partitioning.cross_links ~lin:(centers Hopi_twohop.Cover.iter_lin)
-      ~lout:(centers Hopi_twohop.Cover.iter_lout)
+    Psg.build ~links:p.Partitioning.cross_links ~lin:(label Hopi_twohop.Cover.iter_lin)
+      ~lout:(label Hopi_twohop.Cover.iter_lout)
   in
   let g = Collection.element_graph c in
   let bfs = Digraph.create () in
@@ -375,7 +375,7 @@ let test_psg () =
 let test_psg_within_from_labels () =
   let lout = [ (10, [ 11 ]); (30, [ 99 ]); (40, [ 98 ]); (50, [ 51 ]) ]
   and lin = [ (21, [ 20 ]); (31, [ 99 ]); (41, [ 97 ]); (50, [ 20 ]) ] in
-  let label l v f = List.iter f (Option.value ~default:[] (List.assoc_opt v l)) in
+  let label l v f = List.iter (fun c -> f c 0) (Option.value ~default:[] (List.assoc_opt v l)) in
   let links =
     [ (11, 1); (21, 1); (31, 1); (41, 1); (50, 1); (0, 10); (0, 20); (0, 30); (0, 40); (0, 50) ]
   in

@@ -243,21 +243,113 @@ let bfs_psg c (p : Partitioning.t) =
     targets;
   (psg, sources, targets, fun v -> subgraph (part v))
 
-(* The distinct Ĥout entries of a partitioning, from BFS alone: H̄out(s) =
-   the link targets other than s that s reaches in the BFS PSG, copied to
-   every within-partition ancestor [a] of [s] as [(a, t)], [a <> t]. *)
-let hat_out_entries c (p : Partitioning.t) =
+(* The Ĥ entries of a partitioning, from BFS alone, as sorted (node,
+   center) lists.  Ĥout: H̄out(s) = the link targets other than s that s
+   reaches in the BFS PSG, copied to every within-partition ancestor [a]
+   of [s] as [(a, t)], [a <> t].  Ĥin: every within-partition descendant
+   [d <> t] of a link target [t] gets [(d, t)]. *)
+let hat_entries c (p : Partitioning.t) =
   let psg, sources, targets, subgraph_of = bfs_psg c p in
-  let entries = Hashtbl.create 64 in
+  let out = Hashtbl.create 64 and inn = Hashtbl.create 64 in
   List.iter
     (fun s ->
       let reached = Traversal.reachable psg [ s ] in
       let hbar = List.filter (fun t -> t <> s && Ihs.mem reached t) targets in
       Ihs.iter
-        (fun a -> List.iter (fun t -> if a <> t then Hashtbl.replace entries (a, t) ()) hbar)
+        (fun a -> List.iter (fun t -> if a <> t then Hashtbl.replace out (a, t) ()) hbar)
         (Traversal.reachable_backward (subgraph_of s) [ s ]))
     sources;
-  Hashtbl.length entries
+  List.iter
+    (fun t ->
+      Ihs.iter
+        (fun d -> if d <> t then Hashtbl.replace inn (d, t) ())
+        (Traversal.reachable (subgraph_of t) [ t ]))
+    targets;
+  let sorted h = List.sort compare (Hashtbl.fold (fun e () l -> e :: l) h []) in
+  (sorted out, sorted inn)
+
+let out_emitted = Hopi_obs.Registry.counter "hopi_join_psg_out_emitted_total"
+
+(* [Join_psg.join] over Builder covers of [p]'s partitions must add exactly
+   the BFS Ĥ: per direction, the joined cover's entries are the partition
+   covers' and the BFS entries, and the flatten emits each BFS Ĥout entry
+   once (also those a partition cover already holds).  [None] when it
+   does, else what differs. *)
+let join_vs_hat c (p : Partitioning.t) ~strategy ~jobs =
+  let covers =
+    Array.init p.Partitioning.n (fun q ->
+        fst (Builder.build (Closure.compute (Partitioning.element_subgraph p c q))))
+  in
+  let before = Hopi_obs.Counter.get out_emitted in
+  let final, _ =
+    Hopi_util.Pool.with_pool ~jobs (fun pool ->
+        Hopi_core.Join_psg.join ~strategy ~pool c p ~partition_covers:covers)
+  in
+  let emitted = Hopi_obs.Counter.get out_emitted - before in
+  let want_out, want_in = hat_entries c p in
+  let entries side cov =
+    List.concat_map
+      (fun v -> List.map (fun w -> (v, w)) (Int_set.to_list (side cov v)))
+      (Cover.nodes cov)
+  in
+  let check what side want =
+    let part = List.concat_map (entries side) (Array.to_list covers) in
+    let want = List.sort_uniq compare (part @ want) and got = List.sort compare (entries side final) in
+    if got = want then None
+    else
+      let missing = List.filter (fun e -> not (List.mem e got)) want
+      and extra = List.filter (fun e -> not (List.mem e want)) got in
+      let show l = String.concat " " (List.map (fun (v, w) -> Printf.sprintf "(%d,%d)" v w) l) in
+      Some (Printf.sprintf "%s: missing %s; extra %s" what (show missing) (show extra))
+  in
+  match (check "Lout" Cover.lout want_out, check "Lin" Cover.lin want_in) with
+  | Some m, _ | None, Some m -> Some m
+  | None, None when emitted <> List.length want_out ->
+    Some (Printf.sprintf "emitted %d Ĥout entries, BFS has %d" emitted (List.length want_out))
+  | None, None -> None
+
+let strategy_name = function
+  | Hopi_core.Join_psg.One_closure -> "one-closure"
+  | Hopi_core.Join_psg.Partitioned b -> Printf.sprintf "partitioned %d" b
+
+let prop_join_adds_hat =
+  QCheck2.Test.make
+    ~name:"PSG join adds exactly the BFS Ĥout and Ĥin (both H̄ strategies, jobs 1-3)"
+    ~count:12
+    Gen.(
+      quad gen_collection_cfg gen_split_partitioner
+        (oneofl Hopi_core.Join_psg.[ One_closure; Partitioned max_int; Partitioned 20 ])
+        (int_range 1 3))
+    (fun (gen_cfg, partitioner, strategy, jobs) ->
+      let c = Dblp.generate gen_cfg in
+      let p = (Build.build { Config.default with partitioner } c).Build.partitioning in
+      match join_vs_hat c p ~strategy ~jobs with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "%s, jobs %d: %s" (strategy_name strategy) jobs m)
+
+(* [e] is a link source and a link target; on the cycle the PSG leads from
+   [e] back to [e], and H̄out(e) leaves [e] out, so [e]'s in-document
+   ancestors get no [(a, e)] Ĥout entry.  One partition per document. *)
+let test_join_self_row () =
+  List.iter
+    (fun cycle ->
+      let c = Test_shard.source_and_target ~cycle in
+      let p = Partitioning.singleton_per_doc c in
+      let e = List.hd (Collection.elements_with_tag c "e") in
+      let links = p.Partitioning.cross_links in
+      Alcotest.(check bool) "e is a link source" true (List.exists (fun (u, _) -> u = e) links);
+      Alcotest.(check bool) "e is a link target" true (List.exists (fun (_, v) -> v = e) links);
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun jobs ->
+              match join_vs_hat c p ~strategy ~jobs with
+              | None -> ()
+              | Some m ->
+                Alcotest.failf "cycle=%b, %s, jobs %d: %s" cycle (strategy_name strategy) jobs m)
+            [ 1; 2; 3 ])
+        Hopi_core.Join_psg.[ One_closure; Partitioned max_int; Partitioned 1 ])
+    [ true; false ]
 
 let edge_list g =
   let l = ref [] in
@@ -277,10 +369,10 @@ let prop_psg_labels_equal_bfs =
             let sub = Partitioning.element_subgraph p c q in
             if dist then fst (Dist_builder.build sub) else fst (Builder.build (Closure.compute sub)))
       in
-      let centers iter v f = iter covers.(Partitioning.part_of_element p c v) v (fun c _ -> f c) in
+      let label iter v f = iter covers.(Partitioning.part_of_element p c v) v f in
       let psg =
         Hopi_collection.Psg.build ~links:p.Partitioning.cross_links
-          ~lin:(centers Cover.iter_lin) ~lout:(centers Cover.iter_lout)
+          ~lin:(label Cover.iter_lin) ~lout:(label Cover.iter_lout)
       in
       let want, _, _, _ = bfs_psg c p in
       edge_list psg.Hopi_collection.Psg.graph = edge_list want
@@ -288,17 +380,16 @@ let prop_psg_labels_equal_bfs =
            (Digraph.n_edges psg.Hopi_collection.Psg.graph) (Digraph.n_edges want))
 
 let prop_out_emitted_once =
-  let emitted = Hopi_obs.Registry.counter "hopi_join_psg_out_emitted_total" in
   QCheck2.Test.make
     ~name:"PSG join pushes each distinct Ĥout entry once"
     ~count:12
     Gen.(triple gen_collection_cfg gen_split_partitioner (int_range 1 3))
     (fun (gen_cfg, partitioner, jobs) ->
       let c = Dblp.generate gen_cfg in
-      let before = Hopi_obs.Counter.get emitted in
+      let before = Hopi_obs.Counter.get out_emitted in
       let r = Build.build { Config.default with partitioner; jobs } c in
-      let pushed = Hopi_obs.Counter.get emitted - before
-      and distinct = hat_out_entries c r.Build.partitioning in
+      let pushed = Hopi_obs.Counter.get out_emitted - before
+      and distinct = List.length (fst (hat_entries c r.Build.partitioning)) in
       pushed = distinct
       || QCheck2.Test.fail_reportf "pushed %d Ĥout entries, %d distinct" pushed distinct)
 
@@ -436,7 +527,9 @@ let suite =
           prop_psg_labels_equal_bfs;
           prop_jobs_determinism;
           prop_fixed_seed_reproducible;
-        ] );
+          prop_join_adds_hat;
+        ]
+      @ [ Alcotest.test_case "PSG join: no self row on a PSG cycle" `Quick test_join_self_row ] );
     ( "props.maintenance",
       Alcotest.test_case "soak covers both delete paths" `Quick
         test_soak_covers_both_paths

@@ -312,9 +312,8 @@ let test_dyn_array () =
 (* prefixes on both sides of the 8-bit digit path's [2^16]-entry bound and
    tiny ones, drawn from a few distinct values each (down to one) below a
    random power of two up to [max_int], so that most entries repeat and the
-   pass count varies; some inputs arrive sorted, a tail of negative entries
-   past the prefix must be ignored, and the work space is fresh, passed in,
-   or passed in too short *)
+   pass count varies; some inputs arrive sorted, and a tail of negative
+   entries past the prefix must be ignored *)
 let prop_sort_uniq_prefix =
   QCheck2.Test.make ~name:"sort_uniq_prefix = List.sort_uniq" ~count:40
     QCheck2.Gen.(
@@ -334,35 +333,7 @@ let prop_sort_uniq_prefix =
         Array.blit s 0 a 0 len
       end;
       let want = List.sort_uniq compare (Array.to_list (Array.sub a 0 len)) in
-      let k =
-        match Splitmix.int rng 3 with
-        | 0 -> Radix_sort.sort_uniq_prefix a len
-        | 1 -> Radix_sort.sort_uniq_prefix ~scratch:(Array.make (len + tail) 7) a len
-        | _ -> Radix_sort.sort_uniq_prefix ~scratch:(Array.make (len / 2) 7) a len
-      in
-      Array.to_list (Array.sub a 0 k) = want)
-
-(* [from_bit]: entries drawn as (high, low) pairs, the lows of each high
-   value ascending in the order they are laid out, the highs interleaved
-   at random; a stable sort on the high part alone sorts them *)
-let prop_sort_from_bit =
-  QCheck2.Test.make ~name:"sort_uniq_prefix ~from_bit = List.sort_uniq on ordered groups" ~count:40
-    QCheck2.Gen.(triple (int_range 0 3_000) (int_range 1 40) (int_bound 1_000_000))
-    (fun (len, n_high, seed) ->
-      let rng = Splitmix.create seed in
-      (* lows stay below [len] <= 3,000 < 2^12 *)
-      let from_bit = 12 + Splitmix.int rng 30 in
-      let next_low = Array.make n_high 0 in
-      let a =
-        Array.init len (fun _ ->
-            let h = Splitmix.int rng n_high in
-            (* repeats of the previous low now and then *)
-            let low = next_low.(h) + Splitmix.int rng 2 in
-            next_low.(h) <- low;
-            (h lsl from_bit) lor low)
-      in
-      let want = List.sort_uniq compare (Array.to_list a) in
-      let k = Radix_sort.sort_uniq_prefix ~from_bit a len in
+      let k = Radix_sort.sort_uniq_prefix a len in
       Array.to_list (Array.sub a 0 k) = want)
 
 (* {1 Heap} *)
@@ -783,7 +754,7 @@ let suite =
         Alcotest.test_case "page byte flips" `Quick test_crc32_page_flips;
       ] );
     ("util.dyn_array", [ Alcotest.test_case "basic" `Quick test_dyn_array ]);
-    ("util.radix_sort", qsuite [ prop_sort_uniq_prefix; prop_sort_from_bit ]);
+    ("util.radix_sort", qsuite [ prop_sort_uniq_prefix ]);
     ( "util.heap",
       Alcotest.test_case "order" `Quick test_heap_order :: qsuite [ prop_heap_sorts ] );
     ( "util.splitmix",
